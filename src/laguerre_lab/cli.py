@@ -34,6 +34,7 @@ from .models import build_plane
 from .report import CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, report_csv_row
 
 SEED_ENV = "LAGUERRE_LAB_SEED"
+SEED_LIMIT = 1 << 64  # the sampling stream is keyed by a 64-bit seed
 
 ALL_CHECKS = ("Axioms",) + _checks.CHECK_IDS
 _ALIASES = {c.lower(): c for c in ALL_CHECKS}
@@ -43,13 +44,20 @@ class UsageError(Exception):
     pass
 
 
+def _checked_seed(seed: int, source: str) -> int:
+    """`seed` if it is in [0, 2^64); two seeds outside would alias one stream."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise UsageError(f"{source} must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _parse_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
-            return int(env)
+            return _checked_seed(int(env), SEED_ENV)
         except ValueError as e:
             raise UsageError(f"{SEED_ENV} must be an integer, got {env!r}") from e
     raise UsageError(f"sample mode needs --seed or {SEED_ENV}")
@@ -312,6 +320,29 @@ def _violation_from_obj(obj) -> "_checks.Violation":
     )
 
 
+def _parse_report_line(where: str, line: str):
+    """(check, q, model, violations, DtsVerify pair coefficients) of a line."""
+    try:
+        obj = json.loads(line)
+    except ValueError as e:
+        raise UsageError(f"{where}: not JSON ({e})") from e
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where}: a report line must be a JSON object")
+    missing = [k for k in ("check", "q", "model") if k not in obj]
+    if missing:
+        raise UsageError(f"{where}: report line lacks {', '.join(repr(k) for k in missing)}")
+    if not isinstance(obj["model"], str):
+        raise UsageError(f"{where}: model must be a string, got {obj['model']!r}")
+    try:
+        violations = [_violation_from_obj(v) for v in obj.get("violations", [])]
+        pair = None
+        if obj["check"] == "DtsVerify":
+            pair = (obj["pair"]["K"]["coef"], obj["pair"]["L"]["coef"])
+        return obj["check"], int(obj["q"]), obj["model"], violations, pair
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise UsageError(f"{where}: malformed report line ({type(e).__name__}: {e})") from e
+
+
 def _cmd_replay(args) -> int:
     lines_out = []
     all_ok = True
@@ -320,14 +351,12 @@ def _cmd_replay(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            check_id = obj["check"]
-            plane = build_plane(int(obj["q"]), obj["model"])
-            violations = [_violation_from_obj(v) for v in obj.get("violations", [])]
+            check_id, q, model, violations, pair = _parse_report_line(
+                f"{args.report}:{lineno}", line)
+            plane = build_plane(q, model)
             if check_id == "DtsVerify":
-                pair = obj["pair"]
-                K = plane.circle_from_coef(pair["K"]["coef"]).id
-                L = plane.circle_from_coef(pair["L"]["coef"]).id
+                K = plane.circle_from_coef(pair[0]).id
+                L = plane.circle_from_coef(pair[1]).id
                 fresh = _symmetry.verify_dts(plane, _symmetry.build_dts(plane, K, L), K, L)
                 fresh_set = {(v.kind, v.points, v.circles) for v in fresh.violations}
                 confirmed = all((v.kind, v.points, v.circles) in fresh_set for v in violations)
@@ -416,6 +445,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            _checked_seed(args.seed, "--seed")
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -189,13 +189,20 @@ def export_plane(plane: LaguerrePlane) -> str:
 def import_plane(text: str, validate: bool = True) -> LaguerrePlane:
     """Parse the text format back into a plane (inverse of export_plane)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty plane text: missing 'laguerre' header")
     head = lines[0].split()
-    if not head or head[0] != "laguerre":
+    if head[0] != "laguerre":
         raise ValueError("missing 'laguerre' header")
-    fields = dict(part.split("=", 1) for part in head[1:])
+    fields = dict(part.partition("=")[::2] for part in head[1:])
+    missing = [k for k in ("q", "points", "circles") if k not in fields]
+    if missing:
+        raise ValueError(f"plane header lacks {', '.join(k + '=' for k in missing)}")
     q = int(fields["q"])
     n_points = int(fields["points"])
     n_circles = int(fields["circles"])
+    if q < 1:
+        raise ValueError(f"plane header has q={q}; the order must be positive")
     n_gens = n_points // q
     if len(lines) != 1 + n_gens + n_circles:
         raise ValueError(f"expected {1 + n_gens + n_circles} lines, found {len(lines)}")

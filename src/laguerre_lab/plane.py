@@ -21,11 +21,31 @@ read precomputed numpy indexes:
 Dense membership rows make intersection tests word-parallel scans, and the
 triple index is a direct array lookup; both choices trade memory (tens of
 MB at order 13) for the inner-loop speed the exhaustive sweeps need.
+
+Every construction is validated first, by whole-array passes:
+
+  * structure  one `np.unique` over the generator ids, one sort of the
+               circle rows (repeats, range) and one scatter into `mem`,
+  * axiom (3)  one `bincount` over (circle, generator of member),
+  * axiom (1)  one int key per sorted member triple, sorted once; repeats
+               and a shortfall against the non-parallel triple count fail,
+  * axiom (2)  per block of circles, the tangent partners (`pair_count`
+               1) with the touch slot of each, and a `bincount` of their
+               members into cov[K, slot, x], which must be 1 wherever x is
+               off K and off the generator of the touch point,
+  * axiom (4)  the row lengths.
+
+Axioms (1) and (2) run in blocks of `_BLOCK` circles with int32 keys, so
+their temporaries stay a few MB at order 13 and do not raise the peak RSS
+of a build.  The point-by-point loop validator these passes replaced is
+kept in the tests as the reference they must match report for report.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +56,7 @@ from .errors import (
     PointNotOnCircle,
     PointOnCircle,
 )
-from .report import CheckMode, CheckReport, Violation
+from .report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
 
 __all__ = [
     "Circle",
@@ -92,57 +112,99 @@ def _cid(circle) -> int:
     return circle.id if isinstance(circle, Circle) else int(circle)
 
 
+# Circles per block of the validator's array passes.  Temporaries are
+# freed block by block: at order 13 the peak RSS of a build plus
+# `validate_axioms` is 177 MB with this size, 205 MB with 512 and 293 MB
+# with all circles in one block (the loop validator peaked at 180 MB).
+_BLOCK = 128
+
+
+def _flat_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Integer rows of any lengths laid end to end, and the row lengths."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return (rows.astype(np.int64).ravel(),
+                np.full(len(rows), rows.shape[1], dtype=np.int64))
+    rows = [tuple(r) for r in rows]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                       count=int(lengths.sum()))
+    return flat, lengths
+
+
+def _rows_2d(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The rows as an int32 matrix, or None when they differ in length."""
+    if not len(lengths) or (lengths != lengths[0]).any():
+        return None
+    return flat.reshape(len(lengths), -1).astype(np.int32)
+
+
 class _Structure:
-    """Raw incidence data shared by the validator and the plane builder."""
+    """Raw incidence data shared by the validator and the plane builder.
+
+    Rows are kept flat (`circ_flat`, one `circ_row` id per entry) so that
+    ragged candidates go through the same array passes; `gen_members` and
+    `members` (sorted rows) are the matrix views, None for ragged rows.
+    """
 
     def __init__(self, generators, circles):
-        self.generators = [tuple(int(p) for p in g) for g in generators]
-        self.circles = [tuple(sorted(int(p) for p in c)) for c in circles]
-        self.n_points = sum(len(g) for g in self.generators)
-        self.n_gens = len(self.generators)
-        self.n_circles = len(self.circles)
+        gen_flat, gen_len = _flat_rows(generators)
+        circ_flat, self.circ_len = _flat_rows(circles)
+        self.n_points = n_p = len(gen_flat)
+        self.n_gens = len(gen_len)
+        self.n_circles = n_c = len(self.circ_len)
 
-        self.gen_of = np.full(self.n_points, -1, dtype=np.int16)
-        self.partition_ok = True
-        seen = np.zeros(self.n_points, dtype=bool)
-        for gid, g in enumerate(self.generators):
-            for p in g:
-                if not 0 <= p < self.n_points or seen[p]:
-                    self.partition_ok = False
-                else:
-                    seen[p] = True
-                    self.gen_of[p] = gid
-        if not seen.all():
-            self.partition_ok = False
+        # the generators partition the points when every id is in range and
+        # listed once; an id listed twice keeps its first generator
+        gids = np.repeat(np.arange(self.n_gens, dtype=np.int16), gen_len)
+        ok = (gen_flat >= 0) & (gen_flat < n_p)
+        pts, first = np.unique(gen_flat[ok], return_index=True)
+        self.partition_ok = bool(ok.all()) and len(pts) == n_p
+        self.gen_of = np.full(n_p, -1, dtype=np.int16)
+        self.gen_of[pts] = gids[ok][first]
+        self.gen_members = _rows_2d(gen_flat, gen_len)
 
-        self.mem = np.zeros((self.n_circles, self.n_points), dtype=bool)
-        self.members_ok = True
-        for cid, c in enumerate(self.circles):
-            if len(set(c)) != len(c) or any(not 0 <= p < self.n_points for p in c):
-                self.members_ok = False
-                continue
-            self.mem[cid, list(c)] = True
+        # circle members sorted within rows; a circle with a repeated or
+        # out-of-range member keeps an empty membership row
+        row = np.repeat(np.arange(n_c), self.circ_len)
+        circ_flat = circ_flat[np.lexsort((circ_flat, row))]
+        bad = np.zeros(n_c, dtype=bool)
+        bad[row[(circ_flat < 0) | (circ_flat >= n_p)]] = True
+        bad[row[1:][(circ_flat[1:] == circ_flat[:-1]) & (row[1:] == row[:-1])]] = True
+        self.members_ok = not bad.any()
+        self.mem = np.zeros((n_c, n_p), dtype=bool)
+        keep = ~bad[row]
+        self.mem[row[keep], circ_flat[keep]] = True
+        self.circ_row, self.circ_flat = row, circ_flat
+        self.members = _rows_2d(circ_flat, self.circ_len)
 
-        self._pair_count = None
-        self._pair_sum = None
-
-    @property
+    @functools.cached_property
     def pair_count(self) -> np.ndarray:
-        if self._pair_count is None:
-            m = self.mem.astype(np.float32)
-            self._pair_count = np.rint(m @ m.T).astype(np.uint8)
-        return self._pair_count
+        m = self.mem.astype(np.float32)
+        return np.rint(m @ m.T).astype(np.uint8)
 
-    @property
+    @functools.cached_property
     def pair_sum(self) -> np.ndarray:
-        if self._pair_sum is None:
-            m = self.mem.astype(np.float32)
-            w = m * np.arange(self.n_points, dtype=np.float32)[None, :]
-            self._pair_sum = np.rint(m @ w.T).astype(np.int32)
-        return self._pair_sum
+        m = self.mem.astype(np.float32)
+        w = m * np.arange(self.n_points, dtype=np.float32)[None, :]
+        return np.rint(m @ w.T).astype(np.int32)
+
+    @functools.cached_property
+    def slot_of(self) -> np.ndarray:
+        """(circle, point) -> position of the point in the sorted row, or -1."""
+        n_c, m = self.members.shape
+        slot = np.full((n_c, self.n_points), -1, dtype=np.int8)
+        slot[np.repeat(np.arange(n_c), m), self.members.ravel()] = np.tile(
+            np.arange(m, dtype=np.int8), n_c)
+        return slot
 
 
 def _validate(s: _Structure) -> CheckReport:
+    """Check axioms (1)-(4) on `s` with whole-array passes.
+
+    Structure failures stop the check; axioms (1) and (2) need axiom (3)
+    and equal row lengths, and are skipped otherwise.  Witnesses are the
+    first failures in circle-id order, so the report is canonical.
+    """
     report = CheckReport(check_id="Axioms", mode=CheckMode.exhaustive())
     notes: list[str] = []
 
@@ -156,9 +218,9 @@ def _validate(s: _Structure) -> CheckReport:
         return report.finalize()
 
     # Axiom (3): every circle meets every generator exactly once.
-    gen_hits = np.zeros((s.n_circles, s.n_gens), dtype=np.int16)
-    for cid, c in enumerate(s.circles):
-        np.add.at(gen_hits, (cid, s.gen_of[list(c)]), 1)
+    n_c, n_g = s.n_circles, s.n_gens
+    gen_hits = np.bincount(s.circ_row * n_g + s.gen_of[s.circ_flat],
+                           minlength=n_c * n_g).reshape(n_c, n_g)
     axiom3_ok = bool((gen_hits == 1).all())
     if axiom3_ok:
         notes.append("axiom3=ok")
@@ -170,106 +232,123 @@ def _validate(s: _Structure) -> CheckReport:
                 data=(("generator", int(gid)), ("count", int(gen_hits[cid, gid]))),
             ))
         notes.append("axiom3=failed")
-    report.configurations += s.n_circles * s.n_gens
+    report.configurations += n_c * n_g
 
-    gen_sizes = {len(g) for g in s.generators}
-    uniform = axiom3_ok and len(gen_sizes) == 1 and len({len(c) for c in s.circles}) == 1
-
-    # Axiom (1): every mutually non-parallel triple lies on exactly one circle.
+    uniform = axiom3_ok and s.gen_members is not None and s.members is not None
     if uniform:
-        cube = np.zeros((s.n_points,) * 3, dtype=np.uint8)
-        dup_witness = None
-        for cid, c in enumerate(s.circles):
-            for i, j, k in itertools.combinations(c, 3):
-                if cube[i, j, k]:
-                    if dup_witness is None:
-                        dup_witness = (i, j, k, cid)
-                else:
-                    cube[i, j, k] = 1
-        n_triples = sum(len(c) * (len(c) - 1) * (len(c) - 2) // 6 for c in s.circles)
-        expected = 0
-        sizes = [len(g) for g in s.generators]
-        for a, b, c in itertools.combinations(range(s.n_gens), 3):
-            expected += sizes[a] * sizes[b] * sizes[c]
-        report.configurations += expected
-        if dup_witness is not None:
-            i, j, k, cid = dup_witness
-            others = [d for d in range(s.n_circles)
-                      if s.mem[d, i] and s.mem[d, j] and s.mem[d, k]]
-            report.add_violation(Violation(
-                "axiom1", points=(i, j, k), circles=tuple(others[:2]),
-                data=(("joining_circles", len(others)),),
-            ))
-            notes.append("axiom1=failed")
-        elif n_triples != expected:
-            witness = None
-            for ga, gb, gc in itertools.combinations(range(s.n_gens), 3):
-                for i in s.generators[ga]:
-                    for j in s.generators[gb]:
-                        for k in s.generators[gc]:
-                            a1, b1, c1 = sorted((i, j, k))
-                            if not cube[a1, b1, c1]:
-                                witness = (a1, b1, c1)
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            report.add_violation(Violation(
-                "axiom1", points=witness or (), data=(("joining_circles", 0),)))
-            notes.append("axiom1=failed")
-        else:
-            notes.append("axiom1=ok")
+        notes.append("axiom1=ok" if _axiom1(s, report) else "axiom1=failed")
+        notes.append("axiom2=ok" if _axiom2(s, report) else "axiom2=failed")
     else:
-        notes.append("axiom1=skipped")
-
-    # Axiom (2): the circles meeting K exactly in p partition the points
-    # off K and off the generator of p.
-    if uniform:
-        T = s.pair_count
-        W = s.pair_sum
-        axiom2_ok = True
-        for cid, c in enumerate(s.circles):
-            partners = np.nonzero(T[cid] == 1)[0]
-            touch = W[cid, partners]
-            onehot = np.zeros((len(partners), len(c)), dtype=np.float32)
-            for slot, p in enumerate(c):
-                onehot[:, slot] = touch == p
-            cov = np.rint(s.mem[partners].astype(np.float32).T @ onehot).astype(np.int16)
-            for slot, p in enumerate(c):
-                eligible = (~s.mem[cid]) & (s.gen_of != s.gen_of[p])
-                report.configurations += int(eligible.sum())
-                bad = np.nonzero(eligible & (cov[:, slot] != 1))[0]
-                if len(bad):
-                    x = int(bad[0])
-                    report.add_violation(Violation(
-                        "axiom2", points=(int(p), x), circles=(cid,),
-                        data=(("count", int(cov[x, slot])),),
-                    ))
-                    axiom2_ok = False
-        notes.append("axiom2=ok" if axiom2_ok else "axiom2=failed")
-    else:
-        notes.append("axiom2=skipped")
+        notes += ["axiom1=skipped", "axiom2=skipped"]
 
     # Axiom (4): some circle has at least three but not all points.
-    if any(3 <= len(c) < s.n_points for c in s.circles):
+    if ((s.circ_len >= 3) & (s.circ_len < s.n_points)).any():
         notes.append("axiom4=ok")
     else:
         report.add_violation(Violation("axiom4"))
         notes.append("axiom4=failed")
-    report.configurations += s.n_circles
+    report.configurations += n_c
 
     report.notes = tuple(notes)
     return report.finalize()
 
 
+def _axiom1(s: _Structure, report: CheckReport) -> bool:
+    """Every mutually non-parallel triple lies on exactly one circle.
+
+    Each sorted member triple (i, j, k) becomes the key (i*n + j)*n + k;
+    one sort finds repeated keys, and a count below the number of
+    non-parallel triples means some triple is on no circle.
+    """
+    M, G, n_p = s.members, s.gen_members, s.n_points
+    combos = np.array(list(itertools.combinations(range(M.shape[1]), 3)),
+                      dtype=np.intp).reshape(-1, 3)
+    dtype = np.int32 if n_p ** 3 < 2 ** 31 else np.int64
+
+    def pack(tri):
+        return (tri[..., 0] * n_p + tri[..., 1]) * n_p + tri[..., 2]
+
+    keys = np.empty((s.n_circles, len(combos)), dtype=dtype)
+    for b0 in range(0, s.n_circles, _BLOCK):
+        keys[b0:b0 + _BLOCK] = pack(M[b0:b0 + _BLOCK].astype(dtype)[:, combos])
+    keys = keys.ravel()
+    expected = math.comb(s.n_gens, 3) * G.shape[1] ** 3
+    report.configurations += expected
+
+    sorted_keys = np.sort(keys)
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        # witness: the first triple (circle id, then combination order)
+        # whose key an earlier triple already has
+        order = np.argsort(keys, kind="stable")
+        pos = int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
+        cid, t = divmod(pos, len(combos))
+        i, j, k = (int(p) for p in M[cid, combos[t]])
+        others = np.nonzero(s.mem[:, i] & s.mem[:, j] & s.mem[:, k])[0]
+        report.add_violation(Violation(
+            "axiom1", points=(i, j, k), circles=tuple(int(d) for d in others[:2]),
+            data=(("joining_circles", len(others)),),
+        ))
+        return False
+    if len(keys) == expected:
+        return True
+    witness = ()
+    for ga, gb, gc in itertools.combinations(range(s.n_gens), 3):
+        tri = np.stack(np.broadcast_arrays(G[ga][:, None, None], G[gb][None, :, None],
+                                           G[gc][None, None, :]), axis=-1)
+        tri = np.sort(tri.reshape(-1, 3), axis=1).astype(dtype)
+        missing = ~np.isin(pack(tri), sorted_keys)
+        if missing.any():
+            witness = tuple(int(p) for p in tri[missing.argmax()])
+            break
+    report.add_violation(Violation(
+        "axiom1", points=witness, data=(("joining_circles", 0),)))
+    return False
+
+
+def _axiom2(s: _Structure, report: CheckReport) -> bool:
+    """For K, p on K and x off K and off p's generator, one circle through
+    x meets K exactly in p.
+
+    Per block of circles K: the tangent partners L (pair_count 1) with the
+    touch slot of K they use, and cov[K, slot, x], the number of those
+    partners through x, from one bincount.
+    """
+    M, n_p = s.members, s.n_points
+    n_c, m = M.shape
+    member_gen = s.gen_of[M]
+    ok = True
+    for b0 in range(0, n_c, _BLOCK):
+        b1 = min(b0 + _BLOCK, n_c)
+        pairs = np.flatnonzero(s.pair_count[b0:b1] == 1)
+        K, L = np.divmod(pairs, n_c)
+        touch = s.pair_sum[b0:b1].ravel()[pairs]
+        touch_slot = s.slot_of[b0:b1].ravel()[K * n_p + touch]
+        cell = ((K * m + touch_slot) * n_p).astype(np.int32)
+        cov = np.bincount((cell[:, None] + M[L]).ravel(),
+                          minlength=(b1 - b0) * m * n_p).reshape(b1 - b0, m, n_p)
+        eligible = ~s.mem[b0:b1, None, :] & (s.gen_of != member_gen[b0:b1, :, None])
+        report.configurations += int(eligible.sum())
+        bad = eligible & (cov != 1)
+        failed = np.argwhere(bad.any(axis=2))
+        if not len(failed):
+            continue
+        ok = False
+        room = max(0, MAX_VIOLATIONS - len(report.violations))
+        for k, slot in failed[:room]:
+            x = int(bad[k, slot].argmax())
+            report.add_violation(Violation(
+                "axiom2", points=(int(M[b0 + k, slot]), x), circles=(b0 + int(k),),
+                data=(("count", int(cov[k, slot, x])),),
+            ))
+        report.violation_count += max(0, len(failed) - room)
+    return ok
+
+
 def validate_laguerre_axioms(generators, circles) -> CheckReport:
     """Check axioms (1)-(4) on a candidate structure.
 
-    `generators` and `circles` are iterables of point-id iterables.
-    Failures are report content (with witnesses), never exceptions.
+    `generators` and `circles` are iterables of point-id iterables, or
+    integer matrices with one row each.  Failures are report content (with witnesses), never exceptions.
     """
     return _validate(_Structure(generators, circles))
 
@@ -291,13 +370,14 @@ class LaguerrePlane:
         self.n_points = s.n_points
         self.n_gens = s.n_gens
         self.n_circles = s.n_circles
-        self.q = len(s.circles[0]) - 1
+        self.q = s.members.shape[1] - 1
         self.gen_of = s.gen_of
-        self.gen_members = np.array([list(g) for g in s.generators], dtype=np.int32)
-        self.members = np.array([list(c) for c in s.circles], dtype=np.int32)
+        self.gen_members = s.gen_members
+        self.members = s.members
         self.mem = s.mem
         self.pair_count = s.pair_count
         self.pair_sum = s.pair_sum
+        self.slot_of = s.slot_of
         self.tangent_point = np.where(self.pair_count == 1, self.pair_sum, -1).astype(np.int32)
 
         if coefficients is not None:
@@ -317,10 +397,7 @@ class LaguerrePlane:
 
     def _build_indexes(self) -> None:
         n_p, n_c, q = self.n_points, self.n_circles, self.q
-
-        self.slot_of = np.full((n_c, n_p), -1, dtype=np.int8)
         rows = np.repeat(np.arange(n_c), q + 1)
-        self.slot_of[rows, self.members.ravel()] = np.tile(np.arange(q + 1, dtype=np.int8), n_c)
 
         # point of each circle on each generator (axiom (3) lookup)
         self.gen_point = np.zeros((n_c, self.n_gens), dtype=np.int32)
@@ -516,9 +593,7 @@ class LaguerrePlane:
         return AffineIncidence(tuple(int(x) for x in keep), tuple(lines))
 
     def validate_axioms(self) -> CheckReport:
-        gens = [tuple(g) for g in self.gen_members]
-        circles = [tuple(c) for c in self.members]
-        return validate_laguerre_axioms(gens, circles)
+        return validate_laguerre_axioms(self.gen_members, self.members)
 
 
 @dataclass(frozen=True)

@@ -186,3 +186,40 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Holds"
+
+
+def test_replay_malformed_lines_exit_two_with_one_error_line(tmp_path, capsys):
+    good = {"check": "C", "q": 3, "model": "miquelian", "violations": []}
+    bad_lines = [
+        {k: v for k, v in good.items() if k != "check"},
+        {k: v for k, v in good.items() if k != "q"},
+        {k: v for k, v in good.items() if k != "model"},
+        dict(good, violations=[{"kind": "C", "circles": [7]}]),
+        dict(good, check="DtsVerify"),
+        dict(good, model=5),
+        [1, 2],
+    ]
+    report = tmp_path / "bad.jsonl"
+    for obj in bad_lines:
+        report.write_text(json.dumps(good) + "\n" + json.dumps(obj) + "\n")
+        code, out, err = run_cli(capsys, "replay", "--report", str(report))
+        assert code == 2, obj
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and ":2:" in err, err
+    report.write_text("{not json\n")
+    code, _, err = run_cli(capsys, "replay", "--report", str(report))
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_seed_range_is_checked_on_every_command(capsys, monkeypatch):
+    sample = ("check", "--q", "3", "--checks", "S", "--mode", "sample", "--samples", "100")
+    for seed in ("-1", str(2**64), str(2**64 + 5)):
+        for argv in (sample, ("dts", "--q", "5", "--sample-pairs", "1"), ("moebius", "--q", "3")):
+            code, out, err = run_cli(capsys, *argv, "--seed", seed)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: --seed must be in [0, 2^64)") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, *sample, "--seed", str(2**64 - 1))
+    assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
+    monkeypatch.setenv("LAGUERRE_LAB_SEED", "-1")
+    code, _, err = run_cli(capsys, *sample)
+    assert code == 2 and err.startswith("error: LAGUERRE_LAB_SEED must be in [0, 2^64)")

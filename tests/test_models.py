@@ -128,3 +128,16 @@ def test_build_plane_and_label_rebuild():
         build_plane(3, "mystery")
     with pytest.raises(ValueError):
         build_plane(3, "oval")  # table missing
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty plane text"),
+    ("\n  \n", "empty plane text"),
+    ("laguerre q=3", "lacks points=, circles="),
+    ("laguerre q=3 points=12\n", "lacks circles="),
+    ("laguerre points=12 circles=27\n", "lacks q="),
+    ("laguerre q=0 points=0 circles=0\n", "must be positive"),
+])
+def test_import_rejects_truncated_headers_with_value_error(text, message):
+    with pytest.raises(ValueError, match=message):
+        import_plane(text)

@@ -1,0 +1,393 @@
+"""The plane-axiom validator against its loop reference and pinned reports.
+
+`loop_validate` below is the per-triple, per-(circle, slot) validator the
+array passes in `laguerre_lab.plane` replaced; it is kept here, with the
+structure it reads, as the second route to every axiom verdict.  The
+array validator must give the same report on any structure: verdict,
+configuration count, notes, violation count and the recorded witnesses
+in order.  `validator_corpus.json` pins reports recorded with the loop
+validator for structures that reach every failure branch.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from laguerre_lab.errors import NotALaguerrePlane
+from laguerre_lab.gf import field_of_order
+from laguerre_lab.models import _model_structure, miquelian_plane, oval_plane, oval_table_power
+from laguerre_lab.plane import validate_laguerre_axioms
+from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
+
+CORPUS = Path(__file__).with_name("validator_corpus.json")
+
+
+# ---------------------------------------------------------------------------
+# loop reference
+# ---------------------------------------------------------------------------
+
+class LoopStructure:
+    """Incidence data built point by point from Python tuples."""
+
+    def __init__(self, generators, circles):
+        self.generators = [tuple(int(p) for p in g) for g in generators]
+        self.circles = [tuple(sorted(int(p) for p in c)) for c in circles]
+        self.n_points = sum(len(g) for g in self.generators)
+        self.n_gens = len(self.generators)
+        self.n_circles = len(self.circles)
+
+        self.gen_of = np.full(self.n_points, -1, dtype=np.int16)
+        self.partition_ok = True
+        seen = np.zeros(self.n_points, dtype=bool)
+        for gid, g in enumerate(self.generators):
+            for p in g:
+                if not 0 <= p < self.n_points or seen[p]:
+                    self.partition_ok = False
+                else:
+                    seen[p] = True
+                    self.gen_of[p] = gid
+        if not seen.all():
+            self.partition_ok = False
+
+        self.mem = np.zeros((self.n_circles, self.n_points), dtype=bool)
+        self.members_ok = True
+        for cid, c in enumerate(self.circles):
+            if len(set(c)) != len(c) or any(not 0 <= p < self.n_points for p in c):
+                self.members_ok = False
+                continue
+            self.mem[cid, list(c)] = True
+
+    @property
+    def pair_count(self) -> np.ndarray:
+        m = self.mem.astype(np.float32)
+        return np.rint(m @ m.T).astype(np.uint8)
+
+    @property
+    def pair_sum(self) -> np.ndarray:
+        m = self.mem.astype(np.float32)
+        w = m * np.arange(self.n_points, dtype=np.float32)[None, :]
+        return np.rint(m @ w.T).astype(np.int32)
+
+
+def loop_validate(generators, circles) -> CheckReport:
+    s = LoopStructure(generators, circles)
+    report = CheckReport(check_id="Axioms", mode=CheckMode.exhaustive())
+    notes: list[str] = []
+
+    if not s.partition_ok:
+        report.add_violation(Violation("structure", data=(("generators_partition", 0),)))
+    if not s.members_ok:
+        report.add_violation(Violation("structure", data=(("circle_members", 0),)))
+    if report.violation_count:
+        report.notes = tuple(["structure=failed"])
+        report.verdict = "Fails"
+        return report.finalize()
+
+    # Axiom (3): every circle meets every generator exactly once.
+    gen_hits = np.zeros((s.n_circles, s.n_gens), dtype=np.int16)
+    for cid, c in enumerate(s.circles):
+        np.add.at(gen_hits, (cid, s.gen_of[list(c)]), 1)
+    axiom3_ok = bool((gen_hits == 1).all())
+    if axiom3_ok:
+        notes.append("axiom3=ok")
+    else:
+        bad = np.argwhere(gen_hits != 1)
+        for cid, gid in bad[:3]:
+            report.add_violation(Violation(
+                "axiom3", circles=(int(cid),),
+                data=(("generator", int(gid)), ("count", int(gen_hits[cid, gid]))),
+            ))
+        notes.append("axiom3=failed")
+    report.configurations += s.n_circles * s.n_gens
+
+    gen_sizes = {len(g) for g in s.generators}
+    uniform = axiom3_ok and len(gen_sizes) == 1 and len({len(c) for c in s.circles}) == 1
+
+    # Axiom (1): every mutually non-parallel triple lies on exactly one circle.
+    if uniform:
+        cube = np.zeros((s.n_points,) * 3, dtype=np.uint8)
+        dup_witness = None
+        for cid, c in enumerate(s.circles):
+            for i, j, k in itertools.combinations(c, 3):
+                if cube[i, j, k]:
+                    if dup_witness is None:
+                        dup_witness = (i, j, k, cid)
+                else:
+                    cube[i, j, k] = 1
+        n_triples = sum(len(c) * (len(c) - 1) * (len(c) - 2) // 6 for c in s.circles)
+        expected = 0
+        sizes = [len(g) for g in s.generators]
+        for a, b, c in itertools.combinations(range(s.n_gens), 3):
+            expected += sizes[a] * sizes[b] * sizes[c]
+        report.configurations += expected
+        if dup_witness is not None:
+            i, j, k, cid = dup_witness
+            others = [d for d in range(s.n_circles)
+                      if s.mem[d, i] and s.mem[d, j] and s.mem[d, k]]
+            report.add_violation(Violation(
+                "axiom1", points=(i, j, k), circles=tuple(others[:2]),
+                data=(("joining_circles", len(others)),),
+            ))
+            notes.append("axiom1=failed")
+        elif n_triples != expected:
+            witness = None
+            for ga, gb, gc in itertools.combinations(range(s.n_gens), 3):
+                for i in s.generators[ga]:
+                    for j in s.generators[gb]:
+                        for k in s.generators[gc]:
+                            a1, b1, c1 = sorted((i, j, k))
+                            if not cube[a1, b1, c1]:
+                                witness = (a1, b1, c1)
+                                break
+                        if witness:
+                            break
+                    if witness:
+                        break
+                if witness:
+                    break
+            report.add_violation(Violation(
+                "axiom1", points=witness or (), data=(("joining_circles", 0),)))
+            notes.append("axiom1=failed")
+        else:
+            notes.append("axiom1=ok")
+    else:
+        notes.append("axiom1=skipped")
+
+    # Axiom (2): the circles meeting K exactly in p partition the points
+    # off K and off the generator of p.
+    if uniform:
+        T = s.pair_count
+        W = s.pair_sum
+        axiom2_ok = True
+        for cid, c in enumerate(s.circles):
+            partners = np.nonzero(T[cid] == 1)[0]
+            touch = W[cid, partners]
+            onehot = np.zeros((len(partners), len(c)), dtype=np.float32)
+            for slot, p in enumerate(c):
+                onehot[:, slot] = touch == p
+            cov = np.rint(s.mem[partners].astype(np.float32).T @ onehot).astype(np.int16)
+            for slot, p in enumerate(c):
+                eligible = (~s.mem[cid]) & (s.gen_of != s.gen_of[p])
+                report.configurations += int(eligible.sum())
+                bad = np.nonzero(eligible & (cov[:, slot] != 1))[0]
+                if len(bad):
+                    x = int(bad[0])
+                    report.add_violation(Violation(
+                        "axiom2", points=(int(p), x), circles=(cid,),
+                        data=(("count", int(cov[x, slot])),),
+                    ))
+                    axiom2_ok = False
+        notes.append("axiom2=ok" if axiom2_ok else "axiom2=failed")
+    else:
+        notes.append("axiom2=skipped")
+
+    # Axiom (4): some circle has at least three but not all points.
+    if any(3 <= len(c) < s.n_points for c in s.circles):
+        notes.append("axiom4=ok")
+    else:
+        report.add_violation(Violation("axiom4"))
+        notes.append("axiom4=failed")
+    report.configurations += s.n_circles
+
+    report.notes = tuple(notes)
+    return report.finalize()
+
+
+def report_obj(report: CheckReport) -> dict:
+    """Everything a validator report says, as plain JSON values."""
+    return {
+        "verdict": report.verdict,
+        "configurations": int(report.configurations),
+        "notes": list(report.notes),
+        "violation_count": int(report.violation_count),
+        "violations": [[v.kind, [int(p) for p in v.points], [int(c) for c in v.circles],
+                        [[k, int(x)] for k, x in v.data]] for v in report.violations],
+    }
+
+
+# ---------------------------------------------------------------------------
+# structures
+# ---------------------------------------------------------------------------
+
+def model_rows(q: int, exponent: int = 2):
+    """Generators and circles of the coordinate model with o(x) = x^exponent."""
+    gens, circles, _ = _model_structure(field_of_order(q), oval_table_power(q, exponent))
+    return [list(g) for g in gens], [list(c) for c in circles]
+
+
+def _moved_within(gens, circles, cid, slot):
+    """Circle `cid` with its member in `slot` moved along its generator."""
+    p = sorted(circles[cid])[slot]
+    g = next(g for g in gens if p in g)
+    circles[cid] = [r for r in circles[cid] if r != p] + [g[(g.index(p) + 1) % len(g)]]
+
+
+def corpus_structures() -> dict:
+    """Named structures reaching every branch of the validator."""
+    out = {}
+
+    g, c = model_rows(3)
+    g[0] = g[0][:-1] + [g[1][0]]
+    out["structure-partition"] = (g, c)
+
+    g, c = model_rows(3)
+    c[0] = c[0][:-1] + [c[0][0]]
+    c[5] = c[5] + [len(g) * len(g[0])]
+    out["structure-members"] = (g, c)
+
+    g, c = model_rows(3)
+    g[0] = g[0][:-1] + [g[1][0]]
+    c[0] = c[0][:-1] + [c[0][0]]
+    out["structure-both"] = (g, c)
+
+    g, c = model_rows(3)
+    c[4] = [c[4][1] + 1 if c[4][1] % 3 < 2 else c[4][1] - 1] + c[4][1:]
+    out["axiom3-two-on-a-generator"] = (g, c)
+
+    g, c = model_rows(4)
+    c[9] = c[9][:-1]
+    out["axiom3-short-circle"] = (g, c)
+
+    g, c = model_rows(4)
+    out["axiom1-duplicate-circle"] = (g, c + [list(c[7])])
+
+    g, c = model_rows(5)
+    out["axiom1-deleted-circle"] = (g, c[1:])
+
+    g, c = model_rows(5)
+    _moved_within(g, c, 10, 2)
+    out["axiom1-moved-within-generator"] = (g, c)
+
+    out["axiom2-cap-x3-gf11"] = model_rows(11, 3)
+    out["axiom2-x3-gf7"] = model_rows(7, 3)
+
+    out["axiom4-two-points"] = ([[0], [1]], [[0, 1]])
+    out["axiom4-whole-plane"] = ([[0], [1], [2]], [[0, 1, 2]])
+
+    g, c = model_rows(3)
+    out["ragged-generators"] = (g[:-2] + [g[-2] + g[-1][:1], g[-1][1:]], c)
+
+    out["holds-q2"] = model_rows(2)
+    out["holds-x4-gf8"] = model_rows(8, 4)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+def test_corpus_matches_reports_recorded_with_the_loop_validator():
+    pinned = json.loads(CORPUS.read_text(encoding="utf-8"))
+    structures = corpus_structures()
+    assert sorted(pinned) == sorted(structures)
+    for name, (gens, circles) in structures.items():
+        assert report_obj(validate_laguerre_axioms(gens, circles)) == pinned[name], name
+
+
+def test_corpus_reaches_every_branch():
+    pinned = json.loads(CORPUS.read_text(encoding="utf-8"))
+    kinds = {name: [v[0] for v in rep["violations"]] for name, rep in pinned.items()}
+    assert pinned["structure-both"]["notes"] == ["structure=failed"]
+    assert len(kinds["structure-both"]) == 2
+    assert pinned["axiom3-two-on-a-generator"]["notes"][:3] == [
+        "axiom3=failed", "axiom1=skipped", "axiom2=skipped"]
+    dup = pinned["axiom1-duplicate-circle"]["violations"][0]
+    assert dup[0] == "axiom1" and dup[3] == [["joining_circles", 2]]
+    missing = pinned["axiom1-deleted-circle"]["violations"][0]
+    assert missing[0] == "axiom1" and missing[3] == [["joining_circles", 0]]
+    capped = pinned["axiom2-cap-x3-gf11"]
+    assert capped["violation_count"] > MAX_VIOLATIONS == len(capped["violations"])
+    assert kinds["axiom4-two-points"] == kinds["axiom4-whole-plane"] == ["axiom4"]
+    assert pinned["holds-x4-gf8"]["verdict"] == "Holds"
+
+
+@pytest.mark.parametrize("name", ["axiom1-deleted-circle", "axiom1-duplicate-circle",
+                                  "axiom3-short-circle", "axiom4-whole-plane"])
+def test_loop_reference_gives_the_pinned_reports(name):
+    pinned = json.loads(CORPUS.read_text(encoding="utf-8"))
+    gens, circles = corpus_structures()[name]
+    assert report_obj(loop_validate(gens, circles)) == pinned[name]
+
+
+def test_oval_plane_rejection_carries_the_capped_report():
+    pinned = json.loads(CORPUS.read_text(encoding="utf-8"))["axiom2-cap-x3-gf11"]
+    with pytest.raises(NotALaguerrePlane) as exc:
+        oval_plane(11, oval_table_power(11, 3))
+    assert report_obj(exc.value.report) == pinned
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_array_and_tuple_inputs_agree_with_the_loop_reference(q):
+    P = miquelian_plane(q)
+    want = report_obj(loop_validate(P.gen_members.tolist(), P.members.tolist()))
+    assert report_obj(P.validate_axioms()) == want
+    gens = [tuple(g) for g in P.gen_members]
+    circles = [tuple(c) for c in P.members[::-1]]
+    assert report_obj(validate_laguerre_axioms(gens, circles)) == report_obj(
+        loop_validate(gens, circles))
+
+
+_MUTATIONS = ("delete", "duplicate", "swap", "move-within", "move-anywhere", "drop",
+              "extra", "repeat", "out-of-range", "regenerate")
+
+
+def _mutate(gens, circles, kind, a, b, c):
+    n_p = sum(len(g) for g in gens)
+    if not circles:
+        return
+    i = a % len(circles)
+    row = circles[i]
+    if kind == "delete":
+        del circles[i]
+    elif kind == "duplicate":
+        circles.insert(b % (len(circles) + 1), list(row))
+    elif kind == "swap":
+        j = b % len(circles)
+        circles[i], circles[j] = circles[j], circles[i]
+    elif kind == "move-within" and row:
+        p = row[b % len(row)]
+        g = next((g for g in gens if p in g), None)
+        if g is not None:
+            row[row.index(p)] = g[(g.index(p) + 1 + c) % len(g)]
+    elif kind == "move-anywhere" and row:
+        row[b % len(row)] = c % n_p
+    elif kind == "drop" and row:
+        del row[b % len(row)]
+    elif kind == "extra":
+        row.append(c % n_p)
+    elif kind == "repeat" and row:
+        row.append(row[b % len(row)])
+    elif kind == "out-of-range" and row:
+        row[b % len(row)] = n_p + c % 3 if c % 2 else -1 - c % 3
+    elif kind == "regenerate" and len(gens) > 1:
+        src, dst = b % len(gens), c % len(gens)
+        if src != dst and len(gens[src]) > 1:
+            gens[dst].append(gens[src].pop(a % len(gens[src])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5]),
+       st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 10**6),
+                          st.integers(0, 10**6), st.integers(0, 10**6)),
+                min_size=0, max_size=3))
+def test_array_validator_equals_loop_reference_on_mutated_structures(q, mutations):
+    gens, circles = model_rows(q)
+    for kind, a, b, c in mutations:
+        _mutate(gens, circles, kind, a, b, c)
+    assert report_obj(validate_laguerre_axioms(gens, circles)) == report_obj(
+        loop_validate(gens, circles))
+
+
+@pytest.mark.parametrize("q,exponent", [(q, e) for q in (2, 3, 4, 5, 7)
+                                        for e in range(1, q)])
+def test_monomial_tables_match_the_loop_reference(q, exponent):
+    gens, circles = model_rows(q, exponent)
+    assert report_obj(validate_laguerre_axioms(gens, circles)) == report_obj(
+        loop_validate(gens, circles))
