@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LaguerreError
 from .plane import LaguerrePlane
 from .report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
 from .rng import draw_block
@@ -726,20 +727,22 @@ class CheckerSpec:
     check_id: str
     run: callable
     size: callable
+    # numbers of witness points and circles the replay reads; None: not read
+    witness: tuple[int | None, int | None]
 
 
 CHECKERS = {
-    "C": CheckerSpec("C", check_C, _size_c),
-    "S": CheckerSpec("S", check_S, _size_chain),
-    "Prop21": CheckerSpec("Prop21", check_prop_2_1, _size_trio),
-    "Prop22": CheckerSpec("Prop22", check_prop_2_2, _size_chain),
-    "Cor21": CheckerSpec("Cor21", check_cor_2_1, _size_chain),
-    "Prop11": CheckerSpec("Prop11", check_prop_1_1, _size_trio),
-    "Pi": CheckerSpec("Pi", check_pi, _size_pi),
-    "PiPrime": CheckerSpec("PiPrime", check_pi_prime, _size_pi),
-    "Thm23": CheckerSpec("Thm23", check_thm_2_3, _size_pi),
-    "Miquel": CheckerSpec("Miquel", check_miquel, _size_miquel),
-    "Bundle": CheckerSpec("Bundle", check_bundle, _size_bundle),
+    "C": CheckerSpec("C", check_C, _size_c, (1, 2)),
+    "S": CheckerSpec("S", check_S, _size_chain, (4, 4)),
+    "Prop21": CheckerSpec("Prop21", check_prop_2_1, _size_trio, (None, 3)),
+    "Prop22": CheckerSpec("Prop22", check_prop_2_2, _size_chain, (4, 4)),
+    "Cor21": CheckerSpec("Cor21", check_cor_2_1, _size_chain, (4, 4)),
+    "Prop11": CheckerSpec("Prop11", check_prop_1_1, _size_trio, (None, 3)),
+    "Pi": CheckerSpec("Pi", check_pi, _size_pi, (4, None)),
+    "PiPrime": CheckerSpec("PiPrime", check_pi_prime, _size_pi, (4, None)),
+    "Thm23": CheckerSpec("Thm23", check_thm_2_3, _size_pi, (4, None)),
+    "Miquel": CheckerSpec("Miquel", check_miquel, _size_miquel, (8, None)),
+    "Bundle": CheckerSpec("Bundle", check_bundle, _size_bundle, (8, None)),
 }
 
 CHECK_IDS = tuple(CHECKERS)
@@ -847,12 +850,45 @@ def _replay_bundle(plane, v):
     return not plane.concyclic_some_order(c, g, d, h)
 
 
+def witness_problem(plane: LaguerrePlane, check_id: str, v: Violation) -> str | None:
+    """Why `replay_violation` cannot read `v` as a witness of `check_id`.
+
+    The witness must have the numbers of points and circles its checker's
+    replay reads (`CheckerSpec.witness`; Axioms witnesses are read by kind
+    only), ids of points and circles of `plane`, and a C witness its
+    count.  Returns None when it may be replayed.
+    """
+    if check_id != "Axioms":
+        if check_id not in CHECKERS:
+            return f"no replay known for check {check_id!r}"
+        for name, want, got in zip(("points", "circles"), CHECKERS[check_id].witness,
+                                   (v.points, v.circles)):
+            if want is not None and len(got) != want:
+                return f"{name}: {check_id} witnesses have {want}, this one {len(got)}"
+    for name, ids, n in (("point", v.points, plane.n_points),
+                         ("circle", v.circles, plane.n_circles)):
+        for i in ids:
+            if not 0 <= i < n:
+                return f"{name} id {i} is outside 0..{n - 1}"
+    if check_id == "C" and "count" not in dict(v.data):
+        return "a C witness needs its count in data"
+    return None
+
+
 def replay_violation(plane: LaguerrePlane, check_id: str, v: Violation) -> bool:
     """Re-validate a recorded violation through scalar incidence operations.
 
     Returns True when the witness still demonstrates a violation on the
-    given plane.
+    given plane; a degenerate configuration (parallel points where the
+    statement needs non-parallel ones, a point off its circle) shows none.
     """
+    try:
+        return _replay(plane, check_id, v)
+    except LaguerreError:
+        return False
+
+
+def _replay(plane: LaguerrePlane, check_id: str, v: Violation) -> bool:
     if check_id == "C":
         return _replay_c(plane, v)
     if check_id == "S":

@@ -164,7 +164,9 @@ def _cmd_check(args) -> int:
 # dts
 # ---------------------------------------------------------------------------
 
-def _dts_objects(plane, K, L, verify: bool, timings: bool) -> tuple[list[dict], bool]:
+def _dts_objects(plane, K, L, verify: bool, timings: bool
+                 ) -> tuple[list[dict], bool, _symmetry.Automorphism]:
+    """The output objects of one pair, whether they pass, and the symmetry."""
     phi = _symmetry.build_dts(plane, K, L)
     cls = _symmetry.classify_symmetry(plane, K, L, phi)
     obj = {
@@ -186,7 +188,7 @@ def _dts_objects(plane, K, L, verify: bool, timings: bool) -> tuple[list[dict], 
         robj["pair"] = {"K": _circle_obj(plane, K), "L": _circle_obj(plane, L)}
         out.append(robj)
         ok = ok and rep.holds
-    return out, ok
+    return out, ok, phi
 
 
 def _cmd_dts(args) -> int:
@@ -219,11 +221,11 @@ def _run_dts(args, plane) -> int:
     all_ok = True
     phi_for_export = None
     for K, L in pairs:
-        out, ok = _dts_objects(plane, K, L, args.verify, args.timings)
+        out, ok, phi = _dts_objects(plane, K, L, args.verify, args.timings)
         objs.extend(out)
         all_ok = all_ok and ok
         if phi_for_export is None:
-            phi_for_export = _symmetry.build_dts(plane, K, L)
+            phi_for_export = phi
 
     if args.export:
         if len(pairs) != 1:
@@ -351,16 +353,27 @@ def _cmd_replay(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            check_id, q, model, violations, pair = _parse_report_line(
-                f"{args.report}:{lineno}", line)
-            plane = build_plane(q, model)
+            where = f"{args.report}:{lineno}"
+            check_id, q, model, violations, pair = _parse_report_line(where, line)
+            try:
+                plane = build_plane(q, model)
+            except (ValueError, LaguerreError) as e:
+                raise UsageError(f"{where}: {e}") from e
             if check_id == "DtsVerify":
-                K = plane.circle_from_coef(pair[0]).id
-                L = plane.circle_from_coef(pair[1]).id
-                fresh = _symmetry.verify_dts(plane, _symmetry.build_dts(plane, K, L), K, L)
+                try:
+                    K = plane.circle_from_coef(pair[0]).id
+                    L = plane.circle_from_coef(pair[1]).id
+                    phi = _symmetry.build_dts(plane, K, L)
+                except (ValueError, TypeError, TangentPair) as e:
+                    raise UsageError(f"{where}: pair: {e}") from e
+                fresh = _symmetry.verify_dts(plane, phi, K, L)
                 fresh_set = {(v.kind, v.points, v.circles) for v in fresh.violations}
                 confirmed = all((v.kind, v.points, v.circles) in fresh_set for v in violations)
             else:
+                for i, v in enumerate(violations, 1):
+                    problem = _checks.witness_problem(plane, check_id, v)
+                    if problem:
+                        raise UsageError(f"{where}: violation {i}: {problem}")
                 confirmed = all(
                     _checks.replay_violation(plane, check_id, v) for v in violations)
             all_ok = all_ok and confirmed

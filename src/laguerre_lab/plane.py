@@ -112,10 +112,11 @@ def _cid(circle) -> int:
     return circle.id if isinstance(circle, Circle) else int(circle)
 
 
-# Circles per block of the validator's array passes.  Temporaries are
-# freed block by block: at order 13 the peak RSS of a build plus
-# `validate_axioms` is 177 MB with this size, 205 MB with 512 and 293 MB
-# with all circles in one block (the loop validator peaked at 180 MB).
+# Circles per block of the validator's array passes and of the
+# `pair_count`/`pair_sum` products.  Temporaries are freed block by block:
+# at order 13 the peak RSS of a build plus `validate_axioms` is 163 MB
+# with this size (179 MB with whole-matrix products, 205 MB with blocks
+# of 512 and 293 MB with all circles in one block).
 _BLOCK = 128
 
 
@@ -136,6 +137,15 @@ def _rows_2d(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
     if not len(lengths) or (lengths != lengths[0]).any():
         return None
     return flat.reshape(len(lengths), -1).astype(np.int32)
+
+
+def _blocked_product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """a @ b.T as exact integers of `dtype`, filled `_BLOCK` rows at a time
+    so that no full-size float product or rounded copy is ever held."""
+    out = np.empty((len(a), len(b)), dtype=dtype)
+    for b0 in range(0, len(a), _BLOCK):
+        out[b0:b0 + _BLOCK] = np.rint(a[b0:b0 + _BLOCK] @ b.T)
+    return out
 
 
 class _Structure:
@@ -179,14 +189,16 @@ class _Structure:
 
     @functools.cached_property
     def pair_count(self) -> np.ndarray:
+        """|K ∩ L| for every circle pair."""
         m = self.mem.astype(np.float32)
-        return np.rint(m @ m.T).astype(np.uint8)
+        return _blocked_product(m, m, np.uint8)
 
     @functools.cached_property
     def pair_sum(self) -> np.ndarray:
+        """The sum of the point ids in K ∩ L for every circle pair."""
         m = self.mem.astype(np.float32)
         w = m * np.arange(self.n_points, dtype=np.float32)[None, :]
-        return np.rint(m @ w.T).astype(np.int32)
+        return _blocked_product(m, w, np.int32)
 
     @functools.cached_property
     def slot_of(self) -> np.ndarray:

@@ -7,6 +7,22 @@ map sending x to the point of the circle (x, y, h(y))° parallel to the
 L-image of xK is an involutory automorphism: `build_dts` evaluates that
 formula, verifying for every point that all admissible auxiliary choices
 y agree before accepting the image.
+
+The hot checks are whole-array numpy passes over the plane's indexes:
+
+  * `_pencil_touch`   the tangent pencil of every member of a circle,
+                      gathered from `pencil_others`, against `pair_count`;
+                      `tangency_map` (so `build_dts`) and property (4) of
+                      `verify_dts` read touch points from it,
+  * `verify_dts` (4)  all moved circles and their member slots at once,
+  * Moebius axioms    one boolean block x point incidence matrix: trio
+                      counts from its columns, `_TRIO_BLOCK` trios per
+                      pass, and touching counts from its products.
+
+The second route to these verdicts is scalar: `tangent_to_second` scans
+one point's pencil at a time, and the loop forms the passes replaced are
+kept in the tests, on top of it, as the references the passes must match
+report for report.
 """
 
 from __future__ import annotations
@@ -26,6 +42,7 @@ from .errors import (
     WellDefinednessFailure,
     NoAdmissibleAuxiliary,
 )
+from .checks import _pi_blocks, _record
 from .plane import Circle, LaguerrePlane, Pencil, _cid
 from .report import CheckMode, CheckReport, Violation
 
@@ -97,20 +114,45 @@ class TangencyMap:
         return dict(self.mapping)
 
 
+def _pencil_touch(plane: LaguerrePlane, K: np.ndarray, L: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """`tangent_to_second` for every member of K, over arrays of pairs.
+
+    For each pair (K[i], L[i]) and member slot j of K[i], the pencil
+    [K[i]] + pencil_others[K[i], j] is gathered as one (m, q+1, q) array;
+    returns the number of its members tangent to L[i] and the touch point
+    on L[i] of the first of them, both of shape (m, q+1).  The touch point
+    means something only where the count is 1 and the member is off L[i].
+    """
+    K = np.asarray(K, dtype=np.intp)
+    L = np.asarray(L, dtype=np.intp)[:, None, None]
+    lead = np.broadcast_to(K[:, None, None], (len(K), plane.q + 1, 1))
+    pencil = np.concatenate((lead, plane.pencil_others[K]), axis=2)
+    hit = plane.pair_count[pencil, L] == 1
+    first = np.take_along_axis(pencil, hit.argmax(axis=2)[..., None], axis=2)
+    return hit.sum(axis=2), plane.tangent_point[first, L][..., 0]
+
+
 def tangency_map(plane: LaguerrePlane, K, L) -> TangencyMap:
-    """Total map K -> L; composing with the reverse map is the identity."""
+    """Total map K -> L; composing with the reverse map is the identity.
+
+    Common points map to themselves; every other point of K goes through
+    one `_pencil_touch` pass.  The first point, in member order, whose
+    pencil does not hold exactly one circle tangent to L raises NotUnique
+    with that count, which happens only on planes of even order.
+    """
     K, L = _cid(K), _cid(L)
     t = plane.tangency(K, L)
     if t.kind in ("tangent", "equal"):
         raise TangentPair(f"circles {K},{L} are tangent")
-    pairs = []
-    for x in plane.members[K]:
-        x = int(x)
-        if plane.mem[L, x]:
-            pairs.append((x, x))
-        else:
-            pairs.append((x, tangent_to_second(plane, x, K, L)[1]))
-    return TangencyMap(K, L, tuple(pairs))
+    xs = plane.members[K]
+    on = plane.mem[L, xs]
+    count, touch = _pencil_touch(plane, [K], [L])
+    not_unique = ~on & (count[0] != 1)
+    if not_unique.any():
+        raise NotUnique(int(count[0, not_unique.argmax()]))
+    image = np.where(on, xs, touch[0])
+    return TangencyMap(K, L, tuple(zip(xs.tolist(), image.tolist())))
 
 
 def double_tangency_pencil(plane: LaguerrePlane, K, L) -> Pencil:
@@ -186,10 +228,6 @@ class Automorphism:
             raise ValueError(f"image of circle {bad} is not a circle")
 
 
-def _h_array(plane: LaguerrePlane, K: int, L: int) -> dict[int, int]:
-    return tangency_map(plane, K, L).as_dict()
-
-
 def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
     """The double tangency symmetry of a non-tangent pair (K, L).
 
@@ -205,8 +243,8 @@ def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
     if t.kind in ("tangent", "equal"):
         raise TangentPair(f"circles {K},{L} are tangent")
     common = set(t.points)
-    hK = _h_array(plane, K, L)
-    hL = _h_array(plane, L, K)
+    hK = tangency_map(plane, K, L).as_dict()
+    hL = tangency_map(plane, L, K).as_dict()
 
     gen, T3, CPG = plane.gen_of, plane.triple_circle, plane.gen_point
     image = np.full(plane.n_points, -1, dtype=np.int32)
@@ -270,6 +308,12 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K=None, L=None) -> Check
     of (x,M,phi(M))° on phi(M) — including that M and phi(M) are never
     tangent, and (5) every common tangent circle of (K,L) is fixed.
     Moved points parallel to their image are counted as skipped in (3).
+
+    Property (4) is one array pass: tangent pairs (M, phi(M)) from
+    `pair_count`, and for the others every member slot's pencil count and
+    touch point from `_pencil_touch`.  Violations keep the order of a scan
+    by M, then member slot; only the first `MAX_VIOLATIONS` are built and
+    the rest are counted.  It makes no `tangent_to_second` call.
     """
     report = CheckReport(check_id="DtsVerify", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
@@ -311,30 +355,33 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K=None, L=None) -> Check
                 report.add_violation(Violation(
                     "moved-pencil-circle", points=(int(x), fx), circles=(int(M),)))
 
-    # (4) the touch-point identity on moved circles
-    moved_c = np.nonzero((ci != np.arange(n_c)) & (ci >= 0))[0]
-    for M in moved_c:
-        Mi = int(ci[M])
-        kind = plane.tangency(int(M), Mi).kind
-        if kind == "tangent":
-            report.add_violation(Violation("moved-circle-tangent", circles=(int(M), Mi)))
-            continue
-        for x in plane.members[M]:
-            x = int(x)
-            report.configurations += 1
-            if plane.mem[Mi, x]:
-                expect = x
-            else:
-                try:
-                    expect = tangent_to_second(plane, x, int(M), Mi)[1]
-                except NotUnique as e:
-                    report.add_violation(Violation(
-                        "touch-image-not-unique", points=(x,), circles=(int(M), Mi),
-                        data=(("count", e.count),)))
-                    continue
-            if int(img[x]) != expect:
-                report.add_violation(Violation(
-                    "touch-image", points=(x, int(img[x]), expect), circles=(int(M), Mi)))
+    # (4) the touch-point identity, one pass over all moved circles M and
+    # their member slots; a tangent (M, phi(M)) is one violation in slot 0
+    M = np.nonzero((ci != np.arange(n_c)) & (ci >= 0))[0]
+    Mi = ci[M]
+    tangent = plane.pair_count[M, Mi] == 1
+    X = plane.members[M]
+    on = plane.mem[Mi[:, None], X]
+    count, touch = _pencil_touch(plane, M, Mi)
+    expect = np.where(on, X, touch)
+    not_unique = ~on & (count != 1)
+    wrong = ~not_unique & (img[X] != expect)
+    slots = X.shape[1]
+    report.configurations += slots * int((~tangent).sum())
+    bad = np.where(tangent[:, None], np.arange(slots) == 0, not_unique | wrong)
+
+    def touch_violation(i: int) -> Violation:
+        r, j = divmod(i, slots)
+        circles, x = (int(M[r]), int(Mi[r])), int(X[r, j])
+        if tangent[r]:
+            return Violation("moved-circle-tangent", circles=circles)
+        if not_unique[r, j]:
+            return Violation("touch-image-not-unique", points=(x,), circles=circles,
+                             data=(("count", int(count[r, j])),))
+        return Violation("touch-image", points=(x, int(img[x]), int(expect[r, j])),
+                         circles=circles)
+
+    _record(report, bad.ravel(), touch_violation)
 
     # (5) the common tangent circles of (K, L) are fixed
     for C in double_tangency_pencil(plane, K, L):
@@ -469,8 +516,6 @@ def verify_pi_symmetry(plane: LaguerrePlane, mode: CheckMode,
     the connecting tangent circle through a and x setwise and exchange
     its touch points a and x.  Tangent (K, L) pairs are skipped.
     """
-    from .checks import _pi_blocks
-
     report = CheckReport(check_id="PiSymmetry", mode=mode)
     t0 = time.perf_counter()
     if plane.q % 2 == 0:
@@ -544,7 +589,13 @@ class MoebiusCandidate:
 
 
 def moebius_extract(plane: LaguerrePlane, phi: Automorphism) -> MoebiusCandidate:
-    """Build the inversive-plane candidate of a fixed-point-free symmetry."""
+    """Build the inversive-plane candidate of a fixed-point-free symmetry.
+
+    Its axiom reports come from array passes over the block x point
+    incidence matrix (`_three_point_axiom`, `_touching_axiom`), which
+    build only the first `MAX_VIOLATIONS` violations and count the rest:
+    the candidate is half an inversive plane, so half its trios fail.
+    """
     if phi.fixed_points():
         raise NotFixedPointFree("the symmetry fixes a point")
     if phi.provenance[0] != "dts":
@@ -588,48 +639,61 @@ def moebius_extract(plane: LaguerrePlane, phi: Automorphism) -> MoebiusCandidate
     return candidate
 
 
-def _bitmask(block: tuple[int, ...], index: dict[int, int]) -> int:
-    m = 0
-    for p in block:
-        m |= 1 << index[p]
-    return m
+# Trios of the three-point axiom per array pass: the pass's temporaries
+# are a few MB at orders 9 and 11 instead of growing with the trio count.
+_TRIO_BLOCK = 4096
+
+
+def _incidence(cand: MoebiusCandidate) -> np.ndarray:
+    """Boolean block x point matrix; columns follow `cand.points`."""
+    index = {p: i for i, p in enumerate(cand.points)}
+    B = np.zeros((len(cand.blocks), len(cand.points)), dtype=bool)
+    for bi, b in enumerate(cand.blocks):
+        B[bi, [index[p] for p in b]] = True
+    return B
 
 
 def _three_point_axiom(cand: MoebiusCandidate) -> CheckReport:
+    """Each trio of points, in `combinations` order, lies on exactly one
+    block: the block count of a trio is the AND of its three point columns
+    of the incidence matrix, summed, for `_TRIO_BLOCK` trios at a time."""
     report = CheckReport(check_id="MoebiusThreePoint", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
-    index = {p: i for i, p in enumerate(cand.points)}
-    masks = [_bitmask(b, index) for b in cand.blocks]
-    for trio in itertools.combinations(cand.points, 3):
-        report.configurations += 1
-        tm = _bitmask(trio, index)
-        count = sum(1 for m in masks if m & tm == tm)
-        if count != 1:
-            report.add_violation(Violation(
-                "three-point", points=trio, data=(("count", count),)))
+    cols = np.ascontiguousarray(_incidence(cand).T)
+    trios = itertools.combinations(range(len(cand.points)), 3)
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(trios, _TRIO_BLOCK))
+        T = np.fromiter(chunk, dtype=np.intp).reshape(-1, 3)
+        if not len(T):
+            break
+        count = (cols[T[:, 0]] & cols[T[:, 1]] & cols[T[:, 2]]).sum(axis=1)
+        report.configurations += len(T)
+        _record(report, count != 1, lambda i: Violation(
+            "three-point", points=tuple(cand.points[j] for j in T[i]),
+            data=(("count", int(count[i])),)))
     report.elapsed_seconds = time.perf_counter() - t0
     return report.finalize()
 
 
 def _touching_axiom(cand: MoebiusCandidate) -> CheckReport:
+    """For a block b, P on b and Q off b, exactly one block through Q meets
+    b in P alone.  The blocks meeting b in one point are the rows E with
+    (B @ B.T)[:, b] == 1, and E[:, cols(b)].T @ E counts them per (P, Q)."""
     report = CheckReport(check_id="MoebiusTouching", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
     index = {p: i for i, p in enumerate(cand.points)}
-    blocks = cand.blocks
-    masks = [_bitmask(b, index) for b in blocks]
-    point_bit = {p: 1 << index[p] for p in cand.points}
-    for bi, b in enumerate(blocks):
-        for P in b:
-            pb = point_bit[P]
-            for Qp in cand.points:
-                if point_bit[Qp] & masks[bi]:
-                    continue
-                report.configurations += 1
-                qb = point_bit[Qp]
-                count = sum(1 for m in masks if (m & qb) and (m & masks[bi]) == pb)
-                if count != 1:
-                    report.add_violation(Violation(
-                        "touching", points=(P, Qp), data=(("count", count), ("block", bi))))
+    B = _incidence(cand)
+    Bf = B.astype(np.float32)  # its products are small exact integers
+    inter = Bf @ Bf.T
+    for bi, b in enumerate(cand.blocks):
+        cols = [index[p] for p in b]
+        E = Bf[inter[:, bi] == 1]
+        count = E[:, cols].T @ E
+        off = ~B[bi]
+        report.configurations += len(cols) * int(off.sum())
+        _record(report, ((count != 1) & off).ravel(), lambda i: Violation(
+            "touching", points=(b[i // len(cand.points)], cand.points[i % len(cand.points)]),
+            data=(("count", int(count.flat[i])), ("block", bi))))
     report.elapsed_seconds = time.perf_counter() - t0
     return report.finalize()
 

@@ -211,6 +211,42 @@ def test_replay_malformed_lines_exit_two_with_one_error_line(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_replay_malformed_witnesses_name_the_line_and_exit_two(tmp_path, capsys):
+    def c_witness(points, circles):
+        return {"kind": "tangent-count", "points": points,
+                "circles": [{"id": c} for c in circles], "data": {"count": 0}}
+
+    good = {"check": "C", "q": 3, "model": "miquelian", "violations": []}
+    bad_lines = [
+        dict(good, violations=[c_witness([0, 1, 2, 3], [5000])]),
+        dict(good, violations=[c_witness([0, 1], [0, 1])]),
+        dict(good, violations=[c_witness([-7], [0, 1])]),
+        dict(good, violations=[c_witness([0], [0, 27])]),
+        dict(good, violations=[dict(c_witness([0], [0, 1]), data={})]),
+        dict(good, check="S", violations=[c_witness([0, 1, 2], [0, 1, 2, 3])]),
+        dict(good, check="NoSuchCheck", violations=[c_witness([0], [0, 1])]),
+        dict(good, q=6),
+        {"check": "DtsVerify", "q": 3, "model": "miquelian", "violations": [],
+         "pair": {"K": {"coef": [9, 9, 9]}, "L": {"coef": [0, 0, 0]}}},
+        {"check": "DtsVerify", "q": 3, "model": "miquelian", "violations": [],
+         "pair": {"K": {"coef": [0, 0, 0]}, "L": {"coef": [0, 0, 0]}}},
+    ]
+    report = tmp_path / "bad.jsonl"
+    for obj in bad_lines:
+        report.write_text(json.dumps(good) + "\n" + json.dumps(obj) + "\n")
+        code, out, err = run_cli(capsys, "replay", "--report", str(report))
+        assert code == 2 and out == "", obj
+        assert err.startswith(f"error: {report}:2: ") and err.count("\n") == 1, err
+
+    # well-formed witnesses that show no violation are refused, not errors:
+    # point 1 is off circle 0, and the unique tangent at point 0 has count 1
+    for witness in (c_witness([1], [0, 5]), c_witness([0], [0, 5])):
+        report.write_text(json.dumps(dict(good, violations=[witness])) + "\n")
+        code, out, err = run_cli(capsys, "replay", "--report", str(report))
+        assert (code, err) == (1, "")
+        assert json.loads(out)["confirmed"] is False
+
+
 def test_seed_range_is_checked_on_every_command(capsys, monkeypatch):
     sample = ("check", "--q", "3", "--checks", "S", "--mode", "sample", "--samples", "100")
     for seed in ("-1", str(2**64), str(2**64 + 5)):

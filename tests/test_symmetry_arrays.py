@@ -1,0 +1,321 @@
+"""The array passes of the symmetry layer against their loop references.
+
+`loop_verify_dts`, `loop_three_point` and `loop_touching` below are the
+point-by-point verifiers that the array passes in `laguerre_lab.symmetry`
+replaced: property (4) of `verify_dts` through one scalar
+`tangent_to_second` call per point of a moved circle, and the Moebius
+axioms through one bitmask scan per trio and per (block, point, point).
+They are kept here as the second route to those verdicts.  The array
+routes must give the same report: verdict, configurations, skipped,
+violation count and the recorded violations in order.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+
+from laguerre_lab import cli, symmetry
+from laguerre_lab.errors import NotUnique
+from laguerre_lab.models import miquelian_plane
+from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
+from laguerre_lab.symmetry import (
+    Automorphism,
+    build_dts,
+    double_tangency_pencil,
+    find_fixed_point_free_pair,
+    moebius_extract,
+    sample_nontangent_pairs,
+    tangency_map,
+    tangent_to_second,
+    verify_dts,
+)
+
+
+# ---------------------------------------------------------------------------
+# loop references
+# ---------------------------------------------------------------------------
+
+def loop_verify_dts(plane, phi, K, L) -> CheckReport:
+    """`verify_dts` with property (4) as one scalar pencil scan per point."""
+    report = CheckReport(check_id="DtsVerify", mode=CheckMode.exhaustive())
+    img = phi.image
+    n_p, n_c = plane.n_points, plane.n_circles
+    gen = plane.gen_of
+
+    report.configurations += n_p
+    for x in np.nonzero(img[img] != np.arange(n_p))[0]:
+        report.add_violation(Violation("involution", points=(int(x), int(img[x]))))
+
+    report.configurations += n_c + n_p
+    ci = phi.circle_image()
+    for cid in np.nonzero(ci < 0)[0]:
+        report.add_violation(Violation("circle-image", circles=(int(cid),)))
+    for g in range(plane.n_gens):
+        if len(set(int(v) for v in gen[img[plane.gen_members[g]]])) != 1:
+            report.add_violation(Violation("parallelity", data=(("generator", g),)))
+
+    for x in np.nonzero(img != np.arange(n_p))[0]:
+        fx = int(img[x])
+        if gen[x] == gen[fx]:
+            report.skipped += 1
+            continue
+        if fx < x and int(img[fx]) == int(x):
+            continue
+        for M in plane.vertex_pencils[x, fx]:
+            report.configurations += 1
+            if int(ci[M]) != int(M):
+                report.add_violation(Violation(
+                    "moved-pencil-circle", points=(int(x), fx), circles=(int(M),)))
+
+    for M in np.nonzero((ci != np.arange(n_c)) & (ci >= 0))[0]:
+        Mi = int(ci[M])
+        if plane.tangency(int(M), Mi).kind == "tangent":
+            report.add_violation(Violation("moved-circle-tangent", circles=(int(M), Mi)))
+            continue
+        for x in plane.members[M]:
+            x = int(x)
+            report.configurations += 1
+            if plane.mem[Mi, x]:
+                expect = x
+            else:
+                try:
+                    expect = tangent_to_second(plane, x, int(M), Mi)[1]
+                except NotUnique as e:
+                    report.add_violation(Violation(
+                        "touch-image-not-unique", points=(x,), circles=(int(M), Mi),
+                        data=(("count", e.count),)))
+                    continue
+            if int(img[x]) != expect:
+                report.add_violation(Violation(
+                    "touch-image", points=(x, int(img[x]), expect), circles=(int(M), Mi)))
+
+    for C in double_tangency_pencil(plane, K, L):
+        report.configurations += 1
+        if int(ci[C]) != C:
+            report.add_violation(Violation("common-tangent-moved", circles=(C,)))
+    report.hypothesis_hits = report.configurations
+    return report.finalize()
+
+
+def _bitmask(block, index) -> int:
+    m = 0
+    for p in block:
+        m |= 1 << index[p]
+    return m
+
+
+def loop_three_point(cand) -> CheckReport:
+    report = CheckReport(check_id="MoebiusThreePoint", mode=CheckMode.exhaustive())
+    index = {p: i for i, p in enumerate(cand.points)}
+    masks = [_bitmask(b, index) for b in cand.blocks]
+    for trio in itertools.combinations(cand.points, 3):
+        report.configurations += 1
+        tm = _bitmask(trio, index)
+        count = sum(1 for m in masks if m & tm == tm)
+        if count != 1:
+            report.add_violation(Violation(
+                "three-point", points=trio, data=(("count", count),)))
+    return report.finalize()
+
+
+def loop_touching(cand) -> CheckReport:
+    report = CheckReport(check_id="MoebiusTouching", mode=CheckMode.exhaustive())
+    index = {p: i for i, p in enumerate(cand.points)}
+    blocks = cand.blocks
+    masks = [_bitmask(b, index) for b in blocks]
+    point_bit = {p: 1 << index[p] for p in cand.points}
+    for bi, b in enumerate(blocks):
+        for P in b:
+            pb = point_bit[P]
+            for Qp in cand.points:
+                if point_bit[Qp] & masks[bi]:
+                    continue
+                report.configurations += 1
+                qb = point_bit[Qp]
+                count = sum(1 for m in masks if (m & qb) and (m & masks[bi]) == pb)
+                if count != 1:
+                    report.add_violation(Violation(
+                        "touching", points=(P, Qp), data=(("count", count), ("block", bi))))
+    return report.finalize()
+
+
+def summary(rep: CheckReport) -> tuple:
+    return (rep.check_id, rep.verdict, rep.configurations, rep.hypothesis_hits,
+            rep.skipped, rep.violation_count, rep.violations[:MAX_VIOLATIONS])
+
+
+# ---------------------------------------------------------------------------
+# cases
+# ---------------------------------------------------------------------------
+
+def dts_cases(q: int, pairs: int = 40):
+    """Genuine symmetries of sampled pairs, each also with two image points
+    swapped, replaced by the next pair's symmetry, and replaced by the
+    identity."""
+    P = miquelian_plane(q)
+    sampled = sample_nontangent_pairs(P, pairs, seed=100 + q)
+    images = [build_dts(P, K, L).image for K, L in sampled]
+    rng = np.random.default_rng(q)
+    for i, (K, L) in enumerate(sampled):
+        swapped = images[i].copy()
+        x, y = rng.choice(P.n_points, 2, replace=False)
+        swapped[[x, y]] = swapped[[y, x]]
+        for kind, image in (("genuine", images[i]), ("swapped", swapped),
+                            ("other", images[(i + 1) % len(images)]),
+                            ("identity", np.arange(P.n_points))):
+            yield kind, K, L, Automorphism(P, image, ("dts", K, L))
+
+
+def coordinate_map(P, lam: int, t: int) -> Automorphism:
+    """The automorphism (x, y) -> (x, lam*y + t*x), (inf, a) -> (inf, lam*a)
+    of the coordinate model; it sends circle (a, b, c) to (lam*a, lam*b + t, lam*c)."""
+    q, mul, add = P.q, P.field.mul, P.field.add
+    x, y = np.divmod(np.arange(q * q), q)
+    affine = x * q + add[mul[lam, y], mul[t, x]]
+    infinite = q * q + mul[lam, np.arange(q)]
+    return Automorphism(P, np.concatenate((affine, infinite)))
+
+
+# ---------------------------------------------------------------------------
+# verify_dts, property (4)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_verify_dts_matches_the_loop_reference(q):
+    P = miquelian_plane(q)
+    verdicts = {}
+    for kind, K, L, phi in dts_cases(q):
+        got = verify_dts(P, phi, K, L)
+        assert summary(got) == summary(loop_verify_dts(P, phi, K, L)), (kind, K, L)
+        verdicts.setdefault(kind, set()).add(got.verdict)
+    assert verdicts["genuine"] == {"Holds"}
+    assert verdicts["swapped"] == {"Fails"}
+    assert "Fails" in verdicts["other"]  # two pairs may share their symmetry
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_verify_dts_not_unique_matches_the_loop_reference(q):
+    # the shears (x, y) -> (x, y + t*x) are involutions in characteristic 2
+    # that move every circle onto a secant one, and no pencil there holds
+    # exactly one circle tangent to the image
+    P = miquelian_plane(q)
+    K, L = sample_nontangent_pairs(P, 1, seed=q)[0]
+    for t in range(1, q):
+        phi = coordinate_map(P, 1, t)
+        got = verify_dts(P, phi, K, L)
+        assert summary(got) == summary(loop_verify_dts(P, phi, K, L)), t
+        assert "touch-image-not-unique" in {v.kind for v in got.violations}
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_moved_tangent_circles_keep_their_place_in_the_order(q):
+    # (x, y) -> (x, -y) is an involutory automorphism that sends some
+    # circles onto tangent ones and others onto secant ones
+    P = miquelian_plane(q)
+    K, L = sample_nontangent_pairs(P, 1, seed=q)[0]
+    phi = coordinate_map(P, q - 1, 0)
+    got = verify_dts(P, phi, K, L)
+    assert summary(got) == summary(loop_verify_dts(P, phi, K, L))
+    assert {v.kind for v in got.violations} == {"moved-circle-tangent", "touch-image"}
+
+
+# ---------------------------------------------------------------------------
+# tangency_map
+# ---------------------------------------------------------------------------
+
+def loop_tangency(P, K, L):
+    """tangency_map's pairs through `tangent_to_second`, or the NotUnique count."""
+    pairs = []
+    for x in P.members[K]:
+        x = int(x)
+        if P.mem[L, x]:
+            pairs.append((x, x))
+            continue
+        try:
+            pairs.append((x, tangent_to_second(P, x, K, L)[1]))
+        except NotUnique as e:
+            return ("NotUnique", e.count)
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_tangency_map_matches_tangent_to_second(q):
+    P = miquelian_plane(q)
+    refused = 0
+    for K, L in sample_nontangent_pairs(P, 40, seed=q):
+        for A, B in ((K, L), (L, K)):
+            want = loop_tangency(P, A, B)
+            try:
+                got = tangency_map(P, A, B).mapping
+            except NotUnique as e:
+                got = ("NotUnique", e.count)
+                refused += 1
+            assert got == want, (A, B)
+    # the unique-tangent axiom holds exactly on the planes of odd order
+    assert (refused > 0) == (q % 2 == 0)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_build_dts_refuses_with_the_first_count_on_even_orders(q):
+    P = miquelian_plane(q)
+    for K, L in sample_nontangent_pairs(P, 10, seed=q):
+        want = loop_tangency(P, K, L)
+        with pytest.raises(NotUnique) as e:
+            build_dts(P, K, L)
+        assert ("NotUnique", e.value.count) == want
+
+
+# ---------------------------------------------------------------------------
+# Moebius axioms
+# ---------------------------------------------------------------------------
+
+def moebius_cases(q: int):
+    P = miquelian_plane(q)
+    cand = moebius_extract(P, find_fixed_point_free_pair(P)[2])
+    mid_a, mid_b = len(cand.blocks_a) // 2, len(cand.blocks_b) // 2
+    yield "extracted", cand
+    yield "no A block", dataclasses.replace(
+        cand, blocks_a=cand.blocks_a[:mid_a] + cand.blocks_a[mid_a + 1:])
+    yield "no B block", dataclasses.replace(
+        cand, blocks_b=cand.blocks_b[:mid_b] + cand.blocks_b[mid_b + 1:])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_moebius_axioms_match_the_loop_reference(q):
+    verdicts = {}
+    for name, cand in moebius_cases(q):
+        three = symmetry._three_point_axiom(cand)
+        touching = symmetry._touching_axiom(cand)
+        assert summary(three) == summary(loop_three_point(cand)), name
+        assert summary(touching) == summary(loop_touching(cand)), name
+        verdicts[name] = touching.verdict
+    # dropping a block breaks the touching axiom the extracted candidate has
+    assert verdicts == {"extracted": "Holds", "no A block": "Fails", "no B block": "Fails"}
+
+
+# ---------------------------------------------------------------------------
+# the command line builds one symmetry per request
+# ---------------------------------------------------------------------------
+
+def test_dts_verify_export_builds_the_symmetry_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = symmetry.build_dts
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "build_dts", counted)
+    out, aut = tmp_path / "dts.jsonl", tmp_path / "dts.aut"
+    code = cli.main(["dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2", "--verify",
+                     "--out", str(out), "--export", str(aut)])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 1
+    P = miquelian_plane(5)
+    K, L = calls[0]
+    assert aut.read_text() == symmetry.export_automorphism(P, real(P, K, L))
