@@ -12,6 +12,10 @@ Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
 re-validated through the scalar incidence operations alone (see
 `replay_violation`), independently of the vectorized sweep that found it.
+
+Every check id, the axiom validator's included, is resolved by one
+`CheckerSpec` in `SPECS`: how to run it, its exhaustive size, the shape
+of its witnesses and their replay.
 """
 
 from __future__ import annotations
@@ -19,17 +23,19 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import LaguerreError
 from .plane import LaguerrePlane
 from .report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
-from .rng import draw_block
+from .rng import bounded, draw_block
 
 __all__ = [
     "CHECK_IDS",
     "CHECKERS",
+    "SPECS",
     "check_C",
     "check_S",
     "check_prop_2_1",
@@ -99,16 +105,16 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode):
     q, m = plane.q, plane.q - 1
     if mode.is_sample:
         for _, raw in _sample_batches(mode, _CHAIN_DRAWS):
-            K = (raw[:, 0] % np.uint64(plane.n_circles)).astype(np.int64)
-            sa = (raw[:, 1] % np.uint64(q + 1)).astype(np.int64)
+            K = bounded(raw[:, 0], plane.n_circles)
+            sa = bounded(raw[:, 1], q + 1)
             A = members[K, sa]
-            L = po[K, sa, (raw[:, 2] % np.uint64(m)).astype(np.int64)]
-            sb = (raw[:, 3] % np.uint64(q + 1)).astype(np.int64)
+            L = po[K, sa, bounded(raw[:, 2], m)]
+            sb = bounded(raw[:, 3], q + 1)
             B = members[L, sb]
-            M = po[L, sb, (raw[:, 4] % np.uint64(m)).astype(np.int64)]
-            sc = (raw[:, 5] % np.uint64(q + 1)).astype(np.int64)
+            M = po[L, sb, bounded(raw[:, 4], m)]
+            sc = bounded(raw[:, 5], q + 1)
             C = members[M, sc]
-            N = po[M, sc, (raw[:, 6] % np.uint64(m)).astype(np.int64)]
+            N = po[M, sc, bounded(raw[:, 6], m)]
             yield K, A, L, B, M, C, N
     else:
         for K in range(plane.n_circles):
@@ -130,28 +136,31 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode):
             )
 
 
-def _run_chain(plane: LaguerrePlane, mode: CheckMode, variant: str) -> CheckReport:
-    report, t0 = _new({"S": "S", "P22": "Prop22", "C21": "Cor21"}[variant], mode)
-    gen, mem, T, TP, T3 = (plane.gen_of, plane.mem, plane.pair_count,
-                           plane.tangent_point, plane.triple_circle)
+_CHAIN_KINDS = {"S": "s-chain", "Prop22": "p22-chain", "Cor21": "c21-chain"}
+
+
+def _run_chain(plane: LaguerrePlane, mode: CheckMode, check_id: str) -> CheckReport:
+    report, t0 = _new(check_id, mode)
+    gen, mem, T, W, T3 = (plane.gen_of, plane.mem, plane.pair_count,
+                          plane.pair_sum, plane.triple_circle)
     for K, A, L, B, M, C, N in _chain_blocks(plane, mode):
         report.configurations += len(K)
         closed = T[N, K] == 1
-        D = np.where(closed, TP[N, K], -1)
+        D = np.where(closed, W[N, K], -1)
         Dc = np.maximum(D, 0)
         par_ac = gen[A] == gen[C]
         par_bd = gen[B] == gen[Dc]
 
-        if variant == "S":
+        if check_id == "S":
             hyp = closed & ~par_ac
             degenerate = (B == A) | (B == C) | (B == D) | (D == A) | (D == C)
             cid = T3[A, B, C]
             on4 = (cid >= 0) & mem[np.maximum(cid, 0), Dc]
             ok = degenerate | (~par_bd & on4)
-        elif variant == "P22":
+        elif check_id == "Prop22":
             hyp = closed & par_ac
             ok = par_bd
-        else:  # C21: assert the ordered quadruple (a,c,b,d) is concyclic
+        else:  # Cor21: assert the ordered quadruple (a,c,b,d) is concyclic
             hyp = closed
             branch2 = par_ac & par_bd & (A != B)
             co = (B == A) | (B == C) | (B == D) | (D == A) | (D == C)
@@ -165,7 +174,7 @@ def _run_chain(plane: LaguerrePlane, mode: CheckMode, variant: str) -> CheckRepo
         report.hypothesis_hits += int(hyp.sum())
         bad = hyp & ~ok
         _record(report, bad, lambda i: Violation(
-            variant.lower() + "-chain",
+            _CHAIN_KINDS[check_id],
             points=(int(A[i]), int(B[i]), int(C[i]), int(D[i])),
             circles=(int(K[i]), int(L[i]), int(M[i]), int(N[i]))))
     return _done(report, t0)
@@ -178,12 +187,12 @@ def check_S(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 
 def check_prop_2_2(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Closed tangency chains with a parallel to c force b parallel to d."""
-    return _run_chain(plane, mode, "P22")
+    return _run_chain(plane, mode, "Prop22")
 
 
 def check_cor_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Every closed tangency chain has (a,c,b,d) concyclic in the generalized sense."""
-    return _run_chain(plane, mode, "C21")
+    return _run_chain(plane, mode, "Cor21")
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +208,9 @@ def check_C(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 
     if mode.is_sample:
         for _, raw in _sample_batches(mode, 3):
-            K = (raw[:, 0] % np.uint64(n_c)).astype(np.int64)
-            L = (raw[:, 1] % np.uint64(n_c)).astype(np.int64)
-            sp = (raw[:, 2] % np.uint64(q + 1)).astype(np.int64)
+            K = bounded(raw[:, 0], n_c)
+            L = bounded(raw[:, 1], n_c)
+            sp = bounded(raw[:, 2], q + 1)
             P = members[K, sp]
             report.configurations += len(K)
             hyp = (K != L) & ~mem[L, P]
@@ -239,24 +248,21 @@ def check_C(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 def check_prop_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Three mutually tangent circles touch at one common point."""
     report, t0 = _new("Prop21", mode)
-    T, TP, po, members = (plane.pair_count, plane.tangent_point,
-                          plane.pencil_others, plane.members)
+    T, W, po = plane.pair_count, plane.pair_sum, plane.pencil_others
     q, n_c = plane.q, plane.n_circles
 
     if mode.is_sample:
         for _, raw in _sample_batches(mode, 5):
-            K = (raw[:, 0] % np.uint64(n_c)).astype(np.int64)
-            L = po[K, (raw[:, 1] % np.uint64(q + 1)).astype(np.int64),
-                   (raw[:, 2] % np.uint64(q - 1)).astype(np.int64)]
-            M = po[K, (raw[:, 3] % np.uint64(q + 1)).astype(np.int64),
-                   (raw[:, 4] % np.uint64(q - 1)).astype(np.int64)]
+            K = bounded(raw[:, 0], n_c)
+            L = po[K, bounded(raw[:, 1], q + 1), bounded(raw[:, 2], q - 1)]
+            M = po[K, bounded(raw[:, 3], q + 1), bounded(raw[:, 4], q - 1)]
             report.configurations += len(K)
             hyp = (T[L, M] == 1) & (L != M)
-            same = (TP[K, L] == TP[K, M]) & (TP[K, L] == TP[L, M])
+            same = (W[K, L] == W[K, M]) & (W[K, L] == W[L, M])
             report.hypothesis_hits += int(hyp.sum())
             _record(report, hyp & ~same, lambda i: Violation(
                 "tangent-trio",
-                points=(int(TP[K[i], L[i]]), int(TP[K[i], M[i]]), int(TP[L[i], M[i]])),
+                points=(int(W[K[i], L[i]]), int(W[K[i], M[i]]), int(W[L[i], M[i]])),
                 circles=(int(K[i]), int(L[i]), int(M[i]))))
     else:
         # unordered triples, counted once via K < L < M
@@ -270,11 +276,11 @@ def check_prop_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
             report.configurations += len(iu)
             hyp = sub[iu, ju]
             L, M = part[iu], part[ju]
-            same = (TP[K, L] == TP[K, M]) & (TP[K, L] == TP[L, M])
+            same = (W[K, L] == W[K, M]) & (W[K, L] == W[L, M])
             report.hypothesis_hits += int(hyp.sum())
             _record(report, hyp & ~same, lambda i: Violation(
                 "tangent-trio",
-                points=(int(TP[K, L[i]]), int(TP[K, M[i]]), int(TP[L[i], M[i]])),
+                points=(int(W[K, L[i]]), int(W[K, M[i]]), int(W[L[i], M[i]])),
                 circles=(K, int(L[i]), int(M[i]))))
     return _done(report, t0)
 
@@ -292,11 +298,9 @@ def check_prop_1_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     q, n_c = plane.q, plane.n_circles
     if mode.is_sample:
         for _, raw in _sample_batches(mode, 5):
-            M = (raw[:, 0] % np.uint64(n_c)).astype(np.int64)
-            K = po[M, (raw[:, 1] % np.uint64(q + 1)).astype(np.int64),
-                   (raw[:, 2] % np.uint64(q - 1)).astype(np.int64)]
-            L = po[M, (raw[:, 3] % np.uint64(q + 1)).astype(np.int64),
-                   (raw[:, 4] % np.uint64(q - 1)).astype(np.int64)]
+            M = bounded(raw[:, 0], n_c)
+            K = po[M, bounded(raw[:, 1], q + 1), bounded(raw[:, 2], q - 1)]
+            L = po[M, bounded(raw[:, 3], q + 1), bounded(raw[:, 4], q - 1)]
             report.configurations += len(M)
             inter = T[K, L]
             hyp = (K != L) & (inter >= 1)
@@ -337,10 +341,10 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     pts = np.arange(plane.n_points)
     if mode.is_sample:
         for _, raw in _sample_batches(mode, 4):
-            a = (raw[:, 0] % np.uint64(plane.n_points)).astype(np.int64)
-            b = (raw[:, 1] % np.uint64(plane.n_points)).astype(np.int64)
-            c = (raw[:, 2] % np.uint64(plane.n_points)).astype(np.int64)
-            x = (raw[:, 3] % np.uint64(plane.n_points)).astype(np.int64)
+            a = bounded(raw[:, 0], plane.n_points)
+            b = bounded(raw[:, 1], plane.n_points)
+            c = bounded(raw[:, 2], plane.n_points)
+            x = bounded(raw[:, 3], plane.n_points)
             ok = ((gen[a] != gen[b]) & (gen[a] != gen[c]) & (gen[a] != gen[x])
                   & (gen[b] != gen[c]) & (gen[b] != gen[x]) & (gen[c] != gen[x]))
             C1 = np.where(ok, T3[a, b, c], 0)
@@ -366,11 +370,9 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
                        C[idx], X[idx], C1[idx], n_raw)
 
 
-def _run_pi_family(plane: LaguerrePlane, mode: CheckMode, variant: str) -> CheckReport:
-    names = {"PI": "Pi", "PIP": "PiPrime", "T23": "Thm23"}
-    report, t0 = _new(names[variant], mode)
-    gen, mem, T, TP, W = (plane.gen_of, plane.mem, plane.pair_count,
-                          plane.tangent_point, plane.pair_sum)
+def _run_pi_family(plane: LaguerrePlane, mode: CheckMode, check_id: str) -> CheckReport:
+    report, t0 = _new(check_id, mode)
+    gen, mem, T, W = plane.gen_of, plane.mem, plane.pair_count, plane.pair_sum
     T3, TCT, CPG, slot = (plane.triple_circle, plane.tangent_through,
                           plane.gen_point, plane.slot_of)
     for a, b, c, x, C1, n_raw in _pi_blocks(plane, mode):
@@ -383,28 +385,28 @@ def _run_pi_family(plane: LaguerrePlane, mode: CheckMode, variant: str) -> Check
         qpt = CPG[Cacx, gen[b]]
         K = TCT[C1, slot[C1, a], x]
 
-        if variant == "PI":
+        if check_id == "Pi":
             skip = (gen[p] == gen[qpt]) | (gen[p] == gen[x]) | (gen[qpt] == gen[x])
             C2 = np.where(skip, 0, T3[p, qpt, x])
-            ok = (T[K, C2] == 1) & (TP[K, C2] == x)
-        elif variant == "PIP":
+            ok = (T[K, C2] == 1) & (W[K, C2] == x)
+        elif check_id == "PiPrime":
             skip = mem[K, qpt]
             L = np.where(skip, 0, TCT[K, slot[K, x], qpt])
             two = T[L, Cabx] == 2
             other = np.where(two, W[L, Cabx] - x, 0)
             ok = two & (gen[other] == gen[c])
-        else:  # T23
+        else:  # Thm23
             skip = qpt == b
             Cqpx = T3[qpt, p, x]
             N = np.where(skip, 0, TCT[Cqpx, slot[Cqpx, p], b])
-            ok = (T[N, C1] == 1) & (TP[N, C1] == b)
+            ok = (T[N, C1] == 1) & (W[N, C1] == b)
 
         report.skipped += int(skip.sum())
         eval_mask = ~skip
         report.hypothesis_hits += int(eval_mask.sum())
         bad = eval_mask & ~ok
         _record(report, bad, lambda i: Violation(
-            names[variant].lower() + "-config",
+            check_id.lower() + "-config",
             points=(int(a[i]), int(b[i]), int(c[i]), int(x[i])),
             circles=(int(C1[i]),)))
     return _done(report, t0)
@@ -413,18 +415,18 @@ def _run_pi_family(plane: LaguerrePlane, mode: CheckMode, variant: str) -> Check
 def check_pi(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Artzy symmetry configuration: the circle through x tangent to
     (a,b,c)° at a meets (p,q,x)° exactly in x."""
-    return _run_pi_family(plane, mode, "PI")
+    return _run_pi_family(plane, mode, "Pi")
 
 
 def check_pi_prime(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Reformulated symmetry configuration: L through q tangent to K at x
     meets (a,b,x)° in exactly x and the point of it parallel to c."""
-    return _run_pi_family(plane, mode, "PIP")
+    return _run_pi_family(plane, mode, "PiPrime")
 
 
 def check_thm_2_3(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """The circle tangent to (q,p,x)° at p through b is tangent to (a,b,c)° at b."""
-    return _run_pi_family(plane, mode, "T23")
+    return _run_pi_family(plane, mode, "Thm23")
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +501,18 @@ def check_miquel(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 
     if mode.is_sample:
         for _, raw in _sample_batches(mode, 10):
-            C1 = (raw[:, 0] % np.uint64(n_c)).astype(np.int64)
-            s = [(raw[:, j] % np.uint64(q + 1)).astype(np.int64) for j in range(1, 5)]
+            C1 = bounded(raw[:, 0], n_c)
+            s = [bounded(raw[:, j], q + 1) for j in range(1, 5)]
             report.configurations += len(C1)
             base = ((s[0] != s[1]) & (s[0] != s[2]) & (s[0] != s[3])
                     & (s[1] != s[2]) & (s[1] != s[3]) & (s[2] != s[3]))
             A, Cq, B, D = (members[C1, s[0]], members[C1, s[1]],
                            members[C1, s[2]], members[C1, s[3]])
-            C2 = VP[A, B, (raw[:, 5] % np.uint64(q)).astype(np.int64)]
-            se = (raw[:, 6] % np.uint64(q + 1)).astype(np.int64)
-            sh = (raw[:, 7] % np.uint64(q + 1)).astype(np.int64)
-            sg = (raw[:, 8] % np.uint64(q + 1)).astype(np.int64)
-            sf = (raw[:, 9] % np.uint64(q + 1)).astype(np.int64)
+            C2 = VP[A, B, bounded(raw[:, 5], q)]
+            se = bounded(raw[:, 6], q + 1)
+            sh = bounded(raw[:, 7], q + 1)
+            sg = bounded(raw[:, 8], q + 1)
+            sf = bounded(raw[:, 9], q + 1)
             idx = np.nonzero(base)[0]
             _miquel_eval(plane, A[idx], Cq[idx], B[idx], D[idx], C2[idx],
                          se[idx], sh[idx], sg[idx], sf[idx], report)
@@ -636,21 +638,21 @@ def check_bundle(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 
     if mode.is_sample:
         for _, raw in _sample_batches(mode, 11):
-            C1 = (raw[:, 0] % np.uint64(n_c)).astype(np.int64)
-            s = [(raw[:, j] % np.uint64(q + 1)).astype(np.int64) for j in range(1, 5)]
+            C1 = bounded(raw[:, 0], n_c)
+            s = [bounded(raw[:, j], q + 1) for j in range(1, 5)]
             base = ((s[0] != s[1]) & (s[0] != s[2]) & (s[0] != s[3])
                     & (s[1] != s[2]) & (s[1] != s[3]) & (s[2] != s[3]))
             report.configurations += len(C1)
             A, Cq, B, D = (members[C1, s[0]], members[C1, s[1]],
                            members[C1, s[2]], members[C1, s[3]])
-            C5 = VP[A, B, (raw[:, 5] % np.uint64(q)).astype(np.int64)]
-            se = (raw[:, 6] % np.uint64(q + 1)).astype(np.int64)
-            sf = (raw[:, 7] % np.uint64(q + 1)).astype(np.int64)
+            C5 = VP[A, B, bounded(raw[:, 5], q)]
+            se = bounded(raw[:, 6], q + 1)
+            sf = bounded(raw[:, 7], q + 1)
             E = members[C5, se]
             F = members[C5, sf]
-            C3 = VP[E, F, (raw[:, 8] % np.uint64(q)).astype(np.int64)]
-            sg = (raw[:, 9] % np.uint64(q + 1)).astype(np.int64)
-            sh = (raw[:, 10] % np.uint64(q + 1)).astype(np.int64)
+            C3 = VP[E, F, bounded(raw[:, 8], q)]
+            sg = bounded(raw[:, 9], q + 1)
+            sh = bounded(raw[:, 10], q + 1)
             idx = np.nonzero(base & (se != sf) & (C3 >= 0))[0]
             _bundle_eval(plane, A[idx], Cq[idx], B[idx], D[idx], C5[idx],
                          se[idx], sf[idx], C3[idx], sg[idx], sh[idx], report)
@@ -722,49 +724,18 @@ def _size_bundle(plane):
     return plane.n_circles * perms * (q * (q + 1) * (q + 1)) ** 2
 
 
-@dataclass(frozen=True)
-class CheckerSpec:
-    check_id: str
-    run: callable
-    size: callable
-    # numbers of witness points and circles the replay reads; None: not read
-    witness: tuple[int | None, int | None]
-
-
-CHECKERS = {
-    "C": CheckerSpec("C", check_C, _size_c, (1, 2)),
-    "S": CheckerSpec("S", check_S, _size_chain, (4, 4)),
-    "Prop21": CheckerSpec("Prop21", check_prop_2_1, _size_trio, (None, 3)),
-    "Prop22": CheckerSpec("Prop22", check_prop_2_2, _size_chain, (4, 4)),
-    "Cor21": CheckerSpec("Cor21", check_cor_2_1, _size_chain, (4, 4)),
-    "Prop11": CheckerSpec("Prop11", check_prop_1_1, _size_trio, (None, 3)),
-    "Pi": CheckerSpec("Pi", check_pi, _size_pi, (4, None)),
-    "PiPrime": CheckerSpec("PiPrime", check_pi_prime, _size_pi, (4, None)),
-    "Thm23": CheckerSpec("Thm23", check_thm_2_3, _size_pi, (4, None)),
-    "Miquel": CheckerSpec("Miquel", check_miquel, _size_miquel, (8, None)),
-    "Bundle": CheckerSpec("Bundle", check_bundle, _size_bundle, (8, None)),
-}
-
-CHECK_IDS = tuple(CHECKERS)
-
-
-def exhaustive_size(plane: LaguerrePlane, check_id: str) -> int:
-    """A-priori size of the checker's exhaustive choice space."""
-    return CHECKERS[check_id].size(plane)
-
-
 # -- scalar witness replay -------------------------------------------------
 
-def _replay_chain(plane, v, variant):
+def _replay_chain(check_id, plane, v):
     a, b, c, d = v.points
     K, L, M, N = v.circles
     for pair, pt in (((K, L), a), ((L, M), b), ((M, N), c), ((N, K), d)):
         t = plane.tangency(pair[0], pair[1])
         if not (t.kind == "tangent" and t.points == (pt,)):
             return False
-    if variant == "S":
+    if check_id == "S":
         return (not plane.parallel(a, c)) and not plane.properly_concyclic((a, b, c, d))
-    if variant == "P22":
+    if check_id == "Prop22":
         return plane.parallel(a, c) and not plane.parallel(b, d)
     return not plane.concyclic(a, c, b, d)
 
@@ -794,7 +765,7 @@ def _replay_transfer(plane, v):
     return t.kind == "secant"
 
 
-def _replay_pi_family(plane, v, variant):
+def _replay_pi_family(check_id, plane, v):
     a, b, c, x = v.points
     C1 = plane.circle_through(a, b, c)
     if plane.mem[C1.id, x]:
@@ -802,11 +773,11 @@ def _replay_pi_family(plane, v, variant):
     p = plane.parallel_point(c, plane.circle_through(a, b, x))
     qpt = plane.parallel_point(b, plane.circle_through(a, c, x))
     K = plane.tangent_circle(a, C1, x)
-    if variant == "PI":
+    if check_id == "Pi":
         C2 = plane.circle_through(p, qpt, x)
         t = plane.tangency(K, C2)
         return not (t.kind == "tangent" and t.points == (x,))
-    if variant == "PIP":
+    if check_id == "PiPrime":
         if plane.mem[K.id, qpt]:
             return False
         L = plane.tangent_circle(x, K, qpt)
@@ -850,28 +821,81 @@ def _replay_bundle(plane, v):
     return not plane.concyclic_some_order(c, g, d, h)
 
 
+def _run_axioms(plane, mode):
+    # the axiom validator is cheap and always runs exhaustively
+    return plane.validate_axioms()
+
+
+def _replay_axioms(plane, v):
+    fresh = plane.validate_axioms()
+    return any(w.kind == v.kind for w in fresh.violations) or not fresh.holds
+
+
+@dataclass(frozen=True)
+class CheckerSpec:
+    """Everything known about one check id: how to run it, the size of its
+    exhaustive choice space, and how to replay its witnesses."""
+
+    check_id: str
+    run: callable       # (plane, mode) -> CheckReport
+    size: callable      # plane -> configurations of an exhaustive run
+    # numbers of witness points and circles the replay reads; None: not read
+    witness: tuple[int | None, int | None]
+    replay: callable    # (plane, violation) -> the witness still shows a violation
+    data: tuple[str, ...] = ()  # keys of `Violation.data` the replay reads
+
+
+CHECKERS = {spec.check_id: spec for spec in (
+    CheckerSpec("C", check_C, _size_c, (1, 2), _replay_c, ("count",)),
+    CheckerSpec("S", check_S, _size_chain, (4, 4), partial(_replay_chain, "S")),
+    CheckerSpec("Prop21", check_prop_2_1, _size_trio, (None, 3), _replay_trio),
+    CheckerSpec("Prop22", check_prop_2_2, _size_chain, (4, 4), partial(_replay_chain, "Prop22")),
+    CheckerSpec("Cor21", check_cor_2_1, _size_chain, (4, 4), partial(_replay_chain, "Cor21")),
+    CheckerSpec("Prop11", check_prop_1_1, _size_trio, (None, 3), _replay_transfer),
+    CheckerSpec("Pi", check_pi, _size_pi, (4, None), partial(_replay_pi_family, "Pi")),
+    CheckerSpec("PiPrime", check_pi_prime, _size_pi, (4, None),
+                partial(_replay_pi_family, "PiPrime")),
+    CheckerSpec("Thm23", check_thm_2_3, _size_pi, (4, None), partial(_replay_pi_family, "Thm23")),
+    CheckerSpec("Miquel", check_miquel, _size_miquel, (8, None), _replay_miquel),
+    CheckerSpec("Bundle", check_bundle, _size_bundle, (8, None), _replay_bundle),
+)}
+
+CHECK_IDS = tuple(CHECKERS)
+
+# every check id the CLI runs and replays: the axiom validator (whose size
+# is never refused and whose witnesses are matched by kind) first, then
+# the statement checkers
+SPECS = {"Axioms": CheckerSpec("Axioms", _run_axioms, lambda plane: 0, (None, None),
+                               _replay_axioms)} | CHECKERS
+
+
+def exhaustive_size(plane: LaguerrePlane, check_id: str) -> int:
+    """A-priori size of the checker's exhaustive choice space."""
+    return SPECS[check_id].size(plane)
+
+
 def witness_problem(plane: LaguerrePlane, check_id: str, v: Violation) -> str | None:
     """Why `replay_violation` cannot read `v` as a witness of `check_id`.
 
     The witness must have the numbers of points and circles its checker's
-    replay reads (`CheckerSpec.witness`; Axioms witnesses are read by kind
-    only), ids of points and circles of `plane`, and a C witness its
-    count.  Returns None when it may be replayed.
+    replay reads (`CheckerSpec.witness`), ids of points and circles of
+    `plane`, and the data keys it reads (`CheckerSpec.data`).  Returns
+    None when it may be replayed.
     """
-    if check_id != "Axioms":
-        if check_id not in CHECKERS:
-            return f"no replay known for check {check_id!r}"
-        for name, want, got in zip(("points", "circles"), CHECKERS[check_id].witness,
-                                   (v.points, v.circles)):
-            if want is not None and len(got) != want:
-                return f"{name}: {check_id} witnesses have {want}, this one {len(got)}"
+    spec = SPECS.get(check_id)
+    if spec is None:
+        return f"no replay known for check {check_id!r}"
+    for name, want, got in zip(("points", "circles"), spec.witness, (v.points, v.circles)):
+        if want is not None and len(got) != want:
+            return f"{name}: {check_id} witnesses have {want}, this one {len(got)}"
     for name, ids, n in (("point", v.points, plane.n_points),
                          ("circle", v.circles, plane.n_circles)):
         for i in ids:
             if not 0 <= i < n:
                 return f"{name} id {i} is outside 0..{n - 1}"
-    if check_id == "C" and "count" not in dict(v.data):
-        return "a C witness needs its count in data"
+    for key in spec.data:
+        if key not in dict(v.data):
+            return f"a {check_id} witness needs its {key} in data"
     return None
 
 
@@ -882,36 +906,9 @@ def replay_violation(plane: LaguerrePlane, check_id: str, v: Violation) -> bool:
     given plane; a degenerate configuration (parallel points where the
     statement needs non-parallel ones, a point off its circle) shows none.
     """
+    if check_id not in SPECS:
+        raise ValueError(f"no replay known for check {check_id!r}")
     try:
-        return _replay(plane, check_id, v)
+        return SPECS[check_id].replay(plane, v)
     except LaguerreError:
         return False
-
-
-def _replay(plane: LaguerrePlane, check_id: str, v: Violation) -> bool:
-    if check_id == "C":
-        return _replay_c(plane, v)
-    if check_id == "S":
-        return _replay_chain(plane, v, "S")
-    if check_id == "Prop22":
-        return _replay_chain(plane, v, "P22")
-    if check_id == "Cor21":
-        return _replay_chain(plane, v, "C21")
-    if check_id == "Prop21":
-        return _replay_trio(plane, v)
-    if check_id == "Prop11":
-        return _replay_transfer(plane, v)
-    if check_id == "Pi":
-        return _replay_pi_family(plane, v, "PI")
-    if check_id == "PiPrime":
-        return _replay_pi_family(plane, v, "PIP")
-    if check_id == "Thm23":
-        return _replay_pi_family(plane, v, "T23")
-    if check_id == "Miquel":
-        return _replay_miquel(plane, v)
-    if check_id == "Bundle":
-        return _replay_bundle(plane, v)
-    if check_id == "Axioms":
-        fresh = plane.validate_axioms()
-        return any(w.kind == v.kind for w in fresh.violations) or not fresh.holds
-    raise ValueError(f"no replay known for check {check_id!r}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -36,7 +37,7 @@ from .report import CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, report_csv_row
 SEED_ENV = "LAGUERRE_LAB_SEED"
 SEED_LIMIT = 1 << 64  # the sampling stream is keyed by a 64-bit seed
 
-ALL_CHECKS = ("Axioms",) + _checks.CHECK_IDS
+ALL_CHECKS = tuple(_checks.SPECS)
 _ALIASES = {c.lower(): c for c in ALL_CHECKS}
 
 
@@ -129,21 +130,13 @@ def _cmd_check(args) -> int:
     else:
         mode = CheckMode.exhaustive()
         for check_id in requested:
-            if check_id == "Axioms":
-                continue
             size = _checks.exhaustive_size(plane, check_id)
             if size > EXHAUSTIVE_LIMIT:
                 raise UsageError(
                     f"exhaustive {check_id} needs {size} configurations at q={plane.q} "
                     f"(limit {EXHAUSTIVE_LIMIT}); use --mode sample")
 
-    reports = []
-    for check_id in requested:
-        if check_id == "Axioms":
-            # the axiom validator is cheap and always runs exhaustively
-            reports.append(plane.validate_axioms())
-        else:
-            reports.append(_checks.CHECKERS[check_id].run(plane, mode))
+    reports = [_checks.SPECS[check_id].run(plane, mode) for check_id in requested]
 
     if args.format == "json":
         lines = [r.to_json(plane, timings=args.timings) for r in reports]
@@ -346,6 +339,12 @@ def _parse_report_line(where: str, line: str):
 
 
 def _cmd_replay(args) -> int:
+    """Replay every witness of every report line.
+
+    A check id goes through its `CheckerSpec`, one witness at a time.
+    DtsVerify lines are the exception: their witnesses are checked
+    together against one symmetry rebuilt from the line's pair.
+    """
     lines_out = []
     all_ok = True
     with open(args.report, encoding="utf-8") as fh:
@@ -403,9 +402,6 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.add_argument("--timings", action="store_true",
                    help="emit real elapsed seconds (breaks byte-reproducibility)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; runs use deterministic "
-                        "in-process sweeps and the output never depends on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,7 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plane_args(p)
     p.add_argument("--k", help="coefficients a,b,c of the first circle")
     p.add_argument("--l", help="coefficients a,b,c of the second circle")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int,
+                   help="not read by the search, which is deterministic; only "
+                        "range-checked and echoed into the output's seed field")
     _add_output_args(p)
     p.set_defaults(func=_cmd_moebius)
 
@@ -454,9 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing keeps no state in the parser, and
+    # each call still gets a fresh Namespace
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None:
             _checked_seed(args.seed, "--seed")

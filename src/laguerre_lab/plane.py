@@ -12,7 +12,8 @@ read precomputed numpy indexes:
 
   * `members`/`mem`       circle membership as sorted rows / dense booleans,
   * `pair_count`          |K ∩ L| for every circle pair,
-  * `tangent_point`       the common point of tangent pairs,
+  * `pair_sum`            the sum of the points of K ∩ L, so the touch
+                          point of K and L wherever `pair_count` is 1,
   * `triple_circle`       non-parallel point triple -> joining circle,
   * `pencil_others`       tangent pencils grouped by (circle, touch point),
   * `tangent_through`     (circle, touch point, outer point) -> tangent circle,
@@ -89,10 +90,6 @@ class Tangency:
 
     kind: str  # "equal" | "tangent" | "secant" | "disjoint"
     points: tuple[int, ...] = ()
-
-    @property
-    def is_tangent(self) -> bool:
-        return self.kind == "tangent"
 
 
 @dataclass(frozen=True)
@@ -390,7 +387,6 @@ class LaguerrePlane:
         self.pair_count = s.pair_count
         self.pair_sum = s.pair_sum
         self.slot_of = s.slot_of
-        self.tangent_point = np.where(self.pair_count == 1, self.pair_sum, -1).astype(np.int32)
 
         if coefficients is not None:
             self.coef = np.array(coefficients, dtype=np.int16)
@@ -402,9 +398,9 @@ class LaguerrePlane:
 
         self._build_indexes()
         for arr in (self.gen_of, self.gen_members, self.members, self.mem,
-                    self.pair_count, self.pair_sum, self.tangent_point,
-                    self.slot_of, self.gen_point, self.triple_circle,
-                    self.pencil_others, self.tangent_through, self.vertex_pencils):
+                    self.pair_count, self.pair_sum, self.slot_of, self.gen_point,
+                    self.triple_circle, self.pencil_others, self.tangent_through,
+                    self.vertex_pencils):
             arr.flags.writeable = False
 
     def _build_indexes(self) -> None:
@@ -425,7 +421,7 @@ class LaguerrePlane:
         _, t_cols = np.nonzero(self.pair_count == 1)
         partners = t_cols.reshape(n_c, q * q - 1)
         rows_rep = np.repeat(np.arange(n_c), q * q - 1)
-        touch = self.tangent_point[rows_rep, partners.ravel()]
+        touch = self.pair_sum[rows_rep, partners.ravel()]
         touch_slot = self.slot_of[rows_rep, touch]
         order = np.lexsort((partners.ravel(), touch_slot, rows_rep))
         self.pencil_others = partners.ravel()[order].reshape(n_c, q + 1, q - 1).astype(np.int32)
@@ -478,10 +474,6 @@ class LaguerrePlane:
         if key not in self.circle_by_coef:
             raise ValueError(f"no circle with coefficients {key}")
         return self.circle(self.circle_by_coef[key])
-
-    def circle_of_members(self, points) -> int | None:
-        key = np.sort(np.asarray(points, dtype=np.int32)).tobytes()
-        return self.circle_key.get(key)
 
     def parallel(self, p: int, r: int) -> bool:
         return bool(self.gen_of[p] == self.gen_of[r])

@@ -91,12 +91,12 @@ def tangent_to_second(plane: LaguerrePlane, p: int, K, L) -> tuple[Circle | None
     T = plane.pair_count
     pencil = [K] + [int(m) for m in plane.pencil_others[K, slot]]
     if plane.mem[L, p]:
-        hits = [m for m in pencil if T[m, L] == 1 and plane.tangent_point[m, L] == p]
+        hits = [m for m in pencil if T[m, L] == 1 and plane.pair_sum[m, L] == p]
         return (plane.circle(hits[0]) if len(hits) == 1 else None), p
     hits = [m for m in pencil if T[m, L] == 1]
     if len(hits) != 1:
         raise NotUnique(len(hits))
-    return plane.circle(hits[0]), int(plane.tangent_point[hits[0], L])
+    return plane.circle(hits[0]), int(plane.pair_sum[hits[0], L])
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,9 @@ def _pencil_touch(plane: LaguerrePlane, K: np.ndarray, L: np.ndarray
     For each pair (K[i], L[i]) and member slot j of K[i], the pencil
     [K[i]] + pencil_others[K[i], j] is gathered as one (m, q+1, q) array;
     returns the number of its members tangent to L[i] and the touch point
-    on L[i] of the first of them, both of shape (m, q+1).  The touch point
-    means something only where the count is 1 and the member is off L[i].
+    on L[i] of the first of them (its `pair_sum` entry), both of shape
+    (m, q+1).  The touch point means something only where the count is 1
+    and the member is off L[i].
     """
     K = np.asarray(K, dtype=np.intp)
     L = np.asarray(L, dtype=np.intp)[:, None, None]
@@ -130,7 +131,7 @@ def _pencil_touch(plane: LaguerrePlane, K: np.ndarray, L: np.ndarray
     pencil = np.concatenate((lead, plane.pencil_others[K]), axis=2)
     hit = plane.pair_count[pencil, L] == 1
     first = np.take_along_axis(pencil, hit.argmax(axis=2)[..., None], axis=2)
-    return hit.sum(axis=2), plane.tangent_point[first, L][..., 0]
+    return hit.sum(axis=2), plane.pair_sum[first, L][..., 0]
 
 
 def tangency_map(plane: LaguerrePlane, K, L) -> TangencyMap:
@@ -206,12 +207,6 @@ class Automorphism:
                 out[cid] = plane.circle_key.get(mapped[cid].tobytes(), -1)
             self._circle_image = out
         return self._circle_image
-
-    def apply_circle(self, cid) -> int:
-        img = int(self.circle_image()[_cid(cid)])
-        if img < 0:
-            raise ValueError(f"image of circle {_cid(cid)} is not a circle")
-        return img
 
     def validate(self) -> None:
         """Raise ValueError unless this is a genuine plane automorphism."""

@@ -6,6 +6,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from laguerre_lab import cli
 from laguerre_lab.cli import main
 from laguerre_lab.models import oval_table_power
 
@@ -259,3 +262,21 @@ def test_seed_range_is_checked_on_every_command(capsys, monkeypatch):
     monkeypatch.setenv("LAGUERRE_LAB_SEED", "-1")
     code, _, err = run_cli(capsys, *sample)
     assert code == 2 and err.startswith("error: LAGUERRE_LAB_SEED must be in [0, 2^64)")
+
+
+def test_parser_is_built_once_and_each_call_parses_afresh(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        code, csv_out, _ = run_cli(capsys, "check", "--q", "3", "--checks", "C", "--format", "csv")
+        assert code == 0 and csv_out.startswith("check,")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--checks", "C"])        # --q missing: argparse exits 2
+        assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "check", "--q", "3", "--checks", "C")
+        assert code == 0 and json.loads(out)["check"] == "C"
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
