@@ -26,7 +26,7 @@ print(f"K = y=x^2, L = y=4x^2+2: {t.kind} at {[P.point_label(p) for p in t.point
 
 h = tangency_map(P, K, L)
 print("\nThe tangency map K -> L (fixed exactly on the common points):")
-for x, hx in h.mapping:
+for x, hx in zip(K.members, h.tolist()):
     print(f"  {P.point_label(x):8s} -> {P.point_label(hx)}")
 
 phi = build_dts(P, K, L)

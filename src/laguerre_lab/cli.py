@@ -68,12 +68,16 @@ def _load_oval_table(path: str) -> list[int]:
     """Parse the `x o(x)` per-line table, one line per element in index order."""
     table: dict[int, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            x_tok, v_tok = line.split()
-            table[int(x_tok)] = int(v_tok)
+            try:
+                x_tok, v_tok = line.split()
+                table[int(x_tok)] = int(v_tok)
+            except ValueError as e:
+                raise UsageError(f"{path}:{lineno}: expected two integers 'x o(x)', "
+                                 f"got {line!r}") from e
     if sorted(table) != list(range(len(table))):
         raise UsageError(f"oval table {path} must list every x in 0..q-1 exactly once")
     return [table[x] for x in range(len(table))]
@@ -148,7 +152,7 @@ def _cmd_check(args) -> int:
             writer.writerow(report_csv_row(r, plane, timings=args.timings))
         lines = buf.getvalue().splitlines()
     else:
-        lines = [r.to_text(plane) for r in reports]
+        lines = [r.to_text(plane, timings=args.timings) for r in reports]
     _emit(args, lines)
     return 1 if any(r.fails for r in reports) else 0
 
@@ -249,7 +253,6 @@ def _report_summary(rep, plane, timings: bool) -> dict:
 
 def _cmd_moebius(args) -> int:
     plane = _make_plane(args)
-    seed = args.seed if args.seed is not None else 0
     if args.k and args.l:
         K = plane.circle_from_coef(_coef_triple(args.k)).id
         L = plane.circle_from_coef(_coef_triple(args.l)).id
@@ -268,7 +271,6 @@ def _cmd_moebius(args) -> int:
                 "check": "Moebius",
                 "q": int(plane.q),
                 "model": plane.label,
-                "seed": seed,
                 "found": False,
                 "certifiedAbsent": True,
             }
@@ -281,7 +283,6 @@ def _cmd_moebius(args) -> int:
         "check": "Moebius",
         "q": int(plane.q),
         "model": plane.label,
-        "seed": seed,
         "found": True,
         "pair": {"K": _circle_obj(plane, cand.pair[0]), "L": _circle_obj(plane, cand.pair[1])},
         "points": len(cand.points),
@@ -439,9 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plane_args(p)
     p.add_argument("--k", help="coefficients a,b,c of the first circle")
     p.add_argument("--l", help="coefficients a,b,c of the second circle")
-    p.add_argument("--seed", type=int,
-                   help="not read by the search, which is deterministic; only "
-                        "range-checked and echoed into the output's seed field")
     _add_output_args(p)
     p.set_defaults(func=_cmd_moebius)
 

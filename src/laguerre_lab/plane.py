@@ -14,7 +14,9 @@ read precomputed numpy indexes:
   * `pair_count`          |K ∩ L| for every circle pair,
   * `pair_sum`            the sum of the points of K ∩ L, so the touch
                           point of K and L wherever `pair_count` is 1,
-  * `triple_circle`       non-parallel point triple -> joining circle,
+  * `triple_circle`       non-parallel point triple -> joining circle, so
+                          also the one candidate circle for a member set
+                          (the circle of its first three points),
   * `pencil_others`       tangent pencils grouped by (circle, touch point),
   * `tangent_through`     (circle, touch point, outer point) -> tangent circle,
   * `vertex_pencils`      non-parallel point pair -> circles through both.
@@ -447,8 +449,6 @@ class LaguerrePlane:
             Tpts = self.gen_members[gw]
             block = self.triple_circle[A[:, None, None], B[None, :, None], Tpts[None, None, :]]
             self.vertex_pencils[A[:, None], B[None, :]] = np.sort(block, axis=-1)
-
-        self.circle_key = {self.members[cid].tobytes(): cid for cid in range(n_c)}
 
     # -- basic views ---------------------------------------------------
 

@@ -122,13 +122,15 @@ class CheckReport:
     def to_json(self, plane, timings: bool = False) -> str:
         return json.dumps(self.to_obj(plane, timings=timings), separators=(",", ":"))
 
-    def to_text(self, plane) -> str:
+    def to_text(self, plane, timings: bool = False) -> str:
         head = (
             f"[{self.verdict:>14}] {self.check_id:<10} q={plane.q} model={plane.label} "
             f"mode={self.mode.label()} configs={self.configurations} "
             f"hits={self.hypothesis_hits} skipped={self.skipped} "
-            f"violations={self.violation_count} ({self.elapsed_seconds:.2f}s)"
+            f"violations={self.violation_count}"
         )
+        if timings:
+            head += f" ({self.elapsed_seconds:.2f}s)"
         lines = [head]
         for v in self.violations:
             lines.append(f"    {v.kind}: points={list(v.points)} circles={list(v.circles)} "

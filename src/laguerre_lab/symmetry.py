@@ -8,12 +8,19 @@ L-image of xK is an involutory automorphism: `build_dts` evaluates that
 formula, verifying for every point that all admissible auxiliary choices
 y agree before accepting the image.
 
-The hot checks are whole-array numpy passes over the plane's indexes:
+Every whole-plane step of building and certifying a symmetry is a numpy
+pass over the plane's own indexes:
 
   * `_pencil_touch`   the tangent pencil of every member of a circle,
                       gathered from `pencil_others`, against `pair_count`;
                       `tangency_map` (so `build_dts`) and property (4) of
                       `verify_dts` read touch points from it,
+  * `build_dts`       one `triple_circle`/`gen_point` gather over the
+                      points off K and L by the auxiliaries on K,
+  * `circle_image`    one `triple_circle` gather over the sorted image
+                      rows, checked against `members`,
+  * parallelity       `split_generators`, read by `Automorphism.validate`
+                      and property (2) of `verify_dts`,
   * `verify_dts` (4)  all moved circles and their member slots at once,
   * Moebius axioms    one boolean block x point incidence matrix: trio
                       counts from its columns, `_TRIO_BLOCK` trios per
@@ -22,7 +29,7 @@ The hot checks are whole-array numpy passes over the plane's indexes:
 The second route to these verdicts is scalar: `tangent_to_second` scans
 one point's pencil at a time, and the loop forms the passes replaced are
 kept in the tests, on top of it, as the references the passes must match
-report for report.
+image for image and report for report.
 """
 
 from __future__ import annotations
@@ -99,21 +106,6 @@ def tangent_to_second(plane: LaguerrePlane, p: int, K, L) -> tuple[Circle | None
     return plane.circle(hits[0]), int(plane.pair_sum[hits[0], L])
 
 
-@dataclass(frozen=True)
-class TangencyMap:
-    """The bijection K -> L sending x to the touch point of (x,K,L)° on L."""
-
-    source: int
-    target: int
-    mapping: tuple[tuple[int, int], ...]
-
-    def __call__(self, x: int) -> int:
-        return dict(self.mapping)[x]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.mapping)
-
-
 def _pencil_touch(plane: LaguerrePlane, K: np.ndarray, L: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """`tangent_to_second` for every member of K, over arrays of pairs.
@@ -134,8 +126,9 @@ def _pencil_touch(plane: LaguerrePlane, K: np.ndarray, L: np.ndarray
     return hit.sum(axis=2), plane.pair_sum[first, L][..., 0]
 
 
-def tangency_map(plane: LaguerrePlane, K, L) -> TangencyMap:
-    """Total map K -> L; composing with the reverse map is the identity.
+def tangency_map(plane: LaguerrePlane, K, L) -> np.ndarray:
+    """The images of `plane.members[K]`, in member order, under the map
+    K -> L sending x to the touch point of (x,K,L)° on L.
 
     Common points map to themselves; every other point of K goes through
     one `_pencil_touch` pass.  The first point, in member order, whose
@@ -152,8 +145,7 @@ def tangency_map(plane: LaguerrePlane, K, L) -> TangencyMap:
     not_unique = ~on & (count[0] != 1)
     if not_unique.any():
         raise NotUnique(int(count[0, not_unique.argmax()]))
-    image = np.where(on, xs, touch[0])
-    return TangencyMap(K, L, tuple(zip(xs.tolist(), image.tolist())))
+    return np.where(on, xs, touch[0]).astype(np.int32)
 
 
 def double_tangency_pencil(plane: LaguerrePlane, K, L) -> Pencil:
@@ -198,26 +190,34 @@ class Automorphism:
         return bool((self.image[self.image] == np.arange(len(self.image))).all())
 
     def circle_image(self) -> np.ndarray:
-        """Image circle id per circle; -1 where the image is not a circle."""
+        """Image circle id per circle; -1 where the image is not a circle.
+
+        One gather: the circle joining the first three points of each
+        sorted image row (ids off the plane clipped into range), kept where
+        its member row is the whole image row.
+        """
         if self._circle_image is None:
             plane = self.plane
-            out = np.full(plane.n_circles, -1, dtype=np.int32)
-            mapped = np.sort(self.image[plane.members], axis=1).astype(np.int32)
-            for cid in range(plane.n_circles):
-                out[cid] = plane.circle_key.get(mapped[cid].tobytes(), -1)
-            self._circle_image = out
+            row = np.sort(self.image[plane.members], axis=1)
+            a, b, c = np.clip(row[:, :3], 0, plane.n_points - 1).T
+            cid = plane.triple_circle[a, b, c]
+            ok = (cid >= 0) & (plane.members[cid] == row).all(axis=1)
+            self._circle_image = np.where(ok, cid, -1).astype(np.int32)
         return self._circle_image
+
+    def split_generators(self) -> np.ndarray:
+        """Ids, ascending, of the generators not mapped onto one generator."""
+        gen_img = self.plane.gen_of[self.image[self.plane.gen_members]]
+        return np.flatnonzero((gen_img != gen_img[:, :1]).any(axis=1))
 
     def validate(self) -> None:
         """Raise ValueError unless this is a genuine plane automorphism."""
         plane, img = self.plane, self.image
         if not np.array_equal(np.sort(img), np.arange(plane.n_points)):
             raise ValueError("image is not a permutation of the points")
-        gen_img = plane.gen_of[img]
-        for g in range(plane.n_gens):
-            vals = set(int(v) for v in gen_img[plane.gen_members[g]])
-            if len(vals) != 1:
-                raise ValueError(f"generator {g} is not mapped onto one generator")
+        split = self.split_generators()
+        if len(split):
+            raise ValueError(f"generator {split[0]} is not mapped onto one generator")
         if (self.circle_image() < 0).any():
             bad = int(np.nonzero(self.circle_image() < 0)[0][0])
             raise ValueError(f"image of circle {bad} is not a circle")
@@ -229,55 +229,47 @@ def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
     Points of K and L map through the tangency maps; any other point x
     maps to the point parallel to ((xK)KL) on the circle through x, an
     auxiliary y on K off L, and h(y).  Every admissible auxiliary y
-    (y off L, y not parallel to x, h(y) not parallel to x) is evaluated
-    and all images must agree, which operationalizes well-definedness
-    instead of trusting it.
+    (y off L, y not parallel to x, h(y) not parallel to x) is evaluated,
+    in one gather over the points off K and L by the auxiliaries in K's
+    member order, and all images must agree, which operationalizes
+    well-definedness instead of trusting it: the first x, in point order,
+    with a differing candidate raises WellDefinednessFailure naming its
+    first auxiliary and its first differing one.
     """
     K, L = _cid(K), _cid(L)
-    t = plane.tangency(K, L)
-    if t.kind in ("tangent", "equal"):
-        raise TangentPair(f"circles {K},{L} are tangent")
-    common = set(t.points)
-    hK = tangency_map(plane, K, L).as_dict()
-    hL = tangency_map(plane, L, K).as_dict()
-
-    gen, T3, CPG = plane.gen_of, plane.triple_circle, plane.gen_point
+    hK = tangency_map(plane, K, L)
     image = np.full(plane.n_points, -1, dtype=np.int32)
-    for x, hx in hK.items():
-        image[x] = hx
-    for x, hx in hL.items():
-        image[x] = hx
+    image[plane.members[K]] = hK
+    image[plane.members[L]] = tangency_map(plane, L, K)
 
-    aux = [(int(y), hy) for y, hy in hK.items() if int(y) not in common]
-    for x in range(plane.n_points):
-        if image[x] >= 0:
-            continue
-        xK = int(plane.gen_point[K, gen[x]])
-        u = xK if xK in common else hK[xK]
-        img = None
-        img_y = None
-        for y, hy in aux:
-            if gen[y] == gen[x] or gen[hy] == gen[x]:
-                continue
-            circ = int(T3[x, y, hy])
-            cand = int(CPG[circ, gen[u]])
-            if img is None:
-                img, img_y = cand, y
-            elif cand != img:
-                raise WellDefinednessFailure(x, img_y, y)
-        if img is None:
-            # Possible only at order 3: the one non-parallel auxiliary has
-            # its image parallel to x.  The image is still forced, since it
-            # must be parallel to the image of xK and off both circles,
-            # which pins a unique point; the verification suite certifies
-            # the completed map like any other.
-            target_gen = int(gen[hK[xK]])
-            cands = [int(t) for t in plane.gen_members[target_gen]
-                     if not plane.mem[K, t] and not plane.mem[L, t]]
-            if len(cands) != 1:
-                raise NoAdmissibleAuxiliary(x)
-            img = cands[0]
-        image[x] = img
+    gen = plane.gen_of
+    off_L = ~plane.mem[L, plane.members[K]]
+    Y, hY = plane.members[K][off_L], hK[off_L]
+    X = np.flatnonzero(image < 0)
+    gX = gen[X][:, None]
+    # the generator of the image of xK, the point of K parallel to x
+    target = gen[image[plane.gen_point[K, gen[X]]]]
+    cand = plane.gen_point[plane.triple_circle[X[:, None], Y, hY], target[:, None]]
+    admissible = (gen[Y] != gX) & (gen[hY] != gX)
+    first = admissible.argmax(axis=1)
+    img = cand[np.arange(len(X)), first]
+    differs = admissible & (cand != img[:, None])
+    # in point order, the rows where an auxiliary disagrees or none is admissible
+    for r in np.flatnonzero(differs.any(axis=1) | ~admissible.any(axis=1)):
+        x = int(X[r])
+        if differs[r].any():
+            raise WellDefinednessFailure(x, int(Y[first[r]]), int(Y[differs[r].argmax()]))
+        # Possible only at order 3: the one non-parallel auxiliary has its
+        # image parallel to x.  The image is still forced, since it must be
+        # parallel to the image of xK and off both circles, which pins a
+        # unique point; the verification suite certifies the completed map
+        # like any other.
+        cands = [int(t) for t in plane.gen_members[target[r]]
+                 if not plane.mem[K, t] and not plane.mem[L, t]]
+        if len(cands) != 1:
+            raise NoAdmissibleAuxiliary(x)
+        img[r] = cands[0]
+    image[X] = img
 
     phi = Automorphism(plane, image, ("dts", K, L))
     phi.validate()
@@ -295,13 +287,14 @@ def fixed_circles(plane: LaguerrePlane, phi: Automorphism) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def verify_dts(plane: LaguerrePlane, phi: Automorphism, K=None, L=None) -> CheckReport:
-    """Check the five defining properties of a double tangency symmetry.
+    """Check the defining properties of a double tangency symmetry.
 
-    (1) involution, (2) automorphism (circles to circles, parallelity both
-    ways), (3) every circle through a moved point x and its image is
-    fixed, (4) the image of any x on a moved circle M is the touch point
-    of (x,M,phi(M))° on phi(M) — including that M and phi(M) are never
-    tangent, and (5) every common tangent circle of (K,L) is fixed.
+    (0) K and L are exchanged, (1) involution, (2) automorphism (circles
+    to circles, parallelity both ways), (3) every circle through a moved
+    point x and its image is fixed, (4) the image of any x on a moved
+    circle M is the touch point of (x,M,phi(M))° on phi(M) — including
+    that M and phi(M) are never tangent, and (5) every common tangent
+    circle of (K,L) is fixed.
     Moved points parallel to their image are counted as skipped in (3).
 
     Property (4) is one array pass: tangent pairs (M, phi(M)) from
@@ -320,6 +313,13 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K=None, L=None) -> Check
     img = phi.image
     n_p, n_c = plane.n_points, plane.n_circles
     gen = plane.gen_of
+    ci = phi.circle_image()
+
+    # (0) the pair is exchanged: without it the identity would pass
+    for A, B in ((K, L), (L, K)):
+        report.configurations += 1
+        if int(ci[A]) != B:
+            report.add_violation(Violation("pair-not-exchanged", circles=(A, B)))
 
     # (1) involution
     report.configurations += n_p
@@ -328,12 +328,10 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K=None, L=None) -> Check
 
     # (2) automorphism
     report.configurations += n_c + n_p
-    ci = phi.circle_image()
     for cid in np.nonzero(ci < 0)[0]:
         report.add_violation(Violation("circle-image", circles=(int(cid),)))
-    for g in range(plane.n_gens):
-        if len(set(int(v) for v in gen[img[plane.gen_members[g]]])) != 1:
-            report.add_violation(Violation("parallelity", data=(("generator", g),)))
+    for g in phi.split_generators():
+        report.add_violation(Violation("parallelity", data=(("generator", int(g)),)))
 
     # (3) circles through x and phi(x) are fixed
     moved = np.nonzero(img != np.arange(n_p))[0]
@@ -422,23 +420,19 @@ def classify_symmetry(plane: LaguerrePlane, K, L,
     if t.kind == "secant":
         p, q = t.points
         gp, gq = int(plane.gen_of[p]), int(plane.gen_of[q])
-        pointwise = all(int(phi.image[x]) == int(x)
-                        for g in (gp, gq) for x in plane.gen_members[g])
-        if not (pointwise and phi.is_involution()):
+        pq = plane.gen_members[[gp, gq]]
+        if not ((phi.image[pq] == pq).all() and phi.is_involution()):
             return SymmetryClassification("Other", (K, L), fixed_point_count=len(fixed),
                                           details="secant pair without pointwise-fixed generators")
-        ci = phi.circle_image()
-        witness = None
-        for cid in range(plane.n_circles):
-            if int(ci[cid]) == cid:
-                if not all(int(phi.image[x]) == int(x) for x in plane.members[cid]):
-                    witness = cid
-                    break
-        if witness is None:
+        # the first circle fixed setwise but not pointwise
+        witnesses = np.flatnonzero(
+            (phi.circle_image() == np.arange(plane.n_circles))
+            & (phi.image[plane.members] != plane.members).any(axis=1))
+        if not len(witnesses):
             return SymmetryClassification("Other", (K, L), fixed_point_count=len(fixed),
                                           details="no setwise-fixed witness circle")
-        return SymmetryClassification("LaguerreSymmetry", (K, L), (gp, gq), witness,
-                                      len(fixed))
+        return SymmetryClassification("LaguerreSymmetry", (K, L), (gp, gq),
+                                      int(witnesses[0]), len(fixed))
     if not fixed:
         return SymmetryClassification("FixedPointFree", (K, L), fixed_point_count=0)
     return SymmetryClassification("Other", (K, L), fixed_point_count=len(fixed),
@@ -471,6 +465,7 @@ def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M,
     if P == Q:
         raise ValueError("generators must be distinct")
     qualifying: list[tuple[tuple[int, int], Automorphism]] = []
+    pq = plane.gen_members[[P, Q]]
     for p in plane.gen_members[P]:
         for qpt in plane.gen_members[Q]:
             pencil = plane.vertex_pencils[p, qpt]
@@ -480,9 +475,7 @@ def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M,
                     continue
                 report.configurations += 1
                 phi = _dts_cached(plane, K, L, cache)
-                fixed_pq = all(int(phi.image[x]) == int(x)
-                               for g in (P, Q) for x in plane.gen_members[g])
-                if not fixed_pq:
+                if (phi.image[pq] != pq).any():
                     continue
                 if int(phi.circle_image()[M]) != M:
                     continue

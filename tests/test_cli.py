@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -78,6 +79,16 @@ def test_csv_and_text_formats(capsys):
     assert "Holds" in out
 
 
+def test_text_format_is_byte_identical_and_timed_only_on_request(capsys):
+    args = ("check", "--q", "4", "--checks", "all", "--mode", "sample",
+            "--samples", "20000", "--seed", "1", "--format", "text")
+    first = run_cli(capsys, *args)
+    assert first == run_cli(capsys, *args)
+    assert not re.search(r"\(\d+\.\d\ds\)", first[1])
+    timed = run_cli(capsys, *args, "--timings")[1]
+    assert len(re.findall(r"\(\d+\.\d\ds\)", timed)) == len(cli.ALL_CHECKS)
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     args = ("check", "--q", "5", "--checks", "Miquel,Bundle", "--mode", "sample",
             "--samples", "20000", "--seed", "42")
@@ -103,6 +114,12 @@ def test_oval_table_file(tmp_path, capsys):
     bad.write_text("0 1\n2 3\n")
     assert run_cli(capsys, "check", "--q", "8", "--model", "oval",
                    "--oval-table", str(bad), "--checks", "C")[0] == 2
+    for line in ("1 1 5", "x 1"):
+        bad.write_text(f"# x o(x)\n0 0\n{line}\n")
+        code, out, err = run_cli(capsys, "check", "--q", "3", "--model", "oval",
+                                 "--oval-table", str(bad), "--checks", "C")
+        assert (code, out) == (2, ""), line
+        assert err.startswith(f"error: {bad}:3: ") and err.count("\n") == 1, err
 
 
 def test_dts_explicit_pair(tmp_path, capsys):
@@ -253,10 +270,15 @@ def test_replay_malformed_witnesses_name_the_line_and_exit_two(tmp_path, capsys)
 def test_seed_range_is_checked_on_every_command(capsys, monkeypatch):
     sample = ("check", "--q", "3", "--checks", "S", "--mode", "sample", "--samples", "100")
     for seed in ("-1", str(2**64), str(2**64 + 5)):
-        for argv in (sample, ("dts", "--q", "5", "--sample-pairs", "1"), ("moebius", "--q", "3")):
+        for argv in (sample, ("dts", "--q", "5", "--sample-pairs", "1")):
             code, out, err = run_cli(capsys, *argv, "--seed", seed)
             assert code == 2 and out == "", argv
             assert err.startswith("error: --seed must be in [0, 2^64)") and err.count("\n") == 1
+    # moebius draws nothing and takes no seed: argparse refuses the option
+    with pytest.raises(SystemExit) as exc:
+        main(["moebius", "--q", "3", "--seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
     code, out, _ = run_cli(capsys, *sample, "--seed", str(2**64 - 1))
     assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
     monkeypatch.setenv("LAGUERRE_LAB_SEED", "-1")

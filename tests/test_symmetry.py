@@ -90,10 +90,11 @@ def test_tangency_map_examples_and_roundtrip(p5, secant_pair):
     K, L = secant_pair
     h = tangency_map(p5, K, L)
     hinv = tangency_map(p5, L, K)
-    assert p5.point_label(h(0)) == "(inf,4)"
-    assert h(6) == 6  # (1,1) is a common point
-    for x in p5.members[K]:
-        assert hinv(h(int(x))) == int(x)
+    image = dict(zip(p5.members[K].tolist(), h.tolist()))
+    assert p5.point_label(image[0]) == "(inf,4)"
+    assert image[6] == 6  # (1,1) is a common point
+    # hinv lists the images of L's members; h's images sit at their slots
+    assert np.array_equal(hinv[p5.slot_of[L, h]], p5.members[K])
     with pytest.raises(TangentPair):
         tangency_map(p5, p5.circle_from_coef((1, 0, 0)), p5.circle_from_coef((1, 0, 1)))
 
@@ -124,9 +125,7 @@ def test_double_tangency_pencil_tangent_case_equals_tangent_pencil(p5):
 def test_build_dts_restriction_is_the_tangency_map(p5, secant_pair):
     K, L = secant_pair
     phi = build_dts(p5, K, L)
-    h = tangency_map(p5, K, L)
-    for x in p5.members[K]:
-        assert phi(int(x)) == h(int(x))
+    assert np.array_equal(phi.image[p5.members[K]], tangency_map(p5, K, L))
     assert phi.is_involution()
 
 
@@ -170,9 +169,18 @@ def test_verify_dts_sampled_pairs_q5_q7():
             assert rep.holds
 
 
+def test_verify_dts_refuses_the_identity(p5):
+    # with nothing moved, properties (1)-(5) hold vacuously; (0) does not
+    K, L = sample_nontangent_pairs(p5, 1, seed=5)[0]
+    rep = verify_dts(p5, Automorphism.identity(p5), K, L)
+    assert rep.verdict == "Fails"
+    assert [(v.kind, v.circles) for v in rep.violations] == [
+        ("pair-not-exchanged", (K, L)), ("pair-not-exchanged", (L, K))]
+
+
 def test_dtp_members_swap_touch_points_under_h(p5, secant_pair):
     K, L = secant_pair
-    h = tangency_map(p5, K, L).as_dict()
+    h = dict(zip(p5.members[K].tolist(), tangency_map(p5, K, L).tolist()))
     for C in double_tangency_pencil(p5, K, L):
         tk = p5.tangency(C, K)
         tl = p5.tangency(C, L)

@@ -1,17 +1,21 @@
 """The array passes of the symmetry layer against their loop references.
 
-`loop_verify_dts`, `loop_three_point` and `loop_touching` below are the
-point-by-point verifiers that the array passes in `laguerre_lab.symmetry`
-replaced: property (4) of `verify_dts` through one scalar
+`loop_build_dts`, `loop_circle_image`, `loop_verify_dts`,
+`loop_three_point` and `loop_touching` below are the point-by-point forms
+that the array passes in `laguerre_lab.symmetry` replaced: the symmetry
+through one auxiliary scan per point, circle images through a dict of
+sorted member rows, property (4) of `verify_dts` through one scalar
 `tangent_to_second` call per point of a moved circle, and the Moebius
 axioms through one bitmask scan per trio and per (block, point, point).
-They are kept here as the second route to those verdicts.  The array
-routes must give the same report: verdict, configurations, skipped,
-violation count and the recorded violations in order.
+They are kept here as the second route to those results.  The array
+routes must give the same images, and the same report: verdict,
+configurations, skipped, violation count and the recorded violations in
+order.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 
@@ -19,7 +23,7 @@ import numpy as np
 import pytest
 
 from laguerre_lab import cli, symmetry
-from laguerre_lab.errors import NotUnique
+from laguerre_lab.errors import NoAdmissibleAuxiliary, NotUnique, WellDefinednessFailure
 from laguerre_lab.models import miquelian_plane
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
 from laguerre_lab.symmetry import (
@@ -39,19 +43,91 @@ from laguerre_lab.symmetry import (
 # loop references
 # ---------------------------------------------------------------------------
 
+def loop_tangency(P, K, L):
+    """tangency_map's pairs through `tangent_to_second`, or the NotUnique count."""
+    pairs = []
+    for x in P.members[K]:
+        x = int(x)
+        if P.mem[L, x]:
+            pairs.append((x, x))
+            continue
+        try:
+            pairs.append((x, tangent_to_second(P, x, K, L)[1]))
+        except NotUnique as e:
+            return ("NotUnique", e.count)
+    return tuple(pairs)
+
+
+def loop_build_dts(plane, K, L) -> np.ndarray:
+    """The image of `build_dts` for a non-tangent pair of an odd-order plane,
+    one auxiliary scan per point, with the tangency maps from
+    `tangent_to_second`."""
+    common = set(plane.tangency(K, L).points)
+    hK = dict(loop_tangency(plane, K, L))
+    hL = dict(loop_tangency(plane, L, K))
+
+    gen, T3, CPG = plane.gen_of, plane.triple_circle, plane.gen_point
+    image = np.full(plane.n_points, -1, dtype=np.int32)
+    for x, hx in hK.items():
+        image[x] = hx
+    for x, hx in hL.items():
+        image[x] = hx
+
+    aux = [(int(y), hy) for y, hy in hK.items() if int(y) not in common]
+    for x in range(plane.n_points):
+        if image[x] >= 0:
+            continue
+        xK = int(plane.gen_point[K, gen[x]])
+        u = xK if xK in common else hK[xK]
+        img = None
+        img_y = None
+        for y, hy in aux:
+            if gen[y] == gen[x] or gen[hy] == gen[x]:
+                continue
+            circ = int(T3[x, y, hy])
+            cand = int(CPG[circ, gen[u]])
+            if img is None:
+                img, img_y = cand, y
+            elif cand != img:
+                raise WellDefinednessFailure(x, img_y, y)
+        if img is None:
+            # only at order 3: the image is the one point parallel to the
+            # image of xK and off both circles
+            target_gen = int(gen[hK[xK]])
+            cands = [int(t) for t in plane.gen_members[target_gen]
+                     if not plane.mem[K, t] and not plane.mem[L, t]]
+            if len(cands) != 1:
+                raise NoAdmissibleAuxiliary(x)
+            img = cands[0]
+        image[x] = img
+    return image
+
+
+def loop_circle_image(plane, image) -> np.ndarray:
+    """Image circle id per circle through a dict of sorted member rows."""
+    by_members = {tuple(int(p) for p in plane.members[c]): c for c in range(plane.n_circles)}
+    return np.array([by_members.get(tuple(sorted(int(image[p]) for p in plane.members[c])), -1)
+                     for c in range(plane.n_circles)], dtype=np.int32)
+
+
 def loop_verify_dts(plane, phi, K, L) -> CheckReport:
     """`verify_dts` with property (4) as one scalar pencil scan per point."""
     report = CheckReport(check_id="DtsVerify", mode=CheckMode.exhaustive())
     img = phi.image
     n_p, n_c = plane.n_points, plane.n_circles
     gen = plane.gen_of
+    ci = loop_circle_image(plane, img)
+
+    for A, B in ((K, L), (L, K)):
+        report.configurations += 1
+        if int(ci[A]) != B:
+            report.add_violation(Violation("pair-not-exchanged", circles=(A, B)))
 
     report.configurations += n_p
     for x in np.nonzero(img[img] != np.arange(n_p))[0]:
         report.add_violation(Violation("involution", points=(int(x), int(img[x]))))
 
     report.configurations += n_c + n_p
-    ci = phi.circle_image()
     for cid in np.nonzero(ci < 0)[0]:
         report.add_violation(Violation("circle-image", circles=(int(cid),)))
     for g in range(plane.n_gens):
@@ -181,6 +257,81 @@ def coordinate_map(P, lam: int, t: int) -> Automorphism:
 
 
 # ---------------------------------------------------------------------------
+# build_dts and circle_image
+# ---------------------------------------------------------------------------
+
+def nontangent_pairs(P, q: int):
+    """All non-tangent pairs at order 3, 20 sampled pairs above."""
+    if q == 3:
+        return [(K, L) for K in range(P.n_circles) for L in range(K + 1, P.n_circles)
+                if P.pair_count[K, L] != 1]
+    return sample_nontangent_pairs(P, 20, seed=q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+def test_build_dts_matches_the_loop_reference(q):
+    P = miquelian_plane(q)
+    pairs = nontangent_pairs(P, q)
+    assert len(pairs) == (243 if q == 3 else 20)
+    for K, L in pairs:
+        assert np.array_equal(build_dts(P, K, L).image, loop_build_dts(P, K, L)), (K, L)
+
+
+def test_build_dts_reports_the_loop_reference_disagreement():
+    # on a copy of the plane in which the joining circle of a point x off K
+    # and L, its last admissible auxiliary y and h(y) is replaced by another
+    # circle through x and y, for as many x as allow it, the pass and the
+    # loop must name the same first point and the same pair of auxiliaries
+    P = miquelian_plane(5)
+    K, L = sample_nontangent_pairs(P, 1, seed=5)[0]
+    image = build_dts(P, K, L).image
+    bad = copy.copy(P)
+    bad.triple_circle = P.triple_circle.copy()
+    hK = dict(loop_tangency(P, K, L))
+    aux = [(y, hy) for y, hy in hK.items() if y != hy]
+    gen = P.gen_of
+    corrupted = 0
+    for x in range(P.n_points):
+        if P.mem[K, x] or P.mem[L, x]:
+            continue
+        admissible = [(y, hy) for y, hy in aux if gen[x] != gen[y] and gen[x] != gen[hy]]
+        if len(admissible) < 2:
+            continue
+        y, hy = admissible[-1]
+        others = [c for c in P.vertex_pencils[x, y] if P.gen_point[c, gen[image[x]]] != image[x]]
+        if others:  # none when the image of x is parallel to x or y
+            bad.triple_circle[x, y, hy] = others[0]
+            corrupted += 1
+    assert corrupted > 1
+    with pytest.raises(WellDefinednessFailure) as want:
+        loop_build_dts(bad, K, L)
+    with pytest.raises(WellDefinednessFailure) as got:
+        build_dts(bad, K, L)
+    assert (got.value.x, got.value.y1, got.value.y2) == (want.value.x, want.value.y1, want.value.y2)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_circle_image_matches_the_dict_reference(q):
+    P = miquelian_plane(q)
+    n_p = P.n_points
+    rng = np.random.default_rng(q)
+    automorphisms = [coordinate_map(P, 1, 1).image]
+    if q % 2:
+        automorphisms += [build_dts(P, K, L).image for K, L in sample_nontangent_pairs(P, 5, seed=q)]
+    # non-permutations: repeated points, one point for all, ids off the plane
+    merged = np.arange(n_p)
+    merged[P.gen_members[0, 1]] = P.gen_members[0, 0]
+    others = [rng.permutation(n_p) for _ in range(3)] + [
+        merged, rng.integers(0, n_p, n_p), np.zeros(n_p),
+        np.arange(n_p) + n_p // 2, np.arange(n_p) - 3]
+    for i, image in enumerate(automorphisms + others):
+        want = loop_circle_image(P, image)
+        assert np.array_equal(Automorphism(P, image).circle_image(), want), i
+        if i < len(automorphisms):
+            assert (want >= 0).all()
+
+
+# ---------------------------------------------------------------------------
 # verify_dts, property (4)
 # ---------------------------------------------------------------------------
 
@@ -220,27 +371,13 @@ def test_moved_tangent_circles_keep_their_place_in_the_order(q):
     phi = coordinate_map(P, q - 1, 0)
     got = verify_dts(P, phi, K, L)
     assert summary(got) == summary(loop_verify_dts(P, phi, K, L))
-    assert {v.kind for v in got.violations} == {"moved-circle-tangent", "touch-image"}
+    assert {v.kind for v in got.violations} == {
+        "pair-not-exchanged", "moved-circle-tangent", "touch-image"}
 
 
 # ---------------------------------------------------------------------------
 # tangency_map
 # ---------------------------------------------------------------------------
-
-def loop_tangency(P, K, L):
-    """tangency_map's pairs through `tangent_to_second`, or the NotUnique count."""
-    pairs = []
-    for x in P.members[K]:
-        x = int(x)
-        if P.mem[L, x]:
-            pairs.append((x, x))
-            continue
-        try:
-            pairs.append((x, tangent_to_second(P, x, K, L)[1]))
-        except NotUnique as e:
-            return ("NotUnique", e.count)
-    return tuple(pairs)
-
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_tangency_map_matches_tangent_to_second(q):
@@ -250,7 +387,7 @@ def test_tangency_map_matches_tangent_to_second(q):
         for A, B in ((K, L), (L, K)):
             want = loop_tangency(P, A, B)
             try:
-                got = tangency_map(P, A, B).mapping
+                got = tuple(zip(P.members[A].tolist(), tangency_map(P, A, B).tolist()))
             except NotUnique as e:
                 got = ("NotUnique", e.count)
                 refused += 1
