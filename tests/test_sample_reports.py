@@ -1,4 +1,4 @@
-"""Sampled checker reports pinned against a recorded golden.
+"""Checker reports pinned against a recorded golden.
 
 Every statement checker runs in sample mode at q=4 and q=5 with a fixed
 seed; the configurations, hypothesis hits, skipped count, violation
@@ -6,6 +6,11 @@ count and first witness must equal `sample_reports.json`.  The sampled
 draws, their reduction to bounded ranges and every index a sweep reads
 (touch points included) feed these numbers, so a change to any of them
 shows here even where the verdict stays the same.
+
+The same golden pins exhaustive runs: every checker at q=3, and every
+checker but Miquel and Bundle (whose q=4 sweeps take most of a minute)
+at q=4, each with every recorded witness in order, so a change to the
+enumeration order of an exhaustive generator shows as well.
 
 Re-record (only when a report is meant to change):
 
@@ -27,23 +32,34 @@ GOLDEN = Path(__file__).with_name("sample_reports.json")
 ORDERS = (4, 5)
 SEED = 2006
 SAMPLES = 5000
+EXHAUSTIVE = {3: CHECK_IDS, 4: tuple(c for c in CHECK_IDS if c not in ("Miquel", "Bundle"))}
+
+
+def witness(v) -> dict:
+    return {
+        "kind": v.kind,
+        "points": list(v.points),
+        "circles": list(v.circles),
+        "data": [list(d) for d in v.data],
+    }
 
 
 def summary(report) -> dict:
-    first = report.violations[0] if report.violations else None
     return {
         "verdict": report.verdict,
         "configurations": report.configurations,
         "hypothesis_hits": report.hypothesis_hits,
         "skipped": report.skipped,
         "violations": report.violation_count,
-        "first_witness": None if first is None else {
-            "kind": first.kind,
-            "points": list(first.points),
-            "circles": list(first.circles),
-            "data": [list(d) for d in first.data],
-        },
+        "first_witness": witness(report.violations[0]) if report.violations else None,
     }
+
+
+def exhaustive_summary(report) -> dict:
+    out = summary(report)
+    del out["first_witness"]
+    out["witnesses"] = [witness(v) for v in report.violations]
+    return out
 
 
 def record() -> dict:
@@ -53,6 +69,11 @@ def record() -> dict:
         plane = miquelian_plane(q)
         for check_id in CHECK_IDS:
             out[f"{check_id}@q{q}"] = summary(CHECKERS[check_id].run(plane, mode))
+    for q, check_ids in EXHAUSTIVE.items():
+        plane = miquelian_plane(q)
+        for check_id in check_ids:
+            out[f"{check_id}@q{q}:exhaustive"] = exhaustive_summary(
+                CHECKERS[check_id].run(plane, CheckMode.exhaustive()))
     return out
 
 
@@ -63,7 +84,9 @@ def recorded():
 
 def test_golden_covers_every_checker_and_order():
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert sorted(pinned) == sorted(f"{c}@q{q}" for q in ORDERS for c in CHECK_IDS)
+    assert sorted(pinned) == sorted(
+        [f"{c}@q{q}" for q in ORDERS for c in CHECK_IDS]
+        + [f"{c}@q{q}:exhaustive" for q, ids in EXHAUSTIVE.items() for c in ids])
 
 
 @pytest.mark.parametrize("q", ORDERS)
@@ -71,6 +94,13 @@ def test_golden_covers_every_checker_and_order():
 def test_sampled_report_matches_the_golden(recorded, check_id, q):
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
     key = f"{check_id}@q{q}"
+    assert recorded[key] == pinned[key]
+
+
+@pytest.mark.parametrize("q,check_id", [(q, c) for q, ids in EXHAUSTIVE.items() for c in ids])
+def test_exhaustive_report_matches_the_golden(recorded, check_id, q):
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    key = f"{check_id}@q{q}:exhaustive"
     assert recorded[key] == pinned[key]
 
 
