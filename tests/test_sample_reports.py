@@ -7,6 +7,10 @@ draws, their reduction to bounded ranges and every index a sweep reads
 (touch points included) feed these numbers, so a change to any of them
 shows here even where the verdict stays the same.
 
+Every checker also runs in sample mode on the translation-oval plane of
+order 8 (o(x) = x⁴), where most statements fail, so hit counts are pinned
+beside violations.
+
 The same golden pins exhaustive runs: every checker at q=3, and every
 checker but Miquel and Bundle (whose q=4 sweeps take most of a minute)
 at q=4, each with every recorded witness in order, so a change to the
@@ -25,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from laguerre_lab.checks import CHECK_IDS, CHECKERS
-from laguerre_lab.models import miquelian_plane
+from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.report import CheckMode
 
 GOLDEN = Path(__file__).with_name("sample_reports.json")
@@ -69,6 +73,9 @@ def record() -> dict:
         plane = miquelian_plane(q)
         for check_id in CHECK_IDS:
             out[f"{check_id}@q{q}"] = summary(CHECKERS[check_id].run(plane, mode))
+    oval8 = oval_plane(8, oval_table_power(8, 4))
+    for check_id in CHECK_IDS:
+        out[f"{check_id}@oval8"] = summary(CHECKERS[check_id].run(oval8, mode))
     for q, check_ids in EXHAUSTIVE.items():
         plane = miquelian_plane(q)
         for check_id in check_ids:
@@ -86,6 +93,7 @@ def test_golden_covers_every_checker_and_order():
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(pinned) == sorted(
         [f"{c}@q{q}" for q in ORDERS for c in CHECK_IDS]
+        + [f"{c}@oval8" for c in CHECK_IDS]
         + [f"{c}@q{q}:exhaustive" for q, ids in EXHAUSTIVE.items() for c in ids])
 
 
@@ -94,6 +102,13 @@ def test_golden_covers_every_checker_and_order():
 def test_sampled_report_matches_the_golden(recorded, check_id, q):
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
     key = f"{check_id}@q{q}"
+    assert recorded[key] == pinned[key]
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_sampled_oval8_report_matches_the_golden(recorded, check_id):
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    key = f"{check_id}@oval8"
     assert recorded[key] == pinned[key]
 
 
