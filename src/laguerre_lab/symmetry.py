@@ -22,9 +22,9 @@ pass over the plane's own indexes:
   * parallelity       `split_generators`, read by `Automorphism.validate`
                       and property (2) of `verify_dts`,
   * `verify_dts` (4)  all moved circles and their member slots at once,
-  * Moebius axioms    one boolean block x point incidence matrix: trio
-                      counts from its columns, `_TRIO_BLOCK` trios per
-                      pass, and touching counts from its products.
+  * Moebius axioms    one block x point incidence matrix: the trio
+                      counts of each first point from one product of its
+                      columns, and touching counts from its products.
 
 The second route to these verdicts is scalar: `tangent_to_second` scans
 one point's pencil at a time, and the loop forms the passes replaced are
@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .errors import (
     WellDefinednessFailure,
     NoAdmissibleAuxiliary,
 )
-from .checks import _pi_blocks, _record
+from .checks import _not_applicable, _pi_blocks, _record, _sweep
 from .plane import Circle, LaguerrePlane, Pencil, _cid
 from .report import CheckMode, CheckReport, Violation
 
@@ -495,48 +496,35 @@ def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M,
     return report.finalize()
 
 
-def verify_pi_symmetry(plane: LaguerrePlane, mode: CheckMode,
-                       cache: dict | None = None) -> CheckReport:
+def _eval_pi_symmetry(dts: dict, plane: LaguerrePlane, report: CheckReport,
+                      a, b, c, x, C1, p, qpt, Kp) -> None:
+    """PiSymmetry on one `_pi_blocks` block; `dts` holds the symmetries
+    built so far, by pair."""
+    L = plane.triple_circle[x, p, qpt]
+    tangent = plane.pair_count[C1, L] == 1
+    report.skipped += int(tangent.sum())
+    report.hypothesis_hits += int((~tangent).sum())
+    for i in np.flatnonzero(~tangent):
+        K, Li, kp, ai, xi = int(C1[i]), int(L[i]), int(Kp[i]), int(a[i]), int(x[i])
+        phi = _dts_cached(plane, min(K, Li), max(K, Li), dts)
+        if not (phi.circle_image()[kp] == kp and phi.image[ai] == xi and phi.image[xi] == ai):
+            report.add_violation(Violation(
+                "pi-symmetry", points=(ai, int(b[i]), int(c[i]), xi), circles=(K, Li, kp)))
+
+
+def verify_pi_symmetry(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """The symmetry of the (a,b,c,x) configuration is realized by the
     double tangency symmetry of K = (a,b,c)° and L = (x,p,q)°.
 
     For every configuration with K, L non-tangent, the symmetry must fix
-    the connecting tangent circle through a and x setwise and exchange
-    its touch points a and x.  Tangent (K, L) pairs are skipped.
+    the connecting tangent circle K′ through a and x setwise and exchange
+    its touch points a and x.  Tangent (K, L) pairs are skipped.  The
+    configurations, p, q and K′ are those of the Pi family's sweep.
     """
-    report = CheckReport(check_id="PiSymmetry", mode=mode)
-    t0 = time.perf_counter()
     if plane.q % 2 == 0:
-        report.verdict = "NotApplicable"
-        report.notes = ("even order: the symmetry construction needs the unique-tangent axiom",)
-        report.elapsed_seconds = time.perf_counter() - t0
-        return report.finalize()
-    if cache is None:
-        cache = {}
-    gen, T3, CPG = plane.gen_of, plane.triple_circle, plane.gen_point
-    for a, b, c, x, C1, n_raw in _pi_blocks(plane, mode):
-        report.configurations += n_raw
-        for i in range(len(a)):
-            ai, bi, ci, xi = int(a[i]), int(b[i]), int(c[i]), int(x[i])
-            K = int(C1[i])
-            Cabx = int(T3[ai, bi, xi])
-            p = int(CPG[Cabx, gen[ci]])
-            Cacx = int(T3[ai, ci, xi])
-            qpt = int(CPG[Cacx, gen[bi]])
-            L = int(T3[xi, p, qpt])
-            if plane.pair_count[K, L] == 1 or K == L:
-                report.skipped += 1
-                continue
-            report.hypothesis_hits += 1
-            phi = _dts_cached(plane, min(K, L), max(K, L), cache)
-            Kp = plane.tangent_circle(ai, K, xi)
-            ok = (int(phi.circle_image()[Kp.id]) == Kp.id
-                  and int(phi.image[ai]) == xi and int(phi.image[xi]) == ai)
-            if not ok:
-                report.add_violation(Violation(
-                    "pi-symmetry", points=(ai, bi, ci, xi), circles=(K, L, Kp.id)))
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report.finalize()
+        return _not_applicable(
+            "PiSymmetry", mode, "even order: the symmetry construction needs the unique-tangent axiom")
+    return _sweep(plane, mode, "PiSymmetry", _pi_blocks, partial(_eval_pi_symmetry, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +615,6 @@ def moebius_extract(plane: LaguerrePlane, phi: Automorphism) -> MoebiusCandidate
     return candidate
 
 
-# Trios of the three-point axiom per array pass: the pass's temporaries
-# are a few MB at orders 9 and 11 instead of growing with the trio count.
-_TRIO_BLOCK = 4096
-
-
 def _incidence(cand: MoebiusCandidate) -> np.ndarray:
     """Boolean block x point matrix; columns follow `cand.points`."""
     index = {p: i for i, p in enumerate(cand.points)}
@@ -643,22 +626,22 @@ def _incidence(cand: MoebiusCandidate) -> np.ndarray:
 
 def _three_point_axiom(cand: MoebiusCandidate) -> CheckReport:
     """Each trio of points, in `combinations` order, lies on exactly one
-    block: the block count of a trio is the AND of its three point columns
-    of the incidence matrix, summed, for `_TRIO_BLOCK` trios at a time."""
+    block.  For each first point i, the block counts of the trios (i, j, k)
+    with i < j < k are the upper triangle of one product of the incidence
+    columns after i, restricted to the blocks through i; its row-major
+    order is the `combinations` order."""
     report = CheckReport(check_id="MoebiusThreePoint", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
-    cols = np.ascontiguousarray(_incidence(cand).T)
-    trios = itertools.combinations(range(len(cand.points)), 3)
-    while True:
-        chunk = itertools.chain.from_iterable(itertools.islice(trios, _TRIO_BLOCK))
-        T = np.fromiter(chunk, dtype=np.intp).reshape(-1, 3)
-        if not len(T):
-            break
-        count = (cols[T[:, 0]] & cols[T[:, 1]] & cols[T[:, 2]]).sum(axis=1)
-        report.configurations += len(T)
-        _record(report, count != 1, lambda i: Violation(
-            "three-point", points=tuple(cand.points[j] for j in T[i]),
-            data=(("count", int(count[i])),)))
+    B = _incidence(cand).astype(np.float32)  # its products are small exact integers
+    pts = cand.points
+    for i in range(len(pts)):
+        rest = B[:, i + 1:]
+        j, k = np.triu_indices(rest.shape[1], k=1)
+        count = ((rest * B[:, i:i + 1]).T @ rest)[j, k]
+        report.configurations += len(j)
+        _record(report, count != 1, lambda t: Violation(
+            "three-point", points=(pts[i], pts[i + 1 + j[t]], pts[i + 1 + k[t]]),
+            data=(("count", int(count[t])),)))
     report.elapsed_seconds = time.perf_counter() - t0
     return report.finalize()
 
@@ -686,8 +669,7 @@ def _touching_axiom(cand: MoebiusCandidate) -> CheckReport:
     return report.finalize()
 
 
-def find_fixed_point_free_pair(plane: LaguerrePlane, cache: dict | None = None
-                               ) -> tuple[int, int, Automorphism]:
+def find_fixed_point_free_pair(plane: LaguerrePlane) -> tuple[int, int, Automorphism]:
     """First disjoint pair (canonical order) whose symmetry moves every point.
 
     Scans all disjoint non-tangent pairs; raises NoDisjointPair when the
@@ -699,7 +681,7 @@ def find_fixed_point_free_pair(plane: LaguerrePlane, cache: dict | None = None
             L = int(L)
             if L <= K:
                 continue
-            phi = _dts_cached(plane, K, L, cache)
+            phi = build_dts(plane, K, L)
             if not phi.fixed_points():
                 return K, L, phi
     raise NoDisjointPair("no disjoint pair with a fixed-point-free symmetry")
@@ -707,9 +689,18 @@ def find_fixed_point_free_pair(plane: LaguerrePlane, cache: dict | None = None
 
 def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int,
                             secant_only: bool = False) -> list[tuple[int, int]]:
-    """Deterministically sample distinct non-tangent circle pairs."""
+    """Deterministically sample distinct non-tangent circle pairs.
+
+    Raises ValueError for a negative count or one above the number of
+    such pairs the plane has.
+    """
     from .rng import SampleStream
 
+    T = plane.pair_count
+    available = int(np.count_nonzero(np.triu((T == 2) if secant_only else (T != 1), k=1)))
+    if not 0 <= count <= available:
+        kind = "secant" if secant_only else "non-tangent"
+        raise ValueError(f"cannot sample {count} pairs: the plane has {available} {kind} pairs")
     stream = SampleStream(seed)
     seen: set[tuple[int, int]] = set()
     out: list[tuple[int, int]] = []
@@ -719,7 +710,7 @@ def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int,
         if K == L:
             continue
         K, L = min(K, L), max(K, L)
-        n = int(plane.pair_count[K, L])
+        n = int(T[K, L])
         if n == 1 or (secant_only and n != 2) or (K, L) in seen:
             continue
         seen.add((K, L))
@@ -746,18 +737,33 @@ def export_automorphism(plane: LaguerrePlane, phi: Automorphism) -> str:
 
 
 def import_automorphism(plane: LaguerrePlane, text: str) -> Automorphism:
+    """Read the format of `export_automorphism` back onto `plane`.
+
+    Raises ValueError naming the problem when the text is not one header
+    line and one image line, the header lacks a field or does not match
+    the plane, or the image is not a permutation of the points inducing
+    an automorphism.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) != 2:
+        raise ValueError(f"expected a 'dts' header line and an image line, "
+                         f"found {len(lines)} non-empty lines")
     head = lines[0].split()
     if head[0] != "dts":
         raise ValueError("missing 'dts' header")
-    fields = dict(part.split("=", 1) for part in head[1:])
+    fields = dict(part.partition("=")[::2] for part in head[1:])
+    missing = [k for k in ("q", "K", "L") if k not in fields]
+    if missing:
+        raise ValueError(f"automorphism header lacks {', '.join(k + '=' for k in missing)}")
     if int(fields["q"]) != plane.q:
         raise ValueError(f"order mismatch: plane q={plane.q}, file q={fields['q']}")
     K = plane.circle_from_coef(tuple(int(v) for v in fields["K"].split(","))).id
     L = plane.circle_from_coef(tuple(int(v) for v in fields["L"].split(","))).id
-    image = np.array([int(tok) for tok in lines[1].split()], dtype=np.int32)
+    image = [int(tok) for tok in lines[1].split()]
     if len(image) != plane.n_points:
         raise ValueError("image length does not match the point count")
+    if not all(0 <= v < plane.n_points for v in image):
+        raise ValueError(f"image holds a point id outside 0..{plane.n_points - 1}")
     phi = Automorphism(plane, image, ("dts", K, L))
     phi.validate()
     return phi

@@ -145,6 +145,14 @@ def test_dts_sampled_pairs(capsys):
     assert all(o["verdict"] == "Holds" for o in objs if o["check"] == "DtsVerify")
 
 
+@pytest.mark.parametrize("count", ["244", "-3"])
+def test_dts_impossible_sample_pair_count_exits_two(capsys, count):
+    # q=3 has 243 non-tangent pairs: 244 never ended, -3 printed nothing
+    code, out, err = run_cli(capsys, "dts", "--q", "3", "--sample-pairs", count, "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "243 non-tangent pairs" in err
+
+
 def test_dts_tangent_pair_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "dts", "--q", "5", "--k", "1,0,0", "--l", "1,0,1")
     assert code == 2

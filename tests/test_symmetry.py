@@ -258,13 +258,13 @@ def test_symmetry_uniqueness_self_consistency(p5, secant_pair):
 def test_verify_pi_symmetry_exhaustive_q3():
     rep = verify_pi_symmetry(miquelian_plane(3), CheckMode.exhaustive())
     assert rep.verdict == "Holds"
-    assert rep.hypothesis_hits + rep.skipped == 1296
+    assert (rep.configurations, rep.hypothesis_hits, rep.skipped) == (3888, 1296, 0)
 
 
 def test_verify_pi_symmetry_sampled_q5(p5):
     rep = verify_pi_symmetry(p5, CheckMode.sample(1500, 77))
     assert rep.verdict == "Holds(sampled)"
-    assert rep.hypothesis_hits > 0
+    assert (rep.configurations, rep.hypothesis_hits, rep.skipped) == (1500, 321, 0)
 
 
 def test_fixed_circles_identity_and_census(p5, secant_pair):
@@ -313,6 +313,33 @@ def test_automorphism_text_roundtrip(p5, secant_pair):
         import_automorphism(miquelian_plane(3), text)
 
 
+_IMAGE30 = " ".join(str(i) for i in range(30))  # the identity on the q=5 points
+
+
+_MALFORMED_AUTOMORPHISMS = [
+    ("", "found 0 non-empty lines"),
+    ("dts q=5 K=1,0,0 L=4,0,2\n", "found 1 non-empty lines"),
+    ("auto q=5 K=1,0,0 L=4,0,2\n" + _IMAGE30, "missing 'dts' header"),
+    ("dts K=1,0,0 L=4,0,2\n" + _IMAGE30, "lacks q="),
+    ("dts q=5 L=4,0,2\n" + _IMAGE30, "lacks K="),
+    ("dts q=5 K=1,0,0\n" + _IMAGE30, "lacks L="),
+    ("dts q=five K=1,0,0 L=4,0,2\n" + _IMAGE30, "invalid literal for int"),
+    ("dts q=5 K=1,x,0 L=4,0,2\n" + _IMAGE30, "invalid literal for int"),
+    ("dts q=5 K=1,0,0 L=4,0,9\n" + _IMAGE30, "no circle with coefficients"),
+    ("dts q=5 K=1,0,0 L=4,0,2\n0 1 two", "invalid literal for int"),
+    ("dts q=5 K=1,0,0 L=4,0,2\n0 1 2", "image length"),
+    ("dts q=5 K=1,0,0 L=4,0,2\n" + _IMAGE30[:-2] + str(10**30), "outside 0..29"),
+    ("dts q=5 K=1,0,0 L=4,0,2\n" + _IMAGE30 + "\n0", "found 3 non-empty lines"),
+]
+
+
+@pytest.mark.parametrize("text,problem", _MALFORMED_AUTOMORPHISMS,
+                         ids=[problem for _, problem in _MALFORMED_AUTOMORPHISMS])
+def test_import_automorphism_names_the_problem(p5, text, problem):
+    with pytest.raises(ValueError, match=problem):
+        import_automorphism(p5, text)
+
+
 def test_automorphism_validate_rejects_non_automorphism(p5):
     img = np.arange(p5.n_points)
     img[0], img[1] = 1, 0  # swap two points of one generator only
@@ -327,3 +354,13 @@ def test_sample_nontangent_pairs_deterministic(p5):
     assert all(int(p5.pair_count[K, L]) != 1 for K, L in a)
     secant = sample_nontangent_pairs(p5, 10, seed=5, secant_only=True)
     assert all(int(p5.pair_count[K, L]) == 2 for K, L in secant)
+
+
+def test_sample_nontangent_pairs_refuses_impossible_counts():
+    P3 = miquelian_plane(3)
+    assert len(set(sample_nontangent_pairs(P3, 243, seed=1))) == 243
+    for count in (-3, 244):
+        with pytest.raises(ValueError, match="the plane has 243 non-tangent pairs"):
+            sample_nontangent_pairs(P3, count, seed=1)
+    with pytest.raises(ValueError, match="secant pairs"):
+        sample_nontangent_pairs(P3, 244, seed=1, secant_only=True)
