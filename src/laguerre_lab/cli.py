@@ -7,7 +7,8 @@ emitted in a pinned order, and sampling is a pure function of the seed.
 Exit codes: 0 all requested checks hold, 1 at least one Fails (or a
 replayed witness does not re-validate), 2 usage or configuration error,
 3 internal invariant breach (the construction failed where the theory
-says it cannot).
+says it cannot).  A pencil without a unique tangent circle (NotUnique)
+is expected on planes of even order and exits 1 there, 3 on odd order.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .errors import (
     WellDefinednessFailure,
 )
 from .models import build_plane
-from .report import CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, report_csv_row
+from .report import (CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, Violation, circle_obj,
+                     report_csv_row)
 
 SEED_ENV = "LAGUERRE_LAB_SEED"
 SEED_LIMIT = 1 << 64  # the sampling stream is keyed by a 64-bit seed
@@ -74,10 +76,13 @@ def _load_oval_table(path: str) -> list[int]:
                 continue
             try:
                 x_tok, v_tok = line.split()
-                table[int(x_tok)] = int(v_tok)
+                x, v = int(x_tok), int(v_tok)
             except ValueError as e:
                 raise UsageError(f"{path}:{lineno}: expected two integers 'x o(x)', "
                                  f"got {line!r}") from e
+            if x in table:
+                raise UsageError(f"{path}:{lineno}: x listed twice")
+            table[x] = v
     if sorted(table) != list(range(len(table))):
         raise UsageError(f"oval table {path} must list every x in 0..q-1 exactly once")
     return [table[x] for x in range(len(table))]
@@ -99,6 +104,16 @@ def _coef_triple(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+def _pair_arg(args, plane) -> tuple[int, int] | None:
+    """The circle ids named by --k and --l, or None when neither is given."""
+    if args.k is None and args.l is None:
+        return None
+    if args.k is None or args.l is None:
+        raise UsageError("give --k a,b,c and --l a,b,c together")
+    return (plane.circle_from_coef(_coef_triple(args.k)).id,
+            plane.circle_from_coef(_coef_triple(args.l)).id)
+
+
 def _emit(args, lines: list[str]) -> None:
     payload = "\n".join(lines) + "\n"
     if args.out:
@@ -106,11 +121,6 @@ def _emit(args, lines: list[str]) -> None:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _circle_obj(plane, cid) -> dict:
-    coef = plane.circle_coef(cid)
-    return {"id": int(cid), "coef": None if coef is None else list(coef)}
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +180,10 @@ def _dts_objects(plane, K, L, verify: bool, timings: bool
         "check": "DtsClassify",
         "q": int(plane.q),
         "model": plane.label,
-        "pair": {"K": _circle_obj(plane, K), "L": _circle_obj(plane, L)},
+        "pair": {"K": circle_obj(plane, K), "L": circle_obj(plane, L)},
         "kind": cls.kind,
         "fixedGenerators": None if cls.fixed_generators is None else list(cls.fixed_generators),
-        "witnessCircle": None if cls.witness_circle is None else _circle_obj(plane, cls.witness_circle),
+        "witnessCircle": None if cls.witness_circle is None else circle_obj(plane, cls.witness_circle),
         "fixedPointCount": cls.fixed_point_count,
         "details": cls.details,
     }
@@ -182,7 +192,7 @@ def _dts_objects(plane, K, L, verify: bool, timings: bool
     if verify:
         rep = _symmetry.verify_dts(plane, phi, K, L)
         robj = rep.to_obj(plane, timings=timings)
-        robj["pair"] = {"K": _circle_obj(plane, K), "L": _circle_obj(plane, L)}
+        robj["pair"] = {"K": circle_obj(plane, K), "L": circle_obj(plane, L)}
         out.append(robj)
         ok = ok and rep.holds
     return out, ok, phi
@@ -190,45 +200,25 @@ def _dts_objects(plane, K, L, verify: bool, timings: bool
 
 def _cmd_dts(args) -> int:
     plane = _make_plane(args)
-    try:
-        return _run_dts(args, plane)
-    except NotUnique as e:
-        if plane.q % 2 == 1:
-            # the unique-tangent axiom holds on these planes, so a failed
-            # pencil search means the code, not the mathematics, is wrong
-            print(f"internal invariant breach: {e}", file=sys.stderr)
-            return 3
-        print(f"construction unavailable on this plane: {e}", file=sys.stderr)
-        return 1
-
-
-def _run_dts(args, plane) -> int:
-    pairs: list[tuple[int, int]] = []
-    if args.sample_pairs:
-        seed = _parse_seed(args)
-        pairs = _symmetry.sample_nontangent_pairs(plane, args.sample_pairs, seed)
+    pair = _pair_arg(args, plane)
+    if bool(args.sample_pairs) == (pair is not None):
+        raise UsageError("give --k a,b,c and --l a,b,c, or --sample-pairs N")
+    if pair is not None:
+        pairs = [pair]
     else:
-        if not (args.k and args.l):
-            raise UsageError("give --k a,b,c and --l a,b,c, or --sample-pairs N")
-        K = plane.circle_from_coef(_coef_triple(args.k)).id
-        L = plane.circle_from_coef(_coef_triple(args.l)).id
-        pairs = [(K, L)]
+        pairs = _symmetry.sample_nontangent_pairs(plane, args.sample_pairs, _parse_seed(args))
 
-    objs = []
-    all_ok = True
-    phi_for_export = None
+    objs, all_ok = [], True
     for K, L in pairs:
         out, ok, phi = _dts_objects(plane, K, L, args.verify, args.timings)
         objs.extend(out)
         all_ok = all_ok and ok
-        if phi_for_export is None:
-            phi_for_export = phi
 
     if args.export:
         if len(pairs) != 1:
             raise UsageError("--export works with a single explicit pair")
         with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(_symmetry.export_automorphism(plane, phi_for_export))
+            fh.write(_symmetry.export_automorphism(plane, phi))
 
     if args.format == "text":
         lines = [json.dumps(o, indent=2) for o in objs]
@@ -242,30 +232,28 @@ def _run_dts(args, plane) -> int:
 # moebius
 # ---------------------------------------------------------------------------
 
-def _report_summary(rep, plane, timings: bool) -> dict:
+def _report_summary(rep, timings: bool) -> dict:
     return {
         "verdict": rep.verdict,
         "configurations": int(rep.configurations),
         "violations": int(rep.violation_count),
-        "elapsedSeconds": round(rep.elapsed_seconds, 6) if timings else 0.0,
+        "elapsedSeconds": rep.elapsed(timings),
     }
 
 
 def _cmd_moebius(args) -> int:
     plane = _make_plane(args)
-    if args.k and args.l:
-        K = plane.circle_from_coef(_coef_triple(args.k)).id
-        L = plane.circle_from_coef(_coef_triple(args.l)).id
-        t = plane.tangency(K, L)
+    pair = _pair_arg(args, plane)
+    if pair is not None:
+        t = plane.tangency(*pair)
         if t.kind in ("tangent", "equal"):
             raise UsageError("the selected pair is tangent; a disjoint pair is required")
         if t.kind != "disjoint":
             raise UsageError("the selected pair is secant; a disjoint pair is required")
-        phi = _symmetry.build_dts(plane, K, L)
-        cand = _symmetry.moebius_extract(plane, phi)
+        phi = _symmetry.build_dts(plane, *pair)
     else:
         try:
-            K, L, phi = _symmetry.find_fixed_point_free_pair(plane)
+            _, _, phi = _symmetry.find_fixed_point_free_pair(plane)
         except NoDisjointPair:
             obj = {
                 "check": "Moebius",
@@ -276,7 +264,7 @@ def _cmd_moebius(args) -> int:
             }
             _emit(args, [json.dumps(obj, separators=(",", ":"))])
             return 0
-        cand = _symmetry.moebius_extract(plane, phi)
+    cand = _symmetry.moebius_extract(plane, phi)
 
     census = cand.block_size_census()
     obj = {
@@ -284,7 +272,7 @@ def _cmd_moebius(args) -> int:
         "q": int(plane.q),
         "model": plane.label,
         "found": True,
-        "pair": {"K": _circle_obj(plane, cand.pair[0]), "L": _circle_obj(plane, cand.pair[1])},
+        "pair": {"K": circle_obj(plane, cand.pair[0]), "L": circle_obj(plane, cand.pair[1])},
         "points": len(cand.points),
         "fixedCircles": [int(c) for c in cand.points if c != _symmetry.INFINITY],
         "blocksTypeA": len(cand.blocks_a),
@@ -294,8 +282,8 @@ def _cmd_moebius(args) -> int:
             "B": {str(k): v for k, v in sorted(census["B"].items())},
         },
         "parallelMovedPoints": cand.parallel_moved_points,
-        "threePointAxiom": _report_summary(cand.three_point_report, plane, args.timings),
-        "touchingAxiom": _report_summary(cand.touching_report, plane, args.timings),
+        "threePointAxiom": _report_summary(cand.three_point_report, args.timings),
+        "touchingAxiom": _report_summary(cand.touching_report, args.timings),
     }
     _emit(args, [json.dumps(obj, separators=(",", ":"))])
     return 0
@@ -305,9 +293,7 @@ def _cmd_moebius(args) -> int:
 # replay
 # ---------------------------------------------------------------------------
 
-def _violation_from_obj(obj) -> "_checks.Violation":
-    from .report import Violation
-
+def _violation_from_obj(obj) -> Violation:
     return Violation(
         kind=obj.get("kind", ""),
         points=tuple(int(p) for p in obj.get("points", ())),
@@ -339,6 +325,11 @@ def _parse_report_line(where: str, line: str):
         raise UsageError(f"{where}: malformed report line ({type(e).__name__}: {e})") from e
 
 
+# The report lines `replay` reads: one per checker, DtsVerify, and the
+# DtsClassify and Moebius lines, which record no witnesses.
+_REPLAYABLE = frozenset(_checks.SPECS) | {"DtsVerify", "DtsClassify", "Moebius"}
+
+
 def _cmd_replay(args) -> int:
     """Replay every witness of every report line.
 
@@ -355,6 +346,9 @@ def _cmd_replay(args) -> int:
                 continue
             where = f"{args.report}:{lineno}"
             check_id, q, model, violations, pair = _parse_report_line(where, line)
+            if check_id not in _REPLAYABLE:
+                raise UsageError(f"{where}: no replay known for check {check_id!r}")
+            args.q = q  # the order `main` reads when a symmetry is NotUnique
             try:
                 plane = build_plane(q, model)
             except (ValueError, LaguerreError) as e:
@@ -398,11 +392,14 @@ def _add_plane_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--oval-table", help="file with one 'x o(x)' line per element")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+def _add_output_args(p: argparse.ArgumentParser, formats: tuple[str, ...] = (),
+                     timings: bool = True) -> None:
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", help="write output to a file instead of stdout")
-    p.add_argument("--timings", action="store_true",
-                   help="emit real elapsed seconds (breaks byte-reproducibility)")
+    if timings:
+        p.add_argument("--timings", action="store_true",
+                       help="emit real elapsed seconds (breaks byte-reproducibility)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int)
-    _add_output_args(p)
+    _add_output_args(p, ("json", "csv", "text"))
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dts", help="build and verify double tangency symmetries")
@@ -432,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="run the full property verification per pair")
     p.add_argument("--export", help="write the automorphism text format here")
-    _add_output_args(p)
+    _add_output_args(p, ("json", "text"))
     p.set_defaults(func=_cmd_dts)
 
     p = sub.add_parser("moebius", help="extract the inversive-plane candidate "
@@ -445,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-validate the witnesses of a JSON report")
     p.add_argument("--report", required=True, help="JSON-lines report file")
-    _add_output_args(p)
+    _add_output_args(p, timings=False)
     p.set_defaults(func=_cmd_replay)
     return ap
 
@@ -470,6 +467,11 @@ def main(argv=None) -> int:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return 3
     except NotUnique as e:
+        if args.q % 2:
+            # the unique-tangent axiom holds on planes of odd order, so a
+            # failed pencil search means the code, not the mathematics, is wrong
+            print(f"internal invariant breach: {e}", file=sys.stderr)
+            return 3
         # expected refusal on planes of characteristic 2
         print(f"construction unavailable on this plane: {e}", file=sys.stderr)
         return 1

@@ -66,7 +66,7 @@ def miquelian_plane(q: int) -> LaguerrePlane:
     table = [int(field.mul[x, x]) for x in range(q)]
     generators, circles, coefficients = _model_structure(field, table)
     return LaguerrePlane(generators, circles, coefficients=coefficients,
-                         field=field, label="miquelian", validate=True)
+                         field=field, label="miquelian")
 
 
 def oval_plane(q: int, table) -> LaguerrePlane:
@@ -85,7 +85,7 @@ def oval_plane(q: int, table) -> LaguerrePlane:
     generators, circles, coefficients = _model_structure(field, table)
     label = "oval:" + ",".join(str(v) for v in table)
     return LaguerrePlane(generators, circles, coefficients=coefficients,
-                         field=field, label=label, validate=True)
+                         field=field, label=label)
 
 
 def oval_table_power(q: int, exponent: int) -> list[int]:
@@ -186,8 +186,8 @@ def export_plane(plane: LaguerrePlane) -> str:
     return "\n".join(lines) + "\n"
 
 
-def import_plane(text: str, validate: bool = True) -> LaguerrePlane:
-    """Parse the text format back into a plane (inverse of export_plane)."""
+def import_plane(text: str) -> LaguerrePlane:
+    """Parse the text format back into a validated plane (inverse of export_plane)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty plane text: missing 'laguerre' header")
@@ -228,4 +228,4 @@ def import_plane(text: str, validate: bool = True) -> LaguerrePlane:
             field = None
     return LaguerrePlane(generators, circles,
                          coefficients=coefficients or None,
-                         field=field, label="imported", validate=validate)
+                         field=field, label="imported")

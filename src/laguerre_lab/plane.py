@@ -148,11 +148,12 @@ def _blocked_product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
 
 
 class _Structure:
-    """Raw incidence data shared by the validator and the plane builder.
+    """Raw incidence data of a candidate structure, read by the validator.
 
     Rows are kept flat (`circ_flat`, one `circ_row` id per entry) so that
     ragged candidates go through the same array passes; `gen_members` and
     `members` (sorted rows) are the matrix views, None for ragged rows.
+    A `LaguerrePlane` is the structure it was built from, plus indexes.
     """
 
     def __init__(self, generators, circles):
@@ -364,31 +365,21 @@ def validate_laguerre_axioms(generators, circles) -> CheckReport:
     return _validate(_Structure(generators, circles))
 
 
-class LaguerrePlane:
+class LaguerrePlane(_Structure):
     """Immutable finite Laguerre plane with precomputed lookup indexes."""
 
     def __init__(self, generators, circles, *, coefficients=None, field=None,
                  label: str = "custom", validate: bool = True):
-        s = _Structure(generators, circles)
+        super().__init__(generators, circles)
         if validate:
-            rep = _validate(s)
+            rep = _validate(self)
             if not rep.holds:
                 first = rep.violations[0].kind if rep.violations else "unknown"
                 raise NotALaguerrePlane(f"candidate structure fails: {first}", rep)
 
         self.label = label
         self.field = field
-        self.n_points = s.n_points
-        self.n_gens = s.n_gens
-        self.n_circles = s.n_circles
-        self.q = s.members.shape[1] - 1
-        self.gen_of = s.gen_of
-        self.gen_members = s.gen_members
-        self.members = s.members
-        self.mem = s.mem
-        self.pair_count = s.pair_count
-        self.pair_sum = s.pair_sum
-        self.slot_of = s.slot_of
+        self.q = self.members.shape[1] - 1
 
         if coefficients is not None:
             self.coef = np.array(coefficients, dtype=np.int16)
@@ -597,7 +588,7 @@ class LaguerrePlane:
         return AffineIncidence(tuple(int(x) for x in keep), tuple(lines))
 
     def validate_axioms(self) -> CheckReport:
-        return validate_laguerre_axioms(self.gen_members, self.members)
+        return _validate(self)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["CheckMode", "Violation", "CheckReport", "MAX_VIOLATIONS", "EXHAUSTIVE_LIMIT"]
+__all__ = ["CheckMode", "Violation", "CheckReport", "MAX_VIOLATIONS", "EXHAUSTIVE_LIMIT",
+           "circle_obj"]
 
 # Violations recorded per report; counting continues past the cap.
 MAX_VIOLATIONS = 20
@@ -46,6 +47,12 @@ class CheckMode:
         return "exhaustive" if self.kind == "exhaustive" else f"sample:{self.count}"
 
 
+def circle_obj(plane, cid) -> dict:
+    """A circle as reports write it: its id, and its coefficients or None."""
+    coef = plane.circle_coef(cid)
+    return {"id": int(cid), "coef": None if coef is None else list(coef)}
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed configuration, replayable from point/circle ids."""
@@ -56,14 +63,10 @@ class Violation:
     data: tuple[tuple[str, int], ...] = ()
 
     def to_obj(self, plane) -> dict:
-        circles = []
-        for cid in self.circles:
-            coef = plane.circle_coef(cid)
-            circles.append({"id": int(cid), "coef": None if coef is None else list(coef)})
         return {
             "kind": self.kind,
             "points": [int(p) for p in self.points],
-            "circles": circles,
+            "circles": [circle_obj(plane, cid) for cid in self.circles],
             "data": {k: int(v) for k, v in self.data},
         }
 
@@ -104,6 +107,10 @@ class CheckReport:
         if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(violation)
 
+    def elapsed(self, timings: bool) -> float:
+        """elapsedSeconds as written: the real time under timings, else 0.0."""
+        return round(self.elapsed_seconds, 6) if timings else 0.0
+
     def to_obj(self, plane, timings: bool = False) -> dict:
         # Pinned key order; floats appear only in elapsedSeconds.
         return {
@@ -116,7 +123,7 @@ class CheckReport:
             "skipped": int(self.skipped),
             "violations": [v.to_obj(plane) for v in self.violations],
             "verdict": self.verdict,
-            "elapsedSeconds": round(self.elapsed_seconds, 6) if timings else 0.0,
+            "elapsedSeconds": self.elapsed(timings),
         }
 
     def to_json(self, plane, timings: bool = False) -> str:
@@ -154,5 +161,5 @@ def report_csv_row(report: CheckReport, plane, timings: bool = False) -> list:
         int(report.skipped),
         int(report.violation_count),
         report.verdict,
-        round(report.elapsed_seconds, 6) if timings else 0.0,
+        report.elapsed(timings),
     ]

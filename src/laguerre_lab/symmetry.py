@@ -287,7 +287,7 @@ def fixed_circles(plane: LaguerrePlane, phi: Automorphism) -> tuple[int, ...]:
 # verification of the defining properties
 # ---------------------------------------------------------------------------
 
-def verify_dts(plane: LaguerrePlane, phi: Automorphism, K=None, L=None) -> CheckReport:
+def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     """Check the defining properties of a double tangency symmetry.
 
     (0) K and L are exchanged, (1) involution, (2) automorphism (circles
@@ -306,10 +306,6 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K=None, L=None) -> Check
     """
     report = CheckReport(check_id="DtsVerify", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
-    if K is None or L is None:
-        if phi.provenance[0] != "dts":
-            raise ValueError("pair (K, L) required for provenance-free automorphisms")
-        _, K, L = phi.provenance
     K, L = _cid(K), _cid(L)
     img = phi.image
     n_p, n_c = plane.n_points, plane.n_circles

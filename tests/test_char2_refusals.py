@@ -3,6 +3,8 @@ planes, and the exit-code contract around it."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,27 @@ def test_chain_closure_witnesses_replay_at_q4():
     assert rep.verdict == "Fails"
     for v in rep.violations:
         assert replay_violation(P, "S", v)
+
+
+def _dts_verify_line(q, k, l):
+    return json.dumps({"check": "DtsVerify", "q": q, "model": "miquelian", "violations": [],
+                       "pair": {"K": {"coef": k}, "L": {"coef": l}}}) + "\n"
+
+
+def test_cli_moebius_and_replay_notunique_exit_by_order(tmp_path, capsys, monkeypatch):
+    # NotUnique is a refusal (exit 1) on even order and a breach (exit 3) on
+    # odd order for every command; moebius and replay exited 1 on both
+    report = tmp_path / "dts.jsonl"
+    report.write_text(_dts_verify_line(4, [0, 0, 0], [1, 1, 1]))
+    assert cli.main(["replay", "--report", str(report)]) == 1
+    assert "construction unavailable" in capsys.readouterr().err
+
+    def broken(*args, **kwargs):
+        raise NotUnique(2)
+
+    monkeypatch.setattr(cli._symmetry, "build_dts", broken)
+    monkeypatch.setattr(cli._symmetry, "find_fixed_point_free_pair", broken)
+    report.write_text(_dts_verify_line(5, [1, 0, 0], [4, 0, 2]))
+    for argv in (["moebius", "--q", "5"], ["replay", "--report", str(report)]):
+        assert cli.main(argv) == 3, argv
+        assert "internal invariant breach" in capsys.readouterr().err

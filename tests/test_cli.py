@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import subprocess
@@ -120,6 +121,11 @@ def test_oval_table_file(tmp_path, capsys):
                                  "--oval-table", str(bad), "--checks", "C")
         assert (code, out) == (2, ""), line
         assert err.startswith(f"error: {bad}:3: ") and err.count("\n") == 1, err
+    # a second line for x = 1 was accepted, and its value won
+    bad.write_text("0 0\n1 1\n1 0\n")
+    code, out, err = run_cli(capsys, "check", "--q", "2", "--model", "oval",
+                             "--oval-table", str(bad), "--checks", "C")
+    assert (code, out, err) == (2, "", f"error: {bad}:3: x listed twice\n")
 
 
 def test_dts_explicit_pair(tmp_path, capsys):
@@ -310,3 +316,83 @@ def test_parser_is_built_once_and_each_call_parses_afresh(capsys, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert built == [1]
+
+
+def test_check_csv_and_text_bytes_are_pinned(capsys):
+    args = ("check", "--q", "3", "--checks", "C,S", "--format")
+    assert run_cli(capsys, *args, "csv") == (0, (
+        "check,q,model,mode,seed,configurations,skipped,violationCount,verdict,elapsedSeconds\n"
+        "C,3,miquelian,exhaustive,,2916,0,0,Holds,0.0\n"
+        "S,3,miquelian,exhaustive,,13824,0,0,Holds,0.0\n"), "")
+    assert run_cli(capsys, *args, "text") == (0, (
+        "[         Holds] C          q=3 model=miquelian mode=exhaustive configs=2916 "
+        "hits=1944 skipped=0 violations=0\n"
+        "[         Holds] S          q=3 model=miquelian mode=exhaustive configs=13824 "
+        "hits=3888 skipped=0 violations=0\n"), "")
+
+
+def test_dts_text_is_the_indented_json(capsys):
+    args = ("dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2", "--verify")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, text, _ = run_cli(capsys, *args, "--format", "text")
+    assert code == 0
+    assert text == "".join(json.dumps(json.loads(l), indent=2) + "\n"
+                           for l in out.splitlines())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8b550bf01d1b3868e1cb225c769c40f7fad49cf23619c941ce034e61c8e2ec32")
+
+
+@pytest.mark.parametrize("argv", [
+    ("moebius", "--q", "5", "--format", "csv"),
+    ("moebius", "--q", "5", "--format", "json"),
+    ("replay", "--report", "r.jsonl", "--format", "json"),
+    ("replay", "--report", "r.jsonl", "--timings"),
+    ("dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2", "--format", "csv"),
+])
+def test_options_that_would_change_nothing_are_refused(capsys, argv):
+    # each of these was accepted and gave the same bytes as its default
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    option = next(a for a in reversed(argv) if a.startswith("--"))
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dts", "moebius"])
+@pytest.mark.parametrize("given", [("--k", "1,0,0"), ("--l", "4,0,2")])
+def test_a_lone_k_or_l_is_a_usage_error(capsys, command, given):
+    # moebius ignored a lone --k, searched for a pair of its own and exited 0
+    code, out, err = run_cli(capsys, command, "--q", "5", *given)
+    assert (code, out) == (2, "")
+    assert err == "error: give --k a,b,c and --l a,b,c together\n"
+
+
+def test_dts_takes_a_pair_or_sampled_pairs_not_both(capsys):
+    # the pair was read and then ignored in favour of the sampled pairs
+    code, out, err = run_cli(capsys, "dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2",
+                             "--sample-pairs", "2", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: give --k a,b,c and --l a,b,c, or --sample-pairs N\n"
+
+
+def test_replay_of_an_unknown_check_is_a_usage_error(tmp_path, capsys):
+    # with no violations to look up, an unknown id was confirmed
+    report = tmp_path / "bogus.jsonl"
+    report.write_text('{"check":"Bogus","q":3,"model":"miquelian"}\n')
+    code, out, err = run_cli(capsys, "replay", "--report", str(report))
+    assert (code, out, err) == (2, "", f"error: {report}:1: no replay known for check 'Bogus'\n")
+
+
+def test_replay_of_witness_free_lines_confirms_them(tmp_path, capsys):
+    report = tmp_path / "moebius.jsonl"
+    assert run_cli(capsys, "moebius", "--q", "3", "--out", str(report))[0] == 0
+    code, out, _ = run_cli(capsys, "dts", "--q", "3", "--k", "1,0,0", "--l", "2,0,1")
+    assert code == 0
+    report.write_text(report.read_text() + out)
+    code, out, _ = run_cli(capsys, "replay", "--report", str(report))
+    assert code == 0
+    assert [json.loads(l) for l in out.splitlines()] == [
+        {"line": 1, "check": "Moebius", "witnesses": 0, "confirmed": True},
+        {"line": 2, "check": "DtsClassify", "witnesses": 0, "confirmed": True},
+    ]

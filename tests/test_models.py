@@ -141,3 +141,11 @@ def test_build_plane_and_label_rebuild():
 def test_import_rejects_truncated_headers_with_value_error(text, message):
     with pytest.raises(ValueError, match=message):
         import_plane(text)
+
+
+def test_import_validates_the_plane():
+    # a circle listed twice joins its triples twice: axiom (1) fails
+    lines = export_plane(miquelian_plane(3)).splitlines()
+    lines[-1] = lines[-2]
+    with pytest.raises(NotALaguerrePlane, match="axiom1"):
+        import_plane("\n".join(lines) + "\n")

@@ -271,3 +271,13 @@ def test_tangent_circle_is_unique_pencil_member_property(q, data):
     assert M.id in pen.members
     others = [m for m in pen.members if m != M.id and P.mem[m, x]]
     assert not others
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_validate_axioms_reads_the_plane_structure(q):
+    # the plane validates itself; a fresh structure from its rows agrees
+    P = miquelian_plane(q)
+    got, fresh = P.validate_axioms(), validate_laguerre_axioms(P.gen_members, P.members)
+    assert (got.verdict, got.configurations, got.notes) == (
+        fresh.verdict, fresh.configurations, fresh.notes)
+    assert got.notes == ("axiom3=ok", "axiom1=ok", "axiom2=ok", "axiom4=ok")

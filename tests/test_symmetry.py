@@ -155,7 +155,7 @@ def test_verify_dts_all_pairs_q3(q3_sweep):
     P3, cache = q3_sweep
     assert len(cache) == 243
     for (K, L), phi in cache.items():
-        rep = verify_dts(P3, phi)
+        rep = verify_dts(P3, phi, K, L)
         assert rep.holds, (P3.circle_coef(K), P3.circle_coef(L),
                            [v.kind for v in rep.violations])
 
