@@ -12,9 +12,12 @@ Each statement checker is one `_sweep` of an evaluator over blocks.  A
 block generator `blocks(plane, mode)` yields the raw configuration count
 and the choice arrays of one block, sampled or exhaustive, with the
 values its whole family reads (a chain's corner d; p, q and K′ of the
-symmetry configuration).  The evaluator `evaluate(plane, report,
-*arrays)` tests the statement, the same code in both modes.  C alone
-keeps a second evaluator for its exhaustive blocks (`_eval_c_exhaustive`).
+symmetry configuration).  A block holds only the rows that can meet the
+statement's constructive hypothesis, while the raw count covers every
+choice, so `configurations` is the size of the whole choice space.  The
+evaluator `evaluate(plane, report, *arrays)` tests the statement, the
+same code in both modes.  C alone keeps a second evaluator for its
+exhaustive blocks (`_eval_c_exhaustive`).
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -111,19 +114,16 @@ _CHAIN_DRAWS = 7
 
 
 def _chain_blocks(plane: LaguerrePlane, mode: CheckMode):
-    """Chains K—L—M—N with consecutive circles tangent (corners a,b,c,d).
+    """Closed chains K—L—M—N with consecutive circles tangent (corners a,b,c,d).
 
     Choice space: K, a in K, L tangent to K at a, b in L, M tangent to L
     at b, c in M, N tangent to M at c; the chain closes when |N ∩ K| = 1.
-    Yields (raw count, K, a, L, b, M, c, N, d) flat arrays per block, with
-    the corner d = N ∩ K where the chain closes and -1 where it does not.
+    Yields (raw count, K, a, L, b, M, c, N, d) flat arrays per block over
+    the closed chains alone, d = N ∩ K their fourth corner.
     """
     po, members = plane.pencil_others, plane.members
     T, W = plane.pair_count, plane.pair_sum
     q, m = plane.q, plane.q - 1
-
-    def block(K, A, L, B, M, C, N):
-        return len(K), K, A, L, B, M, C, N, np.where(T[N, K] == 1, W[N, K], -1)
 
     if mode.is_sample:
         for raw in _sample_batches(mode, _CHAIN_DRAWS):
@@ -137,25 +137,20 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode):
             sc = bounded(raw[:, 5], q + 1)
             C = members[M, sc]
             N = po[M, sc, bounded(raw[:, 6], m)]
-            yield block(K, A, L, B, M, C, N)
+            idx = np.nonzero(T[N, K] == 1)[0]
+            K, A, L, B, M, C, N = (v[idx] for v in (K, A, L, B, M, C, N))
+            yield len(raw), K, A, L, B, M, C, N, W[N, K]
     else:
         for K in range(plane.n_circles):
-            A0 = members[K]                    # (q+1,)
             L0 = po[K]                         # (q+1, m)
-            B0 = members[L0]                   # (q+1, m, q+1)
             M0 = po[L0]                        # (q+1, m, q+1, m)
-            C0 = members[M0]                   # (q+1, m, q+1, m, q+1)
             N0 = po[M0]                        # (q+1, m, q+1, m, q+1, m)
-            shape = N0.shape
-            yield block(
-                np.full(shape, K, dtype=np.int64).ravel(),
-                np.broadcast_to(A0[:, None, None, None, None, None], shape).ravel(),
-                np.broadcast_to(L0[:, :, None, None, None, None], shape).ravel(),
-                np.broadcast_to(B0[:, :, :, None, None, None], shape).ravel(),
-                np.broadcast_to(M0[:, :, :, :, None, None], shape).ravel(),
-                np.broadcast_to(C0[:, :, :, :, :, None], shape).ravel(),
-                N0.ravel(),
-            )
+            # C order over the six axes (a, L, b, M, c, N) keeps the rows in
+            # the order of the full choice space
+            i = np.nonzero(T[N0, K] == 1)
+            L, M, N = L0[i[:2]], M0[i[:4]], N0[i]
+            yield (N0.size, np.full(len(N), K), members[K, i[0]], L, members[L, i[2]],
+                   M, members[M, i[4]], N, W[N, K])
 
 
 def _corner_coincides(A, B, C, D):
@@ -163,10 +158,10 @@ def _corner_coincides(A, B, C, D):
     return (B == A) | (B == C) | (B == D) | (D == A) | (D == C)
 
 
-def _on_abc(plane, A, B, C, Dc):
-    """Dc lies on the circle through a, b, c (false where none exists)."""
+def _on_abc(plane, A, B, C, D):
+    """D lies on the circle through a, b, c (false where none exists)."""
     cid = plane.triple_circle[A, B, C]
-    return (cid >= 0) & plane.mem[np.maximum(cid, 0), Dc]
+    return (cid >= 0) & plane.mem[np.maximum(cid, 0), D]
 
 
 def _chain_tally(report, hyp, ok, kind, K, A, L, B, M, C, N, D) -> None:
@@ -178,30 +173,31 @@ def _chain_tally(report, hyp, ok, kind, K, A, L, B, M, C, N, D) -> None:
 
 
 def _eval_s(plane, report, K, A, L, B, M, C, N, D):
-    gen, Dc = plane.gen_of, np.maximum(D, 0)
-    hyp = (D >= 0) & (gen[A] != gen[C])
-    ok = _corner_coincides(A, B, C, D) | ((gen[B] != gen[Dc]) & _on_abc(plane, A, B, C, Dc))
+    gen = plane.gen_of
+    hyp = gen[A] != gen[C]
+    ok = _corner_coincides(A, B, C, D) | ((gen[B] != gen[D]) & _on_abc(plane, A, B, C, D))
     _chain_tally(report, hyp, ok, "s-chain", K, A, L, B, M, C, N, D)
 
 
 def _eval_prop_2_2(plane, report, K, A, L, B, M, C, N, D):
     gen = plane.gen_of
-    hyp = (D >= 0) & (gen[A] == gen[C])
-    ok = gen[B] == gen[np.maximum(D, 0)]
+    hyp = gen[A] == gen[C]
+    ok = gen[B] == gen[D]
     _chain_tally(report, hyp, ok, "p22-chain", K, A, L, B, M, C, N, D)
 
 
 def _eval_cor_2_1(plane, report, K, A, L, B, M, C, N, D):
     # asserts the ordered quadruple (a,c,b,d) is concyclic
-    gen, Dc = plane.gen_of, np.maximum(D, 0)
-    par_ac, par_bd = gen[A] == gen[C], gen[B] == gen[Dc]
+    gen = plane.gen_of
+    par_ac, par_bd = gen[A] == gen[C], gen[B] == gen[D]
     branch2 = par_ac & par_bd & (A != B)
-    proper4 = ~par_ac & ~par_bd & _on_abc(plane, A, B, C, Dc)
+    proper4 = ~par_ac & ~par_bd & _on_abc(plane, A, B, C, D)
     proper_set3 = ~(par_ac & (A != C))          # b or d coincides: only (a,c) can obstruct
     proper_ac = ~(par_bd & (B != D))            # a == c alone: only (b,d) can obstruct
     proper = np.where(_corner_coincides(A, B, C, D), proper_set3,
                       np.where(A == C, proper_ac, proper4))
-    _chain_tally(report, D >= 0, proper | branch2, "c21-chain", K, A, L, B, M, C, N, D)
+    _chain_tally(report, np.ones(len(D), dtype=bool), proper | branch2, "c21-chain",
+                 K, A, L, B, M, C, N, D)
 
 
 def check_S(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
@@ -367,28 +363,31 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
     CPG, TCT, slot = plane.gen_point, plane.tangent_through, plane.slot_of
 
-    def block(ok, a, b, c, x):
-        C1 = np.where(ok, T3[a, b, c], 0)
-        idx = np.nonzero(ok & ~mem[C1, x])[0]
+    def block(n_raw, a, b, c, x):
+        # (a, b, c, x) mutually non-parallel; keep x off C1
+        C1 = T3[a, b, c]
+        idx = np.nonzero(~mem[C1, x])[0]
         a, b, c, x, C1 = a[idx], b[idx], c[idx], x[idx], C1[idx]
-        return (len(ok), a, b, c, x, C1, CPG[T3[a, b, x], gen[c]], CPG[T3[a, c, x], gen[b]],
+        return (n_raw, a, b, c, x, C1, CPG[T3[a, b, x], gen[c]], CPG[T3[a, c, x], gen[b]],
                 TCT[C1, slot[C1, a], x])
 
-    pts = np.arange(plane.n_points)
     if mode.is_sample:
         for raw in _sample_batches(mode, 4):
             a, b, c, x = (bounded(raw[:, j], plane.n_points) for j in range(4))
-            ok = ((gen[a] != gen[b]) & (gen[a] != gen[c]) & (gen[a] != gen[x])
-                  & (gen[b] != gen[c]) & (gen[b] != gen[x]) & (gen[c] != gen[x]))
-            yield block(ok, a, b, c, x)
+            idx = np.nonzero((gen[a] != gen[b]) & (gen[a] != gen[c]) & (gen[a] != gen[x])
+                             & (gen[b] != gen[c]) & (gen[b] != gen[x]) & (gen[c] != gen[x]))[0]
+            yield block(len(raw), a[idx], b[idx], c[idx], x[idx])
     else:
-        for a in range(plane.n_points):
-            ga = int(gen[a])
-            for b in pts[gen != ga]:
-                cx = pts[(gen != ga) & (gen != gen[b])]
-                C = np.repeat(cx, len(cx))
-                X = np.tile(cx, len(cx))
-                yield block(gen[C] != gen[X], np.full(len(C), a), np.full(len(C), b), C, X)
+        # per point a: the raw (b, c, x) have b off a's generator and c, x off
+        # those of a and b; C order over (b, c, x) is the order of that space
+        n, q = plane.n_points, plane.q
+        off = gen[:, None] != gen[None, :]
+        mutual = off[:, :, None] & off[:, None, :] & off[None, :, :]     # (b, c, x)
+        for a in range(n):
+            # int32 ids halve the index arrays of these blocks, the largest of the pass
+            b, c, x = (v.astype(np.int32) for v in np.nonzero(
+                mutual & off[a][:, None, None] & off[a][:, None] & off[a]))
+            yield block((n - q) * (n - 2 * q) ** 2, np.full(len(b), a, dtype=np.int32), b, c, x)
 
 
 def _pi_tally(report, ok, kind, a, b, c, x, C1) -> None:
@@ -456,11 +455,22 @@ def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray):
     return tuple(members[C1, sj] for sj in s), base
 
 
+def _slot_pairs_off(plane: LaguerrePlane, C: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """(row, s, t) index arrays, in C order, of the ordered pairs of distinct
+    member slots s, t of circle C[row] (which passes through A[row] and
+    B[row]) whose members are neither a nor b."""
+    slots = np.arange(plane.q + 1)
+    off = (slots != plane.slot_of[C, A][:, None]) & (slots != plane.slot_of[C, B][:, None])
+    return np.nonzero(off[:, :, None] & off[:, None, :] & (slots[:, None] != slots))
+
+
 def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     """A circle C1 with an ordered base quadruple (a, c, b, d) of its
     points, C2 from the pencil through (a, b), and four member slots: e
     and h on C2, then g on (a,d,h)° and f on (b,c,e)°.  Yields (raw
-    count, a, c, b, d, C2, e slot, h slot, g slot, f slot) per block."""
+    count, a, c, b, d, C2, e slot, h slot, g slot, f slot) per block over
+    the rows with a, c, b, d distinct; exhaustive blocks also hold only
+    distinct e, h off {a, b}."""
     members, VP = plane.members, plane.vertex_pencils
     q, n_c = plane.q, plane.n_circles
     if mode.is_sample:
@@ -474,18 +484,19 @@ def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     ords = _ord4(plane)
     if not len(ords):
         return
-    # axes per (C1, C2sel) block: (ordering, se, sh, sg, sf)
-    shape = (len(ords), q + 1, q + 1, q + 1, q + 1)
-    gr = np.ogrid[tuple(slice(0, s) for s in shape)]
-    se, sh, sg, sf = (np.broadcast_to(g, shape).ravel() for g in gr[1:])
+    # raw axes per (C1, C2sel) block: (ordering, se, sh, sg, sf); the kept
+    # (ordering, se, sh) rows each take every (sg, sf)
+    n_raw = len(ords) * (q + 1) ** 4
+    sg, sf = (v.ravel() for v in np.indices((q + 1, q + 1)))
+    tail = len(sg)
     for C1 in range(n_c):
-        pts = members[C1]
-        A0, Cq0, B0, D0 = (pts[ords[:, 0]], pts[ords[:, 1]],
-                           pts[ords[:, 2]], pts[ords[:, 3]])
-        A, Cq, B, D = (np.broadcast_to(v[gr[0]], shape).ravel() for v in (A0, Cq0, B0, D0))
+        A0, Cq0, B0, D0 = (members[C1][ords[:, j]] for j in range(4))
         for c2sel in range(q):
-            C2 = np.broadcast_to(VP[A0, B0, c2sel][gr[0]], shape).ravel()
-            yield int(np.prod(shape)), A, Cq, B, D, C2, se, sh, sg, sf
+            C20 = VP[A0, B0, c2sel]
+            o, se, sh = (np.repeat(v, tail) for v in _slot_pairs_off(plane, C20, A0, B0))
+            n = len(o) // tail
+            yield (n_raw, A0[o], Cq0[o], B0[o], D0[o], C20[o], se, sh,
+                   np.tile(sg, n), np.tile(sf, n))
 
 
 def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf):
@@ -502,17 +513,18 @@ def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf):
 
     dh_ok = gen[D] != gen[H]
     ce_ok = gen[Cq] != gen[E]
-    feasible = base_ok & dh_ok & ce_ok
-    skip = base_ok & ~(dh_ok & ce_ok)
-    report.skipped += int(skip.sum())
+    report.skipped += int((base_ok & ~(dh_ok & ce_ok)).sum())
+    # the feasible rows alone go on: there (a,d,h) and (b,c,e) span circles
+    idx = np.nonzero(base_ok & dh_ok & ce_ok)[0]
+    A, Cq, B, D, C2, E, H, sg, sf = (v[idx] for v in (A, Cq, B, D, C2, E, H, sg, sf))
 
-    C3 = np.where(feasible, T3[A, D, H], 0)
+    C3 = T3[A, D, H]
     G = members[C3, sg]
-    C4 = np.where(feasible, T3[B, Cq, E], 0)
+    C4 = T3[B, Cq, E]
     F = members[C4, sf]
 
-    distinct = feasible
-    for u, v in ((E, Cq), (E, D), (H, Cq), (H, D),
+    distinct = E != Cq
+    for u, v in ((E, D), (H, Cq), (H, D),
                  (G, A), (G, B), (G, Cq), (G, D), (G, E), (G, H),
                  (F, A), (F, B), (F, Cq), (F, D), (F, E), (F, H), (F, G)):
         distinct = distinct & (u != v)
@@ -590,22 +602,20 @@ def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
     ords = _ord4(plane)
     if not len(ords):
         return
-    # axes per (C1, C5sel) block: (ordering, se, sf, C3sel, sg, sh)
-    shape = (len(ords), q + 1, q + 1, q, q + 1, q + 1)
-    gr = np.ogrid[tuple(slice(0, s) for s in shape)]
-    se, sf, c3sel, sg, sh = (np.broadcast_to(g, shape).ravel() for g in gr[1:])
-    keep = np.nonzero(se != sf)[0]
-    se, sf, c3sel, sg, sh = se[keep], sf[keep], c3sel[keep], sg[keep], sh[keep]
+    # raw axes per (C1, C5sel) block: (ordering, se, sf, C3sel, sg, sh); the
+    # kept (ordering, se, sf) rows each take every (C3sel, sg, sh) with sg != sh
+    n_raw = len(ords) * q * (q + 1) ** 4
+    c3sel, sg, sh = np.nonzero(np.broadcast_to(~np.eye(q + 1, dtype=bool), (q, q + 1, q + 1)))
+    tail = len(c3sel)
     for C1 in range(n_c):
-        pts = members[C1]
-        A0, Cq0, B0, D0 = (pts[ords[:, 0]], pts[ords[:, 1]],
-                           pts[ords[:, 2]], pts[ords[:, 3]])
+        A0, Cq0, B0, D0 = (members[C1][ords[:, j]] for j in range(4))
         for c5sel in range(q):
-            A, Cq, B, D = (np.broadcast_to(v[gr[0]], shape).ravel()[keep]
-                           for v in (A0, Cq0, B0, D0))
-            C5 = VP[A, B, c5sel]
-            C3 = VP[members[C5, se], members[C5, sf], c3sel]
-            yield int(np.prod(shape)), A, Cq, B, D, C5, se, sf, C3, sg, sh
+            C50 = VP[A0, B0, c5sel]
+            o, se, sf = (np.repeat(v, tail) for v in _slot_pairs_off(plane, C50, A0, B0))
+            C5, n = C50[o], len(o) // tail
+            C3 = VP[members[C5, se], members[C5, sf], np.tile(c3sel, n)]
+            yield (n_raw, A0[o], Cq0[o], B0[o], D0[o], C5, se, sf, C3,
+                   np.tile(sg, n), np.tile(sh, n))
 
 
 def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, C3, sg, sh):
@@ -634,6 +644,9 @@ def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, C3, sg, sh):
                  (G, A), (G, B), (G, Cq), (G, D), (G, E), (G, F),
                  (H, A), (H, B), (H, Cq), (H, D), (H, E), (H, F)):
         distinct = distinct & (u != v)
+    # the eight distinct points alone go on
+    idx = np.nonzero(distinct)[0]
+    A, Cq, B, D, C5, C3, E, F, G, H = (v[idx] for v in (A, Cq, B, D, C5, C3, E, F, G, H))
 
     # hypothesis on pairs {c,d},{e,f}: one circle, or a split into two
     # parallel pairs (either matching names a degenerate plane section)
@@ -651,7 +664,7 @@ def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, C3, sg, sh):
            & (t_abg >= 0) & mem[np.maximum(t_abg, 0), H])
           | (pga & phb) | (pgb & pha))
 
-    hyp0 = distinct & h2 & h4
+    hyp0 = h2 & h4
     collapsed = hyp0 & (
         _six_point_collapse(plane, A, B, Cq, D, E, F)
         | _six_point_collapse(plane, A, B, Cq, D, G, H)
@@ -694,12 +707,22 @@ def _size_c(plane):
 
 
 def _size_pi(plane):
+    # a, then b off a's generator, then c and x each off those of a and b
     n, q = plane.n_points, plane.q
-    return n * (n - q) * (n - 2 * q) * (n - 3 * q)
+    return n * (n - q) * (n - 2 * q) ** 2
 
 
 def _size_trio(plane):
+    """An upper bound: the pairs K < L < M taken per base circle depend on
+    the circle labels, so an exhaustive Prop21 run reports fewer."""
     return plane.n_circles * (plane.q**2 - 1) ** 2 // 2
+
+
+def _size_transfer(plane):
+    # unordered pairs of the q²−1 circles tangent to each base circle; none
+    # on odd order, where the statement is not applicable
+    t = plane.q**2 - 1
+    return plane.n_circles * t * (t - 1) // 2 if plane.q % 2 == 0 else 0
 
 
 def _size_miquel(plane):
@@ -843,7 +866,7 @@ CHECKERS = {spec.check_id: spec for spec in (
     CheckerSpec("Prop21", check_prop_2_1, _size_trio, (None, 3), _replay_trio),
     CheckerSpec("Prop22", check_prop_2_2, _size_chain, (4, 4), partial(_replay_chain, "Prop22")),
     CheckerSpec("Cor21", check_cor_2_1, _size_chain, (4, 4), partial(_replay_chain, "Cor21")),
-    CheckerSpec("Prop11", check_prop_1_1, _size_trio, (None, 3), _replay_transfer),
+    CheckerSpec("Prop11", check_prop_1_1, _size_transfer, (None, 3), _replay_transfer),
     CheckerSpec("Pi", check_pi, _size_pi, (4, None), partial(_replay_pi_family, "Pi")),
     CheckerSpec("PiPrime", check_pi_prime, _size_pi, (4, None),
                 partial(_replay_pi_family, "PiPrime")),

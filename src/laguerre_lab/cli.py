@@ -171,12 +171,10 @@ def _cmd_check(args) -> int:
 # dts
 # ---------------------------------------------------------------------------
 
-def _dts_objects(plane, K, L, verify: bool, timings: bool
-                 ) -> tuple[list[dict], bool, _symmetry.Automorphism]:
-    """The output objects of one pair, whether they pass, and the symmetry."""
-    phi = _symmetry.build_dts(plane, K, L)
+def _classify_obj(plane, K, L, phi) -> dict:
+    """The DtsClassify object of the pair (K, L) and its symmetry `phi`."""
     cls = _symmetry.classify_symmetry(plane, K, L, phi)
-    obj = {
+    return {
         "check": "DtsClassify",
         "q": int(plane.q),
         "model": plane.label,
@@ -187,8 +185,15 @@ def _dts_objects(plane, K, L, verify: bool, timings: bool
         "fixedPointCount": cls.fixed_point_count,
         "details": cls.details,
     }
+
+
+def _dts_objects(plane, K, L, verify: bool, timings: bool
+                 ) -> tuple[list[dict], bool, _symmetry.Automorphism]:
+    """The output objects of one pair, whether they pass, and the symmetry."""
+    phi = _symmetry.build_dts(plane, K, L)
+    obj = _classify_obj(plane, K, L, phi)
     out = [obj]
-    ok = cls.kind != "Other"
+    ok = obj["kind"] != "Other"
     if verify:
         rep = _symmetry.verify_dts(plane, phi, K, L)
         robj = rep.to_obj(plane, timings=timings)
@@ -203,6 +208,8 @@ def _cmd_dts(args) -> int:
     pair = _pair_arg(args, plane)
     if bool(args.sample_pairs) == (pair is not None):
         raise UsageError("give --k a,b,c and --l a,b,c, or --sample-pairs N")
+    if args.export and pair is None:
+        raise UsageError("--export works with a single explicit pair")
     if pair is not None:
         pairs = [pair]
     else:
@@ -215,8 +222,6 @@ def _cmd_dts(args) -> int:
         all_ok = all_ok and ok
 
     if args.export:
-        if len(pairs) != 1:
-            raise UsageError("--export works with a single explicit pair")
         with open(args.export, "w", encoding="utf-8") as fh:
             fh.write(_symmetry.export_automorphism(plane, phi))
 
@@ -241,9 +246,9 @@ def _report_summary(rep, timings: bool) -> dict:
     }
 
 
-def _cmd_moebius(args) -> int:
-    plane = _make_plane(args)
-    pair = _pair_arg(args, plane)
+def _moebius_obj(plane, pair: tuple[int, int] | None, timings: bool) -> dict:
+    """The Moebius object of the disjoint pair's symmetry or, when `pair` is
+    None, of the first fixed-point-free one (`found: false` if none is)."""
     if pair is not None:
         t = plane.tangency(*pair)
         if t.kind in ("tangent", "equal"):
@@ -255,19 +260,17 @@ def _cmd_moebius(args) -> int:
         try:
             _, _, phi = _symmetry.find_fixed_point_free_pair(plane)
         except NoDisjointPair:
-            obj = {
+            return {
                 "check": "Moebius",
                 "q": int(plane.q),
                 "model": plane.label,
                 "found": False,
                 "certifiedAbsent": True,
             }
-            _emit(args, [json.dumps(obj, separators=(",", ":"))])
-            return 0
     cand = _symmetry.moebius_extract(plane, phi)
 
     census = cand.block_size_census()
-    obj = {
+    return {
         "check": "Moebius",
         "q": int(plane.q),
         "model": plane.label,
@@ -282,9 +285,14 @@ def _cmd_moebius(args) -> int:
             "B": {str(k): v for k, v in sorted(census["B"].items())},
         },
         "parallelMovedPoints": cand.parallel_moved_points,
-        "threePointAxiom": _report_summary(cand.three_point_report, args.timings),
-        "touchingAxiom": _report_summary(cand.touching_report, args.timings),
+        "threePointAxiom": _report_summary(cand.three_point_report, timings),
+        "touchingAxiom": _report_summary(cand.touching_report, timings),
     }
+
+
+def _cmd_moebius(args) -> int:
+    plane = _make_plane(args)
+    obj = _moebius_obj(plane, _pair_arg(args, plane), args.timings)
     _emit(args, [json.dumps(obj, separators=(",", ":"))])
     return 0
 
@@ -303,7 +311,8 @@ def _violation_from_obj(obj) -> Violation:
 
 
 def _parse_report_line(where: str, line: str):
-    """(check, q, model, violations, DtsVerify pair coefficients) of a line."""
+    """(object, q, violations, pair coefficients) of a line; the pair is
+    read from the symmetry lines that name one, else None."""
     try:
         obj = json.loads(line)
     except ValueError as e:
@@ -318,24 +327,62 @@ def _parse_report_line(where: str, line: str):
     try:
         violations = [_violation_from_obj(v) for v in obj.get("violations", [])]
         pair = None
-        if obj["check"] == "DtsVerify":
+        # a Moebius line names a pair unless it records that none was found
+        if obj["check"] in ("DtsVerify", "DtsClassify") or (
+                obj["check"] == "Moebius" and obj.get("found") is not False):
             pair = (obj["pair"]["K"]["coef"], obj["pair"]["L"]["coef"])
-        return obj["check"], int(obj["q"]), obj["model"], violations, pair
+        return obj, int(obj["q"]), violations, pair
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise UsageError(f"{where}: malformed report line ({type(e).__name__}: {e})") from e
 
 
-# The report lines `replay` reads: one per checker, DtsVerify, and the
-# DtsClassify and Moebius lines, which record no witnesses.
+def _without_elapsed(obj):
+    """A JSON value with every elapsedSeconds key dropped."""
+    if isinstance(obj, dict):
+        return {k: _without_elapsed(v) for k, v in obj.items() if k != "elapsedSeconds"}
+    if isinstance(obj, list):
+        return [_without_elapsed(v) for v in obj]
+    return obj
+
+
+def _same_object(fresh: dict, recorded: dict) -> bool:
+    """`fresh`, as it would be written, equals `recorded` up to elapsed times."""
+    return _without_elapsed(json.loads(json.dumps(fresh))) == _without_elapsed(recorded)
+
+
+# The report lines `replay` reads: one per checker, then the symmetry lines.
 _REPLAYABLE = frozenset(_checks.SPECS) | {"DtsVerify", "DtsClassify", "Moebius"}
 
 
+def _replay_symmetry_line(where: str, plane, obj: dict, violations, pair) -> bool:
+    """Whether a DtsVerify, DtsClassify or Moebius line holds on `plane`.
+
+    Each is rebuilt from its pair by the code that wrote it: DtsVerify
+    lines have their witnesses looked up in a fresh verification, the
+    others are compared whole, elapsed times aside.  A Moebius line
+    without a pair holds only if the search still finds no pair.
+    """
+    try:
+        ids = None if pair is None else (plane.circle_from_coef(pair[0]).id,
+                                         plane.circle_from_coef(pair[1]).id)
+        if obj["check"] == "Moebius":
+            return _same_object(_moebius_obj(plane, ids, False), obj)
+        phi = _symmetry.build_dts(plane, *ids)
+    except (UsageError, ValueError, TypeError, TangentPair, NotFixedPointFree) as e:
+        raise UsageError(f"{where}: pair: {e}") from e
+    if obj["check"] == "DtsClassify":
+        return _same_object(_classify_obj(plane, *ids, phi), obj)
+    fresh = _symmetry.verify_dts(plane, phi, *ids)
+    fresh_set = {(v.kind, v.points, v.circles) for v in fresh.violations}
+    return all((v.kind, v.points, v.circles) in fresh_set for v in violations)
+
+
 def _cmd_replay(args) -> int:
-    """Replay every witness of every report line.
+    """Replay every report line.
 
     A check id goes through its `CheckerSpec`, one witness at a time.
-    DtsVerify lines are the exception: their witnesses are checked
-    together against one symmetry rebuilt from the line's pair.
+    The symmetry lines are rebuilt from their pairs instead
+    (`_replay_symmetry_line`).
     """
     lines_out = []
     all_ok = True
@@ -345,31 +392,24 @@ def _cmd_replay(args) -> int:
             if not line:
                 continue
             where = f"{args.report}:{lineno}"
-            check_id, q, model, violations, pair = _parse_report_line(where, line)
+            obj, q, violations, pair = _parse_report_line(where, line)
+            check_id = obj["check"]
             if check_id not in _REPLAYABLE:
                 raise UsageError(f"{where}: no replay known for check {check_id!r}")
             args.q = q  # the order `main` reads when a symmetry is NotUnique
             try:
-                plane = build_plane(q, model)
+                plane = build_plane(q, obj["model"])
             except (ValueError, LaguerreError) as e:
                 raise UsageError(f"{where}: {e}") from e
-            if check_id == "DtsVerify":
-                try:
-                    K = plane.circle_from_coef(pair[0]).id
-                    L = plane.circle_from_coef(pair[1]).id
-                    phi = _symmetry.build_dts(plane, K, L)
-                except (ValueError, TypeError, TangentPair) as e:
-                    raise UsageError(f"{where}: pair: {e}") from e
-                fresh = _symmetry.verify_dts(plane, phi, K, L)
-                fresh_set = {(v.kind, v.points, v.circles) for v in fresh.violations}
-                confirmed = all((v.kind, v.points, v.circles) in fresh_set for v in violations)
-            else:
+            if check_id in _checks.SPECS:
                 for i, v in enumerate(violations, 1):
                     problem = _checks.witness_problem(plane, check_id, v)
                     if problem:
                         raise UsageError(f"{where}: violation {i}: {problem}")
                 confirmed = all(
                     _checks.replay_violation(plane, check_id, v) for v in violations)
+            else:
+                confirmed = _replay_symmetry_line(where, plane, obj, violations, pair)
             all_ok = all_ok and confirmed
             lines_out.append(json.dumps({
                 "line": lineno,

@@ -8,6 +8,9 @@ import pytest
 from laguerre_lab.checks import (
     CHECK_IDS,
     CHECKERS,
+    _bundle_blocks,
+    _chain_blocks,
+    _miquel_blocks,
     check_C,
     check_S,
     check_bundle,
@@ -339,8 +342,41 @@ def test_exhaustive_sizes_frozen():
     P7 = miquelian_plane(7)
     assert exhaustive_size(P7, "S") == 37933056
     assert exhaustive_size(P7, "C") == 941192
-    assert exhaustive_size(P7, "Pi") == 4033680
+    assert exhaustive_size(P7, "Pi") == 4840416
     assert set(CHECK_IDS) == set(CHECKERS)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("mode", [EX, CheckMode.sample(3000, 5)], ids=["exhaustive", "sampled"])
+def test_blocks_hold_only_rows_that_can_meet_the_hypothesis(q, mode):
+    P = miquelian_plane(q)
+    raw = 0
+    for n_raw, K, A, L, B, M, C, N, D in _chain_blocks(P, mode):
+        raw += n_raw
+        # N is tangent to K at d: the chain closes
+        assert (P.pair_count[N, K] == 1).all() and P.mem[N, D].all() and P.mem[K, D].all()
+    assert raw == check_S(P, mode).configurations
+    raw = 0
+    for n_raw, A, Cq, B, D, C2, se, sh, sg, sf in _miquel_blocks(P, mode):
+        raw += n_raw
+        if not mode.is_sample:
+            E, H = P.members[C2, se], P.members[C2, sh]
+            assert ((E != A) & (E != B) & (H != A) & (H != B) & (se != sh)).all()
+    assert raw == check_miquel(P, mode).configurations
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_exhaustive_size_is_the_exhaustive_configurations(q):
+    P = miquelian_plane(q)
+    for cid in CHECK_IDS:
+        if (cid, q) == ("Bundle", 4):
+            # its sweep takes seconds; `configurations` sums the blocks' raw counts
+            got = sum(block[0] for block in _bundle_blocks(P, EX))
+        else:
+            got = CHECKERS[cid].run(P, EX).configurations
+        size = exhaustive_size(P, cid)
+        # Prop21 takes each triple once, as K < L < M, a count the labels decide
+        assert got <= size if cid == "Prop21" else got == size, cid
 
 
 def test_every_checker_runs_sampled_everywhere():

@@ -376,6 +376,54 @@ def test_dts_takes_a_pair_or_sampled_pairs_not_both(capsys):
     assert err == "error: give --k a,b,c and --l a,b,c, or --sample-pairs N\n"
 
 
+@pytest.mark.parametrize("q,count", [(5, 1), (7, 100)])
+def test_dts_export_needs_an_explicit_pair(tmp_path, capsys, q, count):
+    # one sampled pair was exported; a hundred were built and verified first
+    export = tmp_path / "phi.txt"
+    code, out, err = run_cli(capsys, "dts", "--q", str(q), "--sample-pairs", str(count),
+                             "--seed", "7", "--verify", "--export", str(export))
+    assert (code, out, err) == (2, "", "error: --export works with a single explicit pair\n")
+    assert not export.exists()
+
+
+def _replay_lines(tmp_path, capsys, *lines):
+    report = tmp_path / "lines.jsonl"
+    report.write_text("".join(line + "\n" for line in lines))
+    code, out, err = run_cli(capsys, "replay", "--report", str(report))
+    return code, [json.loads(l) for l in out.splitlines()], err.replace(str(report), "R")
+
+
+def test_replay_rebuilds_dts_classify_and_moebius_lines(tmp_path, capsys):
+    # both lines were confirmed without a field being checked
+    code, out, err = _replay_lines(
+        tmp_path, capsys,
+        '{"check":"Moebius","q":5,"model":"miquelian","found":true,"points":999}')
+    assert (code, out) == (2, [])
+    assert err == "error: R:1: malformed report line (KeyError: 'pair')\n"
+    code, out, err = _replay_lines(
+        tmp_path, capsys,
+        '{"check":"DtsClassify","q":5,"model":"miquelian","kind":"Other",'
+        '"pair":{"K":{"id":0,"coef":[0,0,0]},"L":{"id":0,"coef":[0,0,0]}}}')
+    assert (code, out, err) == (2, [], "error: R:1: pair: circles 0,0 are tangent\n")
+
+    moebius = run_cli(capsys, "moebius", "--q", "5", "--timings")[1].strip()
+    assert json.loads(moebius)["touchingAxiom"]["elapsedSeconds"] > 0
+    classify = run_cli(capsys, "dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2")[1].strip()
+    # genuine lines confirm, elapsed times aside; one changed field does not
+    for line, changed in ((moebius, re.sub(r'"points":\d+', '"points":999', moebius)),
+                          (classify, classify.replace('"LaguerreSymmetry"', '"Other"'))):
+        assert line != changed
+        code, out, _ = _replay_lines(tmp_path, capsys, line, changed)
+        assert code == 1
+        assert [o["confirmed"] for o in out] == [True, False]
+    # a plane with a fixed-point-free symmetry cannot record that it has none
+    code, out, _ = _replay_lines(
+        tmp_path, capsys,
+        '{"check":"Moebius","q":5,"model":"miquelian","found":false,"certifiedAbsent":true}')
+    assert (code, out) == (1, [{"line": 1, "check": "Moebius", "witnesses": 0,
+                                "confirmed": False}])
+
+
 def test_replay_of_an_unknown_check_is_a_usage_error(tmp_path, capsys):
     # with no violations to look up, an unknown id was confirmed
     report = tmp_path / "bogus.jsonl"
