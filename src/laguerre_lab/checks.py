@@ -17,7 +17,10 @@ statement's constructive hypothesis, while the raw count covers every
 choice, so `configurations` is the size of the whole choice space.  The
 evaluator `evaluate(plane, report, *arrays)` tests the statement, the
 same code in both modes.  C alone keeps a second evaluator for its
-exhaustive blocks (`_eval_c_exhaustive`).
+exhaustive blocks (`_eval_c_exhaustive`).  Blocks and evaluators read a
+plane index with one id array per axis through `_gather`, one `take` at
+the flat offset, and sampled blocks read their draws as the contiguous
+columns of `_sample_batches`.
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -74,6 +77,7 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     for n_raw, *arrays in blocks(plane, mode):
         report.configurations += n_raw
         evaluate(plane, report, *arrays)
+        del arrays      # free this block before the generator builds the next
     report.elapsed_seconds = time.perf_counter() - t0
     return report.finalize()
 
@@ -95,14 +99,40 @@ def _record(report: CheckReport, mask: np.ndarray, make) -> None:
             report.violations.append(make(int(i)))
 
 
+def _gather(table: np.ndarray, *idx) -> np.ndarray:
+    """`table[i0, i1, ...]` for one index array per leading axis, read at
+    the flat offset (i0·s1 + i1)·s2 + ...: numpy runs a multi-axis fancy
+    gather 2-3 times slower.  The indexes broadcast against each other,
+    and a negative id wraps as in `table[idx]` in the first axis only.
+
+    Offsets keep the ids' own dtype (at least int32) while the table has
+    fewer than 2^31 elements.  `take` would copy int32 offsets to intp
+    first, so those are read by indexing, which makes no such copy."""
+    dtype = np.result_type(*idx, np.int32) if table.size < 2**31 else np.int64
+    off = np.empty(np.broadcast_shapes(*(np.shape(i) for i in idx)), dtype=dtype)
+    off[...] = idx[0]
+    for i, s in zip(idx[1:], table.shape[1:]):
+        off *= s
+        off += i
+    rows = table.reshape(-1, *table.shape[len(idx):])
+    return rows.take(off, axis=0) if off.dtype == np.intp else rows[off]
+
+
 def _sample_batches(mode: CheckMode, draws: int):
-    """Yield uint64 arrays of shape (n, draws), chunk by chunk."""
+    """Yield uint64 arrays of shape (draws, n), block by block of n sample
+    rows: choice j of sample row r is stream draw r·draws + j, and each
+    choice's n draws are one contiguous column.  Each `draw_block` call
+    draws at most one column's worth, so the mix runs in cache."""
     total = mode.count
-    start = 0
-    while start < total:
+    rows = _SAMPLE_CHUNK // draws
+    for start in range(0, total, _SAMPLE_CHUNK):
         n = min(_SAMPLE_CHUNK, total - start)
-        yield draw_block(mode.seed, start * draws, n * draws).reshape(n, draws)
-        start += n
+        cols = np.empty((draws, n), dtype=np.uint64)
+        for r in range(0, n, rows):
+            c = min(rows, n - r)
+            cols[:, r:r + c] = draw_block(mode.seed, (start + r) * draws, c * draws
+                                          ).reshape(c, draws).T
+        yield cols
 
 
 # ---------------------------------------------------------------------------
@@ -124,33 +154,38 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode):
     po, members = plane.pencil_others, plane.members
     T, W = plane.pair_count, plane.pair_sum
     q, m = plane.q, plane.q - 1
+    sm = (q + 1) * m
 
     if mode.is_sample:
         for raw in _sample_batches(mode, _CHAIN_DRAWS):
-            K = bounded(raw[:, 0], plane.n_circles)
-            sa = bounded(raw[:, 1], q + 1)
-            A = members[K, sa]
-            L = po[K, sa, bounded(raw[:, 2], m)]
-            sb = bounded(raw[:, 3], q + 1)
-            B = members[L, sb]
-            M = po[L, sb, bounded(raw[:, 4], m)]
-            sc = bounded(raw[:, 5], q + 1)
-            C = members[M, sc]
-            N = po[M, sc, bounded(raw[:, 6], m)]
-            idx = np.nonzero(T[N, K] == 1)[0]
+            K = bounded(raw[0], plane.n_circles)
+            sa = bounded(raw[1], q + 1)
+            A = _gather(members, K, sa)
+            L = _gather(po, K, sa, bounded(raw[2], m))
+            sb = bounded(raw[3], q + 1)
+            B = _gather(members, L, sb)
+            M = _gather(po, L, sb, bounded(raw[4], m))
+            sc = bounded(raw[5], q + 1)
+            C = _gather(members, M, sc)
+            N = _gather(po, M, sc, bounded(raw[6], m))
+            idx = np.nonzero(_gather(T, N, K) == 1)[0]
             K, A, L, B, M, C, N = (v[idx] for v in (K, A, L, B, M, C, N))
-            yield len(raw), K, A, L, B, M, C, N, W[N, K]
+            yield raw.shape[1], K, A, L, B, M, C, N, _gather(W, N, K)
     else:
         for K in range(plane.n_circles):
             L0 = po[K]                         # (q+1, m)
             M0 = po[L0]                        # (q+1, m, q+1, m)
             N0 = po[M0]                        # (q+1, m, q+1, m, q+1, m)
-            # C order over the six axes (a, L, b, M, c, N) keeps the rows in
-            # the order of the full choice space
-            i = np.nonzero(T[N0, K] == 1)
-            L, M, N = L0[i[:2]], M0[i[:4]], N0[i]
-            yield (N0.size, np.full(len(N), K), members[K, i[0]], L, members[L, i[2]],
-                   M, members[M, i[4]], N, W[N, K])
+            # flat offsets over the six axes (a, L, b, M, c, N) in C order
+            # keep the rows in the order of the full choice space; each
+            # (slot, pencil member) pair of axes spans sm offsets
+            f = np.flatnonzero(_gather(T, N0, K) == 1)
+            L = L0.reshape(-1).take(f // (sm * sm))
+            M = M0.reshape(-1).take(f // sm)
+            N = N0.reshape(-1).take(f)
+            yield (N0.size, np.full(len(N), K), members[K].take(f // (m * sm * sm)),
+                   L, _gather(members, L, f // (m * sm) % (q + 1)),
+                   M, _gather(members, M, f // m % (q + 1)), N, _gather(W, N, K))
 
 
 def _corner_coincides(A, B, C, D):
@@ -160,8 +195,8 @@ def _corner_coincides(A, B, C, D):
 
 def _on_abc(plane, A, B, C, D):
     """D lies on the circle through a, b, c (false where none exists)."""
-    cid = plane.triple_circle[A, B, C]
-    return (cid >= 0) & plane.mem[np.maximum(cid, 0), D]
+    cid = _gather(plane.triple_circle, A, B, C)
+    return (cid >= 0) & _gather(plane.mem, np.maximum(cid, 0), D)
 
 
 def _chain_tally(report, hyp, ok, kind, K, A, L, B, M, C, N, D) -> None:
@@ -226,19 +261,18 @@ def _c_blocks(plane: LaguerrePlane, mode: CheckMode):
     q, n_c = plane.q, plane.n_circles
     if mode.is_sample:
         for raw in _sample_batches(mode, 3):
-            yield (len(raw), bounded(raw[:, 0], n_c), bounded(raw[:, 1], n_c),
-                   bounded(raw[:, 2], q + 1))
+            yield raw.shape[1], bounded(raw[0], n_c), bounded(raw[1], n_c), bounded(raw[2], q + 1)
     else:
         for K in range(n_c):
             yield (q + 1) * n_c, K
 
 
 def _eval_c(plane, report, K, L, sp):
-    T, po = plane.pair_count, plane.pencil_others
-    P = plane.members[K, sp]
-    hyp = (K != L) & ~plane.mem[L, P]
-    counts = (T[po[K, sp, :], L[:, None]] == 1).sum(axis=1)
-    counts += (T[K, L] == 1).astype(counts.dtype)        # K itself is in its pencils
+    T = plane.pair_count
+    P = _gather(plane.members, K, sp)
+    hyp = (K != L) & ~_gather(plane.mem, L, P)
+    counts = (_gather(T, _gather(plane.pencil_others, K, sp), L[:, None]) == 1).sum(axis=1)
+    counts += (_gather(T, K, L) == 1).astype(counts.dtype)   # K itself is in its pencils
     report.hypothesis_hits += int(hyp.sum())
     _record(report, hyp & (counts != 1), lambda i: Violation(
         "tangent-count", points=(int(P[i]),),
@@ -277,9 +311,9 @@ def _sampled_tangent_pairs(plane: LaguerrePlane, mode: CheckMode):
     """(raw count, base circle, two members of its tangent pencils) per block."""
     po, q = plane.pencil_others, plane.q
     for raw in _sample_batches(mode, 5):
-        base = bounded(raw[:, 0], plane.n_circles)
-        yield (len(base), base, po[base, bounded(raw[:, 1], q + 1), bounded(raw[:, 2], q - 1)],
-               po[base, bounded(raw[:, 3], q + 1), bounded(raw[:, 4], q - 1)])
+        base = bounded(raw[0], plane.n_circles)
+        yield (len(base), base, _gather(po, base, bounded(raw[1], q + 1), bounded(raw[2], q - 1)),
+               _gather(po, base, bounded(raw[3], q + 1), bounded(raw[4], q - 1)))
 
 
 def _pairs_of(base: int, part: np.ndarray):
@@ -302,8 +336,9 @@ def _trio_blocks(plane: LaguerrePlane, mode: CheckMode):
 
 def _eval_prop_2_1(plane, report, K, L, M):
     T, W = plane.pair_count, plane.pair_sum
-    hyp = (T[L, M] == 1) & (L != M)
-    same = (W[K, L] == W[K, M]) & (W[K, L] == W[L, M])
+    hyp = (_gather(T, L, M) == 1) & (L != M)
+    wkl = _gather(W, K, L)
+    same = (wkl == _gather(W, K, M)) & (wkl == _gather(W, L, M))
     report.hypothesis_hits += int(hyp.sum())
     _record(report, hyp & ~same, lambda i: Violation(
         "tangent-trio",
@@ -329,7 +364,7 @@ def _transfer_blocks(plane: LaguerrePlane, mode: CheckMode):
 
 
 def _eval_prop_1_1(plane, report, M, K, L):
-    inter = plane.pair_count[K, L]
+    inter = _gather(plane.pair_count, K, L)
     hyp = (K != L) & (inter >= 1)
     report.hypothesis_hits += int(hyp.sum())
     _record(report, hyp & (inter != 1), lambda i: Violation(
@@ -365,18 +400,19 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
 
     def block(n_raw, a, b, c, x):
         # (a, b, c, x) mutually non-parallel; keep x off C1
-        C1 = T3[a, b, c]
-        idx = np.nonzero(~mem[C1, x])[0]
-        a, b, c, x, C1 = a[idx], b[idx], c[idx], x[idx], C1[idx]
-        return (n_raw, a, b, c, x, C1, CPG[T3[a, b, x], gen[c]], CPG[T3[a, c, x], gen[b]],
-                TCT[C1, slot[C1, a], x])
+        C1 = _gather(T3, a, b, c)
+        keep = ~_gather(mem, C1, x)     # a mask: no index array beside the block's
+        a, b, c, x, C1 = a[keep], b[keep], c[keep], x[keep], C1[keep]
+        return (n_raw, a, b, c, x, C1, _gather(CPG, _gather(T3, a, b, x), gen[c]),
+                _gather(CPG, _gather(T3, a, c, x), gen[b]),
+                _gather(TCT, C1, _gather(slot, C1, a), x))
 
     if mode.is_sample:
         for raw in _sample_batches(mode, 4):
-            a, b, c, x = (bounded(raw[:, j], plane.n_points) for j in range(4))
+            a, b, c, x = (bounded(col, plane.n_points) for col in raw)
             idx = np.nonzero((gen[a] != gen[b]) & (gen[a] != gen[c]) & (gen[a] != gen[x])
                              & (gen[b] != gen[c]) & (gen[b] != gen[x]) & (gen[c] != gen[x]))[0]
-            yield block(len(raw), a[idx], b[idx], c[idx], x[idx])
+            yield block(raw.shape[1], a[idx], b[idx], c[idx], x[idx])
     else:
         # per point a: the raw (b, c, x) have b off a's generator and c, x off
         # those of a and b; C order over (b, c, x) is the order of that space
@@ -397,24 +433,24 @@ def _pi_tally(report, ok, kind, a, b, c, x, C1) -> None:
 
 
 def _eval_pi(plane, report, a, b, c, x, C1, p, qpt, Kp):
-    C2 = plane.triple_circle[p, qpt, x]
-    ok = (plane.pair_count[Kp, C2] == 1) & (plane.pair_sum[Kp, C2] == x)
+    C2 = _gather(plane.triple_circle, p, qpt, x)
+    ok = (_gather(plane.pair_count, Kp, C2) == 1) & (_gather(plane.pair_sum, Kp, C2) == x)
     _pi_tally(report, ok, "pi-config", a, b, c, x, C1)
 
 
 def _eval_pi_prime(plane, report, a, b, c, x, C1, p, qpt, Kp):
-    L = plane.tangent_through[Kp, plane.slot_of[Kp, x], qpt]
-    Cabx = plane.triple_circle[a, b, x]
-    two = plane.pair_count[L, Cabx] == 2
-    other = np.where(two, plane.pair_sum[L, Cabx] - x, 0)
+    L = _gather(plane.tangent_through, Kp, _gather(plane.slot_of, Kp, x), qpt)
+    Cabx = _gather(plane.triple_circle, a, b, x)
+    two = _gather(plane.pair_count, L, Cabx) == 2
+    other = np.where(two, _gather(plane.pair_sum, L, Cabx) - x, 0)
     ok = two & (plane.gen_of[other] == plane.gen_of[c])
     _pi_tally(report, ok, "piprime-config", a, b, c, x, C1)
 
 
 def _eval_thm_2_3(plane, report, a, b, c, x, C1, p, qpt, Kp):
-    Cqpx = plane.triple_circle[qpt, p, x]
-    N = plane.tangent_through[Cqpx, plane.slot_of[Cqpx, p], b]
-    ok = (plane.pair_count[N, C1] == 1) & (plane.pair_sum[N, C1] == b)
+    Cqpx = _gather(plane.triple_circle, qpt, p, x)
+    N = _gather(plane.tangent_through, Cqpx, _gather(plane.slot_of, Cqpx, p), b)
+    ok = (_gather(plane.pair_count, N, C1) == 1) & (_gather(plane.pair_sum, N, C1) == b)
     _pi_tally(report, ok, "thm23-config", a, b, c, x, C1)
 
 
@@ -448,11 +484,11 @@ def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray):
     returns the points (a, c, b, d) in those slots and where they are
     four distinct slots."""
     members, q = plane.members, plane.q
-    C1 = bounded(raw[:, 0], plane.n_circles)
-    s = [bounded(raw[:, j], q + 1) for j in range(1, 5)]
+    C1 = bounded(raw[0], plane.n_circles)
+    s = [bounded(raw[j], q + 1) for j in range(1, 5)]
     base = ((s[0] != s[1]) & (s[0] != s[2]) & (s[0] != s[3])
             & (s[1] != s[2]) & (s[1] != s[3]) & (s[2] != s[3]))
-    return tuple(members[C1, sj] for sj in s), base
+    return tuple(_gather(members, C1, sj) for sj in s), base
 
 
 def _slot_pairs_off(plane: LaguerrePlane, C: np.ndarray, A: np.ndarray, B: np.ndarray):
@@ -460,7 +496,8 @@ def _slot_pairs_off(plane: LaguerrePlane, C: np.ndarray, A: np.ndarray, B: np.nd
     member slots s, t of circle C[row] (which passes through A[row] and
     B[row]) whose members are neither a nor b."""
     slots = np.arange(plane.q + 1)
-    off = (slots != plane.slot_of[C, A][:, None]) & (slots != plane.slot_of[C, B][:, None])
+    off = ((slots != _gather(plane.slot_of, C, A)[:, None])
+           & (slots != _gather(plane.slot_of, C, B)[:, None]))
     return np.nonzero(off[:, :, None] & off[:, None, :] & (slots[:, None] != slots))
 
 
@@ -476,10 +513,10 @@ def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     if mode.is_sample:
         for raw in _sample_batches(mode, 10):
             (A, Cq, B, D), base = _sampled_bases(plane, raw)
-            C2 = VP[A, B, bounded(raw[:, 5], q)]
+            C2 = _gather(VP, A, B, bounded(raw[5], q))
             idx = np.nonzero(base)[0]
-            yield (len(raw), A[idx], Cq[idx], B[idx], D[idx], C2[idx],
-                   *(bounded(raw[:, j], q + 1)[idx] for j in range(6, 10)))
+            yield (raw.shape[1], A[idx], Cq[idx], B[idx], D[idx], C2[idx],
+                   *(bounded(raw[j], q + 1)[idx] for j in range(6, 10)))
         return
     ords = _ord4(plane)
     if not len(ords):
@@ -492,7 +529,7 @@ def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     for C1 in range(n_c):
         A0, Cq0, B0, D0 = (members[C1][ords[:, j]] for j in range(4))
         for c2sel in range(q):
-            C20 = VP[A0, B0, c2sel]
+            C20 = _gather(VP, A0, B0, c2sel)
             o, se, sh = (np.repeat(v, tail) for v in _slot_pairs_off(plane, C20, A0, B0))
             n = len(o) // tail
             yield (n_raw, A0[o], Cq0[o], B0[o], D0[o], C20[o], se, sh,
@@ -507,8 +544,8 @@ def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf):
     conclusion (e,g,f,h).
     """
     gen, mem, members, T3 = plane.gen_of, plane.mem, plane.members, plane.triple_circle
-    E = members[C2, se]
-    H = members[C2, sh]
+    E = _gather(members, C2, se)
+    H = _gather(members, C2, sh)
     base_ok = (E != A) & (E != B) & (H != A) & (H != B) & (se != sh)
 
     dh_ok = gen[D] != gen[H]
@@ -518,10 +555,10 @@ def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf):
     idx = np.nonzero(base_ok & dh_ok & ce_ok)[0]
     A, Cq, B, D, C2, E, H, sg, sf = (v[idx] for v in (A, Cq, B, D, C2, E, H, sg, sf))
 
-    C3 = T3[A, D, H]
-    G = members[C3, sg]
-    C4 = T3[B, Cq, E]
-    F = members[C4, sf]
+    C3 = _gather(T3, A, D, H)
+    G = _gather(members, C3, sg)
+    C4 = _gather(T3, B, Cq, E)
+    F = _gather(members, C4, sf)
 
     distinct = E != Cq
     for u, v in ((E, D), (H, Cq), (H, D),
@@ -533,18 +570,18 @@ def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf):
     # two parallel pairs (either matching names a degenerate plane section)
     pcg, pdf = gen[Cq] == gen[G], gen[D] == gen[F]
     pcf, pdg = gen[Cq] == gen[F], gen[D] == gen[G]
-    t_cgd = T3[Cq, G, D]
+    t_cgd = _gather(T3, Cq, G, D)
     proper5 = (~pcg & ~pdf & ~pcf & ~pdg & (gen[G] != gen[F])
-               & (t_cgd >= 0) & mem[np.maximum(t_cgd, 0), F])
+               & (t_cgd >= 0) & _gather(mem, np.maximum(t_cgd, 0), F))
     hyp = distinct & (proper5 | (pcg & pdf) | (pcf & pdg))
     report.hypothesis_hits += int(hyp.sum())
 
     # conclusion on pairs {e,f},{g,h}
     peg, pfh = gen[E] == gen[G], gen[F] == gen[H]
     peh, pfg = gen[E] == gen[H], gen[F] == gen[G]
-    t_egf = T3[E, G, F]
+    t_egf = _gather(T3, E, G, F)
     proper = (~peg & ~pfh & ~peh & ~pfg & (gen[G] != gen[F]) & (t_egf >= 0)
-              & mem[np.maximum(t_egf, 0), H])
+              & _gather(mem, np.maximum(t_egf, 0), H))
     ok = proper | (peg & pfh) | (peh & pfg)
     _record(report, hyp & ~ok, lambda i: Violation(
         "miquel-closure",
@@ -568,9 +605,9 @@ def _six_point_collapse(plane, p1, p2, p3, p4, p5, p6):
     the fourth at all.
     """
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
-    t = T3[p1, p2, p3]
+    t = _gather(T3, p1, p2, p3)
     tc = np.maximum(t, 0)
-    on_circle = (t >= 0) & mem[tc, p4] & mem[tc, p5] & mem[tc, p6]
+    on_circle = (t >= 0) & _gather(mem, tc, p4) & _gather(mem, tc, p5) & _gather(mem, tc, p6)
     gens = np.stack([gen[p] for p in (p1, p2, p3, p4, p5, p6)])
     lo, hi = gens.min(axis=0), gens.max(axis=0)
     two_gens = np.ones(len(p1), dtype=bool)
@@ -589,14 +626,16 @@ def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
     if mode.is_sample:
         for raw in _sample_batches(mode, 11):
             (A, Cq, B, D), base = _sampled_bases(plane, raw)
-            C5 = VP[A, B, bounded(raw[:, 5], q)]
-            se = bounded(raw[:, 6], q + 1)
-            sf = bounded(raw[:, 7], q + 1)
-            C3 = VP[members[C5, se], members[C5, sf], bounded(raw[:, 8], q)]
-            sg = bounded(raw[:, 9], q + 1)
-            sh = bounded(raw[:, 10], q + 1)
+            # C5 is -1 where a = b; its gathers wrap and the row is dropped
+            C5 = _gather(VP, A, B, bounded(raw[5], q))
+            se = bounded(raw[6], q + 1)
+            sf = bounded(raw[7], q + 1)
+            C3 = _gather(VP, _gather(members, C5, se), _gather(members, C5, sf),
+                         bounded(raw[8], q))
+            sg = bounded(raw[9], q + 1)
+            sh = bounded(raw[10], q + 1)
             idx = np.nonzero(base & (se != sf) & (C3 >= 0))[0]
-            yield (len(raw), A[idx], Cq[idx], B[idx], D[idx], C5[idx],
+            yield (raw.shape[1], A[idx], Cq[idx], B[idx], D[idx], C5[idx],
                    se[idx], sf[idx], C3[idx], sg[idx], sh[idx])
         return
     ords = _ord4(plane)
@@ -610,10 +649,10 @@ def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
     for C1 in range(n_c):
         A0, Cq0, B0, D0 = (members[C1][ords[:, j]] for j in range(4))
         for c5sel in range(q):
-            C50 = VP[A0, B0, c5sel]
+            C50 = _gather(VP, A0, B0, c5sel)
             o, se, sf = (np.repeat(v, tail) for v in _slot_pairs_off(plane, C50, A0, B0))
             C5, n = C50[o], len(o) // tail
-            C3 = VP[members[C5, se], members[C5, sf], np.tile(c3sel, n)]
+            C3 = _gather(VP, _gather(members, C5, se), _gather(members, C5, sf), np.tile(c3sel, n))
             yield (n_raw, A0[o], Cq0[o], B0[o], D0[o], C5, se, sf, C3,
                    np.tile(sg, n), np.tile(sh, n))
 
@@ -633,10 +672,10 @@ def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, C3, sg, sh):
     is false already on classical planes.
     """
     gen, mem, members, T3 = plane.gen_of, plane.mem, plane.members, plane.triple_circle
-    E = members[C5, se]
-    F = members[C5, sf]
-    G = members[C3, sg]
-    H = members[C3, sh]
+    E = _gather(members, C5, se)
+    F = _gather(members, C5, sf)
+    G = _gather(members, C3, sg)
+    H = _gather(members, C3, sh)
 
     distinct = (se != sf) & (sg != sh)
     for u, v in ((E, A), (E, B), (F, A), (F, B),
@@ -652,16 +691,16 @@ def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, C3, sg, sh):
     # parallel pairs (either matching names a degenerate plane section)
     pce, pdf = gen[Cq] == gen[E], gen[D] == gen[F]
     pcf, pde = gen[Cq] == gen[F], gen[D] == gen[E]
-    t_ced = T3[Cq, E, D]
+    t_ced = _gather(T3, Cq, E, D)
     h2 = ((~pce & ~pdf & ~pcf & ~pde
-           & (t_ced >= 0) & mem[np.maximum(t_ced, 0), F])
+           & (t_ced >= 0) & _gather(mem, np.maximum(t_ced, 0), F))
           | (pce & pdf) | (pcf & pde))
     # hypothesis on pairs {g,h},{a,b}
     pga, phb = gen[G] == gen[A], gen[H] == gen[B]
     pgb, pha = gen[G] == gen[B], gen[H] == gen[A]
-    t_abg = T3[A, B, G]
+    t_abg = _gather(T3, A, B, G)
     h4 = ((~pga & ~phb & ~pgb & ~pha
-           & (t_abg >= 0) & mem[np.maximum(t_abg, 0), H])
+           & (t_abg >= 0) & _gather(mem, np.maximum(t_abg, 0), H))
           | (pga & phb) | (pgb & pha))
 
     hyp0 = h2 & h4
@@ -677,9 +716,9 @@ def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, C3, sg, sh):
     # conclusion on pairs {c,d},{g,h}
     pcg, pdh = gen[Cq] == gen[G], gen[D] == gen[H]
     pch, pdg = gen[Cq] == gen[H], gen[D] == gen[G]
-    t_cgd = T3[Cq, G, D]
+    t_cgd = _gather(T3, Cq, G, D)
     proper = (~pcg & ~pdh & ~pch & ~pdg
-              & (t_cgd >= 0) & mem[np.maximum(t_cgd, 0), H])
+              & (t_cgd >= 0) & _gather(mem, np.maximum(t_cgd, 0), H))
     ok = proper | (pcg & pdh) | (pch & pdg)
     _record(report, hyp & ~ok, lambda i: Violation(
         "bundle-closure",

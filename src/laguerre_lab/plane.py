@@ -450,13 +450,12 @@ class LaguerrePlane(_Structure):
     def circle(self, cid) -> Circle:
         cid = _cid(cid)
         coef = self.circle_coef(cid)
-        return Circle(cid, tuple(int(p) for p in self.members[cid]), coef)
+        return Circle(cid, tuple(self.members[cid].tolist()), coef)
 
     def circle_coef(self, cid) -> tuple[int, int, int] | None:
         if self.coef is None:
             return None
-        a, b, c = self.coef[_cid(cid)]
-        return (int(a), int(b), int(c))
+        return tuple(self.coef[_cid(cid)].tolist())
 
     def circle_from_coef(self, coef) -> Circle:
         if self.circle_by_coef is None:

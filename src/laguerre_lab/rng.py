@@ -12,7 +12,9 @@ Being a pure function of (seed, index) it replays identically for equal
 seeds, can be evaluated for any index range independently (associative
 work splitting), and is trivial to reimplement in any language.  Bounded
 draws reduce by plain modulo, which is documented and close enough to
-uniform for the ranges used here (all < 2^22).
+uniform for the ranges used here (all < 2^22).  A sampled checker that
+makes k choices per sample row takes choice j of row r from draw
+r·k + j (see `checks._sample_batches`).
 """
 
 from __future__ import annotations
@@ -34,17 +36,34 @@ def splitmix64(seed: int, index: int) -> int:
 
 
 def draw_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized draws for stream indexes start .. start+count-1 (uint64)."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed & MASK) + idx * np.uint64(GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
-    return z ^ (z >> np.uint64(31))
+    """Vectorized draws for stream indexes start .. start+count-1 (uint64).
+
+    The mix runs in place on the counter array, with one scratch array for
+    the shifted words, so a call allocates two arrays of `count` words."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed & MASK)
+    t = np.empty_like(z)
+    for shift, mult in ((30, MIX1), (27, MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def bounded(raw: np.ndarray, n: int) -> np.ndarray:
-    """Reduce raw 64-bit draws to the range [0, n) by modulo."""
-    return (raw % np.uint64(n)).astype(np.int64)
+    """Reduce raw 64-bit draws to the range [0, n) by modulo (int64).
+
+    The remainder is taken as raw − (raw // n)·n in unsigned arithmetic,
+    the same values as `raw % n`; numpy divides by a scalar several times
+    faster than it takes a remainder."""
+    n = np.uint64(n)
+    r = raw // n
+    r *= n
+    np.subtract(raw, r, out=r)
+    return r.view(np.int64)
 
 
 class SampleStream:

@@ -97,7 +97,7 @@ def tangent_to_second(plane: LaguerrePlane, p: int, K, L) -> tuple[Circle | None
     if K == L:
         raise ValueError("circles must be distinct")
     T = plane.pair_count
-    pencil = [K] + [int(m) for m in plane.pencil_others[K, slot]]
+    pencil = [K] + plane.pencil_others[K, slot].tolist()
     if plane.mem[L, p]:
         hits = [m for m in pencil if T[m, L] == 1 and plane.pair_sum[m, L] == p]
         return (plane.circle(hits[0]) if len(hits) == 1 else None), p

@@ -3,13 +3,19 @@ determinism, witness replay, and scalar-versus-vectorized cross-checks."""
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laguerre_lab.checks import (
     CHECK_IDS,
     CHECKERS,
     _bundle_blocks,
     _chain_blocks,
+    _gather,
     _miquel_blocks,
     check_C,
     check_S,
@@ -385,3 +391,52 @@ def test_every_checker_runs_sampled_everywhere():
         rep = CHECKERS[cid].run(P, CheckMode.sample(500, 3))
         assert rep.check_id == cid
         assert rep.configurations == 500 or rep.verdict == "NotApplicable"
+
+
+# ---------------------------------------------------------------------------
+# the flat-offset gather against numpy's fancy indexing
+# ---------------------------------------------------------------------------
+
+# every table the sweeps read through `_gather`
+GATHERED = ("triple_circle", "tangent_through", "pair_count", "pair_sum", "mem", "members",
+            "slot_of", "gen_point", "vertex_pencils", "pencil_others")
+
+
+@functools.cache
+def _plane7():
+    return miquelian_plane(7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(GATHERED),
+       dtype=st.sampled_from([np.int16, np.int32, np.int64]))
+def test_gather_matches_fancy_indexing(data, name, dtype):
+    # int16 ids (generator ids are int16) address tables beyond int16 range
+    table = getattr(_plane7(), name)
+    # index the first k axes; the rest are taken whole, as C's pencil rows are
+    k = data.draw(st.integers(1, table.ndim), label="axes")
+    n = data.draw(st.integers(0, 12), label="rows")
+    scalar_axis = data.draw(st.integers(-1, k - 1), label="scalar axis")
+    idx = []
+    for axis in range(k):
+        # -1 in the first axis: the sentinel sampled Bundle rows gather with
+        ids = st.integers(-1 if axis == 0 else 0, table.shape[axis] - 1)
+        if axis == scalar_axis:
+            idx.append(data.draw(ids))
+        else:
+            idx.append(np.array(data.draw(st.lists(ids, min_size=n, max_size=n)), dtype=dtype))
+    got = _gather(table, *idx)
+    want = table[tuple(idx)]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_gather_broadcasts_pencil_rows_against_a_column():
+    # C's count: pair_count[pencil_others[K, sp, :], L[:, None]]
+    P = _plane7()
+    K = np.array([0, 7, 342, 3], dtype=np.int64)
+    sp = np.array([5, 0, 7, 2], dtype=np.int64)
+    L = np.array([1, 7, 0, 341], dtype=np.int64)
+    rows = _gather(P.pencil_others, K, sp)
+    assert np.array_equal(_gather(P.pair_count, rows, L[:, None]),
+                          P.pair_count[P.pencil_others[K, sp, :], L[:, None]])

@@ -4,7 +4,10 @@ and replay determinism."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from laguerre_lab.checks import _SAMPLE_CHUNK, _sample_batches
+from laguerre_lab.report import CheckMode
 from laguerre_lab.rng import SampleStream, bounded, draw_block, splitmix64
 
 MASK = (1 << 64) - 1
@@ -44,6 +47,31 @@ def test_bounded_range_and_determinism():
     vals = bounded(raw, 125)
     assert vals.min() >= 0 and vals.max() < 125
     assert (vals == bounded(draw_block(7, 0, 10000), 125)).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 14, 2197, 2**22])
+def test_bounded_is_the_remainder(n):
+    raw = np.array([0, 1, 2**63, MASK], dtype=np.uint64)
+    got = bounded(raw, n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [v % n for v in (0, 1, 2**63, MASK)]
+
+
+@pytest.mark.parametrize("seed", [0, MASK])
+@pytest.mark.parametrize("k", [3, 7, 11])
+def test_sample_batches_map_rows_to_the_stream(seed, k):
+    # choice j of sample row r is draw r·k + j, on both sides of a block
+    # boundary and of every draw_block call inside a block
+    per_call = _SAMPLE_CHUNK // k
+    blocks = list(_sample_batches(CheckMode.sample(_SAMPLE_CHUNK + 5, seed), k))
+    assert [b.shape for b in blocks] == [(k, _SAMPLE_CHUNK), (k, 5)]
+    rows = {0, 1, per_call - 1, per_call, _SAMPLE_CHUNK - 1,
+            _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, _SAMPLE_CHUNK + 4}
+    for r in sorted(rows):
+        block, row = divmod(r, _SAMPLE_CHUNK)
+        assert [int(v) for v in blocks[block][:, row]] == [
+            splitmix64(seed, r * k + j) for j in range(k)]
+    assert all(col.flags.c_contiguous for b in blocks for col in b)
 
 
 def test_sample_stream_replays():

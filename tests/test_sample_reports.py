@@ -11,6 +11,11 @@ Every checker also runs in sample mode on the translation-oval plane of
 order 8 (o(x) = x⁴), where most statements fail, so hit counts are pinned
 beside violations.
 
+Every checker runs once more at q=7 with 140,000 samples, three blocks of
+the sampling stream with the last one partial, so the mapping of stream
+draws to the rows and columns of a block is pinned across block
+boundaries.
+
 The same golden pins exhaustive runs: every checker at q=3, and every
 checker but Miquel and Bundle (whose q=4 sweeps take most of a minute)
 at q=4, each with every recorded witness in order, so a change to the
@@ -36,6 +41,8 @@ GOLDEN = Path(__file__).with_name("sample_reports.json")
 ORDERS = (4, 5)
 SEED = 2006
 SAMPLES = 5000
+# q=7, seed 2006: more samples than two blocks of `checks._sample_batches`
+ACROSS_BLOCKS = 140_000
 EXHAUSTIVE = {3: CHECK_IDS, 4: tuple(c for c in CHECK_IDS if c not in ("Miquel", "Bundle"))}
 
 
@@ -81,6 +88,10 @@ def record() -> dict:
         for check_id in check_ids:
             out[f"{check_id}@q{q}:exhaustive"] = exhaustive_summary(
                 CHECKERS[check_id].run(plane, CheckMode.exhaustive()))
+    plane = miquelian_plane(7)
+    for check_id in CHECK_IDS:
+        out[f"{check_id}@q7:blocks"] = summary(
+            CHECKERS[check_id].run(plane, CheckMode.sample(ACROSS_BLOCKS, SEED)))
     return out
 
 
@@ -94,7 +105,8 @@ def test_golden_covers_every_checker_and_order():
     assert sorted(pinned) == sorted(
         [f"{c}@q{q}" for q in ORDERS for c in CHECK_IDS]
         + [f"{c}@oval8" for c in CHECK_IDS]
-        + [f"{c}@q{q}:exhaustive" for q, ids in EXHAUSTIVE.items() for c in ids])
+        + [f"{c}@q{q}:exhaustive" for q, ids in EXHAUSTIVE.items() for c in ids]
+        + [f"{c}@q7:blocks" for c in CHECK_IDS])
 
 
 @pytest.mark.parametrize("q", ORDERS)
@@ -109,6 +121,13 @@ def test_sampled_report_matches_the_golden(recorded, check_id, q):
 def test_sampled_oval8_report_matches_the_golden(recorded, check_id):
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
     key = f"{check_id}@oval8"
+    assert recorded[key] == pinned[key]
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_sampled_report_across_blocks_matches_the_golden(recorded, check_id):
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    key = f"{check_id}@q7:blocks"
     assert recorded[key] == pinned[key]
 
 
