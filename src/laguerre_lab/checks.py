@@ -22,6 +22,14 @@ plane index with one id array per axis through `_gather`, one `take` at
 the flat offset, and sampled blocks read their draws as the contiguous
 columns of `_sample_batches`.
 
+The two closures, Miquel and Bundle, share their base blocks (a circle
+C1, an ordered quadruple of its points and a circle C2 of the pencil
+through the first two: `_sampled_bases`, `_exhaustive_bases`) and add
+only their own choices.  Each of their hypotheses and conclusions that
+relates two point pairs is one `_pairs_concyclic` test: the pairs lie on
+one circle or split into two parallel pairs.  Every evaluator records
+its violations through `CheckReport.record`.
+
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
 re-validated through the scalar incidence operations alone (see
@@ -43,7 +51,7 @@ import numpy as np
 
 from .errors import LaguerreError
 from .plane import LaguerrePlane
-from .report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
+from .report import CheckMode, CheckReport, Violation
 from .rng import bounded, draw_block
 
 __all__ = [
@@ -85,18 +93,6 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
 def _not_applicable(check_id: str, mode: CheckMode, note: str) -> CheckReport:
     return CheckReport(check_id=check_id, mode=mode, verdict="NotApplicable",
                        notes=(note,)).finalize()
-
-
-def _record(report: CheckReport, mask: np.ndarray, make) -> None:
-    """Record violations for every set bit of `mask`, capped but counted fully."""
-    n = int(mask.sum())
-    if not n:
-        return
-    report.violation_count += n
-    room = MAX_VIOLATIONS - len(report.violations)
-    if room > 0:
-        for i in np.nonzero(mask)[0][:room]:
-            report.violations.append(make(int(i)))
 
 
 def _gather(table: np.ndarray, *idx) -> np.ndarray:
@@ -201,7 +197,7 @@ def _on_abc(plane, A, B, C, D):
 
 def _chain_tally(report, hyp, ok, kind, K, A, L, B, M, C, N, D) -> None:
     report.hypothesis_hits += int(hyp.sum())
-    _record(report, hyp & ~ok, lambda i: Violation(
+    report.record(hyp & ~ok, lambda i: Violation(
         kind,
         points=(int(A[i]), int(B[i]), int(C[i]), int(D[i])),
         circles=(int(K[i]), int(L[i]), int(M[i]), int(N[i]))))
@@ -274,7 +270,7 @@ def _eval_c(plane, report, K, L, sp):
     counts = (_gather(T, _gather(plane.pencil_others, K, sp), L[:, None]) == 1).sum(axis=1)
     counts += (_gather(T, K, L) == 1).astype(counts.dtype)   # K itself is in its pencils
     report.hypothesis_hits += int(hyp.sum())
-    _record(report, hyp & (counts != 1), lambda i: Violation(
+    report.record(hyp & (counts != 1), lambda i: Violation(
         "tangent-count", points=(int(P[i]),),
         circles=(int(K[i]), int(L[i])), data=(("count", int(counts[i])),)))
 
@@ -290,7 +286,7 @@ def _eval_c_exhaustive(plane, report, K):
     hyp = (~onL) & (np.arange(n_c) != K)[None, :]
     report.hypothesis_hits += int(hyp.sum())
     pts = members[K]
-    _record(report, (hyp & (counts != 1)).ravel(), lambda i: Violation(
+    report.record(hyp & (counts != 1), lambda i: Violation(
         "tangent-count", points=(int(pts[i // n_c]),),
         circles=(K, int(i % n_c)),
         data=(("count", int(counts[i // n_c, i % n_c])),)))
@@ -340,7 +336,7 @@ def _eval_prop_2_1(plane, report, K, L, M):
     wkl = _gather(W, K, L)
     same = (wkl == _gather(W, K, M)) & (wkl == _gather(W, L, M))
     report.hypothesis_hits += int(hyp.sum())
-    _record(report, hyp & ~same, lambda i: Violation(
+    report.record(hyp & ~same, lambda i: Violation(
         "tangent-trio",
         points=(int(W[K[i], L[i]]), int(W[K[i], M[i]]), int(W[L[i], M[i]])),
         circles=(int(K[i]), int(L[i]), int(M[i]))))
@@ -367,7 +363,7 @@ def _eval_prop_1_1(plane, report, M, K, L):
     inter = _gather(plane.pair_count, K, L)
     hyp = (K != L) & (inter >= 1)
     report.hypothesis_hits += int(hyp.sum())
-    _record(report, hyp & (inter != 1), lambda i: Violation(
+    report.record(hyp & (inter != 1), lambda i: Violation(
         "tangency-transfer", circles=(int(M[i]), int(K[i]), int(L[i])),
         data=(("common_points", int(inter[i])),)))
 
@@ -428,7 +424,7 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
 
 def _pi_tally(report, ok, kind, a, b, c, x, C1) -> None:
     report.hypothesis_hits += len(a)
-    _record(report, ~ok, lambda i: Violation(
+    report.record(~ok, lambda i: Violation(
         kind, points=(int(a[i]), int(b[i]), int(c[i]), int(x[i])), circles=(int(C1[i]),)))
 
 
@@ -475,30 +471,63 @@ def check_thm_2_3(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 # the eight-point closure statements
 # ---------------------------------------------------------------------------
 
-def _ord4(plane: LaguerrePlane) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(plane.q + 1), 4)), dtype=np.int64)
+def _pairs_concyclic(plane, P, Q, R, S):
+    """The pairs {P, Q} and {R, S} lie on one circle, or split into two
+    parallel pairs: either matching names a degenerate plane section.
+
+    Precondition: P ∦ Q, as at every call site, where P and Q lie on one
+    circle of the configuration.  On four distinct points this is then
+    `plane.concyclic_some_order(P, R, Q, S)`, and the proper case needs no
+    parallel test of its own: a point on the circle through three others
+    is parallel to none of them.
+    """
+    gen = plane.gen_of
+    return (_on_abc(plane, P, R, Q, S) | ((gen[P] == gen[R]) & (gen[Q] == gen[S]))
+            | ((gen[P] == gen[S]) & (gen[Q] == gen[R])))
 
 
 def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray):
-    """Base circles C1 with four member slots each, drawn from raw[:, :5];
-    returns the points (a, c, b, d) in those slots and where they are
-    four distinct slots."""
+    """Base circles C1 with four member slots each, drawn from raw[:, :5],
+    and a circle C2 of the pencil through the first two, drawn from
+    raw[5]; returns the points (a, c, b, d) in those slots with C2, and
+    where the slots are four distinct ones."""
     members, q = plane.members, plane.q
     C1 = bounded(raw[0], plane.n_circles)
     s = [bounded(raw[j], q + 1) for j in range(1, 5)]
     base = ((s[0] != s[1]) & (s[0] != s[2]) & (s[0] != s[3])
             & (s[1] != s[2]) & (s[1] != s[3]) & (s[2] != s[3]))
-    return tuple(_gather(members, C1, sj) for sj in s), base
+    A, Cq, B, D = (_gather(members, C1, sj) for sj in s)
+    return (A, Cq, B, D, _gather(plane.vertex_pencils, A, B, bounded(raw[5], q))), base
 
 
-def _slot_pairs_off(plane: LaguerrePlane, C: np.ndarray, A: np.ndarray, B: np.ndarray):
-    """(row, s, t) index arrays, in C order, of the ordered pairs of distinct
-    member slots s, t of circle C[row] (which passes through A[row] and
-    B[row]) whose members are neither a nor b."""
-    slots = np.arange(plane.q + 1)
-    off = ((slots != _gather(plane.slot_of, C, A)[:, None])
-           & (slots != _gather(plane.slot_of, C, B)[:, None]))
-    return np.nonzero(off[:, :, None] & off[:, None, :] & (slots[:, None] != slots))
+def _exhaustive_bases(plane: LaguerrePlane, tail: np.ndarray):
+    """The exhaustive blocks of the closures, one per circle C1 and pencil
+    selector: each ordered base quadruple (a, c, b, d) of C1's points, C2
+    the selected circle of the pencil through (a, b), and each ordered
+    pair of distinct member slots s, t of C2 whose members are neither a
+    nor b.  Every such row takes the index tuple of each set entry of the
+    boolean array `tail`, the closure's own choices, all of which count
+    as raw choices.  Yields (raw count, a, c, b, d, C2, s, t, *tail
+    indexes) per block, its rows in the C order of the choice space."""
+    members, VP, slot_of, q = plane.members, plane.vertex_pencils, plane.slot_of, plane.q
+    ords = np.array(list(itertools.permutations(range(q + 1), 4)), dtype=np.int64)
+    if not len(ords):
+        return
+    # raw axes per block: (ordering, s, t, *tail.shape)
+    n_raw = len(ords) * (q + 1) ** 2 * tail.size
+    cols = np.nonzero(tail)
+    n = len(cols[0])
+    slots = np.arange(q + 1)
+    for C1 in range(plane.n_circles):
+        A, Cq, B, D = (members[C1][ords[:, j]] for j in range(4))
+        for sel in range(q):
+            C2 = _gather(VP, A, B, sel)
+            off = ((slots != _gather(slot_of, C2, A)[:, None])
+                   & (slots != _gather(slot_of, C2, B)[:, None]))
+            o, s, t = (np.repeat(v, n) for v in np.nonzero(
+                off[:, :, None] & off[:, None, :] & (slots[:, None] != slots)))
+            k = len(o) // n
+            yield (n_raw, A[o], Cq[o], B[o], D[o], C2[o], s, t, *(np.tile(c, k) for c in cols))
 
 
 def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
@@ -508,32 +537,15 @@ def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     count, a, c, b, d, C2, e slot, h slot, g slot, f slot) per block over
     the rows with a, c, b, d distinct; exhaustive blocks also hold only
     distinct e, h off {a, b}."""
-    members, VP = plane.members, plane.vertex_pencils
-    q, n_c = plane.q, plane.n_circles
+    q = plane.q
     if mode.is_sample:
         for raw in _sample_batches(mode, 10):
-            (A, Cq, B, D), base = _sampled_bases(plane, raw)
-            C2 = _gather(VP, A, B, bounded(raw[5], q))
+            cols, base = _sampled_bases(plane, raw)
             idx = np.nonzero(base)[0]
-            yield (raw.shape[1], A[idx], Cq[idx], B[idx], D[idx], C2[idx],
+            yield (raw.shape[1], *(v[idx] for v in cols),
                    *(bounded(raw[j], q + 1)[idx] for j in range(6, 10)))
-        return
-    ords = _ord4(plane)
-    if not len(ords):
-        return
-    # raw axes per (C1, C2sel) block: (ordering, se, sh, sg, sf); the kept
-    # (ordering, se, sh) rows each take every (sg, sf)
-    n_raw = len(ords) * (q + 1) ** 4
-    sg, sf = (v.ravel() for v in np.indices((q + 1, q + 1)))
-    tail = len(sg)
-    for C1 in range(n_c):
-        A0, Cq0, B0, D0 = (members[C1][ords[:, j]] for j in range(4))
-        for c2sel in range(q):
-            C20 = _gather(VP, A0, B0, c2sel)
-            o, se, sh = (np.repeat(v, tail) for v in _slot_pairs_off(plane, C20, A0, B0))
-            n = len(o) // tail
-            yield (n_raw, A0[o], Cq0[o], B0[o], D0[o], C20[o], se, sh,
-                   np.tile(sg, n), np.tile(sf, n))
+    else:
+        yield from _exhaustive_bases(plane, np.ones((q + 1, q + 1), dtype=bool))
 
 
 def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf):
@@ -543,7 +555,7 @@ def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf):
     quadruples (a,c,b,d), (a,e,b,h), (a,g,d,h), (b,f,c,e), (c,g,d,f);
     conclusion (e,g,f,h).
     """
-    gen, mem, members, T3 = plane.gen_of, plane.mem, plane.members, plane.triple_circle
+    gen, members, T3 = plane.gen_of, plane.members, plane.triple_circle
     E = _gather(members, C2, se)
     H = _gather(members, C2, sh)
     base_ok = (E != A) & (E != B) & (H != A) & (H != B) & (se != sh)
@@ -566,24 +578,10 @@ def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf):
                  (F, A), (F, B), (F, Cq), (F, D), (F, E), (F, H), (F, G)):
         distinct = distinct & (u != v)
 
-    # hypothesis quadruple on pairs {c,d},{g,f}: one circle, or a split into
-    # two parallel pairs (either matching names a degenerate plane section)
-    pcg, pdf = gen[Cq] == gen[G], gen[D] == gen[F]
-    pcf, pdg = gen[Cq] == gen[F], gen[D] == gen[G]
-    t_cgd = _gather(T3, Cq, G, D)
-    proper5 = (~pcg & ~pdf & ~pcf & ~pdg & (gen[G] != gen[F])
-               & (t_cgd >= 0) & _gather(mem, np.maximum(t_cgd, 0), F))
-    hyp = distinct & (proper5 | (pcg & pdf) | (pcf & pdg))
+    # hypothesis (c,g,d,f) on pairs {c,d},{g,f}; conclusion (e,g,f,h) on {e,f},{g,h}
+    hyp = distinct & _pairs_concyclic(plane, Cq, D, G, F)
     report.hypothesis_hits += int(hyp.sum())
-
-    # conclusion on pairs {e,f},{g,h}
-    peg, pfh = gen[E] == gen[G], gen[F] == gen[H]
-    peh, pfg = gen[E] == gen[H], gen[F] == gen[G]
-    t_egf = _gather(T3, E, G, F)
-    proper = (~peg & ~pfh & ~peh & ~pfg & (gen[G] != gen[F]) & (t_egf >= 0)
-              & _gather(mem, np.maximum(t_egf, 0), H))
-    ok = proper | (peg & pfh) | (peh & pfg)
-    _record(report, hyp & ~ok, lambda i: Violation(
+    report.record(hyp & ~_pairs_concyclic(plane, E, F, G, H), lambda i: Violation(
         "miquel-closure",
         points=(int(A[i]), int(B[i]), int(Cq[i]), int(D[i]),
                 int(E[i]), int(F[i]), int(G[i]), int(H[i])),
@@ -620,44 +618,25 @@ def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
     """A circle C1 with an ordered base quadruple (a, c, b, d) of its
     points, C5 from the pencil through (a, b) with distinct members e, f,
     and C3 from the pencil through (e, f) with members g, h.  Yields (raw
-    count, a, c, b, d, C5, e slot, f slot, C3, g slot, h slot) per block."""
-    members, VP = plane.members, plane.vertex_pencils
-    q, n_c = plane.q, plane.n_circles
+    count, a, c, b, d, C5, e slot, f slot, C3 selector, g slot, h slot)
+    per block; exhaustive blocks hold only e, f off {a, b} and distinct
+    g, h slots."""
+    q = plane.q
     if mode.is_sample:
         for raw in _sample_batches(mode, 11):
-            (A, Cq, B, D), base = _sampled_bases(plane, raw)
-            # C5 is -1 where a = b; its gathers wrap and the row is dropped
-            C5 = _gather(VP, A, B, bounded(raw[5], q))
+            cols, base = _sampled_bases(plane, raw)
             se = bounded(raw[6], q + 1)
             sf = bounded(raw[7], q + 1)
-            C3 = _gather(VP, _gather(members, C5, se), _gather(members, C5, sf),
-                         bounded(raw[8], q))
-            sg = bounded(raw[9], q + 1)
-            sh = bounded(raw[10], q + 1)
-            idx = np.nonzero(base & (se != sf) & (C3 >= 0))[0]
-            yield (raw.shape[1], A[idx], Cq[idx], B[idx], D[idx], C5[idx],
-                   se[idx], sf[idx], C3[idx], sg[idx], sh[idx])
-        return
-    ords = _ord4(plane)
-    if not len(ords):
-        return
-    # raw axes per (C1, C5sel) block: (ordering, se, sf, C3sel, sg, sh); the
-    # kept (ordering, se, sf) rows each take every (C3sel, sg, sh) with sg != sh
-    n_raw = len(ords) * q * (q + 1) ** 4
-    c3sel, sg, sh = np.nonzero(np.broadcast_to(~np.eye(q + 1, dtype=bool), (q, q + 1, q + 1)))
-    tail = len(c3sel)
-    for C1 in range(n_c):
-        A0, Cq0, B0, D0 = (members[C1][ords[:, j]] for j in range(4))
-        for c5sel in range(q):
-            C50 = _gather(VP, A0, B0, c5sel)
-            o, se, sf = (np.repeat(v, tail) for v in _slot_pairs_off(plane, C50, A0, B0))
-            C5, n = C50[o], len(o) // tail
-            C3 = _gather(VP, _gather(members, C5, se), _gather(members, C5, sf), np.tile(c3sel, n))
-            yield (n_raw, A0[o], Cq0[o], B0[o], D0[o], C5, se, sf, C3,
-                   np.tile(sg, n), np.tile(sh, n))
+            idx = np.nonzero(base & (se != sf))[0]
+            yield (raw.shape[1], *(v[idx] for v in cols), se[idx], sf[idx],
+                   bounded(raw[8], q)[idx], bounded(raw[9], q + 1)[idx],
+                   bounded(raw[10], q + 1)[idx])
+    else:
+        yield from _exhaustive_bases(
+            plane, np.broadcast_to(~np.eye(q + 1, dtype=bool), (q, q + 1, q + 1)))
 
 
-def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, C3, sg, sh):
+def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, c3sel, sg, sh):
     """Bundle closure on the choice arrays of `_bundle_blocks`.
 
     Circles realize three pair-hypotheses properly: C1 holds the base
@@ -671,9 +650,10 @@ def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, C3, sg, sh):
     (see `_six_point_collapse`); without that restriction the statement
     is false already on classical planes.
     """
-    gen, mem, members, T3 = plane.gen_of, plane.mem, plane.members, plane.triple_circle
+    members = plane.members
     E = _gather(members, C5, se)
     F = _gather(members, C5, sf)
+    C3 = _gather(plane.vertex_pencils, E, F, c3sel)
     G = _gather(members, C3, sg)
     H = _gather(members, C3, sh)
 
@@ -687,23 +667,8 @@ def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, C3, sg, sh):
     idx = np.nonzero(distinct)[0]
     A, Cq, B, D, C5, C3, E, F, G, H = (v[idx] for v in (A, Cq, B, D, C5, C3, E, F, G, H))
 
-    # hypothesis on pairs {c,d},{e,f}: one circle, or a split into two
-    # parallel pairs (either matching names a degenerate plane section)
-    pce, pdf = gen[Cq] == gen[E], gen[D] == gen[F]
-    pcf, pde = gen[Cq] == gen[F], gen[D] == gen[E]
-    t_ced = _gather(T3, Cq, E, D)
-    h2 = ((~pce & ~pdf & ~pcf & ~pde
-           & (t_ced >= 0) & _gather(mem, np.maximum(t_ced, 0), F))
-          | (pce & pdf) | (pcf & pde))
-    # hypothesis on pairs {g,h},{a,b}
-    pga, phb = gen[G] == gen[A], gen[H] == gen[B]
-    pgb, pha = gen[G] == gen[B], gen[H] == gen[A]
-    t_abg = _gather(T3, A, B, G)
-    h4 = ((~pga & ~phb & ~pgb & ~pha
-           & (t_abg >= 0) & _gather(mem, np.maximum(t_abg, 0), H))
-          | (pga & phb) | (pgb & pha))
-
-    hyp0 = h2 & h4
+    # hypotheses (c,e,d,f) and (g,a,h,b) on pairs {c,d},{e,f} and {a,b},{g,h}
+    hyp0 = _pairs_concyclic(plane, Cq, D, E, F) & _pairs_concyclic(plane, A, B, G, H)
     collapsed = hyp0 & (
         _six_point_collapse(plane, A, B, Cq, D, E, F)
         | _six_point_collapse(plane, A, B, Cq, D, G, H)
@@ -713,14 +678,8 @@ def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, C3, sg, sh):
     hyp = hyp0 & ~collapsed
     report.hypothesis_hits += int(hyp.sum())
 
-    # conclusion on pairs {c,d},{g,h}
-    pcg, pdh = gen[Cq] == gen[G], gen[D] == gen[H]
-    pch, pdg = gen[Cq] == gen[H], gen[D] == gen[G]
-    t_cgd = _gather(T3, Cq, G, D)
-    proper = (~pcg & ~pdh & ~pch & ~pdg
-              & (t_cgd >= 0) & _gather(mem, np.maximum(t_cgd, 0), H))
-    ok = proper | (pcg & pdh) | (pch & pdg)
-    _record(report, hyp & ~ok, lambda i: Violation(
+    # conclusion (c,g,d,h) on pairs {c,d},{g,h}
+    report.record(hyp & ~_pairs_concyclic(plane, Cq, D, G, H), lambda i: Violation(
         "bundle-closure",
         points=(int(A[i]), int(B[i]), int(Cq[i]), int(D[i]),
                 int(E[i]), int(F[i]), int(G[i]), int(H[i])),

@@ -110,6 +110,9 @@ def build_plane(q: int, model: str = "miquelian", oval_table=None) -> LaguerrePl
             raise ValueError("oval model requires a value table")
         return oval_plane(q, oval_table)
     if model.startswith("oval:"):
+        order = model.count(",") + 1     # the table lists o(x) for each x
+        if order != q:
+            raise ValueError(f"model {model} has order {order}, not {q}")
         return plane_from_label(model)
     raise ValueError(f"unknown model {model!r}")
 

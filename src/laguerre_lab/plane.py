@@ -59,7 +59,7 @@ from .errors import (
     PointNotOnCircle,
     PointOnCircle,
 )
-from .report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
+from .report import CheckMode, CheckReport, Violation
 
 __all__ = [
     "Circle",
@@ -96,7 +96,7 @@ class Tangency:
 
 @dataclass(frozen=True)
 class Pencil:
-    kind: str  # "tangent" | "vertex" | "double-tangency"
+    kind: str  # "tangent" | "double-tangency"
     anchor: tuple
     members: tuple[int, ...]
 
@@ -341,18 +341,17 @@ def _axiom2(s: _Structure, report: CheckReport) -> bool:
         eligible = ~s.mem[b0:b1, None, :] & (s.gen_of != member_gen[b0:b1, :, None])
         report.configurations += int(eligible.sum())
         bad = eligible & (cov != 1)
-        failed = np.argwhere(bad.any(axis=2))
-        if not len(failed):
+        failed = bad.any(axis=2)
+        if not failed.any():
             continue
         ok = False
-        room = max(0, MAX_VIOLATIONS - len(report.violations))
-        for k, slot in failed[:room]:
+
+        def witness(i: int) -> Violation:
+            k, slot = divmod(i, m)
             x = int(bad[k, slot].argmax())
-            report.add_violation(Violation(
-                "axiom2", points=(int(M[b0 + k, slot]), x), circles=(b0 + int(k),),
-                data=(("count", int(cov[k, slot, x])),),
-            ))
-        report.violation_count += max(0, len(failed) - room)
+            return Violation("axiom2", points=(int(M[b0 + k, slot]), x), circles=(b0 + k,),
+                             data=(("count", int(cov[k, slot, x])),))
+        report.record(failed, witness)
     return ok
 
 
@@ -526,12 +525,6 @@ class LaguerrePlane(_Structure):
             raise PointNotOnCircle(f"point {p} not on circle {K}")
         members = sorted([K] + [int(m) for m in self.pencil_others[K, slot]])
         return Pencil("tangent", (p, K), tuple(members))
-
-    def vertex_pencil(self, x: int, y: int) -> Pencil:
-        """All circles through two non-parallel points."""
-        if self.parallel(x, y):
-            raise ParallelPoints(f"points {x},{y} are parallel")
-        return Pencil("vertex", (x, y), tuple(int(m) for m in self.vertex_pencils[x, y]))
 
     # -- concyclicity ----------------------------------------------------
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["CheckMode", "Violation", "CheckReport", "MAX_VIOLATIONS", "EXHAUSTIVE_LIMIT",
            "circle_obj"]
 
@@ -106,6 +108,18 @@ class CheckReport:
         self.violation_count += 1
         if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(violation)
+
+    def record(self, mask: np.ndarray, make) -> None:
+        """Count every set entry of the boolean array `mask` as a violation,
+        and record `make(i)` for the first flat indexes i, in index order,
+        that still fit under `MAX_VIOLATIONS`."""
+        n = int(mask.sum())
+        if not n:
+            return
+        self.violation_count += n
+        room = MAX_VIOLATIONS - len(self.violations)
+        if room > 0:
+            self.violations.extend(make(int(i)) for i in np.flatnonzero(mask)[:room])
 
     def elapsed(self, timings: bool) -> float:
         """elapsedSeconds as written: the real time under timings, else 0.0."""

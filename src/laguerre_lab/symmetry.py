@@ -50,7 +50,7 @@ from .errors import (
     WellDefinednessFailure,
     NoAdmissibleAuxiliary,
 )
-from .checks import _not_applicable, _pi_blocks, _record, _sweep
+from .checks import _not_applicable, _pi_blocks, _sweep
 from .plane import Circle, LaguerrePlane, Pencil, _cid
 from .report import CheckMode, CheckReport, Violation
 
@@ -371,7 +371,7 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
         return Violation("touch-image", points=(x, int(img[x]), int(expect[r, j])),
                          circles=circles)
 
-    _record(report, bad.ravel(), touch_violation)
+    report.record(bad, touch_violation)
 
     # (5) the common tangent circles of (K, L) are fixed
     for C in double_tangency_pencil(plane, K, L):
@@ -635,7 +635,7 @@ def _three_point_axiom(cand: MoebiusCandidate) -> CheckReport:
         j, k = np.triu_indices(rest.shape[1], k=1)
         count = ((rest * B[:, i:i + 1]).T @ rest)[j, k]
         report.configurations += len(j)
-        _record(report, count != 1, lambda t: Violation(
+        report.record(count != 1, lambda t: Violation(
             "three-point", points=(pts[i], pts[i + 1 + j[t]], pts[i + 1 + k[t]]),
             data=(("count", int(count[t])),)))
     report.elapsed_seconds = time.perf_counter() - t0
@@ -658,7 +658,7 @@ def _touching_axiom(cand: MoebiusCandidate) -> CheckReport:
         count = E[:, cols].T @ E
         off = ~B[bi]
         report.configurations += len(cols) * int(off.sum())
-        _record(report, ((count != 1) & off).ravel(), lambda i: Violation(
+        report.record((count != 1) & off, lambda i: Violation(
             "touching", points=(b[i // len(cand.points)], cand.points[i % len(cand.points)]),
             data=(("count", int(count.flat[i])), ("block", bi))))
     report.elapsed_seconds = time.perf_counter() - t0

@@ -7,7 +7,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from laguerre_lab.checks import (
@@ -17,6 +17,7 @@ from laguerre_lab.checks import (
     _chain_blocks,
     _gather,
     _miquel_blocks,
+    _pairs_concyclic,
     check_C,
     check_S,
     check_bundle,
@@ -32,7 +33,7 @@ from laguerre_lab.checks import (
     replay_violation,
 )
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
-from laguerre_lab.report import CheckMode
+from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
 
 EX = CheckMode.exhaustive()
 
@@ -305,6 +306,33 @@ def test_bundle_sampled_holds_on_both_models(oval8):
     assert rep8.skipped > 0  # general-position rejections are counted
 
 
+@functools.cache
+def _pair_plane(name):
+    if name == "oval8":
+        return oval_plane(8, oval_table_power(8, 4))
+    return miquelian_plane(int(name[1:]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(["q3", "q4", "q5", "oval8"]))
+def test_pairs_concyclic_is_concyclic_some_order(data, name):
+    # p and q on one circle, as at every call site; r and s drawn towards
+    # the cases that hold: parallel to p or q, or on (p,r,q)°
+    P = _pair_plane(name)
+    K = data.draw(st.integers(0, P.n_circles - 1), label="K")
+    p, q = data.draw(st.lists(st.sampled_from(P.members[K].tolist()),
+                              min_size=2, max_size=2, unique=True), label="p, q")
+    near = st.sampled_from(P.gen_members[[P.gen_of[p], P.gen_of[q]]].ravel().tolist())
+    anywhere = st.integers(0, P.n_points - 1)
+    r = data.draw(near | anywhere, label="r")
+    c = int(P.triple_circle[p, r, q])
+    on_circle = [x for x in P.members[c].tolist() if x not in (p, q, r)] if c >= 0 else [p]
+    s = data.draw(st.sampled_from(on_circle) | near | anywhere, label="s")
+    assume(len({p, q, r, s}) == 4)
+    got = _pairs_concyclic(P, *(np.array([v]) for v in (p, q, r, s)))
+    assert bool(got[0]) == P.concyclic_some_order(p, r, q, s)
+
+
 def test_oval8_char2_behavior_recorded(oval8):
     # measured and frozen: the translation-oval plane violates the
     # unique-tangent axiom and the chain closure
@@ -336,6 +364,27 @@ def test_violation_cap_keeps_counting():
     rep = check_C(P, EX)
     assert len(rep.violations) == 20
     assert rep.violation_count == 15360
+
+
+@pytest.mark.parametrize("earlier", [0, MAX_VIOLATIONS - 3, MAX_VIOLATIONS, MAX_VIOLATIONS + 2])
+def test_record_counts_every_entry_and_keeps_the_first_that_fit(earlier):
+    rep = CheckReport("C", EX)
+    for j in range(earlier):
+        rep.add_violation(Violation("earlier", points=(j,)))
+    kept = list(rep.violations)
+    mask = np.zeros((6, 8), dtype=bool)
+    mask.flat[3::2] = True          # more set entries than the cap
+    rep.record(mask, lambda i: Violation("new", points=(i,)))
+    assert rep.violation_count == earlier + 23
+    room = max(0, MAX_VIOLATIONS - earlier)
+    assert rep.violations == kept + [Violation("new", points=(i,)) for i in range(3, 48, 2)][:room]
+
+
+def test_record_of_an_all_false_mask_changes_nothing():
+    rep = CheckReport("C", EX)
+    rep.add_violation(Violation("earlier"))
+    rep.record(np.zeros((3, 4), dtype=bool), lambda i: pytest.fail("nothing to build"))
+    assert (rep.violation_count, rep.violations) == (1, [Violation("earlier")])
 
 
 def test_sample_mode_counts_draws():
@@ -419,7 +468,7 @@ def test_gather_matches_fancy_indexing(data, name, dtype):
     scalar_axis = data.draw(st.integers(-1, k - 1), label="scalar axis")
     idx = []
     for axis in range(k):
-        # -1 in the first axis: the sentinel sampled Bundle rows gather with
+        # -1 in the first axis wraps, as it does in `table[idx]`
         ids = st.integers(-1 if axis == 0 else 0, table.shape[axis] - 1)
         if axis == scalar_axis:
             idx.append(data.draw(ids))

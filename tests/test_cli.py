@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +130,14 @@ def test_oval_table_file(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: {bad}:3: x listed twice\n")
 
 
+@pytest.mark.parametrize("argv", [("check", "--checks", "Axioms"), ("dts",), ("moebius",)])
+def test_an_oval_label_of_another_order_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--q", "13",
+                             "--model", "oval:0,1,6,7,2,3,4,5", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: model oval:0,1,6,7,2,3,4,5 has order 8, not 13\n"
+
+
 def test_dts_explicit_pair(tmp_path, capsys):
     export = tmp_path / "phi.txt"
     code, out, _ = run_cli(capsys, "dts", "--q", "5", "--k", "1,0,0",
@@ -215,9 +225,12 @@ def test_replay_dts_report(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child imports the checkout's package, as the test process does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "laguerre_lab", "check", "--q", "2", "--checks", "Axioms"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Holds"
 
@@ -260,6 +273,7 @@ def test_replay_malformed_witnesses_name_the_line_and_exit_two(tmp_path, capsys)
         dict(good, check="S", violations=[c_witness([0, 1, 2], [0, 1, 2, 3])]),
         dict(good, check="NoSuchCheck", violations=[c_witness([0], [0, 1])]),
         dict(good, q=6),
+        dict(good, model="oval:0,1,6,7,2,3,4,5"),
         {"check": "DtsVerify", "q": 3, "model": "miquelian", "violations": [],
          "pair": {"K": {"coef": [9, 9, 9]}, "L": {"coef": [0, 0, 0]}}},
         {"check": "DtsVerify", "q": 3, "model": "miquelian", "violations": [],

@@ -130,6 +130,13 @@ def test_build_plane_and_label_rebuild():
         build_plane(3, "oval")  # table missing
 
 
+@pytest.mark.parametrize("q", [3, 13])
+def test_build_plane_refuses_an_oval_label_of_another_order(q):
+    with pytest.raises(ValueError, match=f"has order 8, not {q}$"):
+        build_plane(q, "oval:0,1,6,7,2,3,4,5")
+    assert build_plane(8, "oval:0,1,6,7,2,3,4,5").q == 8
+
+
 @pytest.mark.parametrize("text,message", [
     ("", "empty plane text"),
     ("\n  \n", "empty plane text"),

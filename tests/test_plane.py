@@ -165,13 +165,8 @@ def test_pencil_sizes_by_enumeration(q):
                 t = P.tangency(m1, m2)
                 assert t.kind == "tangent" and t.points == (int(p),)
     x, y = 0, q + 1  # first points of generators 0 and 1
-    assert len(P.vertex_pencil(x, y)) == q
-
-
-def test_vertex_pencil_rejects_parallel():
-    P = miquelian_plane(5)
-    with pytest.raises(ParallelPoints):
-        P.vertex_pencil(pt(5, 0, 0), pt(5, 0, 1))
+    pencil = P.vertex_pencils[x, y]
+    assert len(set(pencil.tolist())) == q and P.mem[pencil, x].all() and P.mem[pencil, y].all()
 
 
 def test_concyclic_examples():
