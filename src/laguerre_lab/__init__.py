@@ -33,7 +33,6 @@ from .plane import (
 from .models import (
     SUPPORTED_PLANE_ORDERS,
     build_plane,
-    discriminant_tangency,
     export_plane,
     import_plane,
     miquelian_plane,

@@ -206,7 +206,9 @@ def _dts_objects(plane, K, L, verify: bool, timings: bool
 def _cmd_dts(args) -> int:
     plane = _make_plane(args)
     pair = _pair_arg(args, plane)
-    if bool(args.sample_pairs) == (pair is not None):
+    if args.sample_pairs is not None and args.sample_pairs <= 0:
+        raise UsageError("--sample-pairs must be positive")
+    if (args.sample_pairs is not None) == (pair is not None):
         raise UsageError("give --k a,b,c and --l a,b,c, or --sample-pairs N")
     if args.export and pair is None:
         raise UsageError("--export works with a single explicit pair")

@@ -18,7 +18,7 @@ import functools
 import numpy as np
 
 from .gf import FiniteField, field_of_order
-from .plane import LaguerrePlane, Tangency, _cid
+from .plane import LaguerrePlane
 
 __all__ = [
     "SUPPORTED_PLANE_ORDERS",
@@ -27,34 +27,33 @@ __all__ = [
     "oval_table_power",
     "export_plane",
     "import_plane",
-    "discriminant_tangency",
 ]
 
 SUPPORTED_PLANE_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
 
 def _model_structure(field: FiniteField, table):
-    """Generators and circles of the coordinate model with value table o."""
+    """Generators, circles and coefficients of the coordinate model with
+    value table o, as integer arrays in the pinned order.
+
+    Generators (q+1, q): generator x holds the points x*q + y, and the
+    infinity generator, last, holds q*q + a.  Circles (q³, q+1): the row of
+    coefficient triple (a, b, c), at index (a*q + b)*q + c, lists the point
+    (x, a*o(x) + b*x + c) for each x, then (inf, a).  Coefficients (q³, 3):
+    the triple (a, b, c) of each circle row.
+    """
     q = field.q
-    point = lambda x, y: x * q + y          # finite points, x-major
-    inf_point = lambda a: q * q + a         # infinity generator is last
-
-    generators = [[point(x, y) for y in range(q)] for x in range(q)]
-    generators.append([inf_point(a) for a in range(q)])
-
-    circles = []
-    coefficients = []
-    mul, add = field.mul, field.add
-    for a in range(q):
-        ao = [int(mul[a, table[x]]) for x in range(q)]
-        for b in range(q):
-            abx = [int(add[ao[x], mul[b, x]]) for x in range(q)]
-            for c in range(q):
-                members = [point(x, int(add[abx[x], c])) for x in range(q)]
-                members.append(inf_point(a))
-                circles.append(members)
-                coefficients.append((a, b, c))
-    return generators, circles, coefficients
+    x = np.arange(q)
+    add, mul = field.add.astype(np.int64), field.mul.astype(np.int64)
+    generators = np.vstack([np.arange(q * q).reshape(q, q), q * q + x])
+    ao = mul[:, np.asarray(table)]                          # (a, x)
+    abx = add[ao[:, None, :], mul[None, :, :]]              # (a, b, x)
+    y = add[abx[:, :, None, :], x[None, None, :, None]]     # (a, b, c, x)
+    circles = np.empty((q, q, q, q + 1), dtype=np.int64)
+    circles[..., :q] = x * q + y
+    circles[..., q] = (q * q + x)[:, None, None]
+    coefficients = np.indices((q, q, q)).reshape(3, -1).T
+    return generators, circles.reshape(q ** 3, q + 1), coefficients
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,7 +62,7 @@ def miquelian_plane(q: int) -> LaguerrePlane:
     if q not in SUPPORTED_PLANE_ORDERS:
         raise ValueError(f"order {q} not supported; choose from {SUPPORTED_PLANE_ORDERS}")
     field = field_of_order(q)
-    table = [int(field.mul[x, x]) for x in range(q)]
+    table = np.diagonal(field.mul)
     generators, circles, coefficients = _model_structure(field, table)
     return LaguerrePlane(generators, circles, coefficients=coefficients,
                          field=field, label="miquelian")
@@ -115,57 +114,6 @@ def build_plane(q: int, model: str = "miquelian", oval_table=None) -> LaguerrePl
             raise ValueError(f"model {model} has order {order}, not {q}")
         return plane_from_label(model)
     raise ValueError(f"unknown model {model!r}")
-
-
-# -- tangency via the coefficient discriminant ---------------------------
-
-def discriminant_tangency(plane: LaguerrePlane, K, L) -> Tangency:
-    """Classify a circle pair from coefficients alone (odd characteristic).
-
-    For (a,b,c) vs (a',b',c') with a != a' the finite intersections are the
-    roots of (a-a')x² + (b-b')x + (c-c') and the classification follows the
-    discriminant (b-b')² - 4(a-a')(c-c'); pairs with a = a' share the
-    infinity point (inf,a) and reduce to the linear case.  Used as the
-    cross-check oracle against the set-theoretic path.
-    """
-    field = plane.field
-    if field is None:
-        raise ValueError("discriminant path needs a coordinate model")
-    if field.p == 2:
-        raise ValueError("discriminant path is only valid in odd characteristic")
-    K, L = _cid(K), _cid(L)
-    a1, b1, c1 = plane.circle_coef(K)
-    a2, b2, c2 = plane.circle_coef(L)
-    if (a1, b1, c1) == (a2, b2, c2):
-        return Tangency("equal", tuple(int(p) for p in plane.members[K]))
-    q = field.q
-    da = field.sub(a1, a2)
-    db = field.sub(b1, b2)
-    dc = field.sub(c1, c2)
-    inf1, inf2 = q * q + a1, q * q + a2
-
-    def xy_point(x):
-        y = int(field.add[field.add[field.mul[a1, field.mul[x, x]], field.mul[b1, x]], c1])
-        return x * q + y
-
-    if da == 0:
-        if db == 0:
-            return Tangency("tangent", (inf1,))  # shared infinity point only
-        x = field.div(field.neg[dc], db)
-        return Tangency("secant", tuple(sorted((xy_point(x), inf1))))
-    disc = field.sub(field.mul[db, db], field.mul[field.mul[field.add[2, 2], da], dc])
-    if disc == 0:
-        x = field.div(field.neg[db], field.add[da, da])
-        return Tangency("tangent", (xy_point(x),))
-    diag = field.mul[np.arange(q), np.arange(q)]
-    roots = np.nonzero(diag == disc)[0]
-    if len(roots) == 0:
-        return Tangency("disjoint")
-    r = int(roots[0])
-    two_da = field.add[da, da]
-    xs = (field.div(field.sub(r, db), int(two_da)),
-          field.div(field.sub(int(field.neg[r]), db), int(two_da)))
-    return Tangency("secant", tuple(sorted(xy_point(x) for x in xs)))
 
 
 # -- plain-text plane format ---------------------------------------------

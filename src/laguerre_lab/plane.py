@@ -33,9 +33,13 @@ Every construction is validated first, by whole-array passes:
   * axiom (1)  one int key per sorted member triple, sorted once; repeats
                and a shortfall against the non-parallel triple count fail,
   * axiom (2)  per block of circles, the tangent partners (`pair_count`
-               1) with the touch slot of each, and a `bincount` of their
-               members into cov[K, slot, x], which must be 1 wherever x is
-               off K and off the generator of the touch point,
+               1) with the touch slot of each.  Given axiom (3) and rows
+               of one length, each partner brings m - 1 points off K and
+               off the generator of the touch point p, so the pencil at
+               (K, p) covers those points once exactly when its size
+               times m - 1 is their number and no point but p is met
+               twice: one `bincount` of pencil sizes, then a `bincount` of
+               the members of the right-sized pencils,
   * axiom (4)  the row lengths.
 
 Axioms (1) and (2) run in blocks of `_BLOCK` circles with int32 keys, so
@@ -111,11 +115,12 @@ def _cid(circle) -> int:
     return circle.id if isinstance(circle, Circle) else int(circle)
 
 
-# Circles per block of the validator's array passes and of the
-# `pair_count`/`pair_sum` products.  Temporaries are freed block by block:
-# at order 13 the peak RSS of a build plus `validate_axioms` is 163 MB
-# with this size (179 MB with whole-matrix products, 205 MB with blocks
-# of 512 and 293 MB with all circles in one block).
+# Circles per block of the validator's array passes, of the
+# `pair_count`/`pair_sum` products and of the tangent index fills.
+# Temporaries are freed block by block: at order 13 the peak RSS of a
+# build plus `validate_axioms` is 163 MB with this size (179 MB with
+# whole-matrix products, 205 MB with blocks of 512 and 293 MB with all
+# circles in one block).
 _BLOCK = 128
 
 
@@ -288,11 +293,14 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
     report.configurations += expected
 
     sorted_keys = np.sort(keys)
-    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+    dups = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if len(dups):
         # witness: the first triple (circle id, then combination order)
-        # whose key an earlier triple already has
-        order = np.argsort(keys, kind="stable")
-        pos = int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
+        # whose key an earlier triple already has: of the positions of the
+        # repeated keys, the first that is not a key's first occurrence
+        pos = np.flatnonzero(np.isin(keys, dups))
+        _, first = np.unique(keys[pos], return_index=True)
+        pos = int(np.delete(pos, first)[0])
         cid, t = divmod(pos, len(combos))
         i, j, k = (int(p) for p in M[cid, combos[t]])
         others = np.nonzero(s.mem[:, i] & s.mem[:, j] & s.mem[:, k])[0]
@@ -317,41 +325,66 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
     return False
 
 
+def _tangent_pairs(s: _Structure, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tangent partners L (pair_count 1) of the circles K in [b0, b1),
+    in (K, L) order, and for each the row (K - b0) * m + slot of the
+    touch point's slot on K."""
+    n_c, m = s.members.shape
+    pairs = np.flatnonzero(s.pair_count[b0:b1] == 1)
+    K, L = np.divmod(pairs, n_c)
+    touch = s.pair_sum[b0:b1].ravel()[pairs]
+    return L, K * m + s.slot_of[b0:b1].ravel()[K * s.n_points + touch]
+
+
 def _axiom2(s: _Structure, report: CheckReport) -> bool:
     """For K, p on K and x off K and off p's generator, one circle through
     x meets K exactly in p.
 
-    Per block of circles K: the tangent partners L (pair_count 1) with the
-    touch slot of K they use, and cov[K, slot, x], the number of those
-    partners through x, from one bincount.
+    Needs axiom (3) and uniform rows: circles of m points and generators
+    of g.  Then each tangent partner L of K at p brings its m - 1 other
+    points, all off K and off p's generator, so all eligible, and K has
+    E = n_p - m - g + 1 eligible points at every slot.  The partners cover
+    each eligible point once exactly when there are n of them with
+    (m - 1) * n = E and no point other than p is met twice.  Per block of
+    circles K: the tangent partners (pair_count 1) with the touch slot of
+    K they use; one bincount of the pencil sizes fails every (K, slot) of
+    the wrong size, and a bincount of the members of the right-sized
+    pencils, cov[row, x], finds the overlaps.  Witnesses, the first
+    eligible x whose count is not 1, are recounted per failed row.
     """
     M, n_p = s.members, s.n_points
     n_c, m = M.shape
-    member_gen = s.gen_of[M]
+    n_eligible = n_p - m - s.gen_members.shape[1] + 1
     ok = True
     for b0 in range(0, n_c, _BLOCK):
         b1 = min(b0 + _BLOCK, n_c)
-        pairs = np.flatnonzero(s.pair_count[b0:b1] == 1)
-        K, L = np.divmod(pairs, n_c)
-        touch = s.pair_sum[b0:b1].ravel()[pairs]
-        touch_slot = s.slot_of[b0:b1].ravel()[K * n_p + touch]
-        cell = ((K * m + touch_slot) * n_p).astype(np.int32)
-        cov = np.bincount((cell[:, None] + M[L]).ravel(),
-                          minlength=(b1 - b0) * m * n_p).reshape(b1 - b0, m, n_p)
-        eligible = ~s.mem[b0:b1, None, :] & (s.gen_of != member_gen[b0:b1, :, None])
-        report.configurations += int(eligible.sum())
-        bad = eligible & (cov != 1)
-        failed = bad.any(axis=2)
+        n_rows = (b1 - b0) * m
+        report.configurations += n_rows * n_eligible
+        L, row = _tangent_pairs(s, b0, b1)
+        failed = np.bincount(row, minlength=n_rows) * (m - 1) != n_eligible
+
+        # the right-sized rows, renumbered densely, and their partners' members
+        good = np.flatnonzero(~failed)
+        dense = np.cumsum(~failed) - 1
+        keep = ~failed[row]
+        cell = (dense[row[keep]] * n_p).astype(np.int32)
+        cov = np.bincount((cell[:, None] + M[L[keep]]).ravel(),
+                          minlength=len(good) * n_p).reshape(len(good), n_p)
+        cov[np.arange(len(good)), M.ravel()[b0 * m + good]] = 0    # the touch point
+        failed[good] = (cov > 1).any(axis=1)
         if not failed.any():
             continue
         ok = False
 
         def witness(i: int) -> Violation:
             k, slot = divmod(i, m)
-            x = int(bad[k, slot].argmax())
-            return Violation("axiom2", points=(int(M[b0 + k, slot]), x), circles=(b0 + k,),
-                             data=(("count", int(cov[k, slot, x])),))
-        report.record(failed, witness)
+            p = M[b0 + k, slot]
+            count = np.bincount(M[L[row == i]].ravel(), minlength=n_p)
+            bad = ~s.mem[b0 + k] & (s.gen_of != s.gen_of[p]) & (count != 1)
+            x = int(bad.argmax())
+            return Violation("axiom2", points=(int(p), x), circles=(b0 + k,),
+                             data=(("count", int(count[x])),))
+        report.record(failed.reshape(b1 - b0, m), witness)
     return ok
 
 
@@ -403,32 +436,34 @@ class LaguerrePlane(_Structure):
         self.gen_point = np.zeros((n_c, self.n_gens), dtype=np.int32)
         self.gen_point[rows, self.gen_of[self.members.ravel()]] = self.members.ravel()
 
-        # joining circle of every mutually non-parallel ordered triple
+        # joining circle of every mutually non-parallel ordered triple, one
+        # flat write per first slot
         self.triple_circle = np.full((n_p, n_p, n_p), -1, dtype=np.int32)
-        ids = np.arange(n_c, dtype=np.int32)
-        for i, j, k in itertools.permutations(range(q + 1), 3):
-            self.triple_circle[self.members[:, i], self.members[:, j], self.members[:, k]] = ids
-
-        # tangent pencils: partners of K grouped by touch point slot
-        _, t_cols = np.nonzero(self.pair_count == 1)
-        partners = t_cols.reshape(n_c, q * q - 1)
-        rows_rep = np.repeat(np.arange(n_c), q * q - 1)
-        touch = self.pair_sum[rows_rep, partners.ravel()]
-        touch_slot = self.slot_of[rows_rep, touch]
-        order = np.lexsort((partners.ravel(), touch_slot, rows_rep))
-        self.pencil_others = partners.ravel()[order].reshape(n_c, q + 1, q - 1).astype(np.int32)
-
-        # unique tangent circle through an outer point
-        self.tangent_through = np.full((n_c, q + 1, n_p), ON_CIRCLE, dtype=np.int32)
+        M = self.members.astype(np.int64)
+        flat = self.triple_circle.reshape(-1)
+        ids = np.arange(n_c, dtype=np.int32)[:, None]
+        jk = np.array(list(itertools.permutations(range(q + 1), 2)))
         for i in range(q + 1):
-            gen_row = self.gen_of[self.members[:, i]]
-            for j in range(q - 1):
-                m = self.pencil_others[:, i, j]
-                self.tangent_through[np.arange(n_c)[:, None], i, self.members[m]] = m[:, None]
-            # overwrite with sentinels: parallel beats membership of pencil mates
-            par_pts = self.gen_members[gen_row]         # (n_c, q)
-            self.tangent_through[np.arange(n_c)[:, None], i, par_pts] = PARALLEL
-            self.tangent_through[np.arange(n_c)[:, None], i, self.members] = ON_CIRCLE
+            j, k = jk[(jk != i).all(axis=1)].T
+            flat[(M[:, i, None] * n_p + M[:, j]) * n_p + M[:, k]] = ids
+
+        # per block of circles: the tangent pencils, partners of K grouped by
+        # touch point slot, each group in id order (the stable sort keeps
+        # the partners' order); then the unique tangent circle through an
+        # outer point, one batch of flat writes, and the sentinels: parallel
+        # beats membership of pencil mates, and membership of K beats both
+        self.pencil_others = np.empty((n_c, q + 1, q - 1), dtype=np.int32)
+        self.tangent_through = np.full((n_c, q + 1, n_p), ON_CIRCLE, dtype=np.int32)
+        for b0 in range(0, n_c, _BLOCK):
+            b1 = min(b0 + _BLOCK, n_c)
+            L, row = _tangent_pairs(self, b0, b1)
+            pencil = L[np.argsort(row, kind="stable")].reshape(-1, q + 1, q - 1)
+            self.pencil_others[b0:b1] = pencil
+            flat = self.tangent_through[b0:b1].reshape(-1)
+            cell = np.arange((b1 - b0) * (q + 1)).reshape(b1 - b0, q + 1, 1) * n_p
+            flat[cell[..., None] + M[pencil]] = pencil[..., None]
+            flat[cell + self.gen_members[self.gen_of[M[b0:b1]]]] = PARALLEL
+            flat[cell + M[b0:b1, None, :]] = ON_CIRCLE
 
         # circles through a non-parallel point pair, sorted by id
         self.vertex_pencils = np.full((n_p, n_p, q), -1, dtype=np.int32)

@@ -4,6 +4,7 @@ determinism, witness replay, and scalar-versus-vectorized cross-checks."""
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -432,6 +433,49 @@ def test_exhaustive_size_is_the_exhaustive_configurations(q):
         size = exhaustive_size(P, cid)
         # Prop21 takes each triple once, as K < L < M, a count the labels decide
         assert got <= size if cid == "Prop21" else got == size, cid
+
+
+def closure_rows(P, tail_shape, tail_ok):
+    """The exhaustive rows of a closure, one array per block, by itertools:
+    per circle C1 and pencil selector, each ordered quadruple (a, c, b, d)
+    of C1's points, C2 the selected circle through a and b in id order,
+    each ordered pair of distinct slots s, t of C2 whose points are
+    neither a nor b, then each index tuple of `tail_shape` that `tail_ok`
+    admits."""
+    members = P.members.tolist()
+    q = P.q
+    pencil = {}
+    for K, row in enumerate(members):
+        for x, y in itertools.permutations(row, 2):
+            pencil.setdefault((x, y), []).append(K)
+    tails = np.array([t for t in itertools.product(*map(range, tail_shape)) if tail_ok(*t)])
+    for C1 in range(P.n_circles):
+        for sel in range(q):
+            heads = []
+            for a, c, b, d in itertools.permutations(members[C1], 4):
+                C2 = pencil[(a, b)][sel]
+                for s, t in itertools.permutations(range(q + 1), 2):
+                    if {members[C2][s], members[C2][t]}.isdisjoint((a, b)):
+                        heads.append((a, c, b, d, C2, s, t))
+            # every head with every tail, heads outermost
+            yield np.hstack([np.repeat(heads, len(tails), axis=0),
+                             np.tile(tails, (len(heads), 1))])
+
+
+@pytest.mark.parametrize("check_id,q", [("Miquel", 3), ("Miquel", 4), ("Bundle", 3)])
+def test_exhaustive_closure_rows_follow_the_choice_order(check_id, q):
+    P = miquelian_plane(q)
+    if check_id == "Miquel":
+        blocks, tail_shape, tail_ok = _miquel_blocks, (q + 1, q + 1), lambda g, f: True
+    else:
+        blocks, tail_shape, tail_ok = _bundle_blocks, (q, q + 1, q + 1), lambda c, g, h: g != h
+    n_raw = (q + 1) * q * (q - 1) * (q - 2) * (q + 1) ** 2 * int(np.prod(tail_shape))
+    got = blocks(P, EX)
+    for want in closure_rows(P, tail_shape, tail_ok):
+        block = next(got)
+        assert block[0] == n_raw
+        assert np.array_equal(np.column_stack(block[1:]), want)
+    assert next(got, None) is None
 
 
 def test_every_checker_runs_sampled_everywhere():

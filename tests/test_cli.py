@@ -161,12 +161,19 @@ def test_dts_sampled_pairs(capsys):
     assert all(o["verdict"] == "Holds" for o in objs if o["check"] == "DtsVerify")
 
 
-@pytest.mark.parametrize("count", ["244", "-3"])
+@pytest.mark.parametrize("count", ["244"])
 def test_dts_impossible_sample_pair_count_exits_two(capsys, count):
-    # q=3 has 243 non-tangent pairs: 244 never ended, -3 printed nothing
+    # q=3 has 243 non-tangent pairs: 244 never ended
     code, out, err = run_cli(capsys, "dts", "--q", "3", "--sample-pairs", count, "--seed", "1")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "243 non-tangent pairs" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_dts_sample_pairs_must_be_positive(capsys, count):
+    # 0 read as an absent option, -3 as a count the plane cannot give
+    code, out, err = run_cli(capsys, "dts", "--q", "3", "--sample-pairs", count, "--seed", "1")
+    assert (code, out, err) == (2, "", "error: --sample-pairs must be positive\n")
 
 
 def test_dts_tangent_pair_is_usage_error(capsys):

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from laguerre_lab.errors import NotALaguerrePlane
+from laguerre_lab.gf import field_of_order
 from laguerre_lab.models import (
+    SUPPORTED_PLANE_ORDERS,
+    _model_structure,
     build_plane,
     export_plane,
     import_plane,
@@ -14,6 +17,48 @@ from laguerre_lab.models import (
     oval_table_power,
     plane_from_label,
 )
+
+
+def loop_model_structure(field, table):
+    """The coordinate model built point by point: the reference for the
+    array build of `_model_structure`."""
+    q = field.q
+    point = lambda x, y: x * q + y          # finite points, x-major
+    inf_point = lambda a: q * q + a         # infinity generator is last
+
+    generators = [[point(x, y) for y in range(q)] for x in range(q)]
+    generators.append([inf_point(a) for a in range(q)])
+
+    circles = []
+    coefficients = []
+    mul, add = field.mul, field.add
+    for a in range(q):
+        ao = [int(mul[a, table[x]]) for x in range(q)]
+        for b in range(q):
+            abx = [int(add[ao[x], mul[b, x]]) for x in range(q)]
+            for c in range(q):
+                members = [point(x, int(add[abx[x], c])) for x in range(q)]
+                members.append(inf_point(a))
+                circles.append(members)
+                coefficients.append([a, b, c])
+    return generators, circles, coefficients
+
+
+def _assert_model_matches_the_loop(q, table):
+    field = field_of_order(q)
+    got = _model_structure(field, table)
+    assert [part.shape for part in got] == [(q + 1, q), (q**3, q + 1), (q**3, 3)]
+    assert [part.tolist() for part in got] == list(loop_model_structure(field, table))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_PLANE_ORDERS)
+def test_model_structure_of_the_square_map_matches_the_loop(q):
+    _assert_model_matches_the_loop(q, oval_table_power(q, 2))
+
+
+@pytest.mark.parametrize("q,exponent", [(q, e) for q in (8, 9, 11) for e in range(q)])
+def test_model_structure_of_every_monomial_matches_the_loop(q, exponent):
+    _assert_model_matches_the_loop(q, oval_table_power(q, exponent))
 
 
 def test_order_two_plane():

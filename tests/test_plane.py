@@ -15,8 +15,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laguerre_lab.errors import ParallelPoints, PointNotOnCircle, PointOnCircle
-from laguerre_lab.models import discriminant_tangency, miquelian_plane, oval_plane, oval_table_power
-from laguerre_lab.plane import validate_laguerre_axioms
+from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
+from laguerre_lab.plane import ON_CIRCLE, PARALLEL, Tangency, validate_laguerre_axioms
+
+
+def discriminant_tangency(plane, K, L) -> Tangency:
+    """Classify a circle pair from coefficients alone (odd characteristic).
+
+    For (a,b,c) vs (a',b',c') with a != a' the finite intersections are the
+    roots of (a-a')x² + (b-b')x + (c-c') and the classification follows the
+    discriminant (b-b')² - 4(a-a')(c-c'); pairs with a = a' share the
+    infinity point (inf,a) and reduce to the linear case.  The cross-check
+    oracle against the set-theoretic `plane.tangency`.
+    """
+    field = plane.field
+    assert field is not None and field.p != 2
+    a1, b1, c1 = plane.circle_coef(K)
+    a2, b2, c2 = plane.circle_coef(L)
+    if (a1, b1, c1) == (a2, b2, c2):
+        return Tangency("equal", tuple(int(p) for p in plane.members[K]))
+    q = field.q
+    da = field.sub(a1, a2)
+    db = field.sub(b1, b2)
+    dc = field.sub(c1, c2)
+    inf1 = q * q + a1
+
+    def xy_point(x):
+        y = int(field.add[field.add[field.mul[a1, field.mul[x, x]], field.mul[b1, x]], c1])
+        return x * q + y
+
+    if da == 0:
+        if db == 0:
+            return Tangency("tangent", (inf1,))  # shared infinity point only
+        x = field.div(field.neg[dc], db)
+        return Tangency("secant", tuple(sorted((xy_point(x), inf1))))
+    disc = field.sub(field.mul[db, db], field.mul[field.mul[field.add[2, 2], da], dc])
+    if disc == 0:
+        x = field.div(field.neg[db], field.add[da, da])
+        return Tangency("tangent", (xy_point(x),))
+    diag = field.mul[np.arange(q), np.arange(q)]
+    roots = np.nonzero(diag == disc)[0]
+    if len(roots) == 0:
+        return Tangency("disjoint")
+    r = int(roots[0])
+    two_da = field.add[da, da]
+    xs = (field.div(field.sub(r, db), int(two_da)),
+          field.div(field.sub(int(field.neg[r]), db), int(two_da)))
+    return Tangency("secant", tuple(sorted(xy_point(x) for x in xs)))
 
 
 def pt(q, x, y):
@@ -168,6 +213,36 @@ def test_pencil_sizes_by_enumeration(q):
     pencil = P.vertex_pencils[x, y]
     assert len(set(pencil.tolist())) == q and P.mem[pencil, x].all() and P.mem[pencil, y].all()
 
+
+
+@pytest.mark.parametrize("plane", [(3, 2), (4, 2), (5, 2), (8, 4)], ids=str)
+def test_tangent_indexes_by_set_scan(plane):
+    # every slot of every circle: the pencil in id order, and the circle of
+    # it through each point off K and off p's generator; p and the rest of
+    # K read ON_CIRCLE, the rest of p's generator PARALLEL
+    q, exponent = plane
+    P = oval_plane(q, oval_table_power(q, exponent)) if exponent != 2 else miquelian_plane(q)
+    circles = [set(row) for row in P.members.tolist()]
+    gen = P.gen_of.tolist()
+    for K, members in enumerate(P.members.tolist()):
+        touching = {}
+        for L, row in enumerate(circles):
+            common = row & circles[K]
+            if len(common) == 1:
+                touching.setdefault(common.pop(), []).append(L)
+        for slot, p in enumerate(members):
+            pencil = touching[p]
+            assert P.pencil_others[K, slot].tolist() == pencil
+            want = []
+            for x in range(P.n_points):
+                if x in circles[K]:
+                    want.append(ON_CIRCLE)
+                elif gen[x] == gen[p]:
+                    want.append(PARALLEL)
+                else:
+                    (L,) = [L for L in pencil if x in circles[L]]
+                    want.append(L)
+            assert P.tangent_through[K, slot].tolist() == want
 
 def test_concyclic_examples():
     P = miquelian_plane(5)

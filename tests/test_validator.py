@@ -219,7 +219,7 @@ def report_obj(report: CheckReport) -> dict:
 def model_rows(q: int, exponent: int = 2):
     """Generators and circles of the coordinate model with o(x) = x^exponent."""
     gens, circles, _ = _model_structure(field_of_order(q), oval_table_power(q, exponent))
-    return [list(g) for g in gens], [list(c) for c in circles]
+    return gens.tolist(), circles.tolist()
 
 
 def _moved_within(gens, circles, cid, slot):
@@ -391,3 +391,54 @@ def test_monomial_tables_match_the_loop_reference(q, exponent):
     gens, circles = model_rows(q, exponent)
     assert report_obj(validate_laguerre_axioms(gens, circles)) == report_obj(
         loop_validate(gens, circles))
+
+
+def _pencil_rows(gens, circles):
+    """Per (circle, slot) of a structure that holds axiom (3), from the loop
+    structure: whether the tangent pencil at the slot's point has a size
+    other than E / (m - 1), E the eligible points of the slot, and whether
+    two of its circles share a point other than the touch point."""
+    s = LoopStructure(gens, circles)
+    n_c, m = len(s.circles), len(s.circles[0])
+    eligible = s.n_points - m - len(s.generators[0]) + 1
+    T, W = s.pair_count, s.pair_sum
+    wrong_size = np.zeros((n_c, m), dtype=bool)
+    overlap = np.zeros((n_c, m), dtype=bool)
+    for cid, c in enumerate(s.circles):
+        for slot, p in enumerate(c):
+            pencil = [s.circles[d] for d in np.nonzero((T[cid] == 1) & (W[cid] == p))[0]]
+            wrong_size[cid, slot] = len(pencil) * (m - 1) != eligible
+            met = [x for circle in pencil for x in circle if x != p]
+            overlap[cid, slot] = len(met) != len(set(met))
+    return s, wrong_size, overlap
+
+
+def _moved(q):
+    """The model of order q with one circle moved off a point along its
+    generator: some pencils keep their size, but two of their circles
+    meet twice."""
+    gens, circles = model_rows(q)
+    _mutate(gens, circles, "move-within", 10, 0, 0)
+    return gens, circles
+
+
+@pytest.mark.parametrize("route,structure", [
+    ("size", lambda: model_rows(3, 1)),
+    ("size", lambda: model_rows(7, 3)),
+    ("overlap", lambda: _moved(3)),
+    ("overlap", lambda: _moved(4)),
+    ("overlap", lambda: _moved(5)),
+], ids=["size-x-q3", "size-x3-q7", "overlap-q3", "overlap-q4", "overlap-q5"])
+def test_axiom2_failure_routes_match_the_loop_reference(route, structure):
+    # each structure has a recorded witness failed by the route: a pencil
+    # of the wrong size, or one of the right size whose circles overlap
+    gens, circles = structure()
+    s, wrong_size, overlap = _pencil_rows(gens, circles)
+    report = validate_laguerre_axioms(gens, circles)
+    assert report_obj(report) == report_obj(loop_validate(gens, circles))
+    rows = [(v.circles[0], s.circles[v.circles[0]].index(v.points[0]))
+            for v in report.violations if v.kind == "axiom2"]
+    if route == "size":
+        assert any(wrong_size[row] for row in rows)
+    else:
+        assert any(overlap[row] and not wrong_size[row] for row in rows)
