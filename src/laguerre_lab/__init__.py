@@ -23,7 +23,6 @@ from .errors import (
 )
 from .gf import FiniteField, field_of_order, make_field, square_roots
 from .plane import (
-    AffineIncidence,
     Circle,
     LaguerrePlane,
     Pencil,

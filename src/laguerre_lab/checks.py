@@ -392,16 +392,16 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     meet C1 in c as well as in a.
     """
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
-    CPG, TCT, slot = plane.gen_point, plane.tangent_through, plane.slot_of
+    members, TCT = plane.members, plane.tangent_through
 
     def block(n_raw, a, b, c, x):
         # (a, b, c, x) mutually non-parallel; keep x off C1
         C1 = _gather(T3, a, b, c)
         keep = ~_gather(mem, C1, x)     # a mask: no index array beside the block's
         a, b, c, x, C1 = a[keep], b[keep], c[keep], x[keep], C1[keep]
-        return (n_raw, a, b, c, x, C1, _gather(CPG, _gather(T3, a, b, x), gen[c]),
-                _gather(CPG, _gather(T3, a, c, x), gen[b]),
-                _gather(TCT, C1, _gather(slot, C1, a), x))
+        return (n_raw, a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen[c]),
+                _gather(members, _gather(T3, a, c, x), gen[b]),
+                _gather(TCT, C1, gen[a], x))
 
     if mode.is_sample:
         for raw in _sample_batches(mode, 4):
@@ -435,7 +435,7 @@ def _eval_pi(plane, report, a, b, c, x, C1, p, qpt, Kp):
 
 
 def _eval_pi_prime(plane, report, a, b, c, x, C1, p, qpt, Kp):
-    L = _gather(plane.tangent_through, Kp, _gather(plane.slot_of, Kp, x), qpt)
+    L = _gather(plane.tangent_through, Kp, plane.gen_of[x], qpt)
     Cabx = _gather(plane.triple_circle, a, b, x)
     two = _gather(plane.pair_count, L, Cabx) == 2
     other = np.where(two, _gather(plane.pair_sum, L, Cabx) - x, 0)
@@ -445,7 +445,7 @@ def _eval_pi_prime(plane, report, a, b, c, x, C1, p, qpt, Kp):
 
 def _eval_thm_2_3(plane, report, a, b, c, x, C1, p, qpt, Kp):
     Cqpx = _gather(plane.triple_circle, qpt, p, x)
-    N = _gather(plane.tangent_through, Cqpx, _gather(plane.slot_of, Cqpx, p), b)
+    N = _gather(plane.tangent_through, Cqpx, plane.gen_of[p], b)
     ok = (_gather(plane.pair_count, N, C1) == 1) & (_gather(plane.pair_sum, N, C1) == b)
     _pi_tally(report, ok, "thm23-config", a, b, c, x, C1)
 
@@ -505,11 +505,12 @@ def _exhaustive_bases(plane: LaguerrePlane, tail: np.ndarray):
     selector: each ordered base quadruple (a, c, b, d) of C1's points, C2
     the selected circle of the pencil through (a, b), and each ordered
     pair of distinct member slots s, t of C2 whose members are neither a
-    nor b.  Every such row takes the index tuple of each set entry of the
-    boolean array `tail`, the closure's own choices, all of which count
-    as raw choices.  Yields (raw count, a, c, b, d, C2, s, t, *tail
-    indexes) per block, its rows in the C order of the choice space."""
-    members, VP, slot_of, q = plane.members, plane.vertex_pencils, plane.slot_of, plane.q
+    nor b (slot g holds the point on generator g).  Every such row takes
+    the index tuple of each set entry of the boolean array `tail`, the
+    closure's own choices, all of which count as raw choices.  Yields
+    (raw count, a, c, b, d, C2, s, t, *tail indexes) per block, its rows in
+    the C order of the choice space."""
+    members, VP, gen, q = plane.members, plane.vertex_pencils, plane.gen_of, plane.q
     ords = np.array(list(itertools.permutations(range(q + 1), 4)), dtype=np.int64)
     if not len(ords):
         return
@@ -522,8 +523,7 @@ def _exhaustive_bases(plane: LaguerrePlane, tail: np.ndarray):
         A, Cq, B, D = (members[C1][ords[:, j]] for j in range(4))
         for sel in range(q):
             C2 = _gather(VP, A, B, sel)
-            off = ((slots != _gather(slot_of, C2, A)[:, None])
-                   & (slots != _gather(slot_of, C2, B)[:, None]))
+            off = (slots != gen[A][:, None]) & (slots != gen[B][:, None])
             o, s, t = (np.repeat(v, n) for v in np.nonzero(
                 off[:, :, None] & off[:, None, :] & (slots[:, None] != slots)))
             k = len(o) // n

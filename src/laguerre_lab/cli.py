@@ -91,9 +91,11 @@ def _load_oval_table(path: str) -> list[int]:
 def _make_plane(args):
     oval_table = None
     if args.model == "oval":
-        if not getattr(args, "oval_table", None):
+        if not args.oval_table:
             raise UsageError("--model oval requires --oval-table FILE")
         oval_table = _load_oval_table(args.oval_table)
+    elif args.oval_table:
+        raise UsageError("--oval-table needs --model oval")
     return build_plane(args.q, args.model, oval_table)
 
 

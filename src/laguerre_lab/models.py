@@ -129,7 +129,7 @@ def export_plane(plane: LaguerrePlane) -> str:
     for g in plane.gen_members:
         lines.append(" ".join(str(int(p)) for p in g))
     for cid in range(plane.n_circles):
-        row = " ".join(str(int(p)) for p in plane.members[cid])
+        row = " ".join(str(int(p)) for p in np.sort(plane.members[cid]))
         coef = plane.circle_coef(cid)
         if coef is not None:
             row += " coef " + " ".join(str(v) for v in coef)

@@ -10,7 +10,10 @@ A plane is an incidence structure (points, circles, parallelity) in which
 `LaguerrePlane` is immutable after construction.  All hot-path operations
 read precomputed numpy indexes:
 
-  * `members`/`mem`       circle membership as sorted rows / dense booleans,
+  * `members`/`mem`       circle membership as rows by generator (the point
+                          of K on generator g at `members[K, g]`, so the
+                          slot of a point on a circle is its generator id)
+                          / dense booleans,
   * `pair_count`          |K ∩ L| for every circle pair,
   * `pair_sum`            the sum of the points of K ∩ L, so the touch
                           point of K and L wherever `pair_count` is 1,
@@ -18,7 +21,9 @@ read precomputed numpy indexes:
                           also the one candidate circle for a member set
                           (the circle of its first three points),
   * `pencil_others`       tangent pencils grouped by (circle, touch point),
-  * `tangent_through`     (circle, touch point, outer point) -> tangent circle,
+                          the touch point given by its generator,
+  * `tangent_through`     (circle, touch point's generator, outer point) ->
+                          tangent circle,
   * `vertex_pencils`      non-parallel point pair -> circles through both.
 
 Dense membership rows make intersection tests word-parallel scans, and the
@@ -28,15 +33,17 @@ MB at order 13) for the inner-loop speed the exhaustive sweeps need.
 Every construction is validated first, by whole-array passes:
 
   * structure  one `np.unique` over the generator ids, one sort of the
-               circle rows (repeats, range) and one scatter into `mem`,
+               circle rows (repeats, range), one scatter into `mem` and
+               one into the rows by generator,
   * axiom (3)  one `bincount` over (circle, generator of member),
-  * axiom (1)  one int key per sorted member triple, sorted once; repeats
-               and a shortfall against the non-parallel triple count fail,
+  * axiom (1)  one int key per member triple of the rows sorted by id,
+               sorted once; repeats and a shortfall against the
+               non-parallel triple count fail,
   * axiom (2)  per block of circles, the tangent partners (`pair_count`
-               1) with the touch slot of each.  Given axiom (3) and rows
-               of one length, each partner brings m - 1 points off K and
-               off the generator of the touch point p, so the pencil at
-               (K, p) covers those points once exactly when its size
+               1) with the generator of each touch point.  Given axiom (3)
+               and rows of one length, each partner brings m - 1 points off
+               K and off the generator of the touch point p, so the pencil
+               at (K, p) covers those points once exactly when its size
                times m - 1 is their number and no point but p is met
                twice: one `bincount` of pencil sizes, then a `bincount` of
                the members of the right-sized pencils,
@@ -70,7 +77,6 @@ __all__ = [
     "Pencil",
     "Tangency",
     "LaguerrePlane",
-    "AffineIncidence",
     "validate_laguerre_axioms",
 ]
 
@@ -156,8 +162,10 @@ class _Structure:
     """Raw incidence data of a candidate structure, read by the validator.
 
     Rows are kept flat (`circ_flat`, one `circ_row` id per entry) so that
-    ragged candidates go through the same array passes; `gen_members` and
-    `members` (sorted rows) are the matrix views, None for ragged rows.
+    ragged candidates go through the same array passes.  `gen_members` is
+    the generators' matrix view, None for ragged rows; `members` lists
+    each circle's points by generator, None unless every circle meets
+    every generator exactly once (axiom (3)).
     A `LaguerrePlane` is the structure it was built from, plus indexes.
     """
 
@@ -178,8 +186,9 @@ class _Structure:
         self.gen_of[pts] = gids[ok][first]
         self.gen_members = _rows_2d(gen_flat, gen_len)
 
-        # circle members sorted within rows; a circle with a repeated or
-        # out-of-range member keeps an empty membership row
+        # circle members sorted within rows, so that repeats are neighbours;
+        # a circle with a repeated or out-of-range member keeps an empty
+        # membership row
         row = np.repeat(np.arange(n_c), self.circ_len)
         circ_flat = circ_flat[np.lexsort((circ_flat, row))]
         bad = np.zeros(n_c, dtype=bool)
@@ -190,7 +199,15 @@ class _Structure:
         keep = ~bad[row]
         self.mem[row[keep], circ_flat[keep]] = True
         self.circ_row, self.circ_flat = row, circ_flat
-        self.members = _rows_2d(circ_flat, self.circ_len)
+
+        # rows by generator, members[K, g] the point of K on generator g: one
+        # scatter, kept when every circle meets every generator once
+        self.members = None
+        if n_c and self.partition_ok and self.members_ok and (self.circ_len == self.n_gens).all():
+            rows = np.full((n_c, self.n_gens), -1, dtype=np.int32)
+            rows[row, self.gen_of[circ_flat]] = circ_flat
+            if (rows >= 0).all():
+                self.members = rows
 
     @functools.cached_property
     def pair_count(self) -> np.ndarray:
@@ -204,15 +221,6 @@ class _Structure:
         m = self.mem.astype(np.float32)
         w = m * np.arange(self.n_points, dtype=np.float32)[None, :]
         return _blocked_product(m, w, np.int32)
-
-    @functools.cached_property
-    def slot_of(self) -> np.ndarray:
-        """(circle, point) -> position of the point in the sorted row, or -1."""
-        n_c, m = self.members.shape
-        slot = np.full((n_c, self.n_points), -1, dtype=np.int8)
-        slot[np.repeat(np.arange(n_c), m), self.members.ravel()] = np.tile(
-            np.arange(m, dtype=np.int8), n_c)
-        return slot
 
 
 def _validate(s: _Structure) -> CheckReport:
@@ -251,8 +259,7 @@ def _validate(s: _Structure) -> CheckReport:
         notes.append("axiom3=failed")
     report.configurations += n_c * n_g
 
-    uniform = axiom3_ok and s.gen_members is not None and s.members is not None
-    if uniform:
+    if s.members is not None and s.gen_members is not None:
         notes.append("axiom1=ok" if _axiom1(s, report) else "axiom1=failed")
         notes.append("axiom2=ok" if _axiom2(s, report) else "axiom2=failed")
     else:
@@ -273,11 +280,12 @@ def _validate(s: _Structure) -> CheckReport:
 def _axiom1(s: _Structure, report: CheckReport) -> bool:
     """Every mutually non-parallel triple lies on exactly one circle.
 
-    Each sorted member triple (i, j, k) becomes the key (i*n + j)*n + k;
-    one sort finds repeated keys, and a count below the number of
-    non-parallel triples means some triple is on no circle.
+    Each sorted member triple (i, j, k) becomes the key (i*n + j)*n + k,
+    read from the rows sorted by point id; one sort finds repeated keys,
+    and a count below the number of non-parallel triples means some triple
+    is on no circle.
     """
-    M, G, n_p = s.members, s.gen_members, s.n_points
+    M, G, n_p = np.sort(s.members, axis=1), s.gen_members, s.n_points
     combos = np.array(list(itertools.combinations(range(M.shape[1]), 3)),
                       dtype=np.intp).reshape(-1, 3)
     dtype = np.int32 if n_p ** 3 < 2 ** 31 else np.int64
@@ -327,13 +335,12 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
 
 def _tangent_pairs(s: _Structure, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
     """The tangent partners L (pair_count 1) of the circles K in [b0, b1),
-    in (K, L) order, and for each the row (K - b0) * m + slot of the
-    touch point's slot on K."""
+    in (K, L) order, and for each the row (K - b0) * m + g of the touch
+    point's generator g."""
     n_c, m = s.members.shape
     pairs = np.flatnonzero(s.pair_count[b0:b1] == 1)
     K, L = np.divmod(pairs, n_c)
-    touch = s.pair_sum[b0:b1].ravel()[pairs]
-    return L, K * m + s.slot_of[b0:b1].ravel()[K * s.n_points + touch]
+    return L, K * m + s.gen_of[s.pair_sum[b0:b1].ravel()[pairs]]
 
 
 def _axiom2(s: _Structure, report: CheckReport) -> bool:
@@ -343,13 +350,13 @@ def _axiom2(s: _Structure, report: CheckReport) -> bool:
     Needs axiom (3) and uniform rows: circles of m points and generators
     of g.  Then each tangent partner L of K at p brings its m - 1 other
     points, all off K and off p's generator, so all eligible, and K has
-    E = n_p - m - g + 1 eligible points at every slot.  The partners cover
-    each eligible point once exactly when there are n of them with
-    (m - 1) * n = E and no point other than p is met twice.  Per block of
-    circles K: the tangent partners (pair_count 1) with the touch slot of
-    K they use; one bincount of the pencil sizes fails every (K, slot) of
-    the wrong size, and a bincount of the members of the right-sized
-    pencils, cov[row, x], finds the overlaps.  Witnesses, the first
+    E = n_p - m - g + 1 eligible points at each of its points.  The
+    partners cover each eligible point once exactly when there are n of
+    them with (m - 1) * n = E and no point other than p is met twice.  Per
+    block of circles K: the tangent partners (pair_count 1) with the
+    generator of the touch point; one bincount of the pencil sizes fails
+    every (K, generator) of the wrong size, and a bincount of the members
+    of the right-sized pencils, cov[row, x], finds the overlaps.  Witnesses, the first
     eligible x whose count is not 1, are recounted per failed row.
     """
     M, n_p = s.members, s.n_points
@@ -377,8 +384,8 @@ def _axiom2(s: _Structure, report: CheckReport) -> bool:
         ok = False
 
         def witness(i: int) -> Violation:
-            k, slot = divmod(i, m)
-            p = M[b0 + k, slot]
+            k, g = divmod(i, m)
+            p = M[b0 + k, g]
             count = np.bincount(M[L[row == i]].ravel(), minlength=n_p)
             bad = ~s.mem[b0 + k] & (s.gen_of != s.gen_of[p]) & (count != 1)
             x = int(bad.argmax())
@@ -423,18 +430,12 @@ class LaguerrePlane(_Structure):
 
         self._build_indexes()
         for arr in (self.gen_of, self.gen_members, self.members, self.mem,
-                    self.pair_count, self.pair_sum, self.slot_of, self.gen_point,
-                    self.triple_circle, self.pencil_others, self.tangent_through,
-                    self.vertex_pencils):
+                    self.pair_count, self.pair_sum, self.triple_circle,
+                    self.pencil_others, self.tangent_through, self.vertex_pencils):
             arr.flags.writeable = False
 
     def _build_indexes(self) -> None:
         n_p, n_c, q = self.n_points, self.n_circles, self.q
-        rows = np.repeat(np.arange(n_c), q + 1)
-
-        # point of each circle on each generator (axiom (3) lookup)
-        self.gen_point = np.zeros((n_c, self.n_gens), dtype=np.int32)
-        self.gen_point[rows, self.gen_of[self.members.ravel()]] = self.members.ravel()
 
         # joining circle of every mutually non-parallel ordered triple, one
         # flat write per first slot
@@ -448,8 +449,8 @@ class LaguerrePlane(_Structure):
             flat[(M[:, i, None] * n_p + M[:, j]) * n_p + M[:, k]] = ids
 
         # per block of circles: the tangent pencils, partners of K grouped by
-        # touch point slot, each group in id order (the stable sort keeps
-        # the partners' order); then the unique tangent circle through an
+        # the touch point's generator, each group in id order (the stable
+        # sort keeps the partners' order); then the unique tangent circle through an
         # outer point, one batch of flat writes, and the sentinels: parallel
         # beats membership of pencil mates, and membership of K beats both
         self.pencil_others = np.empty((n_c, q + 1, q - 1), dtype=np.int32)
@@ -462,7 +463,7 @@ class LaguerrePlane(_Structure):
             flat = self.tangent_through[b0:b1].reshape(-1)
             cell = np.arange((b1 - b0) * (q + 1)).reshape(b1 - b0, q + 1, 1) * n_p
             flat[cell[..., None] + M[pencil]] = pencil[..., None]
-            flat[cell + self.gen_members[self.gen_of[M[b0:b1]]]] = PARALLEL
+            flat[cell + self.gen_members] = PARALLEL
             flat[cell + M[b0:b1, None, :]] = ON_CIRCLE
 
         # circles through a non-parallel point pair, sorted by id
@@ -524,15 +525,14 @@ class LaguerrePlane(_Structure):
 
     def parallel_point(self, p: int, K) -> int:
         """The unique point of K on the generator of p."""
-        return int(self.gen_point[_cid(K), self.gen_of[p]])
+        return int(self.members[_cid(K), self.gen_of[p]])
 
     def tangent_circle(self, p: int, K, x: int) -> Circle:
         """The unique circle through x meeting K exactly in p."""
         K = _cid(K)
-        slot = int(self.slot_of[K, p])
-        if slot < 0:
+        if not self.mem[K, p]:
             raise PointNotOnCircle(f"point {p} not on circle {K}")
-        m = int(self.tangent_through[K, slot, x])
+        m = int(self.tangent_through[K, self.gen_of[p], x])
         if m == ON_CIRCLE:
             raise PointOnCircle(f"point {x} lies on circle {K}")
         if m == PARALLEL:
@@ -555,10 +555,9 @@ class LaguerrePlane(_Structure):
     def tangent_pencil(self, p: int, K) -> Pencil:
         """All circles tangent to K at p (including K itself)."""
         K = _cid(K)
-        slot = int(self.slot_of[K, p])
-        if slot < 0:
+        if not self.mem[K, p]:
             raise PointNotOnCircle(f"point {p} not on circle {K}")
-        members = sorted([K] + [int(m) for m in self.pencil_others[K, slot]])
+        members = sorted([K] + [int(m) for m in self.pencil_others[K, self.gen_of[p]]])
         return Pencil("tangent", (p, K), tuple(members))
 
     # -- concyclicity ----------------------------------------------------
@@ -596,74 +595,5 @@ class LaguerrePlane(_Structure):
                 return True
         return False
 
-    # -- derived structures ----------------------------------------------
-
-    def derived_affine_plane(self, p: int) -> "AffineIncidence":
-        """Affine plane on the points non-parallel to p.
-
-        Lines are the circles through p (with p removed) together with the
-        generators avoiding p.
-        """
-        keep = np.nonzero(self.gen_of != self.gen_of[p])[0]
-        lines = []
-        for cid in self.circles_through(p):
-            lines.append(tuple(int(x) for x in self.members[cid] if x != p))
-        g_p = int(self.gen_of[p])
-        for gid in range(self.n_gens):
-            if gid != g_p:
-                lines.append(tuple(int(x) for x in self.gen_members[gid]))
-        return AffineIncidence(tuple(int(x) for x in keep), tuple(lines))
-
     def validate_axioms(self) -> CheckReport:
         return _validate(self)
-
-
-@dataclass(frozen=True)
-class AffineIncidence:
-    """A point/line incidence structure checked against the affine axioms."""
-
-    points: tuple[int, ...]
-    lines: tuple[tuple[int, ...], ...]
-
-    def validate(self) -> CheckReport:
-        report = CheckReport(check_id="AffineAxioms", mode=CheckMode.exhaustive())
-        point_set = set(self.points)
-        line_sets = [frozenset(l) for l in self.lines]
-
-        joined: dict[tuple[int, int], int] = {}
-        ok_join = True
-        for l in self.lines:
-            for a, b in itertools.combinations(sorted(l), 2):
-                joined[(a, b)] = joined.get((a, b), 0) + 1
-        for a, b in itertools.combinations(sorted(point_set), 2):
-            report.configurations += 1
-            if joined.get((a, b), 0) != 1:
-                report.add_violation(Violation(
-                    "affine-join", points=(a, b),
-                    data=(("count", joined.get((a, b), 0)),)))
-                ok_join = False
-
-        # Playfair: exactly one line through an outside point missing the line.
-        ok_par = True
-        for li, l in enumerate(line_sets):
-            for x in point_set - l:
-                report.configurations += 1
-                count = sum(1 for m in line_sets if x in m and not (m & l))
-                if count != 1:
-                    report.add_violation(Violation(
-                        "affine-parallel", points=(x,), circles=(li,),
-                        data=(("count", count),)))
-                    ok_par = False
-
-        triangle = False
-        for a, b, c in itertools.combinations(sorted(point_set), 3):
-            if not any({a, b, c} <= l for l in line_sets):
-                triangle = True
-                break
-        if not triangle:
-            report.add_violation(Violation("affine-triangle"))
-        report.notes = (
-            f"join={'ok' if ok_join else 'failed'}",
-            f"parallel={'ok' if ok_par else 'failed'}",
-        )
-        return report.finalize()

@@ -15,10 +15,11 @@ pass over the plane's own indexes:
                       gathered from `pencil_others`, against `pair_count`;
                       `tangency_map` (so `build_dts`) and property (4) of
                       `verify_dts` read touch points from it,
-  * `build_dts`       one `triple_circle`/`gen_point` gather over the
-                      points off K and L by the auxiliaries on K,
+  * `build_dts`       one `triple_circle`/`members` gather over the
+                      points off K and L by the auxiliaries on K, since
+                      `members[C, g]` is the point of C on generator g,
   * `circle_image`    one `triple_circle` gather over the sorted image
-                      rows, checked against `members`,
+                      rows, checked against the sorted `members` rows,
   * parallelity       `split_generators`, read by `Automorphism.validate`
                       and property (2) of `verify_dts`,
   * `verify_dts` (4)  all moved circles and their member slots at once,
@@ -91,13 +92,12 @@ def tangent_to_second(plane: LaguerrePlane, p: int, K, L) -> tuple[Circle | None
     characteristic 2.
     """
     K, L = _cid(K), _cid(L)
-    slot = int(plane.slot_of[K, p])
-    if slot < 0:
+    if not plane.mem[K, p]:
         raise PointNotOnCircle(f"point {p} not on circle {K}")
     if K == L:
         raise ValueError("circles must be distinct")
     T = plane.pair_count
-    pencil = [K] + plane.pencil_others[K, slot].tolist()
+    pencil = [K] + plane.pencil_others[K, plane.gen_of[p]].tolist()
     if plane.mem[L, p]:
         hits = [m for m in pencil if T[m, L] == 1 and plane.pair_sum[m, L] == p]
         return (plane.circle(hits[0]) if len(hits) == 1 else None), p
@@ -128,8 +128,9 @@ def _pencil_touch(plane: LaguerrePlane, K: np.ndarray, L: np.ndarray
 
 
 def tangency_map(plane: LaguerrePlane, K, L) -> np.ndarray:
-    """The images of `plane.members[K]`, in member order, under the map
-    K -> L sending x to the touch point of (x,K,L)° on L.
+    """The images of `plane.members[K]`, in member order (the order of
+    the generators), under the map K -> L sending x to the touch point of
+    (x,K,L)° on L.
 
     Common points map to themselves; every other point of K goes through
     one `_pencil_touch` pass.  The first point, in member order, whose
@@ -195,14 +196,14 @@ class Automorphism:
 
         One gather: the circle joining the first three points of each
         sorted image row (ids off the plane clipped into range), kept where
-        its member row is the whole image row.
+        its members, as a set, are the image row.
         """
         if self._circle_image is None:
             plane = self.plane
             row = np.sort(self.image[plane.members], axis=1)
             a, b, c = np.clip(row[:, :3], 0, plane.n_points - 1).T
             cid = plane.triple_circle[a, b, c]
-            ok = (cid >= 0) & (plane.members[cid] == row).all(axis=1)
+            ok = (cid >= 0) & (np.sort(plane.members[cid], axis=1) == row).all(axis=1)
             self._circle_image = np.where(ok, cid, -1).astype(np.int32)
         return self._circle_image
 
@@ -249,8 +250,8 @@ def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
     X = np.flatnonzero(image < 0)
     gX = gen[X][:, None]
     # the generator of the image of xK, the point of K parallel to x
-    target = gen[image[plane.gen_point[K, gen[X]]]]
-    cand = plane.gen_point[plane.triple_circle[X[:, None], Y, hY], target[:, None]]
+    target = gen[image[plane.members[K, gen[X]]]]
+    cand = plane.members[plane.triple_circle[X[:, None], Y, hY], target[:, None]]
     admissible = (gen[Y] != gX) & (gen[hY] != gX)
     first = admissible.argmax(axis=1)
     img = cand[np.arange(len(X)), first]

@@ -492,7 +492,7 @@ def test_every_checker_runs_sampled_everywhere():
 
 # every table the sweeps read through `_gather`
 GATHERED = ("triple_circle", "tangent_through", "pair_count", "pair_sum", "mem", "members",
-            "slot_of", "gen_point", "vertex_pencils", "pencil_others")
+            "vertex_pencils", "pencil_others")
 
 
 @functools.cache

@@ -130,6 +130,17 @@ def test_oval_table_file(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: {bad}:3: x listed twice\n")
 
 
+@pytest.mark.parametrize("model", [(), ("--model", "miquelian"), ("--model", "oval:0,1,1")])
+@pytest.mark.parametrize("argv", [("check", "--checks", "Axioms"), ("dts",), ("moebius",)])
+def test_an_oval_table_without_model_oval_is_a_usage_error(tmp_path, capsys, argv, model):
+    # a valid table that the model would ignore
+    path = tmp_path / "oval3.txt"
+    path.write_text("0 0\n1 1\n2 1\n")
+    code, out, err = run_cli(capsys, argv[0], "--q", "3", *model, "--oval-table", str(path),
+                             *argv[1:])
+    assert (code, out, err) == (2, "", "error: --oval-table needs --model oval\n")
+
+
 @pytest.mark.parametrize("argv", [("check", "--checks", "Axioms"), ("dts",), ("moebius",)])
 def test_an_oval_label_of_another_order_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--q", "13",

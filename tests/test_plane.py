@@ -7,7 +7,10 @@ plane's own indexes, then compared against the indexed operations.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +18,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laguerre_lab.errors import ParallelPoints, PointNotOnCircle, PointOnCircle
-from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
+from laguerre_lab.models import (
+    SUPPORTED_PLANE_ORDERS,
+    miquelian_plane,
+    oval_plane,
+    oval_table_power,
+)
 from laguerre_lab.plane import ON_CIRCLE, PARALLEL, Tangency, validate_laguerre_axioms
+from test_relabelling import RELABELLED, plane_for
+
+
+def _load_demo(name: str):
+    """A script of `demos/` as a module; its walk-through runs only as __main__."""
+    path = Path(__file__).resolve().parent.parent / "demos" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+TOUR = _load_demo("demo_plane_tour")
 
 
 def discriminant_tangency(plane, K, L) -> Tangency:
@@ -215,22 +237,27 @@ def test_pencil_sizes_by_enumeration(q):
 
 
 
-@pytest.mark.parametrize("plane", [(3, 2), (4, 2), (5, 2), (8, 4)], ids=str)
+@pytest.mark.parametrize("plane", [(3, 2), (4, 2), (5, 2), (8, 4), RELABELLED], ids=str)
 def test_tangent_indexes_by_set_scan(plane):
-    # every slot of every circle: the pencil in id order, and the circle of
-    # it through each point off K and off p's generator; p and the rest of
-    # K read ON_CIRCLE, the rest of p's generator PARALLEL
-    q, exponent = plane
-    P = oval_plane(q, oval_table_power(q, exponent)) if exponent != 2 else miquelian_plane(q)
-    circles = [set(row) for row in P.members.tolist()]
+    # every point p of every circle K, at the row of p's generator: the
+    # pencil in id order, and the circle of it through each point off K and
+    # off p's generator; p and the rest of K read ON_CIRCLE, the rest of
+    # p's generator PARALLEL
+    if isinstance(plane, str):
+        P = plane_for(plane)
+    else:
+        q, exponent = plane
+        P = oval_plane(q, oval_table_power(q, exponent)) if exponent != 2 else miquelian_plane(q)
+    circles = [set(np.flatnonzero(row).tolist()) for row in P.mem]
     gen = P.gen_of.tolist()
-    for K, members in enumerate(P.members.tolist()):
+    for K in range(P.n_circles):
         touching = {}
         for L, row in enumerate(circles):
             common = row & circles[K]
             if len(common) == 1:
                 touching.setdefault(common.pop(), []).append(L)
-        for slot, p in enumerate(members):
+        for p in sorted(circles[K]):
+            slot = gen[p]
             pencil = touching[p]
             assert P.pencil_others[K, slot].tolist() == pencil
             want = []
@@ -280,18 +307,22 @@ def test_triple_index_total_and_consistent(q):
             assert int(P.triple_circle[a, b, c]) == cid
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [*SUPPORTED_PLANE_ORDERS, "relabelled-3", "relabelled-4",
+                               RELABELLED])
 def test_axiom3_structural_invariant(q):
-    P = miquelian_plane(q)
+    # every circle meets every generator, and its row lists the point on
+    # generator g at position g
+    P = plane_for(q)
     for cid in range(P.n_circles):
         gens = [int(P.gen_of[p]) for p in P.members[cid]]
-        assert sorted(gens) == list(range(q + 1))
+        assert gens == list(range(P.q + 1))
+        assert set(P.members[cid].tolist()) == set(np.flatnonzero(P.mem[cid]).tolist())
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_derived_affine_plane(q):
     P = miquelian_plane(q)
-    A = P.derived_affine_plane(0)
+    A = TOUR.derived_affine_plane(P, 0)
     assert len(A.points) == q * q
     assert len(A.lines) == q * q + q
     assert all(len(l) == q for l in A.lines)

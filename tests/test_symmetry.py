@@ -93,8 +93,9 @@ def test_tangency_map_examples_and_roundtrip(p5, secant_pair):
     image = dict(zip(p5.members[K].tolist(), h.tolist()))
     assert p5.point_label(image[0]) == "(inf,4)"
     assert image[6] == 6  # (1,1) is a common point
-    # hinv lists the images of L's members; h's images sit at their slots
-    assert np.array_equal(hinv[p5.slot_of[L, h]], p5.members[K])
+    # hinv lists the images of L's members by generator, so h's images sit
+    # at the slots of their generators
+    assert np.array_equal(hinv[p5.gen_of[h]], p5.members[K])
     with pytest.raises(TangentPair):
         tangency_map(p5, p5.circle_from_coef((1, 0, 0)), p5.circle_from_coef((1, 0, 1)))
 

@@ -37,6 +37,7 @@ from laguerre_lab.symmetry import (
     tangent_to_second,
     verify_dts,
 )
+from test_relabelling import RELABELLED, conjugate, plane_for, relabelling
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +59,12 @@ def loop_tangency(P, K, L):
     return tuple(pairs)
 
 
+def point_on(plane, C, g) -> int:
+    """The point of circle C on generator g, by a scan of the generator."""
+    (p,) = [int(t) for t in plane.gen_members[g] if plane.mem[C, t]]
+    return p
+
+
 def loop_build_dts(plane, K, L) -> np.ndarray:
     """The image of `build_dts` for a non-tangent pair of an odd-order plane,
     one auxiliary scan per point, with the tangency maps from
@@ -66,7 +73,7 @@ def loop_build_dts(plane, K, L) -> np.ndarray:
     hK = dict(loop_tangency(plane, K, L))
     hL = dict(loop_tangency(plane, L, K))
 
-    gen, T3, CPG = plane.gen_of, plane.triple_circle, plane.gen_point
+    gen, T3 = plane.gen_of, plane.triple_circle
     image = np.full(plane.n_points, -1, dtype=np.int32)
     for x, hx in hK.items():
         image[x] = hx
@@ -77,7 +84,7 @@ def loop_build_dts(plane, K, L) -> np.ndarray:
     for x in range(plane.n_points):
         if image[x] >= 0:
             continue
-        xK = int(plane.gen_point[K, gen[x]])
+        xK = point_on(plane, K, gen[x])
         u = xK if xK in common else hK[xK]
         img = None
         img_y = None
@@ -85,7 +92,7 @@ def loop_build_dts(plane, K, L) -> np.ndarray:
             if gen[y] == gen[x] or gen[hy] == gen[x]:
                 continue
             circ = int(T3[x, y, hy])
-            cand = int(CPG[circ, gen[u]])
+            cand = point_on(plane, circ, gen[u])
             if img is None:
                 img, img_y = cand, y
             elif cand != img:
@@ -105,7 +112,8 @@ def loop_build_dts(plane, K, L) -> np.ndarray:
 
 def loop_circle_image(plane, image) -> np.ndarray:
     """Image circle id per circle through a dict of sorted member rows."""
-    by_members = {tuple(int(p) for p in plane.members[c]): c for c in range(plane.n_circles)}
+    by_members = {tuple(sorted(int(p) for p in plane.members[c])): c
+                  for c in range(plane.n_circles)}
     return np.array([by_members.get(tuple(sorted(int(image[p]) for p in plane.members[c])), -1)
                      for c in range(plane.n_circles)], dtype=np.int32)
 
@@ -268,11 +276,11 @@ def nontangent_pairs(P, q: int):
     return sample_nontangent_pairs(P, 20, seed=q)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, RELABELLED])
 def test_build_dts_matches_the_loop_reference(q):
-    P = miquelian_plane(q)
-    pairs = nontangent_pairs(P, q)
-    assert len(pairs) == (243 if q == 3 else 20)
+    P = plane_for(q)
+    pairs = nontangent_pairs(P, P.q)
+    assert len(pairs) == (243 if P.q == 3 else 20)
     for K, L in pairs:
         assert np.array_equal(build_dts(P, K, L).image, loop_build_dts(P, K, L)), (K, L)
 
@@ -298,7 +306,7 @@ def test_build_dts_reports_the_loop_reference_disagreement():
         if len(admissible) < 2:
             continue
         y, hy = admissible[-1]
-        others = [c for c in P.vertex_pencils[x, y] if P.gen_point[c, gen[image[x]]] != image[x]]
+        others = [c for c in P.vertex_pencils[x, y] if P.members[c, gen[image[x]]] != image[x]]
         if others:  # none when the image of x is parallel to x or y
             bad.triple_circle[x, y, hy] = others[0]
             corrupted += 1
@@ -310,14 +318,19 @@ def test_build_dts_reports_the_loop_reference_disagreement():
     assert (got.value.x, got.value.y1, got.value.y2) == (want.value.x, want.value.y1, want.value.y2)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, RELABELLED])
 def test_circle_image_matches_the_dict_reference(q):
-    P = miquelian_plane(q)
+    # the relabelled plane takes the model plane's automorphisms, renamed
+    P = plane_for(q)
+    model = miquelian_plane(P.q)
+    points = relabelling(P.q)[2] if isinstance(q, str) else np.arange(P.n_points)
     n_p = P.n_points
-    rng = np.random.default_rng(q)
-    automorphisms = [coordinate_map(P, 1, 1).image]
-    if q % 2:
-        automorphisms += [build_dts(P, K, L).image for K, L in sample_nontangent_pairs(P, 5, seed=q)]
+    rng = np.random.default_rng(P.q)
+    automorphisms = [coordinate_map(model, 1, 1).image]
+    if P.q % 2:
+        automorphisms += [build_dts(model, K, L).image
+                          for K, L in sample_nontangent_pairs(model, 5, seed=P.q)]
+    automorphisms = [conjugate(image, points) for image in automorphisms]
     # non-permutations: repeated points, one point for all, ids off the plane
     merged = np.arange(n_p)
     merged[P.gen_members[0, 1]] = P.gen_members[0, 0]

@@ -25,6 +25,7 @@ from laguerre_lab.gf import field_of_order
 from laguerre_lab.models import _model_structure, miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.plane import validate_laguerre_axioms
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
+from test_relabelling import relabel_structure
 
 CORPUS = Path(__file__).with_name("validator_corpus.json")
 
@@ -314,6 +315,40 @@ def test_loop_reference_gives_the_pinned_reports(name):
     pinned = json.loads(CORPUS.read_text(encoding="utf-8"))
     gens, circles = corpus_structures()[name]
     assert report_obj(loop_validate(gens, circles)) == pinned[name]
+
+
+def witness_holds(gens, circles, v: Violation) -> bool:
+    """An axiom (1)-(3) witness is true of the rows read as point sets."""
+    rows = [set(c) for c in circles]
+    gen = {p: g for g, ps in enumerate(gens) for p in ps}
+    data = dict(v.data)
+    if v.kind == "axiom1":
+        n = sum(set(v.points) <= r for r in rows)
+        return len(set(v.points)) == 3 and n == data["joining_circles"] != 1
+    if v.kind == "axiom2":
+        (K,), (p, x) = v.circles, v.points
+        n = sum(x in r and r & rows[K] == {p} for r in rows)
+        return (p in rows[K] and x not in rows[K] and gen[x] != gen[p]
+                and n == data["count"] != 1)
+    if v.kind == "axiom3":
+        n = sum(gen[p] == data["generator"] for p in circles[v.circles[0]])
+        return n == data["count"] != 1
+    return not v.points and not v.circles
+
+
+@pytest.mark.parametrize("name", sorted(corpus_structures()))
+def test_corpus_reports_survive_relabelling(name):
+    # verdict, counts and the kinds recorded carry over; which witnesses
+    # are recorded follows the new row order, and each one holds
+    gens, circles = corpus_structures()[name]
+    want = validate_laguerre_axioms(gens, circles)
+    gens, circles, _ = relabel_structure(gens, circles, seed=len(name))
+    got = validate_laguerre_axioms(gens, circles)
+    assert (got.verdict, got.configurations, got.notes, got.violation_count) == (
+        want.verdict, want.configurations, want.notes, want.violation_count)
+    assert sorted(v.kind for v in got.violations) == sorted(v.kind for v in want.violations)
+    for v in got.violations:
+        assert witness_holds(gens, circles, v), v
 
 
 def test_oval_plane_rejection_carries_the_capped_report():
