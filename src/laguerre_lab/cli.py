@@ -255,10 +255,8 @@ def _moebius_obj(plane, pair: tuple[int, int] | None, timings: bool) -> dict:
     None, of the first fixed-point-free one (`found: false` if none is)."""
     if pair is not None:
         t = plane.tangency(*pair)
-        if t.kind in ("tangent", "equal"):
-            raise UsageError("the selected pair is tangent; a disjoint pair is required")
         if t.kind != "disjoint":
-            raise UsageError("the selected pair is secant; a disjoint pair is required")
+            raise UsageError(f"the selected pair is {t.kind}; a disjoint pair is required")
         phi = _symmetry.build_dts(plane, *pair)
     else:
         try:

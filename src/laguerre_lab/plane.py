@@ -30,6 +30,15 @@ Dense membership rows make intersection tests word-parallel scans, and the
 triple index is a direct array lookup; both choices trade memory (tens of
 MB at order 13) for the inner-loop speed the exhaustive sweeps need.
 
+Every index that holds a point id, a circle id or the sum of two point ids
+is int16 (`pair_count` is uint8, `mem` bool): at order 13 the arrays hold
+40 MB, where int32 ids would take 75 MB.
+Every plane of order up to 31 fits, and a structure with more than 2^15
+circles or 2^14 points (whose pair sums would not fit) raises ValueError
+instead of wrapping.  Arithmetic on ids widens first: `_gather` offsets are
+at least int32, the triple keys of axiom (1) int32 or int64, and the index
+fills compute their offsets from `members` as int64.
+
 Every construction is validated first, by whole-array passes:
 
   * structure  one `np.unique` over the generator ids, one sort of the
@@ -124,9 +133,9 @@ def _cid(circle) -> int:
 # Circles per block of the validator's array passes, of the
 # `pair_count`/`pair_sum` products and of the tangent index fills.
 # Temporaries are freed block by block: at order 13 the peak RSS of a
-# build plus `validate_axioms` is 163 MB with this size (179 MB with
-# whole-matrix products, 205 MB with blocks of 512 and 293 MB with all
-# circles in one block).
+# fresh process that builds the plane and runs `validate_axioms` is 84 MB
+# with this size, 121 MB with blocks of 512 and 201 MB with all circles in
+# one block (Python 3.11, numpy 2.4).
 _BLOCK = 128
 
 
@@ -143,10 +152,10 @@ def _flat_rows(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows_2d(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
-    """The rows as an int32 matrix, or None when they differ in length."""
+    """The rows as an int16 matrix, or None when they differ in length."""
     if not len(lengths) or (lengths != lengths[0]).any():
         return None
-    return flat.reshape(len(lengths), -1).astype(np.int32)
+    return flat.reshape(len(lengths), -1).astype(np.int16)
 
 
 def _blocked_product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
@@ -175,6 +184,9 @@ class _Structure:
         self.n_points = n_p = len(gen_flat)
         self.n_gens = len(gen_len)
         self.n_circles = n_c = len(self.circ_len)
+        if n_c > 2**15 or 2 * n_p > 2**15:
+            raise ValueError(f"ids are int16: at most 2**15 circles and 2**14 points, "
+                             f"not {n_c} circles and {n_p} points")
 
         # the generators partition the points when every id is in range and
         # listed once; an id listed twice keeps its first generator
@@ -204,7 +216,7 @@ class _Structure:
         # scatter, kept when every circle meets every generator once
         self.members = None
         if n_c and self.partition_ok and self.members_ok and (self.circ_len == self.n_gens).all():
-            rows = np.full((n_c, self.n_gens), -1, dtype=np.int32)
+            rows = np.full((n_c, self.n_gens), -1, dtype=np.int16)
             rows[row, self.gen_of[circ_flat]] = circ_flat
             if (rows >= 0).all():
                 self.members = rows
@@ -217,10 +229,11 @@ class _Structure:
 
     @functools.cached_property
     def pair_sum(self) -> np.ndarray:
-        """The sum of the point ids in K ∩ L for every circle pair."""
+        """The sum of the point ids in K ∩ L for every circle pair, exact
+        wherever `pair_count` is at most 2 (below 2·n_points)."""
         m = self.mem.astype(np.float32)
         w = m * np.arange(self.n_points, dtype=np.float32)[None, :]
-        return _blocked_product(m, w, np.int32)
+        return _blocked_product(m, w, np.int16)
 
 
 def _validate(s: _Structure) -> CheckReport:
@@ -399,7 +412,9 @@ def validate_laguerre_axioms(generators, circles) -> CheckReport:
     """Check axioms (1)-(4) on a candidate structure.
 
     `generators` and `circles` are iterables of point-id iterables, or
-    integer matrices with one row each.  Failures are report content (with witnesses), never exceptions.
+    integer matrices with one row each.  Failures are report content (with
+    witnesses), never exceptions; a structure whose ids do not fit int16
+    raises ValueError.
     """
     return _validate(_Structure(generators, circles))
 
@@ -439,10 +454,10 @@ class LaguerrePlane(_Structure):
 
         # joining circle of every mutually non-parallel ordered triple, one
         # flat write per first slot
-        self.triple_circle = np.full((n_p, n_p, n_p), -1, dtype=np.int32)
+        self.triple_circle = np.full((n_p, n_p, n_p), -1, dtype=np.int16)
         M = self.members.astype(np.int64)
         flat = self.triple_circle.reshape(-1)
-        ids = np.arange(n_c, dtype=np.int32)[:, None]
+        ids = np.arange(n_c, dtype=np.int16)[:, None]
         jk = np.array(list(itertools.permutations(range(q + 1), 2)))
         for i in range(q + 1):
             j, k = jk[(jk != i).all(axis=1)].T
@@ -453,8 +468,8 @@ class LaguerrePlane(_Structure):
         # sort keeps the partners' order); then the unique tangent circle through an
         # outer point, one batch of flat writes, and the sentinels: parallel
         # beats membership of pencil mates, and membership of K beats both
-        self.pencil_others = np.empty((n_c, q + 1, q - 1), dtype=np.int32)
-        self.tangent_through = np.full((n_c, q + 1, n_p), ON_CIRCLE, dtype=np.int32)
+        self.pencil_others = np.empty((n_c, q + 1, q - 1), dtype=np.int16)
+        self.tangent_through = np.full((n_c, q + 1, n_p), ON_CIRCLE, dtype=np.int16)
         for b0 in range(0, n_c, _BLOCK):
             b1 = min(b0 + _BLOCK, n_c)
             L, row = _tangent_pairs(self, b0, b1)
@@ -467,7 +482,7 @@ class LaguerrePlane(_Structure):
             flat[cell + M[b0:b1, None, :]] = ON_CIRCLE
 
         # circles through a non-parallel point pair, sorted by id
-        self.vertex_pencils = np.full((n_p, n_p, q), -1, dtype=np.int32)
+        self.vertex_pencils = np.full((n_p, n_p, q), -1, dtype=np.int16)
         for ga, gb in itertools.permutations(range(self.n_gens), 2):
             gw = min(g for g in range(self.n_gens) if g not in (ga, gb))
             A = self.gen_members[ga]

@@ -140,7 +140,7 @@ def tangency_map(plane: LaguerrePlane, K, L) -> np.ndarray:
     K, L = _cid(K), _cid(L)
     t = plane.tangency(K, L)
     if t.kind in ("tangent", "equal"):
-        raise TangentPair(f"circles {K},{L} are tangent")
+        raise TangentPair(f"circles {K},{L} are {t.kind}")
     xs = plane.members[K]
     on = plane.mem[L, xs]
     count, touch = _pencil_touch(plane, [K], [L])
@@ -411,7 +411,7 @@ def classify_symmetry(plane: LaguerrePlane, K, L,
     K, L = _cid(K), _cid(L)
     t = plane.tangency(K, L)
     if t.kind in ("tangent", "equal"):
-        raise TangentPair(f"circles {K},{L} are tangent")
+        raise TangentPair(f"circles {K},{L} are {t.kind}")
     if phi is None:
         phi = build_dts(plane, K, L)
     fixed = phi.fixed_points()

@@ -193,6 +193,13 @@ def test_dts_tangent_pair_is_usage_error(capsys):
     assert "tangent" in err
 
 
+@pytest.mark.parametrize("cmd,err", [
+    ("dts", "error: circles 0,0 are equal\n"),
+    ("moebius", "error: the selected pair is equal; a disjoint pair is required\n")])
+def test_an_equal_pair_is_named_equal(capsys, cmd, err):
+    assert run_cli(capsys, cmd, "--q", "5", "--k", "0,0,0", "--l", "0,0,0") == (2, "", err)
+
+
 def test_moebius_auto_and_explicit(capsys):
     code, out, _ = run_cli(capsys, "moebius", "--q", "5")
     assert code == 0
@@ -436,7 +443,7 @@ def test_replay_rebuilds_dts_classify_and_moebius_lines(tmp_path, capsys):
         tmp_path, capsys,
         '{"check":"DtsClassify","q":5,"model":"miquelian","kind":"Other",'
         '"pair":{"K":{"id":0,"coef":[0,0,0]},"L":{"id":0,"coef":[0,0,0]}}}')
-    assert (code, out, err) == (2, [], "error: R:1: pair: circles 0,0 are tangent\n")
+    assert (code, out, err) == (2, [], "error: R:1: pair: circles 0,0 are equal\n")
 
     moebius = run_cli(capsys, "moebius", "--q", "5", "--timings")[1].strip()
     assert json.loads(moebius)["touchingAxiom"]["elapsedSeconds"] > 0

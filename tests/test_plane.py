@@ -24,7 +24,14 @@ from laguerre_lab.models import (
     oval_plane,
     oval_table_power,
 )
-from laguerre_lab.plane import ON_CIRCLE, PARALLEL, Tangency, validate_laguerre_axioms
+from laguerre_lab.plane import (
+    ON_CIRCLE,
+    PARALLEL,
+    LaguerrePlane,
+    Tangency,
+    _Structure,
+    validate_laguerre_axioms,
+)
 from test_relabelling import RELABELLED, plane_for
 
 
@@ -356,6 +363,36 @@ def test_index_arrays_immutable():
     for arr in (P.members, P.mem, P.pair_count, P.triple_circle):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+# the plane's index arrays: int16 wherever they hold a point id, a circle
+# id or the sum of two point ids
+INDEX_DTYPES = {
+    "gen_of": np.int16, "gen_members": np.int16, "members": np.int16,
+    "triple_circle": np.int16, "pencil_others": np.int16, "tangent_through": np.int16,
+    "vertex_pencils": np.int16, "pair_sum": np.int16,
+    "pair_count": np.uint8, "mem": np.bool_,
+}
+
+
+@pytest.mark.parametrize("q", SUPPORTED_PLANE_ORDERS)
+def test_index_arrays_store_ids_as_int16(q):
+    P = miquelian_plane(q)
+    assert {name: getattr(P, name).dtype for name in INDEX_DTYPES} == INDEX_DTYPES
+    if q == 13:
+        # every array the plane holds, as the benchmark's plane.index_mb counts them
+        assert sum(v.nbytes for v in vars(P).values() if isinstance(v, np.ndarray)) <= 41e6
+
+
+def test_a_structure_whose_ids_overflow_int16_is_refused():
+    gens = [[0, 1], [2, 3], [4, 5]]
+    _Structure(gens, [[0, 2, 4]] * 2**15)       # circle ids up to 2**15 - 1 fit
+    with pytest.raises(ValueError, match=r"2\*\*15 circles and 2\*\*14 points, "
+                                         r"not 32769 circles and 6 points"):
+        LaguerrePlane(gens, [[0, 2, 4]] * (2**15 + 1))
+    n_p = 2**14 + 1                             # a sum of two point ids would not fit
+    with pytest.raises(ValueError, match="not 1 circles and 16385 points"):
+        validate_laguerre_axioms([list(range(n_p))], [[0]])
 
 
 @settings(max_examples=50, deadline=None)

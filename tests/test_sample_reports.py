@@ -11,6 +11,10 @@ Every checker also runs in sample mode on the translation-oval plane of
 order 8 (o(x) = x⁴), where most statements fail, so hit counts are pinned
 beside violations.
 
+At q=9 and q=13, the orders where the plane's ids come closest to the
+int16 range they are stored in, every checker runs with 20,000 samples,
+so a wrapped id shows in the counts and witnesses, not only in a verdict.
+
 Every checker runs once more at q=7 with 140,000 samples, three blocks of
 the sampling stream with the last one partial, so the mapping of stream
 draws to the rows and columns of a block is pinned across block
@@ -42,6 +46,8 @@ GOLDEN = Path(__file__).with_name("sample_reports.json")
 ORDERS = (4, 5)
 SEED = 2006
 SAMPLES = 5000
+LARGE_ORDERS = (9, 13)
+LARGE_SAMPLES = 20_000
 # q=7, seed 2006: more samples than two blocks of `checks._sample_batches`
 ACROSS_BLOCKS = 140_000
 EXHAUSTIVE = {3: CHECK_IDS, 4: CHECK_IDS}
@@ -93,6 +99,11 @@ def record() -> dict:
     for check_id in CHECK_IDS:
         out[f"{check_id}@q7:blocks"] = summary(
             CHECKERS[check_id].run(plane, CheckMode.sample(ACROSS_BLOCKS, SEED)))
+    for q in LARGE_ORDERS:
+        plane = miquelian_plane(q)
+        for check_id in CHECK_IDS:
+            out[f"{check_id}@q{q}"] = summary(
+                CHECKERS[check_id].run(plane, CheckMode.sample(LARGE_SAMPLES, SEED)))
     return out
 
 
@@ -104,13 +115,13 @@ def recorded():
 def test_golden_covers_every_checker_and_order():
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(pinned) == sorted(
-        [f"{c}@q{q}" for q in ORDERS for c in CHECK_IDS]
+        [f"{c}@q{q}" for q in ORDERS + LARGE_ORDERS for c in CHECK_IDS]
         + [f"{c}@oval8" for c in CHECK_IDS]
         + [f"{c}@q{q}:exhaustive" for q, ids in EXHAUSTIVE.items() for c in ids]
         + [f"{c}@q7:blocks" for c in CHECK_IDS])
 
 
-@pytest.mark.parametrize("q", ORDERS)
+@pytest.mark.parametrize("q", ORDERS + LARGE_ORDERS)
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_sampled_report_matches_the_golden(recorded, check_id, q):
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))

@@ -289,33 +289,36 @@ def test_build_dts_reports_the_loop_reference_disagreement():
     # on a copy of the plane in which the joining circle of a point x off K
     # and L, its last admissible auxiliary y and h(y) is replaced by another
     # circle through x and y, for as many x as allow it, the pass and the
-    # loop must name the same first point and the same pair of auxiliaries
-    P = miquelian_plane(5)
-    K, L = sample_nontangent_pairs(P, 1, seed=5)[0]
-    image = build_dts(P, K, L).image
-    bad = copy.copy(P)
-    bad.triple_circle = P.triple_circle.copy()
-    hK = dict(loop_tangency(P, K, L))
-    aux = [(y, hy) for y, hy in hK.items() if y != hy]
-    gen = P.gen_of
-    corrupted = 0
-    for x in range(P.n_points):
-        if P.mem[K, x] or P.mem[L, x]:
-            continue
-        admissible = [(y, hy) for y, hy in aux if gen[x] != gen[y] and gen[x] != gen[hy]]
-        if len(admissible) < 2:
-            continue
-        y, hy = admissible[-1]
-        others = [c for c in P.vertex_pencils[x, y] if P.members[c, gen[image[x]]] != image[x]]
-        if others:  # none when the image of x is parallel to x or y
-            bad.triple_circle[x, y, hy] = others[0]
-            corrupted += 1
-    assert corrupted > 1
-    with pytest.raises(WellDefinednessFailure) as want:
-        loop_build_dts(bad, K, L)
-    with pytest.raises(WellDefinednessFailure) as got:
-        build_dts(bad, K, L)
-    assert (got.value.x, got.value.y1, got.value.y2) == (want.value.x, want.value.y1, want.value.y2)
+    # loop must name the same first point and the same pair of auxiliaries;
+    # on the relabelled plane K's member order is not its id order, so the
+    # auxiliary named first shows the order they are tried in
+    for P in (miquelian_plane(5), plane_for(RELABELLED)):
+        K, L = sample_nontangent_pairs(P, 1, seed=5)[0]
+        image = build_dts(P, K, L).image
+        bad = copy.copy(P)
+        bad.triple_circle = P.triple_circle.copy()
+        hK = dict(loop_tangency(P, K, L))
+        aux = [(y, hy) for y, hy in hK.items() if y != hy]
+        gen = P.gen_of
+        corrupted = 0
+        for x in range(P.n_points):
+            if P.mem[K, x] or P.mem[L, x]:
+                continue
+            admissible = [(y, hy) for y, hy in aux if gen[x] != gen[y] and gen[x] != gen[hy]]
+            if len(admissible) < 2:
+                continue
+            y, hy = admissible[-1]
+            others = [c for c in P.vertex_pencils[x, y] if P.members[c, gen[image[x]]] != image[x]]
+            if others:  # none when the image of x is parallel to x or y
+                bad.triple_circle[x, y, hy] = others[0]
+                corrupted += 1
+        assert corrupted > 1
+        with pytest.raises(WellDefinednessFailure) as want:
+            loop_build_dts(bad, K, L)
+        with pytest.raises(WellDefinednessFailure) as got:
+            build_dts(bad, K, L)
+        assert ((got.value.x, got.value.y1, got.value.y2)
+                == (want.value.x, want.value.y1, want.value.y2)), P.label
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, RELABELLED])
