@@ -25,10 +25,15 @@ columns of `_sample_batches`.
 The two closures, Miquel and Bundle, share their base blocks (a circle
 C1, an ordered quadruple of its points and a circle C2 of the pencil
 through the first two: `_sampled_bases`, `_exhaustive_bases`) and add
-only their own choices.  Each of their hypotheses and conclusions that
-relates two point pairs is one `_pairs_concyclic` test: the pairs lie on
-one circle or split into two parallel pairs.  Every evaluator records
-its violations through `CheckReport.record`.
+only their own choices.  A point that a hypothesis fixes is derived, not
+chosen: `_completion` finds the point of a circle that completes two
+point pairs to a concyclic quadruple (Miquel's f, Bundle's f and h), so
+neither its slot nor a filter on it costs a draw or a row.  Only where
+every point of that circle completes the pairs does a row take a drawn
+slot (sampled) or each slot (exhaustive).  Each conclusion that relates
+two point pairs is one `_pairs_concyclic` test: the pairs lie on one
+circle or split into two parallel pairs.  Every evaluator records its
+violations through `CheckReport.record`.
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -319,15 +324,18 @@ def _pairs_of(base: int, part: np.ndarray):
 
 
 def _trio_blocks(plane: LaguerrePlane, mode: CheckMode):
-    """Circles K, L, M with L and M tangent to K.  Exhaustive: unordered
-    triples of pairwise tangent circles, each once via K < L < M."""
+    """Circles K, L, M with L and M tangent to K.  Exhaustive: the raw
+    choices are the unordered pairs {L, M} of circles tangent to K, and
+    each triple of pairwise tangent circles is evaluated once, from its
+    least circle, as K < L < M."""
     if mode.is_sample:
         yield from _sampled_tangent_pairs(plane, mode)
         return
     T = plane.pair_count
     for K in range(plane.n_circles):
         part = np.nonzero(T[K] == 1)[0]
-        yield _pairs_of(K, part[part > K])
+        _, *rows = _pairs_of(K, part[part > K])
+        yield len(part) * (len(part) - 1) // 2, *rows
 
 
 def _eval_prop_2_1(plane, report, K, L, M):
@@ -481,106 +489,167 @@ def _pairs_concyclic(plane, P, Q, R, S):
     parallel test of its own: a point on the circle through three others
     is parallel to none of them.
     """
-    gen = plane.gen_of
-    return (_on_abc(plane, P, R, Q, S) | ((gen[P] == gen[R]) & (gen[Q] == gen[S]))
-            | ((gen[P] == gen[S]) & (gen[Q] == gen[R])))
+    gp, gq, gr, gs = (plane.gen_of[v] for v in (P, Q, R, S))
+    return _on_abc(plane, P, R, Q, S) | ((gp == gr) & (gq == gs)) | ((gp == gs) & (gq == gr))
 
 
-def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray):
-    """Base circles C1 with four member slots each, drawn from raw[:, :5],
-    and a circle C2 of the pencil through the first two, drawn from
-    raw[5]; returns the points (a, c, b, d) in those slots with C2, and
-    where the slots are four distinct ones."""
+def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray, n_slots: int):
+    """Base circles C1 with four member slots each, drawn from raw[:5], a
+    circle C2 of the pencil through the first two, drawn from raw[5], and
+    `n_slots` member slots of C2 from raw[6:]: the indexes of the sample
+    rows whose slots on C1 are four distinct ones and whose slots on C2
+    are distinct and hold neither a nor b, and on those rows the points
+    (a, c, b, d) in the slots on C1, C2 and the slots on C2.
+
+    Slot g of a circle holds its point on generator g, so the slots decide
+    which points coincide before any point is read."""
     members, q = plane.members, plane.q
-    C1 = bounded(raw[0], plane.n_circles)
     s = [bounded(raw[j], q + 1) for j in range(1, 5)]
-    base = ((s[0] != s[1]) & (s[0] != s[2]) & (s[0] != s[3])
-            & (s[1] != s[2]) & (s[1] != s[3]) & (s[2] != s[3]))
-    A, Cq, B, D = (_gather(members, C1, sj) for sj in s)
-    return (A, Cq, B, D, _gather(plane.vertex_pencils, A, B, bounded(raw[5], q))), base
+    t = [bounded(raw[j], q + 1) for j in range(6, 6 + n_slots)]
+    ok = np.ones(raw.shape[1], dtype=bool)
+    for i, j in itertools.combinations(range(4), 2):
+        ok &= s[i] != s[j]
+    for i, u in enumerate(t):
+        ok &= (u != s[0]) & (u != s[2])     # the slots of a and b
+        for v in t[:i]:
+            ok &= u != v
+    idx = np.nonzero(ok)[0]
+    C1 = bounded(raw[0][idx], plane.n_circles)
+    A, Cq, B, D = (_gather(members, C1, sj[idx]) for sj in s)
+    C2 = _gather(plane.vertex_pencils, A, B, bounded(raw[5][idx], q))
+    return idx, (A, Cq, B, D, C2, *(u[idx] for u in t))
 
 
-def _exhaustive_bases(plane: LaguerrePlane, tail: np.ndarray):
+def _exhaustive_bases(plane: LaguerrePlane, n_slots: int, tail: tuple[int, ...]):
     """The exhaustive blocks of the closures, one per circle C1 and pencil
     selector: each ordered base quadruple (a, c, b, d) of C1's points, C2
     the selected circle of the pencil through (a, b), and each ordered
-    pair of distinct member slots s, t of C2 whose members are neither a
-    nor b (slot g holds the point on generator g).  Every such row takes
-    the index tuple of each set entry of the boolean array `tail`, the
-    closure's own choices, all of which count as raw choices.  Yields
-    (raw count, a, c, b, d, C2, s, t, *tail indexes) per block, its rows in
-    the C order of the choice space."""
+    tuple of `n_slots` (1 or 2) distinct member slots of C2 whose members
+    are neither a nor b (slot g holds the point on generator g).  Every
+    such row takes each index tuple of the shape `tail`, the closure's own
+    choices.  Yields (raw count, a, c, b, d, C2, *slots, *tail indexes)
+    per block, its rows in the C order of the choice space."""
     members, VP, gen, q = plane.members, plane.vertex_pencils, plane.gen_of, plane.q
     ords = np.array(list(itertools.permutations(range(q + 1), 4)), dtype=np.int64)
     if not len(ords):
         return
-    # raw axes per block: (ordering, s, t, *tail.shape)
-    n_raw = len(ords) * (q + 1) ** 2 * tail.size
-    cols = np.nonzero(tail)
-    n = len(cols[0])
+    cols = np.indices(tail).reshape(len(tail), -1)
+    n = cols.shape[1]
+    # raw axes per block: (ordering, *slots, *tail)
+    n_raw = len(ords) * (q + 1) ** n_slots * n
     slots = np.arange(q + 1)
     for C1 in range(plane.n_circles):
         A, Cq, B, D = (members[C1][ords[:, j]] for j in range(4))
         for sel in range(q):
             C2 = _gather(VP, A, B, sel)
             off = (slots != gen[A][:, None]) & (slots != gen[B][:, None])
-            o, s, t = (np.repeat(v, n) for v in np.nonzero(
-                off[:, :, None] & off[:, None, :] & (slots[:, None] != slots)))
+            if n_slots == 2:
+                off = off[:, :, None] & off[:, None, :] & (slots[:, None] != slots)
+            o, *s = (np.repeat(v, n) for v in np.nonzero(off))
             k = len(o) // n
-            yield (n_raw, A[o], Cq[o], B[o], D[o], C2[o], s, t, *(np.tile(c, k) for c in cols))
+            yield (n_raw, A[o], Cq[o], B[o], D[o], C2[o], *s, *(np.tile(c, k) for c in cols))
+
+
+def _completion(plane: LaguerrePlane, P, Q, X, target, known, slot):
+    """The points Y of `target` with {P, Q} and {X, Y} concyclic pairs
+    (`_pairs_concyclic`), row by row; P ∦ Q, and `known` lies on `target`
+    and, where that circle exists, on (P, X, Q)°.
+
+    Where X ∥ P, Y is target's point on Q's generator, and where X ∥ Q,
+    on P's.  Elsewhere Y is the second point, beside `known`, that
+    (P, X, Q)° shares with `target`; there is none where they touch.
+    Where (P, X, Q)° is `target` itself, each of its points completes the
+    pairs: such a row takes the member slot that its raw draw in `slot`
+    picks (sampled), or every slot in slot order when `slot` is None
+    (exhaustive).
+
+    Returns (rows, Y): each point Y and the index of its row, ascending.
+    Y may be `known` itself (a parallel branch may land on it); callers
+    drop such rows, as they drop every row whose points coincide.
+    """
+    gen, members = plane.gen_of, plane.members
+    gx, gp, gq = gen[X], gen[P], gen[Q]
+    cx = _gather(plane.triple_circle, P, X, Q)       # -1 where X ∥ P or X ∥ Q
+    Y = _gather(plane.pair_sum, cx, target) - known
+    # the circles share a second point where Y ≠ 0; Y = 0 where they touch
+    # at `known` or where point 0 is their second point, which `mem` (small
+    # enough for a cache, unlike `pair_count`) tells apart
+    found = Y != 0
+    zero = np.flatnonzero(~found)
+    found[zero] = _gather(plane.mem, cx[zero], 0) & _gather(plane.mem, target[zero], 0)
+    par = np.flatnonzero((gx == gp) | (gx == gq))
+    Y[par] = _gather(members, target[par], np.where(gx[par] == gp[par], gq[par], gp[par]))
+    found[par] = True
+    is_whole = cx == target
+    whole = np.flatnonzero(is_whole)
+    if slot is not None:
+        Y[whole] = _gather(members, target[whole], bounded(slot[whole], plane.q + 1))
+        found[whole] = True
+    if slot is not None or not len(whole):
+        rows = np.flatnonzero(found)
+        return rows, Y[rows]
+    counts = found.astype(np.intp)
+    counts[whole] = plane.q + 1
+    rows = np.repeat(np.arange(len(Y)), counts)
+    Y = Y[rows]
+    at = np.flatnonzero(np.repeat(is_whole, counts))
+    Y[at] = _gather(members, target[rows[at]], np.tile(np.arange(plane.q + 1), len(whole)))
+    return rows, Y
 
 
 def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     """A circle C1 with an ordered base quadruple (a, c, b, d) of its
-    points, C2 from the pencil through (a, b), and four member slots: e
-    and h on C2, then g on (a,d,h)° and f on (b,c,e)°.  Yields (raw
-    count, a, c, b, d, C2, e slot, h slot, g slot, f slot) per block over
-    the rows with a, c, b, d distinct; exhaustive blocks also hold only
-    distinct e, h off {a, b}."""
+    points, C2 from the pencil through (a, b), and three member slots: e
+    and h on C2, then g on C3 = (a,d,h)°; the evaluator derives f.
+    Yields (raw count, a, c, b, d, C2, e slot, h slot, g slot) per block;
+    sampled blocks add the raw draw of an f slot (raw[9]), read only where
+    f is not unique (`_eval_miquel`).  Rows have a, c, b, d distinct and
+    e, h distinct and off {a, b}."""
     q = plane.q
     if mode.is_sample:
         for raw in _sample_batches(mode, 10):
-            cols, base = _sampled_bases(plane, raw)
-            idx = np.nonzero(base)[0]
-            yield (raw.shape[1], *(v[idx] for v in cols),
-                   *(bounded(raw[j], q + 1)[idx] for j in range(6, 10)))
+            idx, bases = _sampled_bases(plane, raw, 2)
+            yield raw.shape[1], *bases, bounded(raw[8][idx], q + 1), raw[9][idx]
     else:
-        yield from _exhaustive_bases(plane, np.ones((q + 1, q + 1), dtype=bool))
+        yield from _exhaustive_bases(plane, 2, (q + 1,))
 
 
-def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf):
+def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf=None):
     """Miquel closure on the choice arrays of `_miquel_blocks`.
 
     The ordered quadruple names follow the statement: hypothesis
     quadruples (a,c,b,d), (a,e,b,h), (a,g,d,h), (b,f,c,e), (c,g,d,f);
-    conclusion (e,g,f,h).
+    conclusion (e,g,f,h).  C3 = (a,d,h)° and C4 = (b,c,e)° realize the
+    third and fourth; f is the point of C4 that completes (c,g,d,f)
+    (`_completion`), so every row of eight distinct points meets the
+    hypothesis.  f is not unique only where C2 = C1: all eight points
+    then lie on C1, and the row takes the slot its draw `sf` picks
+    (sampled) or each slot (exhaustive, `sf` None).
     """
     gen, members, T3 = plane.gen_of, plane.members, plane.triple_circle
     E = _gather(members, C2, se)
     H = _gather(members, C2, sh)
-    base_ok = (E != A) & (E != B) & (H != A) & (H != B) & (se != sh)
-
-    dh_ok = gen[D] != gen[H]
-    ce_ok = gen[Cq] != gen[E]
-    report.skipped += int((base_ok & ~(dh_ok & ce_ok)).sum())
-    # the feasible rows alone go on: there (a,d,h) and (b,c,e) span circles
-    idx = np.nonzero(base_ok & dh_ok & ce_ok)[0]
-    A, Cq, B, D, C2, E, H, sg, sf = (v[idx] for v in (A, Cq, B, D, C2, E, H, sg, sf))
-
+    feasible = (gen[D] != gen[H]) & (gen[Cq] != gen[E])
+    report.skipped += len(E) - int(feasible.sum())
+    # the feasible rows, where (a,d,h) and (b,c,e) span circles (so e ≠ c
+    # and h ≠ d), go on if g is none of the six points before it
     C3 = _gather(T3, A, D, H)
     G = _gather(members, C3, sg)
+    keep = feasible & (E != D) & (H != Cq)
+    for v in (A, B, Cq, D, E, H):
+        keep &= G != v
+    idx = np.nonzero(keep)[0]
+    A, Cq, B, D, C2, C3, E, H, G = (v[idx] for v in (A, Cq, B, D, C2, C3, E, H, G))
+
     C4 = _gather(T3, B, Cq, E)
-    F = _gather(members, C4, sf)
-
-    distinct = E != Cq
-    for u, v in ((E, D), (H, Cq), (H, D),
-                 (G, A), (G, B), (G, Cq), (G, D), (G, E), (G, H),
-                 (F, A), (F, B), (F, Cq), (F, D), (F, E), (F, H), (F, G)):
-        distinct = distinct & (u != v)
-
-    # hypothesis (c,g,d,f) on pairs {c,d},{g,f}; conclusion (e,g,f,h) on {e,f},{g,h}
-    hyp = distinct & _pairs_concyclic(plane, Cq, D, G, F)
+    rows, F = _completion(plane, Cq, D, G, C4, Cq, None if sf is None else sf[idx])
+    A, Cq, B, D, C2, C3, C4, E, H, G = (
+        v[rows] for v in (A, Cq, B, D, C2, C3, C4, E, H, G))
+    hyp = F != A
+    for v in (B, Cq, D, E, H, G):
+        hyp &= F != v
     report.hypothesis_hits += int(hyp.sum())
+    # conclusion (e,g,f,h) on pairs {e,f},{g,h}
     report.record(hyp & ~_pairs_concyclic(plane, E, F, G, H), lambda i: Violation(
         "miquel-closure",
         points=(int(A[i]), int(B[i]), int(Cq[i]), int(D[i]),
@@ -616,34 +685,36 @@ def _six_point_collapse(plane, p1, p2, p3, p4, p5, p6):
 
 def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
     """A circle C1 with an ordered base quadruple (a, c, b, d) of its
-    points, C5 from the pencil through (a, b) with distinct members e, f,
-    and C3 from the pencil through (e, f) with members g, h.  Yields (raw
-    count, a, c, b, d, C5, e slot, f slot, C3 selector, g slot, h slot)
-    per block; exhaustive blocks hold only e, f off {a, b} and distinct
-    g, h slots."""
+    points, C5 from the pencil through (a, b) with its member e, then a
+    selector of the pencil through (e, f) for C3 and a member g of C3; the
+    evaluator derives f and h.  Yields (raw count, a, c, b, d, C5, e slot,
+    C3 selector, g slot) per block; sampled blocks add the raw draws of an
+    f slot (raw[7]) and an h slot (raw[10]), read only where f or h is not
+    unique (`_eval_bundle`).  Rows have a, c, b, d distinct and e off
+    {a, b}."""
     q = plane.q
     if mode.is_sample:
         for raw in _sample_batches(mode, 11):
-            cols, base = _sampled_bases(plane, raw)
-            se = bounded(raw[6], q + 1)
-            sf = bounded(raw[7], q + 1)
-            idx = np.nonzero(base & (se != sf))[0]
-            yield (raw.shape[1], *(v[idx] for v in cols), se[idx], sf[idx],
-                   bounded(raw[8], q)[idx], bounded(raw[9], q + 1)[idx],
-                   bounded(raw[10], q + 1)[idx])
+            idx, bases = _sampled_bases(plane, raw, 1)
+            yield (raw.shape[1], *bases, bounded(raw[8][idx], q), bounded(raw[9][idx], q + 1),
+                   raw[7][idx], raw[10][idx])
     else:
-        yield from _exhaustive_bases(
-            plane, np.broadcast_to(~np.eye(q + 1, dtype=bool), (q, q + 1, q + 1)))
+        yield from _exhaustive_bases(plane, 1, (q, q + 1))
 
 
-def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, c3sel, sg, sh):
+def _eval_bundle(plane, report, A, Cq, B, D, C5, se, c3sel, sg, sf=None, sh=None):
     """Bundle closure on the choice arrays of `_bundle_blocks`.
 
     Circles realize three pair-hypotheses properly: C1 holds the base
     quadruple (a,c,b,d), C5 through a,b holds e,f (hypothesis (a,e,b,f)),
-    C3 through e,f holds g,h (hypothesis (e,g,f,h)).  The point-relating
-    hypotheses (c,e,d,f) and (g,a,h,b) are filters admitting both the
-    proper and the parallel-pair form.  Conclusion: (c,g,d,h).
+    C3 through e,f holds g,h (hypothesis (e,g,f,h)).  f is the point of
+    C5 that completes (c,e,d,f), and h the point of C3 that completes
+    (g,a,h,b) (`_completion`), each in its proper or its parallel-pair
+    form.  f is not unique only where C5 = C1, and h only where C3 = C5:
+    every point of the circle completes the hypothesis there, and the row
+    takes the slot its draw `sf` or `sh` picks (sampled) or each slot
+    (exhaustive, None).
+    Conclusion: (c,g,d,h).
 
     General position is required and counted under `skipped`: no three of
     the pairs {a,b},{c,d},{e,f},{g,h} may collapse onto a single section
@@ -652,30 +723,37 @@ def _eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, c3sel, sg, sh):
     """
     members = plane.members
     E = _gather(members, C5, se)
-    F = _gather(members, C5, sf)
+    rows, F = _completion(plane, Cq, D, E, C5, E, sf)
+    A, Cq, B, D, C5, E, c3sel, sg = (v[rows] for v in (A, Cq, B, D, C5, E, c3sel, sg))
+    # where a slot made f = e, C3 is -1 and g garbage: the test that the
+    # first seven points are distinct drops those rows
     C3 = _gather(plane.vertex_pencils, E, F, c3sel)
     G = _gather(members, C3, sg)
-    H = _gather(members, C3, sh)
-
-    distinct = (se != sf) & (sg != sh)
-    for u, v in ((E, A), (E, B), (F, A), (F, B),
-                 (E, Cq), (E, D), (F, Cq), (F, D),
-                 (G, A), (G, B), (G, Cq), (G, D), (G, E), (G, F),
-                 (H, A), (H, B), (H, Cq), (H, D), (H, E), (H, F)):
-        distinct = distinct & (u != v)
-    # the eight distinct points alone go on
-    idx = np.nonzero(distinct)[0]
+    points = (A, B, Cq, D, E, F, G)
+    keep = np.ones(len(G), dtype=bool)
+    for i in (4, 5, 6):
+        for v in points[:i]:
+            keep &= points[i] != v
+    idx = np.nonzero(keep)[0]
+    A, Cq, B, D, C5, C3, E, F, G = (v[idx] for v in (A, Cq, B, D, C5, C3, E, F, G))
+    rows, H = _completion(plane, A, B, G, C3, G, None if sh is None else sh[rows[idx]])
+    A, Cq, B, D, C5, C3, E, F, G = (v[rows] for v in (A, Cq, B, D, C5, C3, E, F, G))
+    # the eight distinct points alone go on: each row meets the hypotheses
+    keep = H != G
+    for v in (A, B, Cq, D, E, F):
+        keep &= H != v
+    idx = np.nonzero(keep)[0]
     A, Cq, B, D, C5, C3, E, F, G, H = (v[idx] for v in (A, Cq, B, D, C5, C3, E, F, G, H))
 
-    # hypotheses (c,e,d,f) and (g,a,h,b) on pairs {c,d},{e,f} and {a,b},{g,h}
-    hyp0 = _pairs_concyclic(plane, Cq, D, E, F) & _pairs_concyclic(plane, A, B, G, H)
-    collapsed = hyp0 & (
-        _six_point_collapse(plane, A, B, Cq, D, E, F)
-        | _six_point_collapse(plane, A, B, Cq, D, G, H)
-        | _six_point_collapse(plane, A, B, E, F, G, H)
-        | _six_point_collapse(plane, Cq, D, E, F, G, H))
+    # of the triples of pairs with {a,b}: {a,b},{c,d} lie on C1 alone and
+    # {a,b},{e,f} on C5 alone, on four generators each, so such a triple
+    # collapses exactly where its third pair lies on that circle too:
+    # C5 = C1, C3 = C5, or g and h on C1
+    C1 = _gather(plane.triple_circle, A, Cq, B)
+    collapsed = ((C5 == C1) | (C3 == C5) | (_gather(plane.mem, C1, G) & _gather(plane.mem, C1, H))
+                 | _six_point_collapse(plane, Cq, D, E, F, G, H))
     report.skipped += int(collapsed.sum())
-    hyp = hyp0 & ~collapsed
+    hyp = ~collapsed
     report.hypothesis_hits += int(hyp.sum())
 
     # conclusion (c,g,d,h) on pairs {c,d},{g,h}
@@ -711,30 +789,32 @@ def _size_pi(plane):
 
 
 def _size_trio(plane):
-    """An upper bound: the pairs K < L < M taken per base circle depend on
-    the circle labels, so an exhaustive Prop21 run reports fewer."""
-    return plane.n_circles * (plane.q**2 - 1) ** 2 // 2
+    # unordered pairs of the q²−1 circles tangent to each base circle
+    t = plane.q**2 - 1
+    return plane.n_circles * t * (t - 1) // 2
 
 
 def _size_transfer(plane):
-    # unordered pairs of the q²−1 circles tangent to each base circle; none
-    # on odd order, where the statement is not applicable
-    t = plane.q**2 - 1
-    return plane.n_circles * t * (t - 1) // 2 if plane.q % 2 == 0 else 0
+    # the pairs of `_size_trio`; none on odd order, where the statement is
+    # not applicable
+    return _size_trio(plane) if plane.q % 2 == 0 else 0
 
 
 def _size_miquel(plane):
     # choice space of the exhaustive generator: C1, ordered base quadruple,
-    # pencil selector, and four raw member slots (invalid ones filtered)
+    # pencil selector, and the e, h and g slots (invalid ones filtered);
+    # f is derived
     q = plane.q
     perms = (q + 1) * q * (q - 1) * (q - 2)
-    return plane.n_circles * perms * q * (q + 1) ** 4
+    return plane.n_circles * perms * q * (q + 1) ** 3
 
 
 def _size_bundle(plane):
+    # C1, ordered base quadruple, C5 selector, e slot, C3 selector, g slot;
+    # f and h are derived
     q = plane.q
     perms = (q + 1) * q * (q - 1) * (q - 2)
-    return plane.n_circles * perms * (q * (q + 1) * (q + 1)) ** 2
+    return plane.n_circles * perms * (q * (q + 1)) ** 2
 
 
 # -- scalar witness replay -------------------------------------------------

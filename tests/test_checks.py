@@ -307,6 +307,23 @@ def test_bundle_sampled_holds_on_both_models(oval8):
     assert rep8.skipped > 0  # general-position rejections are counted
 
 
+@pytest.mark.parametrize("plane", ["x^4", "x^6", 5, 7, 8, 9, 11, 13], ids=str)
+def test_closure_verdicts_with_derived_points(plane):
+    # Miquel fails and Bundle holds on the oval planes x^4 and x^6 over
+    # GF(8); both hold on the miquelian planes; every witness replays
+    if isinstance(plane, str):
+        P = oval_plane(8, oval_table_power(8, int(plane[2:])))
+    else:
+        P = miquelian_plane(plane)
+    mode = CheckMode.sample(20000, 2006)
+    miquel, bundle = check_miquel(P, mode), check_bundle(P, mode)
+    assert (miquel.verdict, bundle.verdict) == (
+        "Fails" if isinstance(plane, str) else "Holds(sampled)", "Holds(sampled)")
+    assert miquel.hypothesis_hits > 0 and bundle.hypothesis_hits > 0
+    for v in miquel.violations:
+        assert replay_violation(P, "Miquel", v)
+
+
 @functools.cache
 def _pair_plane(name):
     if name == "oval8":
@@ -399,6 +416,15 @@ def test_exhaustive_sizes_frozen():
     assert exhaustive_size(P7, "S") == 37933056
     assert exhaustive_size(P7, "C") == 941192
     assert exhaustive_size(P7, "Pi") == 4840416
+    assert exhaustive_size(P7, "Prop21") == 343 * 48 * 47 // 2 == 386904
+    # the closures: C1, ordered base quadruple, pencil selector, then the
+    # slots of e, h and g (Miquel) or of e, the C3 selector and g's slot
+    # (Bundle); f and h are derived, not chosen
+    assert exhaustive_size(P7, "Miquel") == 343 * 1680 * 7 * 8**3 == 2065244160
+    assert exhaustive_size(P7, "Bundle") == 343 * 1680 * (7 * 8) ** 2 == 1807088640
+    P5 = miquelian_plane(5)
+    assert exhaustive_size(P5, "Miquel") == 48600000
+    assert exhaustive_size(P5, "Bundle") == 40500000
     assert set(CHECK_IDS) == set(CHECKERS)
 
 
@@ -412,66 +438,73 @@ def test_blocks_hold_only_rows_that_can_meet_the_hypothesis(q, mode):
         # N is tangent to K at d: the chain closes
         assert (P.pair_count[N, K] == 1).all() and P.mem[N, D].all() and P.mem[K, D].all()
     assert raw == check_S(P, mode).configurations
+    # the closures' rows: a, c, b, d distinct on one circle, C2 through a
+    # and b, and e (and h) on C2, distinct and off {a, b}; sampled blocks
+    # add the draws of the slots that are read only where a derived point
+    # is not unique, one for Miquel and two for Bundle
     raw = 0
-    for n_raw, A, Cq, B, D, C2, se, sh, sg, sf in _miquel_blocks(P, mode):
+    for n_raw, A, Cq, B, D, C2, se, sh, sg, *draws in _miquel_blocks(P, mode):
         raw += n_raw
-        if not mode.is_sample:
-            E, H = P.members[C2, se], P.members[C2, sh]
-            assert ((E != A) & (E != B) & (H != A) & (H != B) & (se != sh)).all()
+        assert len(draws) == mode.is_sample
+        E, H = P.members[C2, se], P.members[C2, sh]
+        assert (P.triple_circle[A, Cq, B] == P.triple_circle[A, D, B]).all()
+        assert (P.mem[C2, A] & P.mem[C2, B]).all()
+        assert ((E != A) & (E != B) & (H != A) & (H != B) & (se != sh)).all()
     assert raw == check_miquel(P, mode).configurations
+    raw = 0
+    for n_raw, A, Cq, B, D, C5, se, c3sel, sg, *draws in _bundle_blocks(P, mode):
+        raw += n_raw
+        assert len(draws) == 2 * mode.is_sample
+        E = P.members[C5, se]
+        assert (P.mem[C5, A] & P.mem[C5, B] & (E != A) & (E != B)).all()
+    assert raw == check_bundle(P, mode).configurations
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_exhaustive_size_is_the_exhaustive_configurations(q):
     P = miquelian_plane(q)
     for cid in CHECK_IDS:
-        if (cid, q) == ("Bundle", 4):
-            # its sweep takes seconds; `configurations` sums the blocks' raw counts
-            got = sum(block[0] for block in _bundle_blocks(P, EX))
-        else:
-            got = CHECKERS[cid].run(P, EX).configurations
-        size = exhaustive_size(P, cid)
-        # Prop21 takes each triple once, as K < L < M, a count the labels decide
-        assert got <= size if cid == "Prop21" else got == size, cid
+        assert CHECKERS[cid].run(P, EX).configurations == exhaustive_size(P, cid), cid
 
 
-def closure_rows(P, tail_shape, tail_ok):
+def closure_rows(P, n_slots, tail_shape):
     """The exhaustive rows of a closure, one array per block, by itertools:
     per circle C1 and pencil selector, each ordered quadruple (a, c, b, d)
     of C1's points, C2 the selected circle through a and b in id order,
-    each ordered pair of distinct slots s, t of C2 whose points are
-    neither a nor b, then each index tuple of `tail_shape` that `tail_ok`
-    admits."""
+    each ordered tuple of `n_slots` distinct slots of C2 whose points are
+    neither a nor b, then each index tuple of `tail_shape`."""
     members = P.members.tolist()
     q = P.q
     pencil = {}
     for K, row in enumerate(members):
         for x, y in itertools.permutations(row, 2):
             pencil.setdefault((x, y), []).append(K)
-    tails = np.array([t for t in itertools.product(*map(range, tail_shape)) if tail_ok(*t)])
+    tails = np.array(list(itertools.product(*map(range, tail_shape))))
     for C1 in range(P.n_circles):
         for sel in range(q):
             heads = []
             for a, c, b, d in itertools.permutations(members[C1], 4):
                 C2 = pencil[(a, b)][sel]
-                for s, t in itertools.permutations(range(q + 1), 2):
-                    if {members[C2][s], members[C2][t]}.isdisjoint((a, b)):
-                        heads.append((a, c, b, d, C2, s, t))
+                for slots in itertools.permutations(range(q + 1), n_slots):
+                    if {members[C2][s] for s in slots}.isdisjoint((a, b)):
+                        heads.append((a, c, b, d, C2, *slots))
             # every head with every tail, heads outermost
             yield np.hstack([np.repeat(heads, len(tails), axis=0),
                              np.tile(tails, (len(heads), 1))])
 
 
-@pytest.mark.parametrize("check_id,q", [("Miquel", 3), ("Miquel", 4), ("Bundle", 3)])
+@pytest.mark.parametrize("check_id,q", [("Miquel", 3), ("Miquel", 4), ("Bundle", 3), ("Bundle", 4)])
 def test_exhaustive_closure_rows_follow_the_choice_order(check_id, q):
+    # Miquel chooses the slots of e, h and g, Bundle the slot of e, the
+    # selector of C3 and the slot of g; their evaluators derive the rest
     P = miquelian_plane(q)
     if check_id == "Miquel":
-        blocks, tail_shape, tail_ok = _miquel_blocks, (q + 1, q + 1), lambda g, f: True
+        blocks, n_slots, tail_shape = _miquel_blocks, 2, (q + 1,)
     else:
-        blocks, tail_shape, tail_ok = _bundle_blocks, (q, q + 1, q + 1), lambda c, g, h: g != h
-    n_raw = (q + 1) * q * (q - 1) * (q - 2) * (q + 1) ** 2 * int(np.prod(tail_shape))
+        blocks, n_slots, tail_shape = _bundle_blocks, 1, (q, q + 1)
+    n_raw = (q + 1) * q * (q - 1) * (q - 2) * (q + 1) ** n_slots * int(np.prod(tail_shape))
     got = blocks(P, EX)
-    for want in closure_rows(P, tail_shape, tail_ok):
+    for want in closure_rows(P, n_slots, tail_shape):
         block = next(got)
         assert block[0] == n_raw
         assert np.array_equal(np.column_stack(block[1:]), want)

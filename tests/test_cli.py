@@ -14,7 +14,9 @@ import pytest
 
 from laguerre_lab import cli
 from laguerre_lab.cli import main
-from laguerre_lab.models import oval_table_power
+from laguerre_lab.checks import exhaustive_size
+from laguerre_lab.models import miquelian_plane, oval_table_power
+from laguerre_lab.report import EXHAUSTIVE_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +62,20 @@ def test_usage_errors(capsys):
                    "--mode", "sample")[0] == 2  # seed missing
     assert run_cli(capsys, "check", "--q", "3", "--model", "oval",
                    "--checks", "C")[0] == 2  # table missing
+
+
+def test_exhaustive_closures_reach_order_five(capsys):
+    # with f (and Bundle's h) derived, the closures' exhaustive choice
+    # spaces at q=5 fit under the 10^8 limit: Miquel's 4.86e7 runs here
+    # (about 1.5 s); Bundle's 4.05e7 runs too, but takes about 7 s, so
+    # only its size is pinned
+    code, out, _ = run_cli(capsys, "check", "--q", "5", "--checks", "Miquel")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["configurations"], obj["skipped"], obj["verdict"]) == (48600000, 6750000, "Holds")
+    assert exhaustive_size(miquelian_plane(5), "Bundle") == 40500000 <= EXHAUSTIVE_LIMIT
+    for check_id in ("Miquel", "Bundle"):
+        assert run_cli(capsys, "check", "--q", "7", "--checks", check_id)[0] == 2  # over limit
 
 
 def test_env_seed(capsys, monkeypatch):

@@ -4,14 +4,10 @@ A model plane numbers its points generator by generator, so on it a
 circle's points sorted by id are also its points by generator, and no
 test on a model plane can tell the two row orders apart.  Here the model
 plane's export text is edited: point ids are permuted, generators are
-listed in another order and each generator's points shuffled.  The
-imported plane is the same plane under other names, so every exhaustive
-count, every verdict and every symmetry must carry over, and every
-witness must replay on it.
-
-Circle ids keep their order: an exhaustive Prop21 run takes the pairs
-K < L < M per base circle, so its `configurations` (not its hits) depend
-on the circle numbering.
+listed in another order and each generator's points shuffled, and the
+circle lines are listed in another order.  The imported plane is the
+same plane under other names, so every exhaustive count, every verdict
+and every symmetry must carry over, and every witness must replay on it.
 """
 
 from __future__ import annotations
@@ -39,8 +35,9 @@ RELABELLED = "relabelled-5"
 
 def relabel_structure(gens, circles, seed: int):
     """The structure under seeded new point ids (ids off the plane kept),
-    its generators in another order and every row shuffled: the
-    generators, the circles and the map from old to new ids."""
+    its generators and circles in another order and every row shuffled:
+    the generators, the circles, and the maps from old to new point ids
+    and from old to new circle ids."""
     rng = np.random.default_rng(seed)
     n_p = sum(len(g) for g in gens)
     points = rng.permutation(n_p)
@@ -48,33 +45,36 @@ def relabel_structure(gens, circles, seed: int):
     def renamed(row):
         return [int(points[p]) if 0 <= p < n_p else int(p) for p in rng.permutation(row)]
 
-    return ([renamed(gens[g]) for g in rng.permutation(len(gens))],
-            [renamed(c) for c in circles], points)
+    gens = [renamed(gens[g]) for g in rng.permutation(len(gens))]
+    rows = [renamed(c) for c in circles]
+    order = rng.permutation(len(rows))      # new circle i is old circle order[i]
+    return gens, [rows[i] for i in order], points, np.argsort(order)
 
 
-def relabel_text(text: str, seed: int) -> tuple[str, np.ndarray]:
+def relabel_text(text: str, seed: int) -> tuple[str, np.ndarray, np.ndarray]:
     """The plane text `text` relabelled by `relabel_structure`, each circle
     line listing its new ids sorted, as `export_plane` writes them, and
-    keeping its coefficients; and the map from old to new point ids."""
+    keeping its coefficients; and the maps from old to new point and
+    circle ids."""
     lines = text.splitlines()
     head = dict(part.partition("=")[::2] for part in lines[0].split()[1:])
     n_g = int(head["points"]) // int(head["q"])
     rows = [ln.partition(" coef ") for ln in lines[1 + n_g:]]
-    gens, circles, points = relabel_structure(
+    gens, circles, points, circle_ids = relabel_structure(
         [[int(t) for t in ln.split()] for ln in lines[1:1 + n_g]],
         [[int(t) for t in ids.split()] for ids, _, _ in rows], seed)
     out = [lines[0]] + [" ".join(map(str, g)) for g in gens]
     out += [" ".join(map(str, sorted(c))) + coef + tail
-            for c, (_, coef, tail) in zip(circles, rows)]
-    return "\n".join(out) + "\n", points
+            for c, (_, coef, tail) in zip(circles, (rows[i] for i in np.argsort(circle_ids)))]
+    return "\n".join(out) + "\n", points, circle_ids
 
 
 @functools.cache
 def relabelling(q: int) -> tuple:
-    """(relabelled plane, its text, point map) for the miquelian plane of
-    order q; the map sends model point ids to new ones."""
-    text, points = relabel_text(export_plane(miquelian_plane(q)), seed=q)
-    return import_plane(text), text, points
+    """(relabelled plane, its text, point map, circle map) for the
+    miquelian plane of order q; the maps send model ids to new ones."""
+    text, points, circles = relabel_text(export_plane(miquelian_plane(q)), seed=q)
+    return import_plane(text), text, points, circles
 
 
 def plane_for(key):
@@ -92,27 +92,28 @@ def conjugate(image: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def renamed(v: Violation, points: np.ndarray) -> Violation:
+def renamed(v: Violation, points: np.ndarray, circles: np.ndarray) -> Violation:
     return Violation(v.kind, points=tuple(int(points[p]) for p in v.points),
-                     circles=v.circles, data=v.data)
+                     circles=tuple(int(circles[c]) for c in v.circles), data=v.data)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_relabelled_rows_are_not_sorted_and_round_trip(q):
-    R, text, points = relabelling(q)
+    R, text, points, circles = relabelling(q)
     assert export_plane(R) == text
     # the relabelling leaves few rows sorted by id, so sorted rows and rows
     # by generator disagree
     assert (np.diff(R.members, axis=1) < 0).any(axis=1).mean() > 0.5
     assert (R.gen_of[R.members] == np.arange(q + 1)).all()
     P = miquelian_plane(q)
-    assert np.array_equal(R.mem[:, points], P.mem)
+    assert (circles != np.arange(P.n_circles)).mean() > 0.5
+    assert np.array_equal(R.mem[circles][:, points], P.mem)
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_exhaustive_reports_survive_relabelling(q):
     P = miquelian_plane(q)
-    R, _, points = relabelling(q)
+    R, _, points, circles = relabelling(q)
     model, relabelled = P.validate_axioms(), R.validate_axioms()
     assert (relabelled.verdict, relabelled.configurations, relabelled.notes) == (
         model.verdict, model.configurations, model.notes)
@@ -127,7 +128,7 @@ def test_exhaustive_reports_survive_relabelling(q):
         for v in got.violations:
             assert replay_violation(R, cid, v), (cid, v)
         for v in want.violations:
-            assert replay_violation(R, cid, renamed(v, points)), (cid, v)
+            assert replay_violation(R, cid, renamed(v, points, circles)), (cid, v)
         failing += got.verdict == "Fails"
     assert failing == (0 if q == 3 else 5)
 
@@ -135,7 +136,7 @@ def test_exhaustive_reports_survive_relabelling(q):
 @pytest.mark.parametrize("q", [3, 5])
 def test_build_dts_is_equivariant_under_relabelling(q):
     P = miquelian_plane(q)
-    R, _, points = relabelling(q)
+    R, _, points, circles = relabelling(q)
     if q == 3:
         pairs = [(K, L) for K in range(P.n_circles) for L in range(K + 1, P.n_circles)
                  if P.pair_count[K, L] != 1]
@@ -144,10 +145,11 @@ def test_build_dts_is_equivariant_under_relabelling(q):
     assert len(pairs) == (243 if q == 3 else 20)
     for K, L in pairs:
         phi = build_dts(P, K, L)
-        psi = build_dts(R, K, L)
+        rK, rL = circles[K], circles[L]
+        psi = build_dts(R, rK, rL)
         assert np.array_equal(psi.image[points], points[phi.image]), (K, L)
-        assert verify_dts(R, psi, K, L).holds, (K, L)
-        want, got = classify_symmetry(P, K, L, phi), classify_symmetry(R, K, L, psi)
+        assert verify_dts(R, psi, rK, rL).holds, (K, L)
+        want, got = classify_symmetry(P, K, L, phi), classify_symmetry(R, rK, rL, psi)
         assert (got.kind, got.fixed_point_count) == (want.kind, want.fixed_point_count)
 
 
@@ -162,10 +164,10 @@ def _outcome(f):
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_scalar_operations_survive_relabelling(q):
-    # every circle K, point p and outer point x: the same circles, the same
-    # point under its new name, or the same error
+    # every circle K, point p and outer point x: the same circles and the
+    # same point under their new names, or the same error
     P = miquelian_plane(q)
-    R, _, points = relabelling(q)
+    R, _, points, circles = relabelling(q)
 
     def second(plane, p, K, L):
         circle, touch = tangent_to_second(plane, p, K, L)
@@ -173,15 +175,17 @@ def test_scalar_operations_survive_relabelling(q):
 
     for K in range(P.n_circles):
         L = (K + 1) % P.n_circles
+        rK, rL = int(circles[K]), int(circles[L])
         for p in range(P.n_points):
             rp = int(points[p])
-            assert R.parallel_point(rp, K) == points[P.parallel_point(p, K)]
-            assert _outcome(lambda: R.tangent_pencil(rp, K).members) == _outcome(
-                lambda: P.tangent_pencil(p, K).members)
+            assert R.parallel_point(rp, rK) == points[P.parallel_point(p, K)]
+            assert _outcome(lambda: set(R.tangent_pencil(rp, rK).members)) == _outcome(
+                lambda: {int(circles[m]) for m in P.tangent_pencil(p, K).members})
             want = _outcome(lambda: second(P, p, K, L))
             if isinstance(want, tuple):
-                want = (want[0], int(points[want[1]]))
-            assert _outcome(lambda: second(R, rp, K, L)) == want
+                want = (want[0] if want[0] is None else int(circles[want[0]]),
+                        int(points[want[1]]))
+            assert _outcome(lambda: second(R, rp, rK, rL)) == want
             for x in range(P.n_points):
-                assert _outcome(lambda: R.tangent_circle(rp, K, int(points[x])).id) == _outcome(
-                    lambda: P.tangent_circle(p, K, x).id)
+                assert _outcome(lambda: R.tangent_circle(rp, rK, int(points[x])).id) == _outcome(
+                    lambda: int(circles[P.tangent_circle(p, K, x).id]))

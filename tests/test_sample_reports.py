@@ -24,7 +24,8 @@ The same golden pins exhaustive runs: every checker at q=3 and at q=4,
 each with every recorded witness in order, so a change to the
 enumeration order of an exhaustive generator shows as well.  Miquel and
 Bundle hold at both orders, so there their configurations, hits and
-`skipped` pin what the closures' pair tests decide.
+`skipped` pin the closures' choice spaces and what their derived points
+and pair tests decide.
 
 Re-record (only when a report is meant to change):
 

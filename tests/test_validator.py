@@ -342,7 +342,7 @@ def test_corpus_reports_survive_relabelling(name):
     # are recorded follows the new row order, and each one holds
     gens, circles = corpus_structures()[name]
     want = validate_laguerre_axioms(gens, circles)
-    gens, circles, _ = relabel_structure(gens, circles, seed=len(name))
+    gens, circles, *_ = relabel_structure(gens, circles, seed=len(name))
     got = validate_laguerre_axioms(gens, circles)
     assert (got.verdict, got.configurations, got.notes, got.violation_count) == (
         want.verdict, want.configurations, want.notes, want.violation_count)
