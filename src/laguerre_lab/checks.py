@@ -25,15 +25,18 @@ columns of `_sample_batches`.
 The two closures, Miquel and Bundle, share their base blocks (a circle
 C1, an ordered quadruple of its points and a circle C2 of the pencil
 through the first two: `_sampled_bases`, `_exhaustive_bases`) and add
-only their own choices.  A point that a hypothesis fixes is derived, not
-chosen: `_completion` finds the point of a circle that completes two
-point pairs to a concyclic quadruple (Miquel's f, Bundle's f and h), so
-neither its slot nor a filter on it costs a draw or a row.  Only where
-every point of that circle completes the pairs does a row take a drawn
-slot (sampled) or each slot (exhaustive).  Each conclusion that relates
-two point pairs is one `_pairs_concyclic` test: the pairs lie on one
-circle or split into two parallel pairs.  Every evaluator records its
-violations through `CheckReport.record`.
+only their own choices, the tail of each such head row.  An evaluator
+takes the tail (`_with_tail`) after it has dropped the heads that cannot
+meet the hypothesis, so an exhaustive head that fails is never repeated
+once per tail.  A point that a hypothesis fixes is derived, not chosen:
+`_completion` finds the point of a circle that completes two point pairs
+to a concyclic quadruple (Miquel's f, Bundle's f and h), so neither its
+slot nor a filter on it costs a draw or a row.  Only where every point of
+that circle completes the pairs does a row take a drawn slot (sampled)
+or each slot (exhaustive).  Each conclusion that relates two point pairs
+is one `_pairs_concyclic` test: the pairs lie on one circle or split
+into two parallel pairs.  Every evaluator records its violations through
+`CheckReport.record`.
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -48,6 +51,7 @@ of its witnesses and their replay.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -489,8 +493,9 @@ def _pairs_concyclic(plane, P, Q, R, S):
     parallel test of its own: a point on the circle through three others
     is parallel to none of them.
     """
-    gp, gq, gr, gs = (plane.gen_of[v] for v in (P, Q, R, S))
-    return _on_abc(plane, P, R, Q, S) | ((gp == gr) & (gq == gs)) | ((gp == gs) & (gq == gr))
+    gen = plane.gen_of
+    return (_on_abc(plane, P, R, Q, S) | ((gen[P] == gen[R]) & (gen[Q] == gen[S]))
+            | ((gen[P] == gen[S]) & (gen[Q] == gen[R])))
 
 
 def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray, n_slots: int):
@@ -498,8 +503,8 @@ def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray, n_slots: int):
     circle C2 of the pencil through the first two, drawn from raw[5], and
     `n_slots` member slots of C2 from raw[6:]: the indexes of the sample
     rows whose slots on C1 are four distinct ones and whose slots on C2
-    are distinct and hold neither a nor b, and on those rows the points
-    (a, c, b, d) in the slots on C1, C2 and the slots on C2.
+    are distinct and hold neither a nor b, and on those rows C1, the
+    points (a, c, b, d) in the slots on C1, C2 and the slots on C2.
 
     Slot g of a circle holds its point on generator g, so the slots decide
     which points coincide before any point is read."""
@@ -517,26 +522,26 @@ def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray, n_slots: int):
     C1 = bounded(raw[0][idx], plane.n_circles)
     A, Cq, B, D = (_gather(members, C1, sj[idx]) for sj in s)
     C2 = _gather(plane.vertex_pencils, A, B, bounded(raw[5][idx], q))
-    return idx, (A, Cq, B, D, C2, *(u[idx] for u in t))
+    return idx, (C1, A, Cq, B, D, C2, *(u[idx] for u in t))
 
 
 def _exhaustive_bases(plane: LaguerrePlane, n_slots: int, tail: tuple[int, ...]):
     """The exhaustive blocks of the closures, one per circle C1 and pencil
-    selector: each ordered base quadruple (a, c, b, d) of C1's points, C2
-    the selected circle of the pencil through (a, b), and each ordered
-    tuple of `n_slots` (1 or 2) distinct member slots of C2 whose members
-    are neither a nor b (slot g holds the point on generator g).  Every
-    such row takes each index tuple of the shape `tail`, the closure's own
-    choices.  Yields (raw count, a, c, b, d, C2, *slots, *tail indexes)
-    per block, its rows in the C order of the choice space."""
+    selector.  Their head rows are each ordered base quadruple (a, c, b, d)
+    of C1's points, C2 the selected circle of the pencil through (a, b),
+    and each ordered tuple of `n_slots` (1 or 2) distinct member slots of
+    C2 whose members are neither a nor b (slot g holds the point on
+    generator g).  Every head row takes each index tuple of the shape
+    `tail`, the closure's own choices, which the evaluator adds through
+    `_with_tail` once it has dropped the heads that cannot meet the
+    hypothesis.  Yields (raw count, C1, a, c, b, d, C2, *slots, tail) per
+    block, its heads in the C order of the choice space."""
     members, VP, gen, q = plane.members, plane.vertex_pencils, plane.gen_of, plane.q
     ords = np.array(list(itertools.permutations(range(q + 1), 4)), dtype=np.int64)
     if not len(ords):
         return
-    cols = np.indices(tail).reshape(len(tail), -1)
-    n = cols.shape[1]
     # raw axes per block: (ordering, *slots, *tail)
-    n_raw = len(ords) * (q + 1) ** n_slots * n
+    n_raw = len(ords) * (q + 1) ** n_slots * math.prod(tail)
     slots = np.arange(q + 1)
     for C1 in range(plane.n_circles):
         A, Cq, B, D = (members[C1][ords[:, j]] for j in range(4))
@@ -545,9 +550,27 @@ def _exhaustive_bases(plane: LaguerrePlane, n_slots: int, tail: tuple[int, ...])
             off = (slots != gen[A][:, None]) & (slots != gen[B][:, None])
             if n_slots == 2:
                 off = off[:, :, None] & off[:, None, :] & (slots[:, None] != slots)
-            o, *s = (np.repeat(v, n) for v in np.nonzero(off))
-            k = len(o) // n
-            yield (n_raw, A[o], Cq[o], B[o], D[o], C2[o], *s, *(np.tile(c, k) for c in cols))
+            o, *s = np.nonzero(off)
+            yield (n_raw, np.full(len(o), C1), A[o], Cq[o], B[o], D[o], C2[o], *s, tail)
+
+
+def _tail_size(tail) -> int:
+    """The rows `_with_tail` makes of each head row."""
+    return 1 if isinstance(tail[0], np.ndarray) else math.prod(tail)
+
+
+def _with_tail(tail, src, *cols):
+    """Give each row of `cols`, the block's head rows `src`, the closure's
+    own choices: `tail` holds them as arrays over the block's rows
+    (sampled: one choice each), or as the shape of the index tuples that
+    every head row takes in C order (exhaustive: each row repeats).
+    Returns the block row of each new row, `cols` and the choice arrays
+    on the new rows."""
+    if isinstance(tail[0], np.ndarray):
+        return (src, *cols, *(t[src] for t in tail))
+    n = math.prod(tail)
+    return (np.repeat(src, n), *(np.repeat(c, n) for c in cols),
+            *(np.tile(t, len(src)) for t in np.indices(tail).reshape(len(tail), -1)))
 
 
 def _completion(plane: LaguerrePlane, P, Q, X, target, known, slot):
@@ -570,13 +593,8 @@ def _completion(plane: LaguerrePlane, P, Q, X, target, known, slot):
     gen, members = plane.gen_of, plane.members
     gx, gp, gq = gen[X], gen[P], gen[Q]
     cx = _gather(plane.triple_circle, P, X, Q)       # -1 where X ∥ P or X ∥ Q
+    found = _gather(plane.pair_count, cx, target) == 2
     Y = _gather(plane.pair_sum, cx, target) - known
-    # the circles share a second point where Y ≠ 0; Y = 0 where they touch
-    # at `known` or where point 0 is their second point, which `mem` (small
-    # enough for a cache, unlike `pair_count`) tells apart
-    found = Y != 0
-    zero = np.flatnonzero(~found)
-    found[zero] = _gather(plane.mem, cx[zero], 0) & _gather(plane.mem, target[zero], 0)
     par = np.flatnonzero((gx == gp) | (gx == gq))
     Y[par] = _gather(members, target[par], np.where(gx[par] == gp[par], gq[par], gp[par]))
     found[par] = True
@@ -601,20 +619,22 @@ def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     """A circle C1 with an ordered base quadruple (a, c, b, d) of its
     points, C2 from the pencil through (a, b), and three member slots: e
     and h on C2, then g on C3 = (a,d,h)°; the evaluator derives f.
-    Yields (raw count, a, c, b, d, C2, e slot, h slot, g slot) per block;
-    sampled blocks add the raw draw of an f slot (raw[9]), read only where
-    f is not unique (`_eval_miquel`).  Rows have a, c, b, d distinct and
-    e, h distinct and off {a, b}."""
+    Yields (raw count, a, c, b, d, C2, e slot, h slot, tail) per block,
+    the tail being g's slot (`_with_tail`); sampled blocks add the raw
+    draw of an f slot (raw[9]), read only where f is not unique
+    (`_eval_miquel`).  Rows have a, c, b, d distinct and e, h distinct
+    and off {a, b}."""
     q = plane.q
     if mode.is_sample:
         for raw in _sample_batches(mode, 10):
-            idx, bases = _sampled_bases(plane, raw, 2)
-            yield raw.shape[1], *bases, bounded(raw[8][idx], q + 1), raw[9][idx]
+            idx, (_, *bases) = _sampled_bases(plane, raw, 2)
+            yield raw.shape[1], *bases, (bounded(raw[8][idx], q + 1),), raw[9][idx]
     else:
-        yield from _exhaustive_bases(plane, 2, (q + 1,))
+        for n_raw, _, *cols in _exhaustive_bases(plane, 2, (q + 1,)):
+            yield n_raw, *cols
 
 
-def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf=None):
+def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, tail, sf=None):
     """Miquel closure on the choice arrays of `_miquel_blocks`.
 
     The ordered quadruple names follow the statement: hypothesis
@@ -630,19 +650,25 @@ def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, sg, sf=None):
     E = _gather(members, C2, se)
     H = _gather(members, C2, sh)
     feasible = (gen[D] != gen[H]) & (gen[Cq] != gen[E])
-    report.skipped += len(E) - int(feasible.sum())
-    # the feasible rows, where (a,d,h) and (b,c,e) span circles (so e ≠ c
-    # and h ≠ d), go on if g is none of the six points before it
+    report.skipped += (len(E) - int(feasible.sum())) * _tail_size(tail)
+    # the feasible heads, where (a,d,h) and (b,c,e) span circles (so e ≠ c
+    # and h ≠ d), take g's slot, and go on if g is none of the six points
+    # before it
+    idx = np.flatnonzero(feasible & (E != D) & (H != Cq))
+    A, Cq, B, D, C2, E, H = (v[idx] for v in (A, Cq, B, D, C2, E, H))
     C3 = _gather(T3, A, D, H)
+    C4 = _gather(T3, B, Cq, E)
+    src, A, Cq, B, D, C2, C3, C4, E, H, sg = _with_tail(
+        tail, idx, A, Cq, B, D, C2, C3, C4, E, H)
     G = _gather(members, C3, sg)
-    keep = feasible & (E != D) & (H != Cq)
+    keep = np.ones(len(G), dtype=bool)
     for v in (A, B, Cq, D, E, H):
         keep &= G != v
     idx = np.nonzero(keep)[0]
-    A, Cq, B, D, C2, C3, E, H, G = (v[idx] for v in (A, Cq, B, D, C2, C3, E, H, G))
+    A, Cq, B, D, C2, C3, C4, E, H, G, src = (
+        v[idx] for v in (A, Cq, B, D, C2, C3, C4, E, H, G, src))
 
-    C4 = _gather(T3, B, Cq, E)
-    rows, F = _completion(plane, Cq, D, G, C4, Cq, None if sf is None else sf[idx])
+    rows, F = _completion(plane, Cq, D, G, C4, Cq, None if sf is None else sf[src])
     A, Cq, B, D, C2, C3, C4, E, H, G = (
         v[rows] for v in (A, Cq, B, D, C2, C3, C4, E, H, G))
     hyp = F != A
@@ -687,22 +713,22 @@ def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
     """A circle C1 with an ordered base quadruple (a, c, b, d) of its
     points, C5 from the pencil through (a, b) with its member e, then a
     selector of the pencil through (e, f) for C3 and a member g of C3; the
-    evaluator derives f and h.  Yields (raw count, a, c, b, d, C5, e slot,
-    C3 selector, g slot) per block; sampled blocks add the raw draws of an
-    f slot (raw[7]) and an h slot (raw[10]), read only where f or h is not
-    unique (`_eval_bundle`).  Rows have a, c, b, d distinct and e off
-    {a, b}."""
+    evaluator derives f and h.  Yields (raw count, C1, a, c, b, d, C5,
+    e slot, tail) per block, the tail being C3's selector and g's slot
+    (`_with_tail`); sampled blocks add the raw draws of an f slot (raw[7])
+    and an h slot (raw[10]), read only where f or h is not unique
+    (`_eval_bundle`).  Rows have a, c, b, d distinct and e off {a, b}."""
     q = plane.q
     if mode.is_sample:
         for raw in _sample_batches(mode, 11):
             idx, bases = _sampled_bases(plane, raw, 1)
-            yield (raw.shape[1], *bases, bounded(raw[8][idx], q), bounded(raw[9][idx], q + 1),
+            yield (raw.shape[1], *bases, (bounded(raw[8][idx], q), bounded(raw[9][idx], q + 1)),
                    raw[7][idx], raw[10][idx])
     else:
         yield from _exhaustive_bases(plane, 1, (q, q + 1))
 
 
-def _eval_bundle(plane, report, A, Cq, B, D, C5, se, c3sel, sg, sf=None, sh=None):
+def _eval_bundle(plane, report, C1, A, Cq, B, D, C5, se, tail, sf=None, sh=None):
     """Bundle closure on the choice arrays of `_bundle_blocks`.
 
     Circles realize three pair-hypotheses properly: C1 holds the base
@@ -723,33 +749,37 @@ def _eval_bundle(plane, report, A, Cq, B, D, C5, se, c3sel, sg, sf=None, sh=None
     """
     members = plane.members
     E = _gather(members, C5, se)
+    # f depends on the head alone: derive it once per head, and let the
+    # heads with six distinct points take C3's selector and g's slot
     rows, F = _completion(plane, Cq, D, E, C5, E, sf)
-    A, Cq, B, D, C5, E, c3sel, sg = (v[rows] for v in (A, Cq, B, D, C5, E, c3sel, sg))
-    # where a slot made f = e, C3 is -1 and g garbage: the test that the
-    # first seven points are distinct drops those rows
+    keep = ((E != Cq) & (E != D))[rows] & (F != E[rows])
+    for v in (A, B, Cq, D):
+        keep &= F != v[rows]
+    idx, F = rows[keep], F[keep]
+    C1, A, Cq, B, D, C5, E = (v[idx] for v in (C1, A, Cq, B, D, C5, E))
+    src, C1, A, Cq, B, D, C5, E, F, c3sel, sg = _with_tail(tail, idx, C1, A, Cq, B, D, C5, E, F)
     C3 = _gather(plane.vertex_pencils, E, F, c3sel)
     G = _gather(members, C3, sg)
-    points = (A, B, Cq, D, E, F, G)
     keep = np.ones(len(G), dtype=bool)
-    for i in (4, 5, 6):
-        for v in points[:i]:
-            keep &= points[i] != v
+    for v in (A, B, Cq, D, E, F):
+        keep &= G != v
     idx = np.nonzero(keep)[0]
-    A, Cq, B, D, C5, C3, E, F, G = (v[idx] for v in (A, Cq, B, D, C5, C3, E, F, G))
-    rows, H = _completion(plane, A, B, G, C3, G, None if sh is None else sh[rows[idx]])
-    A, Cq, B, D, C5, C3, E, F, G = (v[rows] for v in (A, Cq, B, D, C5, C3, E, F, G))
+    C1, A, Cq, B, D, C5, C3, E, F, G, src = (
+        v[idx] for v in (C1, A, Cq, B, D, C5, C3, E, F, G, src))
+    rows, H = _completion(plane, A, B, G, C3, G, None if sh is None else sh[src])
+    C1, A, Cq, B, D, C5, C3, E, F, G = (v[rows] for v in (C1, A, Cq, B, D, C5, C3, E, F, G))
     # the eight distinct points alone go on: each row meets the hypotheses
     keep = H != G
     for v in (A, B, Cq, D, E, F):
         keep &= H != v
     idx = np.nonzero(keep)[0]
-    A, Cq, B, D, C5, C3, E, F, G, H = (v[idx] for v in (A, Cq, B, D, C5, C3, E, F, G, H))
+    C1, A, Cq, B, D, C5, C3, E, F, G, H = (
+        v[idx] for v in (C1, A, Cq, B, D, C5, C3, E, F, G, H))
 
     # of the triples of pairs with {a,b}: {a,b},{c,d} lie on C1 alone and
     # {a,b},{e,f} on C5 alone, on four generators each, so such a triple
     # collapses exactly where its third pair lies on that circle too:
     # C5 = C1, C3 = C5, or g and h on C1
-    C1 = _gather(plane.triple_circle, A, Cq, B)
     collapsed = ((C5 == C1) | (C3 == C5) | (_gather(plane.mem, C1, G) & _gather(plane.mem, C1, H))
                  | _six_point_collapse(plane, Cq, D, E, F, G, H))
     report.skipped += int(collapsed.sum())

@@ -19,6 +19,7 @@ from laguerre_lab.checks import (
     _gather,
     _miquel_blocks,
     _pairs_concyclic,
+    _with_tail,
     check_C,
     check_S,
     check_bundle,
@@ -438,23 +439,32 @@ def test_blocks_hold_only_rows_that_can_meet_the_hypothesis(q, mode):
         # N is tangent to K at d: the chain closes
         assert (P.pair_count[N, K] == 1).all() and P.mem[N, D].all() and P.mem[K, D].all()
     assert raw == check_S(P, mode).configurations
-    # the closures' rows: a, c, b, d distinct on one circle, C2 through a
-    # and b, and e (and h) on C2, distinct and off {a, b}; sampled blocks
-    # add the draws of the slots that are read only where a derived point
-    # is not unique, one for Miquel and two for Bundle
+    # the closures' head rows: a, c, b, d distinct on one circle, C2
+    # through a and b, and e (and h) on C2, distinct and off {a, b}; the
+    # tail is one choice per row (sampled) or the shape of the choices each
+    # head takes (exhaustive), and sampled blocks add the draws of the
+    # slots that are read only where a derived point is not unique, one
+    # for Miquel and two for Bundle
+    def tail_ok(tail, shape, n):
+        if mode.is_sample:
+            return len(tail) == len(shape) and all(
+                len(t) == n and (t < m).all() for t, m in zip(tail, shape))
+        return tail == shape
+
     raw = 0
-    for n_raw, A, Cq, B, D, C2, se, sh, sg, *draws in _miquel_blocks(P, mode):
+    for n_raw, A, Cq, B, D, C2, se, sh, tail, *draws in _miquel_blocks(P, mode):
         raw += n_raw
-        assert len(draws) == mode.is_sample
+        assert len(draws) == mode.is_sample and tail_ok(tail, (q + 1,), len(A))
         E, H = P.members[C2, se], P.members[C2, sh]
         assert (P.triple_circle[A, Cq, B] == P.triple_circle[A, D, B]).all()
         assert (P.mem[C2, A] & P.mem[C2, B]).all()
         assert ((E != A) & (E != B) & (H != A) & (H != B) & (se != sh)).all()
     assert raw == check_miquel(P, mode).configurations
     raw = 0
-    for n_raw, A, Cq, B, D, C5, se, c3sel, sg, *draws in _bundle_blocks(P, mode):
+    for n_raw, C1, A, Cq, B, D, C5, se, tail, *draws in _bundle_blocks(P, mode):
         raw += n_raw
-        assert len(draws) == 2 * mode.is_sample
+        assert len(draws) == 2 * mode.is_sample and tail_ok(tail, (q, q + 1), len(A))
+        assert (P.mem[C1, A] & P.mem[C1, Cq] & P.mem[C1, B] & P.mem[C1, D]).all()
         E = P.members[C5, se]
         assert (P.mem[C5, A] & P.mem[C5, B] & (E != A) & (E != B)).all()
     assert raw == check_bundle(P, mode).configurations
@@ -467,19 +477,18 @@ def test_exhaustive_size_is_the_exhaustive_configurations(q):
         assert CHECKERS[cid].run(P, EX).configurations == exhaustive_size(P, cid), cid
 
 
-def closure_rows(P, n_slots, tail_shape):
-    """The exhaustive rows of a closure, one array per block, by itertools:
-    per circle C1 and pencil selector, each ordered quadruple (a, c, b, d)
-    of C1's points, C2 the selected circle through a and b in id order,
-    each ordered tuple of `n_slots` distinct slots of C2 whose points are
-    neither a nor b, then each index tuple of `tail_shape`."""
+def closure_heads(P, n_slots):
+    """The exhaustive head rows of a closure, one array per block, by
+    itertools: per circle C1 and pencil selector, each ordered quadruple
+    (a, c, b, d) of C1's points, C2 the selected circle through a and b in
+    id order, and each ordered tuple of `n_slots` distinct slots of C2
+    whose points are neither a nor b; each row starts with C1."""
     members = P.members.tolist()
     q = P.q
     pencil = {}
     for K, row in enumerate(members):
         for x, y in itertools.permutations(row, 2):
             pencil.setdefault((x, y), []).append(K)
-    tails = np.array(list(itertools.product(*map(range, tail_shape))))
     for C1 in range(P.n_circles):
         for sel in range(q):
             heads = []
@@ -487,28 +496,33 @@ def closure_rows(P, n_slots, tail_shape):
                 C2 = pencil[(a, b)][sel]
                 for slots in itertools.permutations(range(q + 1), n_slots):
                     if {members[C2][s] for s in slots}.isdisjoint((a, b)):
-                        heads.append((a, c, b, d, C2, *slots))
-            # every head with every tail, heads outermost
-            yield np.hstack([np.repeat(heads, len(tails), axis=0),
-                             np.tile(tails, (len(heads), 1))])
+                        heads.append((C1, a, c, b, d, C2, *slots))
+            yield np.array(heads)
 
 
 @pytest.mark.parametrize("check_id,q", [("Miquel", 3), ("Miquel", 4), ("Bundle", 3), ("Bundle", 4)])
 def test_exhaustive_closure_rows_follow_the_choice_order(check_id, q):
-    # Miquel chooses the slots of e, h and g, Bundle the slot of e, the
-    # selector of C3 and the slot of g; their evaluators derive the rest
+    # Miquel chooses the slots of e and h, then the slot of g (its tail);
+    # Bundle the slot of e, then the selector of C3 and the slot of g (its
+    # tail); their evaluators derive the rest.  Each head takes every tail
+    # in C order: `_with_tail` repeats it once per tail index tuple
     P = miquelian_plane(q)
     if check_id == "Miquel":
-        blocks, n_slots, tail_shape = _miquel_blocks, 2, (q + 1,)
+        blocks, n_slots, tail_shape, first = _miquel_blocks, 2, (q + 1,), 1
     else:
-        blocks, n_slots, tail_shape = _bundle_blocks, 1, (q, q + 1)
+        blocks, n_slots, tail_shape, first = _bundle_blocks, 1, (q, q + 1), 0
     n_raw = (q + 1) * q * (q - 1) * (q - 2) * (q + 1) ** n_slots * int(np.prod(tail_shape))
     got = blocks(P, EX)
-    for want in closure_rows(P, n_slots, tail_shape):
-        block = next(got)
-        assert block[0] == n_raw
-        assert np.array_equal(np.column_stack(block[1:]), want)
+    for want in closure_heads(P, n_slots):
+        n, *heads, tail = next(got)
+        assert n == n_raw and tail == tail_shape
+        assert np.array_equal(np.column_stack(heads), want[:, first:])
     assert next(got, None) is None
+    tails = np.array(list(itertools.product(*map(range, tail_shape))))
+    src, head, *cols = _with_tail(tail_shape, np.array([4, 7]), np.array([40, 70]))
+    assert np.array_equal(src, np.repeat([4, 7], len(tails)))
+    assert np.array_equal(head, np.repeat([40, 70], len(tails)))
+    assert np.array_equal(np.column_stack(cols), np.tile(tails, (2, 1)))
 
 
 def test_every_checker_runs_sampled_everywhere():

@@ -27,6 +27,7 @@ from laguerre_lab.checks import (
     _miquel_blocks,
     _pairs_concyclic,
     _sweep,
+    _with_tail,
     check_bundle,
     check_miquel,
 )
@@ -54,14 +55,23 @@ def test_exhaustive_closures_match_the_drawing_oracle(q):
     assert new.hypothesis_hits == (10368 if q == 3 else 276480)
 
 
-def degenerate_slice(P, blocks):
-    """The exhaustive rows of base circle 0 whose pencil circle (C2 or C5)
-    is circle 0 itself, with a and c its first two points: rows whose
-    derived point is not unique."""
+def degenerate_slice(P, blocks, first):
+    """The exhaustive head rows of base circle 0 whose pencil circle (C2
+    or C5) is circle 0 itself, with a and c its first two points: rows
+    whose derived point is not unique.  Column `first` of a block is a."""
     a, c = P.members[0, :2]
-    for n_raw, A, Cq, B, D, C2, *rest in itertools.islice(blocks(P, EX), P.q):
+    for n_raw, *cols, tail in itertools.islice(blocks(P, EX), P.q):
+        A, Cq, C2 = cols[first], cols[first + 1], cols[first + 4]
         idx = np.nonzero((C2 == 0) & (A == a) & (Cq == c))[0]
-        yield (n_raw, *(v[idx] for v in (A, Cq, B, D, C2, *rest)))
+        yield (n_raw, *(v[idx] for v in cols), tail)
+
+
+def with_tail(block, first):
+    """The rows of a constructive block as the drawing blocks list them:
+    the head columns from a on, each head once per tail, the tail last."""
+    n_raw, *cols, tail = block
+    _, *rows = _with_tail(tail, np.arange(len(cols[0])), *cols[first:])
+    return (n_raw, *rows)
 
 
 def with_every_slot(P, block, at):
@@ -78,19 +88,19 @@ def test_degenerate_rows_match_the_drawing_oracle_at_q7():
     # eight distinct points on one circle need q+1 >= 8, so q <= 4 never
     # reaches the rows whose f (or h) may be any point of its circle
     P = miquelian_plane(7)
-    new = _sweep(P, EX, "Miquel", lambda P, mode: degenerate_slice(P, _miquel_blocks),
+    new = _sweep(P, EX, "Miquel", lambda P, mode: degenerate_slice(P, _miquel_blocks, 0),
                  _eval_miquel)
     old = oracle.drawn_miquel(P, EX, lambda P, mode: (
-        with_every_slot(P, b, 8) for b in degenerate_slice(P, _miquel_blocks)))
+        with_every_slot(P, with_tail(b, 0), 8) for b in degenerate_slice(P, _miquel_blocks, 0)))
     assert outcome(new) == outcome(old) and new.skipped * 8 == old.skipped
     assert new.hypothesis_hits > 0
     # Bundle: f may be any point of C5 = C1, and such rows are all skipped,
     # three pairs of the configuration lying on C1
-    new = _sweep(P, EX, "Bundle", lambda P, mode: degenerate_slice(P, _bundle_blocks),
+    new = _sweep(P, EX, "Bundle", lambda P, mode: degenerate_slice(P, _bundle_blocks, 1),
                  _eval_bundle)
     old = oracle.drawn_bundle(P, EX, lambda P, mode: (
-        with_every_slot(P, with_every_slot(P, b, 6), 9)
-        for b in degenerate_slice(P, _bundle_blocks)))
+        with_every_slot(P, with_every_slot(P, with_tail(b, 1), 6), 9)
+        for b in degenerate_slice(P, _bundle_blocks, 1)))
     assert outcome(new) == outcome(old) and new.skipped == old.skipped > 0
 
 
@@ -125,14 +135,9 @@ def test_completion_is_the_one_point_a_slot_scan_finds(plane):
     rng = np.random.default_rng(P_.q)
     n = 20000
     C = rng.integers(0, P_.n_circles, n)
-    # point 0 as k on circles through it, and as the other point, where
-    # the test of Y = 0 decides
-    C[:200] = rng.choice(np.flatnonzero(P_.mem[:, 0]), 200)
     k = P_.members[C, rng.integers(0, P_.q + 1, n)]
-    k[:200] = 0
     Q = rng.integers(0, P_.n_points, n)
     other = rng.integers(0, P_.n_points, n)
-    other[200:400] = 0
     miquel = np.arange(n) % 2 == 0
     P, X = np.where(miquel, k, other), np.where(miquel, other, k)
     ok = P_.gen_of[P] != P_.gen_of[Q]
