@@ -38,6 +38,11 @@ is one `_pairs_concyclic` test: the pairs lie on one circle or split
 into two parallel pairs.  Every evaluator records its violations through
 `CheckReport.record`.
 
+A sampled sweep runs its chunks of `_SAMPLE_CHUNK` stream rows on up to
+two threads, and their partial reports merge in stream order, so a
+report does not depend on the thread count (`_sweep`).  Exhaustive
+sweeps run on the calling thread.
+
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
 re-validated through the scalar incidence operations alone (see
@@ -52,14 +57,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .errors import LaguerreError
-from .plane import LaguerrePlane
+from .plane import LaguerrePlane, _validate
 from .report import CheckMode, CheckReport, Violation
 from .rng import bounded, draw_block
 
@@ -82,21 +90,87 @@ __all__ = [
     "replay_violation",
 ]
 
-_SAMPLE_CHUNK = 1 << 16
+# Sample rows per chunk, and the threads that run a sweep's chunks,
+# min(2, available CPUs): each thread holds one chunk's arrays, so at most
+# 65,536 rows are in flight
+_SAMPLE_CHUNK = 1 << 15
+_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluate
            ) -> CheckReport:
     """The report of `evaluate(plane, report, *arrays)` over every block
-    `blocks(plane, mode)` yields as (raw configurations, *arrays)."""
-    report = CheckReport(check_id=check_id, mode=mode)
+    `blocks(plane, mode)` yields as (raw configurations, *arrays).
+
+    A sampled mode is split into chunk views of `_SAMPLE_CHUNK` stream rows
+    (`CheckMode.start`), each swept into its own partial report; `_in_order`
+    runs them on `_THREADS` threads and the partial reports are merged in
+    chunk order (`CheckReport.merge`), so the report is the same for any
+    thread count.  An exhaustive mode is one part, swept inline."""
+    def sweep_part(part: CheckMode) -> CheckReport:
+        report = CheckReport(check_id=check_id, mode=mode)
+        for n_raw, *arrays in blocks(plane, part):
+            report.configurations += n_raw
+            evaluate(plane, report, *arrays)
+            del arrays      # free this block before the generator builds the next
+        return report
+
     t0 = time.perf_counter()
-    for n_raw, *arrays in blocks(plane, mode):
-        report.configurations += n_raw
-        evaluate(plane, report, *arrays)
-        del arrays      # free this block before the generator builds the next
+    parts = [mode]
+    if mode.is_sample:
+        parts = [replace(mode, start=s, count=min(_SAMPLE_CHUNK, mode.count - s))
+                 for s in range(0, mode.count, _SAMPLE_CHUNK)]
+    report = CheckReport(check_id=check_id, mode=mode)
+    for part in _in_order(sweep_part, parts):
+        report.merge(part)
     report.elapsed_seconds = time.perf_counter() - t0
     return report.finalize()
+
+
+def _in_order(run, parts) -> list:
+    """`[run(part) for part in parts]` on T = min(_THREADS, len(parts))
+    threads, the calling one and T − 1 made for this call.  Each thread
+    takes the first part not yet taken, so each holds one part at a time.
+    Where parts raise, no part is taken after that and the first in order
+    raises here; no thread outlives the call.
+
+    Fixed shares (every T-th part to one thread) ran a q=13 pass up to 3×
+    slower than one thread on a host whose CPUs were lent to others: a
+    thread waiting for the interpreter lock starved for 60-90 ms while the
+    other ran its parts, which then waited for the starved one's share."""
+    T = min(_THREADS, len(parts))
+    if T < 2:
+        return [run(part) for part in parts]
+    todo = deque(range(len(parts)))     # a deque's pops are thread-safe
+    out = [None] * len(parts)           # (result, exception) per part
+
+    def work():
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:
+                return
+            try:
+                out[i] = run(parts[i]), None
+            except Exception as e:
+                out[i] = None, e
+                todo.clear()
+
+    threads = [threading.Thread(target=work) for _ in range(T - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        todo.clear()
+        for t in threads:
+            t.join()
+    # every part before the first that raised has run
+    for _, error in out:
+        if error is not None:
+            raise error
+    return [result for result, _ in out]
 
 
 def _not_applicable(check_id: str, mode: CheckMode, note: str) -> CheckReport:
@@ -126,12 +200,14 @@ def _gather(table: np.ndarray, *idx) -> np.ndarray:
 def _sample_batches(mode: CheckMode, draws: int):
     """Yield uint64 arrays of shape (draws, n), block by block of n sample
     rows: choice j of sample row r is stream draw r·draws + j, and each
-    choice's n draws are one contiguous column.  Each `draw_block` call
-    draws at most one column's worth, so the mix runs in cache."""
-    total = mode.count
+    choice's n draws are one contiguous column.  The rows are those of
+    `mode`, from `mode.start` (a chunk view of `_sweep`: one block) or
+    from 0.  Each `draw_block` call draws at most one column's worth, so
+    the mix runs in cache."""
+    end = mode.start + mode.count
     rows = _SAMPLE_CHUNK // draws
-    for start in range(0, total, _SAMPLE_CHUNK):
-        n = min(_SAMPLE_CHUNK, total - start)
+    for start in range(mode.start, end, _SAMPLE_CHUNK):
+        n = min(_SAMPLE_CHUNK, end - start)
         cols = np.empty((draws, n), dtype=np.uint64)
         for r in range(0, n, rows):
             c = min(rows, n - r)
@@ -950,7 +1026,8 @@ def _run_axioms(plane, mode):
 
 
 def _replay_axioms(plane, v):
-    fresh = plane.validate_axioms()
+    # validated again, not read from the plane's kept report: a second route
+    fresh = _validate(plane)
     return any(w.kind == v.kind for w in fresh.violations) or not fresh.holds
 
 

@@ -69,7 +69,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -425,8 +425,9 @@ class LaguerrePlane(_Structure):
     def __init__(self, generators, circles, *, coefficients=None, field=None,
                  label: str = "custom", validate: bool = True):
         super().__init__(generators, circles)
+        self._axioms = None
         if validate:
-            rep = _validate(self)
+            rep = self._axioms = _validate(self)
             if not rep.holds:
                 first = rep.violations[0].kind if rep.violations else "unknown"
                 raise NotALaguerrePlane(f"candidate structure fails: {first}", rep)
@@ -611,4 +612,8 @@ class LaguerrePlane(_Structure):
         return False
 
     def validate_axioms(self) -> CheckReport:
-        return _validate(self)
+        """The axiom report of this plane, a copy of the one its validation
+        made (validated on the first call if it was built unvalidated)."""
+        if self._axioms is None:
+            self._axioms = _validate(self)
+        return replace(self._axioms, violations=list(self._axioms.violations))

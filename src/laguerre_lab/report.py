@@ -30,6 +30,9 @@ class CheckMode:
     kind: str  # "exhaustive" | "sample"
     count: int | None = None
     seed: int | None = None
+    # the first sample row: a chunk view of a sampled mode covers stream
+    # rows start .. start+count-1 (`checks._sweep`); never serialized
+    start: int = 0
 
     @classmethod
     def exhaustive(cls) -> "CheckMode":
@@ -108,6 +111,15 @@ class CheckReport:
         self.violation_count += 1
         if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(violation)
+
+    def merge(self, part: "CheckReport") -> None:
+        """Add the counts of `part`, a report over the rows that follow this
+        one's, and its witnesses while they fit under `MAX_VIOLATIONS`."""
+        self.configurations += part.configurations
+        self.hypothesis_hits += part.hypothesis_hits
+        self.skipped += part.skipped
+        self.violation_count += part.violation_count
+        self.violations.extend(part.violations[:MAX_VIOLATIONS - len(self.violations)])
 
     def record(self, mask: np.ndarray, make) -> None:
         """Count every set entry of the boolean array `mask` as a violation,

@@ -10,11 +10,12 @@ The generator is the splitmix64 finalizer applied to a counter:
 
 Being a pure function of (seed, index) it replays identically for equal
 seeds, can be evaluated for any index range independently (associative
-work splitting), and is trivial to reimplement in any language.  Bounded
-draws reduce by plain modulo, which is documented and close enough to
-uniform for the ranges used here (all < 2^22).  A sampled checker that
-makes k choices per sample row takes choice j of row r from draw
-r·k + j (see `checks._sample_batches`).
+work splitting: `checks._sweep` runs a sampled sweep's stream chunks on
+two threads, each chunk drawing its own rows), and is trivial to
+reimplement in any language.  Bounded draws reduce by plain modulo,
+which is documented and close enough to uniform for the ranges used here
+(all < 2^22).  A sampled checker that makes k choices per sample row
+takes choice j of row r from draw r·k + j (see `checks._sample_batches`).
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from .errors import (
     WellDefinednessFailure,
     NoAdmissibleAuxiliary,
 )
-from .checks import _not_applicable, _pi_blocks, _sweep
+from .checks import _gather, _not_applicable, _pi_blocks, _sweep
 from .plane import Circle, LaguerrePlane, Pencil, _cid
 from .report import CheckMode, CheckReport, Violation
 
@@ -122,9 +122,9 @@ def _pencil_touch(plane: LaguerrePlane, K: np.ndarray, L: np.ndarray
     L = np.asarray(L, dtype=np.intp)[:, None, None]
     lead = np.broadcast_to(K[:, None, None], (len(K), plane.q + 1, 1))
     pencil = np.concatenate((lead, plane.pencil_others[K]), axis=2)
-    hit = plane.pair_count[pencil, L] == 1
+    hit = _gather(plane.pair_count, pencil, L) == 1
     first = np.take_along_axis(pencil, hit.argmax(axis=2)[..., None], axis=2)
-    return hit.sum(axis=2), plane.pair_sum[first, L][..., 0]
+    return hit.sum(axis=2), _gather(plane.pair_sum, first, L)[..., 0]
 
 
 def tangency_map(plane: LaguerrePlane, K, L) -> np.ndarray:

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laguerre_lab.plane as plane_mod
+from laguerre_lab import checks
 from laguerre_lab.errors import ParallelPoints, PointNotOnCircle, PointOnCircle
 from laguerre_lab.models import (
     SUPPORTED_PLANE_ORDERS,
@@ -32,6 +34,7 @@ from laguerre_lab.plane import (
     _Structure,
     validate_laguerre_axioms,
 )
+from laguerre_lab.report import Violation
 from test_relabelling import RELABELLED, plane_for
 
 
@@ -351,6 +354,35 @@ def test_validate_axioms_pass_and_deleted_circle_witness():
     assert len(witness.points) == 3
     a, b, c = witness.points
     assert sum(1 for circ in circles[1:] if {a, b, c} <= set(circ)) == 0
+
+
+def test_a_plane_is_validated_once(monkeypatch):
+    # the report of the build is kept and copied out; an unvalidated build
+    # validates on the first call; the Axioms replay validates afresh
+    src = miquelian_plane(3)
+    gens, circles = src.gen_members.tolist(), src.members.tolist()
+    want = validate_laguerre_axioms(gens, circles)
+    calls, validate = [], plane_mod._validate
+
+    def counted(s):
+        calls.append(s)
+        return validate(s)
+
+    monkeypatch.setattr(plane_mod, "_validate", counted)
+    monkeypatch.setattr(checks, "_validate", counted)
+    for checked, built in ((True, 1), (False, 0)):
+        calls.clear()
+        P = LaguerrePlane(gens, circles, validate=checked)
+        assert len(calls) == built
+        first = P.validate_axioms()
+        first.violations.append(None)
+        first.configurations = -1
+        again = P.validate_axioms()
+        assert len(calls) == 1
+        assert (again.violations, again.verdict, again.configurations) == (
+            [], "Holds", want.configurations)
+    checks.replay_violation(P, "Axioms", Violation("axiom1"))
+    assert len(calls) == 2
 
 
 def test_validate_axioms_oval_model():

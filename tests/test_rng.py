@@ -3,6 +3,8 @@ and replay determinism."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,12 @@ def test_sample_batches_map_rows_to_the_stream(seed, k):
         assert [int(v) for v in blocks[block][:, row]] == [
             splitmix64(seed, r * k + j) for j in range(k)]
     assert all(col.flags.c_contiguous for b in blocks for col in b)
+    # a chunk view starting at row s holds the columns s.. of the whole stream
+    whole = np.concatenate(blocks, axis=1)
+    for s in (1, per_call, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK):
+        view = replace(CheckMode.sample(_SAMPLE_CHUNK + 5, seed), start=s, count=5)
+        (cols,) = _sample_batches(view, k)
+        assert np.array_equal(cols, whole[:, s:s + 5])
 
 
 def test_sample_stream_replays():
