@@ -38,10 +38,15 @@ is one `_pairs_concyclic` test: the pairs lie on one circle or split
 into two parallel pairs.  Every evaluator records its violations through
 `CheckReport.record`.
 
-A sampled sweep runs its chunks of `_SAMPLE_CHUNK` stream rows on up to
-two threads, and their partial reports merge in stream order, so a
-report does not depend on the thread count (`_sweep`).  Exhaustive
-sweeps run on the calling thread.
+Every exhaustive block generator enumerates its first choice (the
+circle K, or M for Prop11, the point a of the Pi family, the circle C1 of
+the closures) through `_firsts`, so an exhaustive `CheckMode` view with
+`start` and `count` sweeps a range of first choices.  A sampled sweep
+runs its chunks of `_SAMPLE_CHUNK` stream rows on up to two threads, and
+so does an exhaustive chain or Pi sweep its first choices where one of
+them is a block of at least two chunks' rows; the partial reports merge
+in order, so a report does not depend on the thread count (`_sweep`).
+Every other exhaustive sweep runs on the calling thread.
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -98,8 +103,8 @@ _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
                else os.cpu_count() or 1)
 
 
-def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluate
-           ) -> CheckReport:
+def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluate,
+           firsts: tuple[int, int] | None = None) -> CheckReport:
     """The report of `evaluate(plane, report, *arrays)` over every block
     `blocks(plane, mode)` yields as (raw configurations, *arrays).
 
@@ -107,7 +112,11 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     (`CheckMode.start`), each swept into its own partial report; `_in_order`
     runs them on `_THREADS` threads and the partial reports are merged in
     chunk order (`CheckReport.merge`), so the report is the same for any
-    thread count.  An exhaustive mode is one part, swept inline."""
+    thread count.  `firsts`, (first choices, raw rows of each), splits an
+    exhaustive mode the same way into one view per first choice, where one
+    first choice has at least the 2·`_SAMPLE_CHUNK` rows that a sampled
+    sweep holds in flight: smaller blocks ran slower on two threads than
+    on one.  Any other exhaustive mode is one part, swept inline."""
     def sweep_part(part: CheckMode) -> CheckReport:
         report = CheckReport(check_id=check_id, mode=mode)
         for n_raw, *arrays in blocks(plane, part):
@@ -121,6 +130,8 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     if mode.is_sample:
         parts = [replace(mode, start=s, count=min(_SAMPLE_CHUNK, mode.count - s))
                  for s in range(0, mode.count, _SAMPLE_CHUNK)]
+    elif firsts is not None and firsts[1] >= 2 * _SAMPLE_CHUNK:
+        parts = [replace(mode, start=f, count=1) for f in _firsts(mode, firsts[0])]
     report = CheckReport(check_id=check_id, mode=mode)
     for part in _in_order(sweep_part, parts):
         report.merge(part)
@@ -197,6 +208,12 @@ def _gather(table: np.ndarray, *idx) -> np.ndarray:
     return rows.take(off, axis=0) if off.dtype == np.intp else rows[off]
 
 
+def _firsts(mode: CheckMode, n: int) -> range:
+    """The first choices an exhaustive mode sweeps, of the n there are: all
+    of them, or those of a view (`CheckMode.start`, `count`)."""
+    return range(n) if mode.count is None else range(mode.start, mode.start + mode.count)
+
+
 def _sample_batches(mode: CheckMode, draws: int):
     """Yield uint64 arrays of shape (draws, n), block by block of n sample
     rows: choice j of sample row r is stream draw r·draws + j, and each
@@ -253,14 +270,15 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode):
             K, A, L, B, M, C, N = (v[idx] for v in (K, A, L, B, M, C, N))
             yield raw.shape[1], K, A, L, B, M, C, N, _gather(W, N, K)
     else:
-        for K in range(plane.n_circles):
+        for K in _firsts(mode, plane.n_circles):
             L0 = po[K]                         # (q+1, m)
             M0 = po[L0]                        # (q+1, m, q+1, m)
             N0 = po[M0]                        # (q+1, m, q+1, m, q+1, m)
             # flat offsets over the six axes (a, L, b, M, c, N) in C order
             # keep the rows in the order of the full choice space; each
-            # (slot, pencil member) pair of axes spans sm offsets
-            f = np.flatnonzero(_gather(T, N0, K) == 1)
+            # (slot, pencil member) pair of axes spans sm offsets.  T is
+            # symmetric, so K's row answers for every N at once
+            f = np.flatnonzero((T[K] == 1)[N0])
             L = L0.reshape(-1).take(f // (sm * sm))
             M = M0.reshape(-1).take(f // sm)
             N = N0.reshape(-1).take(f)
@@ -316,19 +334,25 @@ def _eval_cor_2_1(plane, report, K, A, L, B, M, C, N, D):
                  K, A, L, B, M, C, N, D)
 
 
+def _chain_firsts(plane):
+    # the circles K, each with its (a, L, b, M, c, N) choices
+    q = plane.q
+    return plane.n_circles, ((q + 1) * (q - 1)) ** 3
+
+
 def check_S(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Closed tangency chains with non-parallel opposite corners a,c span a circle."""
-    return _sweep(plane, mode, "S", _chain_blocks, _eval_s)
+    return _sweep(plane, mode, "S", _chain_blocks, _eval_s, _chain_firsts(plane))
 
 
 def check_prop_2_2(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Closed tangency chains with a parallel to c force b parallel to d."""
-    return _sweep(plane, mode, "Prop22", _chain_blocks, _eval_prop_2_2)
+    return _sweep(plane, mode, "Prop22", _chain_blocks, _eval_prop_2_2, _chain_firsts(plane))
 
 
 def check_cor_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Every closed tangency chain has (a,c,b,d) concyclic in the generalized sense."""
-    return _sweep(plane, mode, "Cor21", _chain_blocks, _eval_cor_2_1)
+    return _sweep(plane, mode, "Cor21", _chain_blocks, _eval_cor_2_1, _chain_firsts(plane))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +368,7 @@ def _c_blocks(plane: LaguerrePlane, mode: CheckMode):
         for raw in _sample_batches(mode, 3):
             yield raw.shape[1], bounded(raw[0], n_c), bounded(raw[1], n_c), bounded(raw[2], q + 1)
     else:
-        for K in range(n_c):
+        for K in _firsts(mode, n_c):
             yield (q + 1) * n_c, K
 
 
@@ -412,7 +436,7 @@ def _trio_blocks(plane: LaguerrePlane, mode: CheckMode):
         yield from _sampled_tangent_pairs(plane, mode)
         return
     T = plane.pair_count
-    for K in range(plane.n_circles):
+    for K in _firsts(mode, plane.n_circles):
         part = np.nonzero(T[K] == 1)[0]
         _, *rows = _pairs_of(K, part[part > K])
         yield len(part) * (len(part) - 1) // 2, *rows
@@ -443,7 +467,7 @@ def _transfer_blocks(plane: LaguerrePlane, mode: CheckMode):
         yield from _sampled_tangent_pairs(plane, mode)
         return
     T = plane.pair_count
-    for M in range(plane.n_circles):
+    for M in _firsts(mode, plane.n_circles):
         yield _pairs_of(M, np.nonzero(T[M] == 1)[0])
 
 
@@ -500,14 +524,14 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     else:
         # per point a: the raw (b, c, x) have b off a's generator and c, x off
         # those of a and b; C order over (b, c, x) is the order of that space
-        n, q = plane.n_points, plane.q
+        n, n_raw = _pi_firsts(plane)
         off = gen[:, None] != gen[None, :]
-        mutual = off[:, :, None] & off[:, None, :] & off[None, :, :]     # (b, c, x)
-        for a in range(n):
+        for a in _firsts(mode, n):
+            o = off & off[a][:, None] & off[a]      # a pair off each other and off a
             # int32 ids halve the index arrays of these blocks, the largest of the pass
             b, c, x = (v.astype(np.int32) for v in np.nonzero(
-                mutual & off[a][:, None, None] & off[a][:, None] & off[a]))
-            yield block((n - q) * (n - 2 * q) ** 2, np.full(len(b), a, dtype=np.int32), b, c, x)
+                o[:, :, None] & o[:, None, :] & o[None, :, :]))
+            yield block(n_raw, np.full(len(b), a, dtype=np.int32), b, c, x)
 
 
 def _pi_tally(report, ok, kind, a, b, c, x, C1) -> None:
@@ -538,21 +562,27 @@ def _eval_thm_2_3(plane, report, a, b, c, x, C1, p, qpt, Kp):
     _pi_tally(report, ok, "thm23-config", a, b, c, x, C1)
 
 
+def _pi_firsts(plane):
+    # the points a, each with b off a's generator and c, x off those of a and b
+    n, q = plane.n_points, plane.q
+    return n, (n - q) * (n - 2 * q) ** 2
+
+
 def check_pi(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Artzy symmetry configuration: the circle through x tangent to
     (a,b,c)° at a meets (p,q,x)° exactly in x."""
-    return _sweep(plane, mode, "Pi", _pi_blocks, _eval_pi)
+    return _sweep(plane, mode, "Pi", _pi_blocks, _eval_pi, _pi_firsts(plane))
 
 
 def check_pi_prime(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Reformulated symmetry configuration: L through q tangent to K at x
     meets (a,b,x)° in exactly x and the point of it parallel to c."""
-    return _sweep(plane, mode, "PiPrime", _pi_blocks, _eval_pi_prime)
+    return _sweep(plane, mode, "PiPrime", _pi_blocks, _eval_pi_prime, _pi_firsts(plane))
 
 
 def check_thm_2_3(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """The circle tangent to (q,p,x)° at p through b is tangent to (a,b,c)° at b."""
-    return _sweep(plane, mode, "Thm23", _pi_blocks, _eval_thm_2_3)
+    return _sweep(plane, mode, "Thm23", _pi_blocks, _eval_thm_2_3, _pi_firsts(plane))
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +631,14 @@ def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray, n_slots: int):
     return idx, (C1, A, Cq, B, D, C2, *(u[idx] for u in t))
 
 
-def _exhaustive_bases(plane: LaguerrePlane, n_slots: int, tail: tuple[int, ...]):
-    """The exhaustive blocks of the closures, one per circle C1 and pencil
-    selector.  Their head rows are each ordered base quadruple (a, c, b, d)
-    of C1's points, C2 the selected circle of the pencil through (a, b),
-    and each ordered tuple of `n_slots` (1 or 2) distinct member slots of
-    C2 whose members are neither a nor b (slot g holds the point on
-    generator g).  Every head row takes each index tuple of the shape
+def _exhaustive_bases(plane: LaguerrePlane, mode: CheckMode, n_slots: int,
+                      tail: tuple[int, ...]):
+    """The exhaustive blocks of the closures, one per circle C1 of `mode`
+    and pencil selector.  Their head rows are each ordered base quadruple
+    (a, c, b, d) of C1's points, C2 the selected circle of the pencil
+    through (a, b), and each ordered tuple of `n_slots` (1 or 2) distinct
+    member slots of C2 whose members are neither a nor b (slot g holds the
+    point on generator g).  Every head row takes each index tuple of the shape
     `tail`, the closure's own choices, which the evaluator adds through
     `_with_tail` once it has dropped the heads that cannot meet the
     hypothesis.  Yields (raw count, C1, a, c, b, d, C2, *slots, tail) per
@@ -619,7 +650,7 @@ def _exhaustive_bases(plane: LaguerrePlane, n_slots: int, tail: tuple[int, ...])
     # raw axes per block: (ordering, *slots, *tail)
     n_raw = len(ords) * (q + 1) ** n_slots * math.prod(tail)
     slots = np.arange(q + 1)
-    for C1 in range(plane.n_circles):
+    for C1 in _firsts(mode, plane.n_circles):
         A, Cq, B, D = (members[C1][ords[:, j]] for j in range(4))
         for sel in range(q):
             C2 = _gather(VP, A, B, sel)
@@ -706,7 +737,7 @@ def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
             idx, (_, *bases) = _sampled_bases(plane, raw, 2)
             yield raw.shape[1], *bases, (bounded(raw[8][idx], q + 1),), raw[9][idx]
     else:
-        for n_raw, _, *cols in _exhaustive_bases(plane, 2, (q + 1,)):
+        for n_raw, _, *cols in _exhaustive_bases(plane, mode, 2, (q + 1,)):
             yield n_raw, *cols
 
 
@@ -801,7 +832,7 @@ def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
             yield (raw.shape[1], *bases, (bounded(raw[8][idx], q), bounded(raw[9][idx], q + 1)),
                    raw[7][idx], raw[10][idx])
     else:
-        yield from _exhaustive_bases(plane, 1, (q, q + 1))
+        yield from _exhaustive_bases(plane, mode, 1, (q, q + 1))
 
 
 def _eval_bundle(plane, report, C1, A, Cq, B, D, C5, se, tail, sf=None, sh=None):
@@ -880,8 +911,7 @@ def check_bundle(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _size_chain(plane):
-    q = plane.q
-    return plane.n_circles * ((q + 1) * (q - 1)) ** 3
+    return math.prod(_chain_firsts(plane))
 
 
 def _size_c(plane):
@@ -889,9 +919,7 @@ def _size_c(plane):
 
 
 def _size_pi(plane):
-    # a, then b off a's generator, then c and x each off those of a and b
-    n, q = plane.n_points, plane.q
-    return n * (n - q) * (n - 2 * q) ** 2
+    return math.prod(_pi_firsts(plane))
 
 
 def _size_trio(plane):

@@ -55,7 +55,9 @@ Every construction is validated first, by whole-array passes:
                at (K, p) covers those points once exactly when its size
                times m - 1 is their number and no point but p is met
                twice: one `bincount` of pencil sizes, then a `bincount` of
-               the members of the right-sized pencils,
+               the members of the right-sized pencils.  The partners are
+               found once (`_tangent_blocks`): the index build reads them
+               too,
   * axiom (4)  the row lengths.
 
 Axioms (1) and (2) run in blocks of `_BLOCK` circles with int32 keys, so
@@ -69,6 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -235,14 +238,23 @@ class _Structure:
         w = m * np.arange(self.n_points, dtype=np.float32)[None, :]
         return _blocked_product(m, w, np.int16)
 
+    @functools.cached_property
+    def _tangent_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """`_tangent_pairs` of each block of `_BLOCK` circles, found once for
+        the validator's axiom (2) and the plane's tangent indexes."""
+        return [_tangent_pairs(self, b0, min(b0 + _BLOCK, self.n_circles))
+                for b0 in range(0, self.n_circles, _BLOCK)]
+
 
 def _validate(s: _Structure) -> CheckReport:
     """Check axioms (1)-(4) on `s` with whole-array passes.
 
     Structure failures stop the check; axioms (1) and (2) need axiom (3)
     and equal row lengths, and are skipped otherwise.  Witnesses are the
-    first failures in circle-id order, so the report is canonical.
+    first failures in circle-id order, so the report is canonical.  Its
+    elapsed time is the time of this call.
     """
+    t0 = time.perf_counter()
     report = CheckReport(check_id="Axioms", mode=CheckMode.exhaustive())
     notes: list[str] = []
 
@@ -253,6 +265,7 @@ def _validate(s: _Structure) -> CheckReport:
     if report.violation_count:
         report.notes = tuple(["structure=failed"])
         report.verdict = "Fails"
+        report.elapsed_seconds = time.perf_counter() - t0
         return report.finalize()
 
     # Axiom (3): every circle meets every generator exactly once.
@@ -287,6 +300,7 @@ def _validate(s: _Structure) -> CheckReport:
     report.configurations += n_c
 
     report.notes = tuple(notes)
+    report.elapsed_seconds = time.perf_counter() - t0
     return report.finalize()
 
 
@@ -353,7 +367,8 @@ def _tangent_pairs(s: _Structure, b0: int, b1: int) -> tuple[np.ndarray, np.ndar
     n_c, m = s.members.shape
     pairs = np.flatnonzero(s.pair_count[b0:b1] == 1)
     K, L = np.divmod(pairs, n_c)
-    return L, K * m + s.gen_of[s.pair_sum[b0:b1].ravel()[pairs]]
+    row = K * m + s.gen_of[s.pair_sum[b0:b1].ravel()[pairs]]
+    return L.astype(np.int16), row.astype(np.int32)     # kept until the indexes are built
 
 
 def _axiom2(s: _Structure, report: CheckReport) -> bool:
@@ -376,11 +391,10 @@ def _axiom2(s: _Structure, report: CheckReport) -> bool:
     n_c, m = M.shape
     n_eligible = n_p - m - s.gen_members.shape[1] + 1
     ok = True
-    for b0 in range(0, n_c, _BLOCK):
+    for b0, (L, row) in zip(range(0, n_c, _BLOCK), s._tangent_blocks):
         b1 = min(b0 + _BLOCK, n_c)
         n_rows = (b1 - b0) * m
         report.configurations += n_rows * n_eligible
-        L, row = _tangent_pairs(s, b0, b1)
         failed = np.bincount(row, minlength=n_rows) * (m - 1) != n_eligible
 
         # the right-sized rows, renumbered densely, and their partners' members
@@ -471,9 +485,8 @@ class LaguerrePlane(_Structure):
         # beats membership of pencil mates, and membership of K beats both
         self.pencil_others = np.empty((n_c, q + 1, q - 1), dtype=np.int16)
         self.tangent_through = np.full((n_c, q + 1, n_p), ON_CIRCLE, dtype=np.int16)
-        for b0 in range(0, n_c, _BLOCK):
+        for b0, (L, row) in zip(range(0, n_c, _BLOCK), self._tangent_blocks):
             b1 = min(b0 + _BLOCK, n_c)
-            L, row = _tangent_pairs(self, b0, b1)
             pencil = L[np.argsort(row, kind="stable")].reshape(-1, q + 1, q - 1)
             self.pencil_others[b0:b1] = pencil
             flat = self.tangent_through[b0:b1].reshape(-1)
@@ -481,6 +494,7 @@ class LaguerrePlane(_Structure):
             flat[cell[..., None] + M[pencil]] = pencil[..., None]
             flat[cell + self.gen_members] = PARALLEL
             flat[cell + M[b0:b1, None, :]] = ON_CIRCLE
+        del self._tangent_blocks     # the pencils now hold them
 
         # circles through a non-parallel point pair, sorted by id
         self.vertex_pencils = np.full((n_p, n_p, q), -1, dtype=np.int16)
@@ -616,4 +630,5 @@ class LaguerrePlane(_Structure):
         made (validated on the first call if it was built unvalidated)."""
         if self._axioms is None:
             self._axioms = _validate(self)
+            vars(self).pop("_tangent_blocks", None)     # the pencils hold them
         return replace(self._axioms, violations=list(self._axioms.violations))

@@ -30,8 +30,10 @@ class CheckMode:
     kind: str  # "exhaustive" | "sample"
     count: int | None = None
     seed: int | None = None
-    # the first sample row: a chunk view of a sampled mode covers stream
-    # rows start .. start+count-1 (`checks._sweep`); never serialized
+    # where a view of the mode starts (`checks._sweep`); never serialized.
+    # A chunk view of a sampled mode covers stream rows start ..
+    # start+count-1; a view of an exhaustive mode covers first choices
+    # start .. start+count-1 (`checks._firsts`), and count None all of them
     start: int = 0
 
     @classmethod

@@ -108,6 +108,20 @@ def test_text_format_is_byte_identical_and_timed_only_on_request(capsys):
     assert len(re.findall(r"\(\d+\.\d\ds\)", timed)) == len(cli.ALL_CHECKS)
 
 
+def test_the_axioms_line_is_timed_on_request(capsys):
+    # the report the plane keeps from its validation carries that time
+    args = ("check", "--q", "7", "--checks", "Axioms")
+    plain = ('{"check":"Axioms","q":7,"model":"miquelian","mode":"exhaustive","seed":null,'
+             '"configurations":137543,"skipped":0,"violations":[],"verdict":"Holds",'
+             '"elapsedSeconds":0.0}\n')
+    assert run_cli(capsys, *args) == (0, plain, "")
+    code, out, _ = run_cli(capsys, *args, "--timings")
+    timed = json.loads(out)
+    assert code == 0 and timed["elapsedSeconds"] > 0
+    assert {**timed, "elapsedSeconds": 0.0} == json.loads(plain)
+    assert run_cli(capsys, *args) == (0, plain, "")
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     args = ("check", "--q", "5", "--checks", "Miquel,Bundle", "--mode", "sample",
             "--samples", "20000", "--seed", "42")

@@ -1,10 +1,12 @@
-"""The chunked, threaded sweep: a sampled sweep's stream chunks run on
-`checks._THREADS` threads and their reports merge in stream order, so a
-report does not depend on the thread count, a failing chunk raises as it
-would in a single-threaded sweep, and no thread outlives its sweep."""
+"""The chunked, threaded sweep: a sampled sweep's stream chunks, and an
+exhaustive chain or Pi sweep's first choices, run on `checks._THREADS`
+threads and their reports merge in order, so a report does not depend on
+the thread count, a failing chunk raises as it would in a single-threaded
+sweep, and no thread outlives its sweep."""
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 import time
@@ -15,11 +17,13 @@ import pytest
 from laguerre_lab import checks
 from laguerre_lab.checks import CHECK_IDS, CHECKERS, _bundle_blocks, _eval_bundle, _sweep
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
-from laguerre_lab.report import CheckMode, Violation
+from laguerre_lab.report import CheckMode, CheckReport, Violation
 from laguerre_lab.symmetry import verify_pi_symmetry
 
 PLANES = {"miquelian-5": lambda: miquelian_plane(5),
-          "x^4-gf8": lambda: oval_plane(8, oval_table_power(8, 4))}
+          "x^4-gf8": functools.cache(lambda: oval_plane(8, oval_table_power(8, 4)))}
+PI_FAMILY = ("Pi", "PiPrime", "Thm23")
+SPLIT = ("S", "Prop22", "Cor21", *PI_FAMILY)
 
 
 def _facts(plane, report):
@@ -113,3 +117,91 @@ def test_rows_in_flight_stay_at_one_65536_row_chunk(monkeypatch):
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 1 << 16)
     single = _peak_bytes(plane, mode)
     assert pooled <= single * 1.10, (pooled, single)
+
+
+# -- exhaustive sweeps by first choice -----------------------------------------
+
+def _n_firsts(plane, check_id) -> int:
+    # the point a for the Pi family, a circle for every other checker
+    return plane.n_points if check_id in PI_FAMILY else plane.n_circles
+
+
+def _merged_views(plane, check_id, firsts) -> CheckReport:
+    """The reports of one-first-choice views of the exhaustive mode, merged
+    in order."""
+    report = CheckReport(check_id=check_id, mode=CheckMode.exhaustive())
+    for f in firsts:
+        report.merge(CHECKERS[check_id].run(plane, CheckMode("exhaustive", start=f, count=1)))
+    return report.finalize()
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_views_of_single_first_choices_merge_into_the_whole_report(q, check_id):
+    plane = miquelian_plane(q)
+    whole = CHECKERS[check_id].run(plane, CheckMode.exhaustive())
+    if whole.verdict == "NotApplicable":
+        view = CHECKERS[check_id].run(plane, CheckMode("exhaustive", start=0, count=1))
+        assert view.verdict == "NotApplicable"
+        return
+    merged = _merged_views(plane, check_id, range(_n_firsts(plane, check_id)))
+    assert _facts(plane, merged) == _facts(plane, whole)
+
+
+def _count_parts(monkeypatch) -> list[int]:
+    """The number of parts of each sweep from now on."""
+    counts = []
+    in_order = checks._in_order
+
+    def counted(run, parts):
+        counts.append(len(parts))
+        return in_order(run, parts)
+
+    monkeypatch.setattr(checks, "_in_order", counted)
+    return counts
+
+
+@pytest.mark.parametrize("name, check_id", [("miquelian-7", c) for c in SPLIT]
+                         + [("x^4-gf8", "Pi")])
+def test_exhaustive_chain_and_pi_sweeps_split_by_first_choice(monkeypatch, name, check_id):
+    plane = miquelian_plane(7) if name == "miquelian-7" else PLANES[name]()
+    counts = _count_parts(monkeypatch)
+    runs = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(checks, "_THREADS", threads)
+        runs[threads] = CHECKERS[check_id].run(plane, CheckMode.exhaustive())
+    assert counts == [_n_firsts(plane, check_id)] * 2
+    assert _facts(plane, runs[1]) == _facts(plane, runs[2])
+    if runs[2].fails:
+        # the witnesses are those of the first views, in view order
+        a = [v.points[0] for v in runs[2].violations]
+        assert a == sorted(a)
+        first = _merged_views(plane, check_id, range(a[-1] + 1))
+        assert first.violations[:len(a)] == runs[2].violations
+
+
+def test_a_view_of_an_exhaustive_mode_splits_only_its_own_first_choices(monkeypatch):
+    plane = miquelian_plane(7)
+    counts = _count_parts(monkeypatch)
+    view = CHECKERS["S"].run(plane, CheckMode("exhaustive", start=3, count=2))
+    assert counts == [2]
+    assert view.configurations == 2 * (8 * 6) ** 3
+    assert _facts(plane, view) == _facts(plane, _merged_views(plane, "S", (3, 4)))
+
+
+def test_small_blocks_and_the_other_sweeps_run_as_one_part(monkeypatch):
+    counts = _count_parts(monkeypatch)
+    plane = miquelian_plane(5)          # 13,824 chain and 10,000 Pi rows per first choice
+    for check_id in SPLIT:
+        CHECKERS[check_id].run(plane, CheckMode.exhaustive())
+    assert counts == [1] * len(SPLIT)
+    # with two-row chunks every chain and Pi first choice would be a part
+    # of its own; the other checkers still sweep in one part
+    monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 1)
+    counts.clear()
+    others = [c for c in CHECK_IDS if c not in SPLIT]
+    for check_id in others:         # Prop11 needs an even order
+        CHECKERS[check_id].run(miquelian_plane(4 if check_id == "Prop11" else 3),
+                               CheckMode.exhaustive())
+    verify_pi_symmetry(miquelian_plane(3), CheckMode.exhaustive())
+    assert counts == [1] * (len(others) + 1)
