@@ -23,7 +23,10 @@ read precomputed numpy indexes:
   * `pencil_others`       tangent pencils grouped by (circle, touch point),
                           the touch point given by its generator,
   * `tangent_through`     (circle, touch point's generator, outer point) ->
-                          tangent circle,
+                          tangent circle; `pencil_others` holds the same
+                          circles, but reading them from the pencil ran
+                          Pi, PiPrime and Thm23 1.2-2.2x slower (sampled
+                          at q=13, exhaustive at q=7),
   * `vertex_pencils`      non-parallel point pair -> circles through both.
 
 Dense membership rows make intersection tests word-parallel scans, and the

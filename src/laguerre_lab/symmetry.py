@@ -20,9 +20,12 @@ pass over the plane's own indexes:
                       `members[C, g]` is the point of C on generator g,
   * `circle_image`    one `triple_circle` gather over the sorted image
                       rows, checked against the sorted `members` rows,
-  * parallelity       `split_generators`, read by `Automorphism.validate`
-                      and property (2) of `verify_dts`,
-  * `verify_dts` (4)  all moved circles and their member slots at once,
+  * `verify_dts`      one mask per property through `CheckReport.record`:
+                      (3) one `vertex_pencils` row per moved pair, (4) all
+                      moved circles and their member slots at once,
+  * uniqueness        secant pairs from one `vertex_pencils` gather on P x Q,
+  * Moebius blocks    type A from one fixed x moved tangency matrix, type
+                      B from the `vertex_pencils` rows of the moved points,
   * Moebius axioms    one block x point incidence matrix: the trio
                       counts of each first point from one product of its
                       columns, and touching counts from its products.
@@ -35,8 +38,8 @@ image for image and report for report.
 
 from __future__ import annotations
 
-import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -208,9 +211,9 @@ class Automorphism:
         return self._circle_image
 
     def split_generators(self) -> np.ndarray:
-        """Ids, ascending, of the generators not mapped onto one generator."""
+        """Per generator, whether it is not mapped onto one generator."""
         gen_img = self.plane.gen_of[self.image[self.plane.gen_members]]
-        return np.flatnonzero((gen_img != gen_img[:, :1]).any(axis=1))
+        return (gen_img != gen_img[:, :1]).any(axis=1)
 
     def validate(self) -> None:
         """Raise ValueError unless this is a genuine plane automorphism."""
@@ -218,11 +221,11 @@ class Automorphism:
         if not np.array_equal(np.sort(img), np.arange(plane.n_points)):
             raise ValueError("image is not a permutation of the points")
         split = self.split_generators()
-        if len(split):
-            raise ValueError(f"generator {split[0]} is not mapped onto one generator")
-        if (self.circle_image() < 0).any():
-            bad = int(np.nonzero(self.circle_image() < 0)[0][0])
-            raise ValueError(f"image of circle {bad} is not a circle")
+        if split.any():
+            raise ValueError(f"generator {split.argmax()} is not mapped onto one generator")
+        bad = self.circle_image() < 0
+        if bad.any():
+            raise ValueError(f"image of circle {bad.argmax()} is not a circle")
 
 
 def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
@@ -299,11 +302,11 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     circle of (K,L) is fixed.
     Moved points parallel to their image are counted as skipped in (3).
 
-    Property (4) is one array pass: tangent pairs (M, phi(M)) from
-    `pair_count`, and for the others every member slot's pencil count and
-    touch point from `_pencil_touch`.  Violations keep the order of a scan
-    by M, then member slot; only the first `MAX_VIOLATIONS` are built and
-    the rest are counted.  It makes no `tangent_to_second` call.
+    Each property is one mask through `CheckReport.record`, which builds
+    the first `MAX_VIOLATIONS` violations and counts the rest.  (4) reads
+    tangent pairs (M, phi(M)) from `pair_count`, and for the others each
+    member slot's pencil count and touch point from `_pencil_touch`, in
+    the order of a scan by M, then slot; it calls no `tangent_to_second`.
     """
     report = CheckReport(check_id="DtsVerify", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
@@ -314,37 +317,34 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     ci = phi.circle_image()
 
     # (0) the pair is exchanged: without it the identity would pass
-    for A, B in ((K, L), (L, K)):
-        report.configurations += 1
-        if int(ci[A]) != B:
-            report.add_violation(Violation("pair-not-exchanged", circles=(A, B)))
+    report.configurations += 2
+    report.record(ci[[K, L]] != [L, K], lambda i: Violation(
+        "pair-not-exchanged", circles=((K, L), (L, K))[i]))
 
     # (1) involution
     report.configurations += n_p
-    for x in np.nonzero(img[img] != np.arange(n_p))[0]:
-        report.add_violation(Violation("involution", points=(int(x), int(img[x]))))
+    report.record(img[img] != np.arange(n_p), lambda x: Violation(
+        "involution", points=(x, int(img[x]))))
 
     # (2) automorphism
     report.configurations += n_c + n_p
-    for cid in np.nonzero(ci < 0)[0]:
-        report.add_violation(Violation("circle-image", circles=(int(cid),)))
-    for g in phi.split_generators():
-        report.add_violation(Violation("parallelity", data=(("generator", int(g)),)))
+    report.record(ci < 0, lambda c: Violation("circle-image", circles=(c,)))
+    report.record(phi.split_generators(), lambda g: Violation(
+        "parallelity", data=(("generator", g),)))
 
-    # (3) circles through x and phi(x) are fixed
-    moved = np.nonzero(img != np.arange(n_p))[0]
-    for x in moved:
-        fx = int(img[x])
-        if gen[x] == gen[fx]:
-            report.skipped += 1
-            continue
-        if fx < x and int(img[fx]) == int(x):
-            continue  # the unordered pair was already visited
-        for M in plane.vertex_pencils[x, fx]:
-            report.configurations += 1
-            if int(ci[M]) != int(M):
-                report.add_violation(Violation(
-                    "moved-pencil-circle", points=(int(x), fx), circles=(int(M),)))
+    # (3) circles through x and phi(x) are fixed: one pencil row per moved
+    # x off phi(x)'s generator, skipping pairs already met at phi(x)
+    xs = np.flatnonzero(img != np.arange(n_p))
+    fxs = img[xs]
+    parallel = gen[xs] == gen[fxs]
+    report.skipped += int(parallel.sum())
+    keep = ~parallel & ~((fxs < xs) & (img[fxs] == xs))
+    xs, fxs = xs[keep], fxs[keep]
+    pencils = plane.vertex_pencils[xs, fxs]
+    report.configurations += pencils.size
+    report.record(ci[pencils] != pencils, lambda i: Violation(
+        "moved-pencil-circle", points=(int(xs[i // plane.q]), int(fxs[i // plane.q])),
+        circles=(int(pencils.flat[i]),)))
 
     # (4) the touch-point identity, one pass over all moved circles M and
     # their member slots; a tangent (M, phi(M)) is one violation in slot 0
@@ -375,10 +375,10 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     report.record(bad, touch_violation)
 
     # (5) the common tangent circles of (K, L) are fixed
-    for C in double_tangency_pencil(plane, K, L):
-        report.configurations += 1
-        if int(ci[C]) != C:
-            report.add_violation(Violation("common-tangent-moved", circles=(C,)))
+    common = np.array(double_tangency_pencil(plane, K, L).members, dtype=np.intp)
+    report.configurations += len(common)
+    report.record(ci[common] != common, lambda i: Violation(
+        "common-tangent-moved", circles=(int(common[i]),)))
 
     report.hypothesis_hits = report.configurations
     report.elapsed_seconds = time.perf_counter() - t0
@@ -454,41 +454,34 @@ def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M,
     A pair (K, L) can qualify only when K ∩ L consists of one point on P
     and one on Q: the symmetry restricted to K is the tangency map, which
     fixes exactly K ∩ L, so the points of K on P and Q must lie in K ∩ L.
-    The enumeration therefore runs over circle pairs through such point
-    pairs; everything else is rejected by that argument alone.
+    The enumeration therefore runs over the secant pairs, in `combinations`
+    order, of the circles through such point pairs (one `vertex_pencils`
+    gather); everything else is rejected by that argument alone.
     """
     report = CheckReport(check_id="SymmetryUniqueness", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
     M = _cid(M)
     if P == Q:
         raise ValueError("generators must be distinct")
-    qualifying: list[tuple[tuple[int, int], Automorphism]] = []
     pq = plane.gen_members[[P, Q]]
-    for p in plane.gen_members[P]:
-        for qpt in plane.gen_members[Q]:
-            pencil = plane.vertex_pencils[p, qpt]
-            for i, j in itertools.combinations(range(plane.q), 2):
-                K, L = int(pencil[i]), int(pencil[j])
-                if plane.pair_count[K, L] != 2:
-                    continue
-                report.configurations += 1
-                phi = _dts_cached(plane, K, L, cache)
-                if (phi.image[pq] != pq).any():
-                    continue
-                if int(phi.circle_image()[M]) != M:
-                    continue
-                qualifying.append(((K, L), phi))
+    pencils = plane.vertex_pencils[pq[0][:, None], pq[1]]
+    i, j = np.triu_indices(plane.q, k=1)
+    Ks, Ls = pencils[..., i], pencils[..., j]
+    secant = plane.pair_count[Ks, Ls] == 2
+    report.configurations += int(secant.sum())
+    qualifying: list[tuple[tuple[int, int], Automorphism]] = []
+    for K, L in zip(Ks[secant].tolist(), Ls[secant].tolist()):
+        phi = _dts_cached(plane, K, L, cache)
+        if (phi.image[pq] == pq).all() and int(phi.circle_image()[M]) == M:
+            qualifying.append(((K, L), phi))
     report.hypothesis_hits = len(qualifying)
     if not qualifying:
         report.verdict = "Inconclusive"
         report.notes = ("NoneFound: no qualifying pair",)
     else:
-        base_pair, base = qualifying[0]
-        for pair, phi in qualifying[1:]:
-            if not base.equals(phi):
-                report.add_violation(Violation(
-                    "symmetry-mismatch",
-                    circles=(base_pair[0], base_pair[1], pair[0], pair[1])))
+        (base_pair, base), rest = qualifying[0], qualifying[1:]
+        report.record(np.array([not base.equals(phi) for _, phi in rest], dtype=bool),
+                      lambda r: Violation("symmetry-mismatch", circles=base_pair + rest[r][0]))
     report.elapsed_seconds = time.perf_counter() - t0
     return report.finalize()
 
@@ -501,12 +494,14 @@ def _eval_pi_symmetry(dts: dict, plane: LaguerrePlane, report: CheckReport,
     tangent = plane.pair_count[C1, L] == 1
     report.skipped += int(tangent.sum())
     report.hypothesis_hits += int((~tangent).sum())
+    bad = np.zeros(len(C1), dtype=bool)
     for i in np.flatnonzero(~tangent):
         K, Li, kp, ai, xi = int(C1[i]), int(L[i]), int(Kp[i]), int(a[i]), int(x[i])
         phi = _dts_cached(plane, min(K, Li), max(K, Li), dts)
-        if not (phi.circle_image()[kp] == kp and phi.image[ai] == xi and phi.image[xi] == ai):
-            report.add_violation(Violation(
-                "pi-symmetry", points=(ai, int(b[i]), int(c[i]), xi), circles=(K, Li, kp)))
+        bad[i] = not (phi.circle_image()[kp] == kp and phi.image[ai] == xi and phi.image[xi] == ai)
+    report.record(bad, lambda i: Violation(
+        "pi-symmetry", points=(int(a[i]), int(b[i]), int(c[i]), int(x[i])),
+        circles=(int(C1[i]), int(L[i]), int(Kp[i]))))
 
 
 def verify_pi_symmetry(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
@@ -553,12 +548,8 @@ class MoebiusCandidate:
         return self.blocks_a + self.blocks_b
 
     def block_size_census(self) -> dict[str, dict[int, int]]:
-        census: dict[str, dict[int, int]] = {"A": {}, "B": {}}
-        for b in self.blocks_a:
-            census["A"][len(b)] = census["A"].get(len(b), 0) + 1
-        for b in self.blocks_b:
-            census["B"][len(b)] = census["B"].get(len(b), 0) + 1
-        return census
+        return {"A": dict(Counter(map(len, self.blocks_a))),
+                "B": dict(Counter(map(len, self.blocks_b)))}
 
 
 def moebius_extract(plane: LaguerrePlane, phi: Automorphism) -> MoebiusCandidate:
@@ -575,37 +566,27 @@ def moebius_extract(plane: LaguerrePlane, phi: Automorphism) -> MoebiusCandidate
         raise ValueError("candidate extraction needs a double tangency symmetry")
     _, K, L = phi.provenance
     fixed = fixed_circles(plane, phi)
-    fixed_set = set(fixed)
-    ci = phi.circle_image()
-    T = plane.pair_count
-    img = phi.image
+    F = np.array(fixed, dtype=np.intp)
+    ci, T, n_c = phi.circle_image(), plane.pair_count, plane.n_circles
 
-    blocks_a: dict[tuple[int, ...], None] = {}
-    for M in range(plane.n_circles):
-        Mi = int(ci[M])
-        if Mi == M or T[M, Mi] == 1:
-            continue
-        block = tuple(F for F in fixed if T[F, M] == 1 and T[F, Mi] == 1)
-        if block:
-            blocks_a.setdefault(block)
-    blocks_b: dict[tuple[int, ...], None] = {}
-    parallel_moved = 0
-    for x in range(plane.n_points):
-        fx = int(img[x])
-        if plane.gen_of[x] == plane.gen_of[fx]:
-            parallel_moved += 1
-            continue
-        thru = plane.vertex_pencils[x, fx]
-        block = tuple(sorted(int(F) for F in thru if int(F) in fixed_set))
-        blocks_b.setdefault(block + (INFINITY,))
+    # type A: one column of fixed circles per moved circle M not tangent to
+    # its image, those tangent to both; distinct columns become blocks
+    M = np.flatnonzero((ci != np.arange(n_c)) & (T[np.arange(n_c), ci] != 1))
+    touch = (T[F[:, None], M] == 1) & (T[F[:, None], ci[M]] == 1)
+    blocks_a = {tuple(F[col].tolist()) for col in np.unique(touch.T, axis=0) if col.any()}
+    # type B: the fixed circles of the pencil of each moved point x and its
+    # non-parallel image, sorted with n_c in place of the others
+    X = np.flatnonzero(plane.gen_of != plane.gen_of[phi.image])
+    rows = plane.vertex_pencils[X, phi.image[X]]
+    rows = np.unique(np.sort(np.where(ci[rows] == rows, rows, n_c), axis=1), axis=0)
+    blocks_b = {tuple(r[r < n_c].tolist()) + (INFINITY,) for r in rows}
 
-    points = fixed + (INFINITY,)
     candidate = MoebiusCandidate(
         pair=(int(K), int(L)),
-        points=points,
+        points=fixed + (INFINITY,),
         blocks_a=tuple(sorted(blocks_a)),
         blocks_b=tuple(sorted(blocks_b)),
-        parallel_moved_points=parallel_moved,
+        parallel_moved_points=plane.n_points - len(X),
     )
     candidate.three_point_report = _three_point_axiom(candidate)
     candidate.touching_report = _touching_axiom(candidate)
@@ -672,12 +653,8 @@ def find_fixed_point_free_pair(plane: LaguerrePlane) -> tuple[int, int, Automorp
     Scans all disjoint non-tangent pairs; raises NoDisjointPair when the
     scan certifies that none qualifies.
     """
-    T = plane.pair_count
     for K in range(plane.n_circles):
-        for L in np.nonzero(T[K] == 0)[0]:
-            L = int(L)
-            if L <= K:
-                continue
+        for L in (K + 1 + np.flatnonzero(plane.pair_count[K, K + 1:] == 0)).tolist():
             phi = build_dts(plane, K, L)
             if not phi.fixed_points():
                 return K, L, phi

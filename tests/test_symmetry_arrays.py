@@ -11,18 +11,26 @@ They are kept here as the second route to those results.  The array
 routes must give the same images, and the same report: verdict,
 configurations, skipped, violation count and the recorded violations in
 order.
+
+`loop_verify_dts` is the reference for every property of `verify_dts`:
+it builds one violation per `add_violation` call, where `verify_dts`
+records one mask per property through `CheckReport.record`.  `loop_uniqueness` scans the pencil of one point
+pair of P x Q at a time, `loop_moebius_blocks` collects the type A blocks
+one circle at a time and the type B blocks one point at a time, and
+`loop_census` counts block sizes into dicts.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from laguerre_lab import cli, symmetry
+from laguerre_lab import checks, cli, symmetry
 from laguerre_lab.errors import NoAdmissibleAuxiliary, NotUnique, WellDefinednessFailure
 from laguerre_lab.models import miquelian_plane
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
@@ -183,6 +191,92 @@ def loop_verify_dts(plane, phi, K, L) -> CheckReport:
             report.add_violation(Violation("common-tangent-moved", circles=(C,)))
     report.hypothesis_hits = report.configurations
     return report.finalize()
+
+
+def loop_uniqueness(plane, P, Q, M, cache=None) -> CheckReport:
+    """`symmetry_uniqueness` with one pencil scan per point pair of P x Q."""
+    report = CheckReport(check_id="SymmetryUniqueness", mode=CheckMode.exhaustive())
+    qualifying = []
+    pq = plane.gen_members[[P, Q]]
+    for p in plane.gen_members[P]:
+        for qpt in plane.gen_members[Q]:
+            pencil = plane.vertex_pencils[p, qpt]
+            for i, j in itertools.combinations(range(plane.q), 2):
+                K, L = int(pencil[i]), int(pencil[j])
+                if plane.pair_count[K, L] != 2:
+                    continue
+                report.configurations += 1
+                phi = symmetry._dts_cached(plane, K, L, cache)
+                if (phi.image[pq] != pq).any():
+                    continue
+                if int(phi.circle_image()[M]) != M:
+                    continue
+                qualifying.append(((K, L), phi))
+    report.hypothesis_hits = len(qualifying)
+    if not qualifying:
+        report.verdict = "Inconclusive"
+        report.notes = ("NoneFound: no qualifying pair",)
+    else:
+        base_pair, base = qualifying[0]
+        for pair, phi in qualifying[1:]:
+            if not base.equals(phi):
+                report.add_violation(Violation(
+                    "symmetry-mismatch",
+                    circles=(base_pair[0], base_pair[1], pair[0], pair[1])))
+    return report.finalize()
+
+
+def loop_eval_pi_symmetry(dts, plane, report, a, b, c, x, C1, p, qpt, Kp) -> None:
+    """`_eval_pi_symmetry` with one `add_violation` call per violation."""
+    L = plane.triple_circle[x, p, qpt]
+    tangent = plane.pair_count[C1, L] == 1
+    report.skipped += int(tangent.sum())
+    report.hypothesis_hits += int((~tangent).sum())
+    for i in np.flatnonzero(~tangent):
+        K, Li, kp, ai, xi = int(C1[i]), int(L[i]), int(Kp[i]), int(a[i]), int(x[i])
+        phi = symmetry._dts_cached(plane, min(K, Li), max(K, Li), dts)
+        if not (phi.circle_image()[kp] == kp and phi.image[ai] == xi and phi.image[xi] == ai):
+            report.add_violation(Violation(
+                "pi-symmetry", points=(ai, int(b[i]), int(c[i]), xi), circles=(K, Li, kp)))
+
+
+def loop_moebius_blocks(plane, phi) -> tuple:
+    """The type A blocks, type B blocks and parallel moved points of
+    `moebius_extract`, one scan per circle and one per point."""
+    fixed = symmetry.fixed_circles(plane, phi)
+    fixed_set = set(fixed)
+    ci = phi.circle_image()
+    T = plane.pair_count
+    img = phi.image
+
+    blocks_a = {}
+    for M in range(plane.n_circles):
+        Mi = int(ci[M])
+        if Mi == M or T[M, Mi] == 1:
+            continue
+        block = tuple(F for F in fixed if T[F, M] == 1 and T[F, Mi] == 1)
+        if block:
+            blocks_a.setdefault(block)
+    blocks_b = {}
+    parallel_moved = 0
+    for x in range(plane.n_points):
+        fx = int(img[x])
+        if plane.gen_of[x] == plane.gen_of[fx]:
+            parallel_moved += 1
+            continue
+        thru = plane.vertex_pencils[x, fx]
+        block = tuple(sorted(int(F) for F in thru if int(F) in fixed_set))
+        blocks_b.setdefault(block + (symmetry.INFINITY,))
+    return tuple(sorted(blocks_a)), tuple(sorted(blocks_b)), parallel_moved
+
+
+def loop_census(cand) -> dict:
+    census = {"A": {}, "B": {}}
+    for b in cand.blocks_a:
+        census["A"][len(b)] = census["A"].get(len(b), 0) + 1
+    for b in cand.blocks_b:
+        census["B"][len(b)] = census["B"].get(len(b), 0) + 1
+    return census
 
 
 def _bitmask(block, index) -> int:
@@ -391,6 +485,91 @@ def test_moved_tangent_circles_keep_their_place_in_the_order(q):
         "pair-not-exchanged", "moved-circle-tangent", "touch-image"}
 
 
+def test_verify_dts_builds_only_the_violations_it_records(monkeypatch):
+    # a seeded permutation of the points is no automorphism: dozens of its
+    # points are not exchanged with their image and dozens of circles have
+    # no circle for image, but only the recorded violations become objects
+    P = miquelian_plane(5)
+    K, L = sample_nontangent_pairs(P, 1, seed=5)[0]
+    image = np.random.default_rng(5).permutation(P.n_points)
+    phi = Automorphism(P, image, ("dts", K, L))
+    assert (image[image] != np.arange(P.n_points)).sum() > MAX_VIOLATIONS
+    assert (loop_circle_image(P, image) < 0).sum() > MAX_VIOLATIONS
+    want = loop_verify_dts(P, phi, K, L)
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args[0])
+        return Violation(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "Violation", counted)
+    got = verify_dts(P, phi, K, L)
+    assert summary(got) == summary(want)
+    assert got.violation_count > 2 * MAX_VIOLATIONS
+    assert len(made) <= MAX_VIOLATIONS
+
+
+# ---------------------------------------------------------------------------
+# symmetry_uniqueness
+# ---------------------------------------------------------------------------
+
+def test_symmetry_uniqueness_matches_the_loop_reference_q3():
+    P = miquelian_plane(3)
+    cache = {}
+    for G, H in itertools.permutations(range(P.n_gens), 2):
+        for M in range(P.n_circles):
+            got = symmetry.symmetry_uniqueness(P, G, H, M, cache)
+            want = loop_uniqueness(P, G, H, M, cache)
+            assert summary(got) + (got.notes,) == summary(want) + (want.notes,), (G, H, M)
+
+
+def test_symmetry_uniqueness_mismatches_keep_the_loop_order():
+    # the classify example's (P, Q, M) at order 5, with the identity planted
+    # in the cache for every third secant pair: planted pairs qualify and
+    # differ from the genuine symmetries, which gives more mismatches than
+    # are recorded; a map moving every point, planted for all pairs, leaves
+    # none qualifying
+    P = miquelian_plane(5)
+    K, L = P.circle_from_coef((1, 0, 0)).id, P.circle_from_coef((4, 0, 2)).id
+    cls = symmetry.classify_symmetry(P, K, L)
+    args = (P, *cls.fixed_generators, cls.witness_circle)
+    genuine = {}
+    assert loop_uniqueness(*args, genuine).holds
+    pairs = list(genuine)           # the secant pairs, in enumeration order
+    planted = dict(genuine)
+    for pair in pairs[1::3]:
+        planted[pair] = Automorphism.identity(P)
+    shifted = Automorphism(P, np.roll(np.arange(P.n_points), 1))
+    for cache, verdict in ((dict.fromkeys(pairs, shifted), "Inconclusive"), (planted, "Fails")):
+        got = symmetry.symmetry_uniqueness(*args, cache)
+        want = loop_uniqueness(*args, cache)
+        assert summary(got) + (got.notes,) == summary(want) + (want.notes,)
+        assert (got.verdict, got.configurations) == (verdict, len(pairs))
+    assert got.violation_count > MAX_VIOLATIONS
+
+
+# ---------------------------------------------------------------------------
+# verify_pi_symmetry
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, mode", [(3, CheckMode.exhaustive()), (5, CheckMode.sample(1500, 77))])
+def test_pi_symmetry_matches_the_loop_reference(q, mode):
+    # genuine symmetries, then the identity planted for every non-tangent
+    # pair whose ids sum to a multiple of 3: it fixes K' but does not
+    # exchange a and x, which gives more violations than are recorded
+    P = miquelian_plane(q)
+    identity = Automorphism.identity(P)
+    planted = {(K, L): identity for K in range(P.n_circles) for L in range(K + 1, P.n_circles)
+               if (K + L) % 3 == 0 and P.pair_count[K, L] != 1}
+    for start in ({}, planted):
+        got, want = (checks._sweep(P, mode, "PiSymmetry", checks._pi_blocks,
+                                   functools.partial(evaluate, dict(start)))
+                     for evaluate in (symmetry._eval_pi_symmetry, loop_eval_pi_symmetry))
+        assert summary(got) == summary(want)
+        assert got.hypothesis_hits > 0
+    assert got.violation_count > MAX_VIOLATIONS
+
+
 # ---------------------------------------------------------------------------
 # tangency_map
 # ---------------------------------------------------------------------------
@@ -448,6 +627,62 @@ def test_moebius_axioms_match_the_loop_reference(q):
         verdicts[name] = touching.verdict
     # dropping a block breaks the touching axiom the extracted candidate has
     assert verdicts == {"extracted": "Holds", "no A block": "Fails", "no B block": "Fails"}
+
+
+# ---------------------------------------------------------------------------
+# Moebius blocks and the search for their symmetry
+# ---------------------------------------------------------------------------
+
+def moebius_block_cases(q):
+    """The first fixed-point-free symmetry, and the same map with the
+    images of a point x and of w = phi(z), for z another point of x's
+    generator, exchanged: a permutation without fixed points that is no
+    automorphism, which moves x and w onto their own generators and gives
+    blocks of several sizes.  Where a circle's image is no circle (-1),
+    both routes read that id alike."""
+    P = plane_for(q)
+    phi = find_fixed_point_free_pair(P)[2]
+    yield "extracted", P, phi
+    x = 0
+    z = next(int(t) for t in P.gen_members[P.gen_of[x]] if t != x)
+    w = phi(z)
+    image = phi.image.copy()
+    image[[x, w]] = z, phi(x)
+    yield "swapped", P, Automorphism(P, image, phi.provenance)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, RELABELLED])
+def test_moebius_blocks_match_the_loop_reference(q):
+    parallel = {}
+    for name, P, phi in moebius_block_cases(q):
+        cand = moebius_extract(P, phi)
+        got = (cand.blocks_a, cand.blocks_b, cand.parallel_moved_points)
+        assert got == loop_moebius_blocks(P, phi), name
+        # the census prints as the loop's dicts, keys in first-seen order
+        assert repr(cand.block_size_census()) == repr(loop_census(cand)), name
+        parallel[name] = cand.parallel_moved_points
+    assert parallel == {"extracted": 0, "swapped": 2}
+
+
+def test_find_fixed_point_free_pair_builds_up_to_the_pair_it_returns(monkeypatch):
+    # every symmetry built for circle 0 is replaced by the identity, which
+    # fixes every point: the scan must go through circle 0's disjoint
+    # partners, in order, then stop at circle 1's first disjoint partner,
+    # whose symmetry moves every point
+    P = miquelian_plane(5)
+    real = symmetry.build_dts
+    calls = []
+
+    def counted(plane, K, L):
+        calls.append((K, L))
+        return Automorphism.identity(plane) if K == 0 else real(plane, K, L)
+
+    monkeypatch.setattr(symmetry, "build_dts", counted)
+    K, L, phi = find_fixed_point_free_pair(P)
+    disjoint = [tuple(pair) for pair in np.argwhere(np.triu(P.pair_count == 0, k=1)).tolist()]
+    first_of_1 = next(i for i, pair in enumerate(disjoint) if pair[0] == 1)
+    assert calls == disjoint[:first_of_1 + 1]
+    assert (K, L) == calls[-1] and phi.equals(real(P, K, L))
 
 
 # ---------------------------------------------------------------------------
