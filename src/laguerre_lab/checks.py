@@ -46,7 +46,13 @@ runs its chunks of `_SAMPLE_CHUNK` stream rows on up to two threads, and
 so does an exhaustive chain or Pi sweep its first choices where one of
 them is a block of at least two chunks' rows; the partial reports merge
 in order, so a report does not depend on the thread count (`_sweep`).
-Every other exhaustive sweep runs on the calling thread.
+Every other exhaustive sweep runs on the calling thread.  The chain and
+Pi generators build small tables once per first choice and read every
+yielded array from them at the kept offsets: K's closure table (is N of
+M's pencils tangent to K, per circle M), whose rows for K's chains are
+the closed mask, and a's slice of `triple_circle` with the tables read
+from it, x off (a, b, c)° folded into a's mask.  Neither gathers the
+whole raw space of its first choice.
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -253,6 +259,11 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode):
     at b, c in M, N tangent to M at c; the chain closes when |N ∩ K| = 1.
     Yields (raw count, K, a, L, b, M, c, N, d) flat arrays per block over
     the closed chains alone, d = N ∩ K their fourth corner.
+
+    An exhaustive block is one circle K.  Its closure table, read once,
+    says for every circle M and flat (c, N) offset of M's pencils whether
+    N is tangent to K; the rows of that table for the circles M of K's
+    chains are the closed mask, in the order of the full choice space.
     """
     po, members = plane.pencil_others, plane.members
     T, W = plane.pair_count, plane.pair_sum
@@ -275,21 +286,30 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode):
             K, A, L, B, M, C, N = (v[idx] for v in (K, A, L, B, M, C, N))
             yield raw.shape[1], K, A, L, B, M, C, N, _gather(W, N, K)
     else:
+        # each circle M's (c, N) offsets: N = po[M, c, ·] and M's point c;
+        # N as intp ids for `take`, which would copy int16 ids on every call
+        pos, cpos = po.reshape(-1, sm), np.repeat(members, m, axis=1).reshape(-1)
+        pos_ids = pos.astype(np.intp)
+
+        def closed(K):
+            # a function, so no table of K outlives K's block
+            L0 = po[K].reshape(-1)             # (a, L)
+            M0 = po[L0].reshape(-1)            # (a, L, b, M)
+            # T is symmetric: K's closure table tk[M, (c, N)], read at the
+            # rows M0, is the closed mask in C order over (a, L, b, M, c, N);
+            # a closed offset f is row i = f // sm and M's offset f - i·sm
+            tk = (T[K] == 1).take(pos_ids)
+            f = np.flatnonzero(tk.take(M0, axis=0))
+            i = f // sm
+            M = M0.take(i)
+            off = M.astype(np.intp) * sm + (f - i * sm)
+            N = pos.reshape(-1).take(off)
+            return (M0.size * sm, np.full(len(N), K), members[K].take(i // (m * sm)),
+                    L0.take(i // sm), members[L0].reshape(-1).take(i // m),
+                    M, cpos.take(off), N, W[K].take(N))
+
         for K in _firsts(mode, plane.n_circles):
-            L0 = po[K]                         # (q+1, m)
-            M0 = po[L0]                        # (q+1, m, q+1, m)
-            N0 = po[M0]                        # (q+1, m, q+1, m, q+1, m)
-            # flat offsets over the six axes (a, L, b, M, c, N) in C order
-            # keep the rows in the order of the full choice space; each
-            # (slot, pencil member) pair of axes spans sm offsets.  T is
-            # symmetric, so K's row answers for every N at once
-            f = np.flatnonzero((T[K] == 1)[N0])
-            L = L0.reshape(-1).take(f // (sm * sm))
-            M = M0.reshape(-1).take(f // sm)
-            N = N0.reshape(-1).take(f)
-            yield (N0.size, np.full(len(N), K), members[K].take(f // (m * sm * sm)),
-                   L, _gather(members, L, f // (m * sm) % (q + 1)),
-                   M, _gather(members, M, f // m % (q + 1)), N, _gather(W, N, K))
+            yield closed(K)
 
 
 def _corner_coincides(A, B, C, D):
@@ -507,6 +527,12 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     more: p ∥ c and q ∥ b are parallel to neither x nor each other; q ≠ b,
     or (a,c,x)° = C1 would hold x; and q is off K′, or K′ = (a,c,x)° would
     meet C1 in c as well as in a.
+
+    An exhaustive block is one point a.  Its tables over (y, z) and
+    (y, z, w) are read from a's slice of `triple_circle`, the circles
+    (a, y, z)°, once: the mask of mutually non-parallel (b, c, x) with x
+    off (a, b, c)° is one `flatnonzero`, and every yielded array is one
+    `take` of a table at the kept flat offsets, or their (b, c) prefixes.
     """
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
     members, TCT = plane.members, plane.tangent_through
@@ -531,12 +557,29 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
         # those of a and b; C order over (b, c, x) is the order of that space
         n, n_raw = _pi_firsts(plane)
         off = gen[:, None] != gen[None, :]
-        for a in _firsts(mode, n):
+        par = members[:, gen].T.copy()              # par[z, C]: C's point parallel to z
+
+        def kept(a):
+            # a function, so no table of a outlives a's block
             o = off & off[a][:, None] & off[a]      # a pair off each other and off a
-            # int32 ids halve the index arrays of these blocks, the largest of the pass
-            b, c, x = (v.astype(np.int32) for v in np.nonzero(
-                o[:, :, None] & o[:, None, :] & o[None, :, :]))
-            yield block(n_raw, np.full(len(b), a, dtype=np.int32), b, c, x)
+            # a's circles (a, y, z)°, -1 where y or z is parallel to a (rows
+            # the mask drops); x off C1 = (a, b, c)° is folded into the mask
+            Ta = T3[a]
+            f = np.flatnonzero(o[:, :, None] & o[:, None, :] & o[None, :, :] & ~mem[Ta])
+            # int32 ids halve the index arrays of these blocks, the largest of
+            # the pass; n³ < 2^31, as a plane has at most 2^15 = 32³ circles
+            g = f.astype(np.int32)
+            bc = g // n                             # the (b, c) offsets
+            b = bc // n
+            pz = par[:, Ta]                         # pz[z, y, w]: (a, y, w)°'s point ∥ z
+            C1 = Ta.reshape(-1).take(bc)
+            return (n_raw, np.full(len(f), a, dtype=np.int32), b, bc - b * n, g - bc * n, C1,
+                    pz.transpose(1, 0, 2).reshape(-1).take(f),    # p = (a, b, x)°'s ∥ c
+                    pz.reshape(-1).take(f),                       # q = (a, c, x)°'s ∥ b
+                    TCT[:, gen[a]][Ta].reshape(-1).take(f))       # K′ through x at a
+
+        for a in _firsts(mode, n):
+            yield kept(a)
 
 
 def _pi_tally(report, ok, kind, a, b, c, x, C1) -> None:

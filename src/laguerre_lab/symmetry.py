@@ -559,15 +559,18 @@ def moebius_extract(plane: LaguerrePlane, phi: Automorphism) -> MoebiusCandidate
     incidence matrix (`_three_point_axiom`, `_touching_axiom`), which
     build only the first `MAX_VIOLATIONS` violations and count the rest:
     the candidate is half an inversive plane, so half its trios fail.
+    Raises ValueError where the symmetry maps a circle onto no circle.
     """
     if phi.fixed_points():
         raise NotFixedPointFree("the symmetry fixes a point")
     if phi.provenance[0] != "dts":
         raise ValueError("candidate extraction needs a double tangency symmetry")
+    ci, T, n_c = phi.circle_image(), plane.pair_count, plane.n_circles
+    if (ci < 0).any():
+        raise ValueError(f"the symmetry maps circle {(ci < 0).argmax()} onto no circle")
     _, K, L = phi.provenance
     fixed = fixed_circles(plane, phi)
     F = np.array(fixed, dtype=np.intp)
-    ci, T, n_c = phi.circle_image(), plane.pair_count, plane.n_circles
 
     # type A: one column of fixed circles per moved circle M not tangent to
     # its image, those tangent to both; distinct columns become blocks

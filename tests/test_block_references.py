@@ -1,0 +1,105 @@
+"""The exhaustive chain and Pi blocks against their reference forms.
+
+`reference_chain_blocks` and `reference_pi_blocks` below are the
+exhaustive forms that `checks._chain_blocks` and `checks._pi_blocks`
+replaced: per circle K, the whole (a, L, b, M, c, N) space of pencil
+members looked up in K's tangency row; per point a, the mask of mutually
+non-parallel (b, c, x), its `nonzero`, and then a second pass that drops
+the rows with x on (a, b, c)°.  They are kept here as the second route to
+the blocks.  The array routes must yield the same blocks: the same raw
+counts, and every array with the same values, in the same order, of the
+same dtype.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+
+from laguerre_lab.checks import _chain_blocks, _firsts, _gather, _pi_blocks, _pi_firsts
+from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
+from laguerre_lab.report import CheckMode
+from test_relabelling import RELABELLED, plane_for
+
+
+def reference_chain_blocks(plane, mode):
+    """Per circle K: the closed rows of the (a, L, b, M, c, N) space."""
+    po, members = plane.pencil_others, plane.members
+    T, W = plane.pair_count, plane.pair_sum
+    q, m = plane.q, plane.q - 1
+    sm = (q + 1) * m
+    for K in _firsts(mode, plane.n_circles):
+        L0 = po[K]
+        M0 = po[L0]
+        N0 = po[M0]
+        f = np.flatnonzero((T[K] == 1)[N0])
+        L = L0.reshape(-1).take(f // (sm * sm))
+        M = M0.reshape(-1).take(f // sm)
+        N = N0.reshape(-1).take(f)
+        yield (N0.size, np.full(len(N), K), members[K].take(f // (m * sm * sm)),
+               L, _gather(members, L, f // (m * sm) % (q + 1)),
+               M, _gather(members, M, f // m % (q + 1)), N, _gather(W, N, K))
+
+
+def reference_pi_blocks(plane, mode):
+    """Per point a: the mutually non-parallel (b, c, x), then those with x
+    off (a, b, c)°."""
+    gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
+    members, TCT = plane.members, plane.tangent_through
+    n, n_raw = _pi_firsts(plane)
+    off = gen[:, None] != gen[None, :]
+    for a in _firsts(mode, n):
+        o = off & off[a][:, None] & off[a]
+        b, c, x = (v.astype(np.int32) for v in np.nonzero(
+            o[:, :, None] & o[:, None, :] & o[None, :, :]))
+        a = np.full(len(b), a, dtype=np.int32)
+        C1 = _gather(T3, a, b, c)
+        keep = ~_gather(mem, C1, x)
+        a, b, c, x, C1 = a[keep], b[keep], c[keep], x[keep], C1[keep]
+        yield (n_raw, a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen[c]),
+               _gather(members, _gather(T3, a, c, x), gen[b]),
+               _gather(TCT, C1, gen[a], x))
+
+
+FAMILIES = {"chain": (_chain_blocks, reference_chain_blocks),
+            "pi": (_pi_blocks, reference_pi_blocks)}
+GF8 = "x^4-gf8"
+
+
+@functools.cache
+def _plane(key):
+    if key == GF8:
+        return oval_plane(8, oval_table_power(8, 4))
+    return plane_for(key)
+
+
+def assert_same_blocks(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[0] == w[0]
+        assert len(g) == len(w)
+        for i, (ga, wa) in enumerate(zip(g[1:], w[1:]), start=1):
+            assert ga.dtype == wa.dtype, i
+            np.testing.assert_array_equal(ga, wa, err_msg=f"array {i}")
+
+
+@pytest.mark.parametrize("family, key", [(f, k) for f in FAMILIES for k in (3, 4, 5, RELABELLED)]
+                         + [("pi", GF8)])
+def test_exhaustive_blocks_match_the_reference(family, key):
+    plane = _plane(key)
+    blocks, reference = FAMILIES[family]
+    mode = CheckMode.exhaustive()
+    assert_same_blocks(blocks(plane, mode), reference(plane, mode))
+
+
+@pytest.mark.parametrize("family, first", [("chain", 0), ("chain", 171), ("chain", 342),
+                                           ("pi", 0), ("pi", 29), ("pi", 55)])
+def test_first_choice_views_match_the_reference_at_order_7(family, first):
+    plane = miquelian_plane(7)
+    blocks, reference = FAMILIES[family]
+    mode = CheckMode("exhaustive", start=first, count=1)
+    assert_same_blocks(blocks(plane, mode), reference(plane, mode))
+

@@ -161,8 +161,17 @@ def _count_parts(monkeypatch) -> list[int]:
     return counts
 
 
-@pytest.mark.parametrize("name, check_id", [("miquelian-7", c) for c in SPLIT]
-                         + [("x^4-gf8", "Pi")])
+# (configurations, hypothesis hits, violations, verdict) of each split sweep
+SPLIT_COUNTS = {
+    ("miquelian-7", "S"): (37_933_056, 4_840_416, 0, "Holds"),
+    ("miquelian-7", "Prop22"): (37_933_056, 1_201_872, 0, "Holds"),
+    ("miquelian-7", "Cor21"): (37_933_056, 6_042_288, 0, "Holds"),
+    **{("miquelian-7", c): (4_840_416, 3_457_440, 0, "Holds") for c in PI_FAMILY},
+    ("x^4-gf8", "Pi"): (14_450_688, 10_838_016, 9_633_792, "Fails"),
+}
+
+
+@pytest.mark.parametrize("name, check_id", SPLIT_COUNTS)
 def test_exhaustive_chain_and_pi_sweeps_split_by_first_choice(monkeypatch, name, check_id):
     plane = miquelian_plane(7) if name == "miquelian-7" else PLANES[name]()
     counts = _count_parts(monkeypatch)
@@ -172,6 +181,9 @@ def test_exhaustive_chain_and_pi_sweeps_split_by_first_choice(monkeypatch, name,
         runs[threads] = CHECKERS[check_id].run(plane, CheckMode.exhaustive())
     assert counts == [_n_firsts(plane, check_id)] * 2
     assert _facts(plane, runs[1]) == _facts(plane, runs[2])
+    r = runs[2]
+    assert (r.configurations, r.hypothesis_hits, r.violation_count, r.verdict) \
+        == SPLIT_COUNTS[name, check_id]
     if runs[2].fails:
         # the witnesses are those of the first views, in view order
         a = [v.points[0] for v in runs[2].violations]

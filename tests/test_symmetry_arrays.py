@@ -637,9 +637,8 @@ def moebius_block_cases(q):
     """The first fixed-point-free symmetry, and the same map with the
     images of a point x and of w = phi(z), for z another point of x's
     generator, exchanged: a permutation without fixed points that is no
-    automorphism, which moves x and w onto their own generators and gives
-    blocks of several sizes.  Where a circle's image is no circle (-1),
-    both routes read that id alike."""
+    automorphism, which moves x and w onto their own generators and maps
+    some circles onto no circle (-1)."""
     P = plane_for(q)
     phi = find_fixed_point_free_pair(P)[2]
     yield "extracted", P, phi
@@ -653,15 +652,19 @@ def moebius_block_cases(q):
 
 @pytest.mark.parametrize("q", [3, 5, 7, RELABELLED])
 def test_moebius_blocks_match_the_loop_reference(q):
-    parallel = {}
-    for name, P, phi in moebius_block_cases(q):
-        cand = moebius_extract(P, phi)
-        got = (cand.blocks_a, cand.blocks_b, cand.parallel_moved_points)
-        assert got == loop_moebius_blocks(P, phi), name
-        # the census prints as the loop's dicts, keys in first-seen order
-        assert repr(cand.block_size_census()) == repr(loop_census(cand)), name
-        parallel[name] = cand.parallel_moved_points
-    assert parallel == {"extracted": 0, "swapped": 2}
+    cases = {name: (P, phi) for name, P, phi in moebius_block_cases(q)}
+    P, phi = cases["extracted"]
+    cand = moebius_extract(P, phi)
+    got = (cand.blocks_a, cand.blocks_b, cand.parallel_moved_points)
+    assert got == loop_moebius_blocks(P, phi)
+    assert cand.parallel_moved_points == 0
+    # the census prints as the loop's dicts, keys in first-seen order
+    assert repr(cand.block_size_census()) == repr(loop_census(cand))
+    # a map that sends some circle onto no circle has no candidate
+    P, phi = cases["swapped"]
+    assert (phi.circle_image() < 0).sum() == {3: 12, 5: 40, 7: 84, RELABELLED: 40}[q]
+    with pytest.raises(ValueError, match="onto no circle"):
+        moebius_extract(P, phi)
 
 
 def test_find_fixed_point_free_pair_builds_up_to_the_pair_it_returns(monkeypatch):
