@@ -43,16 +43,20 @@ circle K, or M for Prop11, the point a of the Pi family, the circle C1 of
 the closures) through `_firsts`, so an exhaustive `CheckMode` view with
 `start` and `count` sweeps a range of first choices.  A sampled sweep
 runs its chunks of `_SAMPLE_CHUNK` stream rows on up to two threads, and
-so does an exhaustive chain or Pi sweep its first choices where one of
-them is a block of at least two chunks' rows; the partial reports merge
-in order, so a report does not depend on the thread count (`_sweep`).
-Every other exhaustive sweep runs on the calling thread.  The chain and
-Pi generators build small tables once per first choice and read every
-yielded array from them at the kept offsets: K's closure table (is N of
-M's pencils tangent to K, per circle M), whose rows for K's chains are
-the closed mask, and a's slice of `triple_circle` with the tables read
-from it, x off (a, b, c)° folded into a's mask.  Neither gathers the
-whole raw space of its first choice.
+so does an exhaustive S, Cor21 or Pi-family sweep its first choices
+where one of them has at least two chunks' raw rows; the partial reports
+merge in order, so a report does not depend on the thread count
+(`_sweep`).  Every other exhaustive sweep runs on the calling thread, its
+consecutive small blocks merged into blocks of up to one chunk's rows
+(`_coalesce`).  The chain and Pi generators build small tables once per
+first choice and read every yielded array from them at the kept offsets:
+K's closure table (is N of M's pencils tangent to K, per circle M), whose
+rows for K's chains are the closed mask, and a's slice of
+`triple_circle` with the tables read from it, x off (a, b, c)° folded
+into a's mask.  Neither gathers the whole raw space of its first choice,
+and Prop22's chain blocks read only the c ∥ a part of it, the chains its
+hypothesis admits.  Generators are looked up with `gen_of.take(ids)`,
+about twice as fast as `gen_of[ids]` on int16 ids.
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -122,12 +126,20 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     exhaustive mode the same way into one view per first choice, where one
     first choice has at least the 2·`_SAMPLE_CHUNK` rows that a sampled
     sweep holds in flight: smaller blocks ran slower on two threads than
-    on one.  Only the chain and Pi runners pass `firsts`: split the same
+    on one.  Only S, Cor21 and the Pi family pass `firsts`: split the same
     way, exhaustive Miquel at q=5 took 0.82–0.91 s against 0.70–0.75 s
-    unsplit.  Any other exhaustive mode is one part, swept inline."""
+    unsplit, and Prop22 at q=7, whose blocks hold 3,504 rows per circle K,
+    110 against 70 ms.  Any other exhaustive mode is one part, swept
+    inline.
+
+    Within a part, consecutive blocks are merged into blocks of at most
+    `_SAMPLE_CHUNK` rows (`_coalesce`), so an evaluator's fixed numpy cost
+    is paid per 32,768 rows, not per first choice: exhaustive Miquel at
+    q=4 yields 256 blocks of 3,600 rows.  A sampled part and a first-choice
+    part are one block, which passes through as it is."""
     def sweep_part(part: CheckMode) -> CheckReport:
         report = CheckReport(check_id=check_id, mode=mode)
-        for n_raw, *arrays in blocks(plane, part):
+        for n_raw, *arrays in _coalesce(blocks(plane, part)):
             report.configurations += n_raw
             evaluate(plane, report, *arrays)
             del arrays      # free this block before the generator builds the next
@@ -145,6 +157,47 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
         report.merge(part)
     report.elapsed_seconds = time.perf_counter() - t0
     return report.finalize()
+
+
+def _block_rows(block) -> int:
+    """The rows an evaluator makes of a block (raw count, *arrays): its
+    head rows times `_tail_size` where it ends in an exhaustive closure
+    tail.  A block without row arrays (C's per-circle blocks hold a scalar
+    K) counts as the whole budget, so it is never merged."""
+    first, last = block[1], block[-1]
+    if not isinstance(first, np.ndarray):
+        return _SAMPLE_CHUNK
+    return len(first) * (_tail_size(last) if isinstance(last, tuple) else 1)
+
+
+def _coalesce(blocks):
+    """The blocks of `blocks`, consecutive ones merged, in order, into
+    blocks of at most `_SAMPLE_CHUNK` rows (`_block_rows`): the raw counts
+    add up and each array is the concatenation of theirs.  The blocks of
+    one sweep share their closure tail, kept as it is.  A block merged
+    with no other, such as one of at least the budget, is yielded as it
+    is.
+
+    Every evaluator treats its rows one by one and records witnesses in
+    row order, so a merged block adds to a report what its blocks add."""
+    held, rows = [], 0
+    for block in blocks:
+        n = _block_rows(block)
+        if held and rows + n > _SAMPLE_CHUNK:
+            yield _merged(held)
+            held, rows = [], 0
+        held.append(block)
+        rows += n
+    if held:
+        yield _merged(held)
+
+
+def _merged(held: list) -> tuple:
+    if len(held) == 1:
+        return held[0]
+    return (sum(block[0] for block in held),
+            *(np.concatenate(col) if isinstance(col[0], np.ndarray) else col[0]
+              for col in zip(*(block[1:] for block in held))))
 
 
 def _in_order(run, parts) -> list:
@@ -252,18 +305,25 @@ def _sample_batches(mode: CheckMode, draws: int):
 _CHAIN_DRAWS = 7
 
 
-def _chain_blocks(plane: LaguerrePlane, mode: CheckMode):
+def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = False):
     """Closed chains K—L—M—N with consecutive circles tangent (corners a,b,c,d).
 
     Choice space: K, a in K, L tangent to K at a, b in L, M tangent to L
     at b, c in M, N tangent to M at c; the chain closes when |N ∩ K| = 1.
     Yields (raw count, K, a, L, b, M, c, N, d) flat arrays per block over
-    the closed chains alone, d = N ∩ K their fourth corner.
+    the closed chains alone, d = N ∩ K their fourth corner.  With
+    `c_parallel_a` (Prop22's hypothesis) a block holds only the closed
+    chains with c ∥ a, c in the slot of M equal to a's (the slot of a
+    point on a circle is its generator): a sampled row with other slots
+    is dropped before c and N are read.  The raw count still covers every
+    choice of c.
 
     An exhaustive block is one circle K.  Its closure table, read once,
     says for every circle M and flat (c, N) offset of M's pencils whether
     N is tangent to K; the rows of that table for the circles M of K's
     chains are the closed mask, in the order of the full choice space.
+    With `c_parallel_a` each (a, L, b, M) row reads only the q−1 offsets
+    of M's pencil at a's slot.
     """
     po, members = plane.pencil_others, plane.members
     T, W = plane.pair_count, plane.pair_sum
@@ -272,41 +332,50 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode):
 
     if mode.is_sample:
         for raw in _sample_batches(mode, _CHAIN_DRAWS):
+            n_raw = raw.shape[1]
+            sa, sc = bounded(raw[1], q + 1), bounded(raw[5], q + 1)
+            if c_parallel_a:
+                keep = np.flatnonzero(sc == sa)
+                raw, sa, sc = raw[:, keep], sa[keep], sc[keep]
             K = bounded(raw[0], plane.n_circles)
-            sa = bounded(raw[1], q + 1)
             A = _gather(members, K, sa)
             L = _gather(po, K, sa, bounded(raw[2], m))
             sb = bounded(raw[3], q + 1)
             B = _gather(members, L, sb)
             M = _gather(po, L, sb, bounded(raw[4], m))
-            sc = bounded(raw[5], q + 1)
             C = _gather(members, M, sc)
             N = _gather(po, M, sc, bounded(raw[6], m))
             idx = np.nonzero(_gather(T, N, K) == 1)[0]
             K, A, L, B, M, C, N = (v[idx] for v in (K, A, L, B, M, C, N))
-            yield raw.shape[1], K, A, L, B, M, C, N, _gather(W, N, K)
+            yield n_raw, K, A, L, B, M, C, N, _gather(W, N, K)
     else:
         # each circle M's (c, N) offsets: N = po[M, c, ·] and M's point c;
         # N as intp ids for `take`, which would copy int16 ids on every call
         pos, cpos = po.reshape(-1, sm), np.repeat(members, m, axis=1).reshape(-1)
         pos_ids = pos.astype(np.intp)
+        # the (c, N) offsets each (a, L, b, M) row reads: all sm of M's, or
+        # with c ∥ a the m of M's pencil at a's slot
+        w = m if c_parallel_a else sm
 
         def closed(K):
             # a function, so no table of K outlives K's block
             L0 = po[K].reshape(-1)             # (a, L)
             M0 = po[L0].reshape(-1)            # (a, L, b, M)
             # T is symmetric: K's closure table tk[M, (c, N)], read at the
-            # rows M0, is the closed mask in C order over (a, L, b, M, c, N);
-            # a closed offset f is row i = f // sm and M's offset f - i·sm
+            # rows g (M0, or M0 and a's slot), is the closed mask in C order
+            # over (a, L, b, M, c, N); a closed offset f is row i = f // w,
+            # at the flat (M, c, N) offset g[i]·w + f - i·w
             tk = (T[K] == 1).take(pos_ids)
-            f = np.flatnonzero(tk.take(M0, axis=0))
-            i = f // sm
-            M = M0.take(i)
-            off = M.astype(np.intp) * sm + (f - i * sm)
+            g = M0.astype(np.intp)
+            if c_parallel_a:               # a's slot is the rows' leading axis
+                g = (g.reshape(q + 1, -1) * (q + 1) + np.arange(q + 1)[:, None]).reshape(-1)
+            f = np.flatnonzero(tk.reshape(-1, w).take(g, axis=0))
+            i = f // w
+            off = g.take(i) * w + (f - i * w)
             N = pos.reshape(-1).take(off)
             return (M0.size * sm, np.full(len(N), K), members[K].take(i // (m * sm)),
                     L0.take(i // sm), members[L0].reshape(-1).take(i // m),
-                    M, cpos.take(off), N, W[K].take(N))
+                    M0.take(i), cpos.take(off), N, W[K].take(N))
 
         for K in _firsts(mode, plane.n_circles):
             yield closed(K)
@@ -333,22 +402,23 @@ def _chain_tally(report, hyp, ok, kind, K, A, L, B, M, C, N, D) -> None:
 
 def _eval_s(plane, report, K, A, L, B, M, C, N, D):
     gen = plane.gen_of
-    hyp = gen[A] != gen[C]
-    ok = _corner_coincides(A, B, C, D) | ((gen[B] != gen[D]) & _on_abc(plane, A, B, C, D))
+    hyp = gen.take(A) != gen.take(C)
+    ok = _corner_coincides(A, B, C, D) | ((gen.take(B) != gen.take(D))
+                                          & _on_abc(plane, A, B, C, D))
     _chain_tally(report, hyp, ok, "s-chain", K, A, L, B, M, C, N, D)
 
 
 def _eval_prop_2_2(plane, report, K, A, L, B, M, C, N, D):
+    # every row has c ∥ a (`_chain_blocks` with c_parallel_a)
     gen = plane.gen_of
-    hyp = gen[A] == gen[C]
-    ok = gen[B] == gen[D]
-    _chain_tally(report, hyp, ok, "p22-chain", K, A, L, B, M, C, N, D)
+    _chain_tally(report, np.ones(len(D), dtype=bool), gen.take(B) == gen.take(D), "p22-chain",
+                 K, A, L, B, M, C, N, D)
 
 
 def _eval_cor_2_1(plane, report, K, A, L, B, M, C, N, D):
     # asserts the ordered quadruple (a,c,b,d) is concyclic
     gen = plane.gen_of
-    par_ac, par_bd = gen[A] == gen[C], gen[B] == gen[D]
+    par_ac, par_bd = gen.take(A) == gen.take(C), gen.take(B) == gen.take(D)
     branch2 = par_ac & par_bd & (A != B)
     proper4 = ~par_ac & ~par_bd & _on_abc(plane, A, B, C, D)
     proper_set3 = ~(par_ac & (A != C))          # b or d coincides: only (a,c) can obstruct
@@ -372,7 +442,8 @@ def check_S(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 
 def check_prop_2_2(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Closed tangency chains with a parallel to c force b parallel to d."""
-    return _sweep(plane, mode, "Prop22", _chain_blocks, _eval_prop_2_2, _chain_firsts(plane))
+    return _sweep(plane, mode, "Prop22", partial(_chain_blocks, c_parallel_a=True),
+                  _eval_prop_2_2)
 
 
 def check_cor_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
@@ -542,15 +613,16 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
         C1 = _gather(T3, a, b, c)
         keep = ~_gather(mem, C1, x)     # a mask: no index array beside the block's
         a, b, c, x, C1 = a[keep], b[keep], c[keep], x[keep], C1[keep]
-        return (n_raw, a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen[c]),
-                _gather(members, _gather(T3, a, c, x), gen[b]),
-                _gather(TCT, C1, gen[a], x))
+        return (n_raw, a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen.take(c)),
+                _gather(members, _gather(T3, a, c, x), gen.take(b)),
+                _gather(TCT, C1, gen.take(a), x))
 
     if mode.is_sample:
         for raw in _sample_batches(mode, 4):
             a, b, c, x = (bounded(col, plane.n_points) for col in raw)
-            idx = np.nonzero((gen[a] != gen[b]) & (gen[a] != gen[c]) & (gen[a] != gen[x])
-                             & (gen[b] != gen[c]) & (gen[b] != gen[x]) & (gen[c] != gen[x]))[0]
+            ga, gb, gc, gx = (gen.take(v) for v in (a, b, c, x))
+            idx = np.nonzero((ga != gb) & (ga != gc) & (ga != gx)
+                             & (gb != gc) & (gb != gx) & (gc != gx))[0]
             yield block(raw.shape[1], a[idx], b[idx], c[idx], x[idx])
     else:
         # per point a: the raw (b, c, x) have b off a's generator and c, x off
@@ -595,17 +667,17 @@ def _eval_pi(plane, report, a, b, c, x, C1, p, qpt, Kp):
 
 
 def _eval_pi_prime(plane, report, a, b, c, x, C1, p, qpt, Kp):
-    L = _gather(plane.tangent_through, Kp, plane.gen_of[x], qpt)
+    L = _gather(plane.tangent_through, Kp, plane.gen_of.take(x), qpt)
     Cabx = _gather(plane.triple_circle, a, b, x)
     two = _gather(plane.pair_count, L, Cabx) == 2
     other = np.where(two, _gather(plane.pair_sum, L, Cabx) - x, 0)
-    ok = two & (plane.gen_of[other] == plane.gen_of[c])
+    ok = two & (plane.gen_of.take(other) == plane.gen_of.take(c))
     _pi_tally(report, ok, "piprime-config", a, b, c, x, C1)
 
 
 def _eval_thm_2_3(plane, report, a, b, c, x, C1, p, qpt, Kp):
     Cqpx = _gather(plane.triple_circle, qpt, p, x)
-    N = _gather(plane.tangent_through, Cqpx, plane.gen_of[p], b)
+    N = _gather(plane.tangent_through, Cqpx, plane.gen_of.take(p), b)
     ok = (_gather(plane.pair_count, N, C1) == 1) & (_gather(plane.pair_sum, N, C1) == b)
     _pi_tally(report, ok, "thm23-config", a, b, c, x, C1)
 
@@ -647,9 +719,8 @@ def _pairs_concyclic(plane, P, Q, R, S):
     parallel test of its own: a point on the circle through three others
     is parallel to none of them.
     """
-    gen = plane.gen_of
-    return (_on_abc(plane, P, R, Q, S) | ((gen[P] == gen[R]) & (gen[Q] == gen[S]))
-            | ((gen[P] == gen[S]) & (gen[Q] == gen[R])))
+    gp, gq, gr, gs = (plane.gen_of.take(v) for v in (P, Q, R, S))
+    return _on_abc(plane, P, R, Q, S) | ((gp == gr) & (gq == gs)) | ((gp == gs) & (gq == gr))
 
 
 def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray, n_slots: int):
@@ -702,7 +773,7 @@ def _exhaustive_bases(plane: LaguerrePlane, mode: CheckMode, n_slots: int,
         A, Cq, B, D = (members[C1][ords[:, j]] for j in range(4))
         for sel in range(q):
             C2 = _gather(VP, A, B, sel)
-            off = (slots != gen[A][:, None]) & (slots != gen[B][:, None])
+            off = (slots != gen.take(A)[:, None]) & (slots != gen.take(B)[:, None])
             if n_slots == 2:
                 off = off[:, :, None] & off[:, None, :] & (slots[:, None] != slots)
             o, *s = np.nonzero(off)
@@ -746,7 +817,7 @@ def _completion(plane: LaguerrePlane, P, Q, X, target, known, slot):
     drop such rows, as they drop every row whose points coincide.
     """
     gen, members = plane.gen_of, plane.members
-    gx, gp, gq = gen[X], gen[P], gen[Q]
+    gx, gp, gq = gen.take(X), gen.take(P), gen.take(Q)
     cx = _gather(plane.triple_circle, P, X, Q)       # -1 where X ∥ P or X ∥ Q
     found = _gather(plane.pair_count, cx, target) == 2
     Y = _gather(plane.pair_sum, cx, target) - known
@@ -804,7 +875,7 @@ def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, tail, sf=None):
     gen, members, T3 = plane.gen_of, plane.members, plane.triple_circle
     E = _gather(members, C2, se)
     H = _gather(members, C2, sh)
-    feasible = (gen[D] != gen[H]) & (gen[Cq] != gen[E])
+    feasible = (gen.take(D) != gen.take(H)) & (gen.take(Cq) != gen.take(E))
     report.skipped += (len(E) - int(feasible.sum())) * _tail_size(tail)
     # the feasible heads, where (a,d,h) and (b,c,e) span circles (so e ≠ c
     # and h ≠ d), take g's slot, and go on if g is none of the six points
@@ -856,7 +927,7 @@ def _six_point_collapse(plane, p1, p2, p3, p4, p5, p6):
     t = _gather(T3, p1, p2, p3)
     tc = np.maximum(t, 0)
     on_circle = (t >= 0) & _gather(mem, tc, p4) & _gather(mem, tc, p5) & _gather(mem, tc, p6)
-    gens = np.stack([gen[p] for p in (p1, p2, p3, p4, p5, p6)])
+    gens = np.stack([gen.take(p) for p in (p1, p2, p3, p4, p5, p6)])
     lo, hi = gens.min(axis=0), gens.max(axis=0)
     two_gens = np.ones(len(p1), dtype=bool)
     for row in gens:

@@ -130,6 +130,10 @@ def _emit(args, lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
+    if args.mode == "exhaustive":
+        for flag, value in (("--seed", args.seed), ("--samples", args.samples)):
+            if value is not None:
+                raise UsageError(f"{flag} is read only in sample mode")
     plane = _make_plane(args)
     requested = []
     for token in args.checks.split(","):
@@ -142,7 +146,8 @@ def _cmd_check(args) -> int:
         requested.append(_ALIASES[token.lower()])
 
     if args.mode == "sample":
-        mode = CheckMode.sample(args.samples, _parse_seed(args))
+        mode = CheckMode.sample(100_000 if args.samples is None else args.samples,
+                                _parse_seed(args))
     else:
         mode = CheckMode.exhaustive()
         for check_id in requested:
@@ -214,6 +219,8 @@ def _cmd_dts(args) -> int:
         raise UsageError("give --k a,b,c and --l a,b,c, or --sample-pairs N")
     if args.export and pair is None:
         raise UsageError("--export works with a single explicit pair")
+    if args.seed is not None and pair is not None:
+        raise UsageError("--seed is read only with --sample-pairs")
     if pair is not None:
         pairs = [pair]
     else:
@@ -456,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="all",
                    help=f"comma list from: all, {', '.join(ALL_CHECKS)}")
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=int, help="sample rows (sample mode; default 100000)")
+    p.add_argument("--seed", type=int, help="sampling seed (sample mode)")
     _add_output_args(p, ("json", "csv", "text"))
     p.set_defaults(func=_cmd_check)
 
@@ -467,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", help="coefficients a,b,c of the second circle")
     p.add_argument("--sample-pairs", type=int,
                    help="verify this many seeded-sampled non-tangent pairs")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="sampling seed (with --sample-pairs)")
     p.add_argument("--verify", action="store_true",
                    help="run the full property verification per pair")
     p.add_argument("--export", help="write the automorphism text format here")

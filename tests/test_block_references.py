@@ -8,7 +8,9 @@ non-parallel (b, c, x), its `nonzero`, and then a second pass that drops
 the rows with x on (a, b, c)°.  They are kept here as the second route to
 the blocks.  The array routes must yield the same blocks: the same raw
 counts, and every array with the same values, in the same order, of the
-same dtype.
+same dtype.  Prop22's chain blocks (`c_parallel_a`) must be the chain
+reference restricted to its hypothesis c ∥ a, in both modes, while the
+blocks of S and Cor21 stay unrestricted.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import functools
 import numpy as np
 import pytest
 
-from laguerre_lab.checks import _chain_blocks, _firsts, _gather, _pi_blocks, _pi_firsts
+from laguerre_lab.checks import (CHECKERS, _chain_blocks, _firsts, _gather, _pi_blocks,
+                                 _pi_firsts)
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.report import CheckMode
 from test_relabelling import RELABELLED, plane_for
@@ -63,7 +66,22 @@ def reference_pi_blocks(plane, mode):
                _gather(TCT, C1, gen[a], x))
 
 
+def parallel_rows(blocks, plane):
+    """The blocks of chains (raw count, K, a, L, b, M, c, N, d) restricted
+    to the rows with c ∥ a."""
+    gen = plane.gen_of
+    for n_raw, *arrays in blocks:
+        keep = gen[arrays[1]] == gen[arrays[5]]
+        yield n_raw, *(v[keep] for v in arrays)
+
+
+def reference_prop22_blocks(plane, mode):
+    return parallel_rows(reference_chain_blocks(plane, mode), plane)
+
+
 FAMILIES = {"chain": (_chain_blocks, reference_chain_blocks),
+            "prop22": (functools.partial(_chain_blocks, c_parallel_a=True),
+                       reference_prop22_blocks),
             "pi": (_pi_blocks, reference_pi_blocks)}
 GF8 = "x^4-gf8"
 
@@ -95,11 +113,29 @@ def test_exhaustive_blocks_match_the_reference(family, key):
     assert_same_blocks(blocks(plane, mode), reference(plane, mode))
 
 
-@pytest.mark.parametrize("family, first", [("chain", 0), ("chain", 171), ("chain", 342),
-                                           ("pi", 0), ("pi", 29), ("pi", 55)])
+@pytest.mark.parametrize("family, first", [(f, K) for f in ("chain", "prop22")
+                                           for K in (0, 171, 342)]
+                         + [("pi", 0), ("pi", 29), ("pi", 55)])
 def test_first_choice_views_match_the_reference_at_order_7(family, first):
     plane = miquelian_plane(7)
     blocks, reference = FAMILIES[family]
     mode = CheckMode("exhaustive", start=first, count=1)
     assert_same_blocks(blocks(plane, mode), reference(plane, mode))
 
+
+@pytest.mark.parametrize("key", [3, 4, 5, RELABELLED])
+def test_chain_checker_hits_count_their_block_rows(key):
+    plane = _plane(key)
+    mode = CheckMode.exhaustive()
+    rows = sum(len(b[1]) for b in reference_chain_blocks(plane, mode))
+    parallel = sum(len(b[1]) for b in reference_prop22_blocks(plane, mode))
+    hits = {c: CHECKERS[c].run(plane, mode).hypothesis_hits for c in ("S", "Prop22", "Cor21")}
+    assert hits == {"S": rows - parallel, "Prop22": parallel, "Cor21": rows}
+
+
+@pytest.mark.parametrize("key", [4, 5, 13, RELABELLED, GF8])
+def test_sampled_prop22_rows_keep_c_parallel_a(key):
+    plane = _plane(key)
+    mode = CheckMode.sample(70_000, 11)     # three stream chunks
+    assert_same_blocks(_chain_blocks(plane, mode, c_parallel_a=True),
+                       parallel_rows(_chain_blocks(plane, mode), plane))

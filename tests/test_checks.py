@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -580,3 +581,34 @@ def test_gather_broadcasts_pencil_rows_against_a_column():
     rows = _gather(P.pencil_others, K, sp)
     assert np.array_equal(_gather(P.pair_count, rows, L[:, None]),
                           P.pair_count[P.pencil_others[K, sp, :], L[:, None]])
+
+
+# ---------------------------------------------------------------------------
+# closed forms of exhaustive hit counts, n = q(q+1) points and n_c = q³ circles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_pi_family_hits_have_a_closed_form(q):
+    # a; b off a's generator; c off both; x off all three generators and
+    # off the q−2 points of (a, b, c)° left on the others.  PiPrime and
+    # Thm23 sweep the blocks of Pi, so Pi alone runs
+    n = q * (q + 1)
+    assert check_pi(miquelian_plane(q), EX).hypothesis_hits \
+        == n * (n - q) * (n - 2 * q) * (q - 1) * (q - 2)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_c_hits_have_a_closed_form(q):
+    # K, p on K, and L none of the q² circles through p
+    n_c = q**3
+    assert check_C(miquelian_plane(q), EX).hypothesis_hits == n_c * (q + 1) * (n_c - q * q)
+
+
+@pytest.mark.parametrize("q, violations", [(3, 0), (5, 0), (7, 0), (9, 0), (4, 1920), (8, 301_056)])
+def test_prop_2_1_hits_have_a_closed_form(q, violations):
+    # the trios touching at one point p lie in one of p's q tangent pencils
+    # of q circles; at even order every further trio is a violation
+    n = q * (q + 1)
+    rep = check_prop_2_1(miquelian_plane(q), EX)
+    assert rep.violation_count == violations
+    assert rep.hypothesis_hits == n * q * math.comb(q, 3) + violations

@@ -64,6 +64,32 @@ def test_usage_errors(capsys):
                    "--checks", "C")[0] == 2  # table missing
 
 
+@pytest.mark.parametrize("options, flag", [
+    (("--mode", "exhaustive", "--seed", "3", "--samples", "7"), "--seed"),
+    (("--seed", "3"), "--seed"),
+    (("--samples", "7"), "--samples"),
+])
+def test_exhaustive_check_refuses_the_options_it_does_not_read(capsys, options, flag):
+    # an exhaustive run draws nothing: the seed and sample count were ignored
+    code, out, err = run_cli(capsys, "check", "--q", "3", "--checks", "C", *options)
+    assert (code, out, err) == (2, "", f"error: {flag} is read only in sample mode\n")
+
+
+def test_sample_mode_draws_100000_rows_unless_told(capsys):
+    args = ("check", "--q", "3", "--checks", "C,S", "--mode", "sample", "--seed", "1")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    assert {json.loads(line)["configurations"] for line in out.splitlines()} == {100_000}
+    assert run_cli(capsys, *args, "--samples", "100000") == (code, out, err)
+
+
+def test_dts_with_a_pair_refuses_a_seed(capsys):
+    # an explicit pair draws nothing: the seed was ignored
+    code, out, err = run_cli(capsys, "dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2",
+                             "--seed", "3")
+    assert (code, out, err) == (2, "", "error: --seed is read only with --sample-pairs\n")
+
+
 def test_exhaustive_closures_reach_order_five(capsys):
     # with f (and Bundle's h) derived, the closures' exhaustive choice
     # spaces at q=5 fit under the 10^8 limit, and both run here: Miquel's

@@ -1,5 +1,5 @@
 """The chunked, threaded sweep: a sampled sweep's stream chunks, and an
-exhaustive chain or Pi sweep's first choices, run on `checks._THREADS`
+exhaustive S, Cor21 or Pi-family sweep's first choices, run on `checks._THREADS`
 threads and their reports merge in order, so a report does not depend on
 the thread count, a failing chunk raises as it would in a single-threaded
 sweep, and no thread outlives its sweep."""
@@ -23,7 +23,7 @@ from laguerre_lab.symmetry import verify_pi_symmetry
 PLANES = {"miquelian-5": lambda: miquelian_plane(5),
           "x^4-gf8": functools.cache(lambda: oval_plane(8, oval_table_power(8, 4)))}
 PI_FAMILY = ("Pi", "PiPrime", "Thm23")
-SPLIT = ("S", "Prop22", "Cor21", *PI_FAMILY)
+SPLIT = ("S", "Cor21", *PI_FAMILY)
 
 
 def _facts(plane, report):
@@ -164,7 +164,6 @@ def _count_parts(monkeypatch) -> list[int]:
 # (configurations, hypothesis hits, violations, verdict) of each split sweep
 SPLIT_COUNTS = {
     ("miquelian-7", "S"): (37_933_056, 4_840_416, 0, "Holds"),
-    ("miquelian-7", "Prop22"): (37_933_056, 1_201_872, 0, "Holds"),
     ("miquelian-7", "Cor21"): (37_933_056, 6_042_288, 0, "Holds"),
     **{("miquelian-7", c): (4_840_416, 3_457_440, 0, "Holds") for c in PI_FAMILY},
     ("x^4-gf8", "Pi"): (14_450_688, 10_838_016, 9_633_792, "Fails"),
@@ -192,6 +191,22 @@ def test_exhaustive_chain_and_pi_sweeps_split_by_first_choice(monkeypatch, name,
         assert first.violations[:len(a)] == runs[2].violations
 
 
+def test_exhaustive_prop22_runs_inline_at_order_7(monkeypatch):
+    # its blocks hold only the chains with c ∥ a, 3,504 rows per circle K,
+    # which ran slower split by first choice than merged on one thread
+    plane = miquelian_plane(7)
+    counts = _count_parts(monkeypatch)
+    runs = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(checks, "_THREADS", threads)
+        runs[threads] = CHECKERS["Prop22"].run(plane, CheckMode.exhaustive())
+    assert counts == [1, 1]
+    assert _facts(plane, runs[1]) == _facts(plane, runs[2])
+    r = runs[2]
+    assert (r.configurations, r.hypothesis_hits, r.violation_count, r.verdict) \
+        == (37_933_056, 1_201_872, 0, "Holds")
+
+
 def test_a_view_of_an_exhaustive_mode_splits_only_its_own_first_choices(monkeypatch):
     plane = miquelian_plane(7)
     counts = _count_parts(monkeypatch)
@@ -207,8 +222,8 @@ def test_small_blocks_and_the_other_sweeps_run_as_one_part(monkeypatch):
     for check_id in SPLIT:
         CHECKERS[check_id].run(plane, CheckMode.exhaustive())
     assert counts == [1] * len(SPLIT)
-    # with two-row chunks every chain and Pi first choice would be a part
-    # of its own; the other checkers still sweep in one part
+    # with two-row chunks every S, Cor21 and Pi first choice would be a
+    # part of its own; the other checkers still sweep in one part
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 1)
     counts.clear()
     others = [c for c in CHECK_IDS if c not in SPLIT]
