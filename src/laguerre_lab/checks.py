@@ -125,18 +125,15 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     thread count.  `firsts`, (first choices, raw rows of each), splits an
     exhaustive mode the same way into one view per first choice, where one
     first choice has at least the 2·`_SAMPLE_CHUNK` rows that a sampled
-    sweep holds in flight: smaller blocks ran slower on two threads than
-    on one.  Only S, Cor21 and the Pi family pass `firsts`: split the same
-    way, exhaustive Miquel at q=5 took 0.82–0.91 s against 0.70–0.75 s
-    unsplit, and Prop22 at q=7, whose blocks hold 3,504 rows per circle K,
-    110 against 70 ms.  Any other exhaustive mode is one part, swept
-    inline.
+    sweep holds in flight.  Only S, Cor21 and the Pi family pass
+    `firsts`: smaller blocks, and the other checkers split this way, ran
+    slower on two threads than on one (CHANGES.md).  Any other exhaustive
+    mode is one part, swept inline.
 
     Within a part, consecutive blocks are merged into blocks of at most
     `_SAMPLE_CHUNK` rows (`_coalesce`), so an evaluator's fixed numpy cost
-    is paid per 32,768 rows, not per first choice: exhaustive Miquel at
-    q=4 yields 256 blocks of 3,600 rows.  A sampled part and a first-choice
-    part are one block, which passes through as it is."""
+    is paid per 32,768 rows, not per first choice.  A sampled part and a
+    first-choice part are one block, which passes through as it is."""
     def sweep_part(part: CheckMode) -> CheckReport:
         report = CheckReport(check_id=check_id, mode=mode)
         for n_raw, *arrays in _coalesce(blocks(plane, part)):
@@ -207,13 +204,10 @@ def _in_order(run, parts) -> list:
     Where parts raise, no part is taken after that and the first in order
     raises here; no thread outlives the call.
 
-    Fixed shares (every T-th part to one thread) ran a q=13 pass up to 3×
-    slower than one thread on a host whose CPUs were lent to others: a
-    thread waiting for the interpreter lock starved for 60-90 ms while the
-    other ran its parts, which then waited for the starved one's share.
-    The caller works instead of waiting on a `concurrent.futures` pool:
-    with an idle caller, perfbench's sample-q13 read peak RSS 102.1–103.0
-    against 99.0–99.8 MB and a median operation 84–90 against 75–84 ms."""
+    Taken parts, not fixed shares, so that a thread starved of the
+    interpreter lock holds up no share of the others; and the caller
+    works instead of waiting on a pool, which held more memory and ran
+    the median operation slower (CHANGES.md)."""
     T = min(_THREADS, len(parts))
     if T < 2:
         return [run(part) for part in parts]
@@ -255,8 +249,8 @@ def _not_applicable(check_id: str, mode: CheckMode, note: str) -> CheckReport:
 
 def _gather(table: np.ndarray, *idx) -> np.ndarray:
     """`table[i0, i1, ...]` for one index array per leading axis, read at
-    the flat offset (i0·s1 + i1)·s2 + ...: numpy runs a multi-axis fancy
-    gather 2-3 times slower.  The indexes broadcast against each other,
+    the flat offset (i0·s1 + i1)·s2 + ...: numpy's multi-axis fancy
+    gather runs slower (CHANGES.md).  The indexes broadcast against each other,
     and a negative id wraps as in `table[idx]` in the first axis only.
 
     Offsets keep the ids' own dtype (at least int32) while the table has

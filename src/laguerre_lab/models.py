@@ -139,7 +139,8 @@ def export_plane(plane: LaguerrePlane) -> str:
 
 def import_plane(text: str) -> LaguerrePlane:
     """Parse the text format back into a validated plane (inverse of export_plane)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = [ln for _, ln in numbered]
     if not lines:
         raise ValueError("empty plane text: missing 'laguerre' header")
     head = lines[0].split()
@@ -159,13 +160,22 @@ def import_plane(text: str) -> LaguerrePlane:
         raise ValueError(f"expected {1 + n_gens + n_circles} lines, found {len(lines)}")
 
     generators = [[int(tok) for tok in lines[1 + i].split()] for i in range(n_gens)]
-    circles = []
-    coefficients = []
-    for i in range(n_circles):
-        toks = lines[1 + n_gens + i].split()
+    circles, coefficients = [], []
+    first_line: dict[tuple[int, ...], int] = {}
+    repeat = None
+    for lineno, line in numbered[1 + n_gens:]:
+        toks = line.split()
         if "coef" in toks:
             cut = toks.index("coef")
-            coefficients.append(tuple(int(t) for t in toks[cut + 1:cut + 4]))
+            coef = tuple(int(t) if t.isdecimal() else -1 for t in toks[cut + 1:])
+            if len(coef) != 3 or not all(0 <= v < q for v in coef):
+                raise ValueError(f"line {lineno}: expected 'coef a b c' with a, b, c "
+                                 f"in 0..{q - 1}, got {line!r}")
+            if coef in first_line and repeat is None:
+                repeat = (f"line {lineno}: coef {' '.join(toks[cut + 1:])} repeats "
+                          f"line {first_line[coef]}")
+            first_line.setdefault(coef, lineno)
+            coefficients.append(coef)
             toks = toks[:cut]
         circles.append([int(t) for t in toks])
     if coefficients and len(coefficients) != n_circles:
@@ -177,6 +187,8 @@ def import_plane(text: str) -> LaguerrePlane:
             field = field_of_order(q)
         except ValueError:
             field = None
-    return LaguerrePlane(generators, circles,
-                         coefficients=coefficients or None,
-                         field=field, label="imported")
+    plane = LaguerrePlane(generators, circles, coefficients=coefficients or None,
+                          field=field, label="imported")
+    if repeat:      # raised after validation: a repeated circle fails axiom (1) first
+        raise ValueError(repeat)
+    return plane

@@ -23,24 +23,23 @@ read precomputed numpy indexes:
   * `pencil_others`       tangent pencils grouped by (circle, touch point),
                           the touch point given by its generator,
   * `tangent_through`     (circle, touch point's generator, outer point) ->
-                          tangent circle; `pencil_others` holds the same
-                          circles, but reading them from the pencil ran
-                          Pi, PiPrime and Thm23 1.2-2.2x slower (sampled
-                          at q=13, exhaustive at q=7),
+                          tangent circle, filled from the pencils on first
+                          read (only the Pi family and `tangent_circle`
+                          read it); reading the pencil instead ran those
+                          checkers slower (CHANGES.md),
   * `vertex_pencils`      non-parallel point pair -> circles through both.
 
 Dense membership rows make intersection tests word-parallel scans, and the
-triple index is a direct array lookup; both choices trade memory (tens of
-MB at order 13) for the inner-loop speed the exhaustive sweeps need.
+triple index is a direct array lookup; both choices trade memory for the
+inner-loop speed the exhaustive sweeps need.
 
 Every index that holds a point id, a circle id or the sum of two point ids
-is int16 (`pair_count` is uint8, `mem` bool): at order 13 the arrays hold
-40 MB, where int32 ids would take 75 MB.
-Every plane of order up to 31 fits, and a structure with more than 2^15
-circles or 2^14 points (whose pair sums would not fit) raises ValueError
-instead of wrapping.  Arithmetic on ids widens first: `_gather` offsets are
-at least int32, the triple keys of axiom (1) int32 or int64, and the index
-fills compute their offsets from `members` as int64.
+is int16 (`pair_count` is uint8, `mem` bool).  Every plane of order up to
+31 fits, and a structure with more than 2^15 circles or 2^14 points (whose
+pair sums would not fit) raises ValueError instead of wrapping.  Arithmetic
+on ids widens first: `_gather` offsets are at least int32, the triple keys
+of axiom (1) int32 or int64, and the index fills compute their offsets as
+int64.
 
 Every construction is validated first, by whole-array passes:
 
@@ -51,22 +50,21 @@ Every construction is validated first, by whole-array passes:
   * axiom (1)  one int key per member triple of the rows sorted by id,
                sorted once; repeats and a shortfall against the
                non-parallel triple count fail,
-  * axiom (2)  per block of circles, the tangent partners (`pair_count`
-               1) with the generator of each touch point.  Given axiom (3)
-               and rows of one length, each partner brings m - 1 points off
-               K and off the generator of the touch point p, so the pencil
-               at (K, p) covers those points once exactly when its size
-               times m - 1 is their number and no point but p is met
-               twice: one `bincount` of pencil sizes, then a `bincount` of
-               the members of the right-sized pencils.  The partners are
-               found once (`_tangent_blocks`): the index build reads them
-               too,
+  * axiom (2)  per block of circles, one product gives `pair_count`,
+               `pair_sum` and the tangent partners with the generator of
+               each touch point p.  Given axiom (3) and rows of one length,
+               the pencil at (K, p) covers the points off K and off p's
+               generator once exactly when its size times m - 1 is their
+               number and no two of its circles meet twice: a `bincount`
+               of pencil sizes, then a `pair_count` lookup per two circles
+               of a right-sized pencil, grouped by one stable sort into
+               the plane's `pencil_others`,
   * axiom (4)  the row lengths.
 
-Axioms (1) and (2) run in blocks of `_BLOCK` circles with int32 keys, so
-their temporaries stay a few MB at order 13 and do not raise the peak RSS
-of a build.  The point-by-point loop validator these passes replaced is
-kept in the tests as the reference they must match report for report.
+Axioms (1) and (2) run in blocks of `_BLOCK` circles, so their temporaries
+stay small beside the indexes.  The point-by-point loop validator these
+passes replaced is kept in the tests as the reference they must match
+report for report.
 """
 
 from __future__ import annotations
@@ -75,6 +73,7 @@ import functools
 import itertools
 import math
 import time
+import types
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,12 +135,9 @@ def _cid(circle) -> int:
     return circle.id if isinstance(circle, Circle) else int(circle)
 
 
-# Circles per block of the validator's array passes, of the
-# `pair_count`/`pair_sum` products and of the tangent index fills.
-# Temporaries are freed block by block: at order 13 the peak RSS of a
-# fresh process that builds the plane and runs `validate_axioms` is 84 MB
-# with this size, 121 MB with blocks of 512 and 201 MB with all circles in
-# one block (Python 3.11, numpy 2.4).
+# Circles per block of the validator's array passes and of the index fills:
+# temporaries are freed block by block, so they stay small beside the
+# indexes (block sizes and peak RSS in CHANGES.md)
 _BLOCK = 128
 
 
@@ -162,15 +158,6 @@ def _rows_2d(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
     if not len(lengths) or (lengths != lengths[0]).any():
         return None
     return flat.reshape(len(lengths), -1).astype(np.int16)
-
-
-def _blocked_product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
-    """a @ b.T as exact integers of `dtype`, filled `_BLOCK` rows at a time
-    so that no full-size float product or rounded copy is ever held."""
-    out = np.empty((len(a), len(b)), dtype=dtype)
-    for b0 in range(0, len(a), _BLOCK):
-        out[b0:b0 + _BLOCK] = np.rint(a[b0:b0 + _BLOCK] @ b.T)
-    return out
 
 
 class _Structure:
@@ -228,25 +215,42 @@ class _Structure:
                 self.members = rows
 
     @functools.cached_property
-    def pair_count(self) -> np.ndarray:
-        """|K ∩ L| for every circle pair."""
-        m = self.mem.astype(np.float32)
-        return _blocked_product(m, m, np.uint8)
+    def _tangent_blocks(self) -> list[tuple[np.ndarray, ...]]:
+        """Per block of `_BLOCK` circles K: the tangent partners L
+        (`pair_count` 1) in (K, L) order; for each, the row (K - b0) * m + g
+        of the touch point's generator g; the rows whose pencil has not the
+        E / (m - 1) partners of axiom (2); and the other rows' partners,
+        grouped by row.  Needs axiom (3) and generators of one size.
 
-    @functools.cached_property
-    def pair_sum(self) -> np.ndarray:
-        """The sum of the point ids in K ∩ L for every circle pair, exact
-        wherever `pair_count` is at most 2 (below 2·n_points)."""
-        m = self.mem.astype(np.float32)
-        w = m * np.arange(self.n_points, dtype=np.float32)[None, :]
-        return _blocked_product(m, w, np.int16)
-
-    @functools.cached_property
-    def _tangent_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """`_tangent_pairs` of each block of `_BLOCK` circles, found once for
-        the validator's axiom (2) and the plane's tangent indexes."""
-        return [_tangent_pairs(self, b0, min(b0 + _BLOCK, self.n_circles))
-                for b0 in range(0, self.n_circles, _BLOCK)]
+        Sets `pair_count` and `pair_sum` from one product per block with
+        point weights 2^s + x, s the bit length of m * (n_p - 1): its
+        entries count * 2^s + sum are exact integers below (m + 1) * 2^s,
+        in float32 where that is at most 2^24."""
+        n_c, m = self.members.shape
+        n_p = self.n_points
+        n_eligible = n_p - m - self.gen_members.shape[1] + 1
+        s = (m * (n_p - 1)).bit_length()
+        exact, code_t = (np.float32, np.int32) if (m + 1) << s <= 2**24 else (np.float64, np.int64)
+        mem = self.mem.astype(exact)
+        weighted = mem * (2**s + np.arange(n_p, dtype=exact))
+        count = self.pair_count = np.empty((n_c, n_c), dtype=np.uint8)
+        total = self.pair_sum = np.empty((n_c, n_c), dtype=np.int16)
+        # int16 rows where they fit, so that the stable sort is a radix sort
+        row_t = np.int16 if _BLOCK * m <= 2**15 else np.int32
+        blocks = []
+        for b0 in range(0, n_c, _BLOCK):
+            b1 = min(b0 + _BLOCK, n_c)
+            code = (mem[b0:b1] @ weighted.T).astype(code_t)
+            np.right_shift(code, s, out=count[b0:b1], casting="unsafe")
+            np.bitwise_and(code, 2**s - 1, out=total[b0:b1], casting="unsafe")
+            pairs = np.flatnonzero(count[b0:b1] == 1)
+            K, L = np.divmod(pairs, n_c)
+            row = (K * m + self.gen_of.take(total[b0:b1].reshape(-1).take(pairs))).astype(row_t)
+            failed = np.bincount(row, minlength=(b1 - b0) * m) * (m - 1) != n_eligible
+            keep = ~failed[row]
+            L = L.astype(np.int16)
+            blocks.append((L, row, failed, L[keep][np.argsort(row[keep], kind="stable")]))
+        return blocks
 
 
 def _validate(s: _Structure) -> CheckReport:
@@ -363,17 +367,6 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
     return False
 
 
-def _tangent_pairs(s: _Structure, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The tangent partners L (pair_count 1) of the circles K in [b0, b1),
-    in (K, L) order, and for each the row (K - b0) * m + g of the touch
-    point's generator g."""
-    n_c, m = s.members.shape
-    pairs = np.flatnonzero(s.pair_count[b0:b1] == 1)
-    K, L = np.divmod(pairs, n_c)
-    row = K * m + s.gen_of[s.pair_sum[b0:b1].ravel()[pairs]]
-    return L.astype(np.int16), row.astype(np.int32)     # kept until the indexes are built
-
-
 def _axiom2(s: _Structure, report: CheckReport) -> bool:
     """For K, p on K and x off K and off p's generator, one circle through
     x meets K exactly in p.
@@ -383,32 +376,25 @@ def _axiom2(s: _Structure, report: CheckReport) -> bool:
     points, all off K and off p's generator, so all eligible, and K has
     E = n_p - m - g + 1 eligible points at each of its points.  The
     partners cover each eligible point once exactly when there are n of
-    them with (m - 1) * n = E and no point other than p is met twice.  Per
-    block of circles K: the tangent partners (pair_count 1) with the
-    generator of the touch point; one bincount of the pencil sizes fails
-    every (K, generator) of the wrong size, and a bincount of the members
-    of the right-sized pencils, cov[row, x], finds the overlaps.  Witnesses, the first
-    eligible x whose count is not 1, are recounted per failed row.
+    them with (m - 1) * n = E (`_tangent_blocks` fails the other pencils)
+    and no two of them, which share p, have a `pair_count` other than 1.
+    Witnesses, the first eligible x whose count is not 1, are recounted
+    per failed row.
     """
     M, n_p = s.members, s.n_points
     n_c, m = M.shape
     n_eligible = n_p - m - s.gen_members.shape[1] + 1
+    size = n_eligible // (m - 1) if m > 1 else 0
+    first, second = np.triu_indices(size, 1)
     ok = True
-    for b0, (L, row) in zip(range(0, n_c, _BLOCK), s._tangent_blocks):
+    for b0, (L, row, failed, pencils) in zip(range(0, n_c, _BLOCK), s._tangent_blocks):
         b1 = min(b0 + _BLOCK, n_c)
-        n_rows = (b1 - b0) * m
-        report.configurations += n_rows * n_eligible
-        failed = np.bincount(row, minlength=n_rows) * (m - 1) != n_eligible
-
-        # the right-sized rows, renumbered densely, and their partners' members
-        good = np.flatnonzero(~failed)
-        dense = np.cumsum(~failed) - 1
-        keep = ~failed[row]
-        cell = (dense[row[keep]] * n_p).astype(np.int32)
-        cov = np.bincount((cell[:, None] + M[L[keep]]).ravel(),
-                          minlength=len(good) * n_p).reshape(len(good), n_p)
-        cov[np.arange(len(good)), M.ravel()[b0 * m + good]] = 0    # the touch point
-        failed[good] = (cov > 1).any(axis=1)
+        report.configurations += (b1 - b0) * m * n_eligible
+        if len(first):
+            pencils = pencils.reshape(-1, size).astype(np.int32)
+            met = s.pair_count.reshape(-1)[pencils[:, first] * n_c + pencils[:, second]] != 1
+            failed = failed.copy()
+            failed[~failed] = met.any(axis=1)
         if not failed.any():
             continue
         ok = False
@@ -453,18 +439,13 @@ class LaguerrePlane(_Structure):
         self.field = field
         self.q = self.members.shape[1] - 1
 
-        if coefficients is not None:
-            self.coef = np.array(coefficients, dtype=np.int16)
-            self.circle_by_coef = {tuple(map(int, co)): cid
-                                   for cid, co in enumerate(self.coef)}
-        else:
-            self.coef = None
-            self.circle_by_coef = None
-
+        self.coef = None if coefficients is None else np.array(coefficients, dtype=np.int16)
         self._build_indexes()
+        if validate:
+            del self._tangent_blocks     # axiom (2) has read them; the pencils hold the rest
         for arr in (self.gen_of, self.gen_members, self.members, self.mem,
                     self.pair_count, self.pair_sum, self.triple_circle,
-                    self.pencil_others, self.tangent_through, self.vertex_pencils):
+                    self.pencil_others, self.vertex_pencils):
             arr.flags.writeable = False
 
     def _build_indexes(self) -> None:
@@ -481,23 +462,10 @@ class LaguerrePlane(_Structure):
             j, k = jk[(jk != i).all(axis=1)].T
             flat[(M[:, i, None] * n_p + M[:, j]) * n_p + M[:, k]] = ids
 
-        # per block of circles: the tangent pencils, partners of K grouped by
-        # the touch point's generator, each group in id order (the stable
-        # sort keeps the partners' order); then the unique tangent circle through an
-        # outer point, one batch of flat writes, and the sentinels: parallel
-        # beats membership of pencil mates, and membership of K beats both
-        self.pencil_others = np.empty((n_c, q + 1, q - 1), dtype=np.int16)
-        self.tangent_through = np.full((n_c, q + 1, n_p), ON_CIRCLE, dtype=np.int16)
-        for b0, (L, row) in zip(range(0, n_c, _BLOCK), self._tangent_blocks):
-            b1 = min(b0 + _BLOCK, n_c)
-            pencil = L[np.argsort(row, kind="stable")].reshape(-1, q + 1, q - 1)
-            self.pencil_others[b0:b1] = pencil
-            flat = self.tangent_through[b0:b1].reshape(-1)
-            cell = np.arange((b1 - b0) * (q + 1)).reshape(b1 - b0, q + 1, 1) * n_p
-            flat[cell[..., None] + M[pencil]] = pencil[..., None]
-            flat[cell + self.gen_members] = PARALLEL
-            flat[cell + M[b0:b1, None, :]] = ON_CIRCLE
-        del self._tangent_blocks     # the pencils now hold them
+        # the tangent pencils as axiom (2) grouped them: partners of K by the
+        # touch point's generator, each group in id order
+        self.pencil_others = np.concatenate(
+            [pencils for *_, pencils in self._tangent_blocks]).reshape(n_c, q + 1, q - 1)
 
         # circles through a non-parallel point pair, sorted by id
         self.vertex_pencils = np.full((n_p, n_p, q), -1, dtype=np.int16)
@@ -508,6 +476,32 @@ class LaguerrePlane(_Structure):
             Tpts = self.gen_members[gw]
             block = self.triple_circle[A[:, None, None], B[None, :, None], Tpts[None, None, :]]
             self.vertex_pencils[A[:, None], B[None, :]] = np.sort(block, axis=-1)
+
+    @functools.cached_property
+    def tangent_through(self) -> np.ndarray:
+        """(circle K, touch point's generator, outer point x) -> the circle
+        of the pencil through x, filled from `pencil_others` on first read
+        in one batch of flat writes per block; then the sentinels: parallel
+        beats membership of pencil mates, and membership of K beats both."""
+        n_c, n_p, q, M = self.n_circles, self.n_points, self.q, self.members
+        out = np.full((n_c, q + 1, n_p), ON_CIRCLE, dtype=np.int16)
+        for b0 in range(0, n_c, _BLOCK):
+            b1 = min(b0 + _BLOCK, n_c)
+            pencil = self.pencil_others[b0:b1]
+            flat = out[b0:b1].reshape(-1)
+            cell = np.arange((b1 - b0) * (q + 1)).reshape(b1 - b0, q + 1, 1) * n_p
+            flat[cell[..., None] + M[pencil]] = pencil[..., None]
+            flat[cell + self.gen_members] = PARALLEL
+            flat[cell + M[b0:b1, None, :]] = ON_CIRCLE
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def circle_by_coef(self) -> types.MappingProxyType | None:
+        """Coefficient triple -> circle id, built on first read; None
+        without a coordinate model."""
+        return None if self.coef is None else types.MappingProxyType(
+            {tuple(co): cid for cid, co in enumerate(self.coef.tolist())})
 
     # -- basic views ---------------------------------------------------
 

@@ -195,6 +195,23 @@ def test_import_rejects_truncated_headers_with_value_error(text, message):
         import_plane(text)
 
 
+@pytest.mark.parametrize("coef,message", [
+    ("1 2 9", r"^line 33: expected 'coef a b c' with a, b, c in 0\.\.2, got '.* coef 1 2 9'$"),
+    ("1 2", r"^line 33: expected 'coef a b c'.*got '.* coef 1 2'$"),
+    ("1 2 0 0", r"^line 33: expected 'coef a b c'"),
+    ("1 x 2", r"^line 33: expected 'coef a b c'"),
+    ("-1 0 0", r"^line 33: expected 'coef a b c'"),
+    ("0 0 0", r"^line 33: coef 0 0 0 repeats line 7$"),
+])
+def test_import_refuses_malformed_or_repeated_coefficients(coef, message):
+    # the last circle's triple, on line 33 of a text with one blank line
+    lines = export_plane(miquelian_plane(3)).splitlines()
+    lines[-1] = lines[-1].partition(" coef ")[0] + " coef " + coef
+    lines.insert(1, "")
+    with pytest.raises(ValueError, match=message):
+        import_plane("\n".join(lines) + "\n")
+
+
 def test_import_validates_the_plane():
     # a circle listed twice joins its triples twice: axiom (1) fails
     lines = export_plane(miquelian_plane(3)).splitlines()

@@ -34,7 +34,14 @@ from laguerre_lab.plane import (
     _Structure,
     validate_laguerre_axioms,
 )
-from laguerre_lab.report import Violation
+from laguerre_lab.report import CheckMode, Violation
+from laguerre_lab.symmetry import (
+    build_dts,
+    find_fixed_point_free_pair,
+    moebius_extract,
+    sample_nontangent_pairs,
+    verify_dts,
+)
 from test_relabelling import RELABELLED, plane_for
 
 
@@ -388,6 +395,40 @@ def test_a_plane_is_validated_once(monkeypatch):
 def test_validate_axioms_oval_model():
     P = oval_plane(8, oval_table_power(8, 4))
     assert P.validate_axioms().holds
+
+
+def test_tangent_through_and_circle_by_coef_are_built_on_first_read():
+    # a fresh plane (miquelian_plane is cached across tests): the symmetry
+    # commands and the closures read neither index, and each appears,
+    # read-only, at its first reader
+    P = oval_plane(5, oval_table_power(5, 2))
+
+    def built():
+        return {"tangent_through", "circle_by_coef"} & set(vars(P))
+
+    assert not built()
+    K, L = sample_nontangent_pairs(P, 1, seed=5)[0]
+    assert verify_dts(P, build_dts(P, K, L), K, L).holds
+    assert not built()
+    moebius_extract(P, find_fixed_point_free_pair(P)[2])
+    assert not built()
+    for check_id in ("Miquel", "Bundle"):
+        checks.CHECKERS[check_id].run(P, CheckMode.sample(2000, 7))
+    assert not built()
+
+    checks.CHECKERS["Pi"].run(P, CheckMode.sample(2000, 7))
+    assert built() == {"tangent_through"}
+    assert not P.tangent_through.flags.writeable
+    Q = oval_plane(5, oval_table_power(5, 2))
+    p = int(Q.members[0, 0])
+    x = int(np.flatnonzero(~Q.mem[0] & (Q.gen_of != Q.gen_of[p]))[0])
+    assert Q.tangent_circle(p, 0, x).id == P.tangent_through[0, Q.gen_of[p], x]
+    assert "tangent_through" in vars(Q) and not Q.tangent_through.flags.writeable
+
+    assert P.circle_from_coef((1, 2, 3)).coef == (1, 2, 3)
+    assert built() == {"tangent_through", "circle_by_coef"}
+    with pytest.raises(TypeError):
+        P.circle_by_coef[(1, 2, 3)] = 0
 
 
 def test_index_arrays_immutable():

@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 from laguerre_lab.errors import NotALaguerrePlane
 from laguerre_lab.gf import field_of_order
 from laguerre_lab.models import _model_structure, miquelian_plane, oval_plane, oval_table_power
-from laguerre_lab.plane import validate_laguerre_axioms
+from laguerre_lab.plane import _Structure, validate_laguerre_axioms
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
-from test_relabelling import relabel_structure
+from test_relabelling import RELABELLED, plane_for, relabel_structure
 
 CORPUS = Path(__file__).with_name("validator_corpus.json")
 
@@ -477,3 +477,60 @@ def test_axiom2_failure_routes_match_the_loop_reference(route, structure):
         assert any(wrong_size[row] for row in rows)
     else:
         assert any(overlap[row] and not wrong_size[row] for row in rows)
+
+
+ONE_POINT_REPORT = ("Fails", ["axiom3=ok", "axiom1=ok", "axiom2=ok", "axiom4=failed"], 1, 6)
+
+
+@pytest.mark.parametrize("gens,circles,pinned", [
+    ([[0, 1, 2]], [[0], [1], [2]], ONE_POINT_REPORT),
+    ([[0, 1, 2]], [[0], [0], [1]], None),
+    ([[0, 1], [2, 3]], [[0, 2], [0, 3], [1, 2], [1, 3]], None),
+    ([[0, 1], [2, 3]], [[0, 2], [0, 2], [1, 3]], None),
+], ids=["one-point", "one-point-repeated", "two-point", "two-point-repeated"])
+def test_degenerate_structures_match_the_loop_reference(gens, circles, pinned):
+    # one-point circles make m - 1 = 0, so no pencil size follows from the
+    # count of eligible points; two-point circles make pencils of one circle
+    got = report_obj(validate_laguerre_axioms(gens, circles))
+    assert got == report_obj(loop_validate(gens, circles))
+    if pinned:
+        assert (got["verdict"], got["notes"], got["violation_count"],
+                got["configurations"]) == pinned
+
+
+def _transversal(n_gens: int, size: int, n_circles: int, seed: int):
+    """Generators of `size` points, seeded circles with one point on each,
+    and for each a partner that meets it on generators 0 and 1 only (its
+    other points moved one place along their generators)."""
+    rng = np.random.default_rng(seed)
+    gens = np.arange(n_gens * size).reshape(n_gens, size)
+    slots = rng.integers(0, size, (n_circles, n_gens))
+    moved = slots.copy()
+    moved[:, 2:] = (moved[:, 2:] + 1) % size
+    circles = gens[np.arange(n_gens), np.concatenate([slots, moved])]
+    return gens.tolist(), circles.tolist()
+
+
+@pytest.mark.parametrize("structure,wide", [
+    (lambda: miquelian_plane(3), False), (lambda: miquelian_plane(4), False),
+    (lambda: miquelian_plane(5), False), (lambda: model_rows(8, 4), False),
+    (lambda: plane_for(RELABELLED), False), (lambda: model_rows(11, 3), False),
+    (lambda: _transversal(64, 64, 20, seed=11), True),
+], ids=["q3", "q4", "q5", "x4-gf8", RELABELLED, "x3-gf11", "transversal-64x64"])
+def test_pair_tables_equal_the_set_intersections(structure, wide):
+    # one product yields count * 2^s + sum, s the bit length of m * (n_p - 1);
+    # a wide structure has (m + 1) * 2^s above 2^24, so its product runs in
+    # float64
+    s = structure()
+    if isinstance(s, tuple):
+        s = _Structure(*s)
+        s._tangent_blocks       # fills the pair tables
+    n_c, m = s.members.shape
+    assert ((m + 1) << (m * (s.n_points - 1)).bit_length() > 2**24) == wide
+    ids = np.arange(s.n_points)
+    for K in range(n_c):
+        common = s.mem[K] & s.mem
+        count, total = common.sum(axis=1), common @ ids
+        assert np.array_equal(s.pair_count[K], count), K
+        small = count <= 2
+        assert np.array_equal(s.pair_sum[K][small], total[small]), K
