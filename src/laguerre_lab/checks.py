@@ -19,8 +19,11 @@ evaluator `evaluate(plane, report, *arrays)` tests the statement, the
 same code in both modes.  C alone keeps a second evaluator for its
 exhaustive blocks (`_eval_c_exhaustive`).  Blocks and evaluators read a
 plane index with one id array per axis through `_gather`, one `take` at
-the flat offset, and sampled blocks read their draws as the contiguous
-columns of `_sample_batches`.
+the flat offset.  A sampled block reads its choices from a `_Draws` view
+of `_sample_batches`, which draws a choice column only when it is read,
+and only for the rows a filter kept: Prop22 draws K and the choices of
+L, b, M and N for its c ∥ a rows alone, the closures C1, C2 and their
+tails for the rows whose slots passed `_sampled_bases`.
 
 The two closures, Miquel and Bundle, share their base blocks (a circle
 C1, an ordered quadruple of its points and a circle C2 of the pencil
@@ -44,7 +47,7 @@ the closures) through `_firsts`, so an exhaustive `CheckMode` view with
 `start` and `count` sweeps a range of first choices.  A sampled sweep
 runs its chunks of `_SAMPLE_CHUNK` stream rows on up to two threads, and
 so does an exhaustive S, Cor21 or Pi-family sweep its first choices
-where one of them has at least two chunks' raw rows; the partial reports
+where one of them has at least one chunk's raw rows; the partial reports
 merge in order, so a report does not depend on the thread count
 (`_sweep`).  Every other exhaustive sweep runs on the calling thread, its
 consecutive small blocks merged into blocks of up to one chunk's rows
@@ -107,8 +110,8 @@ __all__ = [
 
 # Sample rows per chunk, and the threads that run a sweep's chunks,
 # min(2, available CPUs): each thread holds one chunk's arrays, so at most
-# 65,536 rows are in flight
-_SAMPLE_CHUNK = 1 << 15
+# 131,072 rows are in flight
+_SAMPLE_CHUNK = 1 << 16
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -122,17 +125,19 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     (`CheckMode.start`), each swept into its own partial report; `_in_order`
     runs them on `_THREADS` threads and the partial reports are merged in
     chunk order (`CheckReport.merge`), so the report is the same for any
-    thread count.  `firsts`, (first choices, raw rows of each), splits an
-    exhaustive mode the same way into one view per first choice, where one
-    first choice has at least the 2·`_SAMPLE_CHUNK` rows that a sampled
-    sweep holds in flight.  Only S, Cor21 and the Pi family pass
-    `firsts`: smaller blocks, and the other checkers split this way, ran
-    slower on two threads than on one (CHANGES.md).  Any other exhaustive
-    mode is one part, swept inline.
+    thread count.  A chunk's columns are drawn as they are read
+    (`_sample_batches`), so the two chunks in flight take about the bytes
+    of one chunk drawn whole.  `firsts`, (first choices, raw rows of
+    each), splits an exhaustive mode the same way into one view per first
+    choice, where one first choice has at least `_SAMPLE_CHUNK` raw rows.
+    Only S, Cor21 and the Pi family pass `firsts`, and only from q=7 do
+    their first choices reach it: smaller blocks, and the other checkers
+    split this way, ran slower on two threads than on one (CHANGES.md).
+    Any other exhaustive mode is one part, swept inline.
 
     Within a part, consecutive blocks are merged into blocks of at most
     `_SAMPLE_CHUNK` rows (`_coalesce`), so an evaluator's fixed numpy cost
-    is paid per 32,768 rows, not per first choice.  A sampled part and a
+    is paid per 65,536 rows, not per first choice.  A sampled part and a
     first-choice part are one block, which passes through as it is."""
     def sweep_part(part: CheckMode) -> CheckReport:
         report = CheckReport(check_id=check_id, mode=mode)
@@ -147,7 +152,7 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     if mode.is_sample:
         parts = [replace(mode, start=s, count=min(_SAMPLE_CHUNK, mode.count - s))
                  for s in range(0, mode.count, _SAMPLE_CHUNK)]
-    elif firsts is not None and firsts[1] >= 2 * _SAMPLE_CHUNK:
+    elif firsts is not None and firsts[1] >= _SAMPLE_CHUNK:
         parts = [replace(mode, start=f, count=1) for f in _firsts(mode, firsts[0])]
     report = CheckReport(check_id=check_id, mode=mode)
     for part in _in_order(sweep_part, parts):
@@ -254,16 +259,16 @@ def _gather(table: np.ndarray, *idx) -> np.ndarray:
     and a negative id wraps as in `table[idx]` in the first axis only.
 
     Offsets keep the ids' own dtype (at least int32) while the table has
-    fewer than 2^31 elements.  `take` would copy int32 offsets to intp
-    first, so those are read by indexing, which makes no such copy."""
+    fewer than 2^31 elements.  `take` reads int32 offsets through an intp
+    copy, a transient of the offsets' size freed before it returns, and
+    still runs faster than indexing (CHANGES.md)."""
     dtype = np.result_type(*idx, np.int32) if table.size < 2**31 else np.int64
     off = np.empty(np.broadcast_shapes(*(np.shape(i) for i in idx)), dtype=dtype)
     off[...] = idx[0]
     for i, s in zip(idx[1:], table.shape[1:]):
         off *= s
         off += i
-    rows = table.reshape(-1, *table.shape[len(idx):])
-    return rows.take(off, axis=0) if off.dtype == np.intp else rows[off]
+    return table.reshape(-1, *table.shape[len(idx):]).take(off, axis=0)
 
 
 def _firsts(mode: CheckMode, n: int) -> range:
@@ -272,23 +277,40 @@ def _firsts(mode: CheckMode, n: int) -> range:
     return range(n) if mode.count is None else range(mode.start, mode.start + mode.count)
 
 
+class _Draws:
+    """The draws of some sample rows, k per row, each column drawn when it
+    is read: `raw[j]` is choice j of every row, stream draw r·k + j of row
+    r, and `raw[:, keep]` the view of the rows at the indexes `keep`.
+    `shape` is (k, rows), that of the (draws, rows) array it stands for.
+
+    `rows` is a range of stream rows, whose column is one `draw_block`
+    with step k, or an array of them."""
+
+    def __init__(self, seed: int, k: int, rows):
+        self.seed, self.rows = seed, rows
+        self.shape = (k, len(rows))
+
+    def __getitem__(self, key):
+        k, rows = self.shape[0], self.rows
+        if isinstance(key, tuple):
+            keep = key[1]
+            return _Draws(self.seed, k, keep + rows.start if isinstance(rows, range)
+                          else rows[keep])
+        if isinstance(rows, range):
+            return draw_block(self.seed, rows.start * k + key, len(rows), k)
+        return draw_block(self.seed, rows * k + key)
+
+
 def _sample_batches(mode: CheckMode, draws: int):
-    """Yield uint64 arrays of shape (draws, n), block by block of n sample
-    rows: choice j of sample row r is stream draw r·draws + j, and each
-    choice's n draws are one contiguous column.  The rows are those of
-    `mode`, from `mode.start` (a chunk view of `_sweep`: one block) or
-    from 0.  Each `draw_block` call draws at most one column's worth, so
-    the mix runs in cache."""
+    """Yield a `_Draws` view per block of at most `_SAMPLE_CHUNK` sample
+    rows, `draws` choices per row: choice j of sample row r is stream draw
+    r·draws + j.  The rows are those of `mode`, from `mode.start` (a chunk
+    view of `_sweep`: one block) or from 0.  A column is drawn only when a
+    generator reads it, for all of the block's rows or for the rows a
+    filter kept, so no draw of a dropped row is made before its filter."""
     end = mode.start + mode.count
-    rows = _SAMPLE_CHUNK // draws
     for start in range(mode.start, end, _SAMPLE_CHUNK):
-        n = min(_SAMPLE_CHUNK, end - start)
-        cols = np.empty((draws, n), dtype=np.uint64)
-        for r in range(0, n, rows):
-            c = min(rows, n - r)
-            cols[:, r:r + c] = draw_block(mode.seed, (start + r) * draws, c * draws
-                                          ).reshape(c, draws).T
-        yield cols
+        yield _Draws(mode.seed, draws, range(start, min(start + _SAMPLE_CHUNK, end)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +488,11 @@ def _eval_c(plane, report, K, L, sp):
     T = plane.pair_count
     P = _gather(plane.members, K, sp)
     hyp = (K != L) & ~_gather(plane.mem, L, P)
-    counts = (_gather(T, _gather(plane.pencil_others, K, sp), L[:, None]) == 1).sum(axis=1)
-    counts += (_gather(T, K, L) == 1).astype(counts.dtype)   # K itself is in its pencils
+    # the pencil of (p, K) counted one member at a time, K itself first: a
+    # (rows, q-1) table of offsets held more than a chunk's draws
+    counts = (_gather(T, K, L) == 1).astype(np.uint8)
+    for others in np.ascontiguousarray(_gather(plane.pencil_others, K, sp).T):
+        counts += _gather(T, others, L) == 1
     report.hypothesis_hits += int(hyp.sum())
     report.record(hyp & (counts != 1), lambda i: Violation(
         "tangent-count", points=(int(P[i]),),
@@ -613,7 +638,9 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
 
     if mode.is_sample:
         for raw in _sample_batches(mode, 4):
-            a, b, c, x = (bounded(col, plane.n_points) for col in raw)
+            # int32 ids, as in the exhaustive blocks, halve the chunk's four
+            # id columns
+            a, b, c, x = (bounded(raw[j], plane.n_points).astype(np.int32) for j in range(4))
             ga, gb, gc, gx = (gen.take(v) for v in (a, b, c, x))
             idx = np.nonzero((ga != gb) & (ga != gc) & (ga != gx)
                              & (gb != gc) & (gb != gx) & (gc != gx))[0]
@@ -717,16 +744,18 @@ def _pairs_concyclic(plane, P, Q, R, S):
     return _on_abc(plane, P, R, Q, S) | ((gp == gr) & (gq == gs)) | ((gp == gs) & (gq == gr))
 
 
-def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray, n_slots: int):
+def _sampled_bases(plane: LaguerrePlane, raw: _Draws, n_slots: int):
     """Base circles C1 with four member slots each, drawn from raw[:5], a
     circle C2 of the pencil through the first two, drawn from raw[5], and
-    `n_slots` member slots of C2 from raw[6:]: the indexes of the sample
-    rows whose slots on C1 are four distinct ones and whose slots on C2
-    are distinct and hold neither a nor b, and on those rows C1, the
-    points (a, c, b, d) in the slots on C1, C2 and the slots on C2.
+    `n_slots` member slots of C2 from raw[6:]: the view `raw[:, idx]` of
+    the sample rows whose slots on C1 are four distinct ones and whose
+    slots on C2 are distinct and hold neither a nor b, and on those rows
+    C1, the points (a, c, b, d) in the slots on C1, C2 and the slots on C2.
 
     Slot g of a circle holds its point on generator g, so the slots decide
-    which points coincide before any point is read."""
+    which points coincide before any point is read, and C1, C2 and the
+    closure's tail (read from the view) are drawn for the kept rows
+    alone."""
     members, q = plane.members, plane.q
     s = [bounded(raw[j], q + 1) for j in range(1, 5)]
     t = [bounded(raw[j], q + 1) for j in range(6, 6 + n_slots)]
@@ -737,11 +766,12 @@ def _sampled_bases(plane: LaguerrePlane, raw: np.ndarray, n_slots: int):
         ok &= (u != s[0]) & (u != s[2])     # the slots of a and b
         for v in t[:i]:
             ok &= u != v
-    idx = np.nonzero(ok)[0]
-    C1 = bounded(raw[0][idx], plane.n_circles)
+    idx = np.flatnonzero(ok)
+    kept = raw[:, idx]
+    C1 = bounded(kept[0], plane.n_circles)
     A, Cq, B, D = (_gather(members, C1, sj[idx]) for sj in s)
-    C2 = _gather(plane.vertex_pencils, A, B, bounded(raw[5][idx], q))
-    return idx, (C1, A, Cq, B, D, C2, *(u[idx] for u in t))
+    C2 = _gather(plane.vertex_pencils, A, B, bounded(kept[5], q))
+    return kept, (C1, A, Cq, B, D, C2, *(u[idx] for u in t))
 
 
 def _exhaustive_bases(plane: LaguerrePlane, mode: CheckMode, n_slots: int,
@@ -847,8 +877,8 @@ def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     q = plane.q
     if mode.is_sample:
         for raw in _sample_batches(mode, 10):
-            idx, (_, *bases) = _sampled_bases(plane, raw, 2)
-            yield raw.shape[1], *bases, (bounded(raw[8][idx], q + 1),), raw[9][idx]
+            kept, (_, *bases) = _sampled_bases(plane, raw, 2)
+            yield raw.shape[1], *bases, (bounded(kept[8], q + 1),), kept[9]
     else:
         for n_raw, _, *cols in _exhaustive_bases(plane, mode, 2, (q + 1,)):
             yield n_raw, *cols
@@ -941,9 +971,9 @@ def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
     q = plane.q
     if mode.is_sample:
         for raw in _sample_batches(mode, 11):
-            idx, bases = _sampled_bases(plane, raw, 1)
-            yield (raw.shape[1], *bases, (bounded(raw[8][idx], q), bounded(raw[9][idx], q + 1)),
-                   raw[7][idx], raw[10][idx])
+            kept, bases = _sampled_bases(plane, raw, 1)
+            yield (raw.shape[1], *bases, (bounded(kept[8], q), bounded(kept[9], q + 1)),
+                   kept[7], kept[10])
     else:
         yield from _exhaustive_bases(plane, mode, 1, (q, q + 1))
 

@@ -180,6 +180,10 @@ class _Structure:
         if n_c > 2**15 or 2 * n_p > 2**15:
             raise ValueError(f"ids are int16: at most 2**15 circles and 2**14 points, "
                              f"not {n_c} circles and {n_p} points")
+        if self.n_gens > 255:
+            # a circle that meets every generator once has as many points,
+            # and `pair_count` holds that count in a uint8
+            raise ValueError(f"pair counts are uint8: at most 255 generators, not {self.n_gens}")
 
         # the generators partition the points when every id is in range and
         # listed once; an id listed twice keeps its first generator
@@ -311,6 +315,23 @@ def _validate(s: _Structure) -> CheckReport:
     return report.finalize()
 
 
+def _first_repeat(keys: np.ndarray) -> int:
+    """The first position whose key an earlier position holds; `keys` has
+    a repeat.  Prefixes of doubling length are sorted until one repeats,
+    so a repeat near the front costs the sort of a short prefix: in a
+    stable sort equal keys keep their order, so the position sought is
+    the least that follows an equal key."""
+    n = 128
+    while True:
+        head = keys[:n]
+        order = np.argsort(head, kind="stable")
+        ordered = head.take(order)
+        repeats = ordered[1:] == ordered[:-1]
+        if repeats.any():
+            return int(order[1:][repeats].min())
+        n *= 2
+
+
 def _axiom1(s: _Structure, report: CheckReport) -> bool:
     """Every mutually non-parallel triple lies on exactly one circle.
 
@@ -335,15 +356,10 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
     report.configurations += expected
 
     sorted_keys = np.sort(keys)
-    dups = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
-    if len(dups):
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
         # witness: the first triple (circle id, then combination order)
-        # whose key an earlier triple already has: of the positions of the
-        # repeated keys, the first that is not a key's first occurrence
-        pos = np.flatnonzero(np.isin(keys, dups))
-        _, first = np.unique(keys[pos], return_index=True)
-        pos = int(np.delete(pos, first)[0])
-        cid, t = divmod(pos, len(combos))
+        # whose key an earlier triple already has
+        cid, t = divmod(_first_repeat(keys), len(combos))
         i, j, k = (int(p) for p in M[cid, combos[t]])
         others = np.nonzero(s.mem[:, i] & s.mem[:, j] & s.mem[:, k])[0]
         report.add_violation(Violation(
@@ -358,7 +374,9 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
         tri = np.stack(np.broadcast_arrays(G[ga][:, None, None], G[gb][None, :, None],
                                            G[gc][None, None, :]), axis=-1)
         tri = np.sort(tri.reshape(-1, 3), axis=1).astype(dtype)
-        missing = ~np.isin(pack(tri), sorted_keys)
+        packed = pack(tri)
+        at = np.minimum(np.searchsorted(sorted_keys, packed), len(keys) - 1)
+        missing = sorted_keys.take(at) != packed
         if missing.any():
             witness = tuple(int(p) for p in tri[missing.argmax()])
             break

@@ -15,7 +15,9 @@ two threads, each chunk drawing its own rows), and is trivial to
 reimplement in any language.  Bounded draws reduce by plain modulo,
 which is documented and close enough to uniform for the ranges used here
 (all < 2^22).  A sampled checker that makes k choices per sample row
-takes choice j of row r from draw r·k + j (see `checks._sample_batches`).
+takes choice j of row r from draw r·k + j (see `checks._sample_batches`),
+whichever rows it draws that choice for: all of a chunk's rows are the
+indexes of one `draw_block` with step k, a subset of them an index array.
 """
 
 from __future__ import annotations
@@ -36,12 +38,17 @@ def splitmix64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def draw_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized draws for stream indexes start .. start+count-1 (uint64).
+def draw_block(seed: int, start, count: int | None = None, step: int = 1) -> np.ndarray:
+    """Vectorized draws (uint64) for the stream indexes start + i·step,
+    i < count; or, where `start` is an array of indexes, for those.
 
     The mix runs in place on the counter array, with one scratch array for
     the shifted words, so a call allocates two arrays of `count` words."""
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    if count is None:
+        z = np.array(start, dtype=np.uint64)
+        z += np.uint64(1)
+    else:
+        z = np.arange(start + 1, start + 1 + count * step, step, dtype=np.uint64)
     z *= np.uint64(GOLDEN)
     z += np.uint64(seed & MASK)
     t = np.empty_like(z)

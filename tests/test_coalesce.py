@@ -78,7 +78,7 @@ def _recorded(monkeypatch) -> list:
     return seen
 
 
-@pytest.mark.parametrize("budget", [1000, checks._SAMPLE_CHUNK])
+@pytest.mark.parametrize("budget", [1000, checks._SAMPLE_CHUNK // 2, checks._SAMPLE_CHUNK])
 @pytest.mark.parametrize("check_id", RUNS)
 def test_evaluated_blocks_stay_within_the_budget(monkeypatch, check_id, budget):
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", budget)

@@ -468,6 +468,21 @@ def test_a_structure_whose_ids_overflow_int16_is_refused():
         validate_laguerre_axioms([list(range(n_p))], [[0]])
 
 
+def _generators(n_gens: int, size: int) -> list[list[int]]:
+    return [list(range(g * size, (g + 1) * size)) for g in range(n_gens)]
+
+
+def test_a_structure_whose_pair_counts_overflow_uint8_is_refused():
+    # 512 generators of 32 points: ids fit int16, but a circle meeting every
+    # generator once has 512 points, and pair_count[K, K] would read 0
+    gens = _generators(512, 32)
+    with pytest.raises(ValueError, match="at most 255 generators, not 512"):
+        _Structure(gens, [[g[0] for g in gens]])
+    gens = _generators(255, 32)
+    s = _Structure(gens, [[g[0] for g in gens], [g[1] for g in gens]])
+    assert s.n_gens == 255 and s.members.shape == (2, 255)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from([3, 5]), st.data())
 def test_tangent_circle_is_unique_pencil_member_property(q, data):

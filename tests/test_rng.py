@@ -62,24 +62,43 @@ def test_bounded_is_the_remainder(n):
 @pytest.mark.parametrize("seed", [0, MASK])
 @pytest.mark.parametrize("k", [3, 7, 11])
 def test_sample_batches_map_rows_to_the_stream(seed, k):
-    # choice j of sample row r is draw r·k + j, on both sides of a block
-    # boundary and of every draw_block call inside a block
-    per_call = _SAMPLE_CHUNK // k
+    # choice j of sample row r is draw r·k + j, on both sides of a chunk
+    # boundary, for a chunk's rows and for a subset of them
     blocks = list(_sample_batches(CheckMode.sample(_SAMPLE_CHUNK + 5, seed), k))
     assert [b.shape for b in blocks] == [(k, _SAMPLE_CHUNK), (k, 5)]
-    rows = {0, 1, per_call - 1, per_call, _SAMPLE_CHUNK - 1,
-            _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, _SAMPLE_CHUNK + 4}
+    cols = [[b[j] for j in range(k)] for b in blocks]
+    assert all(col.dtype == np.uint64 and col.shape == (b.shape[1],)
+               for b, bc in zip(blocks, cols) for col in bc)
+    rows = {0, 1, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, _SAMPLE_CHUNK + 4}
     for r in sorted(rows):
         block, row = divmod(r, _SAMPLE_CHUNK)
-        assert [int(v) for v in blocks[block][:, row]] == [
+        assert [int(cols[block][j][row]) for j in range(k)] == [
             splitmix64(seed, r * k + j) for j in range(k)]
-    assert all(col.flags.c_contiguous for b in blocks for col in b)
-    # a chunk view starting at row s holds the columns s.. of the whole stream
-    whole = np.concatenate(blocks, axis=1)
-    for s in (1, per_call, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK):
+    # a row subset, and a subset of it, read the same draws as the rows
+    keep = np.array([0, 2, _SAMPLE_CHUNK // 3, _SAMPLE_CHUNK - 1])
+    sub = blocks[0][:, keep]
+    assert sub.shape == (k, len(keep))
+    for j in range(k):
+        assert np.array_equal(sub[j], cols[0][j][keep])
+        assert sub[:, [3, 1]][j].tolist() == [splitmix64(seed, r * k + j)
+                                              for r in (_SAMPLE_CHUNK - 1, 2)]
+    tail = blocks[1][:, np.array([4, 0])]
+    assert [int(v) for v in tail[k - 1]] == [
+        splitmix64(seed, r * k + k - 1) for r in (_SAMPLE_CHUNK + 4, _SAMPLE_CHUNK)]
+    # a chunk view starting at row s holds the rows s.. of the whole stream
+    whole = [np.concatenate([bc[j] for bc in cols]) for j in range(k)]
+    for s in (1, _SAMPLE_CHUNK // k, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK):
         view = replace(CheckMode.sample(_SAMPLE_CHUNK + 5, seed), start=s, count=5)
-        (cols,) = _sample_batches(view, k)
-        assert np.array_equal(cols, whole[:, s:s + 5])
+        (block,) = _sample_batches(view, k)
+        assert all(np.array_equal(block[j], whole[j][s:s + 5]) for j in range(k))
+
+
+@pytest.mark.parametrize("start, count, step", [(0, 10, 1), (5, 100, 7), (2**40, 3, 11)])
+def test_strided_and_indexed_blocks_match_scalar(start, count, step):
+    indexes = [start + i * step for i in range(count)]
+    want = [splitmix64(42, i) for i in indexes]
+    assert draw_block(42, start, count, step).tolist() == want
+    assert draw_block(42, np.array(indexes, dtype=np.int64)).tolist() == want
 
 
 def test_sample_stream_replays():

@@ -11,13 +11,16 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from laguerre_lab import checks
-from laguerre_lab.checks import CHECK_IDS, CHECKERS, _bundle_blocks, _eval_bundle, _sweep
+from laguerre_lab.checks import CHECK_IDS, CHECKERS, _gather, _sweep
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.report import CheckMode, CheckReport, Violation
+from laguerre_lab.rng import draw_block
 from laguerre_lab.symmetry import verify_pi_symmetry
 
 PLANES = {"miquelian-5": lambda: miquelian_plane(5),
@@ -32,7 +35,8 @@ def _facts(plane, report):
 
 
 @pytest.mark.parametrize("name", PLANES)
-@pytest.mark.parametrize("count", [1, checks._SAMPLE_CHUNK - 1, 2 * checks._SAMPLE_CHUNK + 5])
+# one row, part of one chunk, and one chunk and five rows: two parts
+@pytest.mark.parametrize("count", [1, checks._SAMPLE_CHUNK // 2 - 1, checks._SAMPLE_CHUNK + 5])
 def test_reports_do_not_depend_on_the_thread_count(monkeypatch, name, count):
     plane = PLANES[name]()
     mode = CheckMode.sample(count, 17)
@@ -41,6 +45,46 @@ def test_reports_do_not_depend_on_the_thread_count(monkeypatch, name, count):
         monkeypatch.setattr(checks, "_THREADS", threads)
         runs[threads] = [_facts(plane, CHECKERS[c].run(plane, mode)) for c in CHECK_IDS]
     assert runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("name", PLANES)
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, name):
+    # 70,001 rows, a multiple of no chunk size and more than one 65,536-row
+    # chunk; 3,001 for the symmetry, which builds one per hit's circle pair
+    plane = PLANES[name]()
+    mode = CheckMode.sample(70_001, 23)
+    runs = {}
+    for chunk in (64, 1000, 1 << 15, 1 << 16):
+        monkeypatch.setattr(checks, "_SAMPLE_CHUNK", chunk)
+        runs[chunk] = [_facts(plane, CHECKERS[c].run(plane, mode)) for c in CHECK_IDS]
+        runs[chunk].append(_facts(plane, verify_pi_symmetry(plane, replace(mode, count=3001))))
+    assert all(run == runs[1 << 16] for run in runs.values())
+
+
+def _draws_per_row(monkeypatch, plane, check_id, rows) -> float:
+    """The stream draws a sampled sweep makes per row, counted through the
+    name `checks.draw_block` that every sampled draw goes through."""
+    drawn = []
+
+    def counted(*args, **kwargs):
+        raw = draw_block(*args, **kwargs)
+        drawn.append(raw.size)
+        return raw
+
+    with monkeypatch.context() as m:
+        m.setattr(checks, "draw_block", counted)
+        CHECKERS[check_id].run(plane, CheckMode.sample(rows, 5))
+    return sum(drawn) / rows
+
+
+def test_sampled_sweeps_draw_only_the_columns_their_rows_read(monkeypatch):
+    # Prop22 draws K and the choices of L, b, M and N for its c ∥ a rows
+    # alone (1 in 14 at q=13), Bundle C1, C5 and its tail for the rows whose
+    # slots pass the filter; S reads every choice of every row
+    plane, rows = miquelian_plane(13), 3 * (1 << 16) + 7
+    assert _draws_per_row(monkeypatch, plane, "Prop22", rows) < 3
+    assert _draws_per_row(monkeypatch, plane, "Bundle", rows) < 9
+    assert _draws_per_row(monkeypatch, plane, "S", rows) == 7
 
 
 def test_pi_symmetry_shares_its_symmetries_between_threads(monkeypatch):
@@ -98,25 +142,75 @@ def test_at_most_two_threads_run_a_sweep():
     assert 1 <= checks._THREADS <= 2
 
 
-def _peak_bytes(plane, mode) -> int:
+def _peak_bytes(plane, check_id, mode) -> int:
     tracemalloc.start()
     try:
-        _sweep(plane, mode, "Bundle", _bundle_blocks, _eval_bundle)
+        CHECKERS[check_id].run(plane, mode)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+class _EagerChunk:
+    """A chunk of `_eager_batches`, read through the interface of a
+    `checks._Draws` view: a row subset reads each column at the kept rows
+    when it is read, as the closures' `raw[j][idx]` did."""
+
+    def __init__(self, cols, rows=None):
+        self.cols, self.rows = cols, rows
+        self.shape = (len(cols), cols.shape[1] if rows is None else len(rows))
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            keep = key[1]
+            return _EagerChunk(self.cols, keep if self.rows is None else self.rows[keep])
+        return self.cols[key] if self.rows is None else self.cols[key][self.rows]
+
+
+def _eager_batches(mode, draws):
+    # the reference form: every choice of every row drawn up front and
+    # copied transposed into one (draws, rows) block per chunk
+    end = mode.start + mode.count
+    rows = checks._SAMPLE_CHUNK // draws
+    for start in range(mode.start, end, checks._SAMPLE_CHUNK):
+        n = min(checks._SAMPLE_CHUNK, end - start)
+        cols = np.empty((draws, n), dtype=np.uint64)
+        for r in range(0, n, rows):
+            c = min(rows, n - r)
+            cols[:, r:r + c] = draw_block(mode.seed, (start + r) * draws, c * draws
+                                          ).reshape(c, draws).T
+        yield _EagerChunk(cols)
+
+
+def _eager_eval_c(plane, report, K, L, sp):
+    # C's evaluator in the reference form: the pencil counted from one
+    # (rows, q-1) table of offsets
+    T = plane.pair_count
+    P = _gather(plane.members, K, sp)
+    hyp = (K != L) & ~_gather(plane.mem, L, P)
+    counts = (_gather(T, _gather(plane.pencil_others, K, sp), L[:, None]) == 1).sum(axis=1)
+    counts += (_gather(T, K, L) == 1).astype(counts.dtype)
+    report.hypothesis_hits += int(hyp.sum())
+    report.record(hyp & (counts != 1), lambda i: Violation(
+        "tangent-count", points=(int(P[i]),),
+        circles=(int(K[i]), int(L[i])), data=(("count", int(counts[i])),)))
+
+
 def test_rows_in_flight_stay_at_one_65536_row_chunk(monkeypatch):
-    # the pooled sweep holds _THREADS chunks of _SAMPLE_CHUNK rows at once:
-    # no more than the single-threaded sweep of 65,536-row chunks
+    # the pooled sweep holds _THREADS lazily drawn chunks of _SAMPLE_CHUNK
+    # rows at once: in no more bytes than a single-threaded sweep of eager
+    # 65,536-row chunks, each drawn whole into one (draws, rows) block
     plane, mode = miquelian_plane(9), CheckMode.sample(4 * 65536, 3)
-    monkeypatch.setattr(checks, "_THREADS", 2)
-    pooled = _peak_bytes(plane, mode)
-    monkeypatch.setattr(checks, "_THREADS", 1)
-    monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 1 << 16)
-    single = _peak_bytes(plane, mode)
-    assert pooled <= single * 1.10, (pooled, single)
+    assert checks._SAMPLE_CHUNK == 1 << 16
+    for check_id in ("Bundle", "C"):
+        monkeypatch.setattr(checks, "_THREADS", 2)
+        pooled = _peak_bytes(plane, check_id, mode)
+        with monkeypatch.context() as m:
+            m.setattr(checks, "_THREADS", 1)
+            m.setattr(checks, "_sample_batches", _eager_batches)
+            m.setattr(checks, "_eval_c", _eager_eval_c)
+            single = _peak_bytes(plane, check_id, mode)
+        assert pooled <= single * 1.10, (check_id, pooled, single)
 
 
 # -- exhaustive sweeps by first choice -----------------------------------------
@@ -222,7 +316,7 @@ def test_small_blocks_and_the_other_sweeps_run_as_one_part(monkeypatch):
     for check_id in SPLIT:
         CHECKERS[check_id].run(plane, CheckMode.exhaustive())
     assert counts == [1] * len(SPLIT)
-    # with two-row chunks every S, Cor21 and Pi first choice would be a
+    # with one-row chunks every S, Cor21 and Pi first choice would be a
     # part of its own; the other checkers still sweep in one part
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 1)
     counts.clear()
