@@ -300,6 +300,10 @@ class _Draws:
             return draw_block(self.seed, rows.start * k + key, len(rows), k)
         return draw_block(self.seed, rows * k + key)
 
+    def column(self, j: int) -> "_Draws":
+        """Choice j of these rows, as a view of one choice per row."""
+        return _Draws(self.seed, 1, np.asarray(self.rows) * self.shape[0] + j)
+
 
 def _sample_batches(mode: CheckMode, draws: int):
     """Yield a `_Draws` view per block of at most `_SAMPLE_CHUNK` sample
@@ -832,9 +836,9 @@ def _completion(plane: LaguerrePlane, P, Q, X, target, known, slot):
     on P's.  Elsewhere Y is the second point, beside `known`, that
     (P, X, Q)° shares with `target`; there is none where they touch.
     Where (P, X, Q)° is `target` itself, each of its points completes the
-    pairs: such a row takes the member slot that its raw draw in `slot`
-    picks (sampled), or every slot in slot order when `slot` is None
-    (exhaustive).
+    pairs: such a row takes the member slot its draw picks (sampled: `slot`
+    is a one-choice `_Draws` view, drawn for those rows alone), or every
+    slot in slot order when `slot` is None (exhaustive).
 
     Returns (rows, Y): each point Y and the index of its row, ascending.
     Y may be `known` itself (a parallel branch may land on it); callers
@@ -851,7 +855,7 @@ def _completion(plane: LaguerrePlane, P, Q, X, target, known, slot):
     is_whole = cx == target
     whole = np.flatnonzero(is_whole)
     if slot is not None:
-        Y[whole] = _gather(members, target[whole], bounded(slot[whole], plane.q + 1))
+        Y[whole] = _gather(members, target[whole], bounded(slot[:, whole][0], plane.q + 1))
         found[whole] = True
     if slot is not None or not len(whole):
         rows = np.flatnonzero(found)
@@ -870,15 +874,15 @@ def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     points, C2 from the pencil through (a, b), and three member slots: e
     and h on C2, then g on C3 = (a,d,h)°; the evaluator derives f.
     Yields (raw count, a, c, b, d, C2, e slot, h slot, tail) per block,
-    the tail being g's slot (`_with_tail`); sampled blocks add the raw
-    draw of an f slot (raw[9]), read only where f is not unique
+    the tail being g's slot (`_with_tail`); sampled blocks add the view
+    of an f slot's draw (raw[9]), drawn only where f is not unique
     (`_eval_miquel`).  Rows have a, c, b, d distinct and e, h distinct
     and off {a, b}."""
     q = plane.q
     if mode.is_sample:
         for raw in _sample_batches(mode, 10):
             kept, (_, *bases) = _sampled_bases(plane, raw, 2)
-            yield raw.shape[1], *bases, (bounded(kept[8], q + 1),), kept[9]
+            yield raw.shape[1], *bases, (bounded(kept[8], q + 1),), kept.column(9)
     else:
         for n_raw, _, *cols in _exhaustive_bases(plane, mode, 2, (q + 1,)):
             yield n_raw, *cols
@@ -918,7 +922,7 @@ def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, tail, sf=None):
     A, Cq, B, D, C2, C3, C4, E, H, G, src = (
         v[idx] for v in (A, Cq, B, D, C2, C3, C4, E, H, G, src))
 
-    rows, F = _completion(plane, Cq, D, G, C4, Cq, None if sf is None else sf[src])
+    rows, F = _completion(plane, Cq, D, G, C4, Cq, None if sf is None else sf[:, src])
     A, Cq, B, D, C2, C3, C4, E, H, G = (
         v[rows] for v in (A, Cq, B, D, C2, C3, C4, E, H, G))
     hyp = F != A
@@ -965,15 +969,16 @@ def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
     selector of the pencil through (e, f) for C3 and a member g of C3; the
     evaluator derives f and h.  Yields (raw count, C1, a, c, b, d, C5,
     e slot, tail) per block, the tail being C3's selector and g's slot
-    (`_with_tail`); sampled blocks add the raw draws of an f slot (raw[7])
-    and an h slot (raw[10]), read only where f or h is not unique
-    (`_eval_bundle`).  Rows have a, c, b, d distinct and e off {a, b}."""
+    (`_with_tail`); sampled blocks add the views of an f slot's draw
+    (raw[7]) and an h slot's (raw[10]), drawn only where f or h is not
+    unique (`_eval_bundle`).  Rows have a, c, b, d distinct and e off
+    {a, b}."""
     q = plane.q
     if mode.is_sample:
         for raw in _sample_batches(mode, 11):
             kept, bases = _sampled_bases(plane, raw, 1)
             yield (raw.shape[1], *bases, (bounded(kept[8], q), bounded(kept[9], q + 1)),
-                   kept[7], kept[10])
+                   kept.column(7), kept.column(10))
     else:
         yield from _exhaustive_bases(plane, mode, 1, (q, q + 1))
 
@@ -1016,7 +1021,7 @@ def _eval_bundle(plane, report, C1, A, Cq, B, D, C5, se, tail, sf=None, sh=None)
     idx = np.nonzero(keep)[0]
     C1, A, Cq, B, D, C5, C3, E, F, G, src = (
         v[idx] for v in (C1, A, Cq, B, D, C5, C3, E, F, G, src))
-    rows, H = _completion(plane, A, B, G, C3, G, None if sh is None else sh[src])
+    rows, H = _completion(plane, A, B, G, C3, G, None if sh is None else sh[:, src])
     C1, A, Cq, B, D, C5, C3, E, F, G = (v[rows] for v in (C1, A, Cq, B, D, C5, C3, E, F, G))
     # the eight distinct points alone go on: each row meets the hypotheses
     keep = H != G

@@ -11,10 +11,10 @@ y agree before accepting the image.
 Every whole-plane step of building and certifying a symmetry is a numpy
 pass over the plane's own indexes:
 
-  * `_pencil_touch`   the tangent pencil of every member of a circle,
-                      gathered from `pencil_others`, against `pair_count`;
-                      `tangency_map` (so `build_dts`) and property (4) of
-                      `verify_dts` read touch points from it,
+  * `_pencil_touch`   the tangent pencils of every member of many circles,
+                      K and the `pencil_others` columns, in one flat read
+                      of `pair_count`: `build_dts` reads both tangency maps
+                      from one call, `verify_dts` property (4) from one,
   * `build_dts`       one `triple_circle`/`members` gather over the
                       points off K and L by the auxiliaries on K, since
                       `members[C, g]` is the point of C on generator g,
@@ -54,7 +54,7 @@ from .errors import (
     WellDefinednessFailure,
     NoAdmissibleAuxiliary,
 )
-from .checks import _gather, _not_applicable, _pi_blocks, _sweep
+from .checks import _not_applicable, _pi_blocks, _sweep
 from .plane import Circle, LaguerrePlane, Pencil, _cid
 from .report import CheckMode, CheckReport, Violation
 
@@ -110,47 +110,54 @@ def tangent_to_second(plane: LaguerrePlane, p: int, K, L) -> tuple[Circle | None
     return plane.circle(hits[0]), int(plane.pair_sum[hits[0], L])
 
 
-def _pencil_touch(plane: LaguerrePlane, K: np.ndarray, L: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _pencil_touch(plane: LaguerrePlane, K, L) -> tuple[np.ndarray, np.ndarray]:
     """`tangent_to_second` for every member of K, over arrays of pairs.
 
-    For each pair (K[i], L[i]) and member slot j of K[i], the pencil
-    [K[i]] + pencil_others[K[i], j] is gathered as one (m, q+1, q) array;
-    returns the number of its members tangent to L[i] and the touch point
-    on L[i] of the first of them (its `pair_sum` entry), both of shape
-    (m, q+1).  The touch point means something only where the count is 1
-    and the member is off L[i].
+    The pencil of pair i at member slot j is K[i] and the q-1 circles of
+    `pencil_others[K[i], j]`.  Member c of every (pair, slot) pencil gives
+    one (m, q+1) column of offsets into `pair_count`, and all q columns are
+    read in one flat `take`.  Returns the uint8 count of members tangent to
+    L[i] and, where that count is 1, the touch point on L[i] of that member,
+    read once from `pair_sum` at the sum of the tangent members' offsets;
+    both are (m, q+1), and elsewhere the touch point means nothing.
     """
     K = np.asarray(K, dtype=np.intp)
-    L = np.asarray(L, dtype=np.intp)[:, None, None]
-    lead = np.broadcast_to(K[:, None, None], (len(K), plane.q + 1, 1))
-    pencil = np.concatenate((lead, plane.pencil_others[K]), axis=2)
-    hit = _gather(plane.pair_count, pencil, L) == 1
-    first = np.take_along_axis(pencil, hit.argmax(axis=2)[..., None], axis=2)
-    return hit.sum(axis=2), _gather(plane.pair_sum, first, L)[..., 0]
+    off = np.empty((plane.q, len(K), plane.q + 1), dtype=np.intp)
+    off[0] = K[:, None]
+    off[1:] = plane.pencil_others[K].transpose(2, 0, 1)
+    off *= plane.n_circles
+    off += np.asarray(L, dtype=np.intp)[:, None]
+    hits = plane.pair_count.reshape(-1).take(off) == 1
+    off *= hits
+    # a sum of two or more offsets may fall off the table: clipped, never read
+    touch = plane.pair_sum.reshape(-1).take(off.sum(axis=0), mode="clip")
+    return hits.sum(axis=0, dtype=np.uint8), touch
+
+
+def _tangency_maps(plane: LaguerrePlane, K: int, L: int, both: bool) -> np.ndarray:
+    """`tangency_map` of (K, L), and with `both` of (L, K) as a second row,
+    from one `_pencil_touch` call; x on K lies on L where L's point on x's
+    generator is x.  The first point, in row then member order, without
+    exactly one pencil member tangent to L raises NotUnique with that count."""
+    if K == L or plane.pair_count[K, L] == 1:
+        raise TangentPair(f"circles {K},{L} are {plane.tangency(K, L).kind}")
+    Ks, Ls = ([K, L], [L, K]) if both else ([K], [L])
+    xs = plane.members[Ks]
+    on = plane.members[Ls] == xs
+    count, touch = _pencil_touch(plane, Ks, Ls)
+    not_unique = ~on & (count != 1)
+    if not_unique.any():
+        raise NotUnique(int(count.flat[not_unique.argmax()]))
+    return np.where(on, xs, touch).astype(np.int32)
 
 
 def tangency_map(plane: LaguerrePlane, K, L) -> np.ndarray:
-    """The images of `plane.members[K]`, in member order (the order of
-    the generators), under the map K -> L sending x to the touch point of
-    (x,K,L)° on L.
-
-    Common points map to themselves; every other point of K goes through
-    one `_pencil_touch` pass.  The first point, in member order, whose
+    """The images of `plane.members[K]`, in member order (the order of the
+    generators), under the map K -> L sending x to the touch point of
+    (x,K,L)° on L; common points map to themselves.  The first point whose
     pencil does not hold exactly one circle tangent to L raises NotUnique
-    with that count, which happens only on planes of even order.
-    """
-    K, L = _cid(K), _cid(L)
-    t = plane.tangency(K, L)
-    if t.kind in ("tangent", "equal"):
-        raise TangentPair(f"circles {K},{L} are {t.kind}")
-    xs = plane.members[K]
-    on = plane.mem[L, xs]
-    count, touch = _pencil_touch(plane, [K], [L])
-    not_unique = ~on & (count[0] != 1)
-    if not_unique.any():
-        raise NotUnique(int(count[0, not_unique.argmax()]))
-    return np.where(on, xs, touch[0]).astype(np.int32)
+    with that count: only on planes of even order."""
+    return _tangency_maps(plane, _cid(K), _cid(L), both=False)[0]
 
 
 def double_tangency_pencil(plane: LaguerrePlane, K, L) -> Pencil:
@@ -158,11 +165,9 @@ def double_tangency_pencil(plane: LaguerrePlane, K, L) -> Pencil:
     K, L = _cid(K), _cid(L)
     if K == L:
         raise ValueError("circles must be distinct")
-    T = plane.pair_count
-    ok_k = (T[K] == 1) | (np.arange(plane.n_circles) == K)
-    ok_l = (T[L] == 1) | (np.arange(plane.n_circles) == L)
-    members = np.nonzero(ok_k & ok_l)[0]
-    return Pencil("double-tangency", (K, L), tuple(int(m) for m in members))
+    ok = plane.pair_count[[K, L]] == 1
+    ok[0, K] = ok[1, L] = True
+    return Pencil("double-tangency", (K, L), tuple(np.flatnonzero(ok.all(axis=0)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +236,23 @@ class Automorphism:
 def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
     """The double tangency symmetry of a non-tangent pair (K, L).
 
-    Points of K and L map through the tangency maps; any other point x
-    maps to the point parallel to ((xK)KL) on the circle through x, an
-    auxiliary y on K off L, and h(y).  Every admissible auxiliary y
-    (y off L, y not parallel to x, h(y) not parallel to x) is evaluated,
-    in one gather over the points off K and L by the auxiliaries in K's
-    member order, and all images must agree, which operationalizes
-    well-definedness instead of trusting it: the first x, in point order,
-    with a differing candidate raises WellDefinednessFailure naming its
-    first auxiliary and its first differing one.
+    Points of K and L map through both tangency maps, from one pencil scan
+    of (K, L) and (L, K) (`_tangency_maps`); any other point x maps to the
+    point parallel to ((xK)KL) on the circle through x, an auxiliary y on
+    K off L, and h(y).  Every admissible auxiliary y (y off L, y not
+    parallel to x, h(y) not parallel to x) is evaluated, in one gather over
+    the points off K and L by the auxiliaries in K's member order, and all
+    images must agree, so well-definedness is checked, not trusted: the
+    first x, in point order, with a differing candidate raises
+    WellDefinednessFailure naming its first and first differing auxiliary.
     """
     K, L = _cid(K), _cid(L)
-    hK = tangency_map(plane, K, L)
     image = np.full(plane.n_points, -1, dtype=np.int32)
-    image[plane.members[K]] = hK
-    image[plane.members[L]] = tangency_map(plane, L, K)
+    image[plane.members[[K, L]]] = _tangency_maps(plane, K, L, both=True)
+    hK = image[plane.members[K]]
 
     gen = plane.gen_of
-    off_L = ~plane.mem[L, plane.members[K]]
+    off_L = plane.members[L] != plane.members[K]
     Y, hY = plane.members[K][off_L], hK[off_L]
     X = np.flatnonzero(image < 0)
     gX = gen[X][:, None]
@@ -299,14 +303,15 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     point x and its image is fixed, (4) the image of any x on a moved
     circle M is the touch point of (x,M,phi(M))° on phi(M) — including
     that M and phi(M) are never tangent, and (5) every common tangent
-    circle of (K,L) is fixed.
-    Moved points parallel to their image are counted as skipped in (3).
+    circle of (K,L) is fixed.  Moved points parallel to their image are
+    counted as skipped in (3).
 
     Each property is one mask through `CheckReport.record`, which builds
     the first `MAX_VIOLATIONS` violations and counts the rest.  (4) reads
     tangent pairs (M, phi(M)) from `pair_count`, and for the others each
-    member slot's pencil count and touch point from `_pencil_touch`, in
-    the order of a scan by M, then slot; it calls no `tangent_to_second`.
+    member slot's pencil count and touch point from one `_pencil_touch`
+    call over all moved circles, in the order of a scan by M, then slot;
+    x lies on phi(M) where phi(M)'s point on x's generator is x.
     """
     report = CheckReport(check_id="DtsVerify", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
@@ -352,7 +357,7 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     Mi = ci[M]
     tangent = plane.pair_count[M, Mi] == 1
     X = plane.members[M]
-    on = plane.mem[Mi[:, None], X]
+    on = plane.members[Mi] == X
     count, touch = _pencil_touch(plane, M, Mi)
     expect = np.where(on, X, touch)
     not_unique = ~on & (count != 1)
@@ -440,10 +445,9 @@ def classify_symmetry(plane: LaguerrePlane, K, L,
 def _dts_cached(plane, K, L, cache):
     if cache is None:
         return build_dts(plane, K, L)
-    key = (K, L)
-    if key not in cache:
-        cache[key] = build_dts(plane, K, L)
-    return cache[key]
+    if (K, L) not in cache:
+        cache[K, L] = build_dts(plane, K, L)
+    return cache[K, L]
 
 
 def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M,
