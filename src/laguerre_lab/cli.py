@@ -18,7 +18,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 
 from . import checks as _checks
@@ -27,6 +26,7 @@ from .errors import (
     LaguerreError,
     NoAdmissibleAuxiliary,
     NoDisjointPair,
+    NotALaguerrePlane,
     NotFixedPointFree,
     NotUnique,
     TangentPair,
@@ -36,7 +36,6 @@ from .models import build_plane
 from .report import (CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, Violation, circle_obj,
                      report_csv_row)
 
-SEED_ENV = "LAGUERRE_LAB_SEED"
 SEED_LIMIT = 1 << 64  # the sampling stream is keyed by a 64-bit seed
 
 ALL_CHECKS = tuple(_checks.SPECS)
@@ -47,63 +46,18 @@ class UsageError(Exception):
     pass
 
 
-def _checked_seed(seed: int, source: str) -> int:
-    """`seed` if it is in [0, 2^64); two seeds outside would alias one stream."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise UsageError(f"{source} must be in [0, 2^64), got {seed}")
-    return seed
-
-
 def _parse_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return _checked_seed(int(env), SEED_ENV)
-        except ValueError as e:
-            raise UsageError(f"{SEED_ENV} must be an integer, got {env!r}") from e
-    raise UsageError(f"sample mode needs --seed or {SEED_ENV}")
+    if args.seed is None:
+        raise UsageError("sample mode needs --seed")
+    return args.seed
 
 
-def _load_oval_table(path: str) -> list[int]:
-    """Parse the `x o(x)` per-line table, one line per element in index order."""
-    table: dict[int, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                x_tok, v_tok = line.split()
-                x, v = int(x_tok), int(v_tok)
-            except ValueError as e:
-                raise UsageError(f"{path}:{lineno}: expected two integers 'x o(x)', "
-                                 f"got {line!r}") from e
-            if x in table:
-                raise UsageError(f"{path}:{lineno}: x listed twice")
-            table[x] = v
-    if sorted(table) != list(range(len(table))):
-        raise UsageError(f"oval table {path} must list every x in 0..q-1 exactly once")
-    return [table[x] for x in range(len(table))]
-
-
-def _make_plane(args):
-    oval_table = None
-    if args.model == "oval":
-        if not args.oval_table:
-            raise UsageError("--model oval requires --oval-table FILE")
-        oval_table = _load_oval_table(args.oval_table)
-    elif args.oval_table:
-        raise UsageError("--oval-table needs --model oval")
-    return build_plane(args.q, args.model, oval_table)
-
-
-def _coef_triple(text: str) -> tuple[int, int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise UsageError(f"expected a,b,c coefficients, got {text!r}")
-    return tuple(int(p) for p in parts)
+def _coef_triple(flag: str, text: str) -> tuple[int, int, int]:
+    try:
+        a, b, c = (int(p) for p in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} expects integer coefficients a,b,c, got {text!r}") from None
+    return a, b, c
 
 
 def _pair_arg(args, plane) -> tuple[int, int] | None:
@@ -112,8 +66,8 @@ def _pair_arg(args, plane) -> tuple[int, int] | None:
         return None
     if args.k is None or args.l is None:
         raise UsageError("give --k a,b,c and --l a,b,c together")
-    return (plane.circle_from_coef(_coef_triple(args.k)).id,
-            plane.circle_from_coef(_coef_triple(args.l)).id)
+    return (plane.circle_from_coef(_coef_triple("--k", args.k)).id,
+            plane.circle_from_coef(_coef_triple("--l", args.l)).id)
 
 
 def _emit(args, lines: list[str]) -> None:
@@ -134,7 +88,7 @@ def _cmd_check(args) -> int:
         for flag, value in (("--seed", args.seed), ("--samples", args.samples)):
             if value is not None:
                 raise UsageError(f"{flag} is read only in sample mode")
-    plane = _make_plane(args)
+    plane = build_plane(args.q, args.model)
     requested = []
     for token in args.checks.split(","):
         token = token.strip()
@@ -211,7 +165,7 @@ def _dts_objects(plane, K, L, verify: bool, timings: bool
 
 
 def _cmd_dts(args) -> int:
-    plane = _make_plane(args)
+    plane = build_plane(args.q, args.model)
     pair = _pair_arg(args, plane)
     if args.sample_pairs is not None and args.sample_pairs <= 0:
         raise UsageError("--sample-pairs must be positive")
@@ -300,7 +254,7 @@ def _moebius_obj(plane, pair: tuple[int, int] | None, timings: bool) -> dict:
 
 
 def _cmd_moebius(args) -> int:
-    plane = _make_plane(args)
+    plane = build_plane(args.q, args.model)
     obj = _moebius_obj(plane, _pair_arg(args, plane), args.timings)
     _emit(args, [json.dumps(obj, separators=(",", ":"))])
     return 0
@@ -333,6 +287,8 @@ def _parse_report_line(where: str, line: str):
         raise UsageError(f"{where}: report line lacks {', '.join(repr(k) for k in missing)}")
     if not isinstance(obj["model"], str):
         raise UsageError(f"{where}: model must be a string, got {obj['model']!r}")
+    if type(obj["q"]) is not int:    # a float or a string would be truncated or parsed
+        raise UsageError(f"{where}: q must be an integer, got {obj['q']!r}")
     try:
         violations = [_violation_from_obj(v) for v in obj.get("violations", [])]
         pair = None
@@ -340,7 +296,7 @@ def _parse_report_line(where: str, line: str):
         if obj["check"] in ("DtsVerify", "DtsClassify") or (
                 obj["check"] == "Moebius" and obj.get("found") is not False):
             pair = (obj["pair"]["K"]["coef"], obj["pair"]["L"]["coef"])
-        return obj, int(obj["q"]), violations, pair
+        return obj, obj["q"], violations, pair
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise UsageError(f"{where}: malformed report line ({type(e).__name__}: {e})") from e
 
@@ -437,8 +393,7 @@ def _cmd_replay(args) -> int:
 def _add_plane_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, required=True, help="plane order")
     p.add_argument("--model", default="miquelian",
-                   help="miquelian | oval (see --oval-table) | oval:v0,v1,...")
-    p.add_argument("--oval-table", help="file with one 'x o(x)' line per element")
+                   help="miquelian | oval:v0,v1,... (the oval function's values o(x))")
 
 
 def _add_output_args(p: argparse.ArgumentParser, formats: tuple[str, ...] = (),
@@ -506,8 +461,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None:
-            _checked_seed(args.seed, "--seed")
+        seed = getattr(args, "seed", None)
+        # two seeds outside [0, 2^64) would alias one stream
+        if seed is not None and not 0 <= seed < SEED_LIMIT:
+            raise UsageError(f"--seed must be in [0, 2^64), got {seed}")
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -524,7 +481,7 @@ def main(argv=None) -> int:
         # expected refusal on planes of characteristic 2
         print(f"construction unavailable on this plane: {e}", file=sys.stderr)
         return 1
-    except (TangentPair, NotFixedPointFree, NoDisjointPair) as e:
+    except (NotALaguerrePlane, TangentPair, NotFixedPointFree, NoDisjointPair) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except LaguerreError as e:

@@ -93,27 +93,21 @@ def oval_table_power(q: int, exponent: int) -> list[int]:
     return [field.pow(x, exponent) for x in range(q)]
 
 
-def plane_from_label(label: str) -> LaguerrePlane:
-    """Rebuild a model plane from its report label, e.g. 'oval:0,1,4,4,1'."""
-    if label.startswith("oval:"):
-        table = [int(v) for v in label[5:].split(",")]
-        return oval_plane(len(table), table)
-    raise ValueError(f"cannot rebuild plane from label {label!r}")
-
-
-def build_plane(q: int, model: str = "miquelian", oval_table=None) -> LaguerrePlane:
+def build_plane(q: int, model: str = "miquelian") -> LaguerrePlane:
+    """The plane of order q named by a report label: 'miquelian' or
+    'oval:v0,...,v(q-1)', the value table o(x) of an oval plane."""
     if model == "miquelian":
         return miquelian_plane(q)
-    if model == "oval":
-        if oval_table is None:
-            raise ValueError("oval model requires a value table")
-        return oval_plane(q, oval_table)
-    if model.startswith("oval:"):
-        order = model.count(",") + 1     # the table lists o(x) for each x
-        if order != q:
-            raise ValueError(f"model {model} has order {order}, not {q}")
-        return plane_from_label(model)
-    raise ValueError(f"unknown model {model!r}")
+    if not model.startswith("oval:"):
+        raise ValueError(f"unknown model {model!r}")
+    values = model[5:].split(",")
+    if len(values) != q:
+        raise ValueError(f"model {model} has order {len(values)}, not {q}")
+    try:
+        table = [int(v) for v in values]
+    except ValueError:
+        raise ValueError(f"model {model} must list one integer o(x) per x") from None
+    return oval_plane(q, table)
 
 
 # -- plain-text plane format ---------------------------------------------

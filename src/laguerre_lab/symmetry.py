@@ -668,8 +668,7 @@ def find_fixed_point_free_pair(plane: LaguerrePlane) -> tuple[int, int, Automorp
     raise NoDisjointPair("no disjoint pair with a fixed-point-free symmetry")
 
 
-def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int,
-                            secant_only: bool = False) -> list[tuple[int, int]]:
+def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int) -> list[tuple[int, int]]:
     """Deterministically sample distinct non-tangent circle pairs.
 
     Raises ValueError for a negative count or one above the number of
@@ -678,10 +677,10 @@ def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int,
     from .rng import SampleStream
 
     T = plane.pair_count
-    available = int(np.count_nonzero(np.triu((T == 2) if secant_only else (T != 1), k=1)))
+    available = int(np.count_nonzero(np.triu(T != 1, k=1)))
     if not 0 <= count <= available:
-        kind = "secant" if secant_only else "non-tangent"
-        raise ValueError(f"cannot sample {count} pairs: the plane has {available} {kind} pairs")
+        raise ValueError(f"cannot sample {count} pairs: "
+                         f"the plane has {available} non-tangent pairs")
     stream = SampleStream(seed)
     seen: set[tuple[int, int]] = set()
     out: list[tuple[int, int]] = []
@@ -691,8 +690,7 @@ def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int,
         if K == L:
             continue
         K, L = min(K, L), max(K, L)
-        n = int(T[K, L])
-        if n == 1 or (secant_only and n != 2) or (K, L) in seen:
+        if int(T[K, L]) == 1 or (K, L) in seen:
             continue
         seen.add((K, L))
         out.append((K, L))

@@ -178,7 +178,10 @@ def test_criterion_08_laguerre_symmetry_classification_and_uniqueness():
     assert secant > 0
 
     P5 = miquelian_plane(5)
-    for K, L in sample_nontangent_pairs(P5, 40, seed=8, secant_only=True):
+    secant = [(K, L) for K, L in sample_nontangent_pairs(P5, 80, seed=8)
+              if int(P5.pair_count[K, L]) == 2]
+    assert len(secant) >= 40
+    for K, L in secant[:40]:
         cls = classify_symmetry(P5, K, L)
         assert cls.kind == "LaguerreSymmetry", (K, L)
         assert cls.fixed_generators is not None and cls.witness_circle is not None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from laguerre_lab import cli
 from laguerre_lab.cli import main
 from laguerre_lab.checks import exhaustive_size
-from laguerre_lab.models import miquelian_plane, oval_table_power
+from laguerre_lab.models import miquelian_plane
 from laguerre_lab.report import EXHAUSTIVE_LIMIT
 
 
@@ -61,7 +62,18 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "check", "--q", "3", "--checks", "S",
                    "--mode", "sample")[0] == 2  # seed missing
     assert run_cli(capsys, "check", "--q", "3", "--model", "oval",
-                   "--checks", "C")[0] == 2  # table missing
+                   "--checks", "C")[0] == 2  # a label lists the table: oval:v0,...
+    # a malformed value names the model or option it came from
+    for argv, err in (
+            (("check", "--q", "3", "--model", "oval:a,b,c", "--checks", "C"),
+             "error: model oval:a,b,c must list one integer o(x) per x\n"),
+            (("check", "--q", "3", "--model", "oval:0,,1", "--checks", "C"),
+             "error: model oval:0,,1 must list one integer o(x) per x\n"),
+            (("dts", "--q", "3", "--k", "1,0,x", "--l", "0,0,0"),
+             "error: --k expects integer coefficients a,b,c, got '1,0,x'\n"),
+            (("moebius", "--q", "3", "--k", "0,0,0", "--l", "1,0"),
+             "error: --l expects integer coefficients a,b,c, got '1,0'\n")):
+        assert run_cli(capsys, *argv) == (2, "", err), argv
 
 
 @pytest.mark.parametrize("options, flag", [
@@ -105,11 +117,11 @@ def test_exhaustive_closures_reach_order_five(capsys):
 
 
 def test_env_seed(capsys, monkeypatch):
+    # the seed comes from --seed alone; the environment was a second route
     monkeypatch.setenv("LAGUERRE_LAB_SEED", "9")
-    code, out, _ = run_cli(capsys, "check", "--q", "3", "--checks", "S",
-                           "--mode", "sample", "--samples", "100")
-    assert code == 0
-    assert json.loads(out)["seed"] == 9
+    for argv in (("check", "--q", "3", "--checks", "S", "--mode", "sample", "--samples", "100"),
+                 ("dts", "--q", "5", "--sample-pairs", "1")):
+        assert run_cli(capsys, *argv) == (2, "", "error: sample mode needs --seed\n"), argv
 
 
 def test_csv_and_text_formats(capsys):
@@ -158,43 +170,24 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_oval_table_file(tmp_path, capsys):
-    table = oval_table_power(8, 4)
-    path = tmp_path / "oval8.txt"
-    path.write_text("".join(f"{x} {v}\n" for x, v in enumerate(table)))
-    code, out, _ = run_cli(capsys, "check", "--q", "8", "--model", "oval",
-                           "--oval-table", str(path), "--checks", "Bundle",
-                           "--mode", "sample", "--samples", "30000", "--seed", "42")
+def test_oval_label(capsys):
+    code, out, _ = run_cli(capsys, "check", "--q", "8", "--model", "oval:0,1,6,7,2,3,4,5",
+                           "--checks", "Bundle", "--mode", "sample", "--samples", "30000",
+                           "--seed", "42")
     assert code == 0
     obj = json.loads(out)
     assert obj["model"] == "oval:0,1,6,7,2,3,4,5"
     assert obj["verdict"] == "Holds(sampled)"
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0 1\n2 3\n")
-    assert run_cli(capsys, "check", "--q", "8", "--model", "oval",
-                   "--oval-table", str(bad), "--checks", "C")[0] == 2
-    for line in ("1 1 5", "x 1"):
-        bad.write_text(f"# x o(x)\n0 0\n{line}\n")
-        code, out, err = run_cli(capsys, "check", "--q", "3", "--model", "oval",
-                                 "--oval-table", str(bad), "--checks", "C")
-        assert (code, out) == (2, ""), line
-        assert err.startswith(f"error: {bad}:3: ") and err.count("\n") == 1, err
-    # a second line for x = 1 was accepted, and its value won
-    bad.write_text("0 0\n1 1\n1 0\n")
-    code, out, err = run_cli(capsys, "check", "--q", "2", "--model", "oval",
-                             "--oval-table", str(bad), "--checks", "C")
-    assert (code, out, err) == (2, "", f"error: {bad}:3: x listed twice\n")
 
 
 @pytest.mark.parametrize("model", [(), ("--model", "miquelian"), ("--model", "oval:0,1,1")])
 @pytest.mark.parametrize("argv", [("check", "--checks", "Axioms"), ("dts",), ("moebius",)])
-def test_an_oval_table_without_model_oval_is_a_usage_error(tmp_path, capsys, argv, model):
-    # a valid table that the model would ignore
-    path = tmp_path / "oval3.txt"
-    path.write_text("0 0\n1 1\n2 1\n")
-    code, out, err = run_cli(capsys, argv[0], "--q", "3", *model, "--oval-table", str(path),
-                             *argv[1:])
-    assert (code, out, err) == (2, "", "error: --oval-table needs --model oval\n")
+def test_an_oval_table_without_model_oval_is_a_usage_error(capsys, argv, model):
+    # a plane is named by its label alone: the parser knows no table file
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--q", "3", *model, "--oval-table", "oval3.txt", *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oval-table" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [("check", "--checks", "Axioms"), ("dts",), ("moebius",)])
@@ -203,6 +196,13 @@ def test_an_oval_label_of_another_order_is_a_usage_error(capsys, argv):
                              "--model", "oval:0,1,6,7,2,3,4,5", *argv[1:])
     assert (code, out) == (2, "")
     assert err == "error: model oval:0,1,6,7,2,3,4,5 has order 8, not 13\n"
+
+
+@pytest.mark.parametrize("argv", [("check", "--checks", "Axioms"), ("dts",), ("moebius",)])
+def test_a_label_that_names_no_plane_is_a_usage_error(capsys, argv):
+    # the candidate's failed axiom exited 1, which reads as a failed check
+    code, out, err = run_cli(capsys, argv[0], "--q", "3", "--model", "oval:0,1,2", *argv[1:])
+    assert (code, out, err) == (2, "", "error: candidate structure fails: axiom1\n")
 
 
 def test_dts_explicit_pair(tmp_path, capsys):
@@ -354,6 +354,8 @@ def test_replay_malformed_witnesses_name_the_line_and_exit_two(tmp_path, capsys)
         dict(good, check="S", violations=[c_witness([0, 1, 2], [0, 1, 2, 3])]),
         dict(good, check="NoSuchCheck", violations=[c_witness([0], [0, 1])]),
         dict(good, q=6),
+        dict(good, q=3.7),
+        dict(good, q="3"),
         dict(good, model="oval:0,1,6,7,2,3,4,5"),
         {"check": "DtsVerify", "q": 3, "model": "miquelian", "violations": [],
          "pair": {"K": {"coef": [9, 9, 9]}, "L": {"coef": [0, 0, 0]}}},
@@ -376,7 +378,7 @@ def test_replay_malformed_witnesses_name_the_line_and_exit_two(tmp_path, capsys)
         assert json.loads(out)["confirmed"] is False
 
 
-def test_seed_range_is_checked_on_every_command(capsys, monkeypatch):
+def test_seed_range_is_checked_on_every_command(capsys):
     sample = ("check", "--q", "3", "--checks", "S", "--mode", "sample", "--samples", "100")
     for seed in ("-1", str(2**64), str(2**64 + 5)):
         for argv in (sample, ("dts", "--q", "5", "--sample-pairs", "1")):
@@ -390,9 +392,23 @@ def test_seed_range_is_checked_on_every_command(capsys, monkeypatch):
     capsys.readouterr()
     code, out, _ = run_cli(capsys, *sample, "--seed", str(2**64 - 1))
     assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
-    monkeypatch.setenv("LAGUERRE_LAB_SEED", "-1")
-    code, _, err = run_cli(capsys, *sample)
-    assert code == 2 and err.startswith("error: LAGUERRE_LAB_SEED must be in [0, 2^64)")
+
+
+def test_the_option_surface_is_pinned():
+    # a new option must be a deliberate edit of this list
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [o for a in p._actions for o in a.option_strings
+                      if o not in ("-h", "--help")]
+               for name, p in subparsers.choices.items()}
+    assert surface == {
+        "check": ["--q", "--model", "--checks", "--mode", "--samples", "--seed",
+                  "--format", "--out", "--timings"],
+        "dts": ["--q", "--model", "--k", "--l", "--sample-pairs", "--seed", "--verify",
+                "--export", "--format", "--out", "--timings"],
+        "moebius": ["--q", "--model", "--k", "--l", "--out", "--timings"],
+        "replay": ["--report", "--out"],
+    }
 
 
 def test_parser_is_built_once_and_each_call_parses_afresh(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from laguerre_lab.models import (
     miquelian_plane,
     oval_plane,
     oval_table_power,
-    plane_from_label,
 )
 
 
@@ -166,13 +165,13 @@ def test_import_rejects_garbage():
 def test_build_plane_and_label_rebuild():
     P = build_plane(3, "miquelian")
     assert P.label == "miquelian"
-    O = build_plane(8, "oval", oval_table_power(8, 4))
-    O2 = plane_from_label(O.label)
+    O = oval_plane(8, oval_table_power(8, 4))
+    O2 = build_plane(8, O.label)
     assert (O2.members == O.members).all()
     with pytest.raises(ValueError):
         build_plane(3, "mystery")
     with pytest.raises(ValueError):
-        build_plane(3, "oval")  # table missing
+        build_plane(3, "oval")  # a label lists the table: oval:v0,...
 
 
 @pytest.mark.parametrize("q", [3, 13])

@@ -352,9 +352,8 @@ def test_sample_nontangent_pairs_deterministic(p5):
     a = sample_nontangent_pairs(p5, 25, seed=5)
     b = sample_nontangent_pairs(p5, 25, seed=5)
     assert a == b
-    assert all(int(p5.pair_count[K, L]) != 1 for K, L in a)
-    secant = sample_nontangent_pairs(p5, 10, seed=5, secant_only=True)
-    assert all(int(p5.pair_count[K, L]) == 2 for K, L in secant)
+    # both kinds of non-tangent pair are drawn, secant (2) and disjoint (0)
+    assert {int(p5.pair_count[K, L]) for K, L in a} == {0, 2}
 
 
 def test_sample_nontangent_pairs_refuses_impossible_counts():
@@ -363,5 +362,3 @@ def test_sample_nontangent_pairs_refuses_impossible_counts():
     for count in (-3, 244):
         with pytest.raises(ValueError, match="the plane has 243 non-tangent pairs"):
             sample_nontangent_pairs(P3, count, seed=1)
-    with pytest.raises(ValueError, match="secant pairs"):
-        sample_nontangent_pairs(P3, 244, seed=1, secant_only=True)
