@@ -45,15 +45,19 @@ Every exhaustive block generator enumerates its first choice (the
 circle K, or M for Prop11, the point a of the Pi family, the circle C1 of
 the closures) through `_firsts`, so an exhaustive `CheckMode` view with
 `start` and `count` sweeps a range of first choices.  A sampled sweep
-runs its chunks of `_SAMPLE_CHUNK` stream rows on up to two threads, and
-so does an exhaustive S, Cor21 or Pi-family sweep its first choices
-where one of them has at least one chunk's raw rows; the partial reports
-merge in order, so a report does not depend on the thread count
-(`_sweep`).  Every other exhaustive sweep runs on the calling thread, its
-consecutive small blocks merged into blocks of up to one chunk's rows
-(`_coalesce`).  The chain and Pi generators build small tables once per
-first choice and read every yielded array from them at the kept offsets:
-K's closure table (is N of M's pencils tangent to K, per circle M), whose
+runs its chunks of `_SAMPLE_CHUNK` stream rows on up to two threads; the
+partial reports merge in order, so a report does not depend on the
+thread count (`_sweep`).  The chain and Pi families build their
+exhaustive blocks over ranges of consecutive first choices, up to one
+chunk of rows each (`_range_blocks`), on row buffers that each sweep
+thread makes once and reuses for every block (`_Rows`): no block
+allocates its arrays again, so no first choice faults in fresh pages.
+Their sweeps run a block per part on the two threads where a first
+choice reads a chunk's raw rows.  Every other exhaustive sweep runs on
+the calling thread, its consecutive small blocks merged into blocks of
+up to one chunk's rows (`_coalesce`).  A chain or Pi first choice builds
+small tables once and reads its rows from them at the kept offsets: K's
+closure table (is N of M's pencils tangent to K, per circle M), whose
 rows for K's chains are the closed mask, and a's slice of
 `triple_circle` with the tables read from it, x off (a, b, c)° folded
 into a's mask.  Neither gathers the whole raw space of its first choice,
@@ -117,7 +121,7 @@ _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 
 
 def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluate,
-           firsts: tuple[int, int] | None = None) -> CheckReport:
+           firsts=None) -> CheckReport:
     """The report of `evaluate(plane, report, *arrays)` over every block
     `blocks(plane, mode)` yields as (raw configurations, *arrays).
 
@@ -127,21 +131,35 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     chunk order (`CheckReport.merge`), so the report is the same for any
     thread count.  A chunk's columns are drawn as they are read
     (`_sample_batches`), so the two chunks in flight take about the bytes
-    of one chunk drawn whole.  `firsts`, (first choices, raw rows of
-    each), splits an exhaustive mode the same way into one view per first
-    choice, where one first choice has at least `_SAMPLE_CHUNK` raw rows.
-    Only S, Cor21 and the Pi family pass `firsts`, and only from q=7 do
-    their first choices reach it: smaller blocks, and the other checkers
-    split this way, ran slower on two threads than on one (CHANGES.md).
-    Any other exhaustive mode is one part, swept inline.
+    of one chunk drawn whole.
 
-    Within a part, consecutive blocks are merged into blocks of at most
+    `firsts(plane)`, given by the chain and Pi families, is their family
+    of exhaustive first choices (`_ChainFirsts`, `_PiFirsts`): an
+    exhaustive mode then reads its blocks from `_range_blocks`, each up to
+    one chunk of rows over consecutive first choices, written into the
+    row buffers of the thread that sweeps them (`_Rows`).  Each thread
+    makes its buffers when it takes its first part, and they are dropped
+    when the sweep returns.  Where one first choice reads a
+    mask of at least `_SAMPLE_CHUNK` raw rows (`family.read`), the mode is
+    split into one view per range block: from q=7 for S, Cor21 and the Pi
+    family, never for Prop22's c ∥ a chains, which ran slower split
+    (CHANGES.md).  Any other exhaustive mode is one part, swept inline,
+    its consecutive small blocks merged into blocks of at most
     `_SAMPLE_CHUNK` rows (`_coalesce`), so an evaluator's fixed numpy cost
-    is paid per 65,536 rows, not per first choice.  A sampled part and a
-    first-choice part are one block, which passes through as it is."""
+    is paid per 65,536 rows, not per first choice.  A sampled part is one
+    block, which passes through as it is."""
+    family = None if firsts is None or mode.is_sample else firsts(plane)
+    local = threading.local()
+
     def sweep_part(part: CheckMode) -> CheckReport:
         report = CheckReport(check_id=check_id, mode=mode)
-        for n_raw, *arrays in _coalesce(blocks(plane, part)):
+        if family is None:
+            stream = _coalesce(blocks(plane, part))
+        else:
+            if not hasattr(local, "rows"):
+                local.rows = _Rows()
+            stream = _range_blocks(family, part, local.rows)
+        for n_raw, *arrays in stream:
             report.configurations += n_raw
             evaluate(plane, report, *arrays)
             del arrays      # free this block before the generator builds the next
@@ -152,13 +170,57 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     if mode.is_sample:
         parts = [replace(mode, start=s, count=min(_SAMPLE_CHUNK, mode.count - s))
                  for s in range(0, mode.count, _SAMPLE_CHUNK)]
-    elif firsts is not None and firsts[1] >= _SAMPLE_CHUNK:
-        parts = [replace(mode, start=f, count=1) for f in _firsts(mode, firsts[0])]
+    elif family is not None and family.read >= _SAMPLE_CHUNK:
+        # one part per block, sized by the rows r of the first first choice
+        todo = _firsts(mode, family.n)
+        r = np.count_nonzero(family.mask(todo.start)[0]) if todo else 1
+        k = max(1, _SAMPLE_CHUNK // r) if r else len(todo)
+        parts = [replace(mode, start=todo[j], count=len(todo[j:j + k]))
+                 for j in range(0, len(todo), k)]
     report = CheckReport(check_id=check_id, mode=mode)
     for part in _in_order(sweep_part, parts):
         report.merge(part)
     report.elapsed_seconds = time.perf_counter() - t0
     return report.finalize()
+
+
+class _Rows(dict):
+    """The row buffers of one thread of a sweep: the int16 arrays of the
+    blocks it builds, by name.  They keep their size from one block to the
+    next, so a sweep's blocks take no fresh pages once the first has set
+    it; the arrays a first choice reads its rows from are freed and
+    allocated again at the same sizes, which the allocator reuses."""
+
+    def block(self, name: str, n: int) -> np.ndarray:
+        """Entries 0..n-1 of the block array `name`, which grows to n
+        entries where it is shorter, keeping the entries it holds."""
+        buf = self.get(name)
+        if buf is None or len(buf) < n:
+            grown = np.empty(n, dtype=np.int16)
+            if buf is not None:
+                grown[:len(buf)] = buf
+            buf = self[name] = grown
+        return buf[:n]
+
+
+def _range_blocks(family, mode: CheckMode, rows: _Rows):
+    """The exhaustive blocks of `family` over the first choices of `mode`:
+    (raw count, *arrays) over consecutive first choices, each block closed
+    once another first choice of its last one's rows would take it past
+    `_SAMPLE_CHUNK` rows; so `_SAMPLE_CHUNK // r` first choices of r rows
+    each make a block.  Each first choice writes its rows after those
+    before it into the block arrays of `rows` (`family.write`), which the
+    next block overwrites: a block is read before the next is drawn."""
+    held = raw = 0
+    for f in _firsts(mode, family.n):
+        r = family.write(f, rows, held)
+        held += r
+        raw += family.raw
+        if held + r > _SAMPLE_CHUNK:
+            yield raw, *(rows.block(name, held) for name in family.names)
+            held = raw = 0
+    if raw:
+        yield raw, *(rows.block(name, held) for name in family.names)
 
 
 def _block_rows(block) -> int:
@@ -264,11 +326,16 @@ def _gather(table: np.ndarray, *idx) -> np.ndarray:
     still runs faster than indexing (CHANGES.md)."""
     dtype = np.result_type(*idx, np.int32) if table.size < 2**31 else np.int64
     off = np.empty(np.broadcast_shapes(*(np.shape(i) for i in idx)), dtype=dtype)
+    return table.reshape(-1, *table.shape[len(idx):]).take(_flat(off, table, idx), axis=0)
+
+
+def _flat(off: np.ndarray, table: np.ndarray, idx) -> np.ndarray:
+    """The flat offsets of `idx` in `table`'s leading axes, summed in `off`."""
     off[...] = idx[0]
     for i, s in zip(idx[1:], table.shape[1:]):
         off *= s
         off += i
-    return table.reshape(-1, *table.shape[len(idx):]).take(off, axis=0)
+    return off
 
 
 def _firsts(mode: CheckMode, n: int) -> range:
@@ -336,19 +403,12 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = Fa
     chains with c ∥ a, c in the slot of M equal to a's (the slot of a
     point on a circle is its generator): a sampled row with other slots
     is dropped before c and N are read.  The raw count still covers every
-    choice of c.
-
-    An exhaustive block is one circle K.  Its closure table, read once,
-    says for every circle M and flat (c, N) offset of M's pencils whether
-    N is tangent to K; the rows of that table for the circles M of K's
-    chains are the closed mask, in the order of the full choice space.
-    With `c_parallel_a` each (a, L, b, M) row reads only the q−1 offsets
-    of M's pencil at a's slot.
+    choice of c.  An exhaustive block spans consecutive circles K
+    (`_ChainFirsts`, `_range_blocks`).
     """
     po, members = plane.pencil_others, plane.members
     T, W = plane.pair_count, plane.pair_sum
     q, m = plane.q, plane.q - 1
-    sm = (q + 1) * m
 
     if mode.is_sample:
         for raw in _sample_batches(mode, _CHAIN_DRAWS):
@@ -369,36 +429,75 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = Fa
             K, A, L, B, M, C, N = (v[idx] for v in (K, A, L, B, M, C, N))
             yield n_raw, K, A, L, B, M, C, N, _gather(W, N, K)
     else:
+        yield from _range_blocks(_ChainFirsts(plane, c_parallel_a), mode, _Rows())
+
+
+class _ChainFirsts:
+    """The exhaustive first choices of the chains, the circles K, each with
+    the raw (a, L, b, M, c, N) choices of `_chain_blocks`.
+
+    K's closure table, read once per K, says for every circle M and flat
+    (c, N) offset of M's pencils whether N is tangent to K; the rows of that
+    table for the circles M of K's chains are the closed mask, in C order
+    over (a, L, b, M, c, N).  With `c_parallel_a` each (a, L, b, M) row
+    reads only the q−1 offsets of M's pencil at a's slot."""
+
+    names = ("K", "A", "L", "B", "M", "C", "N", "D")
+
+    def __init__(self, plane: LaguerrePlane, c_parallel_a: bool = False):
+        q, m = plane.q, plane.q - 1
+        self.plane, self.parallel = plane, c_parallel_a
+        self.n, self.raw = _chain_firsts(plane)
         # each circle M's (c, N) offsets: N = po[M, c, ·] and M's point c;
         # N as intp ids for `take`, which would copy int16 ids on every call
-        pos, cpos = po.reshape(-1, sm), np.repeat(members, m, axis=1).reshape(-1)
-        pos_ids = pos.astype(np.intp)
-        # the (c, N) offsets each (a, L, b, M) row reads: all sm of M's, or
-        # with c ∥ a the m of M's pencil at a's slot
-        w = m if c_parallel_a else sm
+        self.pos = plane.pencil_others.reshape(plane.n_circles, -1)
+        self.pos_ids = self.pos.astype(np.intp)
+        self.cpos = np.repeat(plane.members, m, axis=1).reshape(-1)
+        # the (c, N) offsets each (a, L, b, M) row reads: all (q+1)(q-1) of
+        # M's, or with c ∥ a the q-1 of M's pencil at a's slot
+        self.w = m if c_parallel_a else self.pos.shape[1]
+        self.read = self.pos.shape[1] ** 2 * self.w     # the closed mask's size
 
-        def closed(K):
-            # a function, so no table of K outlives K's block
-            L0 = po[K].reshape(-1)             # (a, L)
-            M0 = po[L0].reshape(-1)            # (a, L, b, M)
-            # T is symmetric: K's closure table tk[M, (c, N)], read at the
-            # rows g (M0, or M0 and a's slot), is the closed mask in C order
-            # over (a, L, b, M, c, N); a closed offset f is row i = f // w,
-            # at the flat (M, c, N) offset g[i]·w + f - i·w
-            tk = (T[K] == 1).take(pos_ids)
-            g = M0.astype(np.intp)
-            if c_parallel_a:               # a's slot is the rows' leading axis
-                g = (g.reshape(q + 1, -1) * (q + 1) + np.arange(q + 1)[:, None]).reshape(-1)
-            f = np.flatnonzero(tk.reshape(-1, w).take(g, axis=0))
-            i = f // w
-            off = g.take(i) * w + (f - i * w)
-            N = pos.reshape(-1).take(off)
-            return (M0.size * sm, np.full(len(N), K), members[K].take(i // (m * sm)),
-                    L0.take(i // sm), members[L0].reshape(-1).take(i // m),
-                    M0.take(i), cpos.take(off), N, W[K].take(N))
+    def mask(self, K: int):
+        """K's closed mask over (a, L, b, M) rows and w offsets, the rows g
+        of K's closure table it read, and the circles (a, L) and
+        (a, L, b, M)."""
+        q, w = self.plane.q, self.w
+        L0 = self.pos[K]
+        M0 = self.pos[L0].reshape(-1)
+        # T is symmetric: K's closure table tk[M, (c, N)], read at the rows
+        # g (M0, or M0 and a's slot), is the closed mask in C order
+        tk = (self.plane.pair_count[K] == 1).take(self.pos_ids)
+        g = M0.astype(np.intp)
+        if self.parallel:                   # a's slot is the rows' leading axis
+            g = (g.reshape(q + 1, -1) * (q + 1) + np.arange(q + 1)[:, None]).reshape(-1)
+        return tk.reshape(-1, w).take(g, axis=0), g, L0, M0
 
-        for K in _firsts(mode, plane.n_circles):
-            yield closed(K)
+    def write(self, K: int, rows: _Rows, o: int) -> int:
+        """Write K's closed chains at row o of the block arrays of `rows`,
+        and return their number."""
+        plane, m, w = self.plane, self.plane.q - 1, self.w
+        sm = self.pos.shape[1]
+        mask, g, L0, M0 = self.mask(K)
+        f = np.flatnonzero(mask)
+        r = len(f)
+
+        def out(name):
+            return rows.block(name, o + r)[o:]
+
+        # a closed offset f is row i = f // w, at the flat (M, c, N) offset
+        # g[i]·w + f - i·w
+        i = f // w
+        off = g.take(i) * w + (f - i * w)
+        N = self.pos.reshape(-1).take(off, out=out("N"), mode="wrap")
+        self.cpos.take(off, out=out("C"), mode="wrap")
+        plane.pair_sum[K].take(N, out=out("D"), mode="wrap")
+        M0.take(i, out=out("M"), mode="wrap")
+        plane.members[L0].reshape(-1).take(i // m, out=out("B"), mode="wrap")
+        L0.take(i // sm, out=out("L"), mode="wrap")
+        plane.members[K].take(i // (m * sm), out=out("A"), mode="wrap")
+        out("K")[...] = K
+        return r
 
 
 def _corner_coincides(A, B, C, D):
@@ -457,18 +556,18 @@ def _chain_firsts(plane):
 
 def check_S(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Closed tangency chains with non-parallel opposite corners a,c span a circle."""
-    return _sweep(plane, mode, "S", _chain_blocks, _eval_s, _chain_firsts(plane))
+    return _sweep(plane, mode, "S", _chain_blocks, _eval_s, _ChainFirsts)
 
 
 def check_prop_2_2(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Closed tangency chains with a parallel to c force b parallel to d."""
     return _sweep(plane, mode, "Prop22", partial(_chain_blocks, c_parallel_a=True),
-                  _eval_prop_2_2)
+                  _eval_prop_2_2, partial(_ChainFirsts, c_parallel_a=True))
 
 
 def check_cor_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Every closed tangency chain has (a,c,b,d) concyclic in the generalized sense."""
-    return _sweep(plane, mode, "Cor21", _chain_blocks, _eval_cor_2_1, _chain_firsts(plane))
+    return _sweep(plane, mode, "Cor21", _chain_blocks, _eval_cor_2_1, _ChainFirsts)
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +719,8 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     the circle through x tangent to C1 at a.  The statements need nothing
     more: p ∥ c and q ∥ b are parallel to neither x nor each other; q ≠ b,
     or (a,c,x)° = C1 would hold x; and q is off K′, or K′ = (a,c,x)° would
-    meet C1 in c as well as in a.
-
-    An exhaustive block is one point a.  Its tables over (y, z) and
-    (y, z, w) are read from a's slice of `triple_circle`, the circles
-    (a, y, z)°, once: the mask of mutually non-parallel (b, c, x) with x
-    off (a, b, c)° is one `flatnonzero`, and every yielded array is one
-    `take` of a table at the kept flat offsets, or their (b, c) prefixes.
+    meet C1 in c as well as in a.  An exhaustive block spans consecutive
+    points a (`_PiFirsts`, `_range_blocks`).
     """
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
     members, TCT = plane.members, plane.tangent_through
@@ -642,41 +736,79 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
 
     if mode.is_sample:
         for raw in _sample_batches(mode, 4):
-            # int32 ids, as in the exhaustive blocks, halve the chunk's four
-            # id columns
-            a, b, c, x = (bounded(raw[j], plane.n_points).astype(np.int32) for j in range(4))
+            # int16 ids, as in the exhaustive blocks
+            a, b, c, x = (bounded(raw[j], plane.n_points).astype(np.int16) for j in range(4))
             ga, gb, gc, gx = (gen.take(v) for v in (a, b, c, x))
             idx = np.nonzero((ga != gb) & (ga != gc) & (ga != gx)
                              & (gb != gc) & (gb != gx) & (gc != gx))[0]
             yield block(raw.shape[1], a[idx], b[idx], c[idx], x[idx])
     else:
-        # per point a: the raw (b, c, x) have b off a's generator and c, x off
-        # those of a and b; C order over (b, c, x) is the order of that space
-        n, n_raw = _pi_firsts(plane)
-        off = gen[:, None] != gen[None, :]
-        par = members[:, gen].T.copy()              # par[z, C]: C's point parallel to z
+        yield from _range_blocks(_PiFirsts(plane), mode, _Rows())
 
-        def kept(a):
-            # a function, so no table of a outlives a's block
-            o = off & off[a][:, None] & off[a]      # a pair off each other and off a
-            # a's circles (a, y, z)°, -1 where y or z is parallel to a (rows
-            # the mask drops); x off C1 = (a, b, c)° is folded into the mask
-            Ta = T3[a]
-            f = np.flatnonzero(o[:, :, None] & o[:, None, :] & o[None, :, :] & ~mem[Ta])
-            # int32 ids halve the index arrays of these blocks, the largest of
-            # the pass; n³ < 2^31, as a plane has at most 2^15 = 32³ circles
-            g = f.astype(np.int32)
-            bc = g // n                             # the (b, c) offsets
-            b = bc // n
-            pz = par[:, Ta]                         # pz[z, y, w]: (a, y, w)°'s point ∥ z
-            C1 = Ta.reshape(-1).take(bc)
-            return (n_raw, np.full(len(f), a, dtype=np.int32), b, bc - b * n, g - bc * n, C1,
-                    pz.transpose(1, 0, 2).reshape(-1).take(f),    # p = (a, b, x)°'s ∥ c
-                    pz.reshape(-1).take(f),                       # q = (a, c, x)°'s ∥ b
-                    TCT[:, gen[a]][Ta].reshape(-1).take(f))       # K′ through x at a
 
-        for a in _firsts(mode, n):
-            yield kept(a)
+class _PiFirsts:
+    """The exhaustive first choices of the Pi family, the points a, each
+    with the raw (b, c, x) of `_pi_blocks`: b off a's generator, and c, x
+    off those of a and b; C order over (b, c, x) is the order of that space.
+
+    a's tables over (y, z) and (y, z, w) are read from a's slice of
+    `triple_circle`, the circles (a, y, z)°, once: the mask of mutually
+    non-parallel (b, c, x) with x off (a, b, c)° is one `flatnonzero`, and
+    every yielded array is read at the kept flat offsets, or their (b, c)
+    prefixes."""
+
+    names = ("a", "b", "c", "x", "C1", "p", "q", "Kp")
+
+    def __init__(self, plane: LaguerrePlane):
+        gen = plane.gen_of
+        self.plane = plane
+        self.n, self.raw = _pi_firsts(plane)
+        self.read = self.n ** 3                     # the kept mask's size
+        self.off = gen[:, None] != gen[None, :]
+        self.par = plane.members[:, gen].T.copy()   # par[z, C]: C's point parallel to z
+
+    def mask(self, a: int):
+        """a's kept mask over (b, c, x), and a's circles (a, y, z)°, -1
+        where y or z is parallel to a (rows the mask drops)."""
+        Ta = self.plane.triple_circle[a]
+        # x off C1 = (a, b, c)°, and each pair off each other and off a
+        mask = self.plane.mem[Ta]
+        np.logical_not(mask, out=mask)
+        o = self.off & self.off[a][:, None] & self.off[a]
+        mask &= o[:, :, None]
+        mask &= o[:, None, :]
+        mask &= o
+        return mask.reshape(-1), Ta
+
+    def write(self, a: int, rows: _Rows, o: int) -> int:
+        """Write a's kept configurations at row o of the block arrays of
+        `rows`, and return their number."""
+        plane, n = self.plane, self.n
+        mask, Ta = self.mask(a)
+        f = np.flatnonzero(mask)
+        r = len(f)
+
+        def out(name):
+            return rows.block(name, o + r)[o:]
+
+        # pz[z, y, w]: (a, y, w)°'s point ∥ z; q = (a, c, x)°'s ∥ b is pz at
+        # f = (b, c, x), p = (a, b, x)°'s ∥ c at (c, b, x)
+        pz = self.par[:, Ta]
+        pz.reshape(-1).take(f, out=out("q"), mode="wrap")
+        out("a")[...] = a
+        # f = (b·n + c)·n + x, split in int32: n² may pass int16's range
+        t = f.astype(np.int32)
+        bc = t // n
+        x = np.subtract(t, np.multiply(bc, n, out=f), out=out("x"))
+        b = np.floor_divide(bc, n, out=out("b"))
+        c = np.subtract(bc, np.multiply(b, n, out=t, dtype=np.int32), out=out("c"))
+        # f, read, now holds the offsets of the gathers that follow
+        C1 = Ta.reshape(-1).take(_flat(f, Ta, (b, c)), out=out("C1"), mode="wrap")
+        pz.reshape(-1).take(_flat(f, pz, (c, b, x)), out=out("p"), mode="wrap")
+        # K′ through x tangent to C1 at a
+        TCT = plane.tangent_through
+        TCT.reshape(-1).take(_flat(f, TCT, (C1, plane.gen_of[a], x)), out=out("Kp"), mode="wrap")
+        return r
 
 
 def _pi_tally(report, ok, kind, a, b, c, x, C1) -> None:
@@ -716,18 +848,18 @@ def _pi_firsts(plane):
 def check_pi(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Artzy symmetry configuration: the circle through x tangent to
     (a,b,c)° at a meets (p,q,x)° exactly in x."""
-    return _sweep(plane, mode, "Pi", _pi_blocks, _eval_pi, _pi_firsts(plane))
+    return _sweep(plane, mode, "Pi", _pi_blocks, _eval_pi, _PiFirsts)
 
 
 def check_pi_prime(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Reformulated symmetry configuration: L through q tangent to K at x
     meets (a,b,x)° in exactly x and the point of it parallel to c."""
-    return _sweep(plane, mode, "PiPrime", _pi_blocks, _eval_pi_prime, _pi_firsts(plane))
+    return _sweep(plane, mode, "PiPrime", _pi_blocks, _eval_pi_prime, _PiFirsts)
 
 
 def check_thm_2_3(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """The circle tangent to (q,p,x)° at p through b is tangent to (a,b,c)° at b."""
-    return _sweep(plane, mode, "Thm23", _pi_blocks, _eval_thm_2_3, _pi_firsts(plane))
+    return _sweep(plane, mode, "Thm23", _pi_blocks, _eval_thm_2_3, _PiFirsts)
 
 
 # ---------------------------------------------------------------------------

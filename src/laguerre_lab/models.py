@@ -107,6 +107,8 @@ def build_plane(q: int, model: str = "miquelian") -> LaguerrePlane:
         table = [int(v) for v in values]
     except ValueError:
         raise ValueError(f"model {model} must list one integer o(x) per x") from None
+    if any(not 0 <= v < q for v in table):
+        raise ValueError(f"model {model} must list values in 0..{q - 1}")
     return oval_plane(q, table)
 
 

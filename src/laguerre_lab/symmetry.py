@@ -54,7 +54,7 @@ from .errors import (
     WellDefinednessFailure,
     NoAdmissibleAuxiliary,
 )
-from .checks import _not_applicable, _pi_blocks, _sweep
+from .checks import _not_applicable, _pi_blocks, _PiFirsts, _sweep
 from .plane import Circle, LaguerrePlane, Pencil, _cid
 from .report import CheckMode, CheckReport, Violation
 
@@ -520,7 +520,8 @@ def verify_pi_symmetry(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     if plane.q % 2 == 0:
         return _not_applicable(
             "PiSymmetry", mode, "even order: the symmetry construction needs the unique-tangent axiom")
-    return _sweep(plane, mode, "PiSymmetry", _pi_blocks, partial(_eval_pi_symmetry, {}))
+    return _sweep(plane, mode, "PiSymmetry", _pi_blocks, partial(_eval_pi_symmetry, {}),
+                  _PiFirsts)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ replaced: per circle K, the whole (a, L, b, M, c, N) space of pencil
 members looked up in K's tangency row; per point a, the mask of mutually
 non-parallel (b, c, x), its `nonzero`, and then a second pass that drops
 the rows with x on (a, b, c)°.  They are kept here as the second route to
-the blocks.  The array routes must yield the same blocks: the same raw
-counts, and every array with the same values, in the same order, of the
-same dtype.  Prop22's chain blocks (`c_parallel_a`) must be the chain
+the blocks.  The array routes must yield the same rows: the same raw
+count in all, and every array with the same values, in the same order, of
+the same dtype.  An exhaustive block of the array routes spans several
+first choices (`checks._range_blocks`), so the rows are compared across
+blocks, not block by block.  Prop22's chain blocks (`c_parallel_a`) must be the chain
 reference restricted to its hypothesis c ∥ a, in both modes, while the
 blocks of S and Cor21 stay unrestricted.
 """
@@ -41,7 +43,7 @@ def reference_chain_blocks(plane, mode):
         L = L0.reshape(-1).take(f // (sm * sm))
         M = M0.reshape(-1).take(f // sm)
         N = N0.reshape(-1).take(f)
-        yield (N0.size, np.full(len(N), K), members[K].take(f // (m * sm * sm)),
+        yield (N0.size, np.full(len(N), K, dtype=np.int16), members[K].take(f // (m * sm * sm)),
                L, _gather(members, L, f // (m * sm) % (q + 1)),
                M, _gather(members, M, f // m % (q + 1)), N, _gather(W, N, K))
 
@@ -55,9 +57,9 @@ def reference_pi_blocks(plane, mode):
     off = gen[:, None] != gen[None, :]
     for a in _firsts(mode, n):
         o = off & off[a][:, None] & off[a]
-        b, c, x = (v.astype(np.int32) for v in np.nonzero(
+        b, c, x = (v.astype(np.int16) for v in np.nonzero(
             o[:, :, None] & o[:, None, :] & o[None, :, :]))
-        a = np.full(len(b), a, dtype=np.int32)
+        a = np.full(len(b), a, dtype=np.int16)
         C1 = _gather(T3, a, b, c)
         keep = ~_gather(mem, C1, x)
         a, b, c, x, C1 = a[keep], b[keep], c[keep], x[keep], C1[keep]
@@ -94,14 +96,17 @@ def _plane(key):
 
 
 def assert_same_blocks(got, want):
-    got, want = list(got), list(want)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g[0] == w[0]
-        assert len(g) == len(w)
-        for i, (ga, wa) in enumerate(zip(g[1:], w[1:]), start=1):
-            assert ga.dtype == wa.dtype, i
-            np.testing.assert_array_equal(ga, wa, err_msg=f"array {i}")
+    # each block copied as it is drawn: the next exhaustive block of the
+    # array routes overwrites its arrays
+    got = [(b[0], *(np.array(v) for v in b[1:])) for b in got]
+    want = list(want)
+    assert sum(b[0] for b in got) == sum(b[0] for b in want)
+    assert {len(b) for b in got} == {len(b) for b in want}
+    for i in range(1, len(want[0])):
+        ga = np.concatenate([b[i] for b in got])
+        wa = np.concatenate([b[i] for b in want])
+        assert ga.dtype == wa.dtype, i
+        np.testing.assert_array_equal(ga, wa, err_msg=f"array {i}")
 
 
 @pytest.mark.parametrize("family, key", [(f, k) for f in FAMILIES for k in (3, 4, 5, RELABELLED)]
@@ -121,6 +126,15 @@ def test_first_choice_views_match_the_reference_at_order_7(family, first):
     blocks, reference = FAMILIES[family]
     mode = CheckMode("exhaustive", start=first, count=1)
     assert_same_blocks(blocks(plane, mode), reference(plane, mode))
+
+
+@pytest.mark.parametrize("a", [0, 181])
+def test_pi_first_choice_views_match_the_reference_at_order_13(a):
+    # n = 182 points: the (b, c) offsets pass int16's range, and b·n does
+    # for b = 181
+    plane = miquelian_plane(13)
+    mode = CheckMode("exhaustive", start=a, count=1)
+    assert_same_blocks(_pi_blocks(plane, mode), reference_pi_blocks(plane, mode))
 
 
 @pytest.mark.parametrize("key", [3, 4, 5, RELABELLED])

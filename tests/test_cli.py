@@ -69,6 +69,12 @@ def test_usage_errors(capsys):
              "error: model oval:a,b,c must list one integer o(x) per x\n"),
             (("check", "--q", "3", "--model", "oval:0,,1", "--checks", "C"),
              "error: model oval:0,,1 must list one integer o(x) per x\n"),
+            (("check", "--q", "3", "--model", "oval:0,1,9", "--checks", "C"),
+             "error: model oval:0,1,9 must list values in 0..2\n"),
+            (("dts", "--q", "3", "--model", "oval:0,1,9", "--sample-pairs", "1", "--seed", "1"),
+             "error: model oval:0,1,9 must list values in 0..2\n"),
+            (("moebius", "--q", "3", "--model", "oval:0,1,9"),
+             "error: model oval:0,1,9 must list values in 0..2\n"),
             (("dts", "--q", "3", "--k", "1,0,x", "--l", "0,0,0"),
              "error: --k expects integer coefficients a,b,c, got '1,0,x'\n"),
             (("moebius", "--q", "3", "--k", "0,0,0", "--l", "1,0"),
@@ -325,6 +331,7 @@ def test_replay_malformed_lines_exit_two_with_one_error_line(tmp_path, capsys):
         dict(good, violations=[{"kind": "C", "circles": [7]}]),
         dict(good, check="DtsVerify"),
         dict(good, model=5),
+        dict(good, model="oval:0,1,9"),
         [1, 2],
     ]
     report = tmp_path / "bad.jsonl"
@@ -334,6 +341,9 @@ def test_replay_malformed_lines_exit_two_with_one_error_line(tmp_path, capsys):
         assert code == 2, obj
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and ":2:" in err, err
+    report.write_text(json.dumps(dict(good, model="oval:0,1,9")) + "\n")
+    assert run_cli(capsys, "replay", "--report", str(report)) == (
+        2, "", f"error: {report}:1: model oval:0,1,9 must list values in 0..2\n")
     report.write_text("{not json\n")
     code, _, err = run_cli(capsys, "replay", "--report", str(report))
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1

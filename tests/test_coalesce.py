@@ -1,6 +1,7 @@
 """Merged exhaustive blocks: `checks._sweep` merges the consecutive blocks
 of one part into blocks of at most `checks._SAMPLE_CHUNK` rows
-(`checks._coalesce`).  Every report must equal the report of the blocks
+(`checks._coalesce`), and the chain and Pi families build blocks of that
+size over consecutive first choices (`checks._range_blocks`).  Every report must equal the report of the blocks
 as their generator yields them, one at a time, and no merged block may
 hold more rows than the budget unless one generator block already did.
 
@@ -63,18 +64,29 @@ def _rows(block) -> int | None:
 
 
 def _recorded(monkeypatch) -> list:
-    """(generator blocks, evaluated blocks) of every sweep from now on."""
+    """(generator blocks, evaluated blocks, range blocks or not) of every
+    sweep part from now on.  The range blocks of the chain and Pi families
+    reach the evaluator as they are built, each copied as it passes: the
+    next one overwrites its arrays."""
     seen = []
-    coalesce = checks._coalesce
+    coalesce, range_blocks = checks._coalesce, checks._range_blocks
 
     def recording(blocks):
         given, got = list(blocks), []
-        seen.append((given, got))
+        seen.append((given, got, False))
         for block in coalesce(iter(given)):
             got.append(block)
             yield block
 
+    def recording_ranges(family, mode, rows):
+        got = []
+        seen.append((got, got, True))
+        for block in range_blocks(family, mode, rows):
+            got.append((block[0], *(np.array(v) for v in block[1:])))
+            yield block
+
     monkeypatch.setattr(checks, "_coalesce", recording)
+    monkeypatch.setattr(checks, "_range_blocks", recording_ranges)
     return seen
 
 
@@ -84,14 +96,18 @@ def test_evaluated_blocks_stay_within_the_budget(monkeypatch, check_id, budget):
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", budget)
     seen = _recorded(monkeypatch)
     RUNS[check_id](miquelian_plane(3 if check_id == "PiSymmetry" else 4), EX)
-    for given, got in seen:
+    assert seen
+    for given, got, ranged in seen:
         assert sum(b[0] for b in got) == sum(b[0] for b in given)
         rows = [_rows(b) for b in got]
         if rows[0] is None:             # C: one circle per block, as yielded
             assert all(g is b for g, b in zip(got, given)) and len(got) == len(given)
             continue
         for block, n in zip(got, rows):
-            assert n <= budget or any(block is b for b in given), (n, budget)
+            # over budget: one generator block, or a range block of one first
+            # choice (the circle K or the point a of its first array)
+            assert n <= budget or (len(np.unique(block[1])) == 1 if ranged else
+                                   any(block is b for b in given)), (n, budget)
         # merged greedily: no two neighbours would fit in one block
         assert all(m + n > budget for m, n in zip(rows, rows[1:]))
         # the same rows in the same order, every array of the same dtype

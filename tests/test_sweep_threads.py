@@ -1,8 +1,11 @@
 """The chunked, threaded sweep: a sampled sweep's stream chunks, and an
-exhaustive S, Cor21 or Pi-family sweep's first choices, run on `checks._THREADS`
-threads and their reports merge in order, so a report does not depend on
-the thread count, a failing chunk raises as it would in a single-threaded
-sweep, and no thread outlives its sweep."""
+exhaustive S, Cor21 or Pi-family sweep's range blocks of first choices, run
+on `checks._THREADS` threads and their reports merge in order, so a report
+does not depend on the thread count, a failing chunk raises as it would in
+a single-threaded sweep, and no thread outlives its sweep.  The range
+blocks of the chain and Pi families are built on row buffers that each
+thread reuses (`checks._Rows`), so a report must not depend on which
+blocks shared them either."""
 
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from laguerre_lab.symmetry import verify_pi_symmetry
 PLANES = {"miquelian-5": lambda: miquelian_plane(5),
           "x^4-gf8": functools.cache(lambda: oval_plane(8, oval_table_power(8, 4)))}
 PI_FAMILY = ("Pi", "PiPrime", "Thm23")
+EX = CheckMode.exhaustive()
 SPLIT = ("S", "Cor21", *PI_FAMILY)
 
 
@@ -271,6 +275,13 @@ SPLIT_COUNTS = {
 }
 
 
+# the parts of each split sweep: blocks of three circles K at q=7 (17,616
+# chains each, 52,848 rows a block), and one point a per block where a's
+# rows fill a chunk (61,740 at q=7, 150,528 on x^4)
+SPLIT_PARTS = {**{("miquelian-7", c): 115 for c in ("S", "Cor21")},
+               **{("miquelian-7", c): 56 for c in PI_FAMILY}, ("x^4-gf8", "Pi"): 72}
+
+
 @pytest.mark.parametrize("name, check_id", SPLIT_COUNTS)
 def test_exhaustive_chain_and_pi_sweeps_split_by_first_choice(monkeypatch, name, check_id):
     plane = miquelian_plane(7) if name == "miquelian-7" else PLANES[name]()
@@ -279,7 +290,7 @@ def test_exhaustive_chain_and_pi_sweeps_split_by_first_choice(monkeypatch, name,
     for threads in (1, 2):
         monkeypatch.setattr(checks, "_THREADS", threads)
         runs[threads] = CHECKERS[check_id].run(plane, CheckMode.exhaustive())
-    assert counts == [_n_firsts(plane, check_id)] * 2
+    assert counts == [SPLIT_PARTS[name, check_id]] * 2
     assert _facts(plane, runs[1]) == _facts(plane, runs[2])
     r = runs[2]
     assert (r.configurations, r.hypothesis_hits, r.violation_count, r.verdict) \
@@ -309,12 +320,13 @@ def test_exhaustive_prop22_runs_inline_at_order_7(monkeypatch):
 
 
 def test_a_view_of_an_exhaustive_mode_splits_only_its_own_first_choices(monkeypatch):
+    # five circles from K=3: one block of three and one of two
     plane = miquelian_plane(7)
     counts = _count_parts(monkeypatch)
-    view = CHECKERS["S"].run(plane, CheckMode("exhaustive", start=3, count=2))
+    view = CHECKERS["S"].run(plane, CheckMode("exhaustive", start=3, count=5))
     assert counts == [2]
-    assert view.configurations == 2 * (8 * 6) ** 3
-    assert _facts(plane, view) == _facts(plane, _merged_views(plane, "S", (3, 4)))
+    assert view.configurations == 5 * (8 * 6) ** 3
+    assert _facts(plane, view) == _facts(plane, _merged_views(plane, "S", range(3, 8)))
 
 
 def test_small_blocks_and_the_other_sweeps_run_as_one_part(monkeypatch):
@@ -323,13 +335,95 @@ def test_small_blocks_and_the_other_sweeps_run_as_one_part(monkeypatch):
     for check_id in SPLIT:
         CHECKERS[check_id].run(plane, CheckMode.exhaustive())
     assert counts == [1] * len(SPLIT)
-    # with one-row chunks every S, Cor21 and Pi first choice would be a
-    # part of its own; the other checkers still sweep in one part
+    # with one-row chunks every first choice of the chain and Pi families,
+    # Prop22 and PiSymmetry among them, is a part of its own: 27 circles and
+    # 12 points at q=3; the other checkers still sweep in one part
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 1)
     counts.clear()
-    others = [c for c in CHECK_IDS if c not in SPLIT]
+    others = [c for c in CHECK_IDS if c not in (*SPLIT, "Prop22")]
     for check_id in others:         # Prop11 needs an even order
         CHECKERS[check_id].run(miquelian_plane(4 if check_id == "Prop11" else 3),
                                CheckMode.exhaustive())
+    CHECKERS["Prop22"].run(miquelian_plane(3), CheckMode.exhaustive())
     verify_pi_symmetry(miquelian_plane(3), CheckMode.exhaustive())
-    assert counts == [1] * (len(others) + 1)
+    assert counts == [1] * len(others) + [27, 12]
+
+
+# -- range blocks on reused row buffers -----------------------------------------
+
+BUFFERED = ("S", "Cor21", "Prop22", *PI_FAMILY)
+
+
+def _range_block_sizes(monkeypatch) -> list[tuple[int, int]]:
+    """(first choices, rows) of every range block from now on."""
+    seen = []
+    range_blocks = checks._range_blocks
+
+    def recording(family, mode, rows):
+        for block in range_blocks(family, mode, rows):
+            seen.append((len(np.unique(block[1])), len(block[1])))
+            yield block
+
+    monkeypatch.setattr(checks, "_range_blocks", recording)
+    return seen
+
+
+@pytest.mark.parametrize("key, check_id", [(q, c) for q in (3, 4, 5, 7) for c in BUFFERED]
+                         + [("x^4-gf8", c) for c in PI_FAMILY])
+def test_range_blocks_report_what_single_first_choices_report(monkeypatch, key, check_id):
+    # blocks of many first choices (or, at q=7, parts of several) share one
+    # thread's buffers; x^4 over GF(8), where Pi fails, runs a view of its
+    # first nine points, each a block and a part of its own
+    if key == "x^4-gf8":
+        plane, firsts = PLANES[key](), range(9)
+    else:
+        plane = miquelian_plane(key)
+        firsts = range(_n_firsts(plane, check_id))
+    mode = CheckMode("exhaustive", start=firsts.start, count=len(firsts))
+    single = _merged_views(plane, check_id, firsts)
+    blocks = _range_block_sizes(monkeypatch)
+    for threads in (1, 2):
+        monkeypatch.setattr(checks, "_THREADS", threads)
+        report = CHECKERS[check_id].run(plane, mode)
+        assert _facts(plane, report) == _facts(plane, single)
+        assert report.violations == single.violations
+    if (key, check_id) == (4, "S"):
+        assert report.violation_count == 23_040
+    if key == 5:            # small blocks: 3,192 chains a circle, 6,000 rows a point
+        assert max(n for n, _ in blocks) == {"Prop22": 82, "S": 20, "Cor21": 20}.get(
+            check_id, 10)
+    assert all(rows <= checks._SAMPLE_CHUNK or n == 1 for n, rows in blocks)
+
+
+def test_sweeps_of_two_planes_in_turn_on_one_thread(monkeypatch):
+    # each sweep builds and drops its own buffers: sweeping another plane
+    # in between changes no report
+    monkeypatch.setattr(checks, "_THREADS", 1)
+    planes = [miquelian_plane(4), miquelian_plane(5)]
+    first = {(p.q, c): CHECKERS[c].run(p, EX) for p in planes for c in ("S", "Pi")}
+    for _ in range(2):
+        for p in planes:
+            for c in ("S", "Pi"):
+                assert _facts(p, CHECKERS[c].run(p, EX)) == _facts(p, first[p.q, c])
+
+
+# the traced peak of exhaustive S@7 then Pi@7 on two threads in one traced
+# span, before the row buffers: the Pi family's, each thread's point
+# allocating and freeing 3.2 MB of arrays
+PARENT_S_PI_PEAK = 6_522_121
+
+
+def test_row_buffers_hold_no_more_than_the_arrays_they_replace(monkeypatch):
+    # S's blocks of three circles take more bytes than its blocks of one
+    # circle did, and stay under the Pi family's peak
+    plane = miquelian_plane(7)
+    plane.tangent_through               # built once, outside the traced span
+    monkeypatch.setattr(checks, "_THREADS", 2)
+    tracemalloc.start()
+    try:
+        for check_id in ("S", "Pi"):
+            CHECKERS[check_id].run(plane, EX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PARENT_S_PI_PEAK * 1.10, peak
