@@ -57,8 +57,10 @@ Every construction is validated first, by whole-array passes:
                generator once exactly when its size times m - 1 is their
                number and no two of its circles meet twice: a `bincount`
                of pencil sizes, then a `pair_count` lookup per two circles
-               of a right-sized pencil, grouped by one stable sort into
-               the plane's `pencil_others`,
+               of a right-sized pencil.  A block keeps only the failed
+               (K, p) and the right-sized pencils, grouped by one stable
+               sort into the plane's `pencil_others`; a witness recounts
+               its pencil from `pair_count` and `mem`,
   * axiom (4)  the row lengths.
 
 Axioms (1) and (2) run in blocks of `_BLOCK` circles, so their temporaries
@@ -220,11 +222,12 @@ class _Structure:
 
     @functools.cached_property
     def _tangent_blocks(self) -> list[tuple[np.ndarray, ...]]:
-        """Per block of `_BLOCK` circles K: the tangent partners L
-        (`pair_count` 1) in (K, L) order; for each, the row (K - b0) * m + g
-        of the touch point's generator g; the rows whose pencil has not the
-        E / (m - 1) partners of axiom (2); and the other rows' partners,
-        grouped by row.  Needs axiom (3) and generators of one size.
+        """Per block of `_BLOCK` circles K: the rows (K - b0) * m + g whose
+        pencil, the partners L (`pair_count` 1) touching K on generator g,
+        has not the E / (m - 1) partners of axiom (2); and the other rows'
+        partners, grouped by row in id order.  Rows come from per-circle
+        partner counts, so no pair is divided; only the pairs of kept rows
+        are converted and sorted.  Needs axiom (3) and generators of one size.
 
         Sets `pair_count` and `pair_sum` from one product per block with
         point weights 2^s + x, s the bit length of m * (n_p - 1): its
@@ -247,13 +250,16 @@ class _Structure:
             code = (mem[b0:b1] @ weighted.T).astype(code_t)
             np.right_shift(code, s, out=count[b0:b1], casting="unsafe")
             np.bitwise_and(code, 2**s - 1, out=total[b0:b1], casting="unsafe")
-            pairs = np.flatnonzero(count[b0:b1] == 1)
-            K, L = np.divmod(pairs, n_c)
-            row = (K * m + self.gen_of.take(total[b0:b1].reshape(-1).take(pairs))).astype(row_t)
+            one = count[b0:b1] == 1
+            pairs = np.flatnonzero(one)
+            K = np.repeat(np.arange(b1 - b0, dtype=row_t), np.count_nonzero(one, axis=1))
+            row = K * m + self.gen_of.take(total[b0:b1].reshape(-1).take(pairs))
             failed = np.bincount(row, minlength=(b1 - b0) * m) * (m - 1) != n_eligible
-            keep = ~failed[row]
-            L = L.astype(np.int16)
-            blocks.append((L, row, failed, L[keep][np.argsort(row[keep], kind="stable")]))
+            if failed.any():
+                kept = np.flatnonzero((~failed).take(row))
+                pairs, K, row = pairs.take(kept), K.take(kept), row.take(kept)
+            L = (pairs - np.multiply(K, n_c, dtype=np.intp)).astype(np.int16)
+            blocks.append((failed, L[np.argsort(row, kind="stable")]))
         return blocks
 
 
@@ -397,7 +403,9 @@ def _axiom2(s: _Structure, report: CheckReport) -> bool:
     them with (m - 1) * n = E (`_tangent_blocks` fails the other pencils)
     and no two of them, which share p, have a `pair_count` other than 1.
     Witnesses, the first eligible x whose count is not 1, are recounted
-    per failed row.
+    per failed row: the blocks keep no partners of a failed (K, p), so the
+    witness reads them again, in id order, as the circles L through p with
+    `pair_count[K, L]` 1.
     """
     M, n_p = s.members, s.n_points
     n_c, m = M.shape
@@ -405,7 +413,7 @@ def _axiom2(s: _Structure, report: CheckReport) -> bool:
     size = n_eligible // (m - 1) if m > 1 else 0
     first, second = np.triu_indices(size, 1)
     ok = True
-    for b0, (L, row, failed, pencils) in zip(range(0, n_c, _BLOCK), s._tangent_blocks):
+    for b0, (failed, pencils) in zip(range(0, n_c, _BLOCK), s._tangent_blocks):
         b1 = min(b0 + _BLOCK, n_c)
         report.configurations += (b1 - b0) * m * n_eligible
         if len(first):
@@ -420,7 +428,8 @@ def _axiom2(s: _Structure, report: CheckReport) -> bool:
         def witness(i: int) -> Violation:
             k, g = divmod(i, m)
             p = M[b0 + k, g]
-            count = np.bincount(M[L[row == i]].ravel(), minlength=n_p)
+            partners = np.flatnonzero((s.pair_count[b0 + k] == 1) & s.mem[:, p])
+            count = np.bincount(M[partners].ravel(), minlength=n_p)
             bad = ~s.mem[b0 + k] & (s.gen_of != s.gen_of[p]) & (count != 1)
             x = int(bad.argmax())
             return Violation("axiom2", points=(int(p), x), circles=(b0 + k,),
@@ -459,8 +468,7 @@ class LaguerrePlane(_Structure):
 
         self.coef = None if coefficients is None else np.array(coefficients, dtype=np.int16)
         self._build_indexes()
-        if validate:
-            del self._tangent_blocks     # axiom (2) has read them; the pencils hold the rest
+        del self._tangent_blocks     # the pencils hold what axiom (2) did not need
         for arr in (self.gen_of, self.gen_members, self.members, self.mem,
                     self.pair_count, self.pair_sum, self.triple_circle,
                     self.pencil_others, self.vertex_pencils):
@@ -483,7 +491,7 @@ class LaguerrePlane(_Structure):
         # the tangent pencils as axiom (2) grouped them: partners of K by the
         # touch point's generator, each group in id order
         self.pencil_others = np.concatenate(
-            [pencils for *_, pencils in self._tangent_blocks]).reshape(n_c, q + 1, q - 1)
+            [pencils for _, pencils in self._tangent_blocks]).reshape(n_c, q + 1, q - 1)
 
         # circles through a non-parallel point pair, sorted by id
         self.vertex_pencils = np.full((n_p, n_p, q), -1, dtype=np.int16)
@@ -644,6 +652,6 @@ class LaguerrePlane(_Structure):
         """The axiom report of this plane, a copy of the one its validation
         made (validated on the first call if it was built unvalidated)."""
         if self._axioms is None:
-            self._axioms = _validate(self)
-            vars(self).pop("_tangent_blocks", None)     # the pencils hold them
+            # a structure of its own, so that no index of this plane is rebuilt
+            self._axioms = _validate(_Structure(self.gen_members, self.members))
         return replace(self._axioms, violations=list(self._axioms.violations))

@@ -43,6 +43,7 @@ from laguerre_lab.symmetry import (
     verify_dts,
 )
 from test_relabelling import RELABELLED, plane_for
+from test_validator import report_obj
 
 
 def _load_demo(name: str):
@@ -390,6 +391,20 @@ def test_a_plane_is_validated_once(monkeypatch):
             [], "Holds", want.configurations)
     checks.replay_violation(P, "Axioms", Violation("axiom1"))
     assert len(calls) == 2
+
+
+def test_an_unvalidated_build_keeps_no_tangent_blocks():
+    # the pencils hold what the plane reads of the blocks, validated or not;
+    # validating later reads a structure of its own and rebuilds no index
+    src = miquelian_plane(5)
+    gens, circles = src.gen_members.tolist(), src.members.tolist()
+    P = LaguerrePlane(gens, circles, validate=False)
+    assert "_tangent_blocks" not in vars(P)
+    count, total = P.pair_count, P.pair_sum
+    want = LaguerrePlane(gens, circles).validate_axioms()
+    assert report_obj(P.validate_axioms()) == report_obj(want)
+    assert "_tangent_blocks" not in vars(P)
+    assert P.pair_count is count and P.pair_sum is total
 
 
 def test_validate_axioms_oval_model():

@@ -11,8 +11,10 @@ validator for structures that reach every failure branch.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -534,3 +536,66 @@ def test_pair_tables_equal_the_set_intersections(structure, wide):
         assert np.array_equal(s.pair_count[K], count), K
         small = count <= 2
         assert np.array_equal(s.pair_sum[K][small], total[small]), K
+
+
+# (verdict, violation count, sha256 of the report as `report_obj` JSON with
+# sorted keys) of every monomial oval table x^e, e = 2 ... q - 1, over
+# GF(8), GF(9) and GF(11): the candidates the oval-probe benchmark judges.
+# Recorded before the tangent blocks kept only failed rows and pencils; the
+# digest covers notes, configurations and the witnesses in order.
+OVAL_PROBE_REPORTS = {
+    (8, 2): ("Holds", 0, "a67b204c5c16f5286a046a8655e74f2a7da3d39facb27891746bd7638ad98224"),
+    (8, 3): ("Fails", 3585, "0fed70a43f515ddbf160f139f7741f1642d931cb22291b11ca70ea94f4cf44cc"),
+    (8, 4): ("Holds", 0, "a67b204c5c16f5286a046a8655e74f2a7da3d39facb27891746bd7638ad98224"),
+    (8, 5): ("Fails", 3585, "9c8448c97e9a666fd4dfa09b28820cbfa7c0899503a5d02b1cd835ff8d4b1acb"),
+    (8, 6): ("Holds", 0, "a67b204c5c16f5286a046a8655e74f2a7da3d39facb27891746bd7638ad98224"),
+    (8, 7): ("Fails", 3585, "459d328858c2d616c7d420258ba63ed2ed0c91ff7a22874d43787959ac27180f"),
+    (9, 2): ("Holds", 0, "a0c339a991d204568481f9e7d32e133c23fe58b928f792e6ccea514b7758329d"),
+    (9, 3): ("Fails", 6562, "a2e7fee671499f2aeb38dbf4cccf7e1bcf1c88fe4d3c143c538e47ba979fde07"),
+    (9, 4): ("Fails", 5833, "50e9fa03ae1daaef6d633930130f92543d924bd78f1d72c51b713e2c795682b2"),
+    (9, 5): ("Fails", 6562, "f6e0fb53c622af4b4ae0fd5676fc4f385acb5fe323ac0ed768bb20be148b7980"),
+    (9, 6): ("Fails", 5833, "0234e53d7b01651abf5968b48df58991146057649f7a4c7525383a09f24ad225"),
+    (9, 7): ("Fails", 6562, "9e380b418b68e73ab43154ad3a2273bbae82ba506098790da7c5039fdae14b0b"),
+    (9, 8): ("Fails", 5833, "acc3b518102c79a928d57b084d859737446ccb8b7d3cb10cd7787c330761088e"),
+    (11, 2): ("Holds", 0, "946450f720c3c8c813dec2ce7c4c8246132f6908dab354adf77f10a4968af29a"),
+    (11, 3): ("Fails", 14642, "b52acf0429d09a81c0833e6f252fa93c7bd3a3d4c44a2ea710617ae261625091"),
+    (11, 4): ("Fails", 13311, "e92aeaae859b9fb91e23e16f50ea9b75812b0dcf5c1eca82d82cffab0eb63e6b"),
+    (11, 5): ("Fails", 14642, "b52acf0429d09a81c0833e6f252fa93c7bd3a3d4c44a2ea710617ae261625091"),
+    (11, 6): ("Fails", 14642, "2661005b8da0bda4536b02adc272446b2a2cde35b0b043944b09dccb015de05d"),
+    (11, 7): ("Fails", 14642, "b52acf0429d09a81c0833e6f252fa93c7bd3a3d4c44a2ea710617ae261625091"),
+    (11, 8): ("Fails", 13311, "bdaa5e2538bcc978cad9d5cc7ab070c2755f96b2ff7cc037d1484ad92acba9c0"),
+    (11, 9): ("Fails", 14642, "8f4317b90abaf7005195e963c12c2432e3374d5bf75d1465cce1e10c9668bb85"),
+    (11, 10): ("Fails", 13311, "0fe36c6a95b1e6b48a11d87c07f4179169983d855406b5e962cf58303d656e46"),
+}
+
+
+def _judged(q: int, exponent: int) -> CheckReport:
+    """The axiom report of the oval plane of x^exponent, accepted or not."""
+    try:
+        return oval_plane(q, oval_table_power(q, exponent)).validate_axioms()
+    except NotALaguerrePlane as exc:
+        return exc.report
+
+
+@pytest.mark.parametrize("q,exponent", sorted(OVAL_PROBE_REPORTS))
+def test_oval_probe_reports_are_pinned(q, exponent):
+    obj = report_obj(_judged(q, exponent))
+    digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert (obj["verdict"], obj["violation_count"], digest) == OVAL_PROBE_REPORTS[q, exponent]
+
+
+# traced peak bytes of judging the rejected oval_plane(11, x^10): 17.77 MB
+# when each tangent block held a partner and a row for every tangent pair,
+# 11.26 MB with only the failed rows and the pencils
+REJECTED_Q11_PEAK = 11_260_870
+
+
+def test_judging_a_rejected_candidate_stays_within_its_peak():
+    _judged(11, 10)             # field tables built outside the traced span
+    tracemalloc.start()
+    try:
+        assert _judged(11, 10).verdict == "Fails"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= REJECTED_Q11_PEAK * 1.10, peak
