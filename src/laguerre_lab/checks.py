@@ -8,14 +8,15 @@ random point tuples almost never satisfy them.  Each checker documents
 its choice space; `exhaustive_size` reports its a-priori size so callers
 can refuse oversized exhaustive runs.
 
-Each statement checker is one `_sweep` of an evaluator over blocks.  A
-block generator `blocks(plane, mode)` yields the raw configuration count
-and the choice arrays of one block, sampled or exhaustive, with the
-values its whole family reads (a chain's corner d; p, q and K′ of the
-symmetry configuration).  A block holds only the rows that can meet the
-statement's constructive hypothesis, while the raw count covers every
-choice, so `configurations` is the size of the whole choice space.  The
-evaluator `evaluate(plane, report, *arrays)` tests the statement, the
+Each statement checker is one `_sweep` of an evaluator over blocks of
+(raw configurations, *choice arrays).  A sampled block comes from the
+checker's generator `blocks(plane, mode)`, an exhaustive block from its
+family of first choices (`firsts`) through `_range_blocks`.  A block
+holds only the rows that can meet the statement's constructive
+hypothesis, with the values its whole family reads (a chain's corner d;
+p, q and K′ of the symmetry configuration), while the raw count covers
+every choice, so `configurations` is the size of the whole choice space.
+The evaluator `evaluate(plane, report, *arrays)` tests the statement, the
 same code in both modes.  C alone keeps a second evaluator for its
 exhaustive blocks (`_eval_c_exhaustive`).  Blocks and evaluators read a
 plane index with one id array per axis through `_gather`, one `take` at
@@ -25,13 +26,13 @@ and only for the rows a filter kept: Prop22 draws K and the choices of
 L, b, M and N for its c ∥ a rows alone, the closures C1, C2 and their
 tails for the rows whose slots passed `_sampled_bases`.
 
-The two closures, Miquel and Bundle, share their base blocks (a circle
+The two closures, Miquel and Bundle, share their base rows (a circle
 C1, an ordered quadruple of its points and a circle C2 of the pencil
-through the first two: `_sampled_bases`, `_exhaustive_bases`) and add
-only their own choices, the tail of each such head row.  An evaluator
-takes the tail (`_with_tail`) after it has dropped the heads that cannot
-meet the hypothesis, so an exhaustive head that fails is never repeated
-once per tail.  A point that a hypothesis fixes is derived, not chosen:
+through the first two: `_sampled_bases`, `_ClosureFirsts`) and add only
+their own choices, the tail of each such head row.  An evaluator takes
+the tail (`_with_tail`) after it has dropped the heads that cannot meet
+the hypothesis, so an exhaustive head that fails is never repeated once
+per tail.  A point that a hypothesis fixes is derived, not chosen:
 `_completion` finds the point of a circle that completes two point pairs
 to a concyclic quadruple (Miquel's f, Bundle's f and h), so neither its
 slot nor a filter on it costs a draw or a row.  Only where every point of
@@ -41,24 +42,23 @@ is one `_pairs_concyclic` test: the pairs lie on one circle or split
 into two parallel pairs.  Every evaluator records its violations through
 `CheckReport.record`.
 
-Every exhaustive block generator enumerates its first choice (the
-circle K, or M for Prop11, the point a of the Pi family, the circle C1 of
-the closures) through `_firsts`, so an exhaustive `CheckMode` view with
-`start` and `count` sweeps a range of first choices.  A sampled sweep
-runs its chunks of `_SAMPLE_CHUNK` stream rows on up to two threads; the
-partial reports merge in order, so a report does not depend on the
-thread count (`_sweep`).  The chain and Pi families build their
-exhaustive blocks over ranges of consecutive first choices, up to one
-chunk of rows each (`_range_blocks`), on row buffers that each sweep
-thread makes once and reuses for every block (`_Rows`): no block
-allocates its arrays again, so no first choice faults in fresh pages.
-Their sweeps run a block per part on the two threads where a first
-choice reads a chunk's raw rows.  Every other exhaustive sweep runs on
-the calling thread, its consecutive small blocks merged into blocks of
-up to one chunk's rows (`_coalesce`).  A chain or Pi first choice builds
-small tables once and reads its rows from them at the kept offsets: K's
-closure table (is N of M's pencils tangent to K, per circle M), whose
-rows for K's chains are the closed mask, and a's slice of
+Every exhaustive sweep reads its blocks from a family of first choices
+(`_Family`): the circle K of C, Prop21 and the chains, M of Prop11, the
+point a of the Pi family, a circle C1 and a pencil selector of the
+closures.  A family counts its first choices and the raw configurations
+of each, so `exhaustive_size` is their product, and writes a first
+choice's rows into the row buffers that each sweep thread makes once and
+reuses (`_Rows`).  `_range_blocks` fills a block with consecutive first
+choices up to one chunk of evaluator rows, so an evaluator's fixed numpy
+cost is paid per chunk, and an exhaustive `CheckMode` view with `start`
+and `count` sweeps a range of first choices (`_firsts`).  A sampled sweep
+runs its chunks of `_SAMPLE_CHUNK` stream rows on up to two threads, an
+exhaustive chain or Pi sweep its blocks where one first choice reads a
+chunk's raw rows; the partial reports merge in order, so a report does
+not depend on the thread count (`_sweep`).  A chain or Pi first choice
+builds small tables once and reads its rows from them at the kept
+offsets: K's closure table (is N of M's pencils tangent to K, per circle
+M), whose rows for K's chains are the closed mask, and a's slice of
 `triple_circle` with the tables read from it, x off (a, b, c)° folded
 into a's mask.  Neither gathers the whole raw space of its first choice,
 and Prop22's chain blocks read only the c ∥ a part of it, the chains its
@@ -71,8 +71,9 @@ re-validated through the scalar incidence operations alone (see
 `replay_violation`), independently of the vectorized sweep that found it.
 
 Every check id, the axiom validator's included, is resolved by one
-`CheckerSpec` in `SPECS`: how to run it, its exhaustive size, the shape
-of its witnesses and their replay.
+`CheckerSpec` in `SPECS`: how to run it, its family of exhaustive first
+choices (and so its exhaustive size), the shape of its witnesses and
+their replay.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -121,44 +122,35 @@ _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 
 
 def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluate,
-           firsts=None) -> CheckReport:
+           firsts) -> CheckReport:
     """The report of `evaluate(plane, report, *arrays)` over every block
-    `blocks(plane, mode)` yields as (raw configurations, *arrays).
+    (raw configurations, *arrays) of `mode`: those `blocks(plane, mode)`
+    yields where it samples, those `_range_blocks` makes of the family
+    `firsts(plane)` where it is exhaustive.
 
     A sampled mode is split into chunk views of `_SAMPLE_CHUNK` stream rows
-    (`CheckMode.start`), each swept into its own partial report; `_in_order`
-    runs them on `_THREADS` threads and the partial reports are merged in
-    chunk order (`CheckReport.merge`), so the report is the same for any
-    thread count.  A chunk's columns are drawn as they are read
+    (`CheckMode.start`), each one block swept into its own partial report;
+    `_in_order` runs them on `_THREADS` threads and the partial reports are
+    merged in chunk order (`CheckReport.merge`), so the report is the same
+    for any thread count.  A chunk's columns are drawn as they are read
     (`_sample_batches`), so the two chunks in flight take about the bytes
     of one chunk drawn whole.
 
-    `firsts(plane)`, given by the chain and Pi families, is their family
-    of exhaustive first choices (`_ChainFirsts`, `_PiFirsts`): an
-    exhaustive mode then reads its blocks from `_range_blocks`, each up to
-    one chunk of rows over consecutive first choices, written into the
-    row buffers of the thread that sweeps them (`_Rows`).  Each thread
-    makes its buffers when it takes its first part, and they are dropped
-    when the sweep returns.  Where one first choice reads a
+    An exhaustive mode's blocks are written into the row buffers of the
+    thread that sweeps them (`_Rows`), made when it takes its first part
+    and dropped when the sweep returns.  Where one first choice reads a
     mask of at least `_SAMPLE_CHUNK` raw rows (`family.read`), the mode is
     split into one view per range block: from q=7 for S, Cor21 and the Pi
     family, never for Prop22's c ∥ a chains, which ran slower split
-    (CHANGES.md).  Any other exhaustive mode is one part, swept inline,
-    its consecutive small blocks merged into blocks of at most
-    `_SAMPLE_CHUNK` rows (`_coalesce`), so an evaluator's fixed numpy cost
-    is paid per 65,536 rows, not per first choice.  A sampled part is one
-    block, which passes through as it is."""
-    family = None if firsts is None or mode.is_sample else firsts(plane)
+    (CHANGES.md).  Any other exhaustive mode is one part, swept inline."""
+    family = None if mode.is_sample else firsts(plane)
     local = threading.local()
 
     def sweep_part(part: CheckMode) -> CheckReport:
         report = CheckReport(check_id=check_id, mode=mode)
-        if family is None:
-            stream = _coalesce(blocks(plane, part))
-        else:
-            if not hasattr(local, "rows"):
-                local.rows = _Rows()
-            stream = _range_blocks(family, part, local.rows)
+        if family is not None and not hasattr(local, "rows"):
+            local.rows = _Rows()
+        stream = blocks(plane, part) if family is None else _range_blocks(family, part, local.rows)
         for n_raw, *arrays in stream:
             report.configurations += n_raw
             evaluate(plane, report, *arrays)
@@ -170,7 +162,7 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     if mode.is_sample:
         parts = [replace(mode, start=s, count=min(_SAMPLE_CHUNK, mode.count - s))
                  for s in range(0, mode.count, _SAMPLE_CHUNK)]
-    elif family is not None and family.read >= _SAMPLE_CHUNK:
+    elif family.read >= _SAMPLE_CHUNK:
         # one part per block, sized by the rows r of the first first choice
         todo = _firsts(mode, family.n)
         r = np.count_nonzero(family.mask(todo.start)[0]) if todo else 1
@@ -184,6 +176,21 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     return report.finalize()
 
 
+class _Family:
+    """The exhaustive first choices of a checker: `n` of them, each with
+    `raw` configurations of the choice space, so the space holds n·raw.
+    `write(f, rows, o)` writes the rows of first choice f that can meet
+    the hypothesis at row o of the block arrays of `rows`, one per name in
+    `names`, and returns their number; the evaluator makes `weight` rows of
+    each, and takes `extra` after the arrays.  `read` is the size of the
+    mask one first choice reads (`_sweep` splits a mode by it).  This base
+    class alone is the family of no first choice."""
+
+    n = raw = read = 0
+    weight = 1
+    names = extra = ()
+
+
 class _Rows(dict):
     """The row buffers of one thread of a sweep: the int16 arrays of the
     blocks it builds, by name.  They keep their size from one block to the
@@ -191,77 +198,38 @@ class _Rows(dict):
     it; the arrays a first choice reads its rows from are freed and
     allocated again at the same sizes, which the allocator reuses."""
 
-    def block(self, name: str, n: int) -> np.ndarray:
-        """Entries 0..n-1 of the block array `name`, which grows to n
+    def block(self, name: str, o: int, r: int) -> np.ndarray:
+        """Entries o..o+r-1 of the block array `name`, which grows to o+r
         entries where it is shorter, keeping the entries it holds."""
         buf = self.get(name)
-        if buf is None or len(buf) < n:
-            grown = np.empty(n, dtype=np.int16)
+        if buf is None or len(buf) < o + r:
+            grown = np.empty(o + r, dtype=np.int16)
             if buf is not None:
                 grown[:len(buf)] = buf
             buf = self[name] = grown
-        return buf[:n]
+        return buf[o:o + r]
 
 
-def _range_blocks(family, mode: CheckMode, rows: _Rows):
+def _range_blocks(family: _Family, mode: CheckMode, rows: _Rows):
     """The exhaustive blocks of `family` over the first choices of `mode`:
-    (raw count, *arrays) over consecutive first choices, each block closed
-    once another first choice of its last one's rows would take it past
-    `_SAMPLE_CHUNK` rows; so `_SAMPLE_CHUNK // r` first choices of r rows
-    each make a block.  Each first choice writes its rows after those
-    before it into the block arrays of `rows` (`family.write`), which the
-    next block overwrites: a block is read before the next is drawn."""
+    (raw count, *arrays, *family.extra) over consecutive first choices,
+    each block closed once another first choice of its last one's rows
+    would take it past `_SAMPLE_CHUNK` evaluator rows (rows × weight); so
+    `_SAMPLE_CHUNK // (r · weight)` first choices of r rows each make a
+    block, and a first choice of more makes one alone.  Each first choice
+    writes its rows after those before it into the block arrays of `rows`
+    (`family.write`), which the next block overwrites: a block is read
+    before the next is drawn."""
     held = raw = 0
     for f in _firsts(mode, family.n):
         r = family.write(f, rows, held)
         held += r
         raw += family.raw
-        if held + r > _SAMPLE_CHUNK:
-            yield raw, *(rows.block(name, held) for name in family.names)
+        if (held + r) * family.weight > _SAMPLE_CHUNK:
+            yield raw, *(rows.block(name, 0, held) for name in family.names), *family.extra
             held = raw = 0
     if raw:
-        yield raw, *(rows.block(name, held) for name in family.names)
-
-
-def _block_rows(block) -> int:
-    """The rows an evaluator makes of a block (raw count, *arrays): its
-    head rows times `_tail_size` where it ends in an exhaustive closure
-    tail.  A block without row arrays (C's per-circle blocks hold a scalar
-    K) counts as the whole budget, so it is never merged."""
-    first, last = block[1], block[-1]
-    if not isinstance(first, np.ndarray):
-        return _SAMPLE_CHUNK
-    return len(first) * (_tail_size(last) if isinstance(last, tuple) else 1)
-
-
-def _coalesce(blocks):
-    """The blocks of `blocks`, consecutive ones merged, in order, into
-    blocks of at most `_SAMPLE_CHUNK` rows (`_block_rows`): the raw counts
-    add up and each array is the concatenation of theirs.  The blocks of
-    one sweep share their closure tail, kept as it is.  A block merged
-    with no other, such as one of at least the budget, is yielded as it
-    is.
-
-    Every evaluator treats its rows one by one and records witnesses in
-    row order, so a merged block adds to a report what its blocks add."""
-    held, rows = [], 0
-    for block in blocks:
-        n = _block_rows(block)
-        if held and rows + n > _SAMPLE_CHUNK:
-            yield _merged(held)
-            held, rows = [], 0
-        held.append(block)
-        rows += n
-    if held:
-        yield _merged(held)
-
-
-def _merged(held: list) -> tuple:
-    if len(held) == 1:
-        return held[0]
-    return (sum(block[0] for block in held),
-            *(np.concatenate(col) if isinstance(col[0], np.ndarray) else col[0]
-              for col in zip(*(block[1:] for block in held))))
+        yield raw, *(rows.block(name, 0, held) for name in family.names), *family.extra
 
 
 def _in_order(run, parts) -> list:
@@ -339,8 +307,9 @@ def _flat(off: np.ndarray, table: np.ndarray, idx) -> np.ndarray:
 
 
 def _firsts(mode: CheckMode, n: int) -> range:
-    """The first choices an exhaustive mode sweeps, of the n there are: all
-    of them, or those of a view (`CheckMode.start`, `count`)."""
+    """The first choices an exhaustive mode sweeps, of the n of its family:
+    all of them, or those of a view (`CheckMode.start`, `count`).  Every
+    exhaustive sweep takes its first choices from here (`_range_blocks`)."""
     return range(n) if mode.count is None else range(mode.start, mode.start + mode.count)
 
 
@@ -403,38 +372,35 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = Fa
     chains with c ∥ a, c in the slot of M equal to a's (the slot of a
     point on a circle is its generator): a sampled row with other slots
     is dropped before c and N are read.  The raw count still covers every
-    choice of c.  An exhaustive block spans consecutive circles K
-    (`_ChainFirsts`, `_range_blocks`).
+    choice of c.  Sampled only: the exhaustive rows are `_ChainFirsts`'.
     """
     po, members = plane.pencil_others, plane.members
     T, W = plane.pair_count, plane.pair_sum
     q, m = plane.q, plane.q - 1
-
-    if mode.is_sample:
-        for raw in _sample_batches(mode, _CHAIN_DRAWS):
-            n_raw = raw.shape[1]
-            sa, sc = bounded(raw[1], q + 1), bounded(raw[5], q + 1)
-            if c_parallel_a:
-                keep = np.flatnonzero(sc == sa)
-                raw, sa, sc = raw[:, keep], sa[keep], sc[keep]
-            K = bounded(raw[0], plane.n_circles)
-            A = _gather(members, K, sa)
-            L = _gather(po, K, sa, bounded(raw[2], m))
-            sb = bounded(raw[3], q + 1)
-            B = _gather(members, L, sb)
-            M = _gather(po, L, sb, bounded(raw[4], m))
-            C = _gather(members, M, sc)
-            N = _gather(po, M, sc, bounded(raw[6], m))
-            idx = np.nonzero(_gather(T, N, K) == 1)[0]
-            K, A, L, B, M, C, N = (v[idx] for v in (K, A, L, B, M, C, N))
-            yield n_raw, K, A, L, B, M, C, N, _gather(W, N, K)
-    else:
-        yield from _range_blocks(_ChainFirsts(plane, c_parallel_a), mode, _Rows())
+    for raw in _sample_batches(mode, _CHAIN_DRAWS):
+        n_raw = raw.shape[1]
+        sa, sc = bounded(raw[1], q + 1), bounded(raw[5], q + 1)
+        if c_parallel_a:
+            keep = np.flatnonzero(sc == sa)
+            raw, sa, sc = raw[:, keep], sa[keep], sc[keep]
+        K = bounded(raw[0], plane.n_circles)
+        A = _gather(members, K, sa)
+        L = _gather(po, K, sa, bounded(raw[2], m))
+        sb = bounded(raw[3], q + 1)
+        B = _gather(members, L, sb)
+        M = _gather(po, L, sb, bounded(raw[4], m))
+        C = _gather(members, M, sc)
+        N = _gather(po, M, sc, bounded(raw[6], m))
+        idx = np.nonzero(_gather(T, N, K) == 1)[0]
+        K, A, L, B, M, C, N = (v[idx] for v in (K, A, L, B, M, C, N))
+        yield n_raw, K, A, L, B, M, C, N, _gather(W, N, K)
 
 
-class _ChainFirsts:
+class _ChainFirsts(_Family):
     """The exhaustive first choices of the chains, the circles K, each with
-    the raw (a, L, b, M, c, N) choices of `_chain_blocks`.
+    the raw (a, L, b, M, c, N) choices of `_chain_blocks`; a block holds
+    the closed chains of consecutive circles K, the arrays of
+    `_chain_blocks`' blocks.
 
     K's closure table, read once per K, says for every circle M and flat
     (c, N) offset of M's pencils whether N is tangent to K; the rows of that
@@ -447,7 +413,7 @@ class _ChainFirsts:
     def __init__(self, plane: LaguerrePlane, c_parallel_a: bool = False):
         q, m = plane.q, plane.q - 1
         self.plane, self.parallel = plane, c_parallel_a
-        self.n, self.raw = _chain_firsts(plane)
+        self.n, self.raw = plane.n_circles, ((q + 1) * m) ** 3
         # each circle M's (c, N) offsets: N = po[M, c, ·] and M's point c;
         # N as intp ids for `take`, which would copy int16 ids on every call
         self.pos = plane.pencil_others.reshape(plane.n_circles, -1)
@@ -481,10 +447,7 @@ class _ChainFirsts:
         mask, g, L0, M0 = self.mask(K)
         f = np.flatnonzero(mask)
         r = len(f)
-
-        def out(name):
-            return rows.block(name, o + r)[o:]
-
+        out = partial(rows.block, o=o, r=r)
         # a closed offset f is row i = f // w, at the flat (M, c, N) offset
         # g[i]·w + f - i·w
         i = f // w
@@ -548,12 +511,6 @@ def _eval_cor_2_1(plane, report, K, A, L, B, M, C, N, D):
                  K, A, L, B, M, C, N, D)
 
 
-def _chain_firsts(plane):
-    # the circles K, each with its (a, L, b, M, c, N) choices
-    q = plane.q
-    return plane.n_circles, ((q + 1) * (q - 1)) ** 3
-
-
 def check_S(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Closed tangency chains with non-parallel opposite corners a,c span a circle."""
     return _sweep(plane, mode, "S", _chain_blocks, _eval_s, _ChainFirsts)
@@ -575,16 +532,25 @@ def check_cor_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _c_blocks(plane: LaguerrePlane, mode: CheckMode):
-    """Circles K, L and a point p of K.  Sampled: (raw count, K, L, slot of
-    p in K) per block.  Exhaustive: ((q+1) n_c, K) per circle K, whose
-    block is every (p, L) with p in K."""
+    """Circles K, L and a point p of K: (raw count, K, L, slot of p in K)
+    per sampled block."""
     q, n_c = plane.q, plane.n_circles
-    if mode.is_sample:
-        for raw in _sample_batches(mode, 3):
-            yield raw.shape[1], bounded(raw[0], n_c), bounded(raw[1], n_c), bounded(raw[2], q + 1)
-    else:
-        for K in _firsts(mode, n_c):
-            yield (q + 1) * n_c, K
+    for raw in _sample_batches(mode, 3):
+        yield raw.shape[1], bounded(raw[0], n_c), bounded(raw[1], n_c), bounded(raw[2], q + 1)
+
+
+class _CFirsts(_Family):
+    """The exhaustive first choices of C, the circles K, each one row that
+    stands for every (p, L) with p in K."""
+
+    names = ("K",)
+
+    def __init__(self, plane: LaguerrePlane):
+        self.n, self.raw = plane.n_circles, (plane.q + 1) * plane.n_circles
+
+    def write(self, K: int, rows: _Rows, o: int) -> int:
+        rows.block("K", o, 1)[0] = K
+        return 1
 
 
 def _eval_c(plane, report, K, L, sp):
@@ -602,28 +568,29 @@ def _eval_c(plane, report, K, L, sp):
         circles=(int(K[i]), int(L[i])), data=(("count", int(counts[i])),)))
 
 
-def _eval_c_exhaustive(plane, report, K):
-    # K's (q+1, n_c) block evaluated in place: the same block flattened
-    # into rows of `_eval_c` gives the same report, but its sweep at q=7
-    # took 135-168 ms instead of 15-42 ms on a shared 2-core host
+def _eval_c_exhaustive(plane, report, circles):
+    # each circle K's (q+1, n_c) block evaluated in place: the same block
+    # flattened into rows of `_eval_c` gives the same report, but its sweep
+    # at q=7 took 135-168 ms instead of 15-42 ms on a shared 2-core host
     q, n_c, members = plane.q, plane.n_circles, plane.members
-    pen = np.concatenate([plane.pencil_others[K], np.full((q + 1, 1), K)], axis=1)  # (q+1, q)
-    counts = (plane.pair_count[pen] == 1).sum(axis=1)      # (q+1, n_c)
-    onL = plane.mem[:, members[K]].T                       # (q+1, n_c)
-    hyp = (~onL) & (np.arange(n_c) != K)[None, :]
-    report.hypothesis_hits += int(hyp.sum())
-    pts = members[K]
-    report.record(hyp & (counts != 1), lambda i: Violation(
-        "tangent-count", points=(int(pts[i // n_c]),),
-        circles=(K, int(i % n_c)),
-        data=(("count", int(counts[i // n_c, i % n_c])),)))
+    for K in circles.tolist():
+        pen = np.concatenate([plane.pencil_others[K], np.full((q + 1, 1), K)], axis=1)
+        counts = (plane.pair_count[pen] == 1).sum(axis=1)      # (q+1, n_c)
+        onL = plane.mem[:, members[K]].T                       # (q+1, n_c)
+        hyp = (~onL) & (np.arange(n_c) != K)[None, :]
+        report.hypothesis_hits += int(hyp.sum())
+        pts = members[K]
+        report.record(hyp & (counts != 1), lambda i: Violation(
+            "tangent-count", points=(int(pts[i // n_c]),),
+            circles=(K, int(i % n_c)),
+            data=(("count", int(counts[i // n_c, i % n_c])),)))
 
 
 def check_C(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """For circles K,L and p in K minus L: exactly one member of the
     tangent pencil at (p,K) meets L in exactly one point."""
     evaluate = _eval_c if mode.is_sample else _eval_c_exhaustive
-    return _sweep(plane, mode, "C", _c_blocks, evaluate)
+    return _sweep(plane, mode, "C", _c_blocks, evaluate, _CFirsts)
 
 
 # ---------------------------------------------------------------------------
@@ -639,25 +606,32 @@ def _sampled_tangent_pairs(plane: LaguerrePlane, mode: CheckMode):
                _gather(po, base, bounded(raw[3], q + 1), bounded(raw[4], q - 1)))
 
 
-def _pairs_of(base: int, part: np.ndarray):
-    """(count, base, X, Y) over the unordered pairs {X, Y} of `part`."""
-    iu, ju = np.triu_indices(len(part), k=1)
-    return len(iu), np.full(len(iu), base), part[iu], part[ju]
+class _PairFirsts(_Family):
+    """The exhaustive first choices of Prop21 and Prop11, the base circles,
+    each with the unordered pairs {X, Y} of the q²−1 circles tangent to it
+    (`raw`), in `triu_indices` order over their ids.  With `above` a base
+    keeps only the pairs of circles above it: Prop21's statement is
+    symmetric in its three circles, so each triple of pairwise tangent
+    circles is evaluated once, from its least circle, as K < L < M.
+    Prop11's is symmetric in K and L, so each pair is examined once."""
 
+    names = ("base", "X", "Y")
 
-def _trio_blocks(plane: LaguerrePlane, mode: CheckMode):
-    """Circles K, L, M with L and M tangent to K.  Exhaustive: the raw
-    choices are the unordered pairs {L, M} of circles tangent to K, and
-    each triple of pairwise tangent circles is evaluated once, from its
-    least circle, as K < L < M."""
-    if mode.is_sample:
-        yield from _sampled_tangent_pairs(plane, mode)
-        return
-    T = plane.pair_count
-    for K in _firsts(mode, plane.n_circles):
-        part = np.nonzero(T[K] == 1)[0]
-        _, *rows = _pairs_of(K, part[part > K])
-        yield len(part) * (len(part) - 1) // 2, *rows
+    def __init__(self, plane: LaguerrePlane, above: bool):
+        t = plane.q ** 2 - 1
+        self.plane, self.above = plane, above
+        self.n, self.raw = plane.n_circles, t * (t - 1) // 2
+        self.iu, self.ju = np.triu_indices(t, k=1)
+
+    def write(self, base: int, rows: _Rows, o: int) -> int:
+        part = np.flatnonzero(self.plane.pair_count[base] == 1)
+        # the pairs above the base are a suffix: those whose first is above
+        s = np.searchsorted(self.iu, np.searchsorted(part, base, "right")) if self.above else 0
+        r = len(self.iu) - s
+        rows.block("base", o, r)[...] = base
+        part.take(self.iu[s:], out=rows.block("X", o, r))
+        part.take(self.ju[s:], out=rows.block("Y", o, r))
+        return r
 
 
 def _eval_prop_2_1(plane, report, K, L, M):
@@ -674,19 +648,13 @@ def _eval_prop_2_1(plane, report, K, L, M):
 
 def check_prop_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Three mutually tangent circles touch at one common point."""
-    return _sweep(plane, mode, "Prop21", _trio_blocks, _eval_prop_2_1)
+    return _sweep(plane, mode, "Prop21", _sampled_tangent_pairs, _eval_prop_2_1,
+                  partial(_PairFirsts, above=True))
 
 
-def _transfer_blocks(plane: LaguerrePlane, mode: CheckMode):
-    """Circles M, K, L with K and L tangent to M.  Exhaustive: unordered
-    pairs {K, L} per base circle M; the statement is symmetric in K and L,
-    so each pair is examined once."""
-    if mode.is_sample:
-        yield from _sampled_tangent_pairs(plane, mode)
-        return
-    T = plane.pair_count
-    for M in _firsts(mode, plane.n_circles):
-        yield _pairs_of(M, np.nonzero(T[M] == 1)[0])
+def _transfer_firsts(plane: LaguerrePlane) -> _Family:
+    # none on odd order, where the statement is not applicable
+    return _PairFirsts(plane, above=False) if plane.q % 2 == 0 else _Family()
 
 
 def _eval_prop_1_1(plane, report, M, K, L):
@@ -703,7 +671,8 @@ def check_prop_1_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     tangent to a third circle are tangent to each other."""
     if plane.q % 2 == 1:
         return _not_applicable("Prop11", mode, "odd order: statement restricted to characteristic 2")
-    return _sweep(plane, mode, "Prop11", _transfer_blocks, _eval_prop_1_1)
+    return _sweep(plane, mode, "Prop11", _sampled_tangent_pairs, _eval_prop_1_1,
+                  _transfer_firsts)
 
 
 # ---------------------------------------------------------------------------
@@ -719,37 +688,31 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     the circle through x tangent to C1 at a.  The statements need nothing
     more: p ∥ c and q ∥ b are parallel to neither x nor each other; q ≠ b,
     or (a,c,x)° = C1 would hold x; and q is off K′, or K′ = (a,c,x)° would
-    meet C1 in c as well as in a.  An exhaustive block spans consecutive
-    points a (`_PiFirsts`, `_range_blocks`).
+    meet C1 in c as well as in a.  Sampled only: the exhaustive rows are
+    `_PiFirsts`'.
     """
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
     members, TCT = plane.members, plane.tangent_through
-
-    def block(n_raw, a, b, c, x):
-        # (a, b, c, x) mutually non-parallel; keep x off C1
+    for raw in _sample_batches(mode, 4):
+        # int16 ids, as in the exhaustive blocks
+        a, b, c, x = (bounded(raw[j], plane.n_points).astype(np.int16) for j in range(4))
+        ga, gb, gc, gx = (gen.take(v) for v in (a, b, c, x))
+        idx = np.nonzero((ga != gb) & (ga != gc) & (ga != gx)
+                         & (gb != gc) & (gb != gx) & (gc != gx))[0]
+        a, b, c, x = a[idx], b[idx], c[idx], x[idx]
         C1 = _gather(T3, a, b, c)
-        keep = ~_gather(mem, C1, x)     # a mask: no index array beside the block's
+        keep = ~_gather(mem, C1, x)     # x off C1, a mask: no index array beside the block's
         a, b, c, x, C1 = a[keep], b[keep], c[keep], x[keep], C1[keep]
-        return (n_raw, a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen.take(c)),
-                _gather(members, _gather(T3, a, c, x), gen.take(b)),
-                _gather(TCT, C1, gen.take(a), x))
-
-    if mode.is_sample:
-        for raw in _sample_batches(mode, 4):
-            # int16 ids, as in the exhaustive blocks
-            a, b, c, x = (bounded(raw[j], plane.n_points).astype(np.int16) for j in range(4))
-            ga, gb, gc, gx = (gen.take(v) for v in (a, b, c, x))
-            idx = np.nonzero((ga != gb) & (ga != gc) & (ga != gx)
-                             & (gb != gc) & (gb != gx) & (gc != gx))[0]
-            yield block(raw.shape[1], a[idx], b[idx], c[idx], x[idx])
-    else:
-        yield from _range_blocks(_PiFirsts(plane), mode, _Rows())
+        yield (raw.shape[1], a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen.take(c)),
+               _gather(members, _gather(T3, a, c, x), gen.take(b)),
+               _gather(TCT, C1, gen.take(a), x))
 
 
-class _PiFirsts:
+class _PiFirsts(_Family):
     """The exhaustive first choices of the Pi family, the points a, each
     with the raw (b, c, x) of `_pi_blocks`: b off a's generator, and c, x
     off those of a and b; C order over (b, c, x) is the order of that space.
+    A block holds the arrays of `_pi_blocks`' blocks.
 
     a's tables over (y, z) and (y, z, w) are read from a's slice of
     `triple_circle`, the circles (a, y, z)°, once: the mask of mutually
@@ -760,9 +723,9 @@ class _PiFirsts:
     names = ("a", "b", "c", "x", "C1", "p", "q", "Kp")
 
     def __init__(self, plane: LaguerrePlane):
-        gen = plane.gen_of
+        gen, n, q = plane.gen_of, plane.n_points, plane.q
         self.plane = plane
-        self.n, self.raw = _pi_firsts(plane)
+        self.n, self.raw = n, (n - q) * (n - 2 * q) ** 2
         self.read = self.n ** 3                     # the kept mask's size
         self.off = gen[:, None] != gen[None, :]
         self.par = plane.members[:, gen].T.copy()   # par[z, C]: C's point parallel to z
@@ -787,10 +750,7 @@ class _PiFirsts:
         mask, Ta = self.mask(a)
         f = np.flatnonzero(mask)
         r = len(f)
-
-        def out(name):
-            return rows.block(name, o + r)[o:]
-
+        out = partial(rows.block, o=o, r=r)
         # pz[z, y, w]: (a, y, w)°'s point ∥ z; q = (a, c, x)°'s ∥ b is pz at
         # f = (b, c, x), p = (a, b, x)°'s ∥ c at (c, b, x)
         pz = self.par[:, Ta]
@@ -837,12 +797,6 @@ def _eval_thm_2_3(plane, report, a, b, c, x, C1, p, qpt, Kp):
     N = _gather(plane.tangent_through, Cqpx, plane.gen_of.take(p), b)
     ok = (_gather(plane.pair_count, N, C1) == 1) & (_gather(plane.pair_sum, N, C1) == b)
     _pi_tally(report, ok, "thm23-config", a, b, c, x, C1)
-
-
-def _pi_firsts(plane):
-    # the points a, each with b off a's generator and c, x off those of a and b
-    n, q = plane.n_points, plane.q
-    return n, (n - q) * (n - 2 * q) ** 2
 
 
 def check_pi(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
@@ -910,34 +864,62 @@ def _sampled_bases(plane: LaguerrePlane, raw: _Draws, n_slots: int):
     return kept, (C1, A, Cq, B, D, C2, *(u[idx] for u in t))
 
 
-def _exhaustive_bases(plane: LaguerrePlane, mode: CheckMode, n_slots: int,
-                      tail: tuple[int, ...]):
-    """The exhaustive blocks of the closures, one per circle C1 of `mode`
-    and pencil selector.  Their head rows are each ordered base quadruple
-    (a, c, b, d) of C1's points, C2 the selected circle of the pencil
-    through (a, b), and each ordered tuple of `n_slots` (1 or 2) distinct
-    member slots of C2 whose members are neither a nor b (slot g holds the
-    point on generator g).  Every head row takes each index tuple of the shape
+class _ClosureFirsts(_Family):
+    """The exhaustive first choices of the closures, a circle C1 and a
+    selector of a pencil through two of its points, in C order: first
+    choice f is C1 = f // q with selector f % q.  Its head rows are each
+    ordered base quadruple (a, c, b, d) of C1's points, C2 the selected
+    circle of the pencil through (a, b), and each ordered tuple of
+    `n_slots` (1 or 2) distinct member slots of C2 whose members are
+    neither a nor b, in C order; block arrays (C1, a, c, b, d, C2, *slots),
+    then the tail.  Every head row takes each index tuple of the shape
     `tail`, the closure's own choices, which the evaluator adds through
     `_with_tail` once it has dropped the heads that cannot meet the
-    hypothesis.  Yields (raw count, C1, a, c, b, d, C2, *slots, tail) per
-    block, its heads in the C order of the choice space."""
-    members, VP, gen, q = plane.members, plane.vertex_pencils, plane.gen_of, plane.q
-    ords = np.array(list(itertools.permutations(range(q + 1), 4)), dtype=np.int64)
-    if not len(ords):
-        return
-    # raw axes per block: (ordering, *slots, *tail)
-    n_raw = len(ords) * (q + 1) ** n_slots * math.prod(tail)
-    slots = np.arange(q + 1)
-    for C1 in _firsts(mode, plane.n_circles):
-        A, Cq, B, D = (members[C1][ords[:, j]] for j in range(4))
-        for sel in range(q):
-            C2 = _gather(VP, A, B, sel)
-            off = (slots != gen.take(A)[:, None]) & (slots != gen.take(B)[:, None])
-            if n_slots == 2:
-                off = off[:, :, None] & off[:, None, :] & (slots[:, None] != slots)
-            o, *s = np.nonzero(off)
-            yield (n_raw, np.full(len(o), C1), A[o], Cq[o], B[o], D[o], C2[o], *s, tail)
+    hypothesis, so a head weighs the tail's size.
+
+    A first choice is not (C1, quadruple): that order of the rows would
+    change which witnesses a report keeps.  Slot g of a circle holds its
+    point on generator g, so the slots of the kept rows, the quadruple's
+    on C1 and C2's, are the same for every first choice: they are read
+    once (`heads`), and a first choice takes its points from C1's row and
+    C2 from C1's pencils."""
+
+    def __init__(self, plane: LaguerrePlane, n_slots: int, tail: tuple[int, ...]):
+        q = plane.q
+        self.plane, self.n_slots = plane, n_slots
+        self.names = ("C1", "A", "Cq", "B", "D", "C2", "s", "t")[:6 + n_slots]
+        self.weight, self.extra = math.prod(tail), (tail,)
+        self.n = plane.n_circles * q
+        self.raw = math.perm(q + 1, 4) * (q + 1) ** n_slots * self.weight
+
+    @cached_property
+    def heads(self) -> tuple:
+        """The tables of the head rows, built on the first write: each row's
+        slots (a, c, b and d's on C1, then those on C2), the offset of its
+        (a, b) slots in a circle's row of `pencils`, and `pencils`, each
+        circle's `vertex_pencils` over the ordered pairs of its slots."""
+        q, members = self.plane.q, self.plane.members
+        ords = np.array(list(itertools.permutations(range(q + 1), 4)), np.intp).reshape(-1, 4)
+        slots = np.arange(q + 1)
+        off = (slots != ords[:, :1]) & (slots != ords[:, 2:3])
+        if self.n_slots == 2:
+            off = off[:, :, None] & off[:, None, :] & (slots[:, None] != slots)
+        o, *s = np.nonzero(off)
+        slots = np.concatenate([ords.T[:, o], s])
+        pencils = self.plane.vertex_pencils[members[:, :, None], members[:, None, :]]
+        return slots, (slots[0] * (q + 1) + slots[2]) * q, pencils.reshape(len(members), -1)
+
+    def write(self, f: int, rows: _Rows, o: int) -> int:
+        C1, sel = divmod(f, self.plane.q)
+        slots, ab, pencils = self.heads
+        out = partial(rows.block, o=o, r=len(ab))
+        for s, name in zip(slots, self.names[1:5]):
+            self.plane.members[C1].take(s, out=out(name), mode="wrap")
+        pencils[C1, sel:].take(ab, out=out("C2"), mode="wrap")
+        out("C1")[...] = C1
+        for s, name in zip(slots[4:], self.names[6:]):
+            out(name)[...] = s
+        return len(ab)
 
 
 def _tail_size(tail) -> int:
@@ -1005,22 +987,24 @@ def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     """A circle C1 with an ordered base quadruple (a, c, b, d) of its
     points, C2 from the pencil through (a, b), and three member slots: e
     and h on C2, then g on C3 = (a,d,h)°; the evaluator derives f.
-    Yields (raw count, a, c, b, d, C2, e slot, h slot, tail) per block,
-    the tail being g's slot (`_with_tail`); sampled blocks add the view
-    of an f slot's draw (raw[9]), drawn only where f is not unique
-    (`_eval_miquel`).  Rows have a, c, b, d distinct and e, h distinct
-    and off {a, b}."""
+    Yields (raw count, C1, a, c, b, d, C2, e slot, h slot, tail, f slot)
+    per sampled block, the tail being g's slot (`_with_tail`) and the f
+    slot the view of a draw (raw[9]), drawn only where f is not unique
+    (`_eval_miquel`); the exhaustive rows are those of
+    `_miquel_firsts`, without the f slot.  Rows have a, c, b, d distinct
+    and e, h distinct and off {a, b}."""
     q = plane.q
-    if mode.is_sample:
-        for raw in _sample_batches(mode, 10):
-            kept, (_, *bases) = _sampled_bases(plane, raw, 2)
-            yield raw.shape[1], *bases, (bounded(kept[8], q + 1),), kept.column(9)
-    else:
-        for n_raw, _, *cols in _exhaustive_bases(plane, mode, 2, (q + 1,)):
-            yield n_raw, *cols
+    for raw in _sample_batches(mode, 10):
+        kept, bases = _sampled_bases(plane, raw, 2)
+        yield raw.shape[1], *bases, (bounded(kept[8], q + 1),), kept.column(9)
 
 
-def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, tail, sf=None):
+def _miquel_firsts(plane: LaguerrePlane) -> _ClosureFirsts:
+    # the slots of e and h, then g's slot as the tail
+    return _ClosureFirsts(plane, 2, (plane.q + 1,))
+
+
+def _eval_miquel(plane, report, C1, A, Cq, B, D, C2, se, sh, tail, sf=None):
     """Miquel closure on the choice arrays of `_miquel_blocks`.
 
     The ordered quadruple names follow the statement: hypothesis
@@ -1072,7 +1056,7 @@ def _eval_miquel(plane, report, A, Cq, B, D, C2, se, sh, tail, sf=None):
 def check_miquel(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Miquel closure: five concyclic quadruples of eight distinct points
     force the sixth."""
-    return _sweep(plane, mode, "Miquel", _miquel_blocks, _eval_miquel)
+    return _sweep(plane, mode, "Miquel", _miquel_blocks, _eval_miquel, _miquel_firsts)
 
 
 def _six_point_collapse(plane, p1, p2, p3, p4, p5, p6):
@@ -1100,19 +1084,22 @@ def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
     points, C5 from the pencil through (a, b) with its member e, then a
     selector of the pencil through (e, f) for C3 and a member g of C3; the
     evaluator derives f and h.  Yields (raw count, C1, a, c, b, d, C5,
-    e slot, tail) per block, the tail being C3's selector and g's slot
-    (`_with_tail`); sampled blocks add the views of an f slot's draw
-    (raw[7]) and an h slot's (raw[10]), drawn only where f or h is not
-    unique (`_eval_bundle`).  Rows have a, c, b, d distinct and e off
+    e slot, tail, f slot, h slot) per sampled block, the tail being C3's
+    selector and g's slot (`_with_tail`) and the f and h slots the views
+    of draws (raw[7], raw[10]), drawn only where f or h is not unique
+    (`_eval_bundle`); the exhaustive rows are those of `_bundle_firsts`,
+    without the f and h slots.  Rows have a, c, b, d distinct and e off
     {a, b}."""
     q = plane.q
-    if mode.is_sample:
-        for raw in _sample_batches(mode, 11):
-            kept, bases = _sampled_bases(plane, raw, 1)
-            yield (raw.shape[1], *bases, (bounded(kept[8], q), bounded(kept[9], q + 1)),
-                   kept.column(7), kept.column(10))
-    else:
-        yield from _exhaustive_bases(plane, mode, 1, (q, q + 1))
+    for raw in _sample_batches(mode, 11):
+        kept, bases = _sampled_bases(plane, raw, 1)
+        yield (raw.shape[1], *bases, (bounded(kept[8], q), bounded(kept[9], q + 1)),
+               kept.column(7), kept.column(10))
+
+
+def _bundle_firsts(plane: LaguerrePlane) -> _ClosureFirsts:
+    # e's slot, then C3's selector and g's slot as the tail
+    return _ClosureFirsts(plane, 1, (plane.q, plane.q + 1))
 
 
 def _eval_bundle(plane, report, C1, A, Cq, B, D, C5, se, tail, sf=None, sh=None):
@@ -1183,53 +1170,12 @@ def _eval_bundle(plane, report, C1, A, Cq, B, D, C5, se, tail, sf=None, sh=None)
 
 def check_bundle(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Bundle closure: five of the six pencil quadruples force the sixth."""
-    return _sweep(plane, mode, "Bundle", _bundle_blocks, _eval_bundle)
+    return _sweep(plane, mode, "Bundle", _bundle_blocks, _eval_bundle, _bundle_firsts)
 
 
 # ---------------------------------------------------------------------------
-# registry, sizes, replay
+# registry, replay
 # ---------------------------------------------------------------------------
-
-def _size_chain(plane):
-    return math.prod(_chain_firsts(plane))
-
-
-def _size_c(plane):
-    return plane.n_circles * plane.n_circles * (plane.q + 1)
-
-
-def _size_pi(plane):
-    return math.prod(_pi_firsts(plane))
-
-
-def _size_trio(plane):
-    # unordered pairs of the q²−1 circles tangent to each base circle
-    t = plane.q**2 - 1
-    return plane.n_circles * t * (t - 1) // 2
-
-
-def _size_transfer(plane):
-    # the pairs of `_size_trio`; none on odd order, where the statement is
-    # not applicable
-    return _size_trio(plane) if plane.q % 2 == 0 else 0
-
-
-def _size_miquel(plane):
-    # choice space of the exhaustive generator: C1, ordered base quadruple,
-    # pencil selector, and the e, h and g slots (invalid ones filtered);
-    # f is derived
-    q = plane.q
-    perms = (q + 1) * q * (q - 1) * (q - 2)
-    return plane.n_circles * perms * q * (q + 1) ** 3
-
-
-def _size_bundle(plane):
-    # C1, ordered base quadruple, C5 selector, e slot, C3 selector, g slot;
-    # f and h are derived
-    q = plane.q
-    perms = (q + 1) * q * (q - 1) * (q - 2)
-    return plane.n_circles * perms * (q * (q + 1)) ** 2
-
 
 # -- scalar witness replay -------------------------------------------------
 
@@ -1341,12 +1287,13 @@ def _replay_axioms(plane, v):
 
 @dataclass(frozen=True)
 class CheckerSpec:
-    """Everything known about one check id: how to run it, the size of its
-    exhaustive choice space, and how to replay its witnesses."""
+    """Everything known about one check id: how to run it, the family of
+    first choices of its exhaustive sweep, and how to replay its
+    witnesses."""
 
     check_id: str
     run: callable       # (plane, mode) -> CheckReport
-    size: callable      # plane -> configurations of an exhaustive run
+    firsts: callable    # plane -> the `_Family` its exhaustive run sweeps
     # numbers of witness points and circles the replay reads; None: not read
     witness: tuple[int | None, int | None]
     replay: callable    # (plane, violation) -> the witness still shows a violation
@@ -1354,18 +1301,20 @@ class CheckerSpec:
 
 
 CHECKERS = {spec.check_id: spec for spec in (
-    CheckerSpec("C", check_C, _size_c, (1, 2), _replay_c, ("count",)),
-    CheckerSpec("S", check_S, _size_chain, (4, 4), partial(_replay_chain, "S")),
-    CheckerSpec("Prop21", check_prop_2_1, _size_trio, (None, 3), _replay_trio),
-    CheckerSpec("Prop22", check_prop_2_2, _size_chain, (4, 4), partial(_replay_chain, "Prop22")),
-    CheckerSpec("Cor21", check_cor_2_1, _size_chain, (4, 4), partial(_replay_chain, "Cor21")),
-    CheckerSpec("Prop11", check_prop_1_1, _size_transfer, (None, 3), _replay_transfer),
-    CheckerSpec("Pi", check_pi, _size_pi, (4, None), partial(_replay_pi_family, "Pi")),
-    CheckerSpec("PiPrime", check_pi_prime, _size_pi, (4, None),
+    CheckerSpec("C", check_C, _CFirsts, (1, 2), _replay_c, ("count",)),
+    CheckerSpec("S", check_S, _ChainFirsts, (4, 4), partial(_replay_chain, "S")),
+    CheckerSpec("Prop21", check_prop_2_1, partial(_PairFirsts, above=True), (None, 3),
+                _replay_trio),
+    CheckerSpec("Prop22", check_prop_2_2, partial(_ChainFirsts, c_parallel_a=True), (4, 4),
+                partial(_replay_chain, "Prop22")),
+    CheckerSpec("Cor21", check_cor_2_1, _ChainFirsts, (4, 4), partial(_replay_chain, "Cor21")),
+    CheckerSpec("Prop11", check_prop_1_1, _transfer_firsts, (None, 3), _replay_transfer),
+    CheckerSpec("Pi", check_pi, _PiFirsts, (4, None), partial(_replay_pi_family, "Pi")),
+    CheckerSpec("PiPrime", check_pi_prime, _PiFirsts, (4, None),
                 partial(_replay_pi_family, "PiPrime")),
-    CheckerSpec("Thm23", check_thm_2_3, _size_pi, (4, None), partial(_replay_pi_family, "Thm23")),
-    CheckerSpec("Miquel", check_miquel, _size_miquel, (8, None), _replay_miquel),
-    CheckerSpec("Bundle", check_bundle, _size_bundle, (8, None), _replay_bundle),
+    CheckerSpec("Thm23", check_thm_2_3, _PiFirsts, (4, None), partial(_replay_pi_family, "Thm23")),
+    CheckerSpec("Miquel", check_miquel, _miquel_firsts, (8, None), _replay_miquel),
+    CheckerSpec("Bundle", check_bundle, _bundle_firsts, (8, None), _replay_bundle),
 )}
 
 CHECK_IDS = tuple(CHECKERS)
@@ -1373,13 +1322,15 @@ CHECK_IDS = tuple(CHECKERS)
 # every check id the CLI runs and replays: the axiom validator (whose size
 # is never refused and whose witnesses are matched by kind) first, then
 # the statement checkers
-SPECS = {"Axioms": CheckerSpec("Axioms", _run_axioms, lambda plane: 0, (None, None),
+SPECS = {"Axioms": CheckerSpec("Axioms", _run_axioms, lambda plane: _Family(), (None, None),
                                _replay_axioms)} | CHECKERS
 
 
 def exhaustive_size(plane: LaguerrePlane, check_id: str) -> int:
-    """A-priori size of the checker's exhaustive choice space."""
-    return SPECS[check_id].size(plane)
+    """A-priori size of the checker's exhaustive choice space: its first
+    choices times the raw configurations of each."""
+    family = SPECS[check_id].firsts(plane)
+    return family.n * family.raw
 
 
 def witness_problem(plane: LaguerrePlane, check_id: str, v: Violation) -> str | None:

@@ -33,7 +33,9 @@ class CheckMode:
     # where a view of the mode starts (`checks._sweep`); never serialized.
     # A chunk view of a sampled mode covers stream rows start ..
     # start+count-1; a view of an exhaustive mode covers first choices
-    # start .. start+count-1 (`checks._firsts`), and count None all of them
+    # start .. start+count-1 (`checks._firsts`), and count None all of them.
+    # A first choice is a circle, a point of the Pi family, or a closure's
+    # (C1, pencil selector) pair, C1-major
     start: int = 0
 
     @classmethod

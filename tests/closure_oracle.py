@@ -4,7 +4,7 @@ Miquel and Bundle once enumerated (exhaustive) or drew (sampled) every
 member slot, f for Miquel and f and h for Bundle included, and then kept
 the rows that met the concyclicity hypothesis that fixes that slot.
 `checks` now derives those points.  These are the drawing blocks and
-evaluators as they were, run through the same `checks._sweep`, so that
+evaluators as they were, swept block by block (`sweep`), so that
 `tests/test_closure_oracle.py` can compare the two on the same planes.
 """
 
@@ -19,9 +19,8 @@ from laguerre_lab.checks import (
     _pairs_concyclic,
     _sample_batches,
     _six_point_collapse,
-    _sweep,
 )
-from laguerre_lab.report import Violation
+from laguerre_lab.report import CheckReport, Violation
 from laguerre_lab.rng import bounded
 
 
@@ -161,12 +160,24 @@ def eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, c3sel, sg, sh):
         circles=(int(C5[i]), int(C3[i]))))
 
 
+def sweep(plane, mode, check_id, blocks, evaluate):
+    """The report of `evaluate(plane, report, *arrays)` over every block
+    (raw count, *arrays) of `blocks(plane, mode)`, in order: the report
+    `checks._sweep` makes of the same blocks, which merges its parts in
+    order."""
+    report = CheckReport(check_id=check_id, mode=mode)
+    for n_raw, *arrays in blocks(plane, mode):
+        report.configurations += n_raw
+        evaluate(plane, report, *arrays)
+    return report.finalize()
+
+
 def drawn_miquel(plane, mode, blocks=miquel_blocks):
-    return _sweep(plane, mode, "Miquel", blocks, eval_miquel)
+    return sweep(plane, mode, "Miquel", blocks, eval_miquel)
 
 
 def drawn_bundle(plane, mode, blocks=bundle_blocks):
-    return _sweep(plane, mode, "Bundle", blocks, eval_bundle)
+    return sweep(plane, mode, "Bundle", blocks, eval_bundle)
 
 
 # -- the derived slots, found by scanning every slot -----------------------

@@ -1,18 +1,22 @@
-"""The exhaustive chain and Pi blocks against their reference forms.
+"""The exhaustive blocks against their reference forms.
 
-`reference_chain_blocks` and `reference_pi_blocks` below are the
-exhaustive forms that `checks._chain_blocks` and `checks._pi_blocks`
-replaced: per circle K, the whole (a, L, b, M, c, N) space of pencil
+Every exhaustive sweep reads its blocks from a family of first choices
+through `checks._range_blocks`; `exhaustive_blocks` below reads them the
+same way for the tests.  `reference_chain_blocks` and
+`reference_pi_blocks` are the exhaustive forms that `checks._ChainFirsts`
+and `checks._PiFirsts` replaced: per circle K, the whole (a, L, b, M, c, N) space of pencil
 members looked up in K's tangency row; per point a, the mask of mutually
 non-parallel (b, c, x), its `nonzero`, and then a second pass that drops
 the rows with x on (a, b, c)°.  They are kept here as the second route to
 the blocks.  The array routes must yield the same rows: the same raw
 count in all, and every array with the same values, in the same order, of
 the same dtype.  An exhaustive block of the array routes spans several
-first choices (`checks._range_blocks`), so the rows are compared across
-blocks, not block by block.  Prop22's chain blocks (`c_parallel_a`) must be the chain
+first choices, so the rows are compared across blocks, not block by
+block.  Prop22's chain blocks (`c_parallel_a`) must be the chain
 reference restricted to its hypothesis c ∥ a, in both modes, while the
 blocks of S and Cor21 stay unrestricted.
+
+C's exhaustive evaluator receives every circle once, in order.
 """
 
 from __future__ import annotations
@@ -22,11 +26,22 @@ import functools
 import numpy as np
 import pytest
 
-from laguerre_lab.checks import (CHECKERS, _chain_blocks, _firsts, _gather, _pi_blocks,
-                                 _pi_firsts)
+from laguerre_lab import checks
+from laguerre_lab.checks import (CHECKERS, _chain_blocks, _ChainFirsts, _firsts, _gather,
+                                 _PiFirsts, _range_blocks, _Rows)
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.report import CheckMode
 from test_relabelling import RELABELLED, plane_for
+
+EX = CheckMode.exhaustive()
+
+
+def exhaustive_blocks(family, mode):
+    """The exhaustive blocks of `family` over the first choices of `mode`,
+    as a sweep reads them (`checks._range_blocks`), each array copied as it
+    is drawn: the next block overwrites it."""
+    for block in _range_blocks(family, mode, _Rows()):
+        yield tuple(np.array(v) if isinstance(v, np.ndarray) else v for v in block)
 
 
 def reference_chain_blocks(plane, mode):
@@ -53,7 +68,8 @@ def reference_pi_blocks(plane, mode):
     off (a, b, c)°."""
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
     members, TCT = plane.members, plane.tangent_through
-    n, n_raw = _pi_firsts(plane)
+    n, q = plane.n_points, plane.q
+    n_raw = (n - q) * (n - 2 * q) ** 2
     off = gen[:, None] != gen[None, :]
     for a in _firsts(mode, n):
         o = off & off[a][:, None] & off[a]
@@ -81,10 +97,10 @@ def reference_prop22_blocks(plane, mode):
     return parallel_rows(reference_chain_blocks(plane, mode), plane)
 
 
-FAMILIES = {"chain": (_chain_blocks, reference_chain_blocks),
-            "prop22": (functools.partial(_chain_blocks, c_parallel_a=True),
+FAMILIES = {"chain": (_ChainFirsts, reference_chain_blocks),
+            "prop22": (functools.partial(_ChainFirsts, c_parallel_a=True),
                        reference_prop22_blocks),
-            "pi": (_pi_blocks, reference_pi_blocks)}
+            "pi": (_PiFirsts, reference_pi_blocks)}
 GF8 = "x^4-gf8"
 
 
@@ -96,10 +112,7 @@ def _plane(key):
 
 
 def assert_same_blocks(got, want):
-    # each block copied as it is drawn: the next exhaustive block of the
-    # array routes overwrites its arrays
-    got = [(b[0], *(np.array(v) for v in b[1:])) for b in got]
-    want = list(want)
+    got, want = list(got), list(want)
     assert sum(b[0] for b in got) == sum(b[0] for b in want)
     assert {len(b) for b in got} == {len(b) for b in want}
     for i in range(1, len(want[0])):
@@ -113,9 +126,8 @@ def assert_same_blocks(got, want):
                          + [("pi", GF8)])
 def test_exhaustive_blocks_match_the_reference(family, key):
     plane = _plane(key)
-    blocks, reference = FAMILIES[family]
-    mode = CheckMode.exhaustive()
-    assert_same_blocks(blocks(plane, mode), reference(plane, mode))
+    firsts, reference = FAMILIES[family]
+    assert_same_blocks(exhaustive_blocks(firsts(plane), EX), reference(plane, EX))
 
 
 @pytest.mark.parametrize("family, first", [(f, K) for f in ("chain", "prop22")
@@ -123,9 +135,9 @@ def test_exhaustive_blocks_match_the_reference(family, key):
                          + [("pi", 0), ("pi", 29), ("pi", 55)])
 def test_first_choice_views_match_the_reference_at_order_7(family, first):
     plane = miquelian_plane(7)
-    blocks, reference = FAMILIES[family]
+    firsts, reference = FAMILIES[family]
     mode = CheckMode("exhaustive", start=first, count=1)
-    assert_same_blocks(blocks(plane, mode), reference(plane, mode))
+    assert_same_blocks(exhaustive_blocks(firsts(plane), mode), reference(plane, mode))
 
 
 @pytest.mark.parametrize("a", [0, 181])
@@ -134,16 +146,16 @@ def test_pi_first_choice_views_match_the_reference_at_order_13(a):
     # for b = 181
     plane = miquelian_plane(13)
     mode = CheckMode("exhaustive", start=a, count=1)
-    assert_same_blocks(_pi_blocks(plane, mode), reference_pi_blocks(plane, mode))
+    assert_same_blocks(exhaustive_blocks(_PiFirsts(plane), mode),
+                       reference_pi_blocks(plane, mode))
 
 
 @pytest.mark.parametrize("key", [3, 4, 5, RELABELLED])
 def test_chain_checker_hits_count_their_block_rows(key):
     plane = _plane(key)
-    mode = CheckMode.exhaustive()
-    rows = sum(len(b[1]) for b in reference_chain_blocks(plane, mode))
-    parallel = sum(len(b[1]) for b in reference_prop22_blocks(plane, mode))
-    hits = {c: CHECKERS[c].run(plane, mode).hypothesis_hits for c in ("S", "Prop22", "Cor21")}
+    rows = sum(len(b[1]) for b in reference_chain_blocks(plane, EX))
+    parallel = sum(len(b[1]) for b in reference_prop22_blocks(plane, EX))
+    hits = {c: CHECKERS[c].run(plane, EX).hypothesis_hits for c in ("S", "Prop22", "Cor21")}
     assert hits == {"S": rows - parallel, "Prop22": parallel, "Cor21": rows}
 
 
@@ -153,3 +165,20 @@ def test_sampled_prop22_rows_keep_c_parallel_a(key):
     mode = CheckMode.sample(70_000, 11)     # three stream chunks
     assert_same_blocks(_chain_blocks(plane, mode, c_parallel_a=True),
                        parallel_rows(_chain_blocks(plane, mode), plane))
+
+
+# -- the circles of C --------------------------------------------------------------
+
+def test_c_evaluates_every_circle_once_in_order(monkeypatch):
+    seen = []
+    evaluate = checks._eval_c_exhaustive
+
+    def recording(plane, report, circles):
+        seen.extend(circles.tolist())
+        evaluate(plane, report, circles)
+
+    monkeypatch.setattr(checks, "_eval_c_exhaustive", recording)
+    plane = miquelian_plane(4)
+    report = CHECKERS["C"].run(plane, EX)
+    assert seen == list(range(plane.n_circles))
+    assert report.configurations == plane.n_circles * plane.n_circles * (plane.q + 1)

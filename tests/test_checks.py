@@ -16,9 +16,12 @@ from laguerre_lab.checks import (
     CHECK_IDS,
     CHECKERS,
     _bundle_blocks,
+    _bundle_firsts,
     _chain_blocks,
+    _ChainFirsts,
     _gather,
     _miquel_blocks,
+    _miquel_firsts,
     _pairs_concyclic,
     _with_tail,
     check_C,
@@ -35,8 +38,10 @@ from laguerre_lab.checks import (
     exhaustive_size,
     replay_violation,
 )
-from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
+from laguerre_lab.models import (SUPPORTED_PLANE_ORDERS, miquelian_plane, oval_plane,
+                                 oval_table_power)
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
+from test_block_references import exhaustive_blocks
 
 EX = CheckMode.exhaustive()
 
@@ -430,12 +435,42 @@ def test_exhaustive_sizes_frozen():
     assert set(CHECK_IDS) == set(CHECKERS)
 
 
+# exhaustive_size of ("Axioms", *CHECK_IDS) at each supported order
+EXHAUSTIVE_SIZES = {
+    2: (0, 192, 216, 24, 216, 216, 24, 96, 96, 96, 0, 0),
+    3: (0, 2916, 13824, 756, 13824, 13824, 0, 3888, 3888, 3888, 124416, 93312),
+    4: (0, 20480, 216000, 6720, 216000, 216000, 6720, 46080, 46080, 46080, 3840000, 3072000),
+    5: (0, 93750, 1728000, 34500, 1728000, 1728000, 0, 300000, 300000, 300000,
+        48600000, 40500000),
+    7: (0, 941192, 37933056, 386904, 37933056, 37933056, 0, 4840416, 4840416, 4840416,
+        2065244160, 1807088640),
+    8: (0, 2359296, 128024064, 999936, 128024064, 128024064, 999936, 14450688, 14450688,
+        14450688, 9029615616, 8026324992),
+    9: (0, 5314410, 373248000, 2303640, 373248000, 373248000, 0, 37791360, 37791360,
+        37791360, 33067440000, 29760696000),
+    11: (0, 21258732, 2299968000, 9503340, 2299968000, 2299968000, 0, 193261200, 193261200,
+         193261200, 300559818240, 275513166720),
+    13: (0, 67575326, 10417365504, 30819516, 10417365504, 10417365504, 0, 748526688,
+         748526688, 748526688, 1882794129216, 1748308834272),
+}
+
+
+@pytest.mark.parametrize("q", SUPPORTED_PLANE_ORDERS)
+def test_exhaustive_sizes_pinned_at_every_order(q):
+    P = miquelian_plane(q)
+    assert tuple(exhaustive_size(P, c) for c in ("Axioms", *CHECK_IDS)) == EXHAUSTIVE_SIZES[q]
+
+
 @pytest.mark.parametrize("q", [3, 4])
 @pytest.mark.parametrize("mode", [EX, CheckMode.sample(3000, 5)], ids=["exhaustive", "sampled"])
 def test_blocks_hold_only_rows_that_can_meet_the_hypothesis(q, mode):
     P = miquelian_plane(q)
+
+    def blocks(sampled, firsts):
+        return sampled(P, mode) if mode.is_sample else exhaustive_blocks(firsts(P), mode)
+
     raw = 0
-    for n_raw, K, A, L, B, M, C, N, D in _chain_blocks(P, mode):
+    for n_raw, K, A, L, B, M, C, N, D in blocks(_chain_blocks, _ChainFirsts):
         raw += n_raw
         # N is tangent to K at d: the chain closes
         assert (P.pair_count[N, K] == 1).all() and P.mem[N, D].all() and P.mem[K, D].all()
@@ -453,16 +488,18 @@ def test_blocks_hold_only_rows_that_can_meet_the_hypothesis(q, mode):
         return tail == shape
 
     raw = 0
-    for n_raw, A, Cq, B, D, C2, se, sh, tail, *draws in _miquel_blocks(P, mode):
+    for n_raw, C1, A, Cq, B, D, C2, se, sh, tail, *draws in blocks(_miquel_blocks,
+                                                                    _miquel_firsts):
         raw += n_raw
         assert len(draws) == mode.is_sample and tail_ok(tail, (q + 1,), len(A))
+        assert (P.mem[C1, A] & P.mem[C1, Cq] & P.mem[C1, B] & P.mem[C1, D]).all()
         E, H = P.members[C2, se], P.members[C2, sh]
         assert (P.triple_circle[A, Cq, B] == P.triple_circle[A, D, B]).all()
         assert (P.mem[C2, A] & P.mem[C2, B]).all()
         assert ((E != A) & (E != B) & (H != A) & (H != B) & (se != sh)).all()
     assert raw == check_miquel(P, mode).configurations
     raw = 0
-    for n_raw, C1, A, Cq, B, D, C5, se, tail, *draws in _bundle_blocks(P, mode):
+    for n_raw, C1, A, Cq, B, D, C5, se, tail, *draws in blocks(_bundle_blocks, _bundle_firsts):
         raw += n_raw
         assert len(draws) == 2 * mode.is_sample and tail_ok(tail, (q, q + 1), len(A))
         assert (P.mem[C1, A] & P.mem[C1, Cq] & P.mem[C1, B] & P.mem[C1, D]).all()
@@ -471,7 +508,7 @@ def test_blocks_hold_only_rows_that_can_meet_the_hypothesis(q, mode):
     assert raw == check_bundle(P, mode).configurations
 
 
-@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_exhaustive_size_is_the_exhaustive_configurations(q):
     P = miquelian_plane(q)
     for cid in CHECK_IDS:
@@ -479,7 +516,7 @@ def test_exhaustive_size_is_the_exhaustive_configurations(q):
 
 
 def closure_heads(P, n_slots):
-    """The exhaustive head rows of a closure, one array per block, by
+    """The exhaustive head rows of a closure, one array in all, by
     itertools: per circle C1 and pencil selector, each ordered quadruple
     (a, c, b, d) of C1's points, C2 the selected circle through a and b in
     id order, and each ordered tuple of `n_slots` distinct slots of C2
@@ -490,15 +527,15 @@ def closure_heads(P, n_slots):
     for K, row in enumerate(members):
         for x, y in itertools.permutations(row, 2):
             pencil.setdefault((x, y), []).append(K)
+    heads = []
     for C1 in range(P.n_circles):
         for sel in range(q):
-            heads = []
             for a, c, b, d in itertools.permutations(members[C1], 4):
                 C2 = pencil[(a, b)][sel]
                 for slots in itertools.permutations(range(q + 1), n_slots):
                     if {members[C2][s] for s in slots}.isdisjoint((a, b)):
                         heads.append((C1, a, c, b, d, C2, *slots))
-            yield np.array(heads)
+    return np.array(heads)
 
 
 @pytest.mark.parametrize("check_id,q", [("Miquel", 3), ("Miquel", 4), ("Bundle", 3), ("Bundle", 4)])
@@ -506,19 +543,19 @@ def test_exhaustive_closure_rows_follow_the_choice_order(check_id, q):
     # Miquel chooses the slots of e and h, then the slot of g (its tail);
     # Bundle the slot of e, then the selector of C3 and the slot of g (its
     # tail); their evaluators derive the rest.  Each head takes every tail
-    # in C order: `_with_tail` repeats it once per tail index tuple
+    # in C order: `_with_tail` repeats it once per tail index tuple.  The
+    # head rows are compared across blocks
     P = miquelian_plane(q)
     if check_id == "Miquel":
-        blocks, n_slots, tail_shape, first = _miquel_blocks, 2, (q + 1,), 1
+        firsts, n_slots, tail_shape = _miquel_firsts, 2, (q + 1,)
     else:
-        blocks, n_slots, tail_shape, first = _bundle_blocks, 1, (q, q + 1), 0
+        firsts, n_slots, tail_shape = _bundle_firsts, 1, (q, q + 1)
     n_raw = (q + 1) * q * (q - 1) * (q - 2) * (q + 1) ** n_slots * int(np.prod(tail_shape))
-    got = blocks(P, EX)
-    for want in closure_heads(P, n_slots):
-        n, *heads, tail = next(got)
-        assert n == n_raw and tail == tail_shape
-        assert np.array_equal(np.column_stack(heads), want[:, first:])
-    assert next(got, None) is None
+    blocks = list(exhaustive_blocks(firsts(P), EX))
+    assert sum(n for n, *_ in blocks) == P.n_circles * q * n_raw
+    assert all(tail == tail_shape for *_, tail in blocks)
+    heads = np.column_stack([np.concatenate(col) for col in zip(*(b[1:-1] for b in blocks))])
+    assert np.array_equal(heads, closure_heads(P, n_slots))
     tails = np.array(list(itertools.product(*map(range, tail_shape))))
     src, head, *cols = _with_tail(tail_shape, np.array([4, 7]), np.array([40, 70]))
     assert np.array_equal(src, np.repeat([4, 7], len(tails)))

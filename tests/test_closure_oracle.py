@@ -12,27 +12,25 @@ which counts raw rows.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
 import closure_oracle as oracle
 from laguerre_lab.checks import (
-    _bundle_blocks,
+    _bundle_firsts,
     _completion,
     _eval_bundle,
     _eval_miquel,
     _gather,
-    _miquel_blocks,
+    _miquel_firsts,
     _pairs_concyclic,
-    _sweep,
     _with_tail,
     check_bundle,
     check_miquel,
 )
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.report import CheckMode
+from test_block_references import exhaustive_blocks
 
 EX = CheckMode.exhaustive()
 
@@ -55,22 +53,23 @@ def test_exhaustive_closures_match_the_drawing_oracle(q):
     assert new.hypothesis_hits == (10368 if q == 3 else 276480)
 
 
-def degenerate_slice(P, blocks, first):
-    """The exhaustive head rows of base circle 0 whose pencil circle (C2
-    or C5) is circle 0 itself, with a and c its first two points: rows
-    whose derived point is not unique.  Column `first` of a block is a."""
+def degenerate_slice(P, firsts):
+    """The exhaustive head rows of base circle 0 (its first choices, one
+    per pencil selector) whose pencil circle (C2 or C5) is circle 0
+    itself, with a and c its first two points: rows whose derived point
+    is not unique."""
     a, c = P.members[0, :2]
-    for n_raw, *cols, tail in itertools.islice(blocks(P, EX), P.q):
-        A, Cq, C2 = cols[first], cols[first + 1], cols[first + 4]
+    for n_raw, *cols, tail in exhaustive_blocks(firsts(P), CheckMode("exhaustive", count=P.q)):
+        _, A, Cq, _, _, C2 = cols[:6]
         idx = np.nonzero((C2 == 0) & (A == a) & (Cq == c))[0]
         yield (n_raw, *(v[idx] for v in cols), tail)
 
 
-def with_tail(block, first):
+def with_tail(block):
     """The rows of a constructive block as the drawing blocks list them:
     the head columns from a on, each head once per tail, the tail last."""
-    n_raw, *cols, tail = block
-    _, *rows = _with_tail(tail, np.arange(len(cols[0])), *cols[first:])
+    n_raw, _, *cols, tail = block
+    _, *rows = _with_tail(tail, np.arange(len(cols[0])), *cols)
     return (n_raw, *rows)
 
 
@@ -88,19 +87,19 @@ def test_degenerate_rows_match_the_drawing_oracle_at_q7():
     # eight distinct points on one circle need q+1 >= 8, so q <= 4 never
     # reaches the rows whose f (or h) may be any point of its circle
     P = miquelian_plane(7)
-    new = _sweep(P, EX, "Miquel", lambda P, mode: degenerate_slice(P, _miquel_blocks, 0),
-                 _eval_miquel)
+    new = oracle.sweep(P, EX, "Miquel", lambda P, mode: degenerate_slice(P, _miquel_firsts),
+                       _eval_miquel)
     old = oracle.drawn_miquel(P, EX, lambda P, mode: (
-        with_every_slot(P, with_tail(b, 0), 8) for b in degenerate_slice(P, _miquel_blocks, 0)))
+        with_every_slot(P, with_tail(b), 8) for b in degenerate_slice(P, _miquel_firsts)))
     assert outcome(new) == outcome(old) and new.skipped * 8 == old.skipped
     assert new.hypothesis_hits > 0
     # Bundle: f may be any point of C5 = C1, and such rows are all skipped,
     # three pairs of the configuration lying on C1
-    new = _sweep(P, EX, "Bundle", lambda P, mode: degenerate_slice(P, _bundle_blocks, 1),
-                 _eval_bundle)
+    new = oracle.sweep(P, EX, "Bundle", lambda P, mode: degenerate_slice(P, _bundle_firsts),
+                       _eval_bundle)
     old = oracle.drawn_bundle(P, EX, lambda P, mode: (
-        with_every_slot(P, with_every_slot(P, with_tail(b, 1), 6), 9)
-        for b in degenerate_slice(P, _bundle_blocks, 1)))
+        with_every_slot(P, with_every_slot(P, with_tail(b), 6), 9)
+        for b in degenerate_slice(P, _bundle_firsts)))
     assert outcome(new) == outcome(old) and new.skipped == old.skipped > 0
 
 

@@ -14,6 +14,7 @@ from laguerre_lab.checks import (
     CHECK_IDS,
     CHECKERS,
     SPECS,
+    _Family,
     exhaustive_size,
     replay_violation,
 )
@@ -43,15 +44,15 @@ def test_one_spec_runs_sizes_and_replays_each_id(monkeypatch, capsys, check_id):
         calls.append("run")
         return CheckReport(check_id=check_id, mode=mode).finalize()
 
-    def size(plane):
+    def firsts(plane):
         calls.append("size")
-        return 0
+        return _Family()
 
     def replay(plane, v):
         calls.append("replay")
         return True
 
-    spec = dataclasses.replace(SPECS[check_id], run=run, size=size, replay=replay)
+    spec = dataclasses.replace(SPECS[check_id], run=run, firsts=firsts, replay=replay)
     monkeypatch.setitem(SPECS, check_id, spec)
 
     code, out, err = run_cli(capsys, "check", "--q", "3", "--checks", check_id.lower())

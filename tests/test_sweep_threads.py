@@ -2,10 +2,10 @@
 exhaustive S, Cor21 or Pi-family sweep's range blocks of first choices, run
 on `checks._THREADS` threads and their reports merge in order, so a report
 does not depend on the thread count, a failing chunk raises as it would in
-a single-threaded sweep, and no thread outlives its sweep.  The range
-blocks of the chain and Pi families are built on row buffers that each
-thread reuses (`checks._Rows`), so a report must not depend on which
-blocks shared them either."""
+a single-threaded sweep, and no thread outlives its sweep.  Every
+exhaustive sweep reads its blocks from `checks._range_blocks` alone, built
+on row buffers that each thread reuses (`checks._Rows`), so a report must
+not depend on which blocks shared them either."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from laguerre_lab import checks
-from laguerre_lab.checks import CHECK_IDS, CHECKERS, _gather, _sweep
+from laguerre_lab.checks import CHECK_IDS, CHECKERS, _gather, _sweep, exhaustive_size
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.report import CheckMode, CheckReport, Violation
 from laguerre_lab.rng import draw_block
@@ -31,6 +31,7 @@ PLANES = {"miquelian-5": lambda: miquelian_plane(5),
 PI_FAMILY = ("Pi", "PiPrime", "Thm23")
 EX = CheckMode.exhaustive()
 SPLIT = ("S", "Cor21", *PI_FAMILY)
+RUNS = {**{c: CHECKERS[c].run for c in CHECK_IDS}, "PiSymmetry": verify_pi_symmetry}
 
 
 def _facts(plane, report):
@@ -134,9 +135,9 @@ def test_the_first_failing_chunk_in_stream_order_raises(monkeypatch, threads):
     plane, mode = miquelian_plane(3), CheckMode.sample(8 * 6, 1)
     before = threading.active_count()
     with pytest.raises(ValueError, match="chunk 1"):
-        _sweep(plane, mode, "T", _chunk_blocks, _failing_evaluator)
+        _sweep(plane, mode, "T", _chunk_blocks, _failing_evaluator, None)
     assert threading.active_count() == before
-    report = _sweep(plane, mode, "T", _chunk_blocks, _chunk_witness)
+    report = _sweep(plane, mode, "T", _chunk_blocks, _chunk_witness, None)
     assert report.configurations == 48
     assert [dict(v.data)["chunk"] for v in report.violations] == list(range(6))
     assert threading.active_count() == before
@@ -157,6 +158,20 @@ def _peak_bytes(plane, check_id, mode) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# the traced peaks of exhaustive Prop21@7 and Miquel@5, each swept once
+# before: Prop21 took 4,080,806 bytes and Miquel 2,427,748 when their
+# blocks were per-circle arrays merged by concatenation
+FAMILY_PEAKS = {("Prop21", 7): 1_583_932, ("Miquel", 5): 2_166_656}
+
+
+@pytest.mark.parametrize("check_id, q", FAMILY_PEAKS)
+def test_exhaustive_family_sweeps_hold_their_traced_peak(check_id, q):
+    plane = miquelian_plane(q)
+    CHECKERS[check_id].run(plane, EX)
+    peak = _peak_bytes(plane, check_id, EX)
+    assert peak <= FAMILY_PEAKS[check_id, q] * 1.10, peak
 
 
 class _EagerChunk:
@@ -227,8 +242,7 @@ def test_rows_in_flight_stay_at_one_65536_row_chunk(monkeypatch):
 # -- exhaustive sweeps by first choice -----------------------------------------
 
 def _n_firsts(plane, check_id) -> int:
-    # the point a for the Pi family, a circle for every other checker
-    return plane.n_points if check_id in PI_FAMILY else plane.n_circles
+    return CHECKERS[check_id].firsts(plane).n
 
 
 def _merged_views(plane, check_id, firsts) -> CheckReport:
@@ -427,3 +441,32 @@ def test_row_buffers_hold_no_more_than_the_arrays_they_replace(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= PARENT_S_PI_PEAK * 1.10, peak
+
+
+# -- one exhaustive path ----------------------------------------------------------
+
+@pytest.mark.parametrize("check_id", RUNS)
+def test_exhaustive_sweeps_read_their_blocks_from_range_blocks_alone(monkeypatch, check_id):
+    # every configuration, hit, skip and violation of an exhaustive run
+    # comes from a block of `_range_blocks`; a sampled run reads none
+    plane = miquelian_plane(4 if check_id == "Prop11" else 3)
+    whole = RUNS[check_id](plane, EX)
+    raw = []
+    range_blocks = checks._range_blocks
+
+    def recording(family, mode, rows):
+        for block in range_blocks(family, mode, rows):
+            raw.append(block[0])
+            yield block
+
+    monkeypatch.setattr(checks, "_range_blocks", recording)
+    assert _facts(plane, RUNS[check_id](plane, EX)) == _facts(plane, whole)
+    assert sum(raw) == whole.configurations == exhaustive_size(
+        plane, "Pi" if check_id == "PiSymmetry" else check_id) > 0
+    raw.clear()
+    RUNS[check_id](plane, CheckMode.sample(500, 3))
+    assert raw == []
+    monkeypatch.setattr(checks, "_range_blocks", lambda family, mode, rows: iter(()))
+    none = RUNS[check_id](plane, EX)
+    assert (none.configurations, none.hypothesis_hits, none.skipped, none.violation_count) \
+        == (0, 0, 0, 0)

@@ -563,7 +563,7 @@ def test_pi_symmetry_matches_the_loop_reference(q, mode):
                if (K + L) % 3 == 0 and P.pair_count[K, L] != 1}
     for start in ({}, planted):
         got, want = (checks._sweep(P, mode, "PiSymmetry", checks._pi_blocks,
-                                   functools.partial(evaluate, dict(start)))
+                                   functools.partial(evaluate, dict(start)), checks._PiFirsts)
                      for evaluate in (symmetry._eval_pi_symmetry, loop_eval_pi_symmetry))
         assert summary(got) == summary(want)
         assert got.hypothesis_hits > 0
