@@ -216,10 +216,12 @@ def _range_blocks(family: _Family, mode: CheckMode, rows: _Rows):
     each block closed once another first choice of its last one's rows
     would take it past `_SAMPLE_CHUNK` evaluator rows (rows × weight); so
     `_SAMPLE_CHUNK // (r · weight)` first choices of r rows each make a
-    block, and a first choice of more makes one alone.  Each first choice
-    writes its rows after those before it into the block arrays of `rows`
-    (`family.write`), which the next block overwrites: a block is read
-    before the next is drawn."""
+    block, and a first choice of more makes one alone.  A first choice of
+    more rows than the one before it can take a block past the budget, by
+    less than its own rows: one Prop21 block at q=9 holds 65,550.  Each
+    first choice writes its rows after those before it into the block
+    arrays of `rows` (`family.write`), which the next block overwrites: a
+    block is read before the next is drawn."""
     held = raw = 0
     for f in _firsts(mode, family.n):
         r = family.write(f, rows, held)

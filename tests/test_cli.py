@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -565,3 +566,114 @@ def test_replay_of_witness_free_lines_confirms_them(tmp_path, capsys):
         {"line": 1, "check": "Moebius", "witnesses": 0, "confirmed": True},
         {"line": 2, "check": "DtsClassify", "witnesses": 0, "confirmed": True},
     ]
+
+
+# -- output files ---------------------------------------------------------------
+
+# (subcommand arguments, whether --export is added) of every --out; the
+# replay reads a report the test writes first
+WRITTEN = {
+    "check-json": (("check", "--q", "4", "--checks", "C,S"), False),
+    "check-csv": (("check", "--q", "4", "--checks", "C,S", "--format", "csv"), False),
+    "check-text": (("check", "--q", "4", "--checks", "C,S", "--format", "text"), False),
+    "dts-pair": (("dts", "--q", "9", "--k", "0,0,0", "--l", "1,0,1", "--verify"), True),
+    "dts-sampled": (("dts", "--q", "5", "--sample-pairs", "3", "--seed", "2"), False),
+    "moebius": (("moebius", "--q", "3"), False),
+    "replay": (("replay", "--report"), False),
+}
+
+
+def _written_argv(tmp_path, capsys, name):
+    argv, export = WRITTEN[name]
+    if name == "replay":
+        report = tmp_path / "report.jsonl"
+        assert run_cli(capsys, "check", "--q", "4", "--checks", "C,Prop11",
+                       "--out", str(report))[0] == 1
+        argv += (str(report),)
+    return argv, export
+
+
+@pytest.mark.parametrize("target", ["longer", "shorter", "missing"])
+@pytest.mark.parametrize("name", WRITTEN)
+def test_output_files_hold_exactly_the_new_bytes(tmp_path, capsys, name, target):
+    # a file is written in place and cut to the new length, so an old
+    # file's tail is never left behind it
+    argv, export = _written_argv(tmp_path, capsys, name)
+    code, out, err = run_cli(capsys, *argv)
+    want = {"out": out.encode("utf-8")}
+    if export:
+        plane = cli.build_plane(9, "miquelian")
+        K, L = (plane.circle_from_coef(c).id for c in ((0, 0, 0), (1, 0, 1)))
+        phi = cli._symmetry.build_dts(plane, K, L)
+        want["export"] = cli._symmetry.export_automorphism(plane, phi).encode("utf-8")
+    paths = {key: tmp_path / key for key in want}
+    for key, path in paths.items():
+        if target != "missing":
+            size = len(want[key]) + 1000 if target == "longer" else 1
+            path.write_bytes(b"x" * size)
+    extra = ("--export", str(paths["export"])) if export else ()
+    assert run_cli(capsys, *argv, "--out", str(paths["out"]), *extra) == (code, "", err)
+    assert {key: path.read_bytes() for key, path in paths.items()} == want
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_output_file_takes_the_mode_open_gives_it(tmp_path, capsys, umask):
+    out, export = tmp_path / "out.json", tmp_path / "phi.txt"
+    old = os.umask(umask)
+    try:
+        assert run_cli(capsys, "dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2",
+                       "--out", str(out), "--export", str(export))[0] == 0
+    finally:
+        os.umask(old)
+    assert {os.stat(p).st_mode & 0o777 for p in (out, export)} == {0o666 & ~umask}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("check", "--q", "3", "--checks", "C"), 0),
+    (("check", "--q", "4", "--checks", "C"), 1),
+    (("moebius", "--q", "3"), 0),
+])
+def test_out_to_dev_null_keeps_the_exit_code(capsys, argv, code):
+    # /dev/null is no regular file: it is written and not cut
+    assert run_cli(capsys, *argv, "--out", os.devnull) == (code, "", "")
+
+
+def test_out_naming_a_directory_exits_two_with_one_line(tmp_path, capsys):
+    for argv in (("moebius", "--q", "3", "--out", str(tmp_path)),
+                 ("dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2",
+                  "--export", str(tmp_path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_no_output_file_is_truncated_to_zero_first(tmp_path, capsys, monkeypatch):
+    # truncating the file the previous request wrote cost more than the
+    # write on ext4; every --out and --export opens without O_TRUNC
+    opened = []
+    os_open = os.open
+
+    def recording(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    expected = {str(tmp_path / "report.jsonl")}     # the report replay reads
+    for name in WRITTEN:
+        argv, export = _written_argv(tmp_path, capsys, name)
+        extra = ("--export", str(tmp_path / f"{name}.txt")) if export else ()
+        run_cli(capsys, *argv, "--out", str(tmp_path / f"{name}.out"), *extra)
+        expected |= {str(tmp_path / f"{name}.out"), *extra[1:]}
+    assert {path for path, _ in opened} == expected
+    assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for _, flags in opened)
+
+
+def test_the_cli_has_one_file_writer():
+    # `_write_file` is the one place a file is opened for writing
+    doc = cli._write_file.__doc__
+    source = inspect.getsource(cli).replace(doc, "")
+    writer = inspect.getsource(cli._write_file).replace(doc, "")
+    assert source.count("os.open(") == writer.count("os.open(") == 1
+    writes = re.findall(r"open\([^\n]*[\"'](?:[wax]b?|r\+)[\"']", source)
+    assert len(writes) == 1 and writes[0] in writer
+    assert not re.search(r"\.write_(?:text|bytes)\(|os\.write\(|os\.replace\(", source)

@@ -2,9 +2,10 @@
 family of first choices through `checks._range_blocks`, which fills a
 block with consecutive first choices up to `checks._SAMPLE_CHUNK`
 evaluator rows.  Every report must equal the report of the blocks swept
-one first choice at a time (a budget of one row), and no block may hold
-more evaluator rows than the budget unless it holds a single first
-choice.
+one first choice at a time (a budget of one row).  A block closes once
+one more first choice of its last one's rows would pass the budget, so
+it passes the budget by less than the rows of its last first choice,
+and at q=4 not at all unless it holds a single first choice.
 
 A whole exhaustive run serves as the comparison wherever it takes well
 under a second.  Elsewhere a view of a few first choices runs in both
@@ -107,3 +108,29 @@ def test_evaluated_blocks_stay_within_the_budget(monkeypatch, check_id, budget):
             # closed where one more first choice like its last would pass
             # the budget, or at the end of its part
             assert i + 1 == len(blocks) or (sum(written) + written[-1]) * family.weight > budget
+
+
+# the largest block of C, Prop21 and Prop11 in evaluator rows, None where
+# the family is empty (Prop11 at odd order); C's first choices take one row
+BLOCK_MAX = {(8, "C"): 512, (8, "Prop21"): 65_391, (8, "Prop11"): 64_449,
+             (9, "C"): 729, (9, "Prop21"): 65_550, (9, "Prop11"): None,
+             (GF8, "C"): 512, (GF8, "Prop21"): 65_391, (GF8, "Prop11"): 64_449}
+
+
+@pytest.mark.parametrize("key, check_id", BLOCK_MAX)
+def test_a_block_passes_the_budget_by_less_than_its_last_first_choice(key, check_id):
+    # the rows above a circle vary with the ids of its tangent circles, so a
+    # first choice after a smaller one can take its block past the budget:
+    # at q=9 one Prop21 block holds 88 circles and 65,550 rows
+    family = CHECKERS[check_id].firsts(_plane(key))
+    counted, sizes = _Counted(family), []
+    for n_raw, *arrays in checks._range_blocks(counted, EX, checks._Rows()):
+        written = counted.written[:]
+        counted.written.clear()
+        sizes.append(len(arrays[0]) * family.weight)
+        assert n_raw == len(written) * family.raw
+        # open when its last first choice came: one more like the one
+        # before it still fitted
+        assert len(written) == 1 or (
+            sum(written[:-1]) + written[-2]) * family.weight <= checks._SAMPLE_CHUNK
+    assert max(sizes, default=None) == BLOCK_MAX[key, check_id]
