@@ -7,6 +7,8 @@ false-ish value, so search code can never silently skip a configuration.
 
 from __future__ import annotations
 
+import functools
+
 
 class LaguerreError(Exception):
     """Base class for all domain errors."""
@@ -29,11 +31,18 @@ class TangentPair(LaguerreError):
 
 
 class NotALaguerrePlane(LaguerreError):
-    """A candidate structure failed the plane axioms."""
+    """A candidate structure failed the plane axioms, refused at the first
+    failing stage of the validator, whose kind the message names.  `report`,
+    the full report with witnesses, is built from the structure when read."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, structure):
         super().__init__(message)
-        self.report = report
+        self._structure = structure
+
+    @functools.cached_property
+    def report(self):
+        from .plane import _validate   # plane imports this module
+        return _validate(self._structure)
 
 
 class NotUnique(LaguerreError):

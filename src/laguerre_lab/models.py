@@ -72,8 +72,10 @@ def oval_plane(q: int, table) -> LaguerrePlane:
     """Coordinate plane for an arbitrary oval-function value table.
 
     `table` lists o(x) for every field element index x.  The structure is
-    accepted only if it passes the plane axioms; otherwise
-    NotALaguerrePlane carries the failed axiom and witness.
+    accepted only if it passes the plane axioms; otherwise it is refused
+    at its first failing axiom with NotALaguerrePlane, whose message names
+    that axiom and whose `report`, built when read, lists every failed
+    axiom with witnesses.
     """
     if q not in SUPPORTED_PLANE_ORDERS:
         raise ValueError(f"order {q} not supported; choose from {SUPPORTED_PLANE_ORDERS}")

@@ -41,7 +41,11 @@ on ids widens first: `_gather` offsets are at least int32, the triple keys
 of axiom (1) int32 or int64, and the index fills compute their offsets as
 int64.
 
-Every construction is validated first, by whole-array passes:
+Every construction is validated first, by whole-array passes run in
+report order.  A candidate is refused at the first stage that fails:
+`NotALaguerrePlane` names that stage's kind, and its `report`, the full
+report with the witnesses of every stage, is built when it is read.  The
+stages are:
 
   * structure  one `np.unique` over the generator ids, one sort of the
                circle rows (repeats, range), one scatter into `mem` and
@@ -263,13 +267,15 @@ class _Structure:
         return blocks
 
 
-def _validate(s: _Structure) -> CheckReport:
-    """Check axioms (1)-(4) on `s` with whole-array passes.
+def _stages(s: _Structure):
+    """Check axioms (1)-(4) on `s` with whole-array passes, one stage at a
+    time in report order: structure, axiom (3), axiom (1), axiom (2),
+    axiom (4).  Yields the report after each stage; the last one yielded
+    is finished, its elapsed time the time of the whole run.
 
     Structure failures stop the check; axioms (1) and (2) need axiom (3)
     and equal row lengths, and are skipped otherwise.  Witnesses are the
-    first failures in circle-id order, so the report is canonical.  Its
-    elapsed time is the time of this call.
+    first failures in circle-id order, so the report is canonical.
     """
     t0 = time.perf_counter()
     report = CheckReport(check_id="Axioms", mode=CheckMode.exhaustive())
@@ -281,9 +287,9 @@ def _validate(s: _Structure) -> CheckReport:
         report.add_violation(Violation("structure", data=(("circle_members", 0),)))
     if report.violation_count:
         report.notes = tuple(["structure=failed"])
-        report.verdict = "Fails"
         report.elapsed_seconds = time.perf_counter() - t0
-        return report.finalize()
+        yield report.finalize()
+        return
 
     # Axiom (3): every circle meets every generator exactly once.
     n_c, n_g = s.n_circles, s.n_gens
@@ -301,10 +307,13 @@ def _validate(s: _Structure) -> CheckReport:
             ))
         notes.append("axiom3=failed")
     report.configurations += n_c * n_g
+    yield report
 
     if s.members is not None and s.gen_members is not None:
         notes.append("axiom1=ok" if _axiom1(s, report) else "axiom1=failed")
+        yield report
         notes.append("axiom2=ok" if _axiom2(s, report) else "axiom2=failed")
+        yield report
     else:
         notes += ["axiom1=skipped", "axiom2=skipped"]
 
@@ -318,7 +327,13 @@ def _validate(s: _Structure) -> CheckReport:
 
     report.notes = tuple(notes)
     report.elapsed_seconds = time.perf_counter() - t0
-    return report.finalize()
+    yield report.finalize()
+
+
+def _validate(s: _Structure) -> CheckReport:
+    """The full axiom report of `s`: every stage of `_stages`."""
+    *_, report = _stages(s)
+    return report
 
 
 def _first_repeat(keys: np.ndarray) -> int:
@@ -457,10 +472,14 @@ class LaguerrePlane(_Structure):
         super().__init__(generators, circles)
         self._axioms = None
         if validate:
-            rep = self._axioms = _validate(self)
-            if not rep.holds:
-                first = rep.violations[0].kind if rep.violations else "unknown"
-                raise NotALaguerrePlane(f"candidate structure fails: {first}", rep)
+            # the exception builds the full report from `self` when read
+            for rep in _stages(self):
+                if rep.violation_count:
+                    raise NotALaguerrePlane(
+                        f"candidate structure fails: {rep.violations[0].kind}", self)
+            self._axioms = rep
+        if self.members is None:
+            raise ValueError("every circle must meet every generator once")
 
         self.label = label
         self.field = field

@@ -366,18 +366,19 @@ def test_validate_axioms_pass_and_deleted_circle_witness():
 
 def test_a_plane_is_validated_once(monkeypatch):
     # the report of the build is kept and copied out; an unvalidated build
-    # validates on the first call; the Axioms replay validates afresh
+    # validates on the first call; the Axioms replay validates afresh.  A
+    # validation is one run of the validator's stages, which the build
+    # steps through itself and `_validate` runs to the end
     src = miquelian_plane(3)
     gens, circles = src.gen_members.tolist(), src.members.tolist()
     want = validate_laguerre_axioms(gens, circles)
-    calls, validate = [], plane_mod._validate
+    calls, validate = [], plane_mod._stages
 
     def counted(s):
         calls.append(s)
         return validate(s)
 
-    monkeypatch.setattr(plane_mod, "_validate", counted)
-    monkeypatch.setattr(checks, "_validate", counted)
+    monkeypatch.setattr(plane_mod, "_stages", counted)
     for checked, built in ((True, 1), (False, 0)):
         calls.clear()
         P = LaguerrePlane(gens, circles, validate=checked)
@@ -405,6 +406,11 @@ def test_an_unvalidated_build_keeps_no_tangent_blocks():
     assert report_obj(P.validate_axioms()) == report_obj(want)
     assert "_tangent_blocks" not in vars(P)
     assert P.pair_count is count and P.pair_sum is total
+    # a circle that misses a generator has no row by generator, and the
+    # unvalidated build refuses it in one line
+    circles[0] = circles[0][:-1]
+    with pytest.raises(ValueError, match="^every circle must meet every generator once$"):
+        LaguerrePlane(gens, circles, validate=False)
 
 
 def test_validate_axioms_oval_model():

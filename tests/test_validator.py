@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from laguerre_lab.errors import NotALaguerrePlane
 from laguerre_lab.gf import field_of_order
 from laguerre_lab.models import _model_structure, miquelian_plane, oval_plane, oval_table_power
-from laguerre_lab.plane import _Structure, validate_laguerre_axioms
+from laguerre_lab.plane import LaguerrePlane, _Structure, validate_laguerre_axioms
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
 from test_relabelling import RELABELLED, plane_for, relabel_structure
 
@@ -353,11 +353,23 @@ def test_corpus_reports_survive_relabelling(name):
         assert witness_holds(gens, circles, v), v
 
 
-def test_oval_plane_rejection_carries_the_capped_report():
-    pinned = json.loads(CORPUS.read_text(encoding="utf-8"))["axiom2-cap-x3-gf11"]
+@pytest.mark.parametrize("name", sorted(
+    name for name, rep in json.loads(CORPUS.read_text(encoding="utf-8")).items()
+    if rep["verdict"] == "Fails"))
+def test_a_refused_build_names_its_first_failing_kind(name):
+    # the build stops at the first failing stage, the kind its full report
+    # lists first: axiom (2)'s blocks run only after axiom (1) holds.  The
+    # report, with the witnesses of every stage, is built when read, once
+    pinned = json.loads(CORPUS.read_text(encoding="utf-8"))[name]
+    kind = pinned["violations"][0][0]
+    gens, circles = corpus_structures()[name]
     with pytest.raises(NotALaguerrePlane) as exc:
-        oval_plane(11, oval_table_power(11, 3))
-    assert report_obj(exc.value.report) == pinned
+        LaguerrePlane(gens, circles)
+    assert str(exc.value) == f"candidate structure fails: {kind}"
+    assert ("_tangent_blocks" in vars(exc.value._structure)) == (kind == "axiom4")
+    report = exc.value.report
+    assert report_obj(report) == pinned
+    assert exc.value.report is report
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -584,18 +596,38 @@ def test_oval_probe_reports_are_pinned(q, exponent):
     assert (obj["verdict"], obj["violation_count"], digest) == OVAL_PROBE_REPORTS[q, exponent]
 
 
-# traced peak bytes of judging the rejected oval_plane(11, x^10): 17.77 MB
-# when each tangent block held a partner and a row for every tangent pair,
-# 11.26 MB with only the failed rows and the pencils
+# traced peak bytes of judging the rejected oval_plane(11, x^10) and
+# reading its report: 17.77 MB when each tangent block held a partner and a
+# row for every tangent pair, 11.26 MB with only the failed rows and the
+# pencils
 REJECTED_Q11_PEAK = 11_260_870
+# the same rejection with its report never read: 11.26 MB when the build
+# ran every stage, 3.63 MB once it stopped at axiom (1)
+REFUSED_Q11_PEAK = 3_629_146
+
+
+def _refused(q: int, exponent: int) -> str:
+    """The message of refusing the oval plane of x^exponent; its report
+    is not read."""
+    with pytest.raises(NotALaguerrePlane) as exc:
+        oval_plane(q, oval_table_power(q, exponent))
+    return str(exc.value)
+
+
+def _traced_peak(judge):
+    """What `judge()` returns, and the traced peak bytes of the call."""
+    tracemalloc.start()
+    try:
+        return judge(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_judging_a_rejected_candidate_stays_within_its_peak():
     _judged(11, 10)             # field tables built outside the traced span
-    tracemalloc.start()
-    try:
-        assert _judged(11, 10).verdict == "Fails"
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = _traced_peak(lambda: _judged(11, 10))
+    assert report.verdict == "Fails"
     assert peak <= REJECTED_Q11_PEAK * 1.10, peak
+    message, peak = _traced_peak(lambda: _refused(11, 10))
+    assert message == "candidate structure fails: axiom1"
+    assert peak <= REFUSED_Q11_PEAK * 1.10, peak
