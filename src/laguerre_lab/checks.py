@@ -90,7 +90,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import LaguerreError
-from .plane import LaguerrePlane, _validate
+from .plane import LaguerrePlane, validate_laguerre_axioms
 from .report import CheckMode, CheckReport, Violation
 from .rng import bounded, draw_block
 
@@ -1282,8 +1282,8 @@ def _run_axioms(plane, mode):
 
 
 def _replay_axioms(plane, v):
-    # validated again, not read from the plane's kept report: a second route
-    fresh = _validate(plane)
+    # validated again, on a structure of the plane's rows: a second route
+    fresh = validate_laguerre_axioms(plane.gen_members, plane.members)
     return any(w.kind == v.kind for w in fresh.violations) or not fresh.holds
 
 

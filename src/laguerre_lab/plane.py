@@ -478,6 +478,8 @@ class LaguerrePlane(_Structure):
                     raise NotALaguerrePlane(
                         f"candidate structure fails: {rep.violations[0].kind}", self)
             self._axioms = rep
+        if self.gen_members is None:
+            raise ValueError("every generator must have as many points as the others")
         if self.members is None:
             raise ValueError("every circle must meet every generator once")
 

@@ -24,6 +24,8 @@ pass over the plane's own indexes:
                       (3) one `vertex_pencils` row per moved pair, (4) all
                       moved circles and their member slots at once,
   * uniqueness        secant pairs from one `vertex_pencils` gather on P x Q,
+  * PiSymmetry        one read of K′'s tangency to L per block, from
+                      `pair_count` and `pair_sum`, with no symmetry built,
   * Moebius blocks    type A from one fixed x moved tangency matrix, type
                       B from the `vertex_pencils` rows of the moved points,
   * Moebius axioms    one block x point incidence matrix: the trio
@@ -41,7 +43,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -442,16 +443,7 @@ def classify_symmetry(plane: LaguerrePlane, K, L,
                                   details="disjoint pair with fixed points")
 
 
-def _dts_cached(plane, K, L, cache):
-    if cache is None:
-        return build_dts(plane, K, L)
-    if (K, L) not in cache:
-        cache[K, L] = build_dts(plane, K, L)
-    return cache[K, L]
-
-
-def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M,
-                        cache: dict | None = None) -> CheckReport:
+def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M) -> CheckReport:
     """All double tangency symmetries fixing P, Q pointwise and M setwise
     coincide as point maps.
 
@@ -475,7 +467,7 @@ def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M,
     report.configurations += int(secant.sum())
     qualifying: list[tuple[tuple[int, int], Automorphism]] = []
     for K, L in zip(Ks[secant].tolist(), Ls[secant].tolist()):
-        phi = _dts_cached(plane, K, L, cache)
+        phi = build_dts(plane, K, L)
         if (phi.image[pq] == pq).all() and int(phi.circle_image()[M]) == M:
             qualifying.append(((K, L), phi))
     report.hypothesis_hits = len(qualifying)
@@ -490,20 +482,22 @@ def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M,
     return report.finalize()
 
 
-def _eval_pi_symmetry(dts: dict, plane: LaguerrePlane, report: CheckReport,
+def _eval_pi_symmetry(plane: LaguerrePlane, report: CheckReport,
                       a, b, c, x, C1, p, qpt, Kp) -> None:
-    """PiSymmetry on one `_pi_blocks` block; `dts` holds the symmetries
-    built so far, by pair."""
+    """PiSymmetry on one `_pi_blocks` block, with no symmetry built.
+
+    The symmetry φ of K = C1 and L = (x,p,q)° is on K the tangency map
+    K -> L, by the unique-tangent axiom, which holds at odd order, the only
+    order this runs at.  So φ(a) = x exactly where K′, the circle of K's
+    pencil at a through x, touches L at x.  There φ(x) = a, φ being an
+    involution, and φ(K′), through a and touching φ(K) = L at x, is K′,
+    the one such circle.  Rows with (K, L) tangent are skipped."""
     L = plane.triple_circle[x, p, qpt]
     tangent = plane.pair_count[C1, L] == 1
     report.skipped += int(tangent.sum())
     report.hypothesis_hits += int((~tangent).sum())
-    bad = np.zeros(len(C1), dtype=bool)
-    for i in np.flatnonzero(~tangent):
-        K, Li, kp, ai, xi = int(C1[i]), int(L[i]), int(Kp[i]), int(a[i]), int(x[i])
-        phi = _dts_cached(plane, min(K, Li), max(K, Li), dts)
-        bad[i] = not (phi.circle_image()[kp] == kp and phi.image[ai] == xi and phi.image[xi] == ai)
-    report.record(bad, lambda i: Violation(
+    touches = (plane.pair_count[Kp, L] == 1) & (plane.pair_sum[Kp, L] == x)
+    report.record(~tangent & ~touches, lambda i: Violation(
         "pi-symmetry", points=(int(a[i]), int(b[i]), int(c[i]), int(x[i])),
         circles=(int(C1[i]), int(L[i]), int(Kp[i]))))
 
@@ -520,8 +514,7 @@ def verify_pi_symmetry(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     if plane.q % 2 == 0:
         return _not_applicable(
             "PiSymmetry", mode, "even order: the symmetry construction needs the unique-tangent axiom")
-    return _sweep(plane, mode, "PiSymmetry", _pi_blocks, partial(_eval_pi_symmetry, {}),
-                  _PiFirsts)
+    return _sweep(plane, mode, "PiSymmetry", _pi_blocks, _eval_pi_symmetry, _PiFirsts)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,6 @@ def test_criterion_07_double_tangency_symmetry_properties():
 def test_criterion_08_laguerre_symmetry_classification_and_uniqueness():
     t0 = time.perf_counter()
     P3 = miquelian_plane(3)
-    cache = {}
     secant = 0
     for K in range(P3.n_circles):
         for L in range(K + 1, P3.n_circles):
@@ -188,7 +187,7 @@ def test_criterion_08_laguerre_symmetry_classification_and_uniqueness():
 
     for P, Q in itertools.combinations(range(P3.n_gens), 2):
         for M in range(P3.n_circles):
-            rep = symmetry_uniqueness(P3, P, Q, M, cache)
+            rep = symmetry_uniqueness(P3, P, Q, M)
             assert rep.verdict == "Holds", (P, Q, M)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

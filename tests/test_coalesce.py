@@ -32,7 +32,7 @@ RUNS = {**{c: CHECKERS[c].run for c in CHECK_IDS}, "PiSymmetry": verify_pi_symme
 # (order, check id): the number of first choices of the view that runs in
 # place of a whole exhaustive run of a second or more; a closure's first
 # choice is a circle C1 and one of q pencil selectors
-HEAVY = {(5, "Miquel"): 10, (5, "Bundle"): 5, (5, "PiSymmetry"): 2,
+HEAVY = {(5, "Miquel"): 10, (5, "Bundle"): 5,
          **{(8, c): 3 for c in ("S", "Prop22", "Cor21", "Pi", "PiPrime", "Thm23")}}
 
 

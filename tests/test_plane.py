@@ -413,6 +413,15 @@ def test_an_unvalidated_build_keeps_no_tangent_blocks():
         LaguerrePlane(gens, circles, validate=False)
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_generators_of_unequal_size_are_refused_in_one_line(validate):
+    # every circle meets every generator once, but the generators have no
+    # matrix of rows: the build refuses the structure before reading one
+    msg = "^every generator must have as many points as the others$"
+    with pytest.raises(ValueError, match=msg):
+        LaguerrePlane([[0], [1, 2], [3]], [[0, 1, 3], [0, 2, 3]], validate=validate)
+
+
 def test_validate_axioms_oval_model():
     P = oval_plane(8, oval_table_power(8, 4))
     assert P.validate_axioms().holds

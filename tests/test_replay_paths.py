@@ -62,6 +62,17 @@ def test_replay_refuses_eight_points_without_hypotheses(p5):
     assert not replay_violation(p5, "Bundle", v)
 
 
+def test_an_axioms_replay_leaves_the_plane_as_built():
+    # the replay validates a structure of the plane's rows, not the plane:
+    # its tables stay the same read-only arrays and it keeps no blocks
+    plane = miquelian_plane(3)
+    count, total = plane.pair_count, plane.pair_sum
+    assert not replay_violation(plane, "Axioms", Violation("axiom1"))
+    assert plane.pair_count is count and plane.pair_sum is total
+    assert not count.flags.writeable and not total.flags.writeable
+    assert "_tangent_blocks" not in vars(plane)
+
+
 def test_replay_unknown_check_raises(p5):
     with pytest.raises(ValueError):
         replay_violation(p5, "NoSuchCheck", Violation("x"))

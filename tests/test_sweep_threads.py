@@ -96,9 +96,8 @@ def test_sampled_sweeps_draw_only_the_columns_their_rows_read(monkeypatch):
     assert _draws_per_row(monkeypatch, plane, "S", rows) == 7
 
 
-def test_pi_symmetry_shares_its_symmetries_between_threads(monkeypatch):
-    # many small chunks on more threads than cores, switching often: the
-    # symmetries the threads build into one dict must not change a count
+def test_pi_symmetry_does_not_depend_on_the_thread_count(monkeypatch):
+    # many small chunks on more threads than cores, switching often
     plane = miquelian_plane(5)
     mode = CheckMode.sample(1500, 77)
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 64)

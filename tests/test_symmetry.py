@@ -238,11 +238,11 @@ def test_classify_all_secant_pairs_q3(q3_sweep):
         assert cls.fixed_point_count == 2 * P3.q
 
 
-def test_symmetry_uniqueness_all_q3(q3_sweep):
-    P3, cache = q3_sweep
+def test_symmetry_uniqueness_all_q3():
+    P3 = miquelian_plane(3)
     for P, Q in itertools.combinations(range(P3.n_gens), 2):
         for M in range(P3.n_circles):
-            rep = symmetry_uniqueness(P3, P, Q, M, cache)
+            rep = symmetry_uniqueness(P3, P, Q, M)
             assert rep.verdict == "Holds", (P, Q, M)
             assert rep.hypothesis_hits > 0
 

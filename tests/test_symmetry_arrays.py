@@ -17,7 +17,9 @@ it builds one violation per `add_violation` call, where `verify_dts`
 records one mask per property through `CheckReport.record`.  `loop_uniqueness` scans the pencil of one point
 pair of P x Q at a time, `loop_moebius_blocks` collects the type A blocks
 one circle at a time and the type B blocks one point at a time, and
-`loop_census` counts block sizes into dicts.
+`loop_census` counts block sizes into dicts.  `loop_eval_pi_symmetry`
+builds the symmetry of each row's pair (K, L) and asks it to fix K′ and
+exchange a and x, where `verify_pi_symmetry` reads K′'s tangency to L.
 """
 
 from __future__ import annotations
@@ -193,8 +195,17 @@ def loop_verify_dts(plane, phi, K, L) -> CheckReport:
     return report.finalize()
 
 
-def loop_uniqueness(plane, P, Q, M, cache=None) -> CheckReport:
-    """`symmetry_uniqueness` with one pencil scan per point pair of P x Q."""
+def memo_dts(memo: dict, plane, K, L):
+    """`symmetry.build_dts` of (K, L), built once per memo."""
+    if (K, L) not in memo:
+        memo[K, L] = symmetry.build_dts(plane, K, L)
+    return memo[K, L]
+
+
+def loop_uniqueness(plane, P, Q, M, memo=None) -> CheckReport:
+    """`symmetry_uniqueness` with one pencil scan per point pair of P x Q;
+    the symmetries built go into `memo`, by pair."""
+    memo = {} if memo is None else memo
     report = CheckReport(check_id="SymmetryUniqueness", mode=CheckMode.exhaustive())
     qualifying = []
     pq = plane.gen_members[[P, Q]]
@@ -206,7 +217,7 @@ def loop_uniqueness(plane, P, Q, M, cache=None) -> CheckReport:
                 if plane.pair_count[K, L] != 2:
                     continue
                 report.configurations += 1
-                phi = symmetry._dts_cached(plane, K, L, cache)
+                phi = memo_dts(memo, plane, K, L)
                 if (phi.image[pq] != pq).any():
                     continue
                 if int(phi.circle_image()[M]) != M:
@@ -226,18 +237,27 @@ def loop_uniqueness(plane, P, Q, M, cache=None) -> CheckReport:
     return report.finalize()
 
 
-def loop_eval_pi_symmetry(dts, plane, report, a, b, c, x, C1, p, qpt, Kp) -> None:
-    """`_eval_pi_symmetry` with one `add_violation` call per violation."""
+def loop_eval_pi_symmetry(memo, plane, report, a, b, c, x, C1, p, qpt, Kp) -> None:
+    """`_eval_pi_symmetry` through the built symmetry of each row's pair,
+    kept in `memo`: K′ fixed, a and x exchanged, one `add_violation` call
+    per violation."""
     L = plane.triple_circle[x, p, qpt]
     tangent = plane.pair_count[C1, L] == 1
     report.skipped += int(tangent.sum())
     report.hypothesis_hits += int((~tangent).sum())
     for i in np.flatnonzero(~tangent):
         K, Li, kp, ai, xi = int(C1[i]), int(L[i]), int(Kp[i]), int(a[i]), int(x[i])
-        phi = symmetry._dts_cached(plane, min(K, Li), max(K, Li), dts)
+        phi = memo_dts(memo, plane, min(K, Li), max(K, Li))
         if not (phi.circle_image()[kp] == kp and phi.image[ai] == xi and phi.image[xi] == ai):
             report.add_violation(Violation(
                 "pi-symmetry", points=(ai, int(b[i]), int(c[i]), xi), circles=(K, Li, kp)))
+
+
+def loop_pi_symmetry(plane, mode, evaluate=loop_eval_pi_symmetry) -> CheckReport:
+    """`verify_pi_symmetry`'s sweep through `evaluate(memo, ...)`, with one
+    memo of symmetries for the whole sweep."""
+    return checks._sweep(plane, mode, "PiSymmetry", checks._pi_blocks,
+                         functools.partial(evaluate, {}), checks._PiFirsts)
 
 
 def loop_moebius_blocks(plane, phi) -> tuple:
@@ -515,19 +535,19 @@ def test_verify_dts_builds_only_the_violations_it_records(monkeypatch):
 
 def test_symmetry_uniqueness_matches_the_loop_reference_q3():
     P = miquelian_plane(3)
-    cache = {}
+    memo = {}
     for G, H in itertools.permutations(range(P.n_gens), 2):
         for M in range(P.n_circles):
-            got = symmetry.symmetry_uniqueness(P, G, H, M, cache)
-            want = loop_uniqueness(P, G, H, M, cache)
+            got = symmetry.symmetry_uniqueness(P, G, H, M)
+            want = loop_uniqueness(P, G, H, M, memo)
             assert summary(got) + (got.notes,) == summary(want) + (want.notes,), (G, H, M)
 
 
-def test_symmetry_uniqueness_mismatches_keep_the_loop_order():
-    # the classify example's (P, Q, M) at order 5, with the identity planted
-    # in the cache for every third secant pair: planted pairs qualify and
+def test_symmetry_uniqueness_mismatches_keep_the_loop_order(monkeypatch):
+    # the classify example's (P, Q, M) at order 5, with `build_dts` giving
+    # the identity for every third secant pair: those pairs qualify and
     # differ from the genuine symmetries, which gives more mismatches than
-    # are recorded; a map moving every point, planted for all pairs, leaves
+    # are recorded; a map moving every point, given for all pairs, leaves
     # none qualifying
     P = miquelian_plane(5)
     K, L = P.circle_from_coef((1, 0, 0)).id, P.circle_from_coef((4, 0, 2)).id
@@ -540,9 +560,10 @@ def test_symmetry_uniqueness_mismatches_keep_the_loop_order():
     for pair in pairs[1::3]:
         planted[pair] = Automorphism.identity(P)
     shifted = Automorphism(P, np.roll(np.arange(P.n_points), 1))
-    for cache, verdict in ((dict.fromkeys(pairs, shifted), "Inconclusive"), (planted, "Fails")):
-        got = symmetry.symmetry_uniqueness(*args, cache)
-        want = loop_uniqueness(*args, cache)
+    for given, verdict in ((dict.fromkeys(pairs, shifted), "Inconclusive"), (planted, "Fails")):
+        monkeypatch.setattr(symmetry, "build_dts", lambda plane, K, L: given[K, L])
+        got = symmetry.symmetry_uniqueness(*args)
+        want = loop_uniqueness(*args)
         assert summary(got) + (got.notes,) == summary(want) + (want.notes,)
         assert (got.verdict, got.configurations) == (verdict, len(pairs))
     assert got.violation_count > MAX_VIOLATIONS
@@ -552,22 +573,58 @@ def test_symmetry_uniqueness_mismatches_keep_the_loop_order():
 # verify_pi_symmetry
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("q, mode", [(3, CheckMode.exhaustive()), (5, CheckMode.sample(1500, 77))])
+@pytest.mark.parametrize("q, mode", [
+    (3, CheckMode.exhaustive()), (5, CheckMode.sample(1500, 77)), (5, CheckMode.exhaustive()),
+    (7, CheckMode.sample(8000, 7)), (9, CheckMode.sample(8000, 9)),
+    (11, CheckMode.sample(8000, 11))])
 def test_pi_symmetry_matches_the_loop_reference(q, mode):
-    # genuine symmetries, then the identity planted for every non-tangent
-    # pair whose ids sum to a multiple of 3: it fixes K' but does not
-    # exchange a and x, which gives more violations than are recorded
+    # K′'s tangency to L against the symmetries built for every row's pair;
+    # the sampled modes at q >= 7 hold a few thousand rows each
     P = miquelian_plane(q)
-    identity = Automorphism.identity(P)
-    planted = {(K, L): identity for K in range(P.n_circles) for L in range(K + 1, P.n_circles)
-               if (K + L) % 3 == 0 and P.pair_count[K, L] != 1}
-    for start in ({}, planted):
-        got, want = (checks._sweep(P, mode, "PiSymmetry", checks._pi_blocks,
-                                   functools.partial(evaluate, dict(start)), checks._PiFirsts)
-                     for evaluate in (symmetry._eval_pi_symmetry, loop_eval_pi_symmetry))
-        assert summary(got) == summary(want)
-        assert got.hypothesis_hits > 0
-    assert got.violation_count > MAX_VIOLATIONS
+    got = symmetry.verify_pi_symmetry(P, mode)
+    assert summary(got) == summary(loop_pi_symmetry(P, mode))
+    assert got.hypothesis_hits > 0
+
+
+def replacing_kp(evaluate, pick):
+    """A PiSymmetry evaluator that passes `evaluate` the circle
+    `pick(plane, a, p, C1, L, K′)` in place of K′, with L = (x, p, q)°."""
+    def wrapped(*args):
+        *head, x, C1, p, qpt, Kp = args
+        plane, a = head[-5], head[-3]
+        L = plane.triple_circle[x, p, qpt]
+        evaluate(*head, x, C1, p, qpt, pick(plane, a, p, C1, L, Kp))
+    return wrapped
+
+
+def other_pencil_circle(plane, a, p, C1, L, Kp):
+    """A circle of C1's pencil at a other than K′, so not through x."""
+    other = plane.pencil_others[C1, plane.gen_of[a]]
+    return np.where(other[:, 0] == Kp, other[:, 1], other[:, 0])
+
+
+def touching_l_at_p(plane, a, p, C1, L, Kp):
+    """The circle through a that touches L at p, not at x."""
+    return plane.tangent_through[L, plane.gen_of[p], a]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("pick", [lambda P, a, p, C1, L, Kp: C1, lambda P, a, p, C1, L, Kp: L,
+                                  other_pencil_circle, touching_l_at_p],
+                         ids=["C1", "L", "pencil", "touch-p"])
+def test_pi_symmetry_fails_every_row_whose_kprime_is_moved(monkeypatch, q, pick):
+    # φ, the symmetry of (C1, L), exchanges C1 and L, and sends a circle
+    # through a that touches C1 at a, or L at p, to one through x that
+    # touches L at x, or C1: none is fixed, so every non-tangent row
+    # fails, on both routes, with the same witnesses
+    P = miquelian_plane(q)
+    want = loop_pi_symmetry(P, CheckMode.exhaustive(), replacing_kp(loop_eval_pi_symmetry, pick))
+    monkeypatch.setattr(symmetry, "_eval_pi_symmetry",
+                        replacing_kp(symmetry._eval_pi_symmetry, pick))
+    got = symmetry.verify_pi_symmetry(P, CheckMode.exhaustive())
+    assert summary(got) == summary(want)
+    assert got.violation_count == got.hypothesis_hits > 0
+    assert len(got.violations) == MAX_VIOLATIONS
 
 
 # ---------------------------------------------------------------------------
