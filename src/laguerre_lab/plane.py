@@ -7,8 +7,8 @@ A plane is an incidence structure (points, circles, parallelity) in which
   (3) every generator (parallel class) meets every circle exactly once,
   (4) some circle has at least three but not all points.
 
-`LaguerrePlane` is immutable after construction.  All hot-path operations
-read precomputed numpy indexes:
+Every array of a `LaguerrePlane` is read-only.  Hot-path operations read
+numpy indexes, built with the plane or, where marked, on first read:
 
   * `members`/`mem`       circle membership as rows by generator (the point
                           of K on generator g at `members[K, g]`, so the
@@ -17,9 +17,9 @@ read precomputed numpy indexes:
   * `pair_count`          |K ∩ L| for every circle pair,
   * `pair_sum`            the sum of the points of K ∩ L, so the touch
                           point of K and L wherever `pair_count` is 1,
-  * `triple_circle`       non-parallel point triple -> joining circle, so
-                          also the one candidate circle for a member set
-                          (the circle of its first three points),
+  * `triple_circle`       non-parallel point triple -> joining circle, on
+                          first read, so also the one candidate circle for
+                          a member set (the circle of its first three points),
   * `pencil_others`       tangent pencils grouped by (circle, touch point),
                           the touch point given by its generator,
   * `tangent_through`     (circle, touch point's generator, outer point) ->
@@ -27,7 +27,8 @@ read precomputed numpy indexes:
                           read (only the Pi family and `tangent_circle`
                           read it); reading the pencil instead ran those
                           checkers slower (CHANGES.md),
-  * `vertex_pencils`      non-parallel point pair -> circles through both.
+  * `vertex_pencils`      non-parallel point pair -> circles through both,
+                          on first read, from `triple_circle`.
 
 Dense membership rows make intersection tests word-parallel scans, and the
 triple index is a direct array lookup; both choices trade memory for the
@@ -38,8 +39,8 @@ is int16 (`pair_count` is uint8, `mem` bool).  Every plane of order up to
 31 fits, and a structure with more than 2^15 circles or 2^14 points (whose
 pair sums would not fit) raises ValueError instead of wrapping.  Arithmetic
 on ids widens first: `_gather` offsets are at least int32, the triple keys
-of axiom (1) int32 or int64, and the index fills compute their offsets as
-int64.
+of axiom (1) and the offsets of the index fills int32 where n_p^3 fits,
+else int64.
 
 Every construction is validated first, by whole-array passes run in
 report order.  A candidate is refused at the first stage that fails:
@@ -47,12 +48,13 @@ report order.  A candidate is refused at the first stage that fails:
 report with the witnesses of every stage, is built when it is read.  The
 stages are:
 
-  * structure  one `np.unique` over the generator ids, one sort of the
-               circle rows (repeats, range), one scatter into `mem` and
-               one into the rows by generator,
+  * structure  one `np.unique` over the generator ids, their sizes, one
+               sort of the circle rows (repeats, range), one scatter into
+               `mem` and one into the rows by generator,
   * axiom (3)  one `bincount` over (circle, generator of member),
   * axiom (1)  one int key per member triple of the rows sorted by id,
-               sorted once; repeats and a shortfall against the
+               sorted by growing prefixes of blocks of circles until one
+               repeats, or whole; repeats and a shortfall against the
                non-parallel triple count fail,
   * axiom (2)  per block of circles, one product gives `pair_count`,
                `pair_sum` and the tangent partners with the generator of
@@ -273,9 +275,12 @@ def _stages(s: _Structure):
     axiom (4).  Yields the report after each stage; the last one yielded
     is finished, its elapsed time the time of the whole run.
 
-    Structure failures stop the check; axioms (1) and (2) need axiom (3)
-    and equal row lengths, and are skipped otherwise.  Witnesses are the
-    first failures in circle-id order, so the report is canonical.
+    Structure failures stop the check, unequal generators among them: the
+    pencil at (K, p) has |G| - 1 circles besides K for each generator G off
+    p's (axioms (2), (3)), and any two generators are off a point of the
+    circle of axiom (4).  Axioms (1) and (2) need axiom (3), and are skipped
+    otherwise.  Witnesses are the first failures in circle-id order, so the
+    report is canonical.
     """
     t0 = time.perf_counter()
     report = CheckReport(check_id="Axioms", mode=CheckMode.exhaustive())
@@ -283,6 +288,8 @@ def _stages(s: _Structure):
 
     if not s.partition_ok:
         report.add_violation(Violation("structure", data=(("generators_partition", 0),)))
+    if s.n_gens and s.gen_members is None:
+        report.add_violation(Violation("structure", data=(("generator_sizes", 0),)))
     if not s.members_ok:
         report.add_violation(Violation("structure", data=(("circle_members", 0),)))
     if report.violation_count:
@@ -357,11 +364,12 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
     """Every mutually non-parallel triple lies on exactly one circle.
 
     Each sorted member triple (i, j, k) becomes the key (i*n + j)*n + k,
-    read from the rows sorted by point id; one sort finds repeated keys,
-    and a count below the number of non-parallel triples means some triple
-    is on no circle.
+    read from the rows sorted by point id.  Prefixes of 1, 4, 16, ... blocks
+    of circles, up to half of them, then all, are sorted until one repeats,
+    whose first repeat is the first of all keys.  A count below the number
+    of non-parallel triples means some triple is on no circle.
     """
-    M, G, n_p = np.sort(s.members, axis=1), s.gen_members, s.n_points
+    M, G, n_p, n_c = np.sort(s.members, axis=1), s.gen_members, s.n_points, s.n_circles
     combos = np.array(list(itertools.combinations(range(M.shape[1]), 3)),
                       dtype=np.intp).reshape(-1, 3)
     dtype = np.int32 if n_p ** 3 < 2 ** 31 else np.int64
@@ -369,26 +377,28 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
     def pack(tri):
         return (tri[..., 0] * n_p + tri[..., 1]) * n_p + tri[..., 2]
 
-    keys = np.empty((s.n_circles, len(combos)), dtype=dtype)
-    for b0 in range(0, s.n_circles, _BLOCK):
-        keys[b0:b0 + _BLOCK] = pack(M[b0:b0 + _BLOCK].astype(dtype)[:, combos])
-    keys = keys.ravel()
     expected = math.comb(s.n_gens, 3) * G.shape[1] ** 3
     report.configurations += expected
-
-    sorted_keys = np.sort(keys)
-    if (sorted_keys[1:] == sorted_keys[:-1]).any():
-        # witness: the first triple (circle id, then combination order)
-        # whose key an earlier triple already has
-        cid, t = divmod(_first_repeat(keys), len(combos))
-        i, j, k = (int(p) for p in M[cid, combos[t]])
-        others = np.nonzero(s.mem[:, i] & s.mem[:, j] & s.mem[:, k])[0]
-        report.add_violation(Violation(
-            "axiom1", points=(i, j, k), circles=tuple(int(d) for d in others[:2]),
-            data=(("joining_circles", len(others)),),
-        ))
-        return False
-    if len(keys) == expected:
+    keys = np.empty((n_c, len(combos)), dtype=dtype)
+    done, n = 0, _BLOCK
+    while done < n_c:
+        end = n_c if 2 * n > n_c else n
+        for b0 in range(done, end, _BLOCK):
+            keys[b0:b0 + _BLOCK] = pack(M[b0:b0 + _BLOCK].astype(dtype)[:, combos])
+        done, n = end, 4 * n
+        sorted_keys = np.sort(keys[:end].reshape(-1))
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            # witness: the first triple (circle id, then combination order)
+            # whose key an earlier triple already has
+            cid, t = divmod(_first_repeat(keys[:end].reshape(-1)), len(combos))
+            i, j, k = (int(p) for p in M[cid, combos[t]])
+            others = np.nonzero(s.mem[:, i] & s.mem[:, j] & s.mem[:, k])[0]
+            report.add_violation(Violation(
+                "axiom1", points=(i, j, k), circles=tuple(int(d) for d in others[:2]),
+                data=(("joining_circles", len(others)),),
+            ))
+            return False
+    if len(sorted_keys) == expected:
         return True
     witness = ()
     for ga, gb, gc in itertools.combinations(range(s.n_gens), 3):
@@ -396,7 +406,7 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
                                            G[gc][None, None, :]), axis=-1)
         tri = np.sort(tri.reshape(-1, 3), axis=1).astype(dtype)
         packed = pack(tri)
-        at = np.minimum(np.searchsorted(sorted_keys, packed), len(keys) - 1)
+        at = np.minimum(np.searchsorted(sorted_keys, packed), len(sorted_keys) - 1)
         missing = sorted_keys.take(at) != packed
         if missing.any():
             witness = tuple(int(p) for p in tri[missing.argmax()])
@@ -465,7 +475,12 @@ def validate_laguerre_axioms(generators, circles) -> CheckReport:
 
 
 class LaguerrePlane(_Structure):
-    """Immutable finite Laguerre plane with precomputed lookup indexes."""
+    """Finite Laguerre plane with read-only lookup indexes.
+
+    Its `cached_property` indexes are filled on first read, each in a local
+    returned whole: CPython 3.11's `cached_property` reads the instance dict
+    before it takes its lock, so a second sweep thread never sees a partial
+    index.  From 3.12, unlocked, two threads may fill one twice: equal arrays."""
 
     def __init__(self, generators, circles, *, coefficients=None, field=None,
                  label: str = "custom", validate: bool = True):
@@ -485,44 +500,49 @@ class LaguerrePlane(_Structure):
 
         self.label = label
         self.field = field
-        self.q = self.members.shape[1] - 1
+        self.q = q = self.members.shape[1] - 1
 
         self.coef = None if coefficients is None else np.array(coefficients, dtype=np.int16)
-        self._build_indexes()
+        # the tangent pencils as axiom (2) grouped them: partners of K by the
+        # touch point's generator, each group in id order
+        self.pencil_others = np.concatenate(
+            [pencils for _, pencils in self._tangent_blocks]).reshape(self.n_circles, q + 1, q - 1)
         del self._tangent_blocks     # the pencils hold what axiom (2) did not need
         for arr in (self.gen_of, self.gen_members, self.members, self.mem,
-                    self.pair_count, self.pair_sum, self.triple_circle,
-                    self.pencil_others, self.vertex_pencils):
+                    self.pair_count, self.pair_sum, self.pencil_others):
             arr.flags.writeable = False
 
-    def _build_indexes(self) -> None:
+    @functools.cached_property
+    def triple_circle(self) -> np.ndarray:
+        """Mutually non-parallel ordered point triple -> joining circle, -1
+        elsewhere: one flat write per first slot."""
         n_p, n_c, q = self.n_points, self.n_circles, self.q
-
-        # joining circle of every mutually non-parallel ordered triple, one
-        # flat write per first slot
-        self.triple_circle = np.full((n_p, n_p, n_p), -1, dtype=np.int16)
-        M = self.members.astype(np.int64)
-        flat = self.triple_circle.reshape(-1)
+        out = np.full((n_p, n_p, n_p), -1, dtype=np.int16)
+        M = self.members.astype(np.int32 if n_p ** 3 < 2 ** 31 else np.int64)
         ids = np.arange(n_c, dtype=np.int16)[:, None]
         jk = np.array(list(itertools.permutations(range(q + 1), 2)))
         for i in range(q + 1):
             j, k = jk[(jk != i).all(axis=1)].T
-            flat[(M[:, i, None] * n_p + M[:, j]) * n_p + M[:, k]] = ids
+            out.reshape(-1)[(M[:, i, None] * n_p + M[:, j]) * n_p + M[:, k]] = ids
+        out.flags.writeable = False
+        return out
 
-        # the tangent pencils as axiom (2) grouped them: partners of K by the
-        # touch point's generator, each group in id order
-        self.pencil_others = np.concatenate(
-            [pencils for _, pencils in self._tangent_blocks]).reshape(n_c, q + 1, q - 1)
-
-        # circles through a non-parallel point pair, sorted by id
-        self.vertex_pencils = np.full((n_p, n_p, q), -1, dtype=np.int16)
-        for ga, gb in itertools.permutations(range(self.n_gens), 2):
-            gw = min(g for g in range(self.n_gens) if g not in (ga, gb))
-            A = self.gen_members[ga]
-            B = self.gen_members[gb]
-            Tpts = self.gen_members[gw]
-            block = self.triple_circle[A[:, None, None], B[None, :, None], Tpts[None, None, :]]
-            self.vertex_pencils[A[:, None], B[None, :]] = np.sort(block, axis=-1)
+    @functools.cached_property
+    def vertex_pencils(self) -> np.ndarray:
+        """Non-parallel pair -> its q circles in id order, -1 elsewhere: each
+        joins the pair to a point of the least generator off theirs.  A take of
+        `triple_circle`, a sort and a scatter per first generator keep the
+        temporaries small beside a sweep's."""
+        n_p, q, n = self.n_points, self.q, self.n_gens
+        G = self.gen_members.astype(np.int32 if n_p ** 3 < 2 ** 31 else np.int64)
+        out = np.full((n_p, n_p, q), -1, dtype=np.int16)
+        for ga, gb in enumerate(np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)):
+            gw = np.where((ga != 0) & (gb != 0), 0, np.where((ga != 1) & (gb != 1), 1, 2))
+            ab = G[ga, :, None, None] * n_p + G[gb]
+            through = self.triple_circle.reshape(-1).take(ab[..., None] * n_p + G[gw, None, :])
+            out.reshape(-1, q)[ab.reshape(-1)] = np.sort(through, axis=-1).reshape(-1, q)
+        out.flags.writeable = False
+        return out
 
     @functools.cached_property
     def tangent_through(self) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from laguerre_lab import checks
 from laguerre_lab.checks import (
     CHECK_IDS,
     CHECKERS,
@@ -304,6 +305,25 @@ def test_miquel_fails_on_translation_oval_plane(oval8):
 def test_bundle_exhaustive_q3_holds():
     rep = check_bundle(miquelian_plane(3), EX)
     assert rep.verdict == "Holds" and rep.hypothesis_hits == 10368
+
+
+@pytest.mark.parametrize("check", [check_miquel, check_bundle], ids=["Miquel", "Bundle"])
+def test_a_negated_closure_conclusion_fails_every_hit(monkeypatch, check):
+    # both closures hold on every miquelian plane, so only a negated
+    # conclusion shows that a violation is recorded where the conclusion
+    # fails: every hit then violates, with the counts of the plain run,
+    # and the scalar replay refuses every kept witness
+    P = miquelian_plane(3)
+    plain = check(P, EX)
+    pairs_concyclic = checks._pairs_concyclic
+    monkeypatch.setattr(checks, "_pairs_concyclic", lambda *args: ~pairs_concyclic(*args))
+    rep = check(P, EX)
+    pinned = {check_miquel: (124416, 1296, 1296, 7776), check_bundle: (93312, 10368, 10368, 0)}
+    counts = (rep.configurations, rep.hypothesis_hits, rep.violation_count, rep.skipped)
+    assert counts == pinned[check] == (plain.configurations, plain.hypothesis_hits,
+                                       plain.hypothesis_hits, plain.skipped)
+    assert len(rep.violations) == MAX_VIOLATIONS == 20
+    assert not any(replay_violation(P, rep.check_id, v) for v in rep.violations)
 
 
 def test_bundle_sampled_holds_on_both_models(oval8):

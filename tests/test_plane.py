@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import laguerre_lab.plane as plane_mod
 from laguerre_lab import checks
-from laguerre_lab.errors import ParallelPoints, PointNotOnCircle, PointOnCircle
+from laguerre_lab.errors import NotALaguerrePlane, ParallelPoints, PointNotOnCircle, PointOnCircle
 from laguerre_lab.models import (
     SUPPORTED_PLANE_ORDERS,
     miquelian_plane,
@@ -416,9 +417,13 @@ def test_an_unvalidated_build_keeps_no_tangent_blocks():
 @pytest.mark.parametrize("validate", [True, False])
 def test_generators_of_unequal_size_are_refused_in_one_line(validate):
     # every circle meets every generator once, but the generators have no
-    # matrix of rows: the build refuses the structure before reading one
-    msg = "^every generator must have as many points as the others$"
-    with pytest.raises(ValueError, match=msg):
+    # matrix of rows: validated, the structure stage refuses it; unvalidated,
+    # the build refuses it before reading one
+    if validate:
+        error, msg = NotALaguerrePlane, "^candidate structure fails: structure$"
+    else:
+        error, msg = ValueError, "^every generator must have as many points as the others$"
+    with pytest.raises(error, match=msg):
         LaguerrePlane([[0], [1, 2], [3]], [[0, 1, 3], [0, 2, 3]], validate=validate)
 
 
@@ -459,6 +464,97 @@ def test_tangent_through_and_circle_by_coef_are_built_on_first_read():
     assert built() == {"tangent_through", "circle_by_coef"}
     with pytest.raises(TypeError):
         P.circle_by_coef[(1, 2, 3)] = 0
+
+
+def eager_indexes(P):
+    """`triple_circle` and `vertex_pencils` as the build once filled them,
+    eagerly: the reference for the fills made on first read."""
+    n_p, n_c, q = P.n_points, P.n_circles, P.q
+    triple = np.full((n_p, n_p, n_p), -1, dtype=np.int16)
+    M = P.members.astype(np.int64)
+    flat = triple.reshape(-1)
+    ids = np.arange(n_c, dtype=np.int16)[:, None]
+    jk = np.array(list(itertools.permutations(range(q + 1), 2)))
+    for i in range(q + 1):
+        j, k = jk[(jk != i).all(axis=1)].T
+        flat[(M[:, i, None] * n_p + M[:, j]) * n_p + M[:, k]] = ids
+    pencils = np.full((n_p, n_p, q), -1, dtype=np.int16)
+    for ga, gb in itertools.permutations(range(P.n_gens), 2):
+        gw = min(g for g in range(P.n_gens) if g not in (ga, gb))
+        A, B, T = (P.gen_members[g] for g in (ga, gb, gw))
+        block = triple[A[:, None, None], B[None, :, None], T[None, None, :]]
+        pencils[A[:, None], B[None, :]] = np.sort(block, axis=-1)
+    return triple, pencils
+
+
+LAZY_INDEXES = {"triple_circle", "vertex_pencils"}
+
+
+def test_a_judged_plane_holds_no_lazy_index():
+    # judging a candidate reads neither index: accepted or refused, the
+    # build fills none of them
+    P = oval_plane(8, oval_table_power(8, 4))
+    assert not LAZY_INDEXES & set(vars(P))
+    assert P.validate_axioms().holds and not LAZY_INDEXES & set(vars(P))
+    with pytest.raises(NotALaguerrePlane) as refused:
+        oval_plane(8, oval_table_power(8, 3))
+    assert refused.value.report.verdict == "Fails"
+    assert not LAZY_INDEXES & set(vars(refused.value._structure))
+
+
+@pytest.mark.parametrize("q,exponent", [(3, 2), (4, 2), (8, 2), (8, 4), (9, 2)])
+def test_vertex_pencils_read_first_equal_the_eager_fill(q, exponent):
+    P = oval_plane(q, oval_table_power(q, exponent))
+    pencils = P.vertex_pencils              # fills `triple_circle` on its way
+    assert set(vars(P)) >= LAZY_INDEXES and "tangent_through" not in vars(P)
+    triple, want = eager_indexes(P)
+    assert np.array_equal(pencils, want) and np.array_equal(P.triple_circle, triple)
+    for name in LAZY_INDEXES:
+        arr = getattr(P, name)
+        assert arr.dtype == np.int16 and not arr.flags.writeable
+        assert getattr(P, name) is arr
+
+
+def test_two_threads_reading_a_fresh_triple_index_get_it_whole():
+    # one thread reads the index of a fresh plane, so fills it, while the
+    # other reads it the moment it appears in the plane's dict: neither may
+    # see a partly filled array, with -1 at a mutually non-parallel triple.
+    # A short switch interval lets the second thread run during the fill
+    q = 9
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            P = oval_plane(q, oval_table_power(q, 2))
+            filled, got = threading.Event(), []
+
+            def fill():
+                try:
+                    got.append(P.triple_circle.copy())
+                finally:
+                    filled.set()
+
+            def watch():
+                while "triple_circle" not in vars(P) and not filled.is_set():
+                    pass
+                got.append(P.triple_circle.copy())
+
+            threads = [threading.Thread(target=f) for f in (watch, fill)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(got) == 2
+            want, _ = eager_indexes(P)
+            gen = P.gen_of
+            apart = ((gen[:, None, None] != gen[None, :, None])
+                     & (gen[:, None, None] != gen[None, None, :])
+                     & (gen[None, :, None] != gen[None, None, :]))
+            for arr in got:
+                assert (arr[apart] >= 0).all() and np.array_equal(arr, want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_index_arrays_immutable():

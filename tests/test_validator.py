@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +26,14 @@ from hypothesis import strategies as st
 from laguerre_lab.errors import NotALaguerrePlane
 from laguerre_lab.gf import field_of_order
 from laguerre_lab.models import _model_structure, miquelian_plane, oval_plane, oval_table_power
-from laguerre_lab.plane import LaguerrePlane, _Structure, validate_laguerre_axioms
+from laguerre_lab.plane import (
+    _BLOCK,
+    LaguerrePlane,
+    _axiom1,
+    _first_repeat,
+    _Structure,
+    validate_laguerre_axioms,
+)
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
 from test_relabelling import RELABELLED, plane_for, relabel_structure
 
@@ -86,6 +94,8 @@ def loop_validate(generators, circles) -> CheckReport:
 
     if not s.partition_ok:
         report.add_violation(Violation("structure", data=(("generators_partition", 0),)))
+    if len({len(g) for g in s.generators}) > 1:
+        report.add_violation(Violation("structure", data=(("generator_sizes", 0),)))
     if not s.members_ok:
         report.add_violation(Violation("structure", data=(("circle_members", 0),)))
     if report.violation_count:
@@ -512,6 +522,115 @@ def test_degenerate_structures_match_the_loop_reference(gens, circles, pinned):
                 got["configurations"]) == pinned
 
 
+def test_generators_of_unequal_size_fail_the_structure_stage():
+    # {0, 2, 3} is the only circle through 2 and meets {0, 1, 3} twice, so
+    # axiom (2) fails; the structure stage refuses the unequal generators
+    # before any axiom is read, on both routes
+    gens, circles = [[0], [1, 2], [3]], [[0, 1, 3], [0, 2, 3]]
+    want = {"verdict": "Fails", "configurations": 0, "notes": ["structure=failed"],
+            "violation_count": 1,
+            "violations": [["structure", [], [], [["generator_sizes", 0]]]]}
+    assert report_obj(validate_laguerre_axioms(gens, circles)) == want
+    assert report_obj(loop_validate(gens, circles)) == want
+    with pytest.raises(NotALaguerrePlane, match="^candidate structure fails: structure$"):
+        LaguerrePlane(gens, circles)
+
+
+def full_sort_axiom1(s: _Structure, report: CheckReport) -> bool:
+    """Axiom (1) as one sort of every key: the pass that `plane._axiom1`,
+    which sorts growing prefixes of blocks, must match report for report."""
+    M, G, n_p = np.sort(s.members, axis=1), s.gen_members, s.n_points
+    combos = np.array(list(itertools.combinations(range(M.shape[1]), 3)),
+                      dtype=np.intp).reshape(-1, 3)
+    dtype = np.int32 if n_p ** 3 < 2 ** 31 else np.int64
+
+    def pack(tri):
+        return (tri[..., 0] * n_p + tri[..., 1]) * n_p + tri[..., 2]
+
+    keys = np.empty((s.n_circles, len(combos)), dtype=dtype)
+    for b0 in range(0, s.n_circles, _BLOCK):
+        keys[b0:b0 + _BLOCK] = pack(M[b0:b0 + _BLOCK].astype(dtype)[:, combos])
+    keys = keys.ravel()
+    expected = math.comb(s.n_gens, 3) * G.shape[1] ** 3
+    report.configurations += expected
+
+    sorted_keys = np.sort(keys)
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        cid, t = divmod(_first_repeat(keys), len(combos))
+        i, j, k = (int(p) for p in M[cid, combos[t]])
+        others = np.nonzero(s.mem[:, i] & s.mem[:, j] & s.mem[:, k])[0]
+        report.add_violation(Violation(
+            "axiom1", points=(i, j, k), circles=tuple(int(d) for d in others[:2]),
+            data=(("joining_circles", len(others)),),
+        ))
+        return False
+    if len(keys) == expected:
+        return True
+    witness = ()
+    for ga, gb, gc in itertools.combinations(range(s.n_gens), 3):
+        tri = np.stack(np.broadcast_arrays(G[ga][:, None, None], G[gb][None, :, None],
+                                           G[gc][None, None, :]), axis=-1)
+        tri = np.sort(tri.reshape(-1, 3), axis=1).astype(dtype)
+        packed = pack(tri)
+        at = np.minimum(np.searchsorted(sorted_keys, packed), len(keys) - 1)
+        missing = sorted_keys.take(at) != packed
+        if missing.any():
+            witness = tuple(int(p) for p in tri[missing.argmax()])
+            break
+    report.add_violation(Violation(
+        "axiom1", points=witness, data=(("joining_circles", 0),)))
+    return False
+
+
+def _axiom1_reports(gens, circles):
+    """What `plane._axiom1` and the full-sort reference say of a structure
+    that holds axiom (3): each verdict with its report."""
+    s = _Structure(gens, circles)
+    assert s.members is not None and s.gen_members is not None
+    out = []
+    for axiom1 in (_axiom1, full_sort_axiom1):
+        report = CheckReport(check_id="Axioms", mode=CheckMode.exhaustive())
+        out.append((axiom1(s, report), report_obj(report.finalize())))
+    return out
+
+
+def _last_circle_repeats(q: int):
+    """The model of order q with its last circle replaced by circle 0: the
+    only repeated triples are in the last circle, past every shorter prefix."""
+    gens, circles = model_rows(q)
+    circles[-1] = list(circles[0])
+    return gens, circles
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (g, c) in corpus_structures().items()
+    if (s := _Structure(g, c)).members is not None and s.gen_members is not None))
+def test_axiom1_by_prefixes_equals_the_full_sort_on_the_corpus(name):
+    got, want = _axiom1_reports(*corpus_structures()[name])
+    assert got == want
+
+
+@pytest.mark.parametrize("q,exponent", [(q, e) for q in (8, 9, 11, 13) for e in range(3, q)])
+def test_axiom1_by_prefixes_equals_the_full_sort_on_monomial_tables(q, exponent):
+    got, want = _axiom1_reports(*model_rows(q, exponent))
+    assert got == want
+    if q == 13 and not got[0]:
+        # the first repeat lies in circle q^2 = 169, past the first block
+        assert _BLOCK < 169 and got[1]["violations"][0][2][-1] == 169
+
+
+@pytest.mark.parametrize("q", [9, 11])
+def test_axiom1_finds_a_repeat_in_the_last_circle(q):
+    gens, circles = _last_circle_repeats(q)
+    n_c = len(circles)
+    assert n_c > 2 * _BLOCK     # the prefix of one block is sorted alone first
+    got, want = _axiom1_reports(gens, circles)
+    assert got == want and not got[0]
+    (kind, points, joined, data), = got[1]["violations"]
+    assert (kind, joined, data) == ("axiom1", [0, n_c - 1], [["joining_circles", 2]])
+    assert points == sorted(circles[0])[:3]
+
+
 def _transversal(n_gens: int, size: int, n_circles: int, seed: int):
     """Generators of `size` points, seeded circles with one point on each,
     and for each a partner that meets it on generators 0 and 1 only (its
@@ -602,8 +721,9 @@ def test_oval_probe_reports_are_pinned(q, exponent):
 # pencils
 REJECTED_Q11_PEAK = 11_260_870
 # the same rejection with its report never read: 11.26 MB when the build
-# ran every stage, 3.63 MB once it stopped at axiom (1)
-REFUSED_Q11_PEAK = 3_629_146
+# ran every stage, 3.63 MB once it stopped at axiom (1), 2.57 MB once
+# axiom (1) sorted only the prefix of circles that holds the first repeat
+REFUSED_Q11_PEAK = 2_574_099
 
 
 def _refused(q: int, exponent: int) -> str:
