@@ -8,7 +8,7 @@ A plane is an incidence structure (points, circles, parallelity) in which
   (4) some circle has at least three but not all points.
 
 Every array of a `LaguerrePlane` is read-only.  Hot-path operations read
-numpy indexes, built with the plane or, where marked, on first read:
+numpy indexes, built with the plane (`members`, `mem`) or on first read:
 
   * `members`/`mem`       circle membership as rows by generator (the point
                           of K on generator g at `members[K, g]`, so the
@@ -17,18 +17,17 @@ numpy indexes, built with the plane or, where marked, on first read:
   * `pair_count`          |K ∩ L| for every circle pair,
   * `pair_sum`            the sum of the points of K ∩ L, so the touch
                           point of K and L wherever `pair_count` is 1,
-  * `triple_circle`       non-parallel point triple -> joining circle, on
-                          first read, so also the one candidate circle for
-                          a member set (the circle of its first three points),
+  * `triple_circle`       non-parallel point triple -> joining circle, so
+                          also the one candidate circle for a member set
+                          (the circle of its first three points),
   * `pencil_others`       tangent pencils grouped by (circle, touch point),
                           the touch point given by its generator,
   * `tangent_through`     (circle, touch point's generator, outer point) ->
-                          tangent circle, filled from the pencils on first
-                          read (only the Pi family and `tangent_circle`
-                          read it); reading the pencil instead ran those
-                          checkers slower (CHANGES.md),
+                          tangent circle, from the pencils (only the Pi
+                          family and `tangent_circle` read it); reading the
+                          pencil instead ran those checkers slower,
   * `vertex_pencils`      non-parallel point pair -> circles through both,
-                          on first read, from `triple_circle`.
+                          from `triple_circle`.
 
 Dense membership rows make intersection tests word-parallel scans, and the
 triple index is a direct array lookup; both choices trade memory for the
@@ -49,30 +48,23 @@ report with the witnesses of every stage, is built when it is read.  The
 stages are:
 
   * structure  one `np.unique` over the generator ids, their sizes, one
-               sort of the circle rows (repeats, range), one scatter into
-               `mem` and one into the rows by generator,
+               sort of one int32 key per circle member (repeats, range),
+               one scatter into `mem` and one into the rows by generator,
   * axiom (3)  one `bincount` over (circle, generator of member),
   * axiom (1)  one int key per member triple of the rows sorted by id,
                sorted by growing prefixes of blocks of circles until one
                repeats, or whole; repeats and a shortfall against the
                non-parallel triple count fail,
-  * axiom (2)  per block of circles, one product gives `pair_count`,
-               `pair_sum` and the tangent partners with the generator of
-               each touch point p.  Given axiom (3) and rows of one length,
-               the pencil at (K, p) covers the points off K and off p's
-               generator once exactly when its size times m - 1 is their
-               number and no two of its circles meet twice: a `bincount`
-               of pencil sizes, then a `pair_count` lookup per two circles
-               of a right-sized pencil.  A block keeps only the failed
-               (K, p) and the right-sized pencils, grouped by one stable
-               sort into the plane's `pencil_others`; a witness recounts
-               its pencil from `pair_count` and `mem`,
+  * axiom (2)  where axiom (1) holds, a count in the sizes of circles and
+               generators (`_axiom2`); elsewhere, per block of circles, a
+               `bincount` of pencil sizes and a `pair_count` lookup per two
+               circles of a right-sized pencil, which a witness recounts,
   * axiom (4)  the row lengths.
 
-Axioms (1) and (2) run in blocks of `_BLOCK` circles, so their temporaries
-stay small beside the indexes.  The point-by-point loop validator these
-passes replaced is kept in the tests as the reference they must match
-report for report.
+Axioms (1) and (2) and the pair tables run in blocks of `_BLOCK` circles,
+so their temporaries stay small beside the indexes.  The point-by-point
+loop validator these passes replaced is kept in the tests as the
+reference they must match report for report.
 """
 
 from __future__ import annotations
@@ -203,14 +195,16 @@ class _Structure:
         self.gen_of[pts] = gids[ok][first]
         self.gen_members = _rows_2d(gen_flat, gen_len)
 
-        # circle members sorted within rows, so that repeats are neighbours;
-        # a circle with a repeated or out-of-range member keeps an empty
-        # membership row
-        row = np.repeat(np.arange(n_c), self.circ_len)
-        circ_flat = circ_flat[np.lexsort((circ_flat, row))]
+        # members sorted within rows by one sort of int32 keys row * (n_p + 2)
+        # + member + 1, members clipped to [-1, n_p]: a repeated (an equal
+        # neighbour) or out-of-range member leaves its circle no membership row
+        row = np.repeat(np.arange(n_c, dtype=np.int32), self.circ_len)
+        base = row * (n_p + 2) + 1
+        key = np.sort(base + np.clip(circ_flat, -1, n_p).astype(np.int32))
+        circ_flat = key - base
         bad = np.zeros(n_c, dtype=bool)
         bad[row[(circ_flat < 0) | (circ_flat >= n_p)]] = True
-        bad[row[1:][(circ_flat[1:] == circ_flat[:-1]) & (row[1:] == row[:-1])]] = True
+        bad[row[1:][key[1:] == key[:-1]]] = True
         self.members_ok = not bad.any()
         self.mem = np.zeros((n_c, n_p), dtype=bool)
         keep = ~bad[row]
@@ -227,46 +221,43 @@ class _Structure:
                 self.members = rows
 
     @functools.cached_property
-    def _tangent_blocks(self) -> list[tuple[np.ndarray, ...]]:
-        """Per block of `_BLOCK` circles K: the rows (K - b0) * m + g whose
-        pencil, the partners L (`pair_count` 1) touching K on generator g,
-        has not the E / (m - 1) partners of axiom (2); and the other rows'
-        partners, grouped by row in id order.  Rows come from per-circle
-        partner counts, so no pair is divided; only the pairs of kept rows
-        are converted and sorted.  Needs axiom (3) and generators of one size.
-
-        Sets `pair_count` and `pair_sum` from one product per block with
-        point weights 2^s + x, s the bit length of m * (n_p - 1): its
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """`pair_count` and `pair_sum`, read-only, from one product per block
+        with point weights 2^s + x, s the bit length of m * (n_p - 1): its
         entries count * 2^s + sum are exact integers below (m + 1) * 2^s,
-        in float32 where that is at most 2^24."""
+        in float32 where that is at most 2^24.  Needs axiom (3)."""
         n_c, m = self.members.shape
         n_p = self.n_points
-        n_eligible = n_p - m - self.gen_members.shape[1] + 1
         s = (m * (n_p - 1)).bit_length()
         exact, code_t = (np.float32, np.int32) if (m + 1) << s <= 2**24 else (np.float64, np.int64)
         mem = self.mem.astype(exact)
         weighted = mem * (2**s + np.arange(n_p, dtype=exact))
-        count = self.pair_count = np.empty((n_c, n_c), dtype=np.uint8)
-        total = self.pair_sum = np.empty((n_c, n_c), dtype=np.int16)
-        # int16 rows where they fit, so that the stable sort is a radix sort
-        row_t = np.int16 if _BLOCK * m <= 2**15 else np.int32
-        blocks = []
+        count = np.empty((n_c, n_c), dtype=np.uint8)
+        total = np.empty((n_c, n_c), dtype=np.int16)
         for b0 in range(0, n_c, _BLOCK):
-            b1 = min(b0 + _BLOCK, n_c)
-            code = (mem[b0:b1] @ weighted.T).astype(code_t)
-            np.right_shift(code, s, out=count[b0:b1], casting="unsafe")
-            np.bitwise_and(code, 2**s - 1, out=total[b0:b1], casting="unsafe")
-            one = count[b0:b1] == 1
-            pairs = np.flatnonzero(one)
-            K = np.repeat(np.arange(b1 - b0, dtype=row_t), np.count_nonzero(one, axis=1))
-            row = K * m + self.gen_of.take(total[b0:b1].reshape(-1).take(pairs))
-            failed = np.bincount(row, minlength=(b1 - b0) * m) * (m - 1) != n_eligible
-            if failed.any():
-                kept = np.flatnonzero((~failed).take(row))
-                pairs, K, row = pairs.take(kept), K.take(kept), row.take(kept)
-            L = (pairs - np.multiply(K, n_c, dtype=np.intp)).astype(np.int16)
-            blocks.append((failed, L[np.argsort(row, kind="stable")]))
-        return blocks
+            code = (mem[b0:b0 + _BLOCK] @ weighted.T).astype(code_t)
+            np.right_shift(code, s, out=count[b0:b0 + _BLOCK], casting="unsafe")
+            np.bitwise_and(code, 2**s - 1, out=total[b0:b0 + _BLOCK], casting="unsafe")
+        count.flags.writeable = total.flags.writeable = False
+        return count, total
+
+    pair_count = functools.cached_property(lambda self: self._pairs[0])
+    pair_sum = functools.cached_property(lambda self: self._pairs[1])
+
+    def _partners(self, b0: int) -> tuple[np.ndarray, np.ndarray]:
+        """The tangent partners L (`pair_count` 1) of the block of circles K
+        from b0, in (K, L) order, and their rows (K - b0) * m + g, g the
+        generator of the touch point: int16 where they fit, so that a
+        stable sort of them is a radix sort."""
+        n_c, m = self.members.shape
+        count, total = self._pairs
+        b1 = min(b0 + _BLOCK, n_c)
+        row_t = np.int16 if _BLOCK * m <= 2**15 else np.int32
+        one = count[b0:b1] == 1
+        pairs = np.flatnonzero(one)
+        K = np.repeat(np.arange(b1 - b0, dtype=row_t), np.count_nonzero(one, axis=1))
+        row = K * m + self.gen_of.take(total[b0:b1].reshape(-1).take(pairs))
+        return (pairs - np.multiply(K, n_c, dtype=np.intp)).astype(np.int16), row
 
 
 def _stages(s: _Structure):
@@ -317,9 +308,10 @@ def _stages(s: _Structure):
     yield report
 
     if s.members is not None and s.gen_members is not None:
-        notes.append("axiom1=ok" if _axiom1(s, report) else "axiom1=failed")
+        axiom1 = _axiom1(s, report)
+        notes.append("axiom1=ok" if axiom1 else "axiom1=failed")
         yield report
-        notes.append("axiom2=ok" if _axiom2(s, report) else "axiom2=failed")
+        notes.append("axiom2=ok" if _axiom2(s, report, axiom1) else "axiom2=failed")
         yield report
     else:
         notes += ["axiom1=skipped", "axiom2=skipped"]
@@ -343,21 +335,17 @@ def _validate(s: _Structure) -> CheckReport:
     return report
 
 
-def _first_repeat(keys: np.ndarray) -> int:
-    """The first position whose key an earlier position holds; `keys` has
-    a repeat.  Prefixes of doubling length are sorted until one repeats,
-    so a repeat near the front costs the sort of a short prefix: in a
-    stable sort equal keys keep their order, so the position sought is
-    the least that follows an equal key."""
-    n = 128
-    while True:
-        head = keys[:n]
-        order = np.argsort(head, kind="stable")
-        ordered = head.take(order)
-        repeats = ordered[1:] == ordered[:-1]
-        if repeats.any():
-            return int(order[1:][repeats].min())
-        n *= 2
+def _first_repeat(keys: np.ndarray, sorted_keys: np.ndarray) -> int:
+    """The first position whose key an earlier position holds, from the
+    keys and their sort, which has a repeat: among the positions of repeated
+    keys, found by one `searchsorted`, the least after an equal key."""
+    repeated = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    at = np.minimum(np.searchsorted(repeated, keys), len(repeated) - 1)
+    where = np.flatnonzero(repeated.take(at) == keys)
+    head = keys.take(where)
+    order = np.argsort(head, kind="stable")
+    ordered = head.take(order)
+    return int(where.take(order[1:][ordered[1:] == ordered[:-1]]).min())
 
 
 def _axiom1(s: _Structure, report: CheckReport) -> bool:
@@ -390,7 +378,7 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
         if (sorted_keys[1:] == sorted_keys[:-1]).any():
             # witness: the first triple (circle id, then combination order)
             # whose key an earlier triple already has
-            cid, t = divmod(_first_repeat(keys[:end].reshape(-1)), len(combos))
+            cid, t = divmod(_first_repeat(keys[:end].reshape(-1), sorted_keys), len(combos))
             i, j, k = (int(p) for p in M[cid, combos[t]])
             others = np.nonzero(s.mem[:, i] & s.mem[:, j] & s.mem[:, k])[0]
             report.add_violation(Violation(
@@ -416,43 +404,52 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
     return False
 
 
-def _axiom2(s: _Structure, report: CheckReport) -> bool:
+def _axiom2(s: _Structure, report: CheckReport, axiom1: bool) -> bool:
     """For K, p on K and x off K and off p's generator, one circle through
     x meets K exactly in p.
 
-    Needs axiom (3) and uniform rows: circles of m points and generators
-    of g.  Then each tangent partner L of K at p brings its m - 1 other
-    points, all off K and off p's generator, so all eligible, and K has
-    E = n_p - m - g + 1 eligible points at each of its points.  The
-    partners cover each eligible point once exactly when there are n of
-    them with (m - 1) * n = E (`_tangent_blocks` fails the other pencils)
-    and no two of them, which share p, have a `pair_count` other than 1.
-    Witnesses, the first eligible x whose count is not 1, are recounted
-    per failed row: the blocks keep no partners of a failed (K, p), so the
-    witness reads them again, in id order, as the circles L through p with
-    `pair_count[K, L]` 1.
+    Needs axiom (3) and uniform rows: m generators of g points, so circles
+    of m points, and E = n_p - m - g + 1 eligible x at each point of K.
+    Where axiom (1) holds too and m >= 3, axiom (2) is a count (Polster and
+    Steinke, Geometries on Surfaces, ch. 5).  Each of the n_p - 2g points z
+    off the generators of p and x lies on one circle with p and x, which
+    holds m - 2 of them, so g circles join p and x.  Of these, m - 2 meet
+    K again, one at each point of K off the generators of p and x (two
+    more common points would make the circle K).  So g - m + 2 touch K at
+    p, and axiom (2) holds iff g = m - 1, or g = 1, where no x is eligible.
+
+    Otherwise blocks of circles decide, and find the witnesses.  The
+    partners L of K at p, each with m - 1 eligible points, cover each
+    eligible x once exactly when (m - 1) * n = E for n of them and no two
+    meet twice.  A witness, the first x not covered once, recounts them.
     """
-    M, n_p = s.members, s.n_points
+    M, n_p, g = s.members, s.n_points, s.gen_members.shape[1]
     n_c, m = M.shape
-    n_eligible = n_p - m - s.gen_members.shape[1] + 1
+    n_eligible = n_p - m - g + 1
+    if axiom1 and m >= 3 and g in (1, m - 1):
+        report.configurations += n_c * m * n_eligible
+        return True
     size = n_eligible // (m - 1) if m > 1 else 0
     first, second = np.triu_indices(size, 1)
     ok = True
-    for b0, (failed, pencils) in zip(range(0, n_c, _BLOCK), s._tangent_blocks):
+    for b0 in range(0, n_c, _BLOCK):
         b1 = min(b0 + _BLOCK, n_c)
         report.configurations += (b1 - b0) * m * n_eligible
+        L, row = s._partners(b0)
+        failed = np.bincount(row, minlength=(b1 - b0) * m) * (m - 1) != n_eligible
         if len(first):
+            kept = np.flatnonzero((~failed).take(row))
+            pencils = L.take(kept)[np.argsort(row.take(kept), kind="stable")]
             pencils = pencils.reshape(-1, size).astype(np.int32)
             met = s.pair_count.reshape(-1)[pencils[:, first] * n_c + pencils[:, second]] != 1
-            failed = failed.copy()
             failed[~failed] = met.any(axis=1)
         if not failed.any():
             continue
         ok = False
 
         def witness(i: int) -> Violation:
-            k, g = divmod(i, m)
-            p = M[b0 + k, g]
+            k, slot = divmod(i, m)
+            p = M[b0 + k, slot]
             partners = np.flatnonzero((s.pair_count[b0 + k] == 1) & s.mem[:, p])
             count = np.bincount(M[partners].ravel(), minlength=n_p)
             bad = ~s.mem[b0 + k] & (s.gen_of != s.gen_of[p]) & (count != 1)
@@ -500,17 +497,23 @@ class LaguerrePlane(_Structure):
 
         self.label = label
         self.field = field
-        self.q = q = self.members.shape[1] - 1
+        self.q = self.members.shape[1] - 1
 
         self.coef = None if coefficients is None else np.array(coefficients, dtype=np.int16)
-        # the tangent pencils as axiom (2) grouped them: partners of K by the
-        # touch point's generator, each group in id order
-        self.pencil_others = np.concatenate(
-            [pencils for _, pencils in self._tangent_blocks]).reshape(self.n_circles, q + 1, q - 1)
-        del self._tangent_blocks     # the pencils hold what axiom (2) did not need
-        for arr in (self.gen_of, self.gen_members, self.members, self.mem,
-                    self.pair_count, self.pair_sum, self.pencil_others):
+        for arr in (self.gen_of, self.gen_members, self.members, self.mem):
             arr.flags.writeable = False
+
+    @functools.cached_property
+    def pencil_others(self) -> np.ndarray:
+        """(circle K, touch point's generator) -> the q - 1 other circles
+        touching K there, in id order: K's partners stable-sorted by row."""
+        n_c, q = self.n_circles, self.q
+        out = np.empty((n_c, q + 1, q - 1), dtype=np.int16)
+        for b0 in range(0, n_c, _BLOCK):
+            L, row = self._partners(b0)
+            out[b0:b0 + _BLOCK] = L[np.argsort(row, kind="stable")].reshape(-1, q + 1, q - 1)
+        out.flags.writeable = False
+        return out
 
     @functools.cached_property
     def triple_circle(self) -> np.ndarray:

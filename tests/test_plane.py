@@ -395,17 +395,18 @@ def test_a_plane_is_validated_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_an_unvalidated_build_keeps_no_tangent_blocks():
-    # the pencils hold what the plane reads of the blocks, validated or not;
-    # validating later reads a structure of its own and rebuilds no index
+def test_an_unvalidated_build_fills_no_pair_table_until_read():
+    # no build fills the pair tables or the pencils, validated or not;
+    # validating later reads a structure of its own and fills no index
     src = miquelian_plane(5)
     gens, circles = src.gen_members.tolist(), src.members.tolist()
     P = LaguerrePlane(gens, circles, validate=False)
-    assert "_tangent_blocks" not in vars(P)
+    assert not {"_pairs", "pencil_others"} & set(vars(P))
     count, total = P.pair_count, P.pair_sum
     want = LaguerrePlane(gens, circles).validate_axioms()
+    held = set(vars(P))
     assert report_obj(P.validate_axioms()) == report_obj(want)
-    assert "_tangent_blocks" not in vars(P)
+    assert set(vars(P)) == held and "pencil_others" not in held
     assert P.pair_count is count and P.pair_sum is total
     # a circle that misses a generator has no row by generator, and the
     # unvalidated build refuses it in one line
@@ -487,74 +488,122 @@ def eager_indexes(P):
     return triple, pencils
 
 
-LAZY_INDEXES = {"triple_circle", "vertex_pencils"}
+def eager_pair_tables(P):
+    """`pair_count`, `pair_sum` and `pencil_others` as the build once held
+    them, eagerly, from set scans: the reference for the fills made on
+    first read."""
+    mem = P.mem.astype(np.int64)
+    count = (mem @ mem.T).astype(np.uint8)
+    total = (mem @ (mem * np.arange(P.n_points)).T).astype(np.int16)
+    pencils = np.empty((P.n_circles, P.q + 1, P.q - 1), dtype=np.int16)
+    for K in range(P.n_circles):
+        partners = np.flatnonzero(count[K] == 1)
+        touch = P.gen_of[total[K, partners]]
+        for g in range(P.q + 1):
+            pencils[K, g] = partners[touch == g]
+    return count, total, pencils
+
+
+LAZY_INDEXES = {"triple_circle", "vertex_pencils", "_pairs", "pencil_others"}
 
 
 def test_a_judged_plane_holds_no_lazy_index():
-    # judging a candidate reads neither index: accepted or refused, the
-    # build fills none of them
-    P = oval_plane(8, oval_table_power(8, 4))
-    assert not LAZY_INDEXES & set(vars(P))
-    assert P.validate_axioms().holds and not LAZY_INDEXES & set(vars(P))
+    # judging a candidate reads no lazy index: accepted or refused, the
+    # build fills none of them.  A refusal's full report, once read, finds
+    # its axiom (2) witnesses in the pair tables
+    for q, exponent in ((8, 4), (11, 2)):
+        P = oval_plane(q, oval_table_power(q, exponent))
+        assert not LAZY_INDEXES & set(vars(P))
+        assert P.validate_axioms().holds and not LAZY_INDEXES & set(vars(P))
     with pytest.raises(NotALaguerrePlane) as refused:
         oval_plane(8, oval_table_power(8, 3))
-    assert refused.value.report.verdict == "Fails"
     assert not LAZY_INDEXES & set(vars(refused.value._structure))
+    assert refused.value.report.verdict == "Fails"
+    assert LAZY_INDEXES & set(vars(refused.value._structure)) == {"_pairs"}
 
 
 @pytest.mark.parametrize("q,exponent", [(3, 2), (4, 2), (8, 2), (8, 4), (9, 2)])
 def test_vertex_pencils_read_first_equal_the_eager_fill(q, exponent):
     P = oval_plane(q, oval_table_power(q, exponent))
     pencils = P.vertex_pencils              # fills `triple_circle` on its way
-    assert set(vars(P)) >= LAZY_INDEXES and "tangent_through" not in vars(P)
+    assert LAZY_INDEXES & set(vars(P)) == {"triple_circle", "vertex_pencils"}
+    assert "tangent_through" not in vars(P)
     triple, want = eager_indexes(P)
     assert np.array_equal(pencils, want) and np.array_equal(P.triple_circle, triple)
-    for name in LAZY_INDEXES:
+    for name in ("triple_circle", "vertex_pencils"):
         arr = getattr(P, name)
         assert arr.dtype == np.int16 and not arr.flags.writeable
         assert getattr(P, name) is arr
 
 
-def test_two_threads_reading_a_fresh_triple_index_get_it_whole():
-    # one thread reads the index of a fresh plane, so fills it, while the
-    # other reads it the moment it appears in the plane's dict: neither may
-    # see a partly filled array, with -1 at a mutually non-parallel triple.
-    # A short switch interval lets the second thread run during the fill
-    q = 9
+@pytest.mark.parametrize("q,exponent", [(3, 2), (4, 2), (8, 2), (8, 4), (9, 2)])
+def test_pair_tables_read_first_equal_the_eager_fill(q, exponent):
+    P = oval_plane(q, oval_table_power(q, exponent))
+    pencils = P.pencil_others               # fills the pair tables on its way
+    assert {"_pairs", "pencil_others"} <= set(vars(P))
+    for got, want in zip((P.pair_count, P.pair_sum, pencils), eager_pair_tables(P)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert P.pair_count is P._pairs[0] and P.pair_sum is P._pairs[1]
+
+
+def _read_by_two_threads(P, name: str) -> list[np.ndarray]:
+    """Copies of index `name` of a fresh plane as two threads read it: one
+    reads it, so fills it, while the other reads it the moment it appears
+    in the plane's dict.  A short switch interval lets the second thread
+    run during the fill."""
+    filled, got = threading.Event(), []
+
+    def fill():
+        try:
+            got.append(getattr(P, name).copy())
+        finally:
+            filled.set()
+
+    def watch():
+        while name not in vars(P) and not filled.is_set():
+            pass
+        got.append(getattr(P, name).copy())
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            P = oval_plane(q, oval_table_power(q, 2))
-            filled, got = threading.Event(), []
-
-            def fill():
-                try:
-                    got.append(P.triple_circle.copy())
-                finally:
-                    filled.set()
-
-            def watch():
-                while "triple_circle" not in vars(P) and not filled.is_set():
-                    pass
-                got.append(P.triple_circle.copy())
-
-            threads = [threading.Thread(target=f) for f in (watch, fill)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-            assert len(got) == 2
-            want, _ = eager_indexes(P)
-            gen = P.gen_of
-            apart = ((gen[:, None, None] != gen[None, :, None])
-                     & (gen[:, None, None] != gen[None, None, :])
-                     & (gen[None, :, None] != gen[None, None, :]))
-            for arr in got:
-                assert (arr[apart] >= 0).all() and np.array_equal(arr, want)
+        threads = [threading.Thread(target=f) for f in (watch, fill)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
+    assert len(got) == 2
+    return got
+
+
+def test_two_threads_reading_a_fresh_triple_index_get_it_whole():
+    # neither thread may see a partly filled array, with -1 at a mutually
+    # non-parallel triple
+    q = 9
+    for _ in range(3):
+        P = oval_plane(q, oval_table_power(q, 2))
+        got = _read_by_two_threads(P, "triple_circle")
+        want, _ = eager_indexes(P)
+        gen = P.gen_of
+        apart = ((gen[:, None, None] != gen[None, :, None])
+                 & (gen[:, None, None] != gen[None, None, :])
+                 & (gen[None, :, None] != gen[None, None, :]))
+        for arr in got:
+            assert (arr[apart] >= 0).all() and np.array_equal(arr, want)
+
+
+def test_two_threads_reading_fresh_pair_counts_get_them_whole():
+    # the pair tables are filled in one local and returned whole, so
+    # neither thread sees a block of them unfilled
+    for _ in range(3):
+        P = oval_plane(9, oval_table_power(9, 2))
+        want, _, _ = eager_pair_tables(P)
+        for arr in _read_by_two_threads(P, "pair_count"):
+            assert np.array_equal(arr, want)
 
 
 def test_index_arrays_immutable():

@@ -25,11 +25,18 @@ from hypothesis import strategies as st
 
 from laguerre_lab.errors import NotALaguerrePlane
 from laguerre_lab.gf import field_of_order
-from laguerre_lab.models import _model_structure, miquelian_plane, oval_plane, oval_table_power
+from laguerre_lab.models import (
+    SUPPORTED_PLANE_ORDERS,
+    _model_structure,
+    miquelian_plane,
+    oval_plane,
+    oval_table_power,
+)
 from laguerre_lab.plane import (
     _BLOCK,
     LaguerrePlane,
     _axiom1,
+    _axiom2,
     _first_repeat,
     _Structure,
     validate_laguerre_axioms,
@@ -376,7 +383,9 @@ def test_a_refused_build_names_its_first_failing_kind(name):
     with pytest.raises(NotALaguerrePlane) as exc:
         LaguerrePlane(gens, circles)
     assert str(exc.value) == f"candidate structure fails: {kind}"
-    assert ("_tangent_blocks" in vars(exc.value._structure)) == (kind == "axiom4")
+    # only a refusal at axiom (4) ran axiom (2), which fills the pair tables
+    # only where it cannot count: two-point circles
+    assert ("_pairs" in vars(exc.value._structure)) == (name == "axiom4-two-points")
     report = exc.value.report
     assert report_obj(report) == pinned
     assert exc.value.report is report
@@ -536,27 +545,50 @@ def test_generators_of_unequal_size_fail_the_structure_stage():
         LaguerrePlane(gens, circles)
 
 
+def doubling_first_repeat(keys: np.ndarray) -> int:
+    """The first position whose key an earlier position holds, by stable
+    sorts of prefixes of doubling length: the search `plane._first_repeat`,
+    which reads the sorted keys, replaced."""
+    n = 128
+    while True:
+        head = keys[:n]
+        order = np.argsort(head, kind="stable")
+        ordered = head.take(order)
+        repeats = ordered[1:] == ordered[:-1]
+        if repeats.any():
+            return int(order[1:][repeats].min())
+        n *= 2
+
+
+def _combos(m: int) -> np.ndarray:
+    return np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
+
+
+def _pack(tri, n_p: int):
+    return (tri[..., 0] * n_p + tri[..., 1]) * n_p + tri[..., 2]
+
+
+def triple_keys(s: _Structure) -> np.ndarray:
+    """Every member triple's key (i*n + j)*n + k, by circle id, then
+    combination order: the keys `plane._axiom1` sorts."""
+    M, n_p = np.sort(s.members, axis=1), s.n_points
+    dtype = np.int32 if n_p ** 3 < 2 ** 31 else np.int64
+    return _pack(M.astype(dtype)[:, _combos(M.shape[1])], n_p).ravel()
+
+
 def full_sort_axiom1(s: _Structure, report: CheckReport) -> bool:
     """Axiom (1) as one sort of every key: the pass that `plane._axiom1`,
     which sorts growing prefixes of blocks, must match report for report."""
     M, G, n_p = np.sort(s.members, axis=1), s.gen_members, s.n_points
-    combos = np.array(list(itertools.combinations(range(M.shape[1]), 3)),
-                      dtype=np.intp).reshape(-1, 3)
+    combos = _combos(M.shape[1])
     dtype = np.int32 if n_p ** 3 < 2 ** 31 else np.int64
-
-    def pack(tri):
-        return (tri[..., 0] * n_p + tri[..., 1]) * n_p + tri[..., 2]
-
-    keys = np.empty((s.n_circles, len(combos)), dtype=dtype)
-    for b0 in range(0, s.n_circles, _BLOCK):
-        keys[b0:b0 + _BLOCK] = pack(M[b0:b0 + _BLOCK].astype(dtype)[:, combos])
-    keys = keys.ravel()
+    keys = triple_keys(s)
     expected = math.comb(s.n_gens, 3) * G.shape[1] ** 3
     report.configurations += expected
 
     sorted_keys = np.sort(keys)
     if (sorted_keys[1:] == sorted_keys[:-1]).any():
-        cid, t = divmod(_first_repeat(keys), len(combos))
+        cid, t = divmod(doubling_first_repeat(keys), len(combos))
         i, j, k = (int(p) for p in M[cid, combos[t]])
         others = np.nonzero(s.mem[:, i] & s.mem[:, j] & s.mem[:, k])[0]
         report.add_violation(Violation(
@@ -571,7 +603,7 @@ def full_sort_axiom1(s: _Structure, report: CheckReport) -> bool:
         tri = np.stack(np.broadcast_arrays(G[ga][:, None, None], G[gb][None, :, None],
                                            G[gc][None, None, :]), axis=-1)
         tri = np.sort(tri.reshape(-1, 3), axis=1).astype(dtype)
-        packed = pack(tri)
+        packed = _pack(tri, n_p)
         at = np.minimum(np.searchsorted(sorted_keys, packed), len(keys) - 1)
         missing = sorted_keys.take(at) != packed
         if missing.any():
@@ -584,9 +616,15 @@ def full_sort_axiom1(s: _Structure, report: CheckReport) -> bool:
 
 def _axiom1_reports(gens, circles):
     """What `plane._axiom1` and the full-sort reference say of a structure
-    that holds axiom (3): each verdict with its report."""
+    that holds axiom (3): each verdict with its report.  Where a triple
+    repeats, `plane._first_repeat` must name the position the doubling
+    sorts name."""
     s = _Structure(gens, circles)
     assert s.members is not None and s.gen_members is not None
+    keys = triple_keys(s)
+    sorted_keys = np.sort(keys)
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        assert _first_repeat(keys, sorted_keys) == doubling_first_repeat(keys)
     out = []
     for axiom1 in (_axiom1, full_sort_axiom1):
         report = CheckReport(check_id="Axioms", mode=CheckMode.exhaustive())
@@ -656,8 +694,7 @@ def test_pair_tables_equal_the_set_intersections(structure, wide):
     # float64
     s = structure()
     if isinstance(s, tuple):
-        s = _Structure(*s)
-        s._tangent_blocks       # fills the pair tables
+        s = _Structure(*s)      # its pair tables are filled on first read
     n_c, m = s.members.shape
     assert ((m + 1) << (m * (s.n_points - 1)).bit_length() > 2**24) == wide
     ids = np.arange(s.n_points)
@@ -667,6 +704,150 @@ def test_pair_tables_equal_the_set_intersections(structure, wide):
         assert np.array_equal(s.pair_count[K], count), K
         small = count <= 2
         assert np.array_equal(s.pair_sum[K][small], total[small]), K
+
+
+def transversals(m: int, g: int):
+    """m generators of g points and g^3 circles, one point on each
+    generator: for m = 3 every such circle; for m = 4 those whose point on
+    the last generator has the sum of the others' indices mod g, so that
+    any three of its points fix the fourth.  Axioms (1) and (3) hold."""
+    gens = np.arange(m * g).reshape(m, g)
+    idx = np.array(list(itertools.product(range(g), repeat=3)))
+    if m == 4:
+        idx = np.column_stack([idx, idx.sum(axis=1) % g])
+    return gens.tolist(), gens[np.arange(m), idx].tolist()
+
+
+def _axiom2_reports(gens, circles):
+    """What `plane._axiom2` says of a structure whose axioms (1) and (3)
+    hold, counted and by the tangent blocks: each verdict with its report.
+    Counting fills no pair table where it holds."""
+    s = _Structure(gens, circles)
+    assert s.members is not None and s.gen_members is not None
+    assert _axiom1(s, CheckReport(check_id="Axioms", mode=CheckMode.exhaustive()))
+    out = []
+    for axiom1 in (True, False):
+        report = CheckReport(check_id="Axioms", mode=CheckMode.exhaustive())
+        out.append((_axiom2(s, report, axiom1), report_obj(report.finalize())))
+        if axiom1:
+            counted = out[0][0] and s.members.shape[1] >= 3
+            assert ("_pairs" in vars(s)) != counted
+    return out
+
+
+_COUNTED = {
+    **{f"model-q{q}": (lambda q=q: model_rows(q)) for q in SUPPORTED_PLANE_ORDERS},
+    "x4-gf8": lambda: model_rows(8, 4),
+    "x6-gf8": lambda: model_rows(8, 6),
+    **{f"corpus-{name}": (lambda name=name: corpus_structures()[name])
+       for name, rep in json.loads(CORPUS.read_text(encoding="utf-8")).items()
+       if "axiom1=ok" in rep["notes"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTED))
+def test_counted_axiom2_equals_the_tangent_blocks(name):
+    counted, blocks = _axiom2_reports(*_COUNTED[name]())
+    assert counted == blocks
+
+
+@pytest.mark.parametrize("m,g", [(m, g) for m in (3, 4) for g in range(1, 5)])
+def test_transversal_families_hold_axiom2_iff_g_is_one_or_m_minus_one(m, g):
+    # g - m + 2 circles through x touch K at p: every eligible (K, p, x)
+    # fails alike where that is not 1, and g = 1 leaves no x eligible
+    counted, blocks = _axiom2_reports(*transversals(m, g))
+    assert counted == blocks
+    holds, obj = counted
+    assert holds == (g in (1, m - 1))
+    assert obj["configurations"] == g**3 * m * (m - 1) * (g - 1)
+    if not holds:
+        assert obj["violation_count"] == g**3 * m
+        assert {v[3][0][1] for v in obj["violations"]} == {g - m + 2}
+    if m == 3 and g > 2:
+        assert obj["violation_count"] == {3: 81, 4: 192}[g]
+
+
+def literal_axioms(gens, circles) -> list[bool]:
+    """Axioms (1)-(4) read as their text, by brute force over the rows as
+    point sets: a third route to each verdict, sharing no pass with the
+    validator or its loop reference."""
+    gen = {p: i for i, ps in enumerate(gens) for p in ps}
+    points = sorted(gen)
+    rows = [set(c) for c in circles]
+
+    def apart(*ps):
+        return len({gen[p] for p in ps}) == len(ps)
+
+    return [
+        # (1) three mutually non-parallel points lie on exactly one circle
+        all(sum({a, b, c} <= K for K in rows) == 1
+            for a, b, c in itertools.combinations(points, 3) if apart(a, b, c)),
+        # (2) for a circle K, p on K and x off K with x non-parallel to p
+        # there is exactly one circle through x meeting K exactly in p
+        all(sum(x in L and L & K == {p} for L in rows) == 1
+            for K in rows for p in K for x in points if x not in K and apart(p, x)),
+        # (3) every generator meets every circle exactly once
+        all(len(K & set(ps)) == 1 for ps in gens for K in rows),
+        # (4) some circle has at least three but not all points
+        any(3 <= len(K) < len(points) for K in rows),
+    ]
+
+
+def _assert_the_text_agrees(gens, circles):
+    """The validator's verdict is the text's, and so is each axiom it did
+    not skip."""
+    report = validate_laguerre_axioms(gens, circles)
+    axioms = literal_axioms(gens, circles)
+    assert report.holds == all(axioms), (gens, circles)
+    for note in report.notes:
+        name, verdict = note.split("=")
+        if name.startswith("axiom") and verdict != "skipped":
+            assert (verdict == "ok") == axioms[int(name[-1]) - 1], (note, gens, circles)
+
+
+def _subsets_of_transversals(sizes):
+    """Generators of the given sizes, and each set of circles with one
+    point on every generator."""
+    gens, start = [], 0
+    for size in sizes:
+        gens.append(list(range(start, start + size)))
+        start += size
+    every = list(itertools.product(*gens))
+    for mask in range(2 ** len(every)):
+        yield gens, [list(c) for i, c in enumerate(every) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (1, 2, 1), (2, 1, 2), (1, 2, 2), (1, 3, 2),
+                                   (1, 1, 2, 2)], ids=str)
+def test_the_validator_agrees_with_the_axioms_as_text(sizes):
+    # every structure of the family: 256 over 3 generators of 2 points;
+    # the ragged shapes fail the structure stage, so the text must fail too
+    structures = list(_subsets_of_transversals(sizes))
+    assert len(structures) == 2 ** math.prod(sizes)
+    for gens, circles in structures:
+        _assert_the_text_agrees(gens, circles)
+        if len(set(sizes)) > 1:
+            assert not validate_laguerre_axioms(gens, circles).holds
+
+
+@pytest.mark.parametrize("m,g", [(m, g) for m in (3, 4) for g in range(1, 5)])
+def test_transversal_families_agree_with_the_axioms_as_text(m, g):
+    _assert_the_text_agrees(*transversals(m, g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]),
+       st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 10**6),
+                          st.integers(0, 10**6), st.integers(0, 10**6)),
+                min_size=1, max_size=2))
+def test_perturbed_small_planes_agree_with_the_axioms_as_text(q, mutations):
+    # only where the structure stage passes: the text reads no repeated or
+    # out-of-range id
+    gens, circles = model_rows(q)
+    for kind, a, b, c in mutations:
+        _mutate(gens, circles, kind, a, b, c)
+    if "structure=failed" not in validate_laguerre_axioms(gens, circles).notes:
+        _assert_the_text_agrees(gens, circles)
 
 
 # (verdict, violation count, sha256 of the report as `report_obj` JSON with
