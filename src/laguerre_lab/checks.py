@@ -555,6 +555,11 @@ class _CFirsts(_Family):
         return 1
 
 
+def _one_tangent(counts):
+    """C's conclusion: exactly one member of the pencil touches L."""
+    return counts == 1
+
+
 def _eval_c(plane, report, K, L, sp):
     T = plane.pair_count
     P = _gather(plane.members, K, sp)
@@ -565,7 +570,7 @@ def _eval_c(plane, report, K, L, sp):
     for others in np.ascontiguousarray(_gather(plane.pencil_others, K, sp).T):
         counts += _gather(T, others, L) == 1
     report.hypothesis_hits += int(hyp.sum())
-    report.record(hyp & (counts != 1), lambda i: Violation(
+    report.record(hyp & ~_one_tangent(counts), lambda i: Violation(
         "tangent-count", points=(int(P[i]),),
         circles=(int(K[i]), int(L[i])), data=(("count", int(counts[i])),)))
 
@@ -582,7 +587,7 @@ def _eval_c_exhaustive(plane, report, circles):
         hyp = (~onL) & (np.arange(n_c) != K)[None, :]
         report.hypothesis_hits += int(hyp.sum())
         pts = members[K]
-        report.record(hyp & (counts != 1), lambda i: Violation(
+        report.record(hyp & ~_one_tangent(counts), lambda i: Violation(
             "tangent-count", points=(int(pts[i // n_c]),),
             circles=(K, int(i % n_c)),
             data=(("count", int(counts[i // n_c, i % n_c])),)))
@@ -779,9 +784,14 @@ def _pi_tally(report, ok, kind, a, b, c, x, C1) -> None:
         kind, points=(int(a[i]), int(b[i]), int(c[i]), int(x[i])), circles=(int(C1[i]),)))
 
 
+def _touch_at(plane, N, C, x):
+    """The conclusion of Pi and Thm23: N meets C exactly in the point x."""
+    return (_gather(plane.pair_count, N, C) == 1) & (_gather(plane.pair_sum, N, C) == x)
+
+
 def _eval_pi(plane, report, a, b, c, x, C1, p, qpt, Kp):
     C2 = _gather(plane.triple_circle, p, qpt, x)
-    ok = (_gather(plane.pair_count, Kp, C2) == 1) & (_gather(plane.pair_sum, Kp, C2) == x)
+    ok = _touch_at(plane, Kp, C2, x)
     _pi_tally(report, ok, "pi-config", a, b, c, x, C1)
 
 
@@ -797,7 +807,7 @@ def _eval_pi_prime(plane, report, a, b, c, x, C1, p, qpt, Kp):
 def _eval_thm_2_3(plane, report, a, b, c, x, C1, p, qpt, Kp):
     Cqpx = _gather(plane.triple_circle, qpt, p, x)
     N = _gather(plane.tangent_through, Cqpx, plane.gen_of.take(p), b)
-    ok = (_gather(plane.pair_count, N, C1) == 1) & (_gather(plane.pair_sum, N, C1) == b)
+    ok = _touch_at(plane, N, C1, b)
     _pi_tally(report, ok, "thm23-config", a, b, c, x, C1)
 
 

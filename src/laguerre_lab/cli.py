@@ -298,10 +298,16 @@ def _parse_report_line(where: str, line: str):
     missing = [k for k in ("check", "q", "model") if k not in obj]
     if missing:
         raise UsageError(f"{where}: report line lacks {', '.join(repr(k) for k in missing)}")
-    if not isinstance(obj["model"], str):
-        raise UsageError(f"{where}: model must be a string, got {obj['model']!r}")
+    for key in ("check", "model"):
+        if not isinstance(obj[key], str):
+            raise UsageError(f"{where}: {key} must be a string, got {obj[key]!r}")
     if type(obj["q"]) is not int:    # a float or a string would be truncated or parsed
         raise UsageError(f"{where}: q must be an integer, got {obj['q']!r}")
+    # a checker's or DtsVerify's line lists its witnesses, the others none
+    if "violations" not in obj and (obj["check"] in _checks.SPECS or obj["check"] == "DtsVerify"):
+        raise UsageError(f"{where}: report line lacks 'violations'")
+    if not isinstance(obj.get("violations", []), list):
+        raise UsageError(f"{where}: violations must be a list, got {obj['violations']!r}")
     try:
         violations = [_violation_from_obj(v) for v in obj.get("violations", [])]
         pair = None

@@ -49,11 +49,12 @@ stages are:
 
   * structure  one `np.unique` over the generator ids, their sizes, one
                sort of one int32 key per circle member (repeats, range),
-               one scatter into `mem` and one into the rows by generator,
+               one flat scatter into `mem` and one into the generator rows,
   * axiom (3)  one `bincount` over (circle, generator of member),
-  * axiom (1)  one int key per member triple of the rows sorted by id,
-               sorted by growing prefixes of blocks of circles until one
-               repeats, or whole; repeats and a shortfall against the
+  * axiom (1)  one int key per member triple of each block's rows sorted
+               by id, sorted by growing prefixes of blocks of circles until
+               one repeats (the first of them by one sort of key * n +
+               position), or whole; repeats and a shortfall against the
                non-parallel triple count fail,
   * axiom (2)  where axiom (1) holds, a count in the sizes of circles and
                generators (`_axiom2`); elsewhere, per block of circles, a
@@ -139,6 +140,9 @@ def _cid(circle) -> int:
 # temporaries are freed block by block, so they stay small beside the
 # indexes (block sizes and peak RSS in CHANGES.md)
 _BLOCK = 128
+# the slot triples i < j < k of a row of m slots in combination order, once per m
+_combos = functools.cache(lambda m: np.array(
+    list(itertools.combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3))
 
 
 def _flat_rows(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -207,16 +211,16 @@ class _Structure:
         bad[row[1:][key[1:] == key[:-1]]] = True
         self.members_ok = not bad.any()
         self.mem = np.zeros((n_c, n_p), dtype=bool)
-        keep = ~bad[row]
-        self.mem[row[keep], circ_flat[keep]] = True
+        at = row * n_p + circ_flat
+        self.mem.reshape(-1)[at if self.members_ok else at[~bad[row]]] = True
         self.circ_row, self.circ_flat = row, circ_flat
 
         # rows by generator, members[K, g] the point of K on generator g: one
-        # scatter, kept when every circle meets every generator once
+        # flat scatter, kept when every circle meets every generator once
         self.members = None
         if n_c and self.partition_ok and self.members_ok and (self.circ_len == self.n_gens).all():
             rows = np.full((n_c, self.n_gens), -1, dtype=np.int16)
-            rows[row, self.gen_of[circ_flat]] = circ_flat
+            rows.reshape(-1)[row * self.n_gens + self.gen_of.take(circ_flat)] = circ_flat
             if (rows >= 0).all():
                 self.members = rows
 
@@ -337,29 +341,29 @@ def _validate(s: _Structure) -> CheckReport:
 
 def _first_repeat(keys: np.ndarray, sorted_keys: np.ndarray) -> int:
     """The first position whose key an earlier position holds, from the
-    keys and their sort, which has a repeat: among the positions of repeated
-    keys, found by one `searchsorted`, the least after an equal key."""
-    repeated = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
-    at = np.minimum(np.searchsorted(repeated, keys), len(repeated) - 1)
-    where = np.flatnonzero(repeated.take(at) == keys)
-    head = keys.take(where)
-    order = np.argsort(head, kind="stable")
-    ordered = head.take(order)
-    return int(where.take(order[1:][ordered[1:] == ordered[:-1]]).min())
+    keys and their sort, which has a repeat: the least position after an
+    equal key in one sort of key * n + position (n keys), whose keys are
+    `sorted_keys`.  Exact in int64 while (max key + 1) * n <= 2^63, so for
+    int32 keys below 2^32 positions and for int64 keys (n_p^3 < 2^42 under
+    the id limits) below 2^21; past that a stable argsort orders them."""
+    n, repeats = len(keys), sorted_keys[1:] == sorted_keys[:-1]
+    if (int(sorted_keys[-1]) + 1) * n > 2**63:
+        return int(np.argsort(keys, kind="stable")[1:][repeats].min())
+    packed = np.sort(keys * np.int64(n) + np.arange(n))[1:][repeats]
+    return int((packed - sorted_keys[1:][repeats] * np.int64(n)).min())
 
 
 def _axiom1(s: _Structure, report: CheckReport) -> bool:
     """Every mutually non-parallel triple lies on exactly one circle.
 
     Each sorted member triple (i, j, k) becomes the key (i*n + j)*n + k,
-    read from the rows sorted by point id.  Prefixes of 1, 4, 16, ... blocks
-    of circles, up to half of them, then all, are sorted until one repeats,
-    whose first repeat is the first of all keys.  A count below the number
-    of non-parallel triples means some triple is on no circle.
+    read from each block's rows sorted by point id as the block is packed.
+    Prefixes of 1, 4, 16, ... blocks of circles, up to half of them, then
+    all, are sorted until one repeats, whose first repeat is the first of
+    all keys.  Fewer keys than non-parallel triples: one is on no circle.
     """
-    M, G, n_p, n_c = np.sort(s.members, axis=1), s.gen_members, s.n_points, s.n_circles
-    combos = np.array(list(itertools.combinations(range(M.shape[1]), 3)),
-                      dtype=np.intp).reshape(-1, 3)
+    M, G, n_p, n_c = s.members, s.gen_members, s.n_points, s.n_circles
+    combos = _combos(M.shape[1])
     dtype = np.int32 if n_p ** 3 < 2 ** 31 else np.int64
 
     def pack(tri):
@@ -372,14 +376,14 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
     while done < n_c:
         end = n_c if 2 * n > n_c else n
         for b0 in range(done, end, _BLOCK):
-            keys[b0:b0 + _BLOCK] = pack(M[b0:b0 + _BLOCK].astype(dtype)[:, combos])
+            keys[b0:b0 + _BLOCK] = pack(np.sort(M[b0:b0 + _BLOCK]).astype(dtype)[:, combos])
         done, n = end, 4 * n
         sorted_keys = np.sort(keys[:end].reshape(-1))
         if (sorted_keys[1:] == sorted_keys[:-1]).any():
             # witness: the first triple (circle id, then combination order)
             # whose key an earlier triple already has
             cid, t = divmod(_first_repeat(keys[:end].reshape(-1), sorted_keys), len(combos))
-            i, j, k = (int(p) for p in M[cid, combos[t]])
+            i, j, k = (int(p) for p in np.sort(M[cid])[combos[t]])
             others = np.nonzero(s.mem[:, i] & s.mem[:, j] & s.mem[:, k])[0]
             report.add_violation(Violation(
                 "axiom1", points=(i, j, k), circles=tuple(int(d) for d in others[:2]),

@@ -326,6 +326,33 @@ def test_a_negated_closure_conclusion_fails_every_hit(monkeypatch, check):
     assert not any(replay_violation(P, rep.check_id, v) for v in rep.violations)
 
 
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("check,conclusion,pinned", [
+    (check_C, "_one_tangent", {False: (2916, 1944), True: (20000, 13303)}),
+    (check_pi, "_touch_at", {False: (3888, 1296), True: (20000, 1188)}),
+    (check_thm_2_3, "_touch_at", {False: (3888, 1296), True: (20000, 1188)}),
+], ids=["C", "Pi", "Thm23"])
+def test_a_negated_conclusion_fails_every_hit(monkeypatch, check, conclusion, pinned, sampled):
+    # C, Pi and Thm23 hold on every miquelian plane of odd order, so a
+    # negated conclusion makes every hit a violation, with the counts of the
+    # plain run, and the scalar replay, which reads the statement from the
+    # plane's incidences, refuses every kept witness
+    P = miquelian_plane(3)
+    mode = CheckMode.sample(20000, 2006) if sampled else EX
+    configurations, hits = pinned[sampled]
+
+    def counts(rep):
+        return rep.configurations, rep.hypothesis_hits, rep.violation_count, rep.skipped
+
+    assert counts(check(P, mode)) == (configurations, hits, 0, 0)
+    predicate = getattr(checks, conclusion)
+    monkeypatch.setattr(checks, conclusion, lambda *args: ~predicate(*args))
+    rep = check(P, mode)
+    assert counts(rep) == (configurations, hits, hits, 0)
+    assert len(rep.violations) == MAX_VIOLATIONS
+    assert not any(replay_violation(P, rep.check_id, v) for v in rep.violations)
+
+
 def test_bundle_sampled_holds_on_both_models(oval8):
     rep5 = check_bundle(miquelian_plane(5), CheckMode.sample(100000, 42))
     assert rep5.verdict == "Holds(sampled)" and rep5.hypothesis_hits > 0

@@ -334,6 +334,15 @@ def test_replay_malformed_lines_exit_two_with_one_error_line(tmp_path, capsys):
         dict(good, model=5),
         dict(good, model="oval:0,1,9"),
         [1, 2],
+        # violations that are not a list, or missing where a line lists
+        # witnesses: a checker's line or DtsVerify's
+        dict(good, violations={}),
+        dict(good, violations=""),
+        dict(good, violations={"a": 1}),
+        {k: v for k, v in good.items() if k != "violations"},
+        {"check": "DtsVerify", "q": 3, "model": "miquelian",
+         "pair": {"K": {"coef": [0, 0, 0]}, "L": {"coef": [1, 0, 1]}}},
+        dict(good, check=["C"]),
     ]
     report = tmp_path / "bad.jsonl"
     for obj in bad_lines:

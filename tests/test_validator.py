@@ -669,6 +669,34 @@ def test_axiom1_finds_a_repeat_in_the_last_circle(q):
     assert points == sorted(circles[0])[:3]
 
 
+def scan_first_repeat(keys: np.ndarray) -> int:
+    """The first position whose key occurred earlier, by a plain scan."""
+    seen = set()
+    for i, key in enumerate(keys.tolist()):
+        if key in seen:
+            return i
+        seen.add(key)
+    raise AssertionError("no key repeats")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4000), st.integers(1, 2**63 - 1),
+       st.sampled_from([2**31, 2**42, 2**63]))
+def test_first_repeat_equals_a_plain_scan(seed, n, width, top):
+    # n keys drawn from the `width` values just under `top`, one of them
+    # copied to a later position: a narrow width repeats densely, a wide one
+    # sparsely.  top 2^31 is the int32 keys' bound (n_p^3 < 2^31) and 2^42
+    # the int64 keys' under the id limits, both packed as key * n + position
+    # in int64; keys up to 2^63 do not fit that packing and take the stable
+    # argsort
+    rng = np.random.default_rng(seed)
+    keys = (top - 1 - rng.integers(0, min(width, top), n, dtype=np.int64)).astype(
+        np.int32 if top == 2**31 else np.int64)
+    i, j = np.sort(rng.choice(n, 2, replace=False))
+    keys[j] = keys[i]
+    assert _first_repeat(keys, np.sort(keys)) == scan_first_repeat(keys)
+
+
 def _transversal(n_gens: int, size: int, n_circles: int, seed: int):
     """Generators of `size` points, seeded circles with one point on each,
     and for each a partner that meets it on generators 0 and 1 only (its
