@@ -56,14 +56,13 @@ runs its chunks of `_SAMPLE_CHUNK` stream rows on up to two threads, an
 exhaustive chain or Pi sweep its blocks where one first choice reads a
 chunk's raw rows; the partial reports merge in order, so a report does
 not depend on the thread count (`_sweep`).  A chain or Pi first choice
-builds small tables once and reads its rows from them at the kept
-offsets: K's closure table (is N of M's pencils tangent to K, per circle
-M), whose rows for K's chains are the closed mask, and a's slice of
-`triple_circle` with the tables read from it, x off (a, b, c)° folded
-into a's mask.  Neither gathers the whole raw space of its first choice,
-and Prop22's chain blocks read only the c ∥ a part of it, the chains its
-hypothesis admits.  Generators are looked up with `gen_of.take(ids)`,
-about twice as fast as `gen_of[ids]` on int16 ids.
+reads its rows at the kept offsets of its own tables, built once: K's
+closure table (`_ChainFirsts`) and a's slice of `triple_circle`
+(`_PiFirsts`).  Neither gathers the whole raw space of its first choice,
+and Prop22's chain blocks read only the c ∥ a part of it.  Generators
+are looked up with `gen_of.take(ids)`, about twice as fast as
+`gen_of[ids]` on int16 ids; tallies count by `np.count_nonzero`, in
+Python ints.
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -296,16 +295,11 @@ def _gather(table: np.ndarray, *idx) -> np.ndarray:
     still runs faster than indexing (CHANGES.md)."""
     dtype = np.result_type(*idx, np.int32) if table.size < 2**31 else np.int64
     off = np.empty(np.broadcast_shapes(*(np.shape(i) for i in idx)), dtype=dtype)
-    return table.reshape(-1, *table.shape[len(idx):]).take(_flat(off, table, idx), axis=0)
-
-
-def _flat(off: np.ndarray, table: np.ndarray, idx) -> np.ndarray:
-    """The flat offsets of `idx` in `table`'s leading axes, summed in `off`."""
     off[...] = idx[0]
     for i, s in zip(idx[1:], table.shape[1:]):
         off *= s
         off += i
-    return off
+    return table.reshape(-1, *table.shape[len(idx):]).take(off, axis=0)
 
 
 def _firsts(mode: CheckMode, n: int) -> range:
@@ -408,7 +402,9 @@ class _ChainFirsts(_Family):
     (c, N) offset of M's pencils whether N is tangent to K; the rows of that
     table for the circles M of K's chains are the closed mask, in C order
     over (a, L, b, M, c, N).  With `c_parallel_a` each (a, L, b, M) row
-    reads only the q−1 offsets of M's pencil at a's slot."""
+    reads only the q−1 offsets of M's pencil at a's slot.  A closed offset
+    is divided once, into its row, where K's per-row tables give a, L, b
+    and M; c, N and d are read at its (M, c, N) offset."""
 
     names = ("K", "A", "L", "B", "M", "C", "N", "D")
 
@@ -423,8 +419,12 @@ class _ChainFirsts(_Family):
         self.cpos = np.repeat(plane.members, m, axis=1).reshape(-1)
         # the (c, N) offsets each (a, L, b, M) row reads: all (q+1)(q-1) of
         # M's, or with c ∥ a the q-1 of M's pencil at a's slot
-        self.w = m if c_parallel_a else self.pos.shape[1]
-        self.read = self.pos.shape[1] ** 2 * self.w     # the closed mask's size
+        sm = self.pos.shape[1]
+        self.w = m if c_parallel_a else sm
+        self.read = sm ** 2 * self.w                    # the closed mask's size
+        # row i -> a's slot, then the offsets of L in K's pencils and of b
+        self.row = np.arange(sm * sm)
+        self.at_a, self.at_l, self.at_b = self.row // (m * sm), self.row // sm, self.row // m
 
     def mask(self, K: int):
         """K's closed mask over (a, L, b, M) rows and w offsets, the rows g
@@ -444,23 +444,23 @@ class _ChainFirsts(_Family):
     def write(self, K: int, rows: _Rows, o: int) -> int:
         """Write K's closed chains at row o of the block arrays of `rows`,
         and return their number."""
-        plane, m, w = self.plane, self.plane.q - 1, self.w
-        sm = self.pos.shape[1]
+        plane, w = self.plane, self.w
         mask, g, L0, M0 = self.mask(K)
         f = np.flatnonzero(mask)
         r = len(f)
         out = partial(rows.block, o=o, r=r)
         # a closed offset f is row i = f // w, at the flat (M, c, N) offset
-        # g[i]·w + f - i·w
+        # f + (g[i] - i)·w
         i = f // w
-        off = g.take(i) * w + (f - i * w)
+        off = ((g - self.row) * w).take(i)
+        off += f
         N = self.pos.reshape(-1).take(off, out=out("N"), mode="wrap")
         self.cpos.take(off, out=out("C"), mode="wrap")
         plane.pair_sum[K].take(N, out=out("D"), mode="wrap")
         M0.take(i, out=out("M"), mode="wrap")
-        plane.members[L0].reshape(-1).take(i // m, out=out("B"), mode="wrap")
-        L0.take(i // sm, out=out("L"), mode="wrap")
-        plane.members[K].take(i // (m * sm), out=out("A"), mode="wrap")
+        plane.members[L0].reshape(-1).take(self.at_b).take(i, out=out("B"), mode="wrap")
+        L0.take(self.at_l).take(i, out=out("L"), mode="wrap")
+        plane.members[K].take(self.at_a).take(i, out=out("A"), mode="wrap")
         out("K")[...] = K
         return r
 
@@ -476,57 +476,60 @@ def _on_abc(plane, A, B, C, D):
     return (cid >= 0) & _gather(plane.mem, np.maximum(cid, 0), D)
 
 
-def _chain_tally(report, hyp, ok, kind, K, A, L, B, M, C, N, D) -> None:
-    report.hypothesis_hits += int(hyp.sum())
-    report.record(hyp & ~ok, lambda i: Violation(
-        kind,
-        points=(int(A[i]), int(B[i]), int(C[i]), int(D[i])),
-        circles=(int(K[i]), int(L[i]), int(M[i]), int(N[i]))))
-
-
-def _eval_s(plane, report, K, A, L, B, M, C, N, D):
+def _spans_circle(plane, A, B, C, D):
+    """S's conclusion: a corner repeats, or b ∦ d and d is on (a,b,c)°."""
     gen = plane.gen_of
-    hyp = gen.take(A) != gen.take(C)
-    ok = _corner_coincides(A, B, C, D) | ((gen.take(B) != gen.take(D))
-                                          & _on_abc(plane, A, B, C, D))
-    _chain_tally(report, hyp, ok, "s-chain", K, A, L, B, M, C, N, D)
+    return _corner_coincides(A, B, C, D) | ((gen.take(B) != gen.take(D))
+                                            & _on_abc(plane, A, B, C, D))
 
 
-def _eval_prop_2_2(plane, report, K, A, L, B, M, C, N, D):
-    # every row has c ∥ a (`_chain_blocks` with c_parallel_a)
-    gen = plane.gen_of
-    _chain_tally(report, np.ones(len(D), dtype=bool), gen.take(B) == gen.take(D), "p22-chain",
-                 K, A, L, B, M, C, N, D)
+def _bd_parallel(plane, A, B, C, D):
+    """Prop22's conclusion: b ∥ d."""
+    return plane.gen_of.take(B) == plane.gen_of.take(D)
 
 
-def _eval_cor_2_1(plane, report, K, A, L, B, M, C, N, D):
-    # asserts the ordered quadruple (a,c,b,d) is concyclic
+def _acbd_concyclic(plane, A, B, C, D):
+    """Cor21's conclusion: (a,c,b,d) is concyclic in the generalized sense."""
     gen = plane.gen_of
     par_ac, par_bd = gen.take(A) == gen.take(C), gen.take(B) == gen.take(D)
     branch2 = par_ac & par_bd & (A != B)
     proper4 = ~par_ac & ~par_bd & _on_abc(plane, A, B, C, D)
     proper_set3 = ~(par_ac & (A != C))          # b or d coincides: only (a,c) can obstruct
     proper_ac = ~(par_bd & (B != D))            # a == c alone: only (b,d) can obstruct
-    proper = np.where(_corner_coincides(A, B, C, D), proper_set3,
-                      np.where(A == C, proper_ac, proper4))
-    _chain_tally(report, np.ones(len(D), dtype=bool), proper | branch2, "c21-chain",
-                 K, A, L, B, M, C, N, D)
+    return branch2 | np.where(_corner_coincides(A, B, C, D), proper_set3,
+                              np.where(A == C, proper_ac, proper4))
+
+
+def _eval_chain(kind, plane, report, K, A, L, B, M, C, N, D):
+    """The chain statement `kind` (s-, p22- or c21-chain) on the rows of
+    `_chain_blocks`: S's hypothesis is a ∦ c, and every row of Prop22
+    (c ∥ a, `c_parallel_a`) and of Cor21 meets its own."""
+    conclusion = {"s-chain": _spans_circle, "p22-chain": _bd_parallel,
+                  "c21-chain": _acbd_concyclic}[kind]
+    gen = plane.gen_of
+    hyp = gen.take(A) != gen.take(C) if kind == "s-chain" else np.ones(len(D), dtype=bool)
+    report.hypothesis_hits += int(np.count_nonzero(hyp))
+    report.record(hyp & ~conclusion(plane, A, B, C, D), lambda i: Violation(
+        kind,
+        points=(int(A[i]), int(B[i]), int(C[i]), int(D[i])),
+        circles=(int(K[i]), int(L[i]), int(M[i]), int(N[i]))))
 
 
 def check_S(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Closed tangency chains with non-parallel opposite corners a,c span a circle."""
-    return _sweep(plane, mode, "S", _chain_blocks, _eval_s, _ChainFirsts)
+    return _sweep(plane, mode, "S", _chain_blocks, partial(_eval_chain, "s-chain"), _ChainFirsts)
 
 
 def check_prop_2_2(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Closed tangency chains with a parallel to c force b parallel to d."""
     return _sweep(plane, mode, "Prop22", partial(_chain_blocks, c_parallel_a=True),
-                  _eval_prop_2_2, partial(_ChainFirsts, c_parallel_a=True))
+                  partial(_eval_chain, "p22-chain"), partial(_ChainFirsts, c_parallel_a=True))
 
 
 def check_cor_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Every closed tangency chain has (a,c,b,d) concyclic in the generalized sense."""
-    return _sweep(plane, mode, "Cor21", _chain_blocks, _eval_cor_2_1, _ChainFirsts)
+    return _sweep(plane, mode, "Cor21", _chain_blocks, partial(_eval_chain, "c21-chain"),
+                  _ChainFirsts)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +572,7 @@ def _eval_c(plane, report, K, L, sp):
     counts = (_gather(T, K, L) == 1).astype(np.uint8)
     for others in np.ascontiguousarray(_gather(plane.pencil_others, K, sp).T):
         counts += _gather(T, others, L) == 1
-    report.hypothesis_hits += int(hyp.sum())
+    report.hypothesis_hits += int(np.count_nonzero(hyp))
     report.record(hyp & ~_one_tangent(counts), lambda i: Violation(
         "tangent-count", points=(int(P[i]),),
         circles=(int(K[i]), int(L[i])), data=(("count", int(counts[i])),)))
@@ -585,7 +588,7 @@ def _eval_c_exhaustive(plane, report, circles):
         counts = (plane.pair_count[pen] == 1).sum(axis=1)      # (q+1, n_c)
         onL = plane.mem[:, members[K]].T                       # (q+1, n_c)
         hyp = (~onL) & (np.arange(n_c) != K)[None, :]
-        report.hypothesis_hits += int(hyp.sum())
+        report.hypothesis_hits += int(np.count_nonzero(hyp))
         pts = members[K]
         report.record(hyp & ~_one_tangent(counts), lambda i: Violation(
             "tangent-count", points=(int(pts[i // n_c]),),
@@ -646,7 +649,7 @@ def _eval_prop_2_1(plane, report, K, L, M):
     hyp = (_gather(T, L, M) == 1) & (L != M)
     wkl = _gather(W, K, L)
     same = (wkl == _gather(W, K, M)) & (wkl == _gather(W, L, M))
-    report.hypothesis_hits += int(hyp.sum())
+    report.hypothesis_hits += int(np.count_nonzero(hyp))
     report.record(hyp & ~same, lambda i: Violation(
         "tangent-trio",
         points=(int(W[K[i], L[i]]), int(W[K[i], M[i]]), int(W[L[i], M[i]])),
@@ -667,7 +670,7 @@ def _transfer_firsts(plane: LaguerrePlane) -> _Family:
 def _eval_prop_1_1(plane, report, M, K, L):
     inter = _gather(plane.pair_count, K, L)
     hyp = (K != L) & (inter >= 1)
-    report.hypothesis_hits += int(hyp.sum())
+    report.hypothesis_hits += int(np.count_nonzero(hyp))
     report.record(hyp & (inter != 1), lambda i: Violation(
         "tangency-transfer", circles=(int(M[i]), int(K[i]), int(L[i])),
         data=(("common_points", int(inter[i])),)))
@@ -725,7 +728,7 @@ class _PiFirsts(_Family):
     `triple_circle`, the circles (a, y, z)°, once: the mask of mutually
     non-parallel (b, c, x) with x off (a, b, c)° is one `flatnonzero`, and
     every yielded array is read at the kept flat offsets, or their (b, c)
-    prefixes."""
+    prefixes, and K′ at (C1, x) of `tangent_through` at a's generator."""
 
     names = ("a", "b", "c", "x", "C1", "p", "q", "Kp")
 
@@ -759,22 +762,23 @@ class _PiFirsts(_Family):
         r = len(f)
         out = partial(rows.block, o=o, r=r)
         # pz[z, y, w]: (a, y, w)°'s point ∥ z; q = (a, c, x)°'s ∥ b is pz at
-        # f = (b, c, x), p = (a, b, x)°'s ∥ c at (c, b, x)
+        # f = (b, c, x), p = (a, b, x)°'s ∥ c pz's (y, z, w) transpose at f
         pz = self.par[:, Ta]
         pz.reshape(-1).take(f, out=out("q"), mode="wrap")
+        pz.transpose(1, 0, 2).reshape(-1).take(f, out=out("p"), mode="wrap")
         out("a")[...] = a
         # f = (b·n + c)·n + x, split in int32: n² may pass int16's range
         t = f.astype(np.int32)
         bc = t // n
         x = np.subtract(t, np.multiply(bc, n, out=f), out=out("x"))
         b = np.floor_divide(bc, n, out=out("b"))
-        c = np.subtract(bc, np.multiply(b, n, out=t, dtype=np.int32), out=out("c"))
-        # f, read, now holds the offsets of the gathers that follow
-        C1 = Ta.reshape(-1).take(_flat(f, Ta, (b, c)), out=out("C1"), mode="wrap")
-        pz.reshape(-1).take(_flat(f, pz, (c, b, x)), out=out("p"), mode="wrap")
-        # K′ through x tangent to C1 at a
-        TCT = plane.tangent_through
-        TCT.reshape(-1).take(_flat(f, TCT, (C1, plane.gen_of[a], x)), out=out("Kp"), mode="wrap")
+        np.subtract(bc, np.multiply(b, n, out=t, dtype=np.int32), out=out("c"))
+        C1 = Ta.reshape(-1).take(bc, out=out("C1"), mode="wrap")
+        # K′ through x tangent to C1 at a, read at C1·n + x in f
+        Kp = plane.tangent_through[:, plane.gen_of[a]].reshape(-1)
+        np.multiply(C1, n, out=f, dtype=f.dtype)
+        f += x
+        Kp.take(f, out=out("Kp"), mode="wrap")
         return r
 
 
@@ -795,12 +799,16 @@ def _eval_pi(plane, report, a, b, c, x, C1, p, qpt, Kp):
     _pi_tally(report, ok, "pi-config", a, b, c, x, C1)
 
 
+def _meets_at_parallel(plane, L, C, x, c):
+    """PiPrime's conclusion: L meets C in x, on both, and a point ∥ c."""
+    two = _gather(plane.pair_count, L, C) == 2
+    other = np.where(two, _gather(plane.pair_sum, L, C) - x, 0)
+    return two & (plane.gen_of.take(other) == plane.gen_of.take(c))
+
+
 def _eval_pi_prime(plane, report, a, b, c, x, C1, p, qpt, Kp):
     L = _gather(plane.tangent_through, Kp, plane.gen_of.take(x), qpt)
-    Cabx = _gather(plane.triple_circle, a, b, x)
-    two = _gather(plane.pair_count, L, Cabx) == 2
-    other = np.where(two, _gather(plane.pair_sum, L, Cabx) - x, 0)
-    ok = two & (plane.gen_of.take(other) == plane.gen_of.take(c))
+    ok = _meets_at_parallel(plane, L, _gather(plane.triple_circle, a, b, x), x, c)
     _pi_tally(report, ok, "piprime-config", a, b, c, x, C1)
 
 
@@ -1032,7 +1040,7 @@ def _eval_miquel(plane, report, C1, A, Cq, B, D, C2, se, sh, tail, sf=None):
     E = _gather(members, C2, se)
     H = _gather(members, C2, sh)
     feasible = (gen.take(D) != gen.take(H)) & (gen.take(Cq) != gen.take(E))
-    report.skipped += (len(E) - int(feasible.sum())) * _tail_size(tail)
+    report.skipped += (len(E) - int(np.count_nonzero(feasible))) * _tail_size(tail)
     # the feasible heads, where (a,d,h) and (b,c,e) span circles (so e ≠ c
     # and h ≠ d), take g's slot, and go on if g is none of the six points
     # before it
@@ -1056,7 +1064,7 @@ def _eval_miquel(plane, report, C1, A, Cq, B, D, C2, se, sh, tail, sf=None):
     hyp = F != A
     for v in (B, Cq, D, E, H, G):
         hyp &= F != v
-    report.hypothesis_hits += int(hyp.sum())
+    report.hypothesis_hits += int(np.count_nonzero(hyp))
     # conclusion (e,g,f,h) on pairs {e,f},{g,h}
     report.record(hyp & ~_pairs_concyclic(plane, E, F, G, H), lambda i: Violation(
         "miquel-closure",
@@ -1168,9 +1176,9 @@ def _eval_bundle(plane, report, C1, A, Cq, B, D, C5, se, tail, sf=None, sh=None)
     # C5 = C1, C3 = C5, or g and h on C1
     collapsed = ((C5 == C1) | (C3 == C5) | (_gather(plane.mem, C1, G) & _gather(plane.mem, C1, H))
                  | _six_point_collapse(plane, Cq, D, E, F, G, H))
-    report.skipped += int(collapsed.sum())
+    report.skipped += int(np.count_nonzero(collapsed))
     hyp = ~collapsed
-    report.hypothesis_hits += int(hyp.sum())
+    report.hypothesis_hits += int(np.count_nonzero(hyp))
 
     # conclusion (c,g,d,h) on pairs {c,d},{g,h}
     report.record(hyp & ~_pairs_concyclic(plane, Cq, D, G, H), lambda i: Violation(

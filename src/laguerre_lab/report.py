@@ -129,7 +129,7 @@ class CheckReport:
         """Count every set entry of the boolean array `mask` as a violation,
         and record `make(i)` for the first flat indexes i, in index order,
         that still fit under `MAX_VIOLATIONS`."""
-        n = int(mask.sum())
+        n = int(np.count_nonzero(mask))
         if not n:
             return
         self.violation_count += n

@@ -343,7 +343,7 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     xs = np.flatnonzero(img != np.arange(n_p))
     fxs = img[xs]
     parallel = gen[xs] == gen[fxs]
-    report.skipped += int(parallel.sum())
+    report.skipped += int(np.count_nonzero(parallel))
     keep = ~parallel & ~((fxs < xs) & (img[fxs] == xs))
     xs, fxs = xs[keep], fxs[keep]
     pencils = plane.vertex_pencils[xs, fxs]
@@ -364,7 +364,7 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     not_unique = ~on & (count != 1)
     wrong = ~not_unique & (img[X] != expect)
     slots = X.shape[1]
-    report.configurations += slots * int((~tangent).sum())
+    report.configurations += slots * int(np.count_nonzero(~tangent))
     bad = np.where(tangent[:, None], np.arange(slots) == 0, not_unique | wrong)
 
     def touch_violation(i: int) -> Violation:
@@ -464,7 +464,7 @@ def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M) -> CheckReport:
     i, j = np.triu_indices(plane.q, k=1)
     Ks, Ls = pencils[..., i], pencils[..., j]
     secant = plane.pair_count[Ks, Ls] == 2
-    report.configurations += int(secant.sum())
+    report.configurations += int(np.count_nonzero(secant))
     qualifying: list[tuple[tuple[int, int], Automorphism]] = []
     for K, L in zip(Ks[secant].tolist(), Ls[secant].tolist()):
         phi = build_dts(plane, K, L)
@@ -494,8 +494,8 @@ def _eval_pi_symmetry(plane: LaguerrePlane, report: CheckReport,
     the one such circle.  Rows with (K, L) tangent are skipped."""
     L = plane.triple_circle[x, p, qpt]
     tangent = plane.pair_count[C1, L] == 1
-    report.skipped += int(tangent.sum())
-    report.hypothesis_hits += int((~tangent).sum())
+    report.skipped += int(np.count_nonzero(tangent))
+    report.hypothesis_hits += int(np.count_nonzero(~tangent))
     touches = (plane.pair_count[Kp, L] == 1) & (plane.pair_sum[Kp, L] == x)
     report.record(~tangent & ~touches, lambda i: Violation(
         "pi-symmetry", points=(int(a[i]), int(b[i]), int(c[i]), int(x[i])),
@@ -640,7 +640,7 @@ def _touching_axiom(cand: MoebiusCandidate) -> CheckReport:
         E = Bf[inter[:, bi] == 1]
         count = E[:, cols].T @ E
         off = ~B[bi]
-        report.configurations += len(cols) * int(off.sum())
+        report.configurations += len(cols) * int(np.count_nonzero(off))
         report.record((count != 1) & off, lambda i: Violation(
             "touching", points=(b[i // len(cand.points)], cand.points[i % len(cand.points)]),
             data=(("count", int(count.flat[i])), ("block", bi))))

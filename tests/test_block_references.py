@@ -150,6 +150,18 @@ def test_pi_first_choice_views_match_the_reference_at_order_13(a):
                        reference_pi_blocks(plane, mode))
 
 
+@pytest.mark.parametrize("family, key, first", [(f, key, K) for f in ("chain", "prop22")
+                                                for key, K in ((GF8, 0), (GF8, 511),
+                                                               (13, 0), (13, 2196))])
+def test_chain_first_choice_views_match_the_reference_at_the_edges(family, key, first):
+    # the first and last circle K of x⁴ over GF(8), an even order, and of
+    # q=13, whose (M, c, N) offsets are the largest
+    plane = _plane(key)
+    firsts, reference = FAMILIES[family]
+    mode = CheckMode("exhaustive", start=first, count=1)
+    assert_same_blocks(exhaustive_blocks(firsts(plane), mode), reference(plane, mode))
+
+
 @pytest.mark.parametrize("key", [3, 4, 5, RELABELLED])
 def test_chain_checker_hits_count_their_block_rows(key):
     plane = _plane(key)

@@ -331,9 +331,13 @@ def test_a_negated_closure_conclusion_fails_every_hit(monkeypatch, check):
     (check_C, "_one_tangent", {False: (2916, 1944), True: (20000, 13303)}),
     (check_pi, "_touch_at", {False: (3888, 1296), True: (20000, 1188)}),
     (check_thm_2_3, "_touch_at", {False: (3888, 1296), True: (20000, 1188)}),
-], ids=["C", "Pi", "Thm23"])
+    (check_pi_prime, "_meets_at_parallel", {False: (3888, 1296), True: (20000, 1188)}),
+    (check_S, "_spans_circle", {False: (13824, 3888), True: (20000, 5697)}),
+    (check_prop_2_2, "_bd_parallel", {False: (13824, 1944), True: (20000, 2850)}),
+    (check_cor_2_1, "_acbd_concyclic", {False: (13824, 5832), True: (20000, 8547)}),
+], ids=["C", "Pi", "Thm23", "PiPrime", "S", "Prop22", "Cor21"])
 def test_a_negated_conclusion_fails_every_hit(monkeypatch, check, conclusion, pinned, sampled):
-    # C, Pi and Thm23 hold on every miquelian plane of odd order, so a
+    # these statements hold on every miquelian plane of odd order, so a
     # negated conclusion makes every hit a violation, with the counts of the
     # plain run, and the scalar replay, which reads the statement from the
     # plane's incidences, refuses every kept witness
