@@ -644,13 +644,17 @@ class _PairFirsts(_Family):
         return r
 
 
+def _one_touch_point(plane, K, L, M):
+    """Prop21's conclusion: K, L and M touch pairwise at one point."""
+    wkl = _gather(plane.pair_sum, K, L)
+    return (wkl == _gather(plane.pair_sum, K, M)) & (wkl == _gather(plane.pair_sum, L, M))
+
+
 def _eval_prop_2_1(plane, report, K, L, M):
     T, W = plane.pair_count, plane.pair_sum
     hyp = (_gather(T, L, M) == 1) & (L != M)
-    wkl = _gather(W, K, L)
-    same = (wkl == _gather(W, K, M)) & (wkl == _gather(W, L, M))
     report.hypothesis_hits += int(np.count_nonzero(hyp))
-    report.record(hyp & ~same, lambda i: Violation(
+    report.record(hyp & ~_one_touch_point(plane, K, L, M), lambda i: Violation(
         "tangent-trio",
         points=(int(W[K[i], L[i]]), int(W[K[i], M[i]]), int(W[L[i], M[i]])),
         circles=(int(K[i]), int(L[i]), int(M[i]))))
@@ -667,11 +671,16 @@ def _transfer_firsts(plane: LaguerrePlane) -> _Family:
     return _PairFirsts(plane, above=False) if plane.q % 2 == 0 else _Family()
 
 
+def _meet_once(inter):
+    """Prop11's conclusion: K and L share exactly one point."""
+    return inter == 1
+
+
 def _eval_prop_1_1(plane, report, M, K, L):
     inter = _gather(plane.pair_count, K, L)
     hyp = (K != L) & (inter >= 1)
     report.hypothesis_hits += int(np.count_nonzero(hyp))
-    report.record(hyp & (inter != 1), lambda i: Violation(
+    report.record(hyp & ~_meet_once(inter), lambda i: Violation(
         "tangency-transfer", circles=(int(M[i]), int(K[i]), int(L[i])),
         data=(("common_points", int(inter[i])),)))
 

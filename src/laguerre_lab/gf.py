@@ -134,10 +134,6 @@ class FiniteField:
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, k={self.k})"
 
-    @property
-    def elements(self) -> range:
-        return range(self.q)
-
     def sub(self, a: int, b: int) -> int:
         return int(self.add[a, self.neg[b]])
 

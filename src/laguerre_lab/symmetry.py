@@ -15,11 +15,11 @@ pass over the plane's own indexes:
                       K and the `pencil_others` columns, in one flat read
                       of `pair_count`: `build_dts` reads both tangency maps
                       from one call, `verify_dts` property (4) from one,
-  * `build_dts`       one `triple_circle`/`members` gather over the
-                      points off K and L by the auxiliaries on K, since
-                      `members[C, g]` is the point of C on generator g,
-  * `circle_image`    one `triple_circle` gather over the sorted image
-                      rows, checked against the sorted `members` rows,
+  * `build_dts`       two flat takes, `triple_circle` then `members`, over
+                      the points off K and L by the auxiliaries on K; a
+                      parallel triple's -1 reads the last row, masked,
+  * `circle_image`    no sorts: one `triple_circle` read per image row,
+                      checked by one `mem` read and one generator scatter,
   * `verify_dts`      one mask per property through `CheckReport.record`:
                       (3) one `vertex_pencils` row per moved pair, (4) all
                       moved circles and their member slots at once,
@@ -116,22 +116,23 @@ def _pencil_touch(plane: LaguerrePlane, K, L) -> tuple[np.ndarray, np.ndarray]:
 
     The pencil of pair i at member slot j is K[i] and the q-1 circles of
     `pencil_others[K[i], j]`.  Member c of every (pair, slot) pencil gives
-    one (m, q+1) column of offsets into `pair_count`, and all q columns are
-    read in one flat `take`.  Returns the uint8 count of members tangent to
-    L[i] and, where that count is 1, the touch point on L[i] of that member,
-    read once from `pair_sum` at the sum of the tangent members' offsets;
-    both are (m, q+1), and elsewhere the touch point means nothing.
+    one (m, q+1) column of offsets into `pair_count`, int32 where a sum of
+    q of them fits, and all q columns are read in one flat `take`.  Returns
+    the uint8 count of members tangent to L[i] and, where it is 1, the
+    touch point on L[i] of that member, read from `pair_sum` at the sum of
+    the tangent members' offsets; both are (m, q+1), elsewhere the touch
+    point means nothing.
     """
-    K = np.asarray(K, dtype=np.intp)
-    off = np.empty((plane.q, len(K), plane.q + 1), dtype=np.intp)
+    q, n_c, K = plane.q, plane.n_circles, np.asarray(K, dtype=np.intp)
+    off = np.empty((q, len(K), q + 1), dtype=np.int32 if n_c * n_c * q < 2 ** 31 else np.intp)
     off[0] = K[:, None]
-    off[1:] = plane.pencil_others[K].transpose(2, 0, 1)
-    off *= plane.n_circles
-    off += np.asarray(L, dtype=np.intp)[:, None]
+    off[1:] = plane.pencil_others.take(K, axis=0).transpose(2, 0, 1)
+    off *= n_c
+    off += np.asarray(L)[:, None]
     hits = plane.pair_count.reshape(-1).take(off) == 1
     off *= hits
     # a sum of two or more offsets may fall off the table: clipped, never read
-    touch = plane.pair_sum.reshape(-1).take(off.sum(axis=0), mode="clip")
+    touch = plane.pair_sum.reshape(-1).take(off.sum(axis=0, dtype=off.dtype), mode="clip")
     return hits.sum(axis=0, dtype=np.uint8), touch
 
 
@@ -203,16 +204,23 @@ class Automorphism:
     def circle_image(self) -> np.ndarray:
         """Image circle id per circle; -1 where the image is not a circle.
 
-        One gather: the circle joining the first three points of each
-        sorted image row (ids off the plane clipped into range), kept where
-        its members, as a set, are the image row.
+        No sorts: the circle of each image row's first three points (ids off
+        the plane read at 0), kept where the row lies on it (one `mem` read,
+        in which a -1 reads the last row) and meets every generator once (one
+        scatter, ids off the plane on row n_gens); a circle has one point per
+        generator, so the row is then its members.
         """
         if self._circle_image is None:
             plane = self.plane
-            row = np.sort(self.image[plane.members], axis=1)
-            a, b, c = np.clip(row[:, :3], 0, plane.n_points - 1).T
-            cid = plane.triple_circle[a, b, c]
-            ok = (cid >= 0) & (np.sort(plane.members[cid], axis=1) == row).all(axis=1)
+            n_p, n_c, n_g = plane.n_points, plane.n_circles, plane.n_gens
+            on = (self.image >= 0) & (self.image < n_p)
+            img, slots = np.where(on, self.image, 0).astype(np.intp), plane.members.T
+            pts = img.take(slots)  # slot-major: each test reduces across circles
+            cid = plane.triple_circle.take((pts[0] * n_p + pts[1]) * n_p + pts[2]).astype(np.intp)
+            gen = np.multiply(np.where(on, plane.gen_of.take(img), n_g), n_c, dtype=np.intp)
+            met = np.zeros((n_g + 1, n_c), dtype=bool)
+            met.reshape(-1)[gen.take(slots) + np.arange(n_c)] = True
+            ok = (cid >= 0) & met[:n_g].all(axis=0) & plane.mem.take(cid * n_p + pts).all(axis=0)
             self._circle_image = np.where(ok, cid, -1).astype(np.int32)
         return self._circle_image
 
@@ -223,8 +231,7 @@ class Automorphism:
 
     def validate(self) -> None:
         """Raise ValueError unless this is a genuine plane automorphism."""
-        plane, img = self.plane, self.image
-        if not np.array_equal(np.sort(img), np.arange(plane.n_points)):
+        if not np.array_equal(np.sort(self.image), np.arange(self.plane.n_points)):
             raise ValueError("image is not a permutation of the points")
         split = self.split_generators()
         if split.any():
@@ -252,14 +259,15 @@ def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
     image[plane.members[[K, L]]] = _tangency_maps(plane, K, L, both=True)
     hK = image[plane.members[K]]
 
-    gen = plane.gen_of
+    gen, n_p, m = plane.gen_of, plane.n_points, plane.q + 1
     off_L = plane.members[L] != plane.members[K]
-    Y, hY = plane.members[K][off_L], hK[off_L]
+    Y, hY = plane.members[K][off_L].astype(np.intp), hK[off_L]
     X = np.flatnonzero(image < 0)
     gX = gen[X][:, None]
     # the generator of the image of xK, the point of K parallel to x
     target = gen[image[plane.members[K, gen[X]]]]
-    cand = plane.members[plane.triple_circle[X[:, None], Y, hY], target[:, None]]
+    circle = plane.triple_circle.take((X * n_p ** 2)[:, None] + (Y * n_p + hY))
+    cand = plane.members.take(circle.astype(np.intp) * m + target[:, None])
     admissible = (gen[Y] != gX) & (gen[hY] != gX)
     first = admissible.argmax(axis=1)
     img = cand[np.arange(len(X)), first]
@@ -288,8 +296,7 @@ def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
 
 def fixed_circles(plane: LaguerrePlane, phi: Automorphism) -> tuple[int, ...]:
     """All circles mapped onto themselves (as sets) by phi."""
-    ci = phi.circle_image()
-    return tuple(int(c) for c in np.nonzero(ci == np.arange(plane.n_circles))[0])
+    return tuple(np.flatnonzero(phi.circle_image() == np.arange(plane.n_circles)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +324,8 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     report = CheckReport(check_id="DtsVerify", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
     K, L = _cid(K), _cid(L)
-    img = phi.image
-    n_p, n_c = plane.n_points, plane.n_circles
-    gen = plane.gen_of
-    ci = phi.circle_image()
+    img, ci = phi.image, phi.circle_image()
+    n_p, n_c, gen = plane.n_points, plane.n_circles, plane.gen_of
 
     # (0) the pair is exchanged: without it the identity would pass
     report.configurations += 2
@@ -346,9 +351,9 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     report.skipped += int(np.count_nonzero(parallel))
     keep = ~parallel & ~((fxs < xs) & (img[fxs] == xs))
     xs, fxs = xs[keep], fxs[keep]
-    pencils = plane.vertex_pencils[xs, fxs]
+    pencils = plane.vertex_pencils.reshape(-1, plane.q).take(xs * n_p + fxs, axis=0)
     report.configurations += pencils.size
-    report.record(ci[pencils] != pencils, lambda i: Violation(
+    report.record(ci.take(pencils) != pencils, lambda i: Violation(
         "moved-pencil-circle", points=(int(xs[i // plane.q]), int(fxs[i // plane.q])),
         circles=(int(pencils.flat[i]),)))
 
@@ -356,13 +361,13 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     # their member slots; a tangent (M, phi(M)) is one violation in slot 0
     M = np.nonzero((ci != np.arange(n_c)) & (ci >= 0))[0]
     Mi = ci[M]
-    tangent = plane.pair_count[M, Mi] == 1
-    X = plane.members[M]
-    on = plane.members[Mi] == X
+    tangent = plane.pair_count.take(M * n_c + Mi) == 1
+    X = plane.members.take(M, axis=0)
+    on = plane.members.take(Mi, axis=0) == X
     count, touch = _pencil_touch(plane, M, Mi)
     expect = np.where(on, X, touch)
     not_unique = ~on & (count != 1)
-    wrong = ~not_unique & (img[X] != expect)
+    wrong = ~not_unique & (img.take(X) != expect)
     slots = X.shape[1]
     report.configurations += slots * int(np.count_nonzero(~tangent))
     bad = np.where(tangent[:, None], np.arange(slots) == 0, not_unique | wrong)
@@ -428,10 +433,10 @@ def classify_symmetry(plane: LaguerrePlane, K, L,
         if not ((phi.image[pq] == pq).all() and phi.is_involution()):
             return SymmetryClassification("Other", (K, L), fixed_point_count=len(fixed),
                                           details="secant pair without pointwise-fixed generators")
-        # the first circle fixed setwise but not pointwise
-        witnesses = np.flatnonzero(
-            (phi.circle_image() == np.arange(plane.n_circles))
-            & (phi.image[plane.members] != plane.members).any(axis=1))
+        # the first circle fixed setwise but not pointwise, among the fixed ones
+        setwise = np.flatnonzero(phi.circle_image() == np.arange(plane.n_circles))
+        rows = plane.members.take(setwise, axis=0)
+        witnesses = setwise[(phi.image.take(rows) != rows).any(axis=1)]
         if not len(witnesses):
             return SymmetryClassification("Other", (K, L), fixed_point_count=len(fixed),
                                           details="no setwise-fixed witness circle")
@@ -706,7 +711,7 @@ def export_automorphism(plane: LaguerrePlane, phi: Automorphism) -> str:
         raise ValueError("export needs a coordinate-model plane")
     head = (f"dts q={plane.q} K={','.join(str(v) for v in ck)} "
             f"L={','.join(str(v) for v in cl)}")
-    return head + "\n" + " ".join(str(int(v)) for v in phi.image) + "\n"
+    return head + "\n" + " ".join(map(str, phi.image.tolist())) + "\n"
 
 
 def import_automorphism(plane: LaguerrePlane, text: str) -> Automorphism:

@@ -327,21 +327,24 @@ def test_a_negated_closure_conclusion_fails_every_hit(monkeypatch, check):
 
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
-@pytest.mark.parametrize("check,conclusion,pinned", [
-    (check_C, "_one_tangent", {False: (2916, 1944), True: (20000, 13303)}),
-    (check_pi, "_touch_at", {False: (3888, 1296), True: (20000, 1188)}),
-    (check_thm_2_3, "_touch_at", {False: (3888, 1296), True: (20000, 1188)}),
-    (check_pi_prime, "_meets_at_parallel", {False: (3888, 1296), True: (20000, 1188)}),
-    (check_S, "_spans_circle", {False: (13824, 3888), True: (20000, 5697)}),
-    (check_prop_2_2, "_bd_parallel", {False: (13824, 1944), True: (20000, 2850)}),
-    (check_cor_2_1, "_acbd_concyclic", {False: (13824, 5832), True: (20000, 8547)}),
-], ids=["C", "Pi", "Thm23", "PiPrime", "S", "Prop22", "Cor21"])
-def test_a_negated_conclusion_fails_every_hit(monkeypatch, check, conclusion, pinned, sampled):
-    # these statements hold on every miquelian plane of odd order, so a
-    # negated conclusion makes every hit a violation, with the counts of the
-    # plain run, and the scalar replay, which reads the statement from the
-    # plane's incidences, refuses every kept witness
-    P = miquelian_plane(3)
+@pytest.mark.parametrize("check,conclusion,pinned,q", [
+    (check_C, "_one_tangent", {False: (2916, 1944), True: (20000, 13303)}, 3),
+    (check_pi, "_touch_at", {False: (3888, 1296), True: (20000, 1188)}, 3),
+    (check_thm_2_3, "_touch_at", {False: (3888, 1296), True: (20000, 1188)}, 3),
+    (check_pi_prime, "_meets_at_parallel", {False: (3888, 1296), True: (20000, 1188)}, 3),
+    (check_S, "_spans_circle", {False: (13824, 3888), True: (20000, 5697)}, 3),
+    (check_prop_2_2, "_bd_parallel", {False: (13824, 1944), True: (20000, 2850)}, 3),
+    (check_cor_2_1, "_acbd_concyclic", {False: (13824, 5832), True: (20000, 8547)}, 3),
+    (check_prop_2_1, "_one_touch_point", {False: (756, 36), True: (20000, 2378)}, 3),
+    (check_prop_1_1, "_meet_once", {False: (6720, 6720), True: (20000, 18663)}, 4),
+], ids=["C", "Pi", "Thm23", "PiPrime", "S", "Prop22", "Cor21", "Prop21", "Prop11"])
+def test_a_negated_conclusion_fails_every_hit(monkeypatch, check, conclusion, pinned, q, sampled):
+    # these statements hold on every miquelian plane of odd order, and
+    # Prop11 on the miquelian plane of order 4, so a negated conclusion
+    # makes every hit a violation, with the counts of the plain run, and the
+    # scalar replay, which reads the statement from the plane's incidences,
+    # refuses every kept witness
+    P = miquelian_plane(q)
     mode = CheckMode.sample(20000, 2006) if sampled else EX
     configurations, hits = pinned[sampled]
 

@@ -474,6 +474,34 @@ def test_dts_text_is_the_indented_json(capsys):
         "8b550bf01d1b3868e1cb225c769c40f7fad49cf23619c941ce034e61c8e2ec32")
 
 
+@pytest.mark.parametrize("argv, digests", [
+    (("dts", "--q", "9", "--sample-pairs", "20", "--seed", "7", "--verify"),
+     {"stdout": "f6f6f64239d359fbd846fdf798d7fc05c0866f400553d69d4f759a03ddc61ce4"}),
+    (("dts", "--q", "9", "--k", "0,0,0", "--l", "1,0,1", "--verify", "--out", "F", "--export", "G"),
+     {"stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+      "F": "d51e4ca9a4c75c6eb0a1c8341af627679f7ae8afc7ba86977cfd01dc7ca0afa1",
+      "G": "05a2202b7f00a92d4bc31a067c29b124f290a9cc6bcef54603d29db6dee8245f"}),
+    (("dts", "--q", "9", "--k", "0,0,0", "--l", "1,0,4", "--verify", "--out", "F", "--export", "G"),
+     {"stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+      "F": "00c6935e7e05bb02e689c20c89ee612e80233ed91d62b6e44d51efa566ae06ea",
+      "G": "2f21a19058ee3783c4149b85b3e5ab5d3cf583a6f47b3e1ea001972a65f067fa"}),
+    (("moebius", "--q", "7"),
+     {"stdout": "045815fd117aac2257dce88d71ac99938356c7de1c1e2f5d363c9f149ddd8a05"}),
+], ids=["dts-sampled", "dts-secant-files", "dts-disjoint-files", "moebius"])
+def test_symmetry_request_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv, digests):
+    # the request that builds, classifies, verifies and exports a symmetry,
+    # pinned before its tables came to be read through flat takes; of the
+    # explicit pairs at q=9, (0,0,0) and (1,0,1) are secant, (0,0,0) and
+    # (1,0,4) disjoint
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    got = {"stdout": out} | {name: (tmp_path / name).read_text()
+                             for name in digests if name != "stdout"}
+    assert {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in got.items()} == digests
+
+
 @pytest.mark.parametrize("argv", [
     ("moebius", "--q", "5", "--format", "csv"),
     ("moebius", "--q", "5", "--format", "json"),

@@ -209,6 +209,24 @@ def test_classify_disjoint_fixed_point_free(p5):
     assert cls.kind == "FixedPointFree" and cls.fixed_point_count == 0
 
 
+@pytest.mark.parametrize("pair, forged, fixed_count, details", [
+    (((1, 0, 0), (4, 0, 2)), None, 30, "no setwise-fixed witness circle"),
+    (((1, 0, 0), (4, 0, 1)), None, 30, "disjoint pair with fixed points"),
+    # (y = 0, y = x² + 1) meets on generators 2 and 3, the classified pair on 1 and 4
+    (((1, 0, 0), (4, 0, 2)), ((0, 0, 0), (1, 0, 1)), 10,
+     "secant pair without pointwise-fixed generators"),
+], ids=["identity-secant", "identity-disjoint", "other-secant-symmetry"])
+def test_classify_reports_a_forged_symmetry_as_other(p5, pair, forged, fixed_count, details):
+    # a forged phi (the identity, or the symmetry of another pair) reaches
+    # each of the three "Other" kinds; they are reported, never asserted
+    K, L = (p5.circle_from_coef(c).id for c in pair)
+    phi = (Automorphism.identity(p5) if forged is None
+           else build_dts(p5, *(p5.circle_from_coef(c).id for c in forged)))
+    cls = classify_symmetry(p5, K, L, phi)
+    assert (cls.kind, cls.details, cls.fixed_point_count) == ("Other", details, fixed_count)
+    assert (cls.fixed_generators, cls.witness_circle) == (None, None)
+
+
 def test_all_disjoint_pairs_are_fixed_point_free_q3(q3_sweep):
     # measured: the disjoint branch never produces fixed points
     P3, cache = q3_sweep
