@@ -24,7 +24,9 @@ the flat offset.  A sampled block reads its choices from a `_Draws` view
 of `_sample_batches`, which draws a choice column only when it is read,
 and only for the rows a filter kept: Prop22 draws K and the choices of
 L, b, M and N for its c ∥ a rows alone, the closures C1, C2 and their
-tails for the rows whose slots passed `_sampled_bases`.
+tails for the rows whose slots passed `_sampled_bases`.  Points are read
+for kept rows alone too: a sampled chain's corners for its closed chains,
+Prop21's touch points for its hypothesis rows, in either mode.
 
 The two closures, Miquel and Bundle, share their base rows (a circle
 C1, an ordered quadruple of its points and a circle C2 of the pencil
@@ -368,7 +370,10 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = Fa
     chains with c ∥ a, c in the slot of M equal to a's (the slot of a
     point on a circle is its generator): a sampled row with other slots
     is dropped before c and N are read.  The raw count still covers every
-    choice of c.  Sampled only: the exhaustive rows are `_ChainFirsts`'.
+    choice of c.  A row's circles are read through the slots of a, b and c,
+    and the corners from those slots for the closed chains alone, about 8%
+    of the rows at q=13.  Sampled only: the exhaustive rows are
+    `_ChainFirsts`'.
     """
     po, members = plane.pencil_others, plane.members
     T, W = plane.pair_count, plane.pair_sum
@@ -380,16 +385,14 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = Fa
             keep = np.flatnonzero(sc == sa)
             raw, sa, sc = raw[:, keep], sa[keep], sc[keep]
         K = bounded(raw[0], plane.n_circles)
-        A = _gather(members, K, sa)
         L = _gather(po, K, sa, bounded(raw[2], m))
         sb = bounded(raw[3], q + 1)
-        B = _gather(members, L, sb)
         M = _gather(po, L, sb, bounded(raw[4], m))
-        C = _gather(members, M, sc)
         N = _gather(po, M, sc, bounded(raw[6], m))
-        idx = np.nonzero(_gather(T, N, K) == 1)[0]
-        K, A, L, B, M, C, N = (v[idx] for v in (K, A, L, B, M, C, N))
-        yield n_raw, K, A, L, B, M, C, N, _gather(W, N, K)
+        idx = np.flatnonzero(_gather(T, N, K) == 1)
+        K, L, M, N, sa, sb, sc = (v.take(idx) for v in (K, L, M, N, sa, sb, sc))
+        yield (n_raw, K, _gather(members, K, sa), L, _gather(members, L, sb), M,
+               _gather(members, M, sc), N, _gather(W, N, K))
 
 
 class _ChainFirsts(_Family):
@@ -651,10 +654,14 @@ def _one_touch_point(plane, K, L, M):
 
 
 def _eval_prop_2_1(plane, report, K, L, M):
-    T, W = plane.pair_count, plane.pair_sum
-    hyp = (_gather(T, L, M) == 1) & (L != M)
-    report.hypothesis_hits += int(np.count_nonzero(hyp))
-    report.record(hyp & ~_one_touch_point(plane, K, L, M), lambda i: Violation(
+    """Prop21 on rows of a base K and two circles L, M tangent to it: the
+    rows where L and M touch each other too are its hypothesis, and only
+    those read the touch points (`_one_touch_point`)."""
+    W = plane.pair_sum
+    idx = np.flatnonzero((_gather(plane.pair_count, L, M) == 1) & (L != M))
+    K, L, M = (v.take(idx) for v in (K, L, M))
+    report.hypothesis_hits += len(idx)
+    report.record(~_one_touch_point(plane, K, L, M), lambda i: Violation(
         "tangent-trio",
         points=(int(W[K[i], L[i]]), int(W[K[i], M[i]]), int(W[L[i], M[i]])),
         circles=(int(K[i]), int(L[i]), int(M[i]))))
@@ -720,8 +727,8 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
                          & (gb != gc) & (gb != gx) & (gc != gx))[0]
         a, b, c, x = a[idx], b[idx], c[idx], x[idx]
         C1 = _gather(T3, a, b, c)
-        keep = ~_gather(mem, C1, x)     # x off C1, a mask: no index array beside the block's
-        a, b, c, x, C1 = a[keep], b[keep], c[keep], x[keep], C1[keep]
+        keep = np.flatnonzero(~_gather(mem, C1, x))     # x off C1
+        a, b, c, x, C1 = (v.take(keep) for v in (a, b, c, x, C1))
         yield (raw.shape[1], a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen.take(c)),
                _gather(members, _gather(T3, a, c, x), gen.take(b)),
                _gather(TCT, C1, gen.take(a), x))
@@ -1248,10 +1255,12 @@ def _replay_transfer(plane, v):
 
 
 def _replay_pi_family(check_id, plane, v):
+    # a failed hypothesis raises in the scalar operations, which
+    # `replay_violation` reads as no violation: parallel points in
+    # `circle_through`, x on C1 or q on K′ in `tangent_circle`; q = b would
+    # make (a,c,x)° = C1 hold x
     a, b, c, x = v.points
     C1 = plane.circle_through(a, b, c)
-    if plane.mem[C1.id, x]:
-        return False
     p = plane.parallel_point(c, plane.circle_through(a, b, x))
     qpt = plane.parallel_point(b, plane.circle_through(a, c, x))
     K = plane.tangent_circle(a, C1, x)
@@ -1260,16 +1269,11 @@ def _replay_pi_family(check_id, plane, v):
         t = plane.tangency(K, C2)
         return not (t.kind == "tangent" and t.points == (x,))
     if check_id == "PiPrime":
-        if plane.mem[K.id, qpt]:
-            return False
         L = plane.tangent_circle(x, K, qpt)
-        t = plane.tangency(L, plane.circle_through(a, b, x))
-        if t.kind != "secant":
-            return True
-        others = [pt for pt in t.points if pt != x]
+        # L meets (a,b,x)° in x: the conclusion holds where it meets it in
+        # one more point, parallel to c (a tangent or equal pair has 0 or q)
+        others = [pt for pt in plane.tangency(L, plane.circle_through(a, b, x)).points if pt != x]
         return len(others) != 1 or not plane.parallel(others[0], c)
-    if qpt == b:
-        return False
     Cqpx = plane.circle_through(qpt, p, x)
     N = plane.tangent_circle(p, Cqpx, b)
     t = plane.tangency(N, C1)

@@ -18,9 +18,18 @@ which is documented and close enough to uniform for the ranges used here
 takes choice j of row r from draw r·k + j (see `checks._sample_batches`),
 whichever rows it draws that choice for: all of a chunk's rows are the
 indexes of one `draw_block` with step k, a subset of them an index array.
+
+The counter words are affine in the index, so `draw_block` forms them in
+one multiply and one add mod 2^64: draws at start + i·step have the
+counters i·(step·G) + (seed + (start + 1)·G), with i read from a
+read-only uint64 `arange` (`_lattice`, one per power-of-two length, made
+on first use, so a process that draws no range holds none), and draws at
+an index array idx the counters idx·G + (seed + G).
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -38,19 +47,30 @@ def splitmix64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+@cache
+def _lattice(bits: int) -> np.ndarray:
+    """The read-only uint64 `arange` of length 2^bits, whose prefixes are
+    the offsets i of `draw_block`'s ranges; made on first use."""
+    lattice = np.arange(1 << bits, dtype=np.uint64)
+    lattice.flags.writeable = False
+    return lattice
+
+
 def draw_block(seed: int, start, count: int | None = None, step: int = 1) -> np.ndarray:
     """Vectorized draws (uint64) for the stream indexes start + i·step,
     i < count; or, where `start` is an array of indexes, for those.
 
-    The mix runs in place on the counter array, with one scratch array for
-    the shifted words, so a call allocates two arrays of `count` words."""
+    The counters take one multiply and one add (int64 indexes, never
+    negative, are read as uint64 in place), and the mix runs in place on
+    them with one scratch array for the shifted words: a call allocates two
+    arrays of `count` words, and a process's first range of its
+    power-of-two length also that lattice (512 KB for a 65,536-row chunk)."""
     if count is None:
-        z = np.array(start, dtype=np.uint64)
-        z += np.uint64(1)
+        z = np.asarray(start, dtype=np.int64).view(np.uint64) * np.uint64(GOLDEN)
+        z += np.uint64((seed + GOLDEN) & MASK)
     else:
-        z = np.arange(start + 1, start + 1 + count * step, step, dtype=np.uint64)
-    z *= np.uint64(GOLDEN)
-    z += np.uint64(seed & MASK)
+        z = _lattice(max(count - 1, 0).bit_length())[:count] * np.uint64(step * GOLDEN & MASK)
+        z += np.uint64((seed + (start + 1) * GOLDEN) & MASK)
     t = np.empty_like(z)
     for shift, mult in ((30, MIX1), (27, MIX2)):
         np.right_shift(z, np.uint64(shift), out=t)

@@ -3,11 +3,16 @@ and replay determinism."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from laguerre_lab import rng
 from laguerre_lab.checks import _SAMPLE_CHUNK, _sample_batches
 from laguerre_lab.report import CheckMode
 from laguerre_lab.rng import SampleStream, bounded, draw_block, splitmix64
@@ -93,12 +98,41 @@ def test_sample_batches_map_rows_to_the_stream(seed, k):
         assert all(np.array_equal(block[j], whole[j][s:s + 5]) for j in range(k))
 
 
-@pytest.mark.parametrize("start, count, step", [(0, 10, 1), (5, 100, 7), (2**40, 3, 11)])
+@pytest.mark.parametrize("start, count, step", [
+    (0, 10, 1), (5, 100, 7), (2**40, 3, 11), (0, 0, 1), (9, 1, 3),
+    # longer than a chunk's 2^16 offsets, so the next lattice is built and read
+    (2**40 - 5, 2**16 + 3, 7), (2**40 + 1, 2**16 + 3, 11)])
 def test_strided_and_indexed_blocks_match_scalar(start, count, step):
+    # a range's counters come from the offsets of `rng._lattice`, an index
+    # array's from its int64 indexes read as uint64: indexes past 2^32 and seeds
+    # whose additions wrap mod 2^64 give the scalar stream's draws
     indexes = [start + i * step for i in range(count)]
-    want = [splitmix64(42, i) for i in indexes]
-    assert draw_block(42, start, count, step).tolist() == want
-    assert draw_block(42, np.array(indexes, dtype=np.int64)).tolist() == want
+    for seed in (42, 0, 2**63, MASK):
+        want = [splitmix64(seed, i) for i in indexes]
+        assert draw_block(seed, start, count, step).tolist() == want
+        assert draw_block(seed, np.array(indexes, dtype=np.int64)).tolist() == want
+
+
+def test_the_lattice_is_read_only_and_made_by_range_draws_alone():
+    # an exhaustive sweep and an index draw make no lattice, so a process
+    # that draws no range holds none; a range of 2^16 draws makes one
+    code = ("from laguerre_lab import rng\n"
+            "from laguerre_lab.checks import check_S\n"
+            "from laguerre_lab.models import miquelian_plane\n"
+            "from laguerre_lab.report import CheckMode\n"
+            "check_S(miquelian_plane(3), CheckMode.exhaustive())\n"
+            "rng.draw_block(1, [3, 4])\n"
+            "print(rng._lattice.cache_info().currsize)\n"
+            "rng.draw_block(1, 0, 1 << 16)\n"
+            "print(rng._lattice.cache_info().currsize)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert proc.stdout.split() == ["0", "1"]
+    lattice = rng._lattice(4)
+    assert lattice.dtype == np.uint64 and lattice.tolist() == list(range(16))
+    assert not lattice.flags.writeable
 
 
 def test_sample_stream_replays():
