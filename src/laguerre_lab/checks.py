@@ -288,17 +288,22 @@ def _not_applicable(check_id: str, mode: CheckMode, note: str) -> CheckReport:
 def _gather(table: np.ndarray, *idx) -> np.ndarray:
     """`table[i0, i1, ...]` for one index array per leading axis, read at
     the flat offset (i0·s1 + i1)·s2 + ...: numpy's multi-axis fancy
-    gather runs slower (CHANGES.md).  The indexes broadcast against each other,
-    and a negative id wraps as in `table[idx]` in the first axis only.
+    gather runs slower (CHANGES.md).  The indexes broadcast against each
+    other, but no array among them is widened by a later one (a scalar
+    may be), and a negative id wraps as in `table[idx]` in the first axis
+    only.
 
     Offsets keep the ids' own dtype (at least int32) while the table has
-    fewer than 2^31 elements.  `take` reads int32 offsets through an intp
+    fewer than 2^31 elements: the first multiply casts the ids into it, and
+    the other steps run in place.  `take` reads int32 offsets through an intp
     copy, a transient of the offsets' size freed before it returns, and
     still runs faster than indexing (CHANGES.md)."""
     dtype = np.result_type(*idx, np.int32) if table.size < 2**31 else np.int64
-    off = np.empty(np.broadcast_shapes(*(np.shape(i) for i in idx)), dtype=dtype)
-    off[...] = idx[0]
-    for i, s in zip(idx[1:], table.shape[1:]):
+    off = idx[0]
+    if len(idx) > 1:
+        off = np.multiply(off, table.shape[1], dtype=dtype)
+        off += idx[1]
+    for i, s in zip(idx[2:], table.shape[2:]):
         off *= s
         off += i
     return table.reshape(-1, *table.shape[len(idx):]).take(off, axis=0)
@@ -313,30 +318,29 @@ def _firsts(mode: CheckMode, n: int) -> range:
 
 class _Draws:
     """The draws of some sample rows, k per row, each column drawn when it
-    is read: `raw[j]` is choice j of every row, stream draw r·k + j of row
-    r, and `raw[:, keep]` the view of the rows at the indexes `keep`.
-    `shape` is (k, rows), that of the (draws, rows) array it stands for.
+    is read: `raw[j]` is choice j of every row, `raw[:, keep]` the view of
+    the rows at the indexes `keep`, and `raw.column(j)` a view of choice j
+    alone.  `shape` is (k, rows), that of the (draws, rows) array it stands
+    for.
 
-    `rows` is a range of stream rows, whose column is one `draw_block`
-    with step k, or an array of them."""
+    Choice j of the row numbered i is stream draw first + i·step + j, the
+    rows numbered 0.. `rows` where that is a count, or those of an int
+    array: a column is one `draw_block` either way, a range with step
+    `step` or the same call with the row numbers in place of the count."""
 
-    def __init__(self, seed: int, k: int, rows):
-        self.seed, self.rows = seed, rows
-        self.shape = (k, len(rows))
+    def __init__(self, seed: int, k: int, first: int, rows, step: int):
+        self.seed, self.first, self.rows, self.step = seed, first, rows, step
+        self.shape = (k, rows if isinstance(rows, int) else len(rows))
 
     def __getitem__(self, key):
-        k, rows = self.shape[0], self.rows
         if isinstance(key, tuple):
-            keep = key[1]
-            return _Draws(self.seed, k, keep + rows.start if isinstance(rows, range)
-                          else rows[keep])
-        if isinstance(rows, range):
-            return draw_block(self.seed, rows.start * k + key, len(rows), k)
-        return draw_block(self.seed, rows * k + key)
+            keep = key[1] if isinstance(self.rows, int) else self.rows[key[1]]
+            return _Draws(self.seed, self.shape[0], self.first, keep, self.step)
+        return draw_block(self.seed, self.first + key, self.rows, self.step)
 
     def column(self, j: int) -> "_Draws":
         """Choice j of these rows, as a view of one choice per row."""
-        return _Draws(self.seed, 1, np.asarray(self.rows) * self.shape[0] + j)
+        return _Draws(self.seed, 1, self.first + j, self.rows, self.step)
 
 
 def _sample_batches(mode: CheckMode, draws: int):
@@ -348,7 +352,7 @@ def _sample_batches(mode: CheckMode, draws: int):
     filter kept, so no draw of a dropped row is made before its filter."""
     end = mode.start + mode.count
     for start in range(mode.start, end, _SAMPLE_CHUNK):
-        yield _Draws(mode.seed, draws, range(start, min(start + _SAMPLE_CHUNK, end)))
+        yield _Draws(mode.seed, draws, start * draws, min(_SAMPLE_CHUNK, end - start), draws)
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +724,7 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
     members, TCT = plane.members, plane.tangent_through
     for raw in _sample_batches(mode, 4):
-        # int16 ids, as in the exhaustive blocks
-        a, b, c, x = (bounded(raw[j], plane.n_points).astype(np.int16) for j in range(4))
+        a, b, c, x = (bounded(raw[j], plane.n_points) for j in range(4))
         ga, gb, gc, gx = (gen.take(v) for v in (a, b, c, x))
         idx = np.nonzero((ga != gb) & (ga != gc) & (ga != gx)
                          & (gb != gc) & (gb != gx) & (gc != gx))[0]
@@ -879,25 +882,28 @@ def _sampled_bases(plane: LaguerrePlane, raw: _Draws, n_slots: int):
     C1, the points (a, c, b, d) in the slots on C1, C2 and the slots on C2.
 
     Slot g of a circle holds its point on generator g, so the slots decide
-    which points coincide before any point is read, and C1, C2 and the
-    closure's tail (read from the view) are drawn for the kept rows
-    alone."""
+    which points coincide before any point is read.  The slots on C2 are
+    drawn for the rows whose slots on C1 are distinct alone, and C1, C2
+    and the closure's tail (read from the view) for the kept rows alone."""
     members, q = plane.members, plane.q
     s = [bounded(raw[j], q + 1) for j in range(1, 5)]
-    t = [bounded(raw[j], q + 1) for j in range(6, 6 + n_slots)]
     ok = np.ones(raw.shape[1], dtype=bool)
     for i, j in itertools.combinations(range(4), 2):
         ok &= s[i] != s[j]
+    idx = np.flatnonzero(ok)
+    raw, s = raw[:, idx], [sj[idx] for sj in s]
+    t = [bounded(raw[j], q + 1) for j in range(6, 6 + n_slots)]
+    ok = np.ones(len(idx), dtype=bool)
     for i, u in enumerate(t):
         ok &= (u != s[0]) & (u != s[2])     # the slots of a and b
         for v in t[:i]:
             ok &= u != v
-    idx = np.flatnonzero(ok)
-    kept = raw[:, idx]
+    keep = np.flatnonzero(ok)
+    kept = raw[:, keep]
     C1 = bounded(kept[0], plane.n_circles)
-    A, Cq, B, D = (_gather(members, C1, sj[idx]) for sj in s)
+    A, Cq, B, D = (_gather(members, C1, sj[keep]) for sj in s)
     C2 = _gather(plane.vertex_pencils, A, B, bounded(kept[5], q))
-    return kept, (C1, A, Cq, B, D, C2, *(u[idx] for u in t))
+    return kept, (C1, A, Cq, B, D, C2, *(u[keep] for u in t))
 
 
 class _ClosureFirsts(_Family):
@@ -1095,23 +1101,27 @@ def check_miquel(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     return _sweep(plane, mode, "Miquel", _miquel_blocks, _eval_miquel, _miquel_firsts)
 
 
-def _six_point_collapse(plane, p1, p2, p3, p4, p5, p6):
+def _six_point_collapse(plane, c, d, p3, p4, p5, p6):
     """Six points on one circle, or spread over at most two generators.
 
     Either collapse puts three of the four point-pairs on a single
     (possibly degenerate) section, which voids the closure statement:
     a third pair can then link two of the pencils without constraining
     the fourth at all.
+
+    Precondition: c ∦ d, as at the one call site, where c and d are
+    distinct points of C1.  The two generators are then those of c and d,
+    and the other four points are tested against them.
     """
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
-    t = _gather(T3, p1, p2, p3)
+    t = _gather(T3, c, d, p3)
     tc = np.maximum(t, 0)
     on_circle = (t >= 0) & _gather(mem, tc, p4) & _gather(mem, tc, p5) & _gather(mem, tc, p6)
-    gens = np.stack([gen.take(p) for p in (p1, p2, p3, p4, p5, p6)])
-    lo, hi = gens.min(axis=0), gens.max(axis=0)
-    two_gens = np.ones(len(p1), dtype=bool)
-    for row in gens:
-        two_gens &= (row == lo) | (row == hi)
+    gc, gd = gen.take(c), gen.take(d)
+    two_gens = np.ones(len(c), dtype=bool)
+    for p in (p3, p4, p5, p6):
+        gp = gen.take(p)
+        two_gens &= (gp == gc) | (gp == gd)
     return on_circle | two_gens
 
 

@@ -14,17 +14,20 @@ work splitting: `checks._sweep` runs a sampled sweep's stream chunks on
 two threads, each chunk drawing its own rows), and is trivial to
 reimplement in any language.  Bounded draws reduce by plain modulo,
 which is documented and close enough to uniform for the ranges used here
-(all < 2^22).  A sampled checker that makes k choices per sample row
+(all < 2^22), into int16 where the range fits it (every id and slot of a
+supported plane).  A sampled checker that makes k choices per sample row
 takes choice j of row r from draw r·k + j (see `checks._sample_batches`),
 whichever rows it draws that choice for: all of a chunk's rows are the
-indexes of one `draw_block` with step k, a subset of them an index array.
+indexes of one `draw_block` with step k, a subset of them the same call
+with an array of the kept row numbers in place of the count.
 
 The counter words are affine in the index, so `draw_block` forms them in
 one multiply and one add mod 2^64: draws at start + i·step have the
 counters i·(step·G) + (seed + (start + 1)·G), with i read from a
 read-only uint64 `arange` (`_lattice`, one per power-of-two length, made
-on first use, so a process that draws no range holds none), and draws at
-an index array idx the counters idx·G + (seed + G).
+on first use, so a process that draws no range holds none) or from the
+array of row numbers given, and draws at an index array idx the counters
+idx·G + (seed + G).
 """
 
 from __future__ import annotations
@@ -56,21 +59,25 @@ def _lattice(bits: int) -> np.ndarray:
     return lattice
 
 
-def draw_block(seed: int, start, count: int | None = None, step: int = 1) -> np.ndarray:
+def draw_block(seed: int, start, count=None, step: int = 1) -> np.ndarray:
     """Vectorized draws (uint64) for the stream indexes start + i·step,
-    i < count; or, where `start` is an array of indexes, for those.
+    i < count, or i in `count` where it is an array of non-negative ints;
+    or, where `start` is an array of indexes, for those.
 
-    The counters take one multiply and one add (int64 indexes, never
-    negative, are read as uint64 in place), and the mix runs in place on
-    them with one scratch array for the shifted words: a call allocates two
-    arrays of `count` words, and a process's first range of its
-    power-of-two length also that lattice (512 KB for a 65,536-row chunk)."""
+    The counters take one multiply and one add (int64 row numbers, never
+    negative, are read as uint64 in place; other ints are cast first), and
+    the mix runs in place on them with one scratch array for the shifted
+    words: a call allocates two uint64 arrays of the draws' length, and a
+    process's first range of its power-of-two length also that lattice
+    (512 KB for a 65,536-row chunk)."""
     if count is None:
-        z = np.asarray(start, dtype=np.int64).view(np.uint64) * np.uint64(GOLDEN)
-        z += np.uint64((seed + GOLDEN) & MASK)
+        start, count = 0, start
+    if np.ndim(count) == 0:
+        i = _lattice(max(int(count) - 1, 0).bit_length())[:count]
     else:
-        z = _lattice(max(count - 1, 0).bit_length())[:count] * np.uint64(step * GOLDEN & MASK)
-        z += np.uint64((seed + (start + 1) * GOLDEN) & MASK)
+        i = np.asarray(count, dtype=np.int64).view(np.uint64)
+    z = i * np.uint64(step * GOLDEN & MASK)
+    z += np.uint64((seed + (start + 1) * GOLDEN) & MASK)
     t = np.empty_like(z)
     for shift, mult in ((30, MIX1), (27, MIX2)):
         np.right_shift(z, np.uint64(shift), out=t)
@@ -82,16 +89,20 @@ def draw_block(seed: int, start, count: int | None = None, step: int = 1) -> np.
 
 
 def bounded(raw: np.ndarray, n: int) -> np.ndarray:
-    """Reduce raw 64-bit draws to the range [0, n) by modulo (int64).
+    """Reduce raw 64-bit draws to the range [0, n) by modulo: int16 where
+    n ≤ 2^15, every id and slot of a supported plane, else int64.
 
-    The remainder is taken as raw − (raw // n)·n in unsigned arithmetic,
-    the same values as `raw % n`; numpy divides by a scalar several times
-    faster than it takes a remainder."""
-    n = np.uint64(n)
-    r = raw // n
-    r *= n
-    np.subtract(raw, r, out=r)
-    return r.view(np.int64)
+    The remainder is taken as raw − (raw // n)·n, the same values as
+    `raw % n`, in unsigned arithmetic of the result's width: the quotient
+    is written straight into that width, and every step wraps mod 2^16
+    (or 2^64), exactly since the remainder fits.  numpy divides by a
+    scalar several times faster than it takes a remainder."""
+    u, i = (np.uint16, np.int16) if n <= 1 << 15 else (np.uint64, np.int64)
+    r = np.empty(raw.shape, dtype=u)
+    np.floor_divide(raw, np.uint64(n), out=r, casting="unsafe")
+    r *= u(n)
+    np.subtract(raw.astype(u, copy=False), r, out=r)
+    return r.view(i)
 
 
 class SampleStream:

@@ -18,12 +18,15 @@ from laguerre_lab.checks import (
     CHECKERS,
     _bundle_blocks,
     _bundle_firsts,
+    _c_blocks,
     _chain_blocks,
     _ChainFirsts,
     _gather,
     _miquel_blocks,
     _miquel_firsts,
     _pairs_concyclic,
+    _pi_blocks,
+    _sampled_tangent_pairs,
     _with_tail,
     check_C,
     check_S,
@@ -672,6 +675,21 @@ def test_gather_broadcasts_pencil_rows_against_a_column():
     rows = _gather(P.pencil_others, K, sp)
     assert np.array_equal(_gather(P.pair_count, rows, L[:, None]),
                           P.pair_count[P.pencil_others[K, sp, :], L[:, None]])
+
+
+@pytest.mark.parametrize("blocks", [
+    _c_blocks, _chain_blocks, functools.partial(_chain_blocks, c_parallel_a=True),
+    _sampled_tangent_pairs, _pi_blocks, _miquel_blocks, _bundle_blocks],
+    ids=["C", "S", "Prop22", "Prop21", "Pi", "Miquel", "Bundle"])
+def test_sampled_blocks_hold_int16_ids_and_slots(blocks):
+    # every id and slot stays int16 from the draw on, closure tails
+    # included; the views of draws not yet made are the only other arrays
+    plane = miquelian_plane(13)
+    ((n_raw, *parts),) = blocks(plane, CheckMode.sample(20_000, 5))
+    arrays = [a for v in parts for a in (v if isinstance(v, tuple) else (v,))
+              if not isinstance(a, checks._Draws)]
+    assert n_raw == 20_000 and len(arrays) >= 3 and all(len(a) for a in arrays)
+    assert [a.dtype for a in arrays] == [np.int16] * len(arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,12 @@ def test_bounded_range_and_determinism():
     assert (vals == bounded(draw_block(7, 0, 10000), 125)).all()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 14, 2197, 2**22])
+@pytest.mark.parametrize("n", [1, 2, 3, 14, 2197, 2**15, 2**22, 2**40])
 def test_bounded_is_the_remainder(n):
+    # int16 wherever the range fits it, as every id and slot of a plane does
     raw = np.array([0, 1, 2**63, MASK], dtype=np.uint64)
     got = bounded(raw, n)
-    assert got.dtype == np.int64
+    assert got.dtype == (np.int16 if n <= 2**15 else np.int64)
     assert got.tolist() == [v % n for v in (0, 1, 2**63, MASK)]
 
 
@@ -111,6 +112,19 @@ def test_strided_and_indexed_blocks_match_scalar(start, count, step):
         want = [splitmix64(seed, i) for i in indexes]
         assert draw_block(seed, start, count, step).tolist() == want
         assert draw_block(seed, np.array(indexes, dtype=np.int64)).tolist() == want
+
+
+@pytest.mark.parametrize("start, step", [(0, 1), (3, 7), (2**40 + 1, 11)])
+def test_row_number_blocks_match_scalar(start, step):
+    # the row numbers i of a kept view, on both sides of a chunk boundary,
+    # take the draws start + i·step, whatever the ints' width
+    rows = [0, 1, 2, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 2 * _SAMPLE_CHUNK + 5]
+    for seed in (42, 0, MASK):
+        want = [splitmix64(seed, start + i * step) for i in rows]
+        for dtype in (np.intp, np.int32):
+            got = draw_block(seed, start, np.array(rows, dtype=dtype), step)
+            assert got.dtype == np.uint64 and got.tolist() == want
+        assert draw_block(seed, start, np.array(rows[:3], dtype=np.int16), step).tolist() == want[:3]
 
 
 def test_the_lattice_is_read_only_and_made_by_range_draws_alone():

@@ -84,15 +84,16 @@ def _draws_per_row(monkeypatch, plane, check_id, rows) -> float:
 
 def test_sampled_sweeps_draw_only_the_columns_their_rows_read(monkeypatch):
     # Prop22 draws K and the choices of L, b, M and N for its c ∥ a rows
-    # alone (1 in 14 at q=13), Miquel and Bundle C1, C2 or C5 and their tail
-    # for the rows whose slots pass the filter, and their f and h slots only
-    # where the completed point is not unique (7.27 and 7.20 draws a row;
-    # 7.68 and 8.21 when those slots are drawn for every kept row); S reads
-    # every choice of every row
+    # alone (1 in 14 at q=13); Miquel and Bundle draw the slots on C2 for
+    # the rows whose four slots on C1 are distinct (62.5% at q=13), C1, C2
+    # or C5 and their tail for the rows whose slots pass the filter, and
+    # their f and h slots only where the completed point is not unique
+    # (6.52 and 6.83 draws a row; 7.27 and 7.20 when the slots on C2 are
+    # drawn for every row); S reads every choice of every row
     plane, rows = miquelian_plane(13), 3 * (1 << 16) + 7
     assert _draws_per_row(monkeypatch, plane, "Prop22", rows) < 3
-    assert _draws_per_row(monkeypatch, plane, "Miquel", rows) < 7.3
-    assert _draws_per_row(monkeypatch, plane, "Bundle", rows) < 7.3
+    assert _draws_per_row(monkeypatch, plane, "Miquel", rows) < 6.6
+    assert _draws_per_row(monkeypatch, plane, "Bundle", rows) < 6.9
     assert _draws_per_row(monkeypatch, plane, "S", rows) == 7
 
 
