@@ -10,8 +10,6 @@ pair, down to the inversive-plane structure carried by its fixed circles.
 
 from .errors import (
     LaguerreError,
-    NoAdmissibleAuxiliary,
-    NoDisjointPair,
     NotALaguerrePlane,
     NotFixedPointFree,
     NotUnique,
@@ -75,6 +73,6 @@ from .symmetry import (
     verify_dts,
     verify_pi_symmetry,
 )
-from .rng import SampleStream, splitmix64
+from .rng import splitmix64
 
 __version__ = "0.1.0"

@@ -26,8 +26,6 @@ from . import checks as _checks
 from . import symmetry as _symmetry
 from .errors import (
     LaguerreError,
-    NoAdmissibleAuxiliary,
-    NoDisjointPair,
     NotALaguerrePlane,
     NotFixedPointFree,
     NotUnique,
@@ -226,23 +224,14 @@ def _report_summary(rep, timings: bool) -> dict:
 
 def _moebius_obj(plane, pair: tuple[int, int] | None, timings: bool) -> dict:
     """The Moebius object of the disjoint pair's symmetry or, when `pair` is
-    None, of the first fixed-point-free one (`found: false` if none is)."""
+    None, of the first disjoint pair's (`find_fixed_point_free_pair`)."""
     if pair is not None:
         t = plane.tangency(*pair)
         if t.kind != "disjoint":
             raise UsageError(f"the selected pair is {t.kind}; a disjoint pair is required")
         phi = _symmetry.build_dts(plane, *pair)
     else:
-        try:
-            _, _, phi = _symmetry.find_fixed_point_free_pair(plane)
-        except NoDisjointPair:
-            return {
-                "check": "Moebius",
-                "q": int(plane.q),
-                "model": plane.label,
-                "found": False,
-                "certifiedAbsent": True,
-            }
+        _, _, phi = _symmetry.find_fixed_point_free_pair(plane)
     cand = _symmetry.moebius_extract(plane, phi)
 
     census = cand.block_size_census()
@@ -344,7 +333,7 @@ def _replay_symmetry_line(where: str, plane, obj: dict, violations, pair) -> boo
     Each is rebuilt from its pair by the code that wrote it: DtsVerify
     lines have their witnesses looked up in a fresh verification, the
     others are compared whole, elapsed times aside.  A Moebius line
-    without a pair holds only if the search still finds no pair.
+    without a pair never holds: every plane has a disjoint pair.
     """
     try:
         ids = None if pair is None else (plane.circle_from_coef(pair[0]).id,
@@ -488,7 +477,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (WellDefinednessFailure, NoAdmissibleAuxiliary) as e:
+    except WellDefinednessFailure as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return 3
     except NotUnique as e:
@@ -500,12 +489,9 @@ def main(argv=None) -> int:
         # expected refusal on planes of characteristic 2
         print(f"construction unavailable on this plane: {e}", file=sys.stderr)
         return 1
-    except (NotALaguerrePlane, TangentPair, NotFixedPointFree, NoDisjointPair) as e:
+    except (NotALaguerrePlane, TangentPair, NotFixedPointFree) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except LaguerreError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

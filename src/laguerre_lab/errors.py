@@ -67,17 +67,5 @@ class WellDefinednessFailure(LaguerreError):
         self.y2 = y2
 
 
-class NoAdmissibleAuxiliary(LaguerreError):
-    """No auxiliary point satisfies the side conditions of the image formula."""
-
-    def __init__(self, x: int):
-        super().__init__(f"no admissible auxiliary point for {x}")
-        self.x = x
-
-
 class NotFixedPointFree(LaguerreError):
     """The automorphism fixes a point but a fixed-point-free one is required."""
-
-
-class NoDisjointPair(LaguerreError):
-    """No disjoint non-tangent circle pair with the required behavior exists."""

@@ -1,4 +1,4 @@
-"""Deterministic 64-bit sampling stream used by every sampled check.
+"""Deterministic 64-bit sampling stream: every seeded draw of the package.
 
 The generator is the splitmix64 finalizer applied to a counter:
 
@@ -12,22 +12,24 @@ Being a pure function of (seed, index) it replays identically for equal
 seeds, can be evaluated for any index range independently (associative
 work splitting: `checks._sweep` runs a sampled sweep's stream chunks on
 two threads, each chunk drawing its own rows), and is trivial to
-reimplement in any language.  Bounded draws reduce by plain modulo,
-which is documented and close enough to uniform for the ranges used here
-(all < 2^22), into int16 where the range fits it (every id and slot of a
-supported plane).  A sampled checker that makes k choices per sample row
-takes choice j of row r from draw r·k + j (see `checks._sample_batches`),
-whichever rows it draws that choice for: all of a chunk's rows are the
-indexes of one `draw_block` with step k, a subset of them the same call
-with an array of the kept row numbers in place of the count.
+reimplement in any language.  There is one stream and one way to read
+it: `draw_block` draws a range of indexes, or the indexes of given row
+numbers, and `bounded` reduces draws by plain modulo, which is
+documented and close enough to uniform for the ranges used here, into
+int16: every range is at most 2^15, the plane's int16 id limit.  A
+sampled checker that makes k choices per sample row takes choice j of
+row r from draw r·k + j (see `checks._sample_batches`), whichever rows
+it draws that choice for: all of a chunk's rows are the indexes of one
+`draw_block` with step k, a subset of them the same call with an array
+of the kept row numbers in place of the count.
+`symmetry.sample_nontangent_pairs` reads the stream's words in order.
 
 The counter words are affine in the index, so `draw_block` forms them in
 one multiply and one add mod 2^64: draws at start + i·step have the
 counters i·(step·G) + (seed + (start + 1)·G), with i read from a
 read-only uint64 `arange` (`_lattice`, one per power-of-two length, made
 on first use, so a process that draws no range holds none) or from the
-array of row numbers given, and draws at an index array idx the counters
-idx·G + (seed + G).
+array of row numbers given.
 """
 
 from __future__ import annotations
@@ -59,10 +61,9 @@ def _lattice(bits: int) -> np.ndarray:
     return lattice
 
 
-def draw_block(seed: int, start, count=None, step: int = 1) -> np.ndarray:
+def draw_block(seed: int, start: int, count, step: int = 1) -> np.ndarray:
     """Vectorized draws (uint64) for the stream indexes start + i·step,
-    i < count, or i in `count` where it is an array of non-negative ints;
-    or, where `start` is an array of indexes, for those.
+    i < count, or i in `count` where it is an array of non-negative ints.
 
     The counters take one multiply and one add (int64 row numbers, never
     negative, are read as uint64 in place; other ints are cast first), and
@@ -70,8 +71,6 @@ def draw_block(seed: int, start, count=None, step: int = 1) -> np.ndarray:
     words: a call allocates two uint64 arrays of the draws' length, and a
     process's first range of its power-of-two length also that lattice
     (512 KB for a 65,536-row chunk)."""
-    if count is None:
-        start, count = 0, start
     if np.ndim(count) == 0:
         i = _lattice(max(int(count) - 1, 0).bit_length())[:count]
     else:
@@ -89,33 +88,16 @@ def draw_block(seed: int, start, count=None, step: int = 1) -> np.ndarray:
 
 
 def bounded(raw: np.ndarray, n: int) -> np.ndarray:
-    """Reduce raw 64-bit draws to the range [0, n) by modulo: int16 where
-    n ≤ 2^15, every id and slot of a supported plane, else int64.
+    """Reduce raw 64-bit draws to the range [0, n), n ≤ 2^15, by modulo,
+    into int16.
 
     The remainder is taken as raw − (raw // n)·n, the same values as
-    `raw % n`, in unsigned arithmetic of the result's width: the quotient
-    is written straight into that width, and every step wraps mod 2^16
-    (or 2^64), exactly since the remainder fits.  numpy divides by a
-    scalar several times faster than it takes a remainder."""
-    u, i = (np.uint16, np.int16) if n <= 1 << 15 else (np.uint64, np.int64)
-    r = np.empty(raw.shape, dtype=u)
+    `raw % n`, in uint16 arithmetic: the quotient is written straight into
+    that width, and every step wraps mod 2^16, exactly since the remainder
+    fits.  numpy divides by a scalar several times faster than it takes a
+    remainder."""
+    r = np.empty(raw.shape, dtype=np.uint16)
     np.floor_divide(raw, np.uint64(n), out=r, casting="unsafe")
-    r *= u(n)
-    np.subtract(raw.astype(u, copy=False), r, out=r)
-    return r.view(i)
-
-
-class SampleStream:
-    """Sequential convenience wrapper over the counter-based stream."""
-
-    def __init__(self, seed: int, start: int = 0):
-        self.seed = seed & MASK
-        self.index = start
-
-    def next_raw(self) -> int:
-        v = splitmix64(self.seed, self.index)
-        self.index += 1
-        return v
-
-    def next_below(self, n: int) -> int:
-        return self.next_raw() % n
+    r *= np.uint16(n)
+    np.subtract(raw.astype(np.uint16, copy=False), r, out=r)
+    return r.view(np.int16)

@@ -47,17 +47,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    NoDisjointPair,
     NotFixedPointFree,
     NotUnique,
     PointNotOnCircle,
     TangentPair,
     WellDefinednessFailure,
-    NoAdmissibleAuxiliary,
 )
 from .checks import _not_applicable, _pi_blocks, _PiFirsts, _sweep
 from .plane import Circle, LaguerrePlane, Pencil, _cid
 from .report import CheckMode, CheckReport, Violation
+from .rng import bounded, draw_block
 
 __all__ = [
     "Automorphism",
@@ -253,6 +252,13 @@ def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
     images must agree, so well-definedness is checked, not trusted: the
     first x, in point order, with a differing candidate raises
     WellDefinednessFailure naming its first and first differing auxiliary.
+
+    Of the q+1 points of K, at least q−1 are off L, and y ∥ x and h(y) ∥ x
+    each drop at most one of them (h is a bijection K -> L), so at q ≥ 5
+    at least q−3 ≥ 2 auxiliaries stay admissible.  Only at order 3 can
+    none be, and then the image is the one point parallel to u = h(xK)
+    off both circles: xK is off L (else y = xK would be admissible), so u
+    is not on K, and K and L meet u's generator in two points of its q.
     """
     K, L = _cid(K), _cid(L)
     image = np.full(plane.n_points, -1, dtype=np.int32)
@@ -274,19 +280,15 @@ def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
     differs = admissible & (cand != img[:, None])
     # in point order, the rows where an auxiliary disagrees or none is admissible
     for r in np.flatnonzero(differs.any(axis=1) | ~admissible.any(axis=1)):
-        x = int(X[r])
         if differs[r].any():
-            raise WellDefinednessFailure(x, int(Y[first[r]]), int(Y[differs[r].argmax()]))
+            raise WellDefinednessFailure(int(X[r]), int(Y[first[r]]), int(Y[differs[r].argmax()]))
         # Possible only at order 3: the one non-parallel auxiliary has its
         # image parallel to x.  The image is still forced, since it must be
         # parallel to the image of xK and off both circles, which pins a
         # unique point; the verification suite certifies the completed map
         # like any other.
-        cands = [int(t) for t in plane.gen_members[target[r]]
-                 if not plane.mem[K, t] and not plane.mem[L, t]]
-        if len(cands) != 1:
-            raise NoAdmissibleAuxiliary(x)
-        img[r] = cands[0]
+        (img[r],) = [t for t in plane.gen_members[target[r]]
+                     if not plane.mem[K, t] and not plane.mem[L, t]]
     image[X] = img
 
     phi = Automorphism(plane, image, ("dts", K, L))
@@ -496,13 +498,22 @@ def _eval_pi_symmetry(plane: LaguerrePlane, report: CheckReport,
     order this runs at.  So φ(a) = x exactly where K′, the circle of K's
     pencil at a through x, touches L at x.  There φ(x) = a, φ being an
     involution, and φ(K′), through a and touching φ(K) = L at x, is K′,
-    the one such circle.  Rows with (K, L) tangent are skipped."""
+    the one such circle.
+
+    K and L are never tangent, so every row is a hit.  At odd order every
+    plane the package builds is miquelian (an oval over GF(q), q odd, is a
+    conic by Segre's theorem), whose automorphisms are transitive on
+    points.  Put a at (inf, 0): the circles through a are the lines
+    v = βu + γ, and the maps (u, v) -> (su + d, rv + lu + w) fix a and
+    take any b, c, x with no two parallel and x off the line bc to
+    b = (0, 0), c = (1, 0), x = (t, 1), t ≠ 0, 1.  Then K is v = 0, p is
+    (1, 1/t), q is (0, 1/(1 − t)) and L is v = (u² − 2tu + t)/(t(1 − t)),
+    with (inf, 1/(t(1 − t))) off K; u² − 2tu + t has discriminant
+    4t(t − 1) ≠ 0, so L meets K in two points or none."""
     L = plane.triple_circle[x, p, qpt]
-    tangent = plane.pair_count[C1, L] == 1
-    report.skipped += int(np.count_nonzero(tangent))
-    report.hypothesis_hits += int(np.count_nonzero(~tangent))
+    report.hypothesis_hits += len(a)
     touches = (plane.pair_count[Kp, L] == 1) & (plane.pair_sum[Kp, L] == x)
-    report.record(~tangent & ~touches, lambda i: Violation(
+    report.record(~touches, lambda i: Violation(
         "pi-symmetry", points=(int(a[i]), int(b[i]), int(c[i]), int(x[i])),
         circles=(int(C1[i]), int(L[i]), int(Kp[i]))))
 
@@ -511,9 +522,9 @@ def verify_pi_symmetry(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """The symmetry of the (a,b,c,x) configuration is realized by the
     double tangency symmetry of K = (a,b,c)° and L = (x,p,q)°.
 
-    For every configuration with K, L non-tangent, the symmetry must fix
-    the connecting tangent circle K′ through a and x setwise and exchange
-    its touch points a and x.  Tangent (K, L) pairs are skipped.  The
+    For every configuration, the symmetry must fix the connecting tangent
+    circle K′ through a and x setwise and exchange its touch points a and
+    x; K and L are never tangent (`_eval_pi_symmetry`).  The
     configurations, p, q and K′ are those of the Pi family's sweep.
     """
     if plane.q % 2 == 0:
@@ -654,46 +665,44 @@ def _touching_axiom(cand: MoebiusCandidate) -> CheckReport:
 
 
 def find_fixed_point_free_pair(plane: LaguerrePlane) -> tuple[int, int, Automorphism]:
-    """First disjoint pair (canonical order) whose symmetry moves every point.
+    """The first disjoint pair (canonical order) and its symmetry, which
+    moves every point.
 
-    Scans all disjoint non-tangent pairs; raises NoDisjointPair when the
-    scan certifies that none qualifies.
+    Circle 0 is in that pair: each circle is disjoint from q(q−1)²/2
+    others, the q³ − 1 others less its (q+1)(q−1) tangent circles (q−1
+    at each point) and (q+1)q(q−1)/2 secant ones (q−1 through each pair
+    of its points).  And the symmetry φ of a disjoint pair (K, L) fixes no
+    point x: φ keeps parallelity and maps xK to u = (xK)KL, so φ(x) is
+    parallel to u, which lies with xK on the circle (xK, K, L)°, and
+    φ(x) = x would put two parallel points xK ≠ u on one circle.  On even orders `build_dts` raises NotUnique.
     """
-    for K in range(plane.n_circles):
-        for L in (K + 1 + np.flatnonzero(plane.pair_count[K, K + 1:] == 0)).tolist():
-            phi = build_dts(plane, K, L)
-            if not phi.fixed_points():
-                return K, L, phi
-    raise NoDisjointPair("no disjoint pair with a fixed-point-free symmetry")
+    L = int((plane.pair_count[0] == 0).argmax())
+    return 0, L, build_dts(plane, 0, L)
 
 
 def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int) -> list[tuple[int, int]]:
     """Deterministically sample distinct non-tangent circle pairs.
 
-    Raises ValueError for a negative count or one above the number of
-    such pairs the plane has.
+    Draw 2i and 2i+1 of the stream, mod the circle count, give the circles
+    of try i; a try is dropped where they are equal or tangent or the pair
+    (smaller id first) was drawn before.  Each round draws 2·count words
+    from the next unread index.  Raises ValueError for a negative count or
+    one above the number of such pairs the plane has.
     """
-    from .rng import SampleStream
-
     T = plane.pair_count
     available = int(np.count_nonzero(np.triu(T != 1, k=1)))
     if not 0 <= count <= available:
         raise ValueError(f"cannot sample {count} pairs: "
                          f"the plane has {available} non-tangent pairs")
-    stream = SampleStream(seed)
-    seen: set[tuple[int, int]] = set()
-    out: list[tuple[int, int]] = []
-    while len(out) < count:
-        K = stream.next_below(plane.n_circles)
-        L = stream.next_below(plane.n_circles)
-        if K == L:
-            continue
-        K, L = min(K, L), max(K, L)
-        if int(T[K, L]) == 1 or (K, L) in seen:
-            continue
-        seen.add((K, L))
-        out.append((K, L))
-    return out
+    pairs: dict[tuple[int, int], None] = {}    # insertion-ordered, first draw kept
+    start = 0
+    while len(pairs) < count:
+        K, L = bounded(draw_block(seed, start, 2 * count), plane.n_circles).reshape(-1, 2).T
+        start += 2 * count
+        lo, hi = np.minimum(K, L), np.maximum(K, L)
+        keep = (lo != hi) & (T[lo, hi] != 1)
+        pairs.update(dict.fromkeys(zip(lo[keep].tolist(), hi[keep].tolist())))
+    return list(pairs)[:count]
 
 
 # ---------------------------------------------------------------------------

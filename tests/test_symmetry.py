@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from laguerre_lab.errors import (
+    NotALaguerrePlane,
     NotFixedPointFree,
     NotUnique,
     PointNotOnCircle,
     TangentPair,
 )
-from laguerre_lab.models import miquelian_plane
+from laguerre_lab.models import SUPPORTED_PLANE_ORDERS, miquelian_plane, oval_plane
 from laguerre_lab.report import CheckMode
+from laguerre_lab.rng import splitmix64
 from laguerre_lab.symmetry import (
     Automorphism,
     build_dts,
@@ -227,6 +229,41 @@ def test_classify_reports_a_forged_symmetry_as_other(p5, pair, forged, fixed_cou
     assert (cls.fixed_generators, cls.witness_circle) == (None, None)
 
 
+def test_every_circle_has_disjoint_partners_whose_symmetries_fix_no_point():
+    # the two arguments of `find_fixed_point_free_pair`: each circle is
+    # disjoint from q(q-1)²/2 others, and a disjoint pair's symmetry moves
+    # every point (all 81 pairs at q=3, circle 0's 40 at q=5)
+    for q in SUPPORTED_PLANE_ORDERS:
+        P = miquelian_plane(q)
+        assert ((P.pair_count == 0).sum(axis=1) == q * (q - 1) ** 2 // 2).all(), q
+    for q, pairs in ((3, 81), (5, 40)):
+        P = miquelian_plane(q)
+        disjoint = np.argwhere(np.triu(P.pair_count == 0, k=1))
+        disjoint = disjoint if q == 3 else disjoint[disjoint[:, 0] == 0]
+        assert len(disjoint) == pairs
+        for K, L in disjoint.tolist():
+            assert not build_dts(P, K, L).fixed_points(), (q, K, L)
+
+
+def test_every_oval_plane_of_order_3_builds_every_symmetry():
+    # order 3 is the only order where `build_dts` can find no admissible
+    # auxiliary for a point; its completion then takes the one point left,
+    # on each of the 18 oval planes over GF(3) and each non-tangent pair
+    planes = []
+    for table in itertools.product(range(3), repeat=3):
+        try:
+            planes.append(oval_plane(3, table))
+        except NotALaguerrePlane:
+            pass
+    assert len(planes) == 18
+    for P in planes:
+        pairs = np.argwhere(np.triu(P.pair_count != 1, k=1))
+        assert len(pairs) == 243
+        for K, L in pairs.tolist():
+            phi = build_dts(P, K, L)
+            assert phi.is_involution() and (phi.circle_image()[[K, L]] == [L, K]).all()
+
+
 def test_all_disjoint_pairs_are_fixed_point_free_q3(q3_sweep):
     # measured: the disjoint branch never produces fixed points
     P3, cache = q3_sweep
@@ -372,6 +409,25 @@ def test_sample_nontangent_pairs_deterministic(p5):
     assert a == b
     # both kinds of non-tangent pair are drawn, secant (2) and disjoint (0)
     assert {int(p5.pair_count[K, L]) for K, L in a} == {0, 2}
+
+
+def scalar_nontangent_pairs(plane, count: int, seed: int) -> list[tuple[int, int]]:
+    """`sample_nontangent_pairs` from `splitmix64`: try i reads words 2i and
+    2i+1 mod the circle count, and keeps a new non-tangent pair."""
+    out, i = [], 0
+    while len(out) < count:
+        K, L = sorted(splitmix64(seed, 2 * i + j) % plane.n_circles for j in (0, 1))
+        i += 1
+        if K != L and plane.pair_count[K, L] != 1 and (K, L) not in out:
+            out.append((K, L))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+def test_sampled_pairs_read_the_stream_in_order(seed):
+    for q, count in ((3, 243), (3, 10), (5, 25), (9, 20)):
+        P = miquelian_plane(q)
+        assert sample_nontangent_pairs(P, count, seed) == scalar_nontangent_pairs(P, count, seed)
 
 
 def test_sample_nontangent_pairs_refuses_impossible_counts():

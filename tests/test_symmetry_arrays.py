@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from laguerre_lab import checks, cli, symmetry
-from laguerre_lab.errors import NoAdmissibleAuxiliary, NotUnique, WellDefinednessFailure
+from laguerre_lab.errors import NotUnique, WellDefinednessFailure
 from laguerre_lab.models import miquelian_plane
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
 from laguerre_lab.symmetry import (
@@ -113,8 +113,7 @@ def loop_build_dts(plane, K, L) -> np.ndarray:
             target_gen = int(gen[hK[xK]])
             cands = [int(t) for t in plane.gen_members[target_gen]
                      if not plane.mem[K, t] and not plane.mem[L, t]]
-            if len(cands) != 1:
-                raise NoAdmissibleAuxiliary(x)
+            assert len(cands) == 1
             img = cands[0]
         image[x] = img
     return image
@@ -803,24 +802,23 @@ def test_moebius_blocks_match_the_loop_reference(q):
 
 
 def test_find_fixed_point_free_pair_builds_up_to_the_pair_it_returns(monkeypatch):
-    # every symmetry built for circle 0 is replaced by the identity, which
-    # fixes every point: the scan must go through circle 0's disjoint
-    # partners, in order, then stop at circle 1's first disjoint partner,
-    # whose symmetry moves every point
-    P = miquelian_plane(5)
+    # the first disjoint pair in canonical order is circle 0's first
+    # disjoint partner, and its symmetry, the one built, moves every point
     real = symmetry.build_dts
     calls = []
 
     def counted(plane, K, L):
         calls.append((K, L))
-        return Automorphism.identity(plane) if K == 0 else real(plane, K, L)
+        return real(plane, K, L)
 
     monkeypatch.setattr(symmetry, "build_dts", counted)
-    K, L, phi = find_fixed_point_free_pair(P)
-    disjoint = [tuple(pair) for pair in np.argwhere(np.triu(P.pair_count == 0, k=1)).tolist()]
-    first_of_1 = next(i for i, pair in enumerate(disjoint) if pair[0] == 1)
-    assert calls == disjoint[:first_of_1 + 1]
-    assert (K, L) == calls[-1] and phi.equals(real(P, K, L))
+    for q in (3, 5, 7):
+        P = miquelian_plane(q)
+        calls.clear()
+        K, L, phi = find_fixed_point_free_pair(P)
+        first = np.argwhere(np.triu(P.pair_count == 0, k=1))[0].tolist()
+        assert calls == [tuple(first)] == [(K, L)] and K == 0
+        assert phi.equals(real(P, K, L)) and not phi.fixed_points()
 
 
 # ---------------------------------------------------------------------------
