@@ -67,11 +67,9 @@ from .symmetry import (
     import_automorphism,
     moebius_extract,
     sample_nontangent_pairs,
-    symmetry_uniqueness,
     tangency_map,
     tangent_to_second,
     verify_dts,
-    verify_pi_symmetry,
 )
 from .rng import splitmix64
 

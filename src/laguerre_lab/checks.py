@@ -840,7 +840,27 @@ def _eval_thm_2_3(plane, report, a, b, c, x, C1, p, qpt, Kp):
 
 def check_pi(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Artzy symmetry configuration: the circle through x tangent to
-    (a,b,c)° at a meets (p,q,x)° exactly in x."""
+    (a,b,c)° at a meets (p,q,x)° exactly in x.
+
+    At odd order this report is the paper's symmetry statement: the double
+    tangency symmetry φ of K = C1 and L = (x,p,q)° fixes K′, the circle of
+    K's pencil at a through x, and exchanges a and x.  On K, φ is the
+    tangency map K -> L, by the unique-tangent axiom, which holds at odd
+    order.  So φ(a) = x exactly where K′ touches L at x, which is Pi's
+    conclusion, p, q and x being mutually non-parallel.  There φ(x) = a,
+    φ being an involution, and φ(K′), through a and touching φ(K) = L at
+    x, is K′, the one such circle.
+
+    K and L are never tangent, so every row's pair has its symmetry.  At
+    odd order every plane the package builds is miquelian (an oval over
+    GF(q), q odd, is a conic by Segre's theorem), whose automorphisms are
+    transitive on points.  Put a at (inf, 0): the circles through a are
+    the lines v = βu + γ, and the maps (u, v) -> (su + d, rv + lu + w) fix
+    a and take any b, c, x with no two parallel and x off the line bc to
+    b = (0, 0), c = (1, 0), x = (t, 1), t ≠ 0, 1.  Then K is v = 0, p is
+    (1, 1/t), q is (0, 1/(1 − t)) and L is v = (u² − 2tu + t)/(t(1 − t)),
+    with (inf, 1/(t(1 − t))) off K; u² − 2tu + t has discriminant
+    4t(t − 1) ≠ 0, so L meets K in two points or none."""
     return _sweep(plane, mode, "Pi", _pi_blocks, _eval_pi, _PiFirsts)
 
 

@@ -277,7 +277,7 @@ def _violation_from_obj(obj) -> Violation:
 
 def _parse_report_line(where: str, line: str):
     """(object, q, violations, pair coefficients) of a line; the pair is
-    read from the symmetry lines that name one, else None."""
+    read from every symmetry line, else None."""
     try:
         obj = json.loads(line)
     except ValueError as e:
@@ -297,12 +297,13 @@ def _parse_report_line(where: str, line: str):
         raise UsageError(f"{where}: report line lacks 'violations'")
     if not isinstance(obj.get("violations", []), list):
         raise UsageError(f"{where}: violations must be a list, got {obj['violations']!r}")
+    if obj["check"] == "Moebius" and obj.get("found") is False:
+        raise UsageError(f"{where}: a Moebius line records no disjoint pair, "
+                         "but every plane has one")
     try:
         violations = [_violation_from_obj(v) for v in obj.get("violations", [])]
         pair = None
-        # a Moebius line names a pair unless it records that none was found
-        if obj["check"] in ("DtsVerify", "DtsClassify") or (
-                obj["check"] == "Moebius" and obj.get("found") is not False):
+        if obj["check"] in ("DtsVerify", "DtsClassify", "Moebius"):
             pair = (obj["pair"]["K"]["coef"], obj["pair"]["L"]["coef"])
         return obj, obj["q"], violations, pair
     except (KeyError, TypeError, ValueError, AttributeError) as e:
@@ -332,12 +333,10 @@ def _replay_symmetry_line(where: str, plane, obj: dict, violations, pair) -> boo
 
     Each is rebuilt from its pair by the code that wrote it: DtsVerify
     lines have their witnesses looked up in a fresh verification, the
-    others are compared whole, elapsed times aside.  A Moebius line
-    without a pair never holds: every plane has a disjoint pair.
+    others are compared whole, elapsed times aside.
     """
     try:
-        ids = None if pair is None else (plane.circle_from_coef(pair[0]).id,
-                                         plane.circle_from_coef(pair[1]).id)
+        ids = plane.circle_from_coef(pair[0]).id, plane.circle_from_coef(pair[1]).id
         if obj["check"] == "Moebius":
             return _same_object(_moebius_obj(plane, ids, False), obj)
         phi = _symmetry.build_dts(plane, *ids)

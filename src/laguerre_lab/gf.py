@@ -131,9 +131,6 @@ class FiniteField:
         for t in (self.add, self.mul, self.neg, self.inv):
             t.flags.writeable = False
 
-    def __repr__(self) -> str:
-        return f"FiniteField(p={self.p}, k={self.k})"
-
     def sub(self, a: int, b: int) -> int:
         return int(self.add[a, self.neg[b]])
 

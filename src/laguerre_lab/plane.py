@@ -107,9 +107,6 @@ class Circle:
     members: tuple[int, ...]
     coef: tuple[int, int, int] | None = None
 
-    def __contains__(self, point: int) -> bool:
-        return point in self.members
-
 
 @dataclass(frozen=True)
 class Tangency:
@@ -578,10 +575,6 @@ class LaguerrePlane(_Structure):
             {tuple(co): cid for cid, co in enumerate(self.coef.tolist())})
 
     # -- basic views ---------------------------------------------------
-
-    def __repr__(self) -> str:
-        return (f"LaguerrePlane(q={self.q}, points={self.n_points}, "
-                f"circles={self.n_circles}, model={self.label!r})")
 
     def circle(self, cid) -> Circle:
         cid = _cid(cid)

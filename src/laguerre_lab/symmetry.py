@@ -23,9 +23,6 @@ pass over the plane's own indexes:
   * `verify_dts`      one mask per property through `CheckReport.record`:
                       (3) one `vertex_pencils` row per moved pair, (4) all
                       moved circles and their member slots at once,
-  * uniqueness        secant pairs from one `vertex_pencils` gather on P x Q,
-  * PiSymmetry        one read of K′'s tangency to L per block, from
-                      `pair_count` and `pair_sum`, with no symmetry built,
   * Moebius blocks    type A from one fixed x moved tangency matrix, type
                       B from the `vertex_pencils` rows of the moved points,
   * Moebius axioms    one block x point incidence matrix: the trio
@@ -53,7 +50,6 @@ from .errors import (
     TangentPair,
     WellDefinednessFailure,
 )
-from .checks import _not_applicable, _pi_blocks, _PiFirsts, _sweep
 from .plane import Circle, LaguerrePlane, Pencil, _cid
 from .report import CheckMode, CheckReport, Violation
 from .rng import bounded, draw_block
@@ -68,8 +64,6 @@ __all__ = [
     "build_dts",
     "verify_dts",
     "classify_symmetry",
-    "symmetry_uniqueness",
-    "verify_pi_symmetry",
     "fixed_circles",
     "moebius_extract",
     "find_fixed_point_free_pair",
@@ -399,7 +393,7 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# classification and uniqueness
+# classification
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -448,89 +442,6 @@ def classify_symmetry(plane: LaguerrePlane, K, L,
         return SymmetryClassification("FixedPointFree", (K, L), fixed_point_count=0)
     return SymmetryClassification("Other", (K, L), fixed_point_count=len(fixed),
                                   details="disjoint pair with fixed points")
-
-
-def symmetry_uniqueness(plane: LaguerrePlane, P: int, Q: int, M) -> CheckReport:
-    """All double tangency symmetries fixing P, Q pointwise and M setwise
-    coincide as point maps.
-
-    A pair (K, L) can qualify only when K ∩ L consists of one point on P
-    and one on Q: the symmetry restricted to K is the tangency map, which
-    fixes exactly K ∩ L, so the points of K on P and Q must lie in K ∩ L.
-    The enumeration therefore runs over the secant pairs, in `combinations`
-    order, of the circles through such point pairs (one `vertex_pencils`
-    gather); everything else is rejected by that argument alone.
-    """
-    report = CheckReport(check_id="SymmetryUniqueness", mode=CheckMode.exhaustive())
-    t0 = time.perf_counter()
-    M = _cid(M)
-    if P == Q:
-        raise ValueError("generators must be distinct")
-    pq = plane.gen_members[[P, Q]]
-    pencils = plane.vertex_pencils[pq[0][:, None], pq[1]]
-    i, j = np.triu_indices(plane.q, k=1)
-    Ks, Ls = pencils[..., i], pencils[..., j]
-    secant = plane.pair_count[Ks, Ls] == 2
-    report.configurations += int(np.count_nonzero(secant))
-    qualifying: list[tuple[tuple[int, int], Automorphism]] = []
-    for K, L in zip(Ks[secant].tolist(), Ls[secant].tolist()):
-        phi = build_dts(plane, K, L)
-        if (phi.image[pq] == pq).all() and int(phi.circle_image()[M]) == M:
-            qualifying.append(((K, L), phi))
-    report.hypothesis_hits = len(qualifying)
-    if not qualifying:
-        report.verdict = "Inconclusive"
-        report.notes = ("NoneFound: no qualifying pair",)
-    else:
-        (base_pair, base), rest = qualifying[0], qualifying[1:]
-        report.record(np.array([not base.equals(phi) for _, phi in rest], dtype=bool),
-                      lambda r: Violation("symmetry-mismatch", circles=base_pair + rest[r][0]))
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report.finalize()
-
-
-def _eval_pi_symmetry(plane: LaguerrePlane, report: CheckReport,
-                      a, b, c, x, C1, p, qpt, Kp) -> None:
-    """PiSymmetry on one `_pi_blocks` block, with no symmetry built.
-
-    The symmetry φ of K = C1 and L = (x,p,q)° is on K the tangency map
-    K -> L, by the unique-tangent axiom, which holds at odd order, the only
-    order this runs at.  So φ(a) = x exactly where K′, the circle of K's
-    pencil at a through x, touches L at x.  There φ(x) = a, φ being an
-    involution, and φ(K′), through a and touching φ(K) = L at x, is K′,
-    the one such circle.
-
-    K and L are never tangent, so every row is a hit.  At odd order every
-    plane the package builds is miquelian (an oval over GF(q), q odd, is a
-    conic by Segre's theorem), whose automorphisms are transitive on
-    points.  Put a at (inf, 0): the circles through a are the lines
-    v = βu + γ, and the maps (u, v) -> (su + d, rv + lu + w) fix a and
-    take any b, c, x with no two parallel and x off the line bc to
-    b = (0, 0), c = (1, 0), x = (t, 1), t ≠ 0, 1.  Then K is v = 0, p is
-    (1, 1/t), q is (0, 1/(1 − t)) and L is v = (u² − 2tu + t)/(t(1 − t)),
-    with (inf, 1/(t(1 − t))) off K; u² − 2tu + t has discriminant
-    4t(t − 1) ≠ 0, so L meets K in two points or none."""
-    L = plane.triple_circle[x, p, qpt]
-    report.hypothesis_hits += len(a)
-    touches = (plane.pair_count[Kp, L] == 1) & (plane.pair_sum[Kp, L] == x)
-    report.record(~touches, lambda i: Violation(
-        "pi-symmetry", points=(int(a[i]), int(b[i]), int(c[i]), int(x[i])),
-        circles=(int(C1[i]), int(L[i]), int(Kp[i]))))
-
-
-def verify_pi_symmetry(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
-    """The symmetry of the (a,b,c,x) configuration is realized by the
-    double tangency symmetry of K = (a,b,c)° and L = (x,p,q)°.
-
-    For every configuration, the symmetry must fix the connecting tangent
-    circle K′ through a and x setwise and exchange its touch points a and
-    x; K and L are never tangent (`_eval_pi_symmetry`).  The
-    configurations, p, q and K′ are those of the Pi family's sweep.
-    """
-    if plane.q % 2 == 0:
-        return _not_applicable(
-            "PiSymmetry", mode, "even order: the symmetry construction needs the unique-tangent axiom")
-    return _sweep(plane, mode, "PiSymmetry", _pi_blocks, _eval_pi_symmetry, _PiFirsts)
 
 
 # ---------------------------------------------------------------------------

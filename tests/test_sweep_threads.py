@@ -14,7 +14,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,14 +23,12 @@ from laguerre_lab.checks import CHECK_IDS, CHECKERS, _gather, _sweep, exhaustive
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.report import CheckMode, CheckReport, Violation
 from laguerre_lab.rng import draw_block
-from laguerre_lab.symmetry import verify_pi_symmetry
 
 PLANES = {"miquelian-5": lambda: miquelian_plane(5),
           "x^4-gf8": functools.cache(lambda: oval_plane(8, oval_table_power(8, 4)))}
 PI_FAMILY = ("Pi", "PiPrime", "Thm23")
 EX = CheckMode.exhaustive()
 SPLIT = ("S", "Cor21", *PI_FAMILY)
-RUNS = {**{c: CHECKERS[c].run for c in CHECK_IDS}, "PiSymmetry": verify_pi_symmetry}
 
 
 def _facts(plane, report):
@@ -55,14 +52,13 @@ def test_reports_do_not_depend_on_the_thread_count(monkeypatch, name, count):
 @pytest.mark.parametrize("name", PLANES)
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, name):
     # 70,001 rows, a multiple of no chunk size and more than one 65,536-row
-    # chunk; 3,001 for the symmetry, which builds one per hit's circle pair
+    # chunk
     plane = PLANES[name]()
     mode = CheckMode.sample(70_001, 23)
     runs = {}
     for chunk in (64, 1000, 1 << 15, 1 << 16):
         monkeypatch.setattr(checks, "_SAMPLE_CHUNK", chunk)
         runs[chunk] = [_facts(plane, CHECKERS[c].run(plane, mode)) for c in CHECK_IDS]
-        runs[chunk].append(_facts(plane, verify_pi_symmetry(plane, replace(mode, count=3001))))
     assert all(run == runs[1 << 16] for run in runs.values())
 
 
@@ -98,17 +94,18 @@ def test_sampled_sweeps_draw_only_the_columns_their_rows_read(monkeypatch):
 
 
 def test_pi_symmetry_does_not_depend_on_the_thread_count(monkeypatch):
-    # many small chunks on more threads than cores, switching often
+    # Pi's report, the symmetry statement (`check_pi`), from many small
+    # chunks on more threads than cores, switching often
     plane = miquelian_plane(5)
     mode = CheckMode.sample(1500, 77)
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 64)
     monkeypatch.setattr(checks, "_THREADS", 1)
-    single = verify_pi_symmetry(plane, mode)
+    single = CHECKERS["Pi"].run(plane, mode)
     monkeypatch.setattr(checks, "_THREADS", 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = verify_pi_symmetry(plane, mode)
+        pooled = CHECKERS["Pi"].run(plane, mode)
     finally:
         sys.setswitchinterval(interval)
     assert (pooled.configurations, pooled.hypothesis_hits, pooled.skipped) == (1500, 321, 0)
@@ -355,8 +352,8 @@ def test_small_blocks_and_the_other_sweeps_run_as_one_part(monkeypatch):
         CHECKERS[check_id].run(plane, CheckMode.exhaustive())
     assert counts == [1] * len(SPLIT)
     # with one-row chunks every first choice of the chain and Pi families,
-    # Prop22 and PiSymmetry among them, is a part of its own: 27 circles and
-    # 12 points at q=3; the other checkers still sweep in one part
+    # Prop22 among them, is a part of its own: 27 circles and 12 points at
+    # q=3; the other checkers still sweep in one part
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 1)
     counts.clear()
     others = [c for c in CHECK_IDS if c not in (*SPLIT, "Prop22")]
@@ -364,7 +361,7 @@ def test_small_blocks_and_the_other_sweeps_run_as_one_part(monkeypatch):
         CHECKERS[check_id].run(miquelian_plane(4 if check_id == "Prop11" else 3),
                                CheckMode.exhaustive())
     CHECKERS["Prop22"].run(miquelian_plane(3), CheckMode.exhaustive())
-    verify_pi_symmetry(miquelian_plane(3), CheckMode.exhaustive())
+    CHECKERS["Pi"].run(miquelian_plane(3), CheckMode.exhaustive())
     assert counts == [1] * len(others) + [27, 12]
 
 
@@ -450,12 +447,12 @@ def test_row_buffers_hold_no_more_than_the_arrays_they_replace(monkeypatch):
 
 # -- one exhaustive path ----------------------------------------------------------
 
-@pytest.mark.parametrize("check_id", RUNS)
+@pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_exhaustive_sweeps_read_their_blocks_from_range_blocks_alone(monkeypatch, check_id):
     # every configuration, hit, skip and violation of an exhaustive run
     # comes from a block of `_range_blocks`; a sampled run reads none
     plane = miquelian_plane(4 if check_id == "Prop11" else 3)
-    whole = RUNS[check_id](plane, EX)
+    whole = CHECKERS[check_id].run(plane, EX)
     raw = []
     range_blocks = checks._range_blocks
 
@@ -465,13 +462,12 @@ def test_exhaustive_sweeps_read_their_blocks_from_range_blocks_alone(monkeypatch
             yield block
 
     monkeypatch.setattr(checks, "_range_blocks", recording)
-    assert _facts(plane, RUNS[check_id](plane, EX)) == _facts(plane, whole)
-    assert sum(raw) == whole.configurations == exhaustive_size(
-        plane, "Pi" if check_id == "PiSymmetry" else check_id) > 0
+    assert _facts(plane, CHECKERS[check_id].run(plane, EX)) == _facts(plane, whole)
+    assert sum(raw) == whole.configurations == exhaustive_size(plane, check_id) > 0
     raw.clear()
-    RUNS[check_id](plane, CheckMode.sample(500, 3))
+    CHECKERS[check_id].run(plane, CheckMode.sample(500, 3))
     assert raw == []
     monkeypatch.setattr(checks, "_range_blocks", lambda family, mode, rows: iter(()))
-    none = RUNS[check_id](plane, EX)
+    none = CHECKERS[check_id].run(plane, EX)
     assert (none.configurations, none.hypothesis_hits, none.skipped, none.violation_count) \
         == (0, 0, 0, 0)

@@ -1,6 +1,7 @@
 """Double tangency symmetry tests: frozen image values, the defining
-properties on full sweeps and samples, classification, uniqueness, and
-the inversive-plane extraction goldens."""
+properties on full sweeps and samples, classification, uniqueness
+through the test reference `symmetry_reference.loop_uniqueness`, and the
+inversive-plane extraction goldens."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from laguerre_lab.errors import (
     TangentPair,
 )
 from laguerre_lab.models import SUPPORTED_PLANE_ORDERS, miquelian_plane, oval_plane
-from laguerre_lab.report import CheckMode
 from laguerre_lab.rng import splitmix64
 from laguerre_lab.symmetry import (
     Automorphism,
@@ -30,12 +30,11 @@ from laguerre_lab.symmetry import (
     import_automorphism,
     moebius_extract,
     sample_nontangent_pairs,
-    symmetry_uniqueness,
     tangency_map,
     tangent_to_second,
     verify_dts,
-    verify_pi_symmetry,
 )
+from symmetry_reference import loop_uniqueness
 
 
 @pytest.fixture(scope="module")
@@ -294,10 +293,10 @@ def test_classify_all_secant_pairs_q3(q3_sweep):
 
 
 def test_symmetry_uniqueness_all_q3():
-    P3 = miquelian_plane(3)
+    P3, memo = miquelian_plane(3), {}
     for P, Q in itertools.combinations(range(P3.n_gens), 2):
         for M in range(P3.n_circles):
-            rep = symmetry_uniqueness(P3, P, Q, M)
+            rep = loop_uniqueness(P3, P, Q, M, memo)
             assert rep.verdict == "Holds", (P, Q, M)
             assert rep.hypothesis_hits > 0
 
@@ -307,20 +306,8 @@ def test_symmetry_uniqueness_self_consistency(p5, secant_pair):
     K, L = secant_pair
     cls = classify_symmetry(p5, K, L)
     P, Q = cls.fixed_generators
-    rep = symmetry_uniqueness(p5, P, Q, cls.witness_circle)
+    rep = loop_uniqueness(p5, P, Q, cls.witness_circle)
     assert rep.verdict == "Holds" and rep.hypothesis_hits >= 1
-
-
-def test_verify_pi_symmetry_exhaustive_q3():
-    rep = verify_pi_symmetry(miquelian_plane(3), CheckMode.exhaustive())
-    assert rep.verdict == "Holds"
-    assert (rep.configurations, rep.hypothesis_hits, rep.skipped) == (3888, 1296, 0)
-
-
-def test_verify_pi_symmetry_sampled_q5(p5):
-    rep = verify_pi_symmetry(p5, CheckMode.sample(1500, 77))
-    assert rep.verdict == "Holds(sampled)"
-    assert (rep.configurations, rep.hypothesis_hits, rep.skipped) == (1500, 321, 0)
 
 
 def test_fixed_circles_identity_and_census(p5, secant_pair):

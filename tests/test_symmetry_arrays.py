@@ -14,12 +14,12 @@ order.
 
 `loop_verify_dts` is the reference for every property of `verify_dts`:
 it builds one violation per `add_violation` call, where `verify_dts`
-records one mask per property through `CheckReport.record`.  `loop_uniqueness` scans the pencil of one point
-pair of P x Q at a time, `loop_moebius_blocks` collects the type A blocks
-one circle at a time and the type B blocks one point at a time, and
-`loop_census` counts block sizes into dicts.  `loop_eval_pi_symmetry`
-builds the symmetry of each row's pair (K, L) and asks it to fix K′ and
-exchange a and x, where `verify_pi_symmetry` reads K′'s tangency to L.
+records one mask per property through `CheckReport.record`.
+`loop_moebius_blocks` collects the type A blocks one circle at a time and
+the type B blocks one point at a time, and `loop_census` counts block
+sizes into dicts.  `loop_eval_pi_symmetry` builds the symmetry of each Pi
+row's pair (K, L) and asks it to fix K′ and exchange a and x: the
+paper's symmetry statement, which `check_pi` reads as K′'s tangency to L.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from laguerre_lab.symmetry import (
     tangent_to_second,
     verify_dts,
 )
+from symmetry_reference import memo_dts
 from test_relabelling import RELABELLED, conjugate, plane_for, relabelling
 
 
@@ -194,52 +195,10 @@ def loop_verify_dts(plane, phi, K, L) -> CheckReport:
     return report.finalize()
 
 
-def memo_dts(memo: dict, plane, K, L):
-    """`symmetry.build_dts` of (K, L), built once per memo."""
-    if (K, L) not in memo:
-        memo[K, L] = symmetry.build_dts(plane, K, L)
-    return memo[K, L]
-
-
-def loop_uniqueness(plane, P, Q, M, memo=None) -> CheckReport:
-    """`symmetry_uniqueness` with one pencil scan per point pair of P x Q;
-    the symmetries built go into `memo`, by pair."""
-    memo = {} if memo is None else memo
-    report = CheckReport(check_id="SymmetryUniqueness", mode=CheckMode.exhaustive())
-    qualifying = []
-    pq = plane.gen_members[[P, Q]]
-    for p in plane.gen_members[P]:
-        for qpt in plane.gen_members[Q]:
-            pencil = plane.vertex_pencils[p, qpt]
-            for i, j in itertools.combinations(range(plane.q), 2):
-                K, L = int(pencil[i]), int(pencil[j])
-                if plane.pair_count[K, L] != 2:
-                    continue
-                report.configurations += 1
-                phi = memo_dts(memo, plane, K, L)
-                if (phi.image[pq] != pq).any():
-                    continue
-                if int(phi.circle_image()[M]) != M:
-                    continue
-                qualifying.append(((K, L), phi))
-    report.hypothesis_hits = len(qualifying)
-    if not qualifying:
-        report.verdict = "Inconclusive"
-        report.notes = ("NoneFound: no qualifying pair",)
-    else:
-        base_pair, base = qualifying[0]
-        for pair, phi in qualifying[1:]:
-            if not base.equals(phi):
-                report.add_violation(Violation(
-                    "symmetry-mismatch",
-                    circles=(base_pair[0], base_pair[1], pair[0], pair[1])))
-    return report.finalize()
-
-
 def loop_eval_pi_symmetry(memo, plane, report, a, b, c, x, C1, p, qpt, Kp) -> None:
-    """`_eval_pi_symmetry` through the built symmetry of each row's pair,
-    kept in `memo`: K′ fixed, a and x exchanged, one `add_violation` call
-    per violation."""
+    """Pi's rows through the built symmetry of each row's pair (C1, L),
+    L = (x, p, q)°, kept in `memo`: K′ fixed, a and x exchanged, one
+    `add_violation` call per violation; tangent pairs are skipped."""
     L = plane.triple_circle[x, p, qpt]
     tangent = plane.pair_count[C1, L] == 1
     report.skipped += int(tangent.sum())
@@ -253,8 +212,8 @@ def loop_eval_pi_symmetry(memo, plane, report, a, b, c, x, C1, p, qpt, Kp) -> No
 
 
 def loop_pi_symmetry(plane, mode, evaluate=loop_eval_pi_symmetry) -> CheckReport:
-    """`verify_pi_symmetry`'s sweep through `evaluate(memo, ...)`, with one
-    memo of symmetries for the whole sweep."""
+    """`check_pi`'s sweep through `evaluate(memo, ...)`, with one memo of
+    symmetries for the whole sweep."""
     return checks._sweep(plane, mode, "PiSymmetry", checks._pi_blocks,
                          functools.partial(evaluate, {}), checks._PiFirsts)
 
@@ -529,64 +488,34 @@ def test_verify_dts_builds_only_the_violations_it_records(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# symmetry_uniqueness
+# Pi, the symmetry statement
 # ---------------------------------------------------------------------------
 
-def test_symmetry_uniqueness_matches_the_loop_reference_q3():
-    P = miquelian_plane(3)
-    memo = {}
-    for G, H in itertools.permutations(range(P.n_gens), 2):
-        for M in range(P.n_circles):
-            got = symmetry.symmetry_uniqueness(P, G, H, M)
-            want = loop_uniqueness(P, G, H, M, memo)
-            assert summary(got) + (got.notes,) == summary(want) + (want.notes,), (G, H, M)
+def pi_summary(rep: CheckReport) -> tuple:
+    """What `check_pi` and its symmetry reference share: the counts, and
+    the recorded witnesses' points (their kinds and circles differ)."""
+    return (rep.verdict, rep.configurations, rep.hypothesis_hits, rep.skipped,
+            rep.violation_count, [v.points for v in rep.violations])
 
-
-def test_symmetry_uniqueness_mismatches_keep_the_loop_order(monkeypatch):
-    # the classify example's (P, Q, M) at order 5, with `build_dts` giving
-    # the identity for every third secant pair: those pairs qualify and
-    # differ from the genuine symmetries, which gives more mismatches than
-    # are recorded; a map moving every point, given for all pairs, leaves
-    # none qualifying
-    P = miquelian_plane(5)
-    K, L = P.circle_from_coef((1, 0, 0)).id, P.circle_from_coef((4, 0, 2)).id
-    cls = symmetry.classify_symmetry(P, K, L)
-    args = (P, *cls.fixed_generators, cls.witness_circle)
-    genuine = {}
-    assert loop_uniqueness(*args, genuine).holds
-    pairs = list(genuine)           # the secant pairs, in enumeration order
-    planted = dict(genuine)
-    for pair in pairs[1::3]:
-        planted[pair] = Automorphism.identity(P)
-    shifted = Automorphism(P, np.roll(np.arange(P.n_points), 1))
-    for given, verdict in ((dict.fromkeys(pairs, shifted), "Inconclusive"), (planted, "Fails")):
-        monkeypatch.setattr(symmetry, "build_dts", lambda plane, K, L: given[K, L])
-        got = symmetry.symmetry_uniqueness(*args)
-        want = loop_uniqueness(*args)
-        assert summary(got) + (got.notes,) == summary(want) + (want.notes,)
-        assert (got.verdict, got.configurations) == (verdict, len(pairs))
-    assert got.violation_count > MAX_VIOLATIONS
-
-
-# ---------------------------------------------------------------------------
-# verify_pi_symmetry
-# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("q, mode", [
     (3, CheckMode.exhaustive()), (5, CheckMode.sample(1500, 77)), (5, CheckMode.exhaustive()),
     (7, CheckMode.sample(8000, 7)), (9, CheckMode.sample(8000, 9)),
     (11, CheckMode.sample(8000, 11))])
 def test_pi_symmetry_matches_the_loop_reference(q, mode):
-    # K′'s tangency to L against the symmetries built for every row's pair;
-    # the sampled modes at q >= 7 hold a few thousand rows each
+    # Pi's reading, K′'s tangency to (x, p, q)°, against the symmetries
+    # built for every row's pair; the sampled modes at q >= 7 hold a few
+    # thousand rows each
     P = miquelian_plane(q)
-    got = symmetry.verify_pi_symmetry(P, mode)
-    assert summary(got) == summary(loop_pi_symmetry(P, mode))
+    got = checks.check_pi(P, mode)
+    assert pi_summary(got) == pi_summary(loop_pi_symmetry(P, mode))
     assert got.hypothesis_hits > 0
+    if not mode.is_sample:
+        assert (got.hypothesis_hits, got.violation_count) == ({3: 1296, 5: 180_000}[q], 0)
 
 
 def replacing_kp(evaluate, pick):
-    """A PiSymmetry evaluator that passes `evaluate` the circle
+    """A Pi-family evaluator that passes `evaluate` the circle
     `pick(plane, a, p, C1, L, K′)` in place of K′, with L = (x, p, q)°."""
     def wrapped(*args):
         *head, x, C1, p, qpt, Kp = args
@@ -614,14 +543,13 @@ def touching_l_at_p(plane, a, p, C1, L, Kp):
 def test_pi_symmetry_fails_every_row_whose_kprime_is_moved(monkeypatch, q, pick):
     # φ, the symmetry of (C1, L), exchanges C1 and L, and sends a circle
     # through a that touches C1 at a, or L at p, to one through x that
-    # touches L at x, or C1: none is fixed, so every non-tangent row
-    # fails, on both routes, with the same witnesses
+    # touches L at x, or C1: none is fixed, and none touches L at x, so
+    # every row fails, on both routes, with the same witnesses
     P = miquelian_plane(q)
     want = loop_pi_symmetry(P, CheckMode.exhaustive(), replacing_kp(loop_eval_pi_symmetry, pick))
-    monkeypatch.setattr(symmetry, "_eval_pi_symmetry",
-                        replacing_kp(symmetry._eval_pi_symmetry, pick))
-    got = symmetry.verify_pi_symmetry(P, CheckMode.exhaustive())
-    assert summary(got) == summary(want)
+    monkeypatch.setattr(checks, "_eval_pi", replacing_kp(checks._eval_pi, pick))
+    got = checks.check_pi(P, CheckMode.exhaustive())
+    assert pi_summary(got) == pi_summary(want)
     assert got.violation_count == got.hypothesis_hits > 0
     assert len(got.violations) == MAX_VIOLATIONS
 
