@@ -91,7 +91,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import LaguerreError
-from .plane import LaguerrePlane, validate_laguerre_axioms
+from .plane import LaguerrePlane, meet_count, meet_sum, touch_code, validate_laguerre_axioms
 from .report import CheckMode, CheckReport, Violation
 from .rng import bounded, draw_block
 
@@ -379,8 +379,7 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = Fa
     of the rows at q=13.  Sampled only: the exhaustive rows are
     `_ChainFirsts`'.
     """
-    po, members = plane.pencil_others, plane.members
-    T, W = plane.pair_count, plane.pair_sum
+    po, members, pc = plane.pencil_others, plane.members, plane.pair_code
     q, m = plane.q, plane.q - 1
     for raw in _sample_batches(mode, _CHAIN_DRAWS):
         n_raw = raw.shape[1]
@@ -393,10 +392,11 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = Fa
         sb = bounded(raw[3], q + 1)
         M = _gather(po, L, sb, bounded(raw[4], m))
         N = _gather(po, M, sc, bounded(raw[6], m))
-        idx = np.flatnonzero(_gather(T, N, K) == 1)
-        K, L, M, N, sa, sb, sc = (v.take(idx) for v in (K, L, M, N, sa, sb, sc))
+        code = _gather(pc, N, K)
+        idx = np.flatnonzero(meet_count(code) == 1)
+        K, L, M, N, sa, sb, sc, code = (v.take(idx) for v in (K, L, M, N, sa, sb, sc, code))
         yield (n_raw, K, _gather(members, K, sa), L, _gather(members, L, sb), M,
-               _gather(members, M, sc), N, _gather(W, N, K))
+               _gather(members, M, sc), N, meet_sum(code))
 
 
 class _ChainFirsts(_Family):
@@ -440,9 +440,9 @@ class _ChainFirsts(_Family):
         q, w = self.plane.q, self.w
         L0 = self.pos[K]
         M0 = self.pos[L0].reshape(-1)
-        # T is symmetric: K's closure table tk[M, (c, N)], read at the rows
-        # g (M0, or M0 and a's slot), is the closed mask in C order
-        tk = (self.plane.pair_count[K] == 1).take(self.pos_ids)
+        # pair codes are symmetric: K's closure table tk[M, (c, N)], read at
+        # the rows g (M0, or M0 and a's slot), is the closed mask in C order
+        tk = (meet_count(self.plane.pair_code[K]) == 1).take(self.pos_ids)
         g = M0.astype(np.intp)
         if self.parallel:                   # a's slot is the rows' leading axis
             g = (g.reshape(q + 1, -1) * (q + 1) + np.arange(q + 1)[:, None]).reshape(-1)
@@ -463,7 +463,7 @@ class _ChainFirsts(_Family):
         off += f
         N = self.pos.reshape(-1).take(off, out=out("N"), mode="wrap")
         self.cpos.take(off, out=out("C"), mode="wrap")
-        plane.pair_sum[K].take(N, out=out("D"), mode="wrap")
+        meet_sum(plane.pair_code[K]).take(N, out=out("D"), mode="wrap")
         M0.take(i, out=out("M"), mode="wrap")
         plane.members[L0].reshape(-1).take(self.at_b).take(i, out=out("B"), mode="wrap")
         L0.take(self.at_l).take(i, out=out("L"), mode="wrap")
@@ -571,14 +571,14 @@ def _one_tangent(counts):
 
 
 def _eval_c(plane, report, K, L, sp):
-    T = plane.pair_count
+    pc = plane.pair_code
     P = _gather(plane.members, K, sp)
     hyp = (K != L) & ~_gather(plane.mem, L, P)
     # the pencil of (p, K) counted one member at a time, K itself first: a
     # (rows, q-1) table of offsets held more than a chunk's draws
-    counts = (_gather(T, K, L) == 1).astype(np.uint8)
+    counts = (meet_count(_gather(pc, K, L)) == 1).astype(np.uint8)
     for others in np.ascontiguousarray(_gather(plane.pencil_others, K, sp).T):
-        counts += _gather(T, others, L) == 1
+        counts += meet_count(_gather(pc, others, L)) == 1
     report.hypothesis_hits += int(np.count_nonzero(hyp))
     report.record(hyp & ~_one_tangent(counts), lambda i: Violation(
         "tangent-count", points=(int(P[i]),),
@@ -592,8 +592,8 @@ def _eval_c_exhaustive(plane, report, circles):
     q, n_c, members = plane.q, plane.n_circles, plane.members
     for K in circles.tolist():
         pen = np.concatenate([plane.pencil_others[K], np.full((q + 1, 1), K)], axis=1)
-        counts = (plane.pair_count[pen] == 1).sum(axis=1)      # (q+1, n_c)
-        onL = plane.mem[:, members[K]].T                       # (q+1, n_c)
+        counts = (meet_count(plane.pair_code[pen]) == 1).sum(axis=1)     # (q+1, n_c)
+        onL = plane.mem[:, members[K]].T                                # (q+1, n_c)
         hyp = (~onL) & (np.arange(n_c) != K)[None, :]
         report.hypothesis_hits += int(np.count_nonzero(hyp))
         pts = members[K]
@@ -641,7 +641,7 @@ class _PairFirsts(_Family):
         self.iu, self.ju = np.triu_indices(t, k=1)
 
     def write(self, base: int, rows: _Rows, o: int) -> int:
-        part = np.flatnonzero(self.plane.pair_count[base] == 1)
+        part = np.flatnonzero(meet_count(self.plane.pair_code[base]) == 1)
         # the pairs above the base are a suffix: those whose first is above
         s = np.searchsorted(self.iu, np.searchsorted(part, base, "right")) if self.above else 0
         r = len(self.iu) - s
@@ -651,23 +651,26 @@ class _PairFirsts(_Family):
         return r
 
 
-def _one_touch_point(plane, K, L, M):
-    """Prop21's conclusion: K, L and M touch pairwise at one point."""
-    wkl = _gather(plane.pair_sum, K, L)
-    return (wkl == _gather(plane.pair_sum, K, M)) & (wkl == _gather(plane.pair_sum, L, M))
+def _one_touch_point(plane, K, L, M, lm):
+    """Prop21's conclusion: K, L and M touch pairwise at one point.  Every
+    pair touches, and `lm` is the pair code of L and M, so the pair codes
+    are equal where the touch points are."""
+    kl = _gather(plane.pair_code, K, L)
+    return (kl == _gather(plane.pair_code, K, M)) & (kl == lm)
 
 
 def _eval_prop_2_1(plane, report, K, L, M):
     """Prop21 on rows of a base K and two circles L, M tangent to it: the
     rows where L and M touch each other too are its hypothesis, and only
-    those read the touch points (`_one_touch_point`)."""
-    W = plane.pair_sum
-    idx = np.flatnonzero((_gather(plane.pair_count, L, M) == 1) & (L != M))
-    K, L, M = (v.take(idx) for v in (K, L, M))
+    those read the other pairs (`_one_touch_point`)."""
+    pc = plane.pair_code
+    lm = _gather(pc, L, M)
+    idx = np.flatnonzero((meet_count(lm) == 1) & (L != M))
+    K, L, M, lm = (v.take(idx) for v in (K, L, M, lm))
     report.hypothesis_hits += len(idx)
-    report.record(~_one_touch_point(plane, K, L, M), lambda i: Violation(
+    report.record(~_one_touch_point(plane, K, L, M, lm), lambda i: Violation(
         "tangent-trio",
-        points=(int(W[K[i], L[i]]), int(W[K[i], M[i]]), int(W[L[i], M[i]])),
+        points=tuple(int(meet_sum(pc[u[i], v[i]])) for u, v in ((K, L), (K, M), (L, M))),
         circles=(int(K[i]), int(L[i]), int(M[i]))))
 
 
@@ -688,7 +691,7 @@ def _meet_once(inter):
 
 
 def _eval_prop_1_1(plane, report, M, K, L):
-    inter = _gather(plane.pair_count, K, L)
+    inter = meet_count(_gather(plane.pair_code, K, L))
     hyp = (K != L) & (inter >= 1)
     report.hypothesis_hits += int(np.count_nonzero(hyp))
     report.record(hyp & ~_meet_once(inter), lambda i: Violation(
@@ -809,7 +812,7 @@ def _pi_tally(report, ok, kind, a, b, c, x, C1) -> None:
 
 def _touch_at(plane, N, C, x):
     """The conclusion of Pi and Thm23: N meets C exactly in the point x."""
-    return (_gather(plane.pair_count, N, C) == 1) & (_gather(plane.pair_sum, N, C) == x)
+    return _gather(plane.pair_code, N, C) == touch_code(x)
 
 
 def _eval_pi(plane, report, a, b, c, x, C1, p, qpt, Kp):
@@ -820,8 +823,9 @@ def _eval_pi(plane, report, a, b, c, x, C1, p, qpt, Kp):
 
 def _meets_at_parallel(plane, L, C, x, c):
     """PiPrime's conclusion: L meets C in x, on both, and a point ∥ c."""
-    two = _gather(plane.pair_count, L, C) == 2
-    other = np.where(two, _gather(plane.pair_sum, L, C) - x, 0)
+    code = _gather(plane.pair_code, L, C)
+    two = meet_count(code) == 2
+    other = np.where(two, meet_sum(code) - x, 0)
     return two & (plane.gen_of.take(other) == plane.gen_of.take(c))
 
 
@@ -1023,8 +1027,9 @@ def _completion(plane: LaguerrePlane, P, Q, X, target, known, slot):
     gen, members = plane.gen_of, plane.members
     gx, gp, gq = gen.take(X), gen.take(P), gen.take(Q)
     cx = _gather(plane.triple_circle, P, X, Q)       # -1 where X ∥ P or X ∥ Q
-    found = _gather(plane.pair_count, cx, target) == 2
-    Y = _gather(plane.pair_sum, cx, target) - known
+    code = _gather(plane.pair_code, cx, target)
+    found = meet_count(code) == 2
+    Y = meet_sum(code) - known
     par = np.flatnonzero((gx == gp) | (gx == gq))
     Y[par] = _gather(members, target[par], np.where(gx[par] == gp[par], gq[par], gp[par]))
     found[par] = True

@@ -14,9 +14,10 @@ numpy indexes, built with the plane (`members`, `mem`) or on first read:
                           of K on generator g at `members[K, g]`, so the
                           slot of a point on a circle is its generator id)
                           / dense booleans,
-  * `pair_count`          |K ∩ L| for every circle pair,
-  * `pair_sum`            the sum of the points of K ∩ L, so the touch
-                          point of K and L wherever `pair_count` is 1,
+  * `pair_code`           |K ∩ L| and the sum of its points for every
+                          circle pair in one code (`meet_count`,
+                          `meet_sum`), so the touch point of K and L
+                          where they touch (`touch_code`),
   * `triple_circle`       non-parallel point triple -> joining circle, so
                           also the one candidate circle for a member set
                           (the circle of its first three points),
@@ -33,13 +34,13 @@ Dense membership rows make intersection tests word-parallel scans, and the
 triple index is a direct array lookup; both choices trade memory for the
 inner-loop speed the exhaustive sweeps need.
 
-Every index that holds a point id, a circle id or the sum of two point ids
-is int16 (`pair_count` is uint8, `mem` bool).  Every plane of order up to
-31 fits, and a structure with more than 2^15 circles or 2^14 points (whose
-pair sums would not fit) raises ValueError instead of wrapping.  Arithmetic
-on ids widens first: `_gather` offsets are at least int32, the triple keys
-of axiom (1) and the offsets of the index fills int32 where n_p^3 fits,
-else int64.
+Every index that holds a point id, a circle id or a pair code is int16
+(`mem` is bool).  A pair code is below 8 n_p, so every plane of order up
+to 31 fits, and a structure with more than 2^15 circles or 2^12 points
+(whose pair codes would not fit) raises ValueError instead of wrapping.
+Arithmetic on ids widens first: `_gather` offsets are at least int32, the
+triple keys of axiom (1) and the offsets of the index fills int32 where
+n_p^3 fits, else int64.
 
 Every construction is validated first, by whole-array passes run in
 report order.  A candidate is refused at the first stage that fails:
@@ -58,11 +59,11 @@ stages are:
                non-parallel triple count fail,
   * axiom (2)  where axiom (1) holds, a count in the sizes of circles and
                generators (`_axiom2`); elsewhere, per block of circles, a
-               `bincount` of pencil sizes and a `pair_count` lookup per two
+               `bincount` of pencil sizes and a `pair_code` lookup per two
                circles of a right-sized pencil, which a witness recounts,
   * axiom (4)  the row lengths.
 
-Axioms (1) and (2) and the pair tables run in blocks of `_BLOCK` circles,
+Axioms (1) and (2) and the pair codes run in blocks of `_BLOCK` circles,
 so their temporaries stay small beside the indexes.  The point-by-point
 loop validator these passes replaced is kept in the tests as the
 reference they must match report for report.
@@ -133,6 +134,27 @@ def _cid(circle) -> int:
     return circle.id if isinstance(circle, Circle) else int(circle)
 
 
+# The pair code of circles K != L is 4 * (sum of K ∩ L) + |K ∩ L| where they
+# share at most two points, else MANY: so also at K = L, and on a refused
+# candidate's circles that share three or more.  Read it through these:
+MANY = 3
+
+
+def meet_count(code):
+    """|K ∩ L| of pair codes, MANY for three or more."""
+    return code & 3
+
+
+def meet_sum(code):
+    """The sum of K ∩ L of pair codes that share at most two points."""
+    return code >> 2
+
+
+def touch_code(x):
+    """The pair code of two circles that touch at the point x."""
+    return 4 * x + 1
+
+
 # Circles per block of the validator's array passes and of the index fills:
 # temporaries are freed block by block, so they stay small beside the
 # indexes (block sizes and peak RSS in CHANGES.md)
@@ -178,13 +200,9 @@ class _Structure:
         self.n_points = n_p = len(gen_flat)
         self.n_gens = len(gen_len)
         self.n_circles = n_c = len(self.circ_len)
-        if n_c > 2**15 or 2 * n_p > 2**15:
-            raise ValueError(f"ids are int16: at most 2**15 circles and 2**14 points, "
-                             f"not {n_c} circles and {n_p} points")
-        if self.n_gens > 255:
-            # a circle that meets every generator once has as many points,
-            # and `pair_count` holds that count in a uint8
-            raise ValueError(f"pair counts are uint8: at most 255 generators, not {self.n_gens}")
+        if n_c > 2**15 or n_p > 2**12:
+            raise ValueError(f"ids and pair codes are int16: at most 2**15 circles and "
+                             f"2**12 points, not {n_c} circles and {n_p} points")
 
         # the generators partition the points when every id is in range and
         # listed once; an id listed twice keeps its first generator
@@ -222,42 +240,40 @@ class _Structure:
                 self.members = rows
 
     @functools.cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """`pair_count` and `pair_sum`, read-only, from one product per block
-        with point weights 2^s + x, s the bit length of m * (n_p - 1): its
-        entries count * 2^s + sum are exact integers below (m + 1) * 2^s,
-        in float32 where that is at most 2^24.  Needs axiom (3)."""
+    def pair_code(self) -> np.ndarray:
+        """The pair code of every two circles, read-only, from one product
+        per block with point weights 2^s + 4x + 1, s the bit length of
+        m * (4 * n_p - 3): its entries count * 2^s + 4 * sum + count are
+        exact integers below (m + 1) * 2^s, in float32 where that is at
+        most 2^24.  Needs axiom (3)."""
         n_c, m = self.members.shape
         n_p = self.n_points
-        s = (m * (n_p - 1)).bit_length()
+        s = (m * (4 * n_p - 3)).bit_length()
         exact, code_t = (np.float32, np.int32) if (m + 1) << s <= 2**24 else (np.float64, np.int64)
         mem = self.mem.astype(exact)
-        weighted = mem * (2**s + np.arange(n_p, dtype=exact))
-        count = np.empty((n_c, n_c), dtype=np.uint8)
-        total = np.empty((n_c, n_c), dtype=np.int16)
+        weighted = mem * (2**s + 1 + 4 * np.arange(n_p, dtype=exact))
+        out = np.empty((n_c, n_c), dtype=np.int16)
         for b0 in range(0, n_c, _BLOCK):
             code = (mem[b0:b0 + _BLOCK] @ weighted.T).astype(code_t)
-            np.right_shift(code, s, out=count[b0:b0 + _BLOCK], casting="unsafe")
-            np.bitwise_and(code, 2**s - 1, out=total[b0:b0 + _BLOCK], casting="unsafe")
-        count.flags.writeable = total.flags.writeable = False
-        return count, total
-
-    pair_count = functools.cached_property(lambda self: self._pairs[0])
-    pair_sum = functools.cached_property(lambda self: self._pairs[1])
+            block = out[b0:b0 + _BLOCK]
+            np.bitwise_and(code, 2**s - 1, out=block, casting="unsafe")
+            block[code >= MANY << s] = MANY
+        out.flags.writeable = False
+        return out
 
     def _partners(self, b0: int) -> tuple[np.ndarray, np.ndarray]:
-        """The tangent partners L (`pair_count` 1) of the block of circles K
+        """The tangent partners L (`meet_count` 1) of the block of circles K
         from b0, in (K, L) order, and their rows (K - b0) * m + g, g the
         generator of the touch point: int16 where they fit, so that a
         stable sort of them is a radix sort."""
         n_c, m = self.members.shape
-        count, total = self._pairs
         b1 = min(b0 + _BLOCK, n_c)
         row_t = np.int16 if _BLOCK * m <= 2**15 else np.int32
-        one = count[b0:b1] == 1
+        code = self.pair_code[b0:b1]
+        one = meet_count(code) == 1
         pairs = np.flatnonzero(one)
         K = np.repeat(np.arange(b1 - b0, dtype=row_t), np.count_nonzero(one, axis=1))
-        row = K * m + self.gen_of.take(total[b0:b1].reshape(-1).take(pairs))
+        row = K * m + self.gen_of.take(meet_sum(code.reshape(-1).take(pairs)))
         return (pairs - np.multiply(K, n_c, dtype=np.intp)).astype(np.int16), row
 
 
@@ -341,8 +357,8 @@ def _first_repeat(keys: np.ndarray, sorted_keys: np.ndarray) -> int:
     keys and their sort, which has a repeat: the least position after an
     equal key in one sort of key * n + position (n keys), whose keys are
     `sorted_keys`.  Exact in int64 while (max key + 1) * n <= 2^63, so for
-    int32 keys below 2^32 positions and for int64 keys (n_p^3 < 2^42 under
-    the id limits) below 2^21; past that a stable argsort orders them."""
+    int32 keys below 2^32 positions and for int64 keys (n_p^3 <= 2^36 under
+    the id limits) below 2^27; past that a stable argsort orders them."""
     n, repeats = len(keys), sorted_keys[1:] == sorted_keys[:-1]
     if (int(sorted_keys[-1]) + 1) * n > 2**63:
         return int(np.argsort(keys, kind="stable")[1:][repeats].min())
@@ -442,7 +458,8 @@ def _axiom2(s: _Structure, report: CheckReport, axiom1: bool) -> bool:
             kept = np.flatnonzero((~failed).take(row))
             pencils = L.take(kept)[np.argsort(row.take(kept), kind="stable")]
             pencils = pencils.reshape(-1, size).astype(np.int32)
-            met = s.pair_count.reshape(-1)[pencils[:, first] * n_c + pencils[:, second]] != 1
+            met = s.pair_code.reshape(-1)[pencils[:, first] * n_c + pencils[:, second]]
+            met = meet_count(met) != 1
             failed[~failed] = met.any(axis=1)
         if not failed.any():
             continue
@@ -451,7 +468,7 @@ def _axiom2(s: _Structure, report: CheckReport, axiom1: bool) -> bool:
         def witness(i: int) -> Violation:
             k, slot = divmod(i, m)
             p = M[b0 + k, slot]
-            partners = np.flatnonzero((s.pair_count[b0 + k] == 1) & s.mem[:, p])
+            partners = np.flatnonzero((meet_count(s.pair_code[b0 + k]) == 1) & s.mem[:, p])
             count = np.bincount(M[partners].ravel(), minlength=n_p)
             bad = ~s.mem[b0 + k] & (s.gen_of != s.gen_of[p]) & (count != 1)
             x = int(bad.argmax())
@@ -466,8 +483,8 @@ def validate_laguerre_axioms(generators, circles) -> CheckReport:
 
     `generators` and `circles` are iterables of point-id iterables, or
     integer matrices with one row each.  Failures are report content (with
-    witnesses), never exceptions; a structure whose ids do not fit int16
-    raises ValueError.
+    witnesses), never exceptions; a structure whose ids or pair codes do
+    not fit int16 raises ValueError.
     """
     return _validate(_Structure(generators, circles))
 
@@ -636,13 +653,13 @@ class LaguerrePlane(_Structure):
     def tangency(self, K, L) -> Tangency:
         """Set-theoretic classification of a circle pair."""
         K, L = _cid(K), _cid(L)
-        n = int(self.pair_count[K, L])
+        code = int(self.pair_code[K, L])
         if K == L:
             return Tangency("equal", tuple(int(p) for p in self.members[K]))
-        if n == 0:
+        if meet_count(code) == 0:
             return Tangency("disjoint")
-        if n == 1:
-            return Tangency("tangent", (int(self.pair_sum[K, L]),))
+        if meet_count(code) == 1:
+            return Tangency("tangent", (meet_sum(code),))
         pts = np.intersect1d(self.members[K], self.members[L])
         return Tangency("secant", tuple(int(p) for p in pts))
 

@@ -13,7 +13,7 @@ pass over the plane's own indexes:
 
   * `_pencil_touch`   the tangent pencils of every member of many circles,
                       K and the `pencil_others` columns, in one flat read
-                      of `pair_count`: `build_dts` reads both tangency maps
+                      of `pair_code`: `build_dts` reads both tangency maps
                       from one call, `verify_dts` property (4) from one,
   * `build_dts`       two flat takes, `triple_circle` then `members`, over
                       the points off K and L by the auxiliaries on K; a
@@ -50,7 +50,7 @@ from .errors import (
     TangentPair,
     WellDefinednessFailure,
 )
-from .plane import Circle, LaguerrePlane, Pencil, _cid
+from .plane import Circle, LaguerrePlane, Pencil, _cid, meet_count, meet_sum, touch_code
 from .report import CheckMode, CheckReport, Violation
 from .rng import bounded, draw_block
 
@@ -93,15 +93,15 @@ def tangent_to_second(plane: LaguerrePlane, p: int, K, L) -> tuple[Circle | None
         raise PointNotOnCircle(f"point {p} not on circle {K}")
     if K == L:
         raise ValueError("circles must be distinct")
-    T = plane.pair_count
+    pc = plane.pair_code
     pencil = [K] + plane.pencil_others[K, plane.gen_of[p]].tolist()
     if plane.mem[L, p]:
-        hits = [m for m in pencil if T[m, L] == 1 and plane.pair_sum[m, L] == p]
+        hits = [m for m in pencil if pc[m, L] == touch_code(p)]
         return (plane.circle(hits[0]) if len(hits) == 1 else None), p
-    hits = [m for m in pencil if T[m, L] == 1]
+    hits = [m for m in pencil if meet_count(pc[m, L]) == 1]
     if len(hits) != 1:
         raise NotUnique(len(hits))
-    return plane.circle(hits[0]), int(plane.pair_sum[hits[0], L])
+    return plane.circle(hits[0]), int(meet_sum(pc[hits[0], L]))
 
 
 def _pencil_touch(plane: LaguerrePlane, K, L) -> tuple[np.ndarray, np.ndarray]:
@@ -109,24 +109,23 @@ def _pencil_touch(plane: LaguerrePlane, K, L) -> tuple[np.ndarray, np.ndarray]:
 
     The pencil of pair i at member slot j is K[i] and the q-1 circles of
     `pencil_others[K[i], j]`.  Member c of every (pair, slot) pencil gives
-    one (m, q+1) column of offsets into `pair_count`, int32 where a sum of
-    q of them fits, and all q columns are read in one flat `take`.  Returns
-    the uint8 count of members tangent to L[i] and, where it is 1, the
-    touch point on L[i] of that member, read from `pair_sum` at the sum of
-    the tangent members' offsets; both are (m, q+1), elsewhere the touch
-    point means nothing.
+    one (m, q+1) column of offsets into `pair_code`, int32 where they fit,
+    and all q columns are read in one flat `take`.  Returns the uint8 count
+    of members tangent to L[i] and, where it is 1, the touch point on L[i]
+    of that member, decoded from the sum of the tangent members' pair codes,
+    which is its code; both are (m, q+1), elsewhere the touch point means
+    nothing.
     """
     q, n_c, K = plane.q, plane.n_circles, np.asarray(K, dtype=np.intp)
-    off = np.empty((q, len(K), q + 1), dtype=np.int32 if n_c * n_c * q < 2 ** 31 else np.intp)
+    off = np.empty((q, len(K), q + 1), dtype=np.int32 if n_c * n_c < 2 ** 31 else np.intp)
     off[0] = K[:, None]
     off[1:] = plane.pencil_others.take(K, axis=0).transpose(2, 0, 1)
     off *= n_c
     off += np.asarray(L)[:, None]
-    hits = plane.pair_count.reshape(-1).take(off) == 1
-    off *= hits
-    # a sum of two or more offsets may fall off the table: clipped, never read
-    touch = plane.pair_sum.reshape(-1).take(off.sum(axis=0, dtype=off.dtype), mode="clip")
-    return hits.sum(axis=0, dtype=np.uint8), touch
+    code = plane.pair_code.reshape(-1).take(off)
+    hits = meet_count(code) == 1
+    code *= hits
+    return hits.sum(axis=0, dtype=np.uint8), meet_sum(code.sum(axis=0, dtype=code.dtype))
 
 
 def _tangency_maps(plane: LaguerrePlane, K: int, L: int, both: bool) -> np.ndarray:
@@ -134,7 +133,7 @@ def _tangency_maps(plane: LaguerrePlane, K: int, L: int, both: bool) -> np.ndarr
     from one `_pencil_touch` call; x on K lies on L where L's point on x's
     generator is x.  The first point, in row then member order, without
     exactly one pencil member tangent to L raises NotUnique with that count."""
-    if K == L or plane.pair_count[K, L] == 1:
+    if K == L or meet_count(plane.pair_code[K, L]) == 1:
         raise TangentPair(f"circles {K},{L} are {plane.tangency(K, L).kind}")
     Ks, Ls = ([K, L], [L, K]) if both else ([K], [L])
     xs = plane.members[Ks]
@@ -160,7 +159,7 @@ def double_tangency_pencil(plane: LaguerrePlane, K, L) -> Pencil:
     K, L = _cid(K), _cid(L)
     if K == L:
         raise ValueError("circles must be distinct")
-    ok = plane.pair_count[[K, L]] == 1
+    ok = meet_count(plane.pair_code[[K, L]]) == 1
     ok[0, K] = ok[1, L] = True
     return Pencil("double-tangency", (K, L), tuple(np.flatnonzero(ok.all(axis=0)).tolist()))
 
@@ -312,7 +311,7 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
 
     Each property is one mask through `CheckReport.record`, which builds
     the first `MAX_VIOLATIONS` violations and counts the rest.  (4) reads
-    tangent pairs (M, phi(M)) from `pair_count`, and for the others each
+    tangent pairs (M, phi(M)) from `pair_code`, and for the others each
     member slot's pencil count and touch point from one `_pencil_touch`
     call over all moved circles, in the order of a scan by M, then slot;
     x lies on phi(M) where phi(M)'s point on x's generator is x.
@@ -357,7 +356,7 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     # their member slots; a tangent (M, phi(M)) is one violation in slot 0
     M = np.nonzero((ci != np.arange(n_c)) & (ci >= 0))[0]
     Mi = ci[M]
-    tangent = plane.pair_count.take(M * n_c + Mi) == 1
+    tangent = meet_count(plane.pair_code.take(M * n_c + Mi)) == 1
     X = plane.members.take(M, axis=0)
     on = plane.members.take(Mi, axis=0) == X
     count, touch = _pencil_touch(plane, M, Mi)
@@ -490,7 +489,7 @@ def moebius_extract(plane: LaguerrePlane, phi: Automorphism) -> MoebiusCandidate
         raise NotFixedPointFree("the symmetry fixes a point")
     if phi.provenance[0] != "dts":
         raise ValueError("candidate extraction needs a double tangency symmetry")
-    ci, T, n_c = phi.circle_image(), plane.pair_count, plane.n_circles
+    ci, pc, n_c = phi.circle_image(), plane.pair_code, plane.n_circles
     if (ci < 0).any():
         raise ValueError(f"the symmetry maps circle {(ci < 0).argmax()} onto no circle")
     _, K, L = phi.provenance
@@ -499,8 +498,8 @@ def moebius_extract(plane: LaguerrePlane, phi: Automorphism) -> MoebiusCandidate
 
     # type A: one column of fixed circles per moved circle M not tangent to
     # its image, those tangent to both; distinct columns become blocks
-    M = np.flatnonzero((ci != np.arange(n_c)) & (T[np.arange(n_c), ci] != 1))
-    touch = (T[F[:, None], M] == 1) & (T[F[:, None], ci[M]] == 1)
+    M = np.flatnonzero((ci != np.arange(n_c)) & (meet_count(pc[np.arange(n_c), ci]) != 1))
+    touch = (meet_count(pc[F[:, None], M]) == 1) & (meet_count(pc[F[:, None], ci[M]]) == 1)
     blocks_a = {tuple(F[col].tolist()) for col in np.unique(touch.T, axis=0) if col.any()}
     # type B: the fixed circles of the pencil of each moved point x and its
     # non-parallel image, sorted with n_c in place of the others
@@ -587,7 +586,7 @@ def find_fixed_point_free_pair(plane: LaguerrePlane) -> tuple[int, int, Automorp
     parallel to u, which lies with xK on the circle (xK, K, L)°, and
     φ(x) = x would put two parallel points xK ≠ u on one circle.  On even orders `build_dts` raises NotUnique.
     """
-    L = int((plane.pair_count[0] == 0).argmax())
+    L = int((meet_count(plane.pair_code[0]) == 0).argmax())
     return 0, L, build_dts(plane, 0, L)
 
 
@@ -600,8 +599,8 @@ def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int) -> list
     from the next unread index.  Raises ValueError for a negative count or
     one above the number of such pairs the plane has.
     """
-    T = plane.pair_count
-    available = int(np.count_nonzero(np.triu(T != 1, k=1)))
+    pc = plane.pair_code
+    available = int(np.count_nonzero(np.triu(meet_count(pc) != 1, k=1)))
     if not 0 <= count <= available:
         raise ValueError(f"cannot sample {count} pairs: "
                          f"the plane has {available} non-tangent pairs")
@@ -611,7 +610,7 @@ def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int) -> list
         K, L = bounded(draw_block(seed, start, 2 * count), plane.n_circles).reshape(-1, 2).T
         start += 2 * count
         lo, hi = np.minimum(K, L), np.maximum(K, L)
-        keep = (lo != hi) & (T[lo, hi] != 1)
+        keep = (lo != hi) & (meet_count(pc[lo, hi]) != 1)
         pairs.update(dict.fromkeys(zip(lo[keep].tolist(), hi[keep].tolist())))
     return list(pairs)[:count]
 

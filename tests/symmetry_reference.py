@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from laguerre_lab import symmetry
+from laguerre_lab.plane import meet_count
 from laguerre_lab.report import CheckMode, CheckReport, Violation
 
 
@@ -41,7 +42,7 @@ def loop_uniqueness(plane, P, Q, M, memo=None) -> CheckReport:
             pencil = plane.vertex_pencils[p, qpt]
             for i, j in itertools.combinations(range(plane.q), 2):
                 K, L = int(pencil[i]), int(pencil[j])
-                if plane.pair_count[K, L] != 2:
+                if meet_count(plane.pair_code[K, L]) != 2:
                     continue
                 report.configurations += 1
                 phi = memo_dts(memo, plane, K, L)

@@ -23,6 +23,7 @@ from laguerre_lab.checks import (
 )
 from laguerre_lab.cli import main as cli_main
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
+from laguerre_lab.plane import meet_count
 from laguerre_lab.report import CheckMode
 from laguerre_lab.symmetry import (
     build_dts,
@@ -136,7 +137,7 @@ def test_criterion_07_double_tangency_symmetry_properties():
     swept = 0
     for K in range(P3.n_circles):
         for L in range(K + 1, P3.n_circles):
-            if int(P3.pair_count[K, L]) == 1:
+            if meet_count(P3.pair_code[K, L]) == 1:
                 continue
             phi = build_dts(P3, K, L)  # auxiliary independence verified inside
             rep = verify_dts(P3, phi, K, L)
@@ -167,7 +168,7 @@ def test_criterion_08_laguerre_symmetry_classification_and_uniqueness():
     secant = 0
     for K in range(P3.n_circles):
         for L in range(K + 1, P3.n_circles):
-            if int(P3.pair_count[K, L]) != 2:
+            if meet_count(P3.pair_code[K, L]) != 2:
                 continue
             cls = classify_symmetry(P3, K, L)
             assert cls.kind == "LaguerreSymmetry", (K, L)
@@ -178,7 +179,7 @@ def test_criterion_08_laguerre_symmetry_classification_and_uniqueness():
 
     P5 = miquelian_plane(5)
     secant = [(K, L) for K, L in sample_nontangent_pairs(P5, 80, seed=8)
-              if int(P5.pair_count[K, L]) == 2]
+              if meet_count(P5.pair_code[K, L]) == 2]
     assert len(secant) >= 40
     for K, L in secant[:40]:
         cls = classify_symmetry(P5, K, L)
@@ -200,7 +201,7 @@ def test_criterion_09_inversive_candidate_extraction():
     t0 = time.perf_counter()
     P5 = miquelian_plane(5)
     K, L, phi = find_fixed_point_free_pair(P5)
-    assert int(P5.pair_count[K, L]) == 0
+    assert meet_count(P5.pair_code[K, L]) == 0
     assert not phi.fixed_points()
     cand = moebius_extract(P5, phi)
     assert len(cand.points) == 26

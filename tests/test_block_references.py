@@ -30,6 +30,7 @@ from laguerre_lab import checks
 from laguerre_lab.checks import (CHECKERS, _chain_blocks, _ChainFirsts, _firsts, _gather,
                                  _PiFirsts, _range_blocks, _Rows)
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
+from laguerre_lab.plane import meet_count, meet_sum
 from laguerre_lab.report import CheckMode
 from test_relabelling import RELABELLED, plane_for
 
@@ -47,20 +48,20 @@ def exhaustive_blocks(family, mode):
 def reference_chain_blocks(plane, mode):
     """Per circle K: the closed rows of the (a, L, b, M, c, N) space."""
     po, members = plane.pencil_others, plane.members
-    T, W = plane.pair_count, plane.pair_sum
+    pc = plane.pair_code
     q, m = plane.q, plane.q - 1
     sm = (q + 1) * m
     for K in _firsts(mode, plane.n_circles):
         L0 = po[K]
         M0 = po[L0]
         N0 = po[M0]
-        f = np.flatnonzero((T[K] == 1)[N0])
+        f = np.flatnonzero((meet_count(pc[K]) == 1)[N0])
         L = L0.reshape(-1).take(f // (sm * sm))
         M = M0.reshape(-1).take(f // sm)
         N = N0.reshape(-1).take(f)
         yield (N0.size, np.full(len(N), K, dtype=np.int16), members[K].take(f // (m * sm * sm)),
                L, _gather(members, L, f // (m * sm) % (q + 1)),
-               M, _gather(members, M, f // m % (q + 1)), N, _gather(W, N, K))
+               M, _gather(members, M, f // m % (q + 1)), N, meet_sum(_gather(pc, N, K)))
 
 
 def reference_pi_blocks(plane, mode):

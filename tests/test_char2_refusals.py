@@ -12,6 +12,7 @@ from laguerre_lab import cli
 from laguerre_lab.checks import check_S, replay_violation
 from laguerre_lab.errors import NotUnique, WellDefinednessFailure
 from laguerre_lab.models import miquelian_plane
+from laguerre_lab.plane import meet_count
 from laguerre_lab.report import CheckMode
 from laguerre_lab.symmetry import build_dts
 
@@ -29,7 +30,7 @@ def test_build_dts_refuses_char2():
 def test_order_two_has_disjoint_pairs_but_no_symmetry():
     # recorded: four disjoint pairs exist, none admits the construction
     P = miquelian_plane(2)
-    T = P.pair_count
+    T = meet_count(P.pair_code)
     disjoint = [(K, int(L)) for K in range(P.n_circles)
                 for L in np.nonzero(T[K] == 0)[0] if L > K]
     assert len(disjoint) == 4

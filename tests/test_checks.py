@@ -42,6 +42,7 @@ from laguerre_lab.checks import (
     exhaustive_size,
     replay_violation,
 )
+from laguerre_lab.plane import touch_code
 from laguerre_lab.models import (SUPPORTED_PLANE_ORDERS, miquelian_plane, oval_plane,
                                  oval_table_power)
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
@@ -530,7 +531,8 @@ def test_blocks_hold_only_rows_that_can_meet_the_hypothesis(q, mode):
     for n_raw, K, A, L, B, M, C, N, D in blocks(_chain_blocks, _ChainFirsts):
         raw += n_raw
         # N is tangent to K at d: the chain closes
-        assert (P.pair_count[N, K] == 1).all() and P.mem[N, D].all() and P.mem[K, D].all()
+        assert (P.pair_code[N, K] == touch_code(D)).all()
+        assert P.mem[N, D].all() and P.mem[K, D].all()
     assert raw == check_S(P, mode).configurations
     # the closures' head rows: a, c, b, d distinct on one circle, C2
     # through a and b, and e (and h) on C2, distinct and off {a, b}; the
@@ -633,7 +635,7 @@ def test_every_checker_runs_sampled_everywhere():
 # ---------------------------------------------------------------------------
 
 # every table the sweeps read through `_gather`
-GATHERED = ("triple_circle", "tangent_through", "pair_count", "pair_sum", "mem", "members",
+GATHERED = ("triple_circle", "tangent_through", "pair_code", "mem", "members",
             "vertex_pencils", "pencil_others")
 
 
@@ -667,14 +669,14 @@ def test_gather_matches_fancy_indexing(data, name, dtype):
 
 
 def test_gather_broadcasts_pencil_rows_against_a_column():
-    # C's count: pair_count[pencil_others[K, sp, :], L[:, None]]
+    # C's count: pair_code[pencil_others[K, sp, :], L[:, None]]
     P = _plane7()
     K = np.array([0, 7, 342, 3], dtype=np.int64)
     sp = np.array([5, 0, 7, 2], dtype=np.int64)
     L = np.array([1, 7, 0, 341], dtype=np.int64)
     rows = _gather(P.pencil_others, K, sp)
-    assert np.array_equal(_gather(P.pair_count, rows, L[:, None]),
-                          P.pair_count[P.pencil_others[K, sp, :], L[:, None]])
+    assert np.array_equal(_gather(P.pair_code, rows, L[:, None]),
+                          P.pair_code[P.pencil_others[K, sp, :], L[:, None]])
 
 
 @pytest.mark.parametrize("blocks", [

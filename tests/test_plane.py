@@ -28,11 +28,15 @@ from laguerre_lab.models import (
     oval_table_power,
 )
 from laguerre_lab.plane import (
+    MANY,
     ON_CIRCLE,
     PARALLEL,
     LaguerrePlane,
     Tangency,
     _Structure,
+    meet_count,
+    meet_sum,
+    touch_code,
     validate_laguerre_axioms,
 )
 from laguerre_lab.report import CheckMode, Violation
@@ -176,8 +180,7 @@ def test_tangent_circle_pencil_search_oracle():
     p, x = pt(5, 0, 0), pt(5, 1, 2)
     brute = [cid for cid in range(P.n_circles)
              if P.mem[cid, x]
-             and int(P.pair_count[cid, K.id]) == 1
-             and int(P.pair_sum[cid, K.id]) == p]
+             and P.pair_code[cid, K.id] == touch_code(p)]
     assert len(brute) == 1
     M = P.tangent_circle(p, K, x)
     assert M.id == brute[0]
@@ -396,18 +399,18 @@ def test_a_plane_is_validated_once(monkeypatch):
 
 
 def test_an_unvalidated_build_fills_no_pair_table_until_read():
-    # no build fills the pair tables or the pencils, validated or not;
+    # no build fills the pair codes or the pencils, validated or not;
     # validating later reads a structure of its own and fills no index
     src = miquelian_plane(5)
     gens, circles = src.gen_members.tolist(), src.members.tolist()
     P = LaguerrePlane(gens, circles, validate=False)
-    assert not {"_pairs", "pencil_others"} & set(vars(P))
-    count, total = P.pair_count, P.pair_sum
+    assert not {"pair_code", "pencil_others"} & set(vars(P))
+    codes = P.pair_code
     want = LaguerrePlane(gens, circles).validate_axioms()
     held = set(vars(P))
     assert report_obj(P.validate_axioms()) == report_obj(want)
     assert set(vars(P)) == held and "pencil_others" not in held
-    assert P.pair_count is count and P.pair_sum is total
+    assert P.pair_code is codes
     # a circle that misses a generator has no row by generator, and the
     # unvalidated build refuses it in one line
     circles[0] = circles[0][:-1]
@@ -488,23 +491,40 @@ def eager_indexes(P):
     return triple, pencils
 
 
-def eager_pair_tables(P):
-    """`pair_count`, `pair_sum` and `pencil_others` as the build once held
-    them, eagerly, from set scans: the reference for the fills made on
-    first read."""
-    mem = P.mem.astype(np.int64)
-    count = (mem @ mem.T).astype(np.uint8)
-    total = (mem @ (mem * np.arange(P.n_points)).T).astype(np.int16)
+def eager_pair_tables(s):
+    """|K ∩ L| and the sum of its points for every circle pair of a
+    structure, as the build once held them, eagerly, from set scans: the
+    reference for the pair codes."""
+    mem = s.mem.astype(np.int64)
+    return mem @ mem.T, mem @ (mem * np.arange(s.n_points)).T
+
+
+def eager_pencils(P):
+    """`pencil_others` from the set-scan pair tables."""
+    count, total = eager_pair_tables(P)
     pencils = np.empty((P.n_circles, P.q + 1, P.q - 1), dtype=np.int16)
     for K in range(P.n_circles):
         partners = np.flatnonzero(count[K] == 1)
         touch = P.gen_of[total[K, partners]]
         for g in range(P.q + 1):
             pencils[K, g] = partners[touch == g]
-    return count, total, pencils
+    return pencils
 
 
-LAZY_INDEXES = {"triple_circle", "vertex_pencils", "_pairs", "pencil_others"}
+def assert_pair_codes_decode(code, s):
+    """`code`, the pair codes of structure `s`, decode to its set-scan
+    tables: the count of every pair (MANY for three or more common points),
+    the sum where they share at most two, and the touch code where one."""
+    count, total = eager_pair_tables(s)
+    few = count <= 2
+    assert code.dtype == np.int16
+    assert np.array_equal(meet_count(code), np.where(few, count, MANY))
+    assert np.array_equal(meet_sum(code)[few], total[few])
+    assert np.array_equal(code == touch_code(total), count == 1)
+    assert (code[~few] == MANY).all()
+
+
+LAZY_INDEXES = {"triple_circle", "vertex_pencils", "pair_code", "pencil_others"}
 
 
 def test_a_judged_plane_holds_no_lazy_index():
@@ -519,7 +539,7 @@ def test_a_judged_plane_holds_no_lazy_index():
         oval_plane(8, oval_table_power(8, 3))
     assert not LAZY_INDEXES & set(vars(refused.value._structure))
     assert refused.value.report.verdict == "Fails"
-    assert LAZY_INDEXES & set(vars(refused.value._structure)) == {"_pairs"}
+    assert LAZY_INDEXES & set(vars(refused.value._structure)) == {"pair_code"}
 
 
 @pytest.mark.parametrize("q,exponent", [(3, 2), (4, 2), (8, 2), (8, 4), (9, 2)])
@@ -536,15 +556,26 @@ def test_vertex_pencils_read_first_equal_the_eager_fill(q, exponent):
         assert getattr(P, name) is arr
 
 
-@pytest.mark.parametrize("q,exponent", [(3, 2), (4, 2), (8, 2), (8, 4), (9, 2)])
+@pytest.mark.parametrize("q,exponent", [(3, 2), (4, 2), (5, 2), (8, 2), (8, 4), (9, 2)])
 def test_pair_tables_read_first_equal_the_eager_fill(q, exponent):
     P = oval_plane(q, oval_table_power(q, exponent))
-    pencils = P.pencil_others               # fills the pair tables on its way
-    assert {"_pairs", "pencil_others"} <= set(vars(P))
-    for got, want in zip((P.pair_count, P.pair_sum, pencils), eager_pair_tables(P)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert not got.flags.writeable
-    assert P.pair_count is P._pairs[0] and P.pair_sum is P._pairs[1]
+    pencils = P.pencil_others               # fills the pair codes on its way
+    assert {"pair_code", "pencil_others"} <= set(vars(P))
+    assert_pair_codes_decode(P.pair_code, P)
+    want = eager_pencils(P)
+    assert pencils.dtype == want.dtype and np.array_equal(pencils, want)
+    assert not P.pair_code.flags.writeable and not pencils.flags.writeable
+
+
+def test_a_refused_candidate_reads_many_where_circles_share_three_points():
+    # x³ over GF(8) is no oval: two of its circles share three points or
+    # more, and their pair code says so without wrapping
+    with pytest.raises(NotALaguerrePlane) as refused:
+        oval_plane(8, oval_table_power(8, 3))
+    s = refused.value._structure
+    count, _ = eager_pair_tables(s)
+    assert (count[~np.eye(s.n_circles, dtype=bool)] >= 3).any()
+    assert_pair_codes_decode(s.pair_code, s)
 
 
 def _read_by_two_threads(P, name: str) -> list[np.ndarray]:
@@ -597,29 +628,27 @@ def test_two_threads_reading_a_fresh_triple_index_get_it_whole():
 
 
 def test_two_threads_reading_fresh_pair_counts_get_them_whole():
-    # the pair tables are filled in one local and returned whole, so
+    # the pair codes are filled in one local and returned whole, so
     # neither thread sees a block of them unfilled
     for _ in range(3):
         P = oval_plane(9, oval_table_power(9, 2))
-        want, _, _ = eager_pair_tables(P)
-        for arr in _read_by_two_threads(P, "pair_count"):
-            assert np.array_equal(arr, want)
+        for arr in _read_by_two_threads(P, "pair_code"):
+            assert_pair_codes_decode(arr, P)
 
 
 def test_index_arrays_immutable():
     P = miquelian_plane(3)
-    for arr in (P.members, P.mem, P.pair_count, P.triple_circle):
+    for arr in (P.members, P.mem, P.pair_code, P.triple_circle):
         with pytest.raises(ValueError):
             arr[0] = 0
 
 
 # the plane's index arrays: int16 wherever they hold a point id, a circle
-# id or the sum of two point ids
+# id or a pair code
 INDEX_DTYPES = {
     "gen_of": np.int16, "gen_members": np.int16, "members": np.int16,
     "triple_circle": np.int16, "pencil_others": np.int16, "tangent_through": np.int16,
-    "vertex_pencils": np.int16, "pair_sum": np.int16,
-    "pair_count": np.uint8, "mem": np.bool_,
+    "vertex_pencils": np.int16, "pair_code": np.int16, "mem": np.bool_,
 }
 
 
@@ -629,17 +658,20 @@ def test_index_arrays_store_ids_as_int16(q):
     assert {name: getattr(P, name).dtype for name in INDEX_DTYPES} == INDEX_DTYPES
     if q == 13:
         # every array the plane holds, as the benchmark's plane.index_mb counts them
-        assert sum(v.nbytes for v in vars(P).values() if isinstance(v, np.ndarray)) <= 41e6
+        assert sum(v.nbytes for v in vars(P).values() if isinstance(v, np.ndarray)) <= 35_245_002
 
 
 def test_a_structure_whose_ids_overflow_int16_is_refused():
     gens = [[0, 1], [2, 3], [4, 5]]
     _Structure(gens, [[0, 2, 4]] * 2**15)       # circle ids up to 2**15 - 1 fit
-    with pytest.raises(ValueError, match=r"2\*\*15 circles and 2\*\*14 points, "
-                                         r"not 32769 circles and 6 points"):
+    with pytest.raises(ValueError, match=r"^ids and pair codes are int16: at most 2\*\*15 "
+                                         r"circles and 2\*\*12 points, "
+                                         r"not 32769 circles and 6 points$"):
         LaguerrePlane(gens, [[0, 2, 4]] * (2**15 + 1))
-    n_p = 2**14 + 1                             # a sum of two point ids would not fit
-    with pytest.raises(ValueError, match="not 1 circles and 16385 points"):
+    n_p = 2**12 + 1                             # a pair code could pass 2**15 - 1
+    with pytest.raises(ValueError, match=r"^ids and pair codes are int16: at most 2\*\*15 "
+                                         r"circles and 2\*\*12 points, "
+                                         r"not 1 circles and 4097 points$"):
         validate_laguerre_axioms([list(range(n_p))], [[0]])
 
 
@@ -647,15 +679,16 @@ def _generators(n_gens: int, size: int) -> list[list[int]]:
     return [list(range(g * size, (g + 1) * size)) for g in range(n_gens)]
 
 
-def test_a_structure_whose_pair_counts_overflow_uint8_is_refused():
-    # 512 generators of 32 points: ids fit int16, but a circle meeting every
-    # generator once has 512 points, and pair_count[K, K] would read 0
-    gens = _generators(512, 32)
-    with pytest.raises(ValueError, match="at most 255 generators, not 512"):
-        _Structure(gens, [[g[0] for g in gens]])
-    gens = _generators(255, 32)
-    s = _Structure(gens, [[g[0] for g in gens], [g[1] for g in gens]])
-    assert s.n_gens == 255 and s.members.shape == (2, 255)
+def test_a_structure_of_512_generators_reads_many_for_a_circle_with_itself():
+    # 512 generators of 8 points, 2**12 in all: a circle meeting every
+    # generator once has 512 points, which the pair code caps at MANY, and
+    # two circles that share one point touch there
+    gens = _generators(512, 8)
+    s = _Structure(gens, [[g[0] for g in gens], [g[1] for g in gens[:-1]] + [gens[-1][0]]])
+    assert s.n_points == 2**12 and s.members.shape == (2, 512)
+    assert s.pair_code[0, 0] == s.pair_code[1, 1] == MANY
+    assert s.pair_code[0, 1] == s.pair_code[1, 0] == touch_code(gens[-1][0])
+    assert meet_count(s.pair_code[0, 1]) == 1 and meet_sum(s.pair_code[0, 1]) == 4088
 
 
 @settings(max_examples=50, deadline=None)

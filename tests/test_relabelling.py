@@ -19,6 +19,7 @@ import pytest
 
 from laguerre_lab.checks import CHECK_IDS, CHECKERS, replay_violation
 from laguerre_lab.models import export_plane, import_plane, miquelian_plane
+from laguerre_lab.plane import meet_count
 from laguerre_lab.report import CheckMode, Violation
 from laguerre_lab.symmetry import (
     build_dts,
@@ -139,7 +140,7 @@ def test_build_dts_is_equivariant_under_relabelling(q):
     R, _, points, circles = relabelling(q)
     if q == 3:
         pairs = [(K, L) for K in range(P.n_circles) for L in range(K + 1, P.n_circles)
-                 if P.pair_count[K, L] != 1]
+                 if meet_count(P.pair_code[K, L]) != 1]
     else:
         pairs = sample_nontangent_pairs(P, 20, seed=q)
     assert len(pairs) == (243 if q == 3 else 20)

@@ -18,7 +18,7 @@ import pytest
 from laguerre_lab import checks
 from laguerre_lab.checks import CHECKERS, SPECS, replay_violation
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
-from laguerre_lab.plane import validate_laguerre_axioms
+from laguerre_lab.plane import meet_count, validate_laguerre_axioms
 from laguerre_lab.report import CheckMode, Violation
 
 
@@ -71,13 +71,12 @@ def test_replay_refuses_eight_points_without_hypotheses(p5):
 
 def test_an_axioms_replay_leaves_the_plane_as_built():
     # the replay validates a structure of the plane's rows, not the plane:
-    # its tables stay the same read-only arrays and it fills no index
+    # its pair codes stay the same read-only array and it fills no index
     plane = miquelian_plane(3)
-    count, total = plane.pair_count, plane.pair_sum
+    codes = plane.pair_code
     held = set(vars(plane))
     assert not replay_violation(plane, "Axioms", Violation("axiom1"))
-    assert plane.pair_count is count and plane.pair_sum is total
-    assert not count.flags.writeable and not total.flags.writeable
+    assert plane.pair_code is codes and not codes.flags.writeable
     assert set(vars(plane)) == held
 
 
@@ -160,7 +159,8 @@ def _forged_prop11(planes, monkeypatch):
     P = planes["m4"]
     v = _hits(monkeypatch, P, "Prop11", "_meet_once")[0]
     M, K, L = v.circles
-    X = next(X for X in range(P.n_circles) if P.pair_count[K, X] == 2 and P.pair_count[M, X] != 1)
+    X = next(X for X in range(P.n_circles)
+             if meet_count(P.pair_code[K, X]) == 2 and meet_count(P.pair_code[M, X]) != 1)
     assert P.tangency(K, X).kind == "secant"
     return [(P, replace(v, circles=(M, K, X))), (P, replace(v, circles=(M, M, L)))]
 

@@ -21,6 +21,7 @@ import pytest
 from laguerre_lab import checks
 from laguerre_lab.checks import CHECK_IDS, CHECKERS, _gather, _sweep, exhaustive_size
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
+from laguerre_lab.plane import meet_count
 from laguerre_lab.report import CheckMode, CheckReport, Violation
 from laguerre_lab.rng import draw_block
 
@@ -208,11 +209,12 @@ def _eager_batches(mode, draws):
 def _eager_eval_c(plane, report, K, L, sp):
     # C's evaluator in the reference form: the pencil counted from one
     # (rows, q-1) table of offsets
-    T = plane.pair_count
+    T = plane.pair_code
     P = _gather(plane.members, K, sp)
     hyp = (K != L) & ~_gather(plane.mem, L, P)
-    counts = (_gather(T, _gather(plane.pencil_others, K, sp), L[:, None]) == 1).sum(axis=1)
-    counts += (_gather(T, K, L) == 1).astype(counts.dtype)
+    pencils = _gather(plane.pencil_others, K, sp)
+    counts = (meet_count(_gather(T, pencils, L[:, None])) == 1).sum(axis=1)
+    counts += (meet_count(_gather(T, K, L)) == 1).astype(counts.dtype)
     report.hypothesis_hits += int(hyp.sum())
     report.record(hyp & (counts != 1), lambda i: Violation(
         "tangent-count", points=(int(P[i]),),

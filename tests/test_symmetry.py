@@ -18,6 +18,7 @@ from laguerre_lab.errors import (
     TangentPair,
 )
 from laguerre_lab.models import SUPPORTED_PLANE_ORDERS, miquelian_plane, oval_plane
+from laguerre_lab.plane import meet_count
 from laguerre_lab.rng import splitmix64
 from laguerre_lab.symmetry import (
     Automorphism,
@@ -54,7 +55,7 @@ def q3_sweep():
     cache = {}
     for K in range(P.n_circles):
         for L in range(K + 1, P.n_circles):
-            if int(P.pair_count[K, L]) != 1:
+            if meet_count(P.pair_code[K, L]) != 1:
                 cache[(K, L)] = build_dts(P, K, L)
     return P, cache
 
@@ -85,6 +86,18 @@ def test_tangent_to_second_not_unique_on_char2():
                           P4.circle_from_coef((0, 0, 1)))
     with pytest.raises(PointNotOnCircle):
         tangent_to_second(miquelian_plane(5), 1, 25, 102)
+
+
+def test_a_circle_is_no_partner_of_itself(p5, secant_pair):
+    # every member of K's pencil at p touches K there, so K with itself
+    # has no one tangent circle and no tangency map (`double_tangency_pencil`
+    # refuses it in its golden test)
+    K, _ = secant_pair
+    p = int(p5.members[K, 0])
+    with pytest.raises(ValueError, match="^circles must be distinct$"):
+        tangent_to_second(p5, p, K, K)
+    with pytest.raises(TangentPair, match=f"^circles {K},{K} are equal$"):
+        tangency_map(p5, K, K)
 
 
 def test_tangency_map_examples_and_roundtrip(p5, secant_pair):
@@ -234,10 +247,10 @@ def test_every_circle_has_disjoint_partners_whose_symmetries_fix_no_point():
     # every point (all 81 pairs at q=3, circle 0's 40 at q=5)
     for q in SUPPORTED_PLANE_ORDERS:
         P = miquelian_plane(q)
-        assert ((P.pair_count == 0).sum(axis=1) == q * (q - 1) ** 2 // 2).all(), q
+        assert ((meet_count(P.pair_code) == 0).sum(axis=1) == q * (q - 1) ** 2 // 2).all(), q
     for q, pairs in ((3, 81), (5, 40)):
         P = miquelian_plane(q)
-        disjoint = np.argwhere(np.triu(P.pair_count == 0, k=1))
+        disjoint = np.argwhere(np.triu(meet_count(P.pair_code) == 0, k=1))
         disjoint = disjoint if q == 3 else disjoint[disjoint[:, 0] == 0]
         assert len(disjoint) == pairs
         for K, L in disjoint.tolist():
@@ -256,7 +269,7 @@ def test_every_oval_plane_of_order_3_builds_every_symmetry():
             pass
     assert len(planes) == 18
     for P in planes:
-        pairs = np.argwhere(np.triu(P.pair_count != 1, k=1))
+        pairs = np.argwhere(np.triu(meet_count(P.pair_code) != 1, k=1))
         assert len(pairs) == 243
         for K, L in pairs.tolist():
             phi = build_dts(P, K, L)
@@ -267,7 +280,7 @@ def test_all_disjoint_pairs_are_fixed_point_free_q3(q3_sweep):
     # measured: the disjoint branch never produces fixed points
     P3, cache = q3_sweep
     for (K, L), phi in cache.items():
-        if int(P3.pair_count[K, L]) == 0:
+        if meet_count(P3.pair_code[K, L]) == 0:
             cls = classify_symmetry(P3, K, L, phi)
             assert cls.kind == "FixedPointFree" and cls.fixed_point_count == 0
 
@@ -281,7 +294,7 @@ def test_classify_rejects_tangent(p5):
 def test_classify_all_secant_pairs_q3(q3_sweep):
     P3, cache = q3_sweep
     for (K, L), phi in cache.items():
-        if int(P3.pair_count[K, L]) != 2:
+        if meet_count(P3.pair_code[K, L]) != 2:
             continue
         cls = classify_symmetry(P3, K, L, phi)
         assert cls.kind == "LaguerreSymmetry"
@@ -395,7 +408,7 @@ def test_sample_nontangent_pairs_deterministic(p5):
     b = sample_nontangent_pairs(p5, 25, seed=5)
     assert a == b
     # both kinds of non-tangent pair are drawn, secant (2) and disjoint (0)
-    assert {int(p5.pair_count[K, L]) for K, L in a} == {0, 2}
+    assert {meet_count(p5.pair_code[K, L]) for K, L in a} == {0, 2}
 
 
 def scalar_nontangent_pairs(plane, count: int, seed: int) -> list[tuple[int, int]]:
@@ -405,7 +418,7 @@ def scalar_nontangent_pairs(plane, count: int, seed: int) -> list[tuple[int, int
     while len(out) < count:
         K, L = sorted(splitmix64(seed, 2 * i + j) % plane.n_circles for j in (0, 1))
         i += 1
-        if K != L and plane.pair_count[K, L] != 1 and (K, L) not in out:
+        if K != L and meet_count(plane.pair_code[K, L]) != 1 and (K, L) not in out:
             out.append((K, L))
     return out
 

@@ -35,6 +35,7 @@ import pytest
 from laguerre_lab import checks, cli, symmetry
 from laguerre_lab.errors import NotUnique, WellDefinednessFailure
 from laguerre_lab.models import miquelian_plane
+from laguerre_lab.plane import meet_count
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
 from laguerre_lab.symmetry import (
     Automorphism,
@@ -200,7 +201,7 @@ def loop_eval_pi_symmetry(memo, plane, report, a, b, c, x, C1, p, qpt, Kp) -> No
     L = (x, p, q)°, kept in `memo`: K′ fixed, a and x exchanged, one
     `add_violation` call per violation; tangent pairs are skipped."""
     L = plane.triple_circle[x, p, qpt]
-    tangent = plane.pair_count[C1, L] == 1
+    tangent = meet_count(plane.pair_code[C1, L]) == 1
     report.skipped += int(tangent.sum())
     report.hypothesis_hits += int((~tangent).sum())
     for i in np.flatnonzero(~tangent):
@@ -224,7 +225,7 @@ def loop_moebius_blocks(plane, phi) -> tuple:
     fixed = symmetry.fixed_circles(plane, phi)
     fixed_set = set(fixed)
     ci = phi.circle_image()
-    T = plane.pair_count
+    T = meet_count(plane.pair_code)
     img = phi.image
 
     blocks_a = {}
@@ -344,7 +345,7 @@ def nontangent_pairs(P, q: int):
     """All non-tangent pairs at order 3, 20 sampled pairs above."""
     if q == 3:
         return [(K, L) for K in range(P.n_circles) for L in range(K + 1, P.n_circles)
-                if P.pair_count[K, L] != 1]
+                if meet_count(P.pair_code[K, L]) != 1]
     return sample_nontangent_pairs(P, 20, seed=q)
 
 
@@ -612,7 +613,7 @@ def pairs_of_each_kind(P, per_kind: int):
     """Seeded secant, disjoint and tangent pairs (K, L), K != L."""
     rng = np.random.default_rng(P.q)
     off = ~np.eye(P.n_circles, dtype=bool)
-    picks = [rng.choice(np.argwhere((P.pair_count == n) & off), per_kind, replace=False)
+    picks = [rng.choice(np.argwhere((meet_count(P.pair_code) == n) & off), per_kind, replace=False)
              for n in (2, 0, 1)]
     return np.concatenate(picks).T
 
@@ -744,7 +745,7 @@ def test_find_fixed_point_free_pair_builds_up_to_the_pair_it_returns(monkeypatch
         P = miquelian_plane(q)
         calls.clear()
         K, L, phi = find_fixed_point_free_pair(P)
-        first = np.argwhere(np.triu(P.pair_count == 0, k=1))[0].tolist()
+        first = np.argwhere(np.triu(meet_count(P.pair_code) == 0, k=1))[0].tolist()
         assert calls == [tuple(first)] == [(K, L)] and K == 0
         assert phi.equals(real(P, K, L)) and not phi.fixed_points()
 

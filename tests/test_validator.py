@@ -38,7 +38,10 @@ from laguerre_lab.plane import (
     _axiom1,
     _axiom2,
     _first_repeat,
+    MANY,
     _Structure,
+    meet_count,
+    meet_sum,
     validate_laguerre_axioms,
 )
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
@@ -383,9 +386,9 @@ def test_a_refused_build_names_its_first_failing_kind(name):
     with pytest.raises(NotALaguerrePlane) as exc:
         LaguerrePlane(gens, circles)
     assert str(exc.value) == f"candidate structure fails: {kind}"
-    # only a refusal at axiom (4) ran axiom (2), which fills the pair tables
+    # only a refusal at axiom (4) ran axiom (2), which fills the pair codes
     # only where it cannot count: two-point circles
-    assert ("_pairs" in vars(exc.value._structure)) == (name == "axiom4-two-points")
+    assert ("pair_code" in vars(exc.value._structure)) == (name == "axiom4-two-points")
     report = exc.value.report
     assert report_obj(report) == pinned
     assert exc.value.report is report
@@ -717,21 +720,23 @@ def _transversal(n_gens: int, size: int, n_circles: int, seed: int):
     (lambda: _transversal(64, 64, 20, seed=11), True),
 ], ids=["q3", "q4", "q5", "x4-gf8", RELABELLED, "x3-gf11", "transversal-64x64"])
 def test_pair_tables_equal_the_set_intersections(structure, wide):
-    # one product yields count * 2^s + sum, s the bit length of m * (n_p - 1);
-    # a wide structure has (m + 1) * 2^s above 2^24, so its product runs in
-    # float64
+    # one product yields count * 2^s + 4 * sum + count, s the bit length of
+    # m * (4 * n_p - 3); a wide structure has (m + 1) * 2^s above 2^24, so
+    # its product runs in float64.  Three or more common points read MANY
     s = structure()
     if isinstance(s, tuple):
-        s = _Structure(*s)      # its pair tables are filled on first read
+        s = _Structure(*s)      # its pair codes are filled on first read
     n_c, m = s.members.shape
-    assert ((m + 1) << (m * (s.n_points - 1)).bit_length() > 2**24) == wide
+    assert ((m + 1) << (m * (4 * s.n_points - 3)).bit_length() > 2**24) == wide
     ids = np.arange(s.n_points)
     for K in range(n_c):
         common = s.mem[K] & s.mem
         count, total = common.sum(axis=1), common @ ids
-        assert np.array_equal(s.pair_count[K], count), K
+        code = s.pair_code[K]
+        assert np.array_equal(meet_count(code), np.minimum(count, MANY)), K
         small = count <= 2
-        assert np.array_equal(s.pair_sum[K][small], total[small]), K
+        assert np.array_equal(meet_sum(code[small]), total[small]), K
+        assert (code[~small] == MANY).all(), K
 
 
 def transversals(m: int, g: int):
@@ -749,7 +754,7 @@ def transversals(m: int, g: int):
 def _axiom2_reports(gens, circles):
     """What `plane._axiom2` says of a structure whose axioms (1) and (3)
     hold, counted and by the tangent blocks: each verdict with its report.
-    Counting fills no pair table where it holds."""
+    Counting fills no pair codes where it holds."""
     s = _Structure(gens, circles)
     assert s.members is not None and s.gen_members is not None
     assert _axiom1(s, CheckReport(check_id="Axioms", mode=CheckMode.exhaustive()))
@@ -759,7 +764,7 @@ def _axiom2_reports(gens, circles):
         out.append((_axiom2(s, report, axiom1), report_obj(report.finalize())))
         if axiom1:
             counted = out[0][0] and s.members.shape[1] >= 3
-            assert ("_pairs" in vars(s)) != counted
+            assert ("pair_code" in vars(s)) != counted
     return out
 
 
