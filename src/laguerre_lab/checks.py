@@ -293,15 +293,14 @@ def _gather(table: np.ndarray, *idx) -> np.ndarray:
     may be), and a negative id wraps as in `table[idx]` in the first axis
     only.
 
-    Offsets keep the ids' own dtype (at least int32) while the table has
-    fewer than 2^31 elements: the first multiply casts the ids into it, and
-    the other steps run in place.  `take` reads int32 offsets through an intp
-    copy, a transient of the offsets' size freed before it returns, and
-    still runs faster than indexing (CHANGES.md)."""
-    dtype = np.result_type(*idx, np.int32) if table.size < 2**31 else np.int64
+    Offsets keep the ids' own dtype, at least int32, which holds every
+    offset of a plane's tables (`plane`'s size limit): the first multiply
+    casts the ids into it, and the other steps run in place.  `take` reads
+    int32 offsets through an intp copy, a transient of the offsets' size
+    freed before it returns, and still runs faster than indexing (CHANGES.md)."""
     off = idx[0]
     if len(idx) > 1:
-        off = np.multiply(off, table.shape[1], dtype=dtype)
+        off = np.multiply(off, table.shape[1], dtype=np.result_type(*idx, np.int32))
         off += idx[1]
     for i, s in zip(idx[2:], table.shape[2:]):
         off *= s
@@ -1407,11 +1406,10 @@ def witness_problem(plane: LaguerrePlane, check_id: str, v: Violation) -> str | 
     The witness must have the numbers of points and circles its checker's
     replay reads (`CheckerSpec.witness`), ids of points and circles of
     `plane`, and the data keys it reads (`CheckerSpec.data`).  Returns
-    None when it may be replayed.
+    None when it may be replayed.  `check_id` is an id of `SPECS`, as
+    `replay` checks first.
     """
-    spec = SPECS.get(check_id)
-    if spec is None:
-        return f"no replay known for check {check_id!r}"
+    spec = SPECS[check_id]
     for name, want, got in zip(("points", "circles"), spec.witness, (v.points, v.circles)):
         if want is not None and len(got) != want:
             return f"{name}: {check_id} witnesses have {want}, this one {len(got)}"

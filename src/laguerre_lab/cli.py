@@ -473,9 +473,6 @@ def main(argv=None) -> int:
         if seed is not None and not 0 <= seed < SEED_LIMIT:
             raise UsageError(f"--seed must be in [0, 2^64), got {seed}")
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except WellDefinednessFailure as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return 3
@@ -488,10 +485,8 @@ def main(argv=None) -> int:
         # expected refusal on planes of characteristic 2
         print(f"construction unavailable on this plane: {e}", file=sys.stderr)
         return 1
-    except (NotALaguerrePlane, TangentPair, NotFixedPointFree) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (UsageError, NotALaguerrePlane, TangentPair, NotFixedPointFree,
+            ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,8 @@ __all__ = ["FiniteField", "make_field", "square_roots", "SUPPORTED_ORDERS"]
 MAX_ORDER = 64
 
 # Pinned monic irreducible polynomials for the extension fields, written as
-# coefficient tuples (c0, c1, ..., ck) for c0 + c1*t + ... + ck*t^k.
+# coefficient tuples (c0, c1, ..., ck) for c0 + c1*t + ... + ck*t^k: one for
+# every GF(p^k) with k > 1 up to MAX_ORDER.
 IRREDUCIBLE = {
     (2, 2): (1, 1, 1),          # t^2 + t + 1
     (2, 3): (1, 1, 0, 1),       # t^3 + t + 1
@@ -88,8 +89,6 @@ class FiniteField:
             raise ValueError(f"order {q} exceeds the supported maximum {MAX_ORDER}")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if k > 1 and (p, k) not in IRREDUCIBLE:
-            raise ValueError(f"no reduction polynomial pinned for GF({p}^{k})")
         self.p = p
         self.k = k
         self.q = q

@@ -34,13 +34,20 @@ Dense membership rows make intersection tests word-parallel scans, and the
 triple index is a direct array lookup; both choices trade memory for the
 inner-loop speed the exhaustive sweeps need.
 
-Every index that holds a point id, a circle id or a pair code is int16
-(`mem` is bool).  A pair code is below 8 n_p, so every plane of order up
-to 31 fits, and a structure with more than 2^15 circles or 2^12 points
-(whose pair codes would not fit) raises ValueError instead of wrapping.
-Arithmetic on ids widens first: `_gather` offsets are at least int32, the
-triple keys of axiom (1) and the offsets of the index fills int32 where
-n_p^3 fits, else int64.
+One size limit decides every index width: `_Structure` refuses more than
+2^15 circles, 2^10 points or 32 generators with ValueError, which admits
+every plane of order up to 31 and none of order 32.  Ids and pair codes
+are int16 (`mem` is bool), and arithmetic on them widens to int32, as the
+limit bounds it:
+
+  * n_p^3 <= 2^30 bounds axiom (1)'s triple keys and the fills' offsets,
+  * every table `checks._gather` reads holds at most 2^30 entries
+    (`tangent_through`: n_c (q + 1) n_p <= 2^15 2^5 2^10),
+  * pair codes are below 8 n_p <= 2^13, their product exact in float32:
+    s <= 17 and (m + 1) 2^s <= 33 2^17 < 2^24,
+  * `_partners`' rows are below `_BLOCK` m <= 128 32,
+  * `_first_repeat` packs keys below 2^30 with fewer than 2^28 positions
+    (2^15 C(32, 3)) in int64.
 
 Every construction is validated first, by whole-array passes run in
 report order.  A candidate is refused at the first stage that fails:
@@ -200,9 +207,9 @@ class _Structure:
         self.n_points = n_p = len(gen_flat)
         self.n_gens = len(gen_len)
         self.n_circles = n_c = len(self.circ_len)
-        if n_c > 2**15 or n_p > 2**12:
-            raise ValueError(f"ids and pair codes are int16: at most 2**15 circles and "
-                             f"2**12 points, not {n_c} circles and {n_p} points")
+        if n_c > 2**15 or n_p > 2**10 or self.n_gens > 32:
+            raise ValueError(f"at most 2**15 circles, 2**10 points and 32 generators, not "
+                             f"{n_c} circles, {n_p} points and {self.n_gens} generators")
 
         # the generators partition the points when every id is in range and
         # listed once; an id listed twice keeps its first generator
@@ -244,17 +251,16 @@ class _Structure:
         """The pair code of every two circles, read-only, from one product
         per block with point weights 2^s + 4x + 1, s the bit length of
         m * (4 * n_p - 3): its entries count * 2^s + 4 * sum + count are
-        exact integers below (m + 1) * 2^s, in float32 where that is at
-        most 2^24.  Needs axiom (3)."""
+        integers below (m + 1) * 2^s, exact in float32 under the size
+        limit (module docstring).  Needs axiom (3)."""
         n_c, m = self.members.shape
         n_p = self.n_points
         s = (m * (4 * n_p - 3)).bit_length()
-        exact, code_t = (np.float32, np.int32) if (m + 1) << s <= 2**24 else (np.float64, np.int64)
-        mem = self.mem.astype(exact)
-        weighted = mem * (2**s + 1 + 4 * np.arange(n_p, dtype=exact))
+        mem = self.mem.astype(np.float32)
+        weighted = mem * (2**s + 1 + 4 * np.arange(n_p, dtype=np.float32))
         out = np.empty((n_c, n_c), dtype=np.int16)
         for b0 in range(0, n_c, _BLOCK):
-            code = (mem[b0:b0 + _BLOCK] @ weighted.T).astype(code_t)
+            code = (mem[b0:b0 + _BLOCK] @ weighted.T).astype(np.int32)
             block = out[b0:b0 + _BLOCK]
             np.bitwise_and(code, 2**s - 1, out=block, casting="unsafe")
             block[code >= MANY << s] = MANY
@@ -264,15 +270,14 @@ class _Structure:
     def _partners(self, b0: int) -> tuple[np.ndarray, np.ndarray]:
         """The tangent partners L (`meet_count` 1) of the block of circles K
         from b0, in (K, L) order, and their rows (K - b0) * m + g, g the
-        generator of the touch point: int16 where they fit, so that a
+        generator of the touch point: int16 (module docstring), so that a
         stable sort of them is a radix sort."""
         n_c, m = self.members.shape
         b1 = min(b0 + _BLOCK, n_c)
-        row_t = np.int16 if _BLOCK * m <= 2**15 else np.int32
         code = self.pair_code[b0:b1]
         one = meet_count(code) == 1
         pairs = np.flatnonzero(one)
-        K = np.repeat(np.arange(b1 - b0, dtype=row_t), np.count_nonzero(one, axis=1))
+        K = np.repeat(np.arange(b1 - b0, dtype=np.int16), np.count_nonzero(one, axis=1))
         row = K * m + self.gen_of.take(meet_sum(code.reshape(-1).take(pairs)))
         return (pairs - np.multiply(K, n_c, dtype=np.intp)).astype(np.int16), row
 
@@ -356,12 +361,8 @@ def _first_repeat(keys: np.ndarray, sorted_keys: np.ndarray) -> int:
     """The first position whose key an earlier position holds, from the
     keys and their sort, which has a repeat: the least position after an
     equal key in one sort of key * n + position (n keys), whose keys are
-    `sorted_keys`.  Exact in int64 while (max key + 1) * n <= 2^63, so for
-    int32 keys below 2^32 positions and for int64 keys (n_p^3 <= 2^36 under
-    the id limits) below 2^27; past that a stable argsort orders them."""
+    `sorted_keys`, exact in int64 under the size limit (module docstring)."""
     n, repeats = len(keys), sorted_keys[1:] == sorted_keys[:-1]
-    if (int(sorted_keys[-1]) + 1) * n > 2**63:
-        return int(np.argsort(keys, kind="stable")[1:][repeats].min())
     packed = np.sort(keys * np.int64(n) + np.arange(n))[1:][repeats]
     return int((packed - sorted_keys[1:][repeats] * np.int64(n)).min())
 
@@ -377,19 +378,18 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
     """
     M, G, n_p, n_c = s.members, s.gen_members, s.n_points, s.n_circles
     combos = _combos(M.shape[1])
-    dtype = np.int32 if n_p ** 3 < 2 ** 31 else np.int64
 
     def pack(tri):
         return (tri[..., 0] * n_p + tri[..., 1]) * n_p + tri[..., 2]
 
     expected = math.comb(s.n_gens, 3) * G.shape[1] ** 3
     report.configurations += expected
-    keys = np.empty((n_c, len(combos)), dtype=dtype)
+    keys = np.empty((n_c, len(combos)), dtype=np.int32)
     done, n = 0, _BLOCK
     while done < n_c:
         end = n_c if 2 * n > n_c else n
         for b0 in range(done, end, _BLOCK):
-            keys[b0:b0 + _BLOCK] = pack(np.sort(M[b0:b0 + _BLOCK]).astype(dtype)[:, combos])
+            keys[b0:b0 + _BLOCK] = pack(np.sort(M[b0:b0 + _BLOCK]).astype(np.int32)[:, combos])
         done, n = end, 4 * n
         sorted_keys = np.sort(keys[:end].reshape(-1))
         if (sorted_keys[1:] == sorted_keys[:-1]).any():
@@ -409,7 +409,7 @@ def _axiom1(s: _Structure, report: CheckReport) -> bool:
     for ga, gb, gc in itertools.combinations(range(s.n_gens), 3):
         tri = np.stack(np.broadcast_arrays(G[ga][:, None, None], G[gb][None, :, None],
                                            G[gc][None, None, :]), axis=-1)
-        tri = np.sort(tri.reshape(-1, 3), axis=1).astype(dtype)
+        tri = np.sort(tri.reshape(-1, 3), axis=1).astype(np.int32)
         packed = pack(tri)
         at = np.minimum(np.searchsorted(sorted_keys, packed), len(sorted_keys) - 1)
         missing = sorted_keys.take(at) != packed
@@ -483,8 +483,8 @@ def validate_laguerre_axioms(generators, circles) -> CheckReport:
 
     `generators` and `circles` are iterables of point-id iterables, or
     integer matrices with one row each.  Failures are report content (with
-    witnesses), never exceptions; a structure whose ids or pair codes do
-    not fit int16 raises ValueError.
+    witnesses), never exceptions; a structure past the size limit (module
+    docstring) raises ValueError.
     """
     return _validate(_Structure(generators, circles))
 
@@ -539,7 +539,7 @@ class LaguerrePlane(_Structure):
         elsewhere: one flat write per first slot."""
         n_p, n_c, q = self.n_points, self.n_circles, self.q
         out = np.full((n_p, n_p, n_p), -1, dtype=np.int16)
-        M = self.members.astype(np.int32 if n_p ** 3 < 2 ** 31 else np.int64)
+        M = self.members.astype(np.int32)
         ids = np.arange(n_c, dtype=np.int16)[:, None]
         jk = np.array(list(itertools.permutations(range(q + 1), 2)))
         for i in range(q + 1):
@@ -555,7 +555,7 @@ class LaguerrePlane(_Structure):
         `triple_circle`, a sort and a scatter per first generator keep the
         temporaries small beside a sweep's."""
         n_p, q, n = self.n_points, self.q, self.n_gens
-        G = self.gen_members.astype(np.int32 if n_p ** 3 < 2 ** 31 else np.int64)
+        G = self.gen_members.astype(np.int32)
         out = np.full((n_p, n_p, q), -1, dtype=np.int16)
         for ga, gb in enumerate(np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)):
             gw = np.where((ga != 0) & (gb != 0), 0, np.where((ga != 1) & (gb != 1), 1, 2))

@@ -37,6 +37,7 @@ image for image and report for report.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -109,15 +110,15 @@ def _pencil_touch(plane: LaguerrePlane, K, L) -> tuple[np.ndarray, np.ndarray]:
 
     The pencil of pair i at member slot j is K[i] and the q-1 circles of
     `pencil_others[K[i], j]`.  Member c of every (pair, slot) pencil gives
-    one (m, q+1) column of offsets into `pair_code`, int32 where they fit,
-    and all q columns are read in one flat `take`.  Returns the uint8 count
-    of members tangent to L[i] and, where it is 1, the touch point on L[i]
-    of that member, decoded from the sum of the tangent members' pair codes,
+    one (m, q+1) column of int32 offsets into `pair_code`, and all q
+    columns are read in one flat `take`.  Returns the uint8 count of
+    members tangent to L[i] and, where it is 1, the touch point on L[i] of
+    that member, decoded from the sum of the tangent members' pair codes,
     which is its code; both are (m, q+1), elsewhere the touch point means
     nothing.
     """
     q, n_c, K = plane.q, plane.n_circles, np.asarray(K, dtype=np.intp)
-    off = np.empty((q, len(K), q + 1), dtype=np.int32 if n_c * n_c < 2 ** 31 else np.intp)
+    off = np.empty((q, len(K), q + 1), dtype=np.int32)
     off[0] = K[:, None]
     off[1:] = plane.pencil_others.take(K, axis=0).transpose(2, 0, 1)
     off *= n_c
@@ -597,10 +598,11 @@ def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int) -> list
     of try i; a try is dropped where they are equal or tangent or the pair
     (smaller id first) was drawn before.  Each round draws 2·count words
     from the next unread index.  Raises ValueError for a negative count or
-    one above the number of such pairs the plane has.
+    one above the number of such pairs the plane has: C(n_c, 2) less the
+    tangent pairs, each listed twice in `pencil_others`.
     """
     pc = plane.pair_code
-    available = int(np.count_nonzero(np.triu(meet_count(pc) != 1, k=1)))
+    available = math.comb(plane.n_circles, 2) - plane.pencil_others.size // 2
     if not 0 <= count <= available:
         raise ValueError(f"cannot sample {count} pairs: "
                          f"the plane has {available} non-tangent pairs")

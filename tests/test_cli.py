@@ -102,6 +102,13 @@ def test_sample_mode_draws_100000_rows_unless_told(capsys):
     assert run_cli(capsys, *args, "--samples", "100000") == (code, out, err)
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_a_sample_count_below_one_exits_two_with_one_line(capsys, count):
+    code, out, err = run_cli(capsys, "check", "--q", "3", "--checks", "C", "--mode", "sample",
+                             "--samples", count, "--seed", "1")
+    assert (code, out, err) == (2, "", "error: sample count must be positive\n")
+
+
 def test_dts_with_a_pair_refuses_a_seed(capsys):
     # an explicit pair draws nothing: the seed was ignored
     code, out, err = run_cli(capsys, "dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2",

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, Poly, Symbol
+from sympy import GF, Poly, Symbol, isprime
 
 from laguerre_lab.gf import (
     IRREDUCIBLE,
+    MAX_ORDER,
     SUPPORTED_ORDERS,
     FiniteField,
     field_of_order,
@@ -125,14 +126,36 @@ def test_square_roots_oracle_identity(q):
 
 
 def test_make_field_rejections():
-    with pytest.raises(ValueError):
-        make_field(6)
-    with pytest.raises(ValueError):
-        make_field(2, 7)  # 128 > 64
-    with pytest.raises(ValueError):
-        make_field(13, 2)  # no pinned polynomial
+    for p in (1, 6):
+        with pytest.raises(ValueError, match=f"^p={p} is not prime$"):
+            make_field(p)
+    with pytest.raises(ValueError, match="^order 128 exceeds the supported maximum 64$"):
+        make_field(2, 7)
+    with pytest.raises(ValueError, match="^order 169 exceeds"):
+        make_field(13, 2)
+    with pytest.raises(ValueError, match="^extension degree must be >= 1$"):
+        make_field(2, 0)
     with pytest.raises(ValueError):
         field_of_order(12)
+
+
+def test_every_extension_field_up_to_the_maximum_has_a_pinned_polynomial():
+    # so `make_field` needs no refusal of an unpinned GF(p^k)
+    pinned = {(p, k) for p in range(2, MAX_ORDER + 1) if isprime(p)
+              for k in range(2, 7) if p**k <= MAX_ORDER}
+    assert set(IRREDUCIBLE) == pinned
+    for (p, k), coeffs in IRREDUCIBLE.items():
+        poly = Poly(list(reversed(coeffs)), t, domain=GF(p))
+        assert poly.is_irreducible and poly.is_monic and poly.degree() == k
+
+
+def test_zero_has_no_inverse_and_an_index_off_the_field_no_roots():
+    F = make_field(5)
+    with pytest.raises(ZeroDivisionError, match="^zero has no multiplicative inverse$"):
+        F.invert(0)
+    for e in (-1, 5):
+        with pytest.raises(ValueError, match=f"^element index {e} out of range for GF\\(5\\)$"):
+            square_roots(F, e)
 
 
 def test_pinned_polynomials_documented():

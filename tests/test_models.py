@@ -211,6 +211,13 @@ def test_import_refuses_malformed_or_repeated_coefficients(coef, message):
         import_plane("\n".join(lines) + "\n")
 
 
+def test_import_refuses_coefficients_on_some_circles_only():
+    lines = export_plane(miquelian_plane(3)).splitlines()
+    lines[-1] = lines[-1].partition(" coef ")[0]
+    with pytest.raises(ValueError, match="^either all or no circles must carry coefficients$"):
+        import_plane("\n".join(lines) + "\n")
+
+
 def test_import_validates_the_plane():
     # a circle listed twice joins its triples twice: axiom (1) fails
     lines = export_plane(miquelian_plane(3)).splitlines()

@@ -661,34 +661,45 @@ def test_index_arrays_store_ids_as_int16(q):
         assert sum(v.nbytes for v in vars(P).values() if isinstance(v, np.ndarray)) <= 35_245_002
 
 
-def test_a_structure_whose_ids_overflow_int16_is_refused():
-    gens = [[0, 1], [2, 3], [4, 5]]
-    _Structure(gens, [[0, 2, 4]] * 2**15)       # circle ids up to 2**15 - 1 fit
-    with pytest.raises(ValueError, match=r"^ids and pair codes are int16: at most 2\*\*15 "
-                                         r"circles and 2\*\*12 points, "
-                                         r"not 32769 circles and 6 points$"):
-        LaguerrePlane(gens, [[0, 2, 4]] * (2**15 + 1))
-    n_p = 2**12 + 1                             # a pair code could pass 2**15 - 1
-    with pytest.raises(ValueError, match=r"^ids and pair codes are int16: at most 2\*\*15 "
-                                         r"circles and 2\*\*12 points, "
-                                         r"not 1 circles and 4097 points$"):
-        validate_laguerre_axioms([list(range(n_p))], [[0]])
-
-
 def _generators(n_gens: int, size: int) -> list[list[int]]:
     return [list(range(g * size, (g + 1) * size)) for g in range(n_gens)]
 
 
-def test_a_structure_of_512_generators_reads_many_for_a_circle_with_itself():
-    # 512 generators of 8 points, 2**12 in all: a circle meeting every
-    # generator once has 512 points, which the pair code caps at MANY, and
-    # two circles that share one point touch there
-    gens = _generators(512, 8)
-    s = _Structure(gens, [[g[0] for g in gens], [g[1] for g in gens[:-1]] + [gens[-1][0]]])
-    assert s.n_points == 2**12 and s.members.shape == (2, 512)
-    assert s.pair_code[0, 0] == s.pair_code[1, 1] == MANY
-    assert s.pair_code[0, 1] == s.pair_code[1, 0] == touch_code(gens[-1][0])
-    assert meet_count(s.pair_code[0, 1]) == 1 and meet_sum(s.pair_code[0, 1]) == 4088
+def test_a_structure_whose_ids_overflow_int16_is_refused():
+    # the size limit's corners: 2**15 circles, 2**10 points and 32
+    # generators are each accepted, and one more of any of them is refused,
+    # order 32's 33 generators of 32 points among them
+    small = [[0, 1], [2, 3], [4, 5]]
+    _Structure(small, [[0, 2, 4]] * 2**15)
+    _Structure([list(range(2**10))], [[0]])
+    gens = _generators(32, 32)
+    _Structure(gens, [[g[0] for g in gens]])
+    limit = r"^at most 2\*\*15 circles, 2\*\*10 points and 32 generators, not "
+    with pytest.raises(ValueError, match=limit + "32769 circles, 6 points and 3 generators$"):
+        LaguerrePlane(small, [[0, 2, 4]] * (2**15 + 1))
+    with pytest.raises(ValueError, match=limit + "1 circles, 1025 points and 1 generators$"):
+        validate_laguerre_axioms([list(range(2**10 + 1))], [[0]])
+    with pytest.raises(ValueError, match=limit + "1 circles, 33 points and 33 generators$"):
+        validate_laguerre_axioms(_generators(33, 1), [list(range(33))])
+    gens = _generators(33, 32)
+    with pytest.raises(ValueError, match=limit + "1 circles, 1056 points and 33 generators$"):
+        LaguerrePlane(gens, [[g[0] for g in gens]])
+
+
+def test_a_structure_of_32_generators_of_32_points_reads_the_largest_pair_codes():
+    # generator g holds the points g, g + 32, ..., so K = 992..1023 meets
+    # every generator once; L shares K's two largest points and M its
+    # largest: the largest pair code the size limit admits is L's with K,
+    # and a circle's code with itself reads MANY
+    pts = np.arange(2**10).reshape(32, 32)
+    K, L, M = pts[31], np.r_[pts[30, :30], pts[31, 30:]], np.r_[pts[30, :31], pts[31, 31:]]
+    s = _Structure(pts.T, [K, L, M])
+    assert s.n_points == 2**10 and s.members.shape == (3, 32)
+    assert (np.diagonal(s.pair_code) == MANY).all()
+    assert meet_count(s.pair_code[0, 1]) == 2 and meet_sum(s.pair_code[0, 1]) == 1023 + 1022
+    assert s.pair_code[0, 1] == s.pair_code[1, 0] == 4 * (1023 + 1022) + 2
+    assert s.pair_code[0, 2] == s.pair_code[2, 0] == touch_code(1023)
+    assert s.pair_code[1, 2] == MANY              # 31 common points
 
 
 @settings(max_examples=50, deadline=None)

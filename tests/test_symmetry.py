@@ -17,8 +17,13 @@ from laguerre_lab.errors import (
     PointNotOnCircle,
     TangentPair,
 )
-from laguerre_lab.models import SUPPORTED_PLANE_ORDERS, miquelian_plane, oval_plane
-from laguerre_lab.plane import meet_count
+from laguerre_lab.models import (
+    SUPPORTED_PLANE_ORDERS,
+    miquelian_plane,
+    oval_plane,
+    oval_table_power,
+)
+from laguerre_lab.plane import LaguerrePlane, meet_count
 from laguerre_lab.rng import splitmix64
 from laguerre_lab.symmetry import (
     Automorphism,
@@ -36,6 +41,7 @@ from laguerre_lab.symmetry import (
     verify_dts,
 )
 from symmetry_reference import loop_uniqueness
+from test_relabelling import RELABELLED, plane_for
 
 
 @pytest.fixture(scope="module")
@@ -403,6 +409,30 @@ def test_automorphism_validate_rejects_non_automorphism(p5):
         Automorphism(p5, img).validate()
 
 
+def test_automorphism_validate_names_a_non_permutation_and_a_split_generator(p5):
+    img = np.arange(p5.n_points)
+    img[1] = img[0]
+    with pytest.raises(ValueError, match="^image is not a permutation of the points$"):
+        Automorphism(p5, img).validate()
+    a, b = p5.gen_members[0, 0], p5.gen_members[1, 0]
+    img = np.arange(p5.n_points)
+    img[a], img[b] = b, a       # generators 0 and 1 each go to both
+    with pytest.raises(ValueError, match="^generator 0 is not mapped onto one generator$"):
+        Automorphism(p5, img).validate()
+
+
+def test_only_a_double_tangency_symmetry_of_a_coordinate_plane_extracts_and_exports(p5):
+    K, L, phi = find_fixed_point_free_pair(p5)
+    custom = Automorphism(p5, phi.image)    # the same map, not from build_dts
+    with pytest.raises(ValueError, match="^candidate extraction needs a double tangency symmetry$"):
+        moebius_extract(p5, custom)
+    with pytest.raises(ValueError, match="^only double tangency symmetries carry an exportable pair$"):
+        export_automorphism(p5, custom)
+    bare = LaguerrePlane(p5.gen_members, p5.members)    # no coordinates
+    with pytest.raises(ValueError, match="^export needs a coordinate-model plane$"):
+        export_automorphism(bare, build_dts(bare, K, L))
+
+
 def test_sample_nontangent_pairs_deterministic(p5):
     a = sample_nontangent_pairs(p5, 25, seed=5)
     b = sample_nontangent_pairs(p5, 25, seed=5)
@@ -436,3 +466,14 @@ def test_sample_nontangent_pairs_refuses_impossible_counts():
     for count in (-3, 244):
         with pytest.raises(ValueError, match="the plane has 243 non-tangent pairs"):
             sample_nontangent_pairs(P3, count, seed=1)
+
+
+@pytest.mark.parametrize("key", [*SUPPORTED_PLANE_ORDERS, "x4-gf8", RELABELLED])
+def test_the_pair_count_from_the_pencils_equals_the_pair_table_count(key):
+    # the refusal names C(n_c, 2) less half the pencil index's size; here it
+    # equals the count of non-tangent pairs read from the decoded pair table
+    P = oval_plane(8, oval_table_power(8, 4)) if key == "x4-gf8" else plane_for(key)
+    table = int(np.count_nonzero(np.triu(meet_count(P.pair_code) != 1, k=1)))
+    with pytest.raises(ValueError, match=f"^cannot sample {table + 1} pairs: "
+                                         f"the plane has {table} non-tangent pairs$"):
+        sample_nontangent_pairs(P, table + 1, seed=1)
