@@ -33,7 +33,7 @@ from .errors import (
     WellDefinednessFailure,
 )
 from .models import build_plane
-from .report import (CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, Violation, circle_obj,
+from .report import (CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, Violation, circle_obj, pair_obj,
                      report_csv_row)
 
 SEED_LIMIT = 1 << 64  # the sampling stream is keyed by a 64-bit seed
@@ -141,17 +141,24 @@ def _cmd_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dts
+# the symmetry lines: dts, moebius
 # ---------------------------------------------------------------------------
 
-def _classify_obj(plane, K, L, phi) -> dict:
-    """The DtsClassify object of the pair (K, L) and its symmetry `phi`."""
+def _symmetry_of(plane, K, L, disjoint: bool) -> _symmetry.Automorphism:
+    """The symmetry of (K, L); with `disjoint`, another pair is a usage error."""
+    if disjoint and plane.tangency(K, L).kind != "disjoint":
+        raise UsageError(f"the selected pair is {plane.tangency(K, L).kind}; "
+                         "a disjoint pair is required")
+    return _symmetry.build_dts(plane, K, L)
+
+
+def _classify_obj(plane, K, L, phi, timings: bool) -> dict:
     cls = _symmetry.classify_symmetry(plane, K, L, phi)
     return {
         "check": "DtsClassify",
         "q": int(plane.q),
         "model": plane.label,
-        "pair": {"K": circle_obj(plane, K), "L": circle_obj(plane, L)},
+        "pair": pair_obj(plane, K, L),
         "kind": cls.kind,
         "fixedGenerators": None if cls.fixed_generators is None else list(cls.fixed_generators),
         "witnessCircle": None if cls.witness_circle is None else circle_obj(plane, cls.witness_circle),
@@ -160,20 +167,59 @@ def _classify_obj(plane, K, L, phi) -> dict:
     }
 
 
-def _dts_objects(plane, K, L, verify: bool, timings: bool
-                 ) -> tuple[list[dict], bool, _symmetry.Automorphism]:
-    """The output objects of one pair, whether they pass, and the symmetry."""
-    phi = _symmetry.build_dts(plane, K, L)
-    obj = _classify_obj(plane, K, L, phi)
-    out = [obj]
-    ok = obj["kind"] != "Other"
-    if verify:
-        rep = _symmetry.verify_dts(plane, phi, K, L)
-        robj = rep.to_obj(plane, timings=timings)
-        robj["pair"] = {"K": circle_obj(plane, K), "L": circle_obj(plane, L)}
-        out.append(robj)
-        ok = ok and rep.holds
-    return out, ok, phi
+def _verify_obj(plane, K, L, phi, timings: bool) -> dict:
+    obj = _symmetry.verify_dts(plane, phi, K, L).to_obj(plane, timings=timings)
+    obj["pair"] = pair_obj(plane, K, L)
+    return obj
+
+
+def _report_summary(rep, timings: bool) -> dict:
+    return {
+        "verdict": rep.verdict,
+        "configurations": int(rep.configurations),
+        "violations": int(rep.violation_count),
+        "elapsedSeconds": rep.elapsed(timings),
+    }
+
+
+def _moebius_obj(plane, K, L, phi, timings: bool) -> dict:
+    cand = _symmetry.moebius_extract(plane, phi)
+    census = cand.block_size_census()
+    return {
+        "check": "Moebius",
+        "q": int(plane.q),
+        "model": plane.label,
+        "found": True,
+        "pair": pair_obj(plane, K, L),
+        "points": len(cand.points),
+        "fixedCircles": [int(c) for c in cand.points if c != _symmetry.INFINITY],
+        "blocksTypeA": len(cand.blocks_a),
+        "blocksTypeB": len(cand.blocks_b),
+        "blockSizes": {
+            "A": {str(k): v for k, v in sorted(census["A"].items())},
+            "B": {str(k): v for k, v in sorted(census["B"].items())},
+        },
+        "parallelMovedPoints": cand.parallel_moved_points,
+        "threePointAxiom": _report_summary(cand.three_point_report, timings),
+        "touchingAxiom": _report_summary(cand.touching_report, timings),
+    }
+
+
+# The symmetry lines, each written once per pair: check id -> (the run that
+# writes it, whether its pair must be disjoint (`_symmetry_of`), its writer
+# from (plane, K, L, symmetry, timings)).  `replay` rebuilds a line from its
+# pair through the same entry, and the rebuilt line must equal the recorded
+# one, elapsedSeconds aside.
+_SYMMETRY_LINES = {
+    "DtsClassify": ("dts", False, _classify_obj),
+    "DtsVerify": ("dts --verify", False, _verify_obj),
+    "Moebius": ("moebius", True, _moebius_obj),
+}
+
+
+def _written_by(run: str) -> list:
+    """(disjoint, writer) of each symmetry line that `run` writes."""
+    return [(disjoint, write) for by, disjoint, write in _SYMMETRY_LINES.values() if by == run]
 
 
 def _cmd_dts(args) -> int:
@@ -192,11 +238,11 @@ def _cmd_dts(args) -> int:
     else:
         pairs = _symmetry.sample_nontangent_pairs(plane, args.sample_pairs, _parse_seed(args))
 
-    objs, all_ok = [], True
+    written = _written_by("dts") + (_written_by("dts --verify") if args.verify else [])
+    objs = []
     for K, L in pairs:
-        out, ok, phi = _dts_objects(plane, K, L, args.verify, args.timings)
-        objs.extend(out)
-        all_ok = all_ok and ok
+        phi = _symmetry_of(plane, K, L, written[0][0])  # shared by the pair's lines
+        objs.extend(write(plane, K, L, phi, args.timings) for _, write in written)
 
     if args.export:
         _write_file(args.export, _symmetry.export_automorphism(plane, phi))
@@ -206,59 +252,21 @@ def _cmd_dts(args) -> int:
     else:
         lines = [json.dumps(o, separators=(",", ":")) for o in objs]
     _emit(args, lines)
-    return 0 if all_ok else 1
-
-
-# ---------------------------------------------------------------------------
-# moebius
-# ---------------------------------------------------------------------------
-
-def _report_summary(rep, timings: bool) -> dict:
-    return {
-        "verdict": rep.verdict,
-        "configurations": int(rep.configurations),
-        "violations": int(rep.violation_count),
-        "elapsedSeconds": rep.elapsed(timings),
-    }
-
-
-def _moebius_obj(plane, pair: tuple[int, int] | None, timings: bool) -> dict:
-    """The Moebius object of the disjoint pair's symmetry or, when `pair` is
-    None, of the first disjoint pair's (`find_fixed_point_free_pair`)."""
-    if pair is not None:
-        t = plane.tangency(*pair)
-        if t.kind != "disjoint":
-            raise UsageError(f"the selected pair is {t.kind}; a disjoint pair is required")
-        phi = _symmetry.build_dts(plane, *pair)
-    else:
-        _, _, phi = _symmetry.find_fixed_point_free_pair(plane)
-    cand = _symmetry.moebius_extract(plane, phi)
-
-    census = cand.block_size_census()
-    return {
-        "check": "Moebius",
-        "q": int(plane.q),
-        "model": plane.label,
-        "found": True,
-        "pair": {"K": circle_obj(plane, cand.pair[0]), "L": circle_obj(plane, cand.pair[1])},
-        "points": len(cand.points),
-        "fixedCircles": [int(c) for c in cand.points if c != _symmetry.INFINITY],
-        "blocksTypeA": len(cand.blocks_a),
-        "blocksTypeB": len(cand.blocks_b),
-        "blockSizes": {
-            "A": {str(k): v for k, v in sorted(census["A"].items())},
-            "B": {str(k): v for k, v in sorted(census["B"].items())},
-        },
-        "parallelMovedPoints": cand.parallel_moved_points,
-        "threePointAxiom": _report_summary(cand.three_point_report, timings),
-        "touchingAxiom": _report_summary(cand.touching_report, timings),
-    }
+    return 1 if any(o.get("kind") == "Other" or o.get("verdict") == "Fails" for o in objs) else 0
 
 
 def _cmd_moebius(args) -> int:
+    """The Moebius line of the disjoint pair --k, --l or, without one, of
+    the first disjoint pair (`find_fixed_point_free_pair`)."""
     plane = build_plane(args.q, args.model)
-    obj = _moebius_obj(plane, _pair_arg(args, plane), args.timings)
-    _emit(args, [json.dumps(obj, separators=(",", ":"))])
+    pair = _pair_arg(args, plane)
+    [(disjoint, write)] = _written_by("moebius")
+    if pair is None:
+        K, L, phi = _symmetry.find_fixed_point_free_pair(plane)
+    else:
+        K, L = pair
+        phi = _symmetry_of(plane, K, L, disjoint)
+    _emit(args, [json.dumps(write(plane, K, L, phi, args.timings), separators=(",", ":"))])
     return 0
 
 
@@ -266,12 +274,22 @@ def _cmd_moebius(args) -> int:
 # replay
 # ---------------------------------------------------------------------------
 
+def _ints(what: str, values) -> tuple[int, ...]:
+    """`values`, refused unless each is a JSON integer (`int` would truncate
+    a float and parse a string, and a bool is an int to Python)."""
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"{what} must be integers, got {list(values)!r}")
+    return values
+
+
 def _violation_from_obj(obj) -> Violation:
+    data = dict(sorted(obj.get("data", {}).items()))
     return Violation(
         kind=obj.get("kind", ""),
-        points=tuple(int(p) for p in obj.get("points", ())),
-        circles=tuple(int(c["id"]) for c in obj.get("circles", ())),
-        data=tuple((k, int(v)) for k, v in sorted(obj.get("data", {}).items())),
+        points=_ints("points", obj.get("points", ())),
+        circles=_ints("circle ids", (c["id"] for c in obj.get("circles", ()))),
+        data=tuple(zip(data, _ints("data values", data.values()))),
     )
 
 
@@ -303,8 +321,8 @@ def _parse_report_line(where: str, line: str):
     try:
         violations = [_violation_from_obj(v) for v in obj.get("violations", [])]
         pair = None
-        if obj["check"] in ("DtsVerify", "DtsClassify", "Moebius"):
-            pair = (obj["pair"]["K"]["coef"], obj["pair"]["L"]["coef"])
+        if obj["check"] in _SYMMETRY_LINES:
+            pair = tuple(_ints("coef", obj["pair"][c]["coef"]) for c in "KL")
         return obj, obj["q"], violations, pair
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise UsageError(f"{where}: malformed report line ({type(e).__name__}: {e})") from e
@@ -319,42 +337,27 @@ def _without_elapsed(obj):
     return obj
 
 
-def _same_object(fresh: dict, recorded: dict) -> bool:
-    """`fresh`, as it would be written, equals `recorded` up to elapsed times."""
-    return _without_elapsed(json.loads(json.dumps(fresh))) == _without_elapsed(recorded)
-
-
-# The report lines `replay` reads: one per checker, then the symmetry lines.
-_REPLAYABLE = frozenset(_checks.SPECS) | {"DtsVerify", "DtsClassify", "Moebius"}
-
-
-def _replay_symmetry_line(where: str, plane, obj: dict, violations, pair) -> bool:
-    """Whether a DtsVerify, DtsClassify or Moebius line holds on `plane`.
-
-    Each is rebuilt from its pair by the code that wrote it: DtsVerify
-    lines have their witnesses looked up in a fresh verification, the
-    others are compared whole, elapsed times aside.
-    """
+def _replay_symmetry_line(where: str, plane, obj: dict, pair) -> bool:
+    """Whether a symmetry line holds on `plane`: its registry entry rebuilds
+    the line from its pair, and the rebuilt line, as it would be written,
+    must equal the recorded one, elapsed times aside."""
+    _, disjoint, write = _SYMMETRY_LINES[obj["check"]]
     try:
-        ids = plane.circle_from_coef(pair[0]).id, plane.circle_from_coef(pair[1]).id
-        if obj["check"] == "Moebius":
-            return _same_object(_moebius_obj(plane, ids, False), obj)
-        phi = _symmetry.build_dts(plane, *ids)
-    except (UsageError, ValueError, TypeError, TangentPair, NotFixedPointFree) as e:
+        K, L = (plane.circle_from_coef(coef).id for coef in pair)
+        phi = _symmetry_of(plane, K, L, disjoint)
+    except (UsageError, ValueError, TangentPair) as e:
         raise UsageError(f"{where}: pair: {e}") from e
-    if obj["check"] == "DtsClassify":
-        return _same_object(_classify_obj(plane, *ids, phi), obj)
-    fresh = _symmetry.verify_dts(plane, phi, *ids)
-    fresh_set = {(v.kind, v.points, v.circles) for v in fresh.violations}
-    return all((v.kind, v.points, v.circles) in fresh_set for v in violations)
+    fresh = json.loads(json.dumps(write(plane, K, L, phi, False)))
+    return _without_elapsed(fresh) == _without_elapsed(obj)
 
 
 def _cmd_replay(args) -> int:
     """Replay every report line.
 
-    A check id goes through its `CheckerSpec`, one witness at a time.
-    The symmetry lines are rebuilt from their pairs instead
-    (`_replay_symmetry_line`).
+    A check id goes through its `CheckerSpec`, one witness at a time.  A
+    symmetry line (DtsClassify, DtsVerify, Moebius) is compared whole
+    with the line its `_SYMMETRY_LINES` entry rebuilds from its pair,
+    elapsedSeconds aside (`_replay_symmetry_line`).
     """
     lines_out = []
     all_ok = True
@@ -366,7 +369,7 @@ def _cmd_replay(args) -> int:
             where = f"{args.report}:{lineno}"
             obj, q, violations, pair = _parse_report_line(where, line)
             check_id = obj["check"]
-            if check_id not in _REPLAYABLE:
+            if check_id not in _checks.SPECS and check_id not in _SYMMETRY_LINES:
                 raise UsageError(f"{where}: no replay known for check {check_id!r}")
             args.q = q  # the order `main` reads when a symmetry is NotUnique
             try:
@@ -381,7 +384,7 @@ def _cmd_replay(args) -> int:
                 confirmed = all(
                     _checks.replay_violation(plane, check_id, v) for v in violations)
             else:
-                confirmed = _replay_symmetry_line(where, plane, obj, violations, pair)
+                confirmed = _replay_symmetry_line(where, plane, obj, pair)
             all_ok = all_ok and confirmed
             lines_out.append(json.dumps({
                 "line": lineno,

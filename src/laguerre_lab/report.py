@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["CheckMode", "Violation", "CheckReport", "MAX_VIOLATIONS", "EXHAUSTIVE_LIMIT",
-           "circle_obj"]
+           "circle_obj", "pair_obj"]
 
 # Violations recorded per report; counting continues past the cap.
 MAX_VIOLATIONS = 20
@@ -60,6 +60,11 @@ def circle_obj(plane, cid) -> dict:
     """A circle as reports write it: its id, and its coefficients or None."""
     coef = plane.circle_coef(cid)
     return {"id": int(cid), "coef": None if coef is None else list(coef)}
+
+
+def pair_obj(plane, K, L) -> dict:
+    """A circle pair as the symmetry lines write it."""
+    return {"K": circle_obj(plane, K), "L": circle_obj(plane, L)}
 
 
 @dataclass(frozen=True)
@@ -181,15 +186,6 @@ CSV_FIELDS = ("check", "q", "model", "mode", "seed", "configurations",
 
 
 def report_csv_row(report: CheckReport, plane, timings: bool = False) -> list:
-    return [
-        report.check_id,
-        int(plane.q),
-        plane.label,
-        report.mode.label(),
-        "" if report.mode.seed is None else int(report.mode.seed),
-        int(report.configurations),
-        int(report.skipped),
-        int(report.violation_count),
-        report.verdict,
-        report.elapsed(timings),
-    ]
+    """The `CSV_FIELDS` of the JSON object; `csv` writes a None seed empty."""
+    obj = report.to_obj(plane, timings=timings) | {"violationCount": int(report.violation_count)}
+    return [obj[k] for k in CSV_FIELDS]

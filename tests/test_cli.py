@@ -405,6 +405,27 @@ def test_replay_malformed_witnesses_name_the_line_and_exit_two(tmp_path, capsys)
         assert json.loads(out)["confirmed"] is False
 
 
+C_LINE = ("check", "--q", "4", "--checks", "C")
+DTS_LINE = ("dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2")
+
+
+@pytest.mark.parametrize("argv, old, new, problem", [
+    (C_LINE, '"points":[0]', '"points":[0.9]', "points must be integers, got [0.9]"),
+    (C_LINE, '{"id":0,', '{"id":"0",', "circle ids must be integers, got ['0', 1]"),
+    (C_LINE, '"count":4}', '"count":4.5}', "data values must be integers, got [4.5]"),
+    (DTS_LINE, '"coef":[1,0,0]', '"coef":[1,0,false]', "coef must be integers, got [1, 0, False]"),
+    (DTS_LINE, '"coef":[1,0,0]', '"coef":"100"', "coef must be integers, got ['1', '0', '0']"),
+], ids=["point", "circle-id", "data-value", "coef-bool", "coef-string"])
+def test_replayed_ids_must_be_json_integers(tmp_path, capsys, argv, old, new, problem):
+    # each went through int(): the first witness of C at q=4 with point 0.9,
+    # circle "0" or count 4.5, and a pair (1, 0, False) or "100", each read
+    # as the id or circle it was edited from, and the line was confirmed
+    line = run_cli(capsys, *argv)[1].strip()
+    assert old in line
+    code, out, err = _replay_lines(tmp_path, capsys, line.replace(old, new, 1))
+    assert (code, out, err) == (2, [], f"error: R:1: malformed report line (TypeError: {problem})\n")
+
+
 def test_seed_range_is_checked_on_every_command(capsys):
     sample = ("check", "--q", "3", "--checks", "S", "--mode", "sample", "--samples", "100")
     for seed in ("-1", str(2**64), str(2**64 + 5)):
@@ -574,10 +595,17 @@ def test_replay_rebuilds_dts_classify_and_moebius_lines(tmp_path, capsys):
 
     moebius = run_cli(capsys, "moebius", "--q", "5", "--timings")[1].strip()
     assert json.loads(moebius)["touchingAxiom"]["elapsedSeconds"] > 0
-    classify = run_cli(capsys, "dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2")[1].strip()
-    # genuine lines confirm, elapsed times aside; one changed field does not
+    classify, verify = run_cli(capsys, "dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2",
+                               "--verify", "--timings")[1].split()
+    assert json.loads(verify)["elapsedSeconds"] > 0
+    # genuine lines confirm, elapsed times aside; one changed field does not.
+    # A DtsVerify line's witnesses were looked up alone, so its verdict and
+    # counts were confirmed whatever they said
     for line, changed in ((moebius, re.sub(r'"points":\d+', '"points":999', moebius)),
-                          (classify, classify.replace('"LaguerreSymmetry"', '"Other"'))):
+                          (classify, classify.replace('"LaguerreSymmetry"', '"Other"')),
+                          (verify, verify.replace('"Holds"', '"Fails"')),
+                          (verify, verify.replace('"configurations":841', '"configurations":7')),
+                          (verify, verify.replace('"skipped":0', '"skipped":12345'))):
         assert line != changed
         code, out, _ = _replay_lines(tmp_path, capsys, line, changed)
         assert code == 1
@@ -588,6 +616,28 @@ def test_replay_rebuilds_dts_classify_and_moebius_lines(tmp_path, capsys):
         '{"check":"Moebius","q":5,"model":"miquelian","found":false,"certifiedAbsent":true}')
     assert (code, out, err) == (2, [], "error: R:1: a Moebius line records no disjoint "
                                        "pair, but every plane has one\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--q", "3"),
+    ("check", "--q", "4"),
+    ("dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2", "--verify"),
+    ("dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2", "--verify", "--timings"),
+    ("dts", "--q", "5", "--sample-pairs", "3", "--seed", "2", "--verify"),
+    ("moebius", "--q", "5"),
+    ("moebius", "--q", "5", "--k", "0,0,0", "--l", "1,0,2"),
+], ids=["check-holds", "check-witnesses", "dts", "dts-timed", "dts-sampled",
+        "moebius", "moebius-pair"])
+def test_every_line_the_cli_writes_replays_confirmed(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == (1 if argv[:3] == ("check", "--q", "4") else 0)
+    lines = out.splitlines()
+    # a blank line is skipped
+    code, out, err = _replay_lines(tmp_path, capsys, *lines, "")
+    assert (code, err) == (0, "")
+    assert [o["check"] for o in out] == [json.loads(line)["check"] for line in lines]
+    assert all(o["confirmed"] for o in out)
+    assert (sum(o["witnesses"] for o in out) > 0) == (argv[:3] == ("check", "--q", "4"))
 
 
 def test_replay_of_an_unknown_check_is_a_usage_error(tmp_path, capsys):
