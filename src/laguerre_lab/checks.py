@@ -8,21 +8,24 @@ random point tuples almost never satisfy them.  Each checker documents
 its choice space; `exhaustive_size` reports its a-priori size so callers
 can refuse oversized exhaustive runs.
 
-Each statement checker is one `_sweep` of an evaluator over blocks of
-(raw configurations, *choice arrays).  A sampled block comes from the
-checker's generator `blocks(plane, mode)`, an exhaustive block from its
-family of first choices (`firsts`) through `_range_blocks`.  A block
-holds only the rows that can meet the statement's constructive
-hypothesis, with the values its whole family reads (a chain's corner d;
-p, q and K′ of the symmetry configuration), while the raw count covers
-every choice, so `configurations` is the size of the whole choice space.
-The evaluator `evaluate(plane, report, *arrays)` tests the statement, the
-same code in both modes.  C alone keeps a second evaluator for its
-exhaustive blocks (`_eval_c_exhaustive`).  Blocks and evaluators read a
-plane index with one id array per axis through `_gather`, one `take` at
-the flat offset.  A sampled block reads its choices from a `_Draws` view
-of `_sample_batches`, which draws a choice column only when it is read,
-and only for the rows a filter kept: Prop22 draws K and the choices of
+Each statement checker is one `_sweep` of an evaluator over blocks, a
+block being the choice arrays its evaluator reads.  A sampled chunk is
+one block, made by the checker's block maker `blocks(plane, mode)` from
+the chunk's view; an exhaustive block comes from its family of first
+choices (`firsts`) through `_range_blocks`.  A block holds only the rows
+that can meet the statement's constructive hypothesis, with the values
+its whole family reads (a chain's corner d; p, q and K′ of the symmetry
+configuration).  `_sweep` alone counts `configurations`, every choice of
+what it sweeps, kept or not: a chunk's rows, or an exhaustive part's
+first choices times the raw configurations of each, so an exhaustive
+`configurations` is `exhaustive_size`.  The evaluator
+`evaluate(plane, report, *arrays)` tests the statement, the same code in
+both modes.  C alone keeps a second evaluator for its exhaustive blocks
+(`_eval_c_exhaustive`).  Blocks and evaluators read a plane index with
+one id array per axis through `_gather`, one `take` at the flat offset.
+A sampled block reads its choices from its chunk's `_Draws` view
+(`_draws`), which draws a choice column only when it is read, and only
+for the rows a filter kept: Prop22 draws K and the choices of
 L, b, M and N for its c ∥ a rows alone, the closures C1, C2 and their
 tails for the rows whose slots passed `_sampled_bases`.  Points are read
 for kept rows alone too: a sampled chain's corners for its closed chains,
@@ -125,17 +128,20 @@ _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluate,
            firsts) -> CheckReport:
     """The report of `evaluate(plane, report, *arrays)` over every block
-    (raw configurations, *arrays) of `mode`: those `blocks(plane, mode)`
-    yields where it samples, those `_range_blocks` makes of the family
-    `firsts(plane)` where it is exhaustive.
+    of `mode`, the arrays its evaluator reads: the block
+    `blocks(plane, view)` of each chunk view where it samples, those
+    `_range_blocks` makes of the family `firsts(plane)` where it is
+    exhaustive.  Here alone a report counts its configurations: a chunk
+    view covers its `count` rows, an exhaustive part its first choices
+    times `family.raw`, so an exhaustive run's is `exhaustive_size`.
 
     A sampled mode is split into chunk views of `_SAMPLE_CHUNK` stream rows
     (`CheckMode.start`), each one block swept into its own partial report;
     `_in_order` runs them on `_THREADS` threads and the partial reports are
     merged in chunk order (`CheckReport.merge`), so the report is the same
     for any thread count.  A chunk's columns are drawn as they are read
-    (`_sample_batches`), so the two chunks in flight take about the bytes
-    of one chunk drawn whole.
+    (`_draws`), so the two chunks in flight take about the bytes of one
+    chunk drawn whole.
 
     An exhaustive mode's blocks are written into the row buffers of the
     thread that sweeps them (`_Rows`), made when it takes its first part
@@ -149,11 +155,14 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
 
     def sweep_part(part: CheckMode) -> CheckReport:
         report = CheckReport(check_id=check_id, mode=mode)
-        if family is not None and not hasattr(local, "rows"):
+        if family is None:
+            report.configurations = part.count
+            evaluate(plane, report, *blocks(plane, part))
+            return report
+        if not hasattr(local, "rows"):
             local.rows = _Rows()
-        stream = blocks(plane, part) if family is None else _range_blocks(family, part, local.rows)
-        for n_raw, *arrays in stream:
-            report.configurations += n_raw
+        report.configurations = len(_firsts(part, family.n)) * family.raw
+        for arrays in _range_blocks(family, part, local.rows):
             evaluate(plane, report, *arrays)
             del arrays      # free this block before the generator builds the next
         return report
@@ -213,9 +222,9 @@ class _Rows(dict):
 
 def _range_blocks(family: _Family, mode: CheckMode, rows: _Rows):
     """The exhaustive blocks of `family` over the first choices of `mode`:
-    (raw count, *arrays, *family.extra) over consecutive first choices,
-    each block closed once another first choice of its last one's rows
-    would take it past `_SAMPLE_CHUNK` evaluator rows (rows × weight); so
+    (*arrays, *family.extra) over consecutive first choices, each block
+    closed once another first choice of its last one's rows would take it
+    past `_SAMPLE_CHUNK` evaluator rows (rows × weight); so
     `_SAMPLE_CHUNK // (r · weight)` first choices of r rows each make a
     block, and a first choice of more makes one alone.  A first choice of
     more rows than the one before it can take a block past the budget, by
@@ -223,16 +232,15 @@ def _range_blocks(family: _Family, mode: CheckMode, rows: _Rows):
     first choice writes its rows after those before it into the block
     arrays of `rows` (`family.write`), which the next block overwrites: a
     block is read before the next is drawn."""
-    held = raw = 0
+    held = taken = 0
     for f in _firsts(mode, family.n):
         r = family.write(f, rows, held)
-        held += r
-        raw += family.raw
+        held, taken = held + r, taken + 1
         if (held + r) * family.weight > _SAMPLE_CHUNK:
-            yield raw, *(rows.block(name, 0, held) for name in family.names), *family.extra
-            held = raw = 0
-    if raw:
-        yield raw, *(rows.block(name, 0, held) for name in family.names), *family.extra
+            yield *(rows.block(name, 0, held) for name in family.names), *family.extra
+            held = taken = 0
+    if taken:
+        yield *(rows.block(name, 0, held) for name in family.names), *family.extra
 
 
 def _in_order(run, parts) -> list:
@@ -342,16 +350,13 @@ class _Draws:
         return _Draws(self.seed, 1, self.first + j, self.rows, self.step)
 
 
-def _sample_batches(mode: CheckMode, draws: int):
-    """Yield a `_Draws` view per block of at most `_SAMPLE_CHUNK` sample
-    rows, `draws` choices per row: choice j of sample row r is stream draw
-    r·draws + j.  The rows are those of `mode`, from `mode.start` (a chunk
-    view of `_sweep`: one block) or from 0.  A column is drawn only when a
-    generator reads it, for all of the block's rows or for the rows a
-    filter kept, so no draw of a dropped row is made before its filter."""
-    end = mode.start + mode.count
-    for start in range(mode.start, end, _SAMPLE_CHUNK):
-        yield _Draws(mode.seed, draws, start * draws, min(_SAMPLE_CHUNK, end - start), draws)
+def _draws(mode: CheckMode, k: int) -> _Draws:
+    """The `_Draws` view of the rows of a sampled mode, a chunk view of
+    `_sweep`, k choices per row: choice j of sample row r is stream draw
+    r·k + j.  A column is drawn only when a block maker reads it, for all
+    of the rows or for the rows a filter kept, so no draw of a dropped row
+    is made before its filter."""
+    return _Draws(mode.seed, k, mode.start * k, mode.count, k)
 
 
 # ---------------------------------------------------------------------------
@@ -367,35 +372,33 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = Fa
 
     Choice space: K, a in K, L tangent to K at a, b in L, M tangent to L
     at b, c in M, N tangent to M at c; the chain closes when |N ∩ K| = 1.
-    Yields (raw count, K, a, L, b, M, c, N, d) flat arrays per block over
-    the closed chains alone, d = N ∩ K their fourth corner.  With
-    `c_parallel_a` (Prop22's hypothesis) a block holds only the closed
+    The block of a chunk view `mode` is (K, a, L, b, M, c, N, d), flat
+    arrays over its closed chains alone, d = N ∩ K their fourth corner.
+    With `c_parallel_a` (Prop22's hypothesis) it holds only the closed
     chains with c ∥ a, c in the slot of M equal to a's (the slot of a
-    point on a circle is its generator): a sampled row with other slots
-    is dropped before c and N are read.  The raw count still covers every
-    choice of c.  A row's circles are read through the slots of a, b and c,
+    point on a circle is its generator): a row with other slots is dropped
+    before c and N are read.  A row's circles are read through the slots of a, b and c,
     and the corners from those slots for the closed chains alone, about 8%
     of the rows at q=13.  Sampled only: the exhaustive rows are
     `_ChainFirsts`'.
     """
     po, members, pc = plane.pencil_others, plane.members, plane.pair_code
     q, m = plane.q, plane.q - 1
-    for raw in _sample_batches(mode, _CHAIN_DRAWS):
-        n_raw = raw.shape[1]
-        sa, sc = bounded(raw[1], q + 1), bounded(raw[5], q + 1)
-        if c_parallel_a:
-            keep = np.flatnonzero(sc == sa)
-            raw, sa, sc = raw[:, keep], sa[keep], sc[keep]
-        K = bounded(raw[0], plane.n_circles)
-        L = _gather(po, K, sa, bounded(raw[2], m))
-        sb = bounded(raw[3], q + 1)
-        M = _gather(po, L, sb, bounded(raw[4], m))
-        N = _gather(po, M, sc, bounded(raw[6], m))
-        code = _gather(pc, N, K)
-        idx = np.flatnonzero(meet_count(code) == 1)
-        K, L, M, N, sa, sb, sc, code = (v.take(idx) for v in (K, L, M, N, sa, sb, sc, code))
-        yield (n_raw, K, _gather(members, K, sa), L, _gather(members, L, sb), M,
-               _gather(members, M, sc), N, meet_sum(code))
+    raw = _draws(mode, _CHAIN_DRAWS)
+    sa, sc = bounded(raw[1], q + 1), bounded(raw[5], q + 1)
+    if c_parallel_a:
+        keep = np.flatnonzero(sc == sa)
+        raw, sa, sc = raw[:, keep], sa[keep], sc[keep]
+    K = bounded(raw[0], plane.n_circles)
+    L = _gather(po, K, sa, bounded(raw[2], m))
+    sb = bounded(raw[3], q + 1)
+    M = _gather(po, L, sb, bounded(raw[4], m))
+    N = _gather(po, M, sc, bounded(raw[6], m))
+    code = _gather(pc, N, K)
+    idx = np.flatnonzero(meet_count(code) == 1)
+    K, L, M, N, sa, sb, sc, code = (v.take(idx) for v in (K, L, M, N, sa, sb, sc, code))
+    return (K, _gather(members, K, sa), L, _gather(members, L, sb), M,
+            _gather(members, M, sc), N, meet_sum(code))
 
 
 class _ChainFirsts(_Family):
@@ -543,11 +546,10 @@ def check_cor_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _c_blocks(plane: LaguerrePlane, mode: CheckMode):
-    """Circles K, L and a point p of K: (raw count, K, L, slot of p in K)
-    per sampled block."""
-    q, n_c = plane.q, plane.n_circles
-    for raw in _sample_batches(mode, 3):
-        yield raw.shape[1], bounded(raw[0], n_c), bounded(raw[1], n_c), bounded(raw[2], q + 1)
+    """Circles K, L and a point p of K: (K, L, slot of p in K), the block
+    of a chunk view."""
+    q, n_c, raw = plane.q, plane.n_circles, _draws(mode, 3)
+    return bounded(raw[0], n_c), bounded(raw[1], n_c), bounded(raw[2], q + 1)
 
 
 class _CFirsts(_Family):
@@ -614,12 +616,12 @@ def check_C(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _sampled_tangent_pairs(plane: LaguerrePlane, mode: CheckMode):
-    """(raw count, base circle, two members of its tangent pencils) per block."""
-    po, q = plane.pencil_others, plane.q
-    for raw in _sample_batches(mode, 5):
-        base = bounded(raw[0], plane.n_circles)
-        yield (len(base), base, _gather(po, base, bounded(raw[1], q + 1), bounded(raw[2], q - 1)),
-               _gather(po, base, bounded(raw[3], q + 1), bounded(raw[4], q - 1)))
+    """(base circle, two members of its tangent pencils), the block of a
+    chunk view."""
+    po, q, raw = plane.pencil_others, plane.q, _draws(mode, 5)
+    base = bounded(raw[0], plane.n_circles)
+    return (base, _gather(po, base, bounded(raw[1], q + 1), bounded(raw[2], q - 1)),
+            _gather(po, base, bounded(raw[3], q + 1), bounded(raw[4], q - 1)))
 
 
 class _PairFirsts(_Family):
@@ -714,7 +716,7 @@ def check_prop_1_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     """Mutually non-parallel (a,b,c,x) with x off C1 = (a,b,c)°.
 
-    Yields (raw count, a, b, c, x, C1, p, q, K′) per block, flat arrays
+    The block of a chunk view is (a, b, c, x, C1, p, q, K′), flat arrays
     over the configurations that meet this hypothesis: p is the point of
     (a,b,x)° parallel to c, q the point of (a,c,x)° parallel to b, and K′
     the circle through x tangent to C1 at a.  The statements need nothing
@@ -724,19 +726,18 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     `_PiFirsts`'.
     """
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
-    members, TCT = plane.members, plane.tangent_through
-    for raw in _sample_batches(mode, 4):
-        a, b, c, x = (bounded(raw[j], plane.n_points) for j in range(4))
-        ga, gb, gc, gx = (gen.take(v) for v in (a, b, c, x))
-        idx = np.nonzero((ga != gb) & (ga != gc) & (ga != gx)
-                         & (gb != gc) & (gb != gx) & (gc != gx))[0]
-        a, b, c, x = a[idx], b[idx], c[idx], x[idx]
-        C1 = _gather(T3, a, b, c)
-        keep = np.flatnonzero(~_gather(mem, C1, x))     # x off C1
-        a, b, c, x, C1 = (v.take(keep) for v in (a, b, c, x, C1))
-        yield (raw.shape[1], a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen.take(c)),
-               _gather(members, _gather(T3, a, c, x), gen.take(b)),
-               _gather(TCT, C1, gen.take(a), x))
+    members, TCT, raw = plane.members, plane.tangent_through, _draws(mode, 4)
+    a, b, c, x = (bounded(raw[j], plane.n_points) for j in range(4))
+    ga, gb, gc, gx = (gen.take(v) for v in (a, b, c, x))
+    idx = np.nonzero((ga != gb) & (ga != gc) & (ga != gx)
+                     & (gb != gc) & (gb != gx) & (gc != gx))[0]
+    a, b, c, x = a[idx], b[idx], c[idx], x[idx]
+    C1 = _gather(T3, a, b, c)
+    keep = np.flatnonzero(~_gather(mem, C1, x))     # x off C1
+    a, b, c, x, C1 = (v.take(keep) for v in (a, b, c, x, C1))
+    return (a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen.take(c)),
+            _gather(members, _gather(T3, a, c, x), gen.take(b)),
+            _gather(TCT, C1, gen.take(a), x))
 
 
 class _PiFirsts(_Family):
@@ -748,7 +749,7 @@ class _PiFirsts(_Family):
     a's tables over (y, z) and (y, z, w) are read from a's slice of
     `triple_circle`, the circles (a, y, z)°, once: the mask of mutually
     non-parallel (b, c, x) with x off (a, b, c)° is one `flatnonzero`, and
-    every yielded array is read at the kept flat offsets, or their (b, c)
+    every block array is read at the kept flat offsets, or their (b, c)
     prefixes, and K′ at (C1, x) of `tangent_through` at a's generator."""
 
     names = ("a", "b", "c", "x", "C1", "p", "q", "Kp")
@@ -1053,16 +1054,14 @@ def _miquel_blocks(plane: LaguerrePlane, mode: CheckMode):
     """A circle C1 with an ordered base quadruple (a, c, b, d) of its
     points, C2 from the pencil through (a, b), and three member slots: e
     and h on C2, then g on C3 = (a,d,h)°; the evaluator derives f.
-    Yields (raw count, C1, a, c, b, d, C2, e slot, h slot, tail, f slot)
-    per sampled block, the tail being g's slot (`_with_tail`) and the f
-    slot the view of a draw (raw[9]), drawn only where f is not unique
+    The block of a chunk view is (C1, a, c, b, d, C2, e slot, h slot,
+    tail, f slot), the tail being g's slot (`_with_tail`) and the f slot
+    the view of a draw (raw[9]), drawn only where f is not unique
     (`_eval_miquel`); the exhaustive rows are those of
     `_miquel_firsts`, without the f slot.  Rows have a, c, b, d distinct
     and e, h distinct and off {a, b}."""
-    q = plane.q
-    for raw in _sample_batches(mode, 10):
-        kept, bases = _sampled_bases(plane, raw, 2)
-        yield raw.shape[1], *bases, (bounded(kept[8], q + 1),), kept.column(9)
+    kept, bases = _sampled_bases(plane, _draws(mode, 10), 2)
+    return *bases, (bounded(kept[8], plane.q + 1),), kept.column(9)
 
 
 def _miquel_firsts(plane: LaguerrePlane) -> _ClosureFirsts:
@@ -1153,18 +1152,16 @@ def _bundle_blocks(plane: LaguerrePlane, mode: CheckMode):
     """A circle C1 with an ordered base quadruple (a, c, b, d) of its
     points, C5 from the pencil through (a, b) with its member e, then a
     selector of the pencil through (e, f) for C3 and a member g of C3; the
-    evaluator derives f and h.  Yields (raw count, C1, a, c, b, d, C5,
-    e slot, tail, f slot, h slot) per sampled block, the tail being C3's
-    selector and g's slot (`_with_tail`) and the f and h slots the views
-    of draws (raw[7], raw[10]), drawn only where f or h is not unique
+    evaluator derives f and h.  The block of a chunk view is (C1, a, c, b,
+    d, C5, e slot, tail, f slot, h slot), the tail being C3's selector and
+    g's slot (`_with_tail`) and the f and h slots the views of draws
+    (raw[7], raw[10]), drawn only where f or h is not unique
     (`_eval_bundle`); the exhaustive rows are those of `_bundle_firsts`,
     without the f and h slots.  Rows have a, c, b, d distinct and e off
     {a, b}."""
     q = plane.q
-    for raw in _sample_batches(mode, 11):
-        kept, bases = _sampled_bases(plane, raw, 1)
-        yield (raw.shape[1], *bases, (bounded(kept[8], q), bounded(kept[9], q + 1)),
-               kept.column(7), kept.column(10))
+    kept, bases = _sampled_bases(plane, _draws(mode, 11), 1)
+    return *bases, (bounded(kept[8], q), bounded(kept[9], q + 1)), kept.column(7), kept.column(10)
 
 
 def _bundle_firsts(plane: LaguerrePlane) -> _ClosureFirsts:
@@ -1285,7 +1282,7 @@ def _replay_transfer(plane, v):
     if plane.tangency(M, K).kind != "tangent" or plane.tangency(M, L).kind != "tangent":
         return False
     t = plane.tangency(K, L)
-    return t.kind == "secant"
+    return t.kind == "secant" and dict(v.data)["common_points"] == len(t.points)
 
 
 def _replay_pi_family(check_id, plane, v):
@@ -1361,6 +1358,7 @@ class CheckerSpec:
     check_id: str
     run: callable       # (plane, mode) -> CheckReport
     firsts: callable    # plane -> the `_Family` its exhaustive run sweeps
+    kind: str | None    # the kind of its witnesses; None: one per axiom
     # numbers of witness points and circles the replay reads; None: not read
     witness: tuple[int | None, int | None]
     replay: callable    # (plane, violation) -> the witness still shows a violation
@@ -1368,20 +1366,26 @@ class CheckerSpec:
 
 
 CHECKERS = {spec.check_id: spec for spec in (
-    CheckerSpec("C", check_C, _CFirsts, (1, 2), _replay_c, ("count",)),
-    CheckerSpec("S", check_S, _ChainFirsts, (4, 4), partial(_replay_chain, "S")),
-    CheckerSpec("Prop21", check_prop_2_1, partial(_PairFirsts, above=True), (None, 3),
-                _replay_trio),
-    CheckerSpec("Prop22", check_prop_2_2, partial(_ChainFirsts, c_parallel_a=True), (4, 4),
-                partial(_replay_chain, "Prop22")),
-    CheckerSpec("Cor21", check_cor_2_1, _ChainFirsts, (4, 4), partial(_replay_chain, "Cor21")),
-    CheckerSpec("Prop11", check_prop_1_1, _transfer_firsts, (None, 3), _replay_transfer),
-    CheckerSpec("Pi", check_pi, _PiFirsts, (4, None), partial(_replay_pi_family, "Pi")),
-    CheckerSpec("PiPrime", check_pi_prime, _PiFirsts, (4, None),
+    CheckerSpec("C", check_C, _CFirsts, "tangent-count", (1, 2), _replay_c, ("count",)),
+    CheckerSpec("S", check_S, _ChainFirsts, "s-chain", (4, 4), partial(_replay_chain, "S")),
+    CheckerSpec("Prop21", check_prop_2_1, partial(_PairFirsts, above=True), "tangent-trio",
+                (None, 3), _replay_trio),
+    CheckerSpec("Prop22", check_prop_2_2, partial(_ChainFirsts, c_parallel_a=True), "p22-chain",
+                (4, 4), partial(_replay_chain, "Prop22")),
+    CheckerSpec("Cor21", check_cor_2_1, _ChainFirsts, "c21-chain", (4, 4),
+                partial(_replay_chain, "Cor21")),
+    CheckerSpec("Prop11", check_prop_1_1, _transfer_firsts, "tangency-transfer", (None, 3),
+                _replay_transfer, ("common_points",)),
+    CheckerSpec("Pi", check_pi, _PiFirsts, "pi-config", (4, None),
+                partial(_replay_pi_family, "Pi")),
+    CheckerSpec("PiPrime", check_pi_prime, _PiFirsts, "piprime-config", (4, None),
                 partial(_replay_pi_family, "PiPrime")),
-    CheckerSpec("Thm23", check_thm_2_3, _PiFirsts, (4, None), partial(_replay_pi_family, "Thm23")),
-    CheckerSpec("Miquel", check_miquel, _miquel_firsts, (8, None), _replay_miquel),
-    CheckerSpec("Bundle", check_bundle, _bundle_firsts, (8, None), _replay_bundle),
+    CheckerSpec("Thm23", check_thm_2_3, _PiFirsts, "thm23-config", (4, None),
+                partial(_replay_pi_family, "Thm23")),
+    CheckerSpec("Miquel", check_miquel, _miquel_firsts, "miquel-closure", (8, None),
+                _replay_miquel),
+    CheckerSpec("Bundle", check_bundle, _bundle_firsts, "bundle-closure", (8, None),
+                _replay_bundle),
 )}
 
 CHECK_IDS = tuple(CHECKERS)
@@ -1389,8 +1393,8 @@ CHECK_IDS = tuple(CHECKERS)
 # every check id the CLI runs and replays: the axiom validator (whose size
 # is never refused and whose witnesses are matched by kind) first, then
 # the statement checkers
-SPECS = {"Axioms": CheckerSpec("Axioms", _run_axioms, lambda plane: _Family(), (None, None),
-                               _replay_axioms)} | CHECKERS
+SPECS = {"Axioms": CheckerSpec("Axioms", _run_axioms, lambda plane: _Family(), None,
+                               (None, None), _replay_axioms)} | CHECKERS
 
 
 def exhaustive_size(plane: LaguerrePlane, check_id: str) -> int:

@@ -33,8 +33,8 @@ from .errors import (
     WellDefinednessFailure,
 )
 from .models import build_plane
-from .report import (CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, Violation, circle_obj, pair_obj,
-                     report_csv_row)
+from .report import (CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, CheckReport, Violation, circle_obj,
+                     pair_obj, report_csv_row)
 
 SEED_LIMIT = 1 << 64  # the sampling stream is keyed by a 64-bit seed
 
@@ -233,6 +233,8 @@ def _cmd_dts(args) -> int:
         raise UsageError("--export works with a single explicit pair")
     if args.seed is not None and pair is not None:
         raise UsageError("--seed is read only with --sample-pairs")
+    if args.timings and not args.verify:    # only a DtsVerify line carries a time
+        raise UsageError("--timings is read only with --verify")
     if pair is not None:
         pairs = [pair]
     else:
@@ -285,6 +287,8 @@ def _ints(what: str, values) -> tuple[int, ...]:
 
 def _violation_from_obj(obj) -> Violation:
     data = dict(sorted(obj.get("data", {}).items()))
+    if not isinstance(obj.get("kind", ""), str):
+        raise TypeError(f"kind must be a string, got {obj['kind']!r}")
     return Violation(
         kind=obj.get("kind", ""),
         points=_ints("points", obj.get("points", ())),
@@ -293,9 +297,16 @@ def _violation_from_obj(obj) -> Violation:
     )
 
 
+# the keys a line holds beside check, q and model: a checker's line those of
+# its report, DtsVerify's its witnesses
+_LINE_KEYS = {"DtsVerify": ("violations",)} | dict.fromkeys(
+    _checks.SPECS, ("mode", "seed", "configurations", "skipped", "violations", "verdict"))
+
+
 def _parse_report_line(where: str, line: str):
-    """(object, q, violations, pair coefficients) of a line; the pair is
-    read from every symmetry line, else None."""
+    """(object, violations, source) of a line, the source being what
+    rebuilds it: a symmetry line's pair coefficients, or the report of a
+    checker line as far as the line tells it (check, mode, skipped)."""
     try:
         obj = json.loads(line)
     except ValueError as e:
@@ -303,6 +314,8 @@ def _parse_report_line(where: str, line: str):
     if not isinstance(obj, dict):
         raise UsageError(f"{where}: a report line must be a JSON object")
     missing = [k for k in ("check", "q", "model") if k not in obj]
+    if not missing and isinstance(obj["check"], str):
+        missing = [k for k in _LINE_KEYS.get(obj["check"], ()) if k not in obj]
     if missing:
         raise UsageError(f"{where}: report line lacks {', '.join(repr(k) for k in missing)}")
     for key in ("check", "model"):
@@ -310,9 +323,6 @@ def _parse_report_line(where: str, line: str):
             raise UsageError(f"{where}: {key} must be a string, got {obj[key]!r}")
     if type(obj["q"]) is not int:    # a float or a string would be truncated or parsed
         raise UsageError(f"{where}: q must be an integer, got {obj['q']!r}")
-    # a checker's or DtsVerify's line lists its witnesses, the others none
-    if "violations" not in obj and (obj["check"] in _checks.SPECS or obj["check"] == "DtsVerify"):
-        raise UsageError(f"{where}: report line lacks 'violations'")
     if not isinstance(obj.get("violations", []), list):
         raise UsageError(f"{where}: violations must be a list, got {obj['violations']!r}")
     if obj["check"] == "Moebius" and obj.get("found") is False:
@@ -320,45 +330,58 @@ def _parse_report_line(where: str, line: str):
                          "but every plane has one")
     try:
         violations = [_violation_from_obj(v) for v in obj.get("violations", [])]
-        pair = None
+        source = None
         if obj["check"] in _SYMMETRY_LINES:
-            pair = tuple(_ints("coef", obj["pair"][c]["coef"]) for c in "KL")
-        return obj, obj["q"], violations, pair
+            source = tuple(_ints("coef", obj["pair"][c]["coef"]) for c in "KL")
+        elif obj["check"] in _checks.SPECS:
+            mode = obj["mode"].removeprefix("sample:")
+            mode = CheckMode.exhaustive() if mode == "exhaustive" else CheckMode.sample(
+                int(mode), obj["seed"])
+            source = CheckReport(obj["check"], mode, skipped=_ints("skipped", [obj["skipped"]])[0])
+        return obj, violations, source
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise UsageError(f"{where}: malformed report line ({type(e).__name__}: {e})") from e
 
 
-def _without_elapsed(obj):
-    """A JSON value with every elapsedSeconds key dropped."""
-    if isinstance(obj, dict):
-        return {k: _without_elapsed(v) for k, v in obj.items() if k != "elapsedSeconds"}
-    if isinstance(obj, list):
-        return [_without_elapsed(v) for v in obj]
-    return obj
+def _canonical(obj) -> str:
+    """A JSON value as text with sorted keys and no elapsedSeconds key, so
+    that lines compare as written: 1.0 and true are not 1."""
+    return json.dumps(json.loads(json.dumps(obj), object_hook=lambda d: {
+        k: v for k, v in d.items() if k != "elapsedSeconds"}), sort_keys=True)
 
 
-def _replay_symmetry_line(where: str, plane, obj: dict, pair) -> bool:
-    """Whether a symmetry line holds on `plane`: its registry entry rebuilds
-    the line from its pair, and the rebuilt line, as it would be written,
-    must equal the recorded one, elapsed times aside."""
+def _symmetry_line(where: str, plane, obj: dict, pair) -> dict:
+    """A symmetry line as its registry entry rebuilds it from its pair."""
     _, disjoint, write = _SYMMETRY_LINES[obj["check"]]
     try:
         K, L = (plane.circle_from_coef(coef).id for coef in pair)
         phi = _symmetry_of(plane, K, L, disjoint)
     except (UsageError, ValueError, TangentPair) as e:
         raise UsageError(f"{where}: pair: {e}") from e
-    fresh = json.loads(json.dumps(write(plane, K, L, phi, False)))
-    return _without_elapsed(fresh) == _without_elapsed(obj)
+    return write(plane, K, L, phi, False)
+
+
+def _checker_line(plane, report: CheckReport, violations) -> dict:
+    """The line `check` writes of `report` (check, mode, skipped) once it
+    counts the configurations of its mode and holds the witnesses among
+    `violations` that replay, each with its checker's kind and data keys;
+    they decide the verdict.  A check of no first choice sweeps nothing
+    and runs again whole: Axioms, and Prop11 at odd order."""
+    spec, size = _checks.SPECS[report.check_id], _checks.exhaustive_size(plane, report.check_id)
+    if not size:
+        return spec.run(plane, report.mode).to_obj(plane)
+    report.configurations = report.mode.count if report.mode.is_sample else size
+    for v in violations:
+        if _checks.replay_violation(plane, report.check_id, v):
+            data = tuple((k, dict(v.data)[k]) for k in spec.data)
+            report.add_violation(Violation(spec.kind, v.points, v.circles, data))
+    return report.finalize().to_obj(plane)
 
 
 def _cmd_replay(args) -> int:
-    """Replay every report line.
-
-    A check id goes through its `CheckerSpec`, one witness at a time.  A
-    symmetry line (DtsClassify, DtsVerify, Moebius) is compared whole
-    with the line its `_SYMMETRY_LINES` entry rebuilds from its pair,
-    elapsedSeconds aside (`_replay_symmetry_line`).
-    """
+    """Replay every report line: it must equal, elapsedSeconds aside, the
+    line rebuilt from it through its `CheckerSpec` (`_checker_line`) or, a
+    symmetry line, its `_SYMMETRY_LINES` entry (`_symmetry_line`)."""
     lines_out = []
     all_ok = True
     with open(args.report, encoding="utf-8") as fh:
@@ -367,8 +390,8 @@ def _cmd_replay(args) -> int:
             if not line:
                 continue
             where = f"{args.report}:{lineno}"
-            obj, q, violations, pair = _parse_report_line(where, line)
-            check_id = obj["check"]
+            obj, violations, source = _parse_report_line(where, line)
+            check_id, q = obj["check"], obj["q"]
             if check_id not in _checks.SPECS and check_id not in _SYMMETRY_LINES:
                 raise UsageError(f"{where}: no replay known for check {check_id!r}")
             args.q = q  # the order `main` reads when a symmetry is NotUnique
@@ -381,10 +404,10 @@ def _cmd_replay(args) -> int:
                     problem = _checks.witness_problem(plane, check_id, v)
                     if problem:
                         raise UsageError(f"{where}: violation {i}: {problem}")
-                confirmed = all(
-                    _checks.replay_violation(plane, check_id, v) for v in violations)
+                fresh = _checker_line(plane, source, violations)
             else:
-                confirmed = _replay_symmetry_line(where, plane, obj, pair)
+                fresh = _symmetry_line(where, plane, obj, source)
+            confirmed = _canonical(fresh) == _canonical(obj)
             all_ok = all_ok and confirmed
             lines_out.append(json.dumps({
                 "line": lineno,

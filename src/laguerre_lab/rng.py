@@ -18,7 +18,7 @@ numbers, and `bounded` reduces draws by plain modulo, which is
 documented and close enough to uniform for the ranges used here, into
 int16: every range is at most 2^15, the plane's int16 id limit.  A
 sampled checker that makes k choices per sample row takes choice j of
-row r from draw r·k + j (see `checks._sample_batches`), whichever rows
+row r from draw r·k + j (see `checks._draws`), whichever rows
 it draws that choice for: all of a chunk's rows are the indexes of one
 `draw_block` with step k, a subset of them the same call with an array
 of the kept row numbers in place of the count.

@@ -16,8 +16,8 @@ import numpy as np
 
 from laguerre_lab.checks import (
     _gather,
+    _draws,
     _pairs_concyclic,
-    _sample_batches,
     _six_point_collapse,
 )
 from laguerre_lab.report import CheckReport, Violation
@@ -68,11 +68,11 @@ def miquel_blocks(plane, mode):
     block, ten draws per sample row."""
     q = plane.q
     if mode.is_sample:
-        for raw in _sample_batches(mode, 10):
-            cols, base = sampled_bases(plane, raw)
-            idx = np.nonzero(base)[0]
-            yield (raw.shape[1], *(v[idx] for v in cols),
-                   *(bounded(raw[j], q + 1)[idx] for j in range(6, 10)))
+        raw = _draws(mode, 10)
+        cols, base = sampled_bases(plane, raw)
+        idx = np.nonzero(base)[0]
+        yield (raw.shape[1], *(v[idx] for v in cols),
+               *(bounded(raw[j], q + 1)[idx] for j in range(6, 10)))
     else:
         yield from exhaustive_bases(plane, np.ones((q + 1, q + 1), dtype=bool))
 
@@ -114,14 +114,14 @@ def bundle_blocks(plane, mode):
     h slot) per block, eleven draws per sample row."""
     q = plane.q
     if mode.is_sample:
-        for raw in _sample_batches(mode, 11):
-            cols, base = sampled_bases(plane, raw)
-            se = bounded(raw[6], q + 1)
-            sf = bounded(raw[7], q + 1)
-            idx = np.nonzero(base & (se != sf))[0]
-            yield (raw.shape[1], *(v[idx] for v in cols), se[idx], sf[idx],
-                   bounded(raw[8], q)[idx], bounded(raw[9], q + 1)[idx],
-                   bounded(raw[10], q + 1)[idx])
+        raw = _draws(mode, 11)
+        cols, base = sampled_bases(plane, raw)
+        se = bounded(raw[6], q + 1)
+        sf = bounded(raw[7], q + 1)
+        idx = np.nonzero(base & (se != sf))[0]
+        yield (raw.shape[1], *(v[idx] for v in cols), se[idx], sf[idx],
+               bounded(raw[8], q)[idx], bounded(raw[9], q + 1)[idx],
+               bounded(raw[10], q + 1)[idx])
     else:
         yield from exhaustive_bases(
             plane, np.broadcast_to(~np.eye(q + 1, dtype=bool), (q, q + 1, q + 1)))
@@ -162,9 +162,9 @@ def eval_bundle(plane, report, A, Cq, B, D, C5, se, sf, c3sel, sg, sh):
 
 def sweep(plane, mode, check_id, blocks, evaluate):
     """The report of `evaluate(plane, report, *arrays)` over every block
-    (raw count, *arrays) of `blocks(plane, mode)`, in order: the report
-    `checks._sweep` makes of the same blocks, which merges its parts in
-    order."""
+    (raw count, *arrays) of `blocks(plane, mode)`, in order, each block
+    counting its own raw configurations: the report `checks._sweep` makes
+    of the same arrays, which it counts itself and merges in order."""
     report = CheckReport(check_id=check_id, mode=mode)
     for n_raw, *arrays in blocks(plane, mode):
         report.configurations += n_raw
@@ -197,16 +197,16 @@ def scanned_miquel_blocks(plane, mode):
     """The sampled drawing blocks of Miquel with f's slot found by
     `scanned_slot` on C4 = (b,c,e)°: it meets (c,g,d,f) and is not c's."""
     members, T3, gen = plane.members, plane.triple_circle, plane.gen_of
-    for raw in _sample_batches(mode, 10):
-        cols, base = sampled_bases(plane, raw)
-        idx = np.nonzero(base)[0]
-        A, Cq, B, D, C2 = (v[idx] for v in cols)
-        se, sh, sg = (bounded(raw[j], plane.q + 1)[idx] for j in (6, 7, 8))
-        E, H = _gather(members, C2, se), _gather(members, C2, sh)
-        G = _gather(members, _gather(T3, A, D, H), sg)
-        C4 = _gather(T3, B, Cq, E)
-        yield (raw.shape[1], A, Cq, B, D, C2, se, sh, sg,
-               scanned_slot(plane, Cq, D, G, C4, gen[Cq], raw[9][idx]))
+    raw = _draws(mode, 10)
+    cols, base = sampled_bases(plane, raw)
+    idx = np.nonzero(base)[0]
+    A, Cq, B, D, C2 = (v[idx] for v in cols)
+    se, sh, sg = (bounded(raw[j], plane.q + 1)[idx] for j in (6, 7, 8))
+    E, H = _gather(members, C2, se), _gather(members, C2, sh)
+    G = _gather(members, _gather(T3, A, D, H), sg)
+    C4 = _gather(T3, B, Cq, E)
+    yield (raw.shape[1], A, Cq, B, D, C2, se, sh, sg,
+           scanned_slot(plane, Cq, D, G, C4, gen[Cq], raw[9][idx]))
 
 
 def scanned_bundle_blocks(plane, mode):
@@ -214,14 +214,14 @@ def scanned_bundle_blocks(plane, mode):
     `scanned_slot` on C5 (it meets (c,e,d,f) and is not e's), then h's on
     C3 (it meets (g,a,h,b) and is not g's)."""
     members, gen, q = plane.members, plane.gen_of, plane.q
-    for raw in _sample_batches(mode, 11):
-        cols, base = sampled_bases(plane, raw)
-        idx = np.nonzero(base)[0]
-        A, Cq, B, D, C5 = (v[idx] for v in cols)
-        se, c3sel, sg = (bounded(raw[j], n)[idx] for j, n in ((6, q + 1), (8, q), (9, q + 1)))
-        E = _gather(members, C5, se)
-        sf = scanned_slot(plane, Cq, D, E, C5, se, raw[7][idx])
-        C3 = _gather(plane.vertex_pencils, E, _gather(members, C5, sf), c3sel)
-        G = _gather(members, C3, sg)
-        yield (raw.shape[1], A, Cq, B, D, C5, se, sf, c3sel, sg,
-               scanned_slot(plane, A, B, G, C3, sg, raw[10][idx]))
+    raw = _draws(mode, 11)
+    cols, base = sampled_bases(plane, raw)
+    idx = np.nonzero(base)[0]
+    A, Cq, B, D, C5 = (v[idx] for v in cols)
+    se, c3sel, sg = (bounded(raw[j], n)[idx] for j, n in ((6, q + 1), (8, q), (9, q + 1)))
+    E = _gather(members, C5, se)
+    sf = scanned_slot(plane, Cq, D, E, C5, se, raw[7][idx])
+    C3 = _gather(plane.vertex_pencils, E, _gather(members, C5, sf), c3sel)
+    G = _gather(members, C3, sg)
+    yield (raw.shape[1], A, Cq, B, D, C5, se, sf, c3sel, sg,
+           scanned_slot(plane, A, B, G, C3, sg, raw[10][idx]))

@@ -8,11 +8,12 @@ and `checks._PiFirsts` replaced: per circle K, the whole (a, L, b, M, c, N) spac
 members looked up in K's tangency row; per point a, the mask of mutually
 non-parallel (b, c, x), its `nonzero`, and then a second pass that drops
 the rows with x on (a, b, c)°.  They are kept here as the second route to
-the blocks.  The array routes must yield the same rows: the same raw
-count in all, and every array with the same values, in the same order, of
-the same dtype.  An exhaustive block of the array routes spans several
-first choices, so the rows are compared across blocks, not block by
-block.  Prop22's chain blocks (`c_parallel_a`) must be the chain
+the blocks.  The array routes must yield the same rows: every array with
+the same values, in the same order, of the same dtype; and each first
+choice of a reference counts the raw configurations of its family
+(`family.raw`), which the sweep counts for it.  An exhaustive block of
+the array routes spans several first choices, so the rows are compared
+across blocks, not block by block.  Prop22's chain blocks (`c_parallel_a`) must be the chain
 reference restricted to its hypothesis c ∥ a, in both modes, while the
 blocks of S and Cor21 stay unrestricted.
 
@@ -85,17 +86,17 @@ def reference_pi_blocks(plane, mode):
                _gather(TCT, C1, gen[a], x))
 
 
-def parallel_rows(blocks, plane):
-    """The blocks of chains (raw count, K, a, L, b, M, c, N, d) restricted
-    to the rows with c ∥ a."""
+def parallel_rows(block, plane):
+    """A block of chains (K, a, L, b, M, c, N, d) restricted to the rows
+    with c ∥ a."""
     gen = plane.gen_of
-    for n_raw, *arrays in blocks:
-        keep = gen[arrays[1]] == gen[arrays[5]]
-        yield n_raw, *(v[keep] for v in arrays)
+    keep = gen[block[1]] == gen[block[5]]
+    return tuple(v[keep] for v in block)
 
 
 def reference_prop22_blocks(plane, mode):
-    return parallel_rows(reference_chain_blocks(plane, mode), plane)
+    for n_raw, *block in reference_chain_blocks(plane, mode):
+        yield n_raw, *parallel_rows(block, plane)
 
 
 FAMILIES = {"chain": (_ChainFirsts, reference_chain_blocks),
@@ -114,13 +115,20 @@ def _plane(key):
 
 def assert_same_blocks(got, want):
     got, want = list(got), list(want)
-    assert sum(b[0] for b in got) == sum(b[0] for b in want)
     assert {len(b) for b in got} == {len(b) for b in want}
-    for i in range(1, len(want[0])):
+    for i in range(len(want[0])):
         ga = np.concatenate([b[i] for b in got])
         wa = np.concatenate([b[i] for b in want])
         assert ga.dtype == wa.dtype, i
         np.testing.assert_array_equal(ga, wa, err_msg=f"array {i}")
+
+
+def assert_same_as_reference(family, reference, plane, mode):
+    """The range blocks of `family` hold the rows of `reference`, whose every
+    first choice counts `family.raw` raw configurations."""
+    want = list(reference(plane, mode))
+    assert {n_raw for n_raw, *_ in want} == {family.raw}
+    assert_same_blocks(exhaustive_blocks(family, mode), [block for _, *block in want])
 
 
 @pytest.mark.parametrize("family, key", [(f, k) for f in FAMILIES for k in (3, 4, 5, RELABELLED)]
@@ -128,7 +136,7 @@ def assert_same_blocks(got, want):
 def test_exhaustive_blocks_match_the_reference(family, key):
     plane = _plane(key)
     firsts, reference = FAMILIES[family]
-    assert_same_blocks(exhaustive_blocks(firsts(plane), EX), reference(plane, EX))
+    assert_same_as_reference(firsts(plane), reference, plane, EX)
 
 
 @pytest.mark.parametrize("family, first", [(f, K) for f in ("chain", "prop22")
@@ -138,7 +146,7 @@ def test_first_choice_views_match_the_reference_at_order_7(family, first):
     plane = miquelian_plane(7)
     firsts, reference = FAMILIES[family]
     mode = CheckMode("exhaustive", start=first, count=1)
-    assert_same_blocks(exhaustive_blocks(firsts(plane), mode), reference(plane, mode))
+    assert_same_as_reference(firsts(plane), reference, plane, mode)
 
 
 @pytest.mark.parametrize("a", [0, 181])
@@ -147,8 +155,7 @@ def test_pi_first_choice_views_match_the_reference_at_order_13(a):
     # for b = 181
     plane = miquelian_plane(13)
     mode = CheckMode("exhaustive", start=a, count=1)
-    assert_same_blocks(exhaustive_blocks(_PiFirsts(plane), mode),
-                       reference_pi_blocks(plane, mode))
+    assert_same_as_reference(_PiFirsts(plane), reference_pi_blocks, plane, mode)
 
 
 @pytest.mark.parametrize("family, key, first", [(f, key, K) for f in ("chain", "prop22")
@@ -160,7 +167,7 @@ def test_chain_first_choice_views_match_the_reference_at_the_edges(family, key, 
     plane = _plane(key)
     firsts, reference = FAMILIES[family]
     mode = CheckMode("exhaustive", start=first, count=1)
-    assert_same_blocks(exhaustive_blocks(firsts(plane), mode), reference(plane, mode))
+    assert_same_as_reference(firsts(plane), reference, plane, mode)
 
 
 @pytest.mark.parametrize("key", [3, 4, 5, RELABELLED])
@@ -175,9 +182,9 @@ def test_chain_checker_hits_count_their_block_rows(key):
 @pytest.mark.parametrize("key", [4, 5, 13, RELABELLED, GF8])
 def test_sampled_prop22_rows_keep_c_parallel_a(key):
     plane = _plane(key)
-    mode = CheckMode.sample(70_000, 11)     # three stream chunks
-    assert_same_blocks(_chain_blocks(plane, mode, c_parallel_a=True),
-                       parallel_rows(_chain_blocks(plane, mode), plane))
+    mode = CheckMode.sample(70_000, 11)     # one view of more than a stream chunk
+    assert_same_blocks([_chain_blocks(plane, mode, c_parallel_a=True)],
+                       [parallel_rows(_chain_blocks(plane, mode), plane)])
 
 
 # -- the circles of C --------------------------------------------------------------

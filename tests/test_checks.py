@@ -525,15 +525,17 @@ def test_blocks_hold_only_rows_that_can_meet_the_hypothesis(q, mode):
     P = miquelian_plane(q)
 
     def blocks(sampled, firsts):
-        return sampled(P, mode) if mode.is_sample else exhaustive_blocks(firsts(P), mode)
+        return [sampled(P, mode)] if mode.is_sample else exhaustive_blocks(firsts(P), mode)
 
-    raw = 0
-    for n_raw, K, A, L, B, M, C, N, D in blocks(_chain_blocks, _ChainFirsts):
-        raw += n_raw
+    def covered(firsts):
+        # the configurations a report counts for these blocks (`_sweep`)
+        return mode.count if mode.is_sample else firsts(P).n * firsts(P).raw
+
+    for K, A, L, B, M, C, N, D in blocks(_chain_blocks, _ChainFirsts):
         # N is tangent to K at d: the chain closes
         assert (P.pair_code[N, K] == touch_code(D)).all()
         assert P.mem[N, D].all() and P.mem[K, D].all()
-    assert raw == check_S(P, mode).configurations
+    assert covered(_ChainFirsts) == check_S(P, mode).configurations
     # the closures' head rows: a, c, b, d distinct on one circle, C2
     # through a and b, and e (and h) on C2, distinct and off {a, b}; the
     # tail is one choice per row (sampled) or the shape of the choices each
@@ -546,25 +548,20 @@ def test_blocks_hold_only_rows_that_can_meet_the_hypothesis(q, mode):
                 len(t) == n and (t < m).all() for t, m in zip(tail, shape))
         return tail == shape
 
-    raw = 0
-    for n_raw, C1, A, Cq, B, D, C2, se, sh, tail, *draws in blocks(_miquel_blocks,
-                                                                    _miquel_firsts):
-        raw += n_raw
+    for C1, A, Cq, B, D, C2, se, sh, tail, *draws in blocks(_miquel_blocks, _miquel_firsts):
         assert len(draws) == mode.is_sample and tail_ok(tail, (q + 1,), len(A))
         assert (P.mem[C1, A] & P.mem[C1, Cq] & P.mem[C1, B] & P.mem[C1, D]).all()
         E, H = P.members[C2, se], P.members[C2, sh]
         assert (P.triple_circle[A, Cq, B] == P.triple_circle[A, D, B]).all()
         assert (P.mem[C2, A] & P.mem[C2, B]).all()
         assert ((E != A) & (E != B) & (H != A) & (H != B) & (se != sh)).all()
-    assert raw == check_miquel(P, mode).configurations
-    raw = 0
-    for n_raw, C1, A, Cq, B, D, C5, se, tail, *draws in blocks(_bundle_blocks, _bundle_firsts):
-        raw += n_raw
+    assert covered(_miquel_firsts) == check_miquel(P, mode).configurations
+    for C1, A, Cq, B, D, C5, se, tail, *draws in blocks(_bundle_blocks, _bundle_firsts):
         assert len(draws) == 2 * mode.is_sample and tail_ok(tail, (q, q + 1), len(A))
         assert (P.mem[C1, A] & P.mem[C1, Cq] & P.mem[C1, B] & P.mem[C1, D]).all()
         E = P.members[C5, se]
         assert (P.mem[C5, A] & P.mem[C5, B] & (E != A) & (E != B)).all()
-    assert raw == check_bundle(P, mode).configurations
+    assert covered(_bundle_firsts) == check_bundle(P, mode).configurations
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -610,10 +607,11 @@ def test_exhaustive_closure_rows_follow_the_choice_order(check_id, q):
     else:
         firsts, n_slots, tail_shape = _bundle_firsts, 1, (q, q + 1)
     n_raw = (q + 1) * q * (q - 1) * (q - 2) * (q + 1) ** n_slots * int(np.prod(tail_shape))
-    blocks = list(exhaustive_blocks(firsts(P), EX))
-    assert sum(n for n, *_ in blocks) == P.n_circles * q * n_raw
+    family = firsts(P)
+    assert (family.n, family.raw) == (P.n_circles * q, n_raw)
+    blocks = list(exhaustive_blocks(family, EX))
     assert all(tail == tail_shape for *_, tail in blocks)
-    heads = np.column_stack([np.concatenate(col) for col in zip(*(b[1:-1] for b in blocks))])
+    heads = np.column_stack([np.concatenate(col) for col in zip(*(b[:-1] for b in blocks))])
     assert np.array_equal(heads, closure_heads(P, n_slots))
     tails = np.array(list(itertools.product(*map(range, tail_shape))))
     src, head, *cols = _with_tail(tail_shape, np.array([4, 7]), np.array([40, 70]))
@@ -687,10 +685,10 @@ def test_sampled_blocks_hold_int16_ids_and_slots(blocks):
     # every id and slot stays int16 from the draw on, closure tails
     # included; the views of draws not yet made are the only other arrays
     plane = miquelian_plane(13)
-    ((n_raw, *parts),) = blocks(plane, CheckMode.sample(20_000, 5))
+    parts = blocks(plane, CheckMode.sample(20_000, 5))
     arrays = [a for v in parts for a in (v if isinstance(v, tuple) else (v,))
               if not isinstance(a, checks._Draws)]
-    assert n_raw == 20_000 and len(arrays) >= 3 and all(len(a) for a in arrays)
+    assert len(arrays) >= 3 and all(len(a) for a in arrays)
     assert [a.dtype for a in arrays] == [np.int16] * len(arrays)
 
 

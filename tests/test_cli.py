@@ -116,6 +116,15 @@ def test_dts_with_a_pair_refuses_a_seed(capsys):
     assert (code, out, err) == (2, "", "error: --seed is read only with --sample-pairs\n")
 
 
+@pytest.mark.parametrize("pairs", [("--k", "1,0,0", "--l", "4,0,2"),
+                                   ("--sample-pairs", "2", "--seed", "1")])
+def test_dts_without_verify_refuses_timings(capsys, pairs):
+    # no DtsClassify line carries a time: the flag changed no byte
+    code, out, err = run_cli(capsys, "dts", "--q", "5", *pairs, "--timings")
+    assert (code, out, err) == (2, "", "error: --timings is read only with --verify\n")
+    assert run_cli(capsys, "dts", "--q", "5", *pairs, "--timings", "--verify")[0] == 0
+
+
 def test_exhaustive_closures_reach_order_five(capsys):
     # with f (and Bundle's h) derived, the closures' exhaustive choice
     # spaces at q=5 fit under the 10^8 limit, and both run here: Miquel's
@@ -331,11 +340,17 @@ def test_module_entry_point():
 
 
 def test_replay_malformed_lines_exit_two_with_one_error_line(tmp_path, capsys):
-    good = {"check": "C", "q": 3, "model": "miquelian", "violations": []}
+    good = json.loads(run_cli(capsys, "check", "--q", "3", "--checks", "C")[1])
     bad_lines = [
         {k: v for k, v in good.items() if k != "check"},
         {k: v for k, v in good.items() if k != "q"},
         {k: v for k, v in good.items() if k != "model"},
+        # a checker's line holds every key of its report but the time
+        *({k: v for k, v in good.items() if k != key}
+          for key in ("mode", "seed", "configurations", "skipped", "verdict")),
+        dict(good, mode="sample:x"),
+        dict(good, mode=5),
+        dict(good, skipped="0"),
         dict(good, violations=[{"kind": "C", "circles": [7]}]),
         dict(good, check="DtsVerify"),
         dict(good, model=5),
@@ -371,13 +386,14 @@ def test_replay_malformed_witnesses_name_the_line_and_exit_two(tmp_path, capsys)
         return {"kind": "tangent-count", "points": points,
                 "circles": [{"id": c} for c in circles], "data": {"count": 0}}
 
-    good = {"check": "C", "q": 3, "model": "miquelian", "violations": []}
+    good = json.loads(run_cli(capsys, "check", "--q", "3", "--checks", "C")[1])
     bad_lines = [
         dict(good, violations=[c_witness([0, 1, 2, 3], [5000])]),
         dict(good, violations=[c_witness([0, 1], [0, 1])]),
         dict(good, violations=[c_witness([-7], [0, 1])]),
         dict(good, violations=[c_witness([0], [0, 27])]),
         dict(good, violations=[dict(c_witness([0], [0, 1]), data={})]),
+        dict(good, violations=[dict(c_witness([0], [0, 1]), kind=5)]),
         dict(good, check="S", violations=[c_witness([0, 1, 2], [0, 1, 2, 3])]),
         dict(good, check="NoSuchCheck", violations=[c_witness([0], [0, 1])]),
         dict(good, q=6),
@@ -600,11 +616,14 @@ def test_replay_rebuilds_dts_classify_and_moebius_lines(tmp_path, capsys):
     assert json.loads(verify)["elapsedSeconds"] > 0
     # genuine lines confirm, elapsed times aside; one changed field does not.
     # A DtsVerify line's witnesses were looked up alone, so its verdict and
-    # counts were confirmed whatever they said
+    # counts were confirmed whatever they said; a count written as a float
+    # was equal to the integer
+    configurations = '"configurations":841'
     for line, changed in ((moebius, re.sub(r'"points":\d+', '"points":999', moebius)),
                           (classify, classify.replace('"LaguerreSymmetry"', '"Other"')),
                           (verify, verify.replace('"Holds"', '"Fails"')),
-                          (verify, verify.replace('"configurations":841', '"configurations":7')),
+                          (verify, verify.replace(configurations, '"configurations":7')),
+                          (verify, verify.replace(configurations, configurations + ".0")),
                           (verify, verify.replace('"skipped":0', '"skipped":12345'))):
         assert line != changed
         code, out, _ = _replay_lines(tmp_path, capsys, line, changed)
@@ -618,16 +637,55 @@ def test_replay_rebuilds_dts_classify_and_moebius_lines(tmp_path, capsys):
                                        "pair, but every plane has one\n")
 
 
+def _edited(line: str, edit) -> str:
+    obj = json.loads(line)
+    edit(obj)
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def test_replay_rebuilds_checker_lines_whole(tmp_path, capsys):
+    # each edit was confirmed when a checker line's witnesses were replayed
+    # alone: its verdict, counts, witness kinds and coefficients unread
+    c, s = run_cli(capsys, "check", "--q", "4", "--checks", "C,S")[1].split()
+    sampled = run_cli(capsys, "check", "--q", "4", "--checks", "S", "--mode", "sample",
+                      "--samples", "3000", "--seed", "1")[1].strip()
+    assert json.loads(c)["violations"] and json.loads(sampled)["violations"]
+
+    def first(key, value):
+        return lambda obj: obj["violations"][0].update({key: value})
+
+    for line, edit in (
+            (c, lambda obj: obj.update(verdict="Holds", configurations=1)),
+            (c, lambda obj: obj.update(configurations=float(obj["configurations"]))),
+            (c, lambda obj: obj.update(violations=[])),
+            (s, first("kind", "whatever")),
+            (c, lambda obj: obj["violations"][0]["circles"][0].update(coef=[3, 3, 3])),
+            (c, lambda obj: obj["violations"][0]["data"].update(extra=1)),
+            (sampled, lambda obj: obj.update(configurations=3001)),
+            (sampled, lambda obj: obj.update(mode="exhaustive", seed=None))):
+        changed = _edited(line, edit)
+        assert changed != line
+        code, out, err = _replay_lines(tmp_path, capsys, line, changed)
+        assert (code, err) == (1, "")
+        assert [o["confirmed"] for o in out] == [True, False]
+    code, out, err = _replay_lines(tmp_path, capsys, _edited(c, first("kind", 5)))
+    assert (code, out, err) == (2, [], "error: R:1: malformed report line "
+                                       "(TypeError: kind must be a string, got 5)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--q", "3"),
     ("check", "--q", "4"),
+    ("check", "--q", "4", "--mode", "sample", "--samples", "3000", "--seed", "2"),
+    ("check", "--q", "5", "--checks", "Axioms,Prop11,C", "--mode", "sample",
+     "--samples", "500", "--seed", "3"),
     ("dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2", "--verify"),
     ("dts", "--q", "5", "--k", "1,0,0", "--l", "4,0,2", "--verify", "--timings"),
     ("dts", "--q", "5", "--sample-pairs", "3", "--seed", "2", "--verify"),
     ("moebius", "--q", "5"),
     ("moebius", "--q", "5", "--k", "0,0,0", "--l", "1,0,2"),
-], ids=["check-holds", "check-witnesses", "dts", "dts-timed", "dts-sampled",
-        "moebius", "moebius-pair"])
+], ids=["check-holds", "check-witnesses", "check-sampled", "check-odd-sampled", "dts",
+        "dts-timed", "dts-sampled", "moebius", "moebius-pair"])
 def test_every_line_the_cli_writes_replays_confirmed(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == (1 if argv[:3] == ("check", "--q", "4") else 0)

@@ -55,14 +55,16 @@ def test_exhaustive_closures_match_the_drawing_oracle(q):
 
 def degenerate_slice(P, firsts):
     """The exhaustive head rows of base circle 0 (its first choices, one
-    per pencil selector) whose pencil circle (C2 or C5) is circle 0
-    itself, with a and c its first two points: rows whose derived point
-    is not unique."""
+    per pencil selector, each one block of its raw configurations) whose
+    pencil circle (C2 or C5) is circle 0 itself, with a and c its first
+    two points: rows whose derived point is not unique."""
     a, c = P.members[0, :2]
-    for n_raw, *cols, tail in exhaustive_blocks(firsts(P), CheckMode("exhaustive", count=P.q)):
+    family = firsts(P)
+    for sel in range(P.q):
+        ((*cols, tail),) = exhaustive_blocks(family, CheckMode("exhaustive", start=sel, count=1))
         _, A, Cq, _, _, C2 = cols[:6]
         idx = np.nonzero((C2 == 0) & (A == a) & (Cq == c))[0]
-        yield (n_raw, *(v[idx] for v in cols), tail)
+        yield (family.raw, *(v[idx] for v in cols), tail)
 
 
 def with_tail(block):

@@ -92,14 +92,15 @@ def test_evaluated_blocks_stay_within_the_budget(monkeypatch, check_id, budget):
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", budget)
     seen = _recorded(monkeypatch)
     report = CHECKERS[check_id].run(miquelian_plane(4), EX)
-    assert sum(block[0] for _, blocks in seen for block, _ in blocks) == report.configurations
-    assert report.configurations > 0
+    # the blocks take each first choice once, and the sweep counts the raw
+    # configurations of each
+    assert sum(len(written) * family.raw for family, blocks in seen
+               for _, written in blocks) == report.configurations > 0
     for family, blocks in seen:
-        for i, ((n_raw, *arrays), written) in enumerate(blocks):
+        for i, (arrays, written) in enumerate(blocks):
             k = len(family.names)
             assert {len(v) for v in arrays[:k]} == {len(arrays[0])} == {sum(written)}
             assert tuple(arrays[k:]) == family.extra
-            assert n_raw == len(written) * family.raw
             # over budget: a block of one first choice
             rows = len(arrays[0]) * family.weight
             assert rows <= budget or len(written) == 1, (rows, budget)
@@ -121,14 +122,15 @@ def test_a_block_passes_the_budget_by_less_than_its_last_first_choice(key, check
     # first choice after a smaller one can take its block past the budget:
     # at q=9 one Prop21 block holds 88 circles and 65,550 rows
     family = CHECKERS[check_id].firsts(_plane(key))
-    counted, sizes = _Counted(family), []
-    for n_raw, *arrays in checks._range_blocks(counted, EX, checks._Rows()):
+    counted, sizes, taken = _Counted(family), [], 0
+    for arrays in checks._range_blocks(counted, EX, checks._Rows()):
         written = counted.written[:]
         counted.written.clear()
         sizes.append(len(arrays[0]) * family.weight)
-        assert n_raw == len(written) * family.raw
+        taken += len(written)
         # open when its last first choice came: one more like the one
         # before it still fitted
         assert len(written) == 1 or (
             sum(written[:-1]) + written[-2]) * family.weight <= checks._SAMPLE_CHUNK
+    assert taken == family.n
     assert max(sizes, default=None) == BLOCK_MAX[key, check_id]

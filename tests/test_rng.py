@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from laguerre_lab import rng
-from laguerre_lab.checks import _SAMPLE_CHUNK, _sample_batches
+from laguerre_lab.checks import _SAMPLE_CHUNK, _draws
 from laguerre_lab.report import CheckMode
 from laguerre_lab.rng import bounded, draw_block, splitmix64
 
@@ -69,8 +69,10 @@ def test_bounded_is_the_remainder(n):
 @pytest.mark.parametrize("k", [3, 7, 11])
 def test_sample_batches_map_rows_to_the_stream(seed, k):
     # choice j of sample row r is draw r·k + j, on both sides of a chunk
-    # boundary, for a chunk's rows and for a subset of them
-    blocks = list(_sample_batches(CheckMode.sample(_SAMPLE_CHUNK + 5, seed), k))
+    # boundary, for a chunk view's rows and for a subset of them
+    mode = CheckMode.sample(_SAMPLE_CHUNK + 5, seed)
+    blocks = [_draws(replace(mode, start=s, count=min(_SAMPLE_CHUNK, mode.count - s)), k)
+              for s in (0, _SAMPLE_CHUNK)]
     assert [b.shape for b in blocks] == [(k, _SAMPLE_CHUNK), (k, 5)]
     cols = [[b[j] for j in range(k)] for b in blocks]
     assert all(col.dtype == np.uint64 and col.shape == (b.shape[1],)
@@ -94,8 +96,7 @@ def test_sample_batches_map_rows_to_the_stream(seed, k):
     # a chunk view starting at row s holds the rows s.. of the whole stream
     whole = [np.concatenate([bc[j] for bc in cols]) for j in range(k)]
     for s in (1, _SAMPLE_CHUNK // k, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK):
-        view = replace(CheckMode.sample(_SAMPLE_CHUNK + 5, seed), start=s, count=5)
-        (block,) = _sample_batches(view, k)
+        block = _draws(replace(mode, start=s, count=5), k)
         assert all(np.array_equal(block[j], whole[j][s:s + 5]) for j in range(k))
 
 

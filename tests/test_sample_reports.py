@@ -49,7 +49,7 @@ SEED = 2006
 SAMPLES = 5000
 LARGE_ORDERS = (9, 13)
 LARGE_SAMPLES = 20_000
-# q=7, seed 2006: more samples than two blocks of `checks._sample_batches`
+# q=7, seed 2006: more samples than two chunks of `checks._sweep`, each one block
 ACROSS_BLOCKS = 140_000
 EXHAUSTIVE = {3: CHECK_IDS, 4: CHECK_IDS}
 

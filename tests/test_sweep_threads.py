@@ -114,8 +114,8 @@ def test_pi_symmetry_does_not_depend_on_the_thread_count(monkeypatch):
 
 
 def _chunk_blocks(plane, mode):
-    # one block per chunk view, holding the index of its chunk
-    yield mode.count, mode.start // checks._SAMPLE_CHUNK
+    # the block of a chunk view: the index of its chunk
+    return (mode.start // checks._SAMPLE_CHUNK,)
 
 
 def _failing_evaluator(plane, report, chunk):
@@ -173,7 +173,7 @@ def test_exhaustive_family_sweeps_hold_their_traced_peak(check_id, q):
 
 
 class _EagerChunk:
-    """A chunk of `_eager_batches`, read through the interface of a
+    """A chunk of `_eager_draws`, read through the interface of a
     `checks._Draws` view: a row subset reads each column at the kept rows
     when it is read, as the closures' `raw[j][idx]` did."""
 
@@ -191,19 +191,16 @@ class _EagerChunk:
         return _EagerChunk(self.cols[j:j + 1], self.rows)
 
 
-def _eager_batches(mode, draws):
-    # the reference form: every choice of every row drawn up front and
-    # copied transposed into one (draws, rows) block per chunk
-    end = mode.start + mode.count
-    rows = checks._SAMPLE_CHUNK // draws
-    for start in range(mode.start, end, checks._SAMPLE_CHUNK):
-        n = min(checks._SAMPLE_CHUNK, end - start)
-        cols = np.empty((draws, n), dtype=np.uint64)
-        for r in range(0, n, rows):
-            c = min(rows, n - r)
-            cols[:, r:r + c] = draw_block(mode.seed, (start + r) * draws, c * draws
-                                          ).reshape(c, draws).T
-        yield _EagerChunk(cols)
+def _eager_draws(mode, draws):
+    # the reference form: every choice of every row of a chunk view drawn
+    # up front and copied transposed into one (draws, rows) block
+    rows, n = checks._SAMPLE_CHUNK // draws, mode.count
+    cols = np.empty((draws, n), dtype=np.uint64)
+    for r in range(0, n, rows):
+        c = min(rows, n - r)
+        cols[:, r:r + c] = draw_block(mode.seed, (mode.start + r) * draws, c * draws
+                                      ).reshape(c, draws).T
+    return _EagerChunk(cols)
 
 
 def _eager_eval_c(plane, report, K, L, sp):
@@ -237,7 +234,7 @@ def test_rows_in_flight_stay_at_one_65536_row_chunk(monkeypatch):
         pooled = _peak_bytes(plane, check_id, mode)
         with monkeypatch.context() as m:
             m.setattr(checks, "_THREADS", 1)
-            m.setattr(checks, "_sample_batches", _eager_batches)
+            m.setattr(checks, "_draws", _eager_draws)
             m.setattr(checks, "_eval_c", _eager_eval_c)
             single = _peak_bytes(plane, check_id, mode)
         assert pooled <= single * 1.10, (check_id, pooled, single)
@@ -379,7 +376,7 @@ def _range_block_sizes(monkeypatch) -> list[tuple[int, int]]:
 
     def recording(family, mode, rows):
         for block in range_blocks(family, mode, rows):
-            seen.append((len(np.unique(block[1])), len(block[1])))
+            seen.append((len(np.unique(block[0])), len(block[0])))
             yield block
 
     monkeypatch.setattr(checks, "_range_blocks", recording)
@@ -451,25 +448,42 @@ def test_row_buffers_hold_no_more_than_the_arrays_they_replace(monkeypatch):
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_exhaustive_sweeps_read_their_blocks_from_range_blocks_alone(monkeypatch, check_id):
-    # every configuration, hit, skip and violation of an exhaustive run
-    # comes from a block of `_range_blocks`; a sampled run reads none
+    # every hit, skip and violation of an exhaustive run comes from a block
+    # of `_range_blocks`, and a sampled run reads none; the configurations
+    # are the first choices `_sweep` covers, blocks or none
     plane = miquelian_plane(4 if check_id == "Prop11" else 3)
     whole = CHECKERS[check_id].run(plane, EX)
-    raw = []
+    rows = []
     range_blocks = checks._range_blocks
 
-    def recording(family, mode, rows):
-        for block in range_blocks(family, mode, rows):
-            raw.append(block[0])
+    def recording(family, mode, buffers):
+        for block in range_blocks(family, mode, buffers):
+            rows.append(len(block[0]))
             yield block
 
     monkeypatch.setattr(checks, "_range_blocks", recording)
     assert _facts(plane, CHECKERS[check_id].run(plane, EX)) == _facts(plane, whole)
-    assert sum(raw) == whole.configurations == exhaustive_size(plane, check_id) > 0
-    raw.clear()
+    assert sum(rows) > 0 and whole.configurations == exhaustive_size(plane, check_id) > 0
+    rows.clear()
     CHECKERS[check_id].run(plane, CheckMode.sample(500, 3))
-    assert raw == []
+    assert rows == []
     monkeypatch.setattr(checks, "_range_blocks", lambda family, mode, rows: iter(()))
     none = CHECKERS[check_id].run(plane, EX)
     assert (none.configurations, none.hypothesis_hits, none.skipped, none.violation_count) \
-        == (0, 0, 0, 0)
+        == (exhaustive_size(plane, check_id), 0, 0, 0)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_configurations_are_the_rows_or_first_choices_a_sweep_covers(monkeypatch, q, check_id):
+    # `_sweep` alone counts: a sampled run its rows, across 64-row chunks;
+    # an exhaustive view its first choices times the family's raw count
+    monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 64)
+    plane = miquelian_plane(q)
+    for count in (63, 64, 65, 129):
+        report = CHECKERS[check_id].run(plane, CheckMode.sample(count, 9))
+        assert report.configurations == (0 if report.verdict == "NotApplicable" else count)
+    family = CHECKERS[check_id].firsts(plane)
+    for start, count in ((0, 1), (family.n - 1, 1), (1, 3)):
+        report = CHECKERS[check_id].run(plane, CheckMode("exhaustive", start=start, count=count))
+        assert report.configurations == count * family.raw
