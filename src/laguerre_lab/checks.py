@@ -1358,7 +1358,6 @@ class CheckerSpec:
     check_id: str
     run: callable       # (plane, mode) -> CheckReport
     firsts: callable    # plane -> the `_Family` its exhaustive run sweeps
-    kind: str | None    # the kind of its witnesses; None: one per axiom
     # numbers of witness points and circles the replay reads; None: not read
     witness: tuple[int | None, int | None]
     replay: callable    # (plane, violation) -> the witness still shows a violation
@@ -1366,26 +1365,21 @@ class CheckerSpec:
 
 
 CHECKERS = {spec.check_id: spec for spec in (
-    CheckerSpec("C", check_C, _CFirsts, "tangent-count", (1, 2), _replay_c, ("count",)),
-    CheckerSpec("S", check_S, _ChainFirsts, "s-chain", (4, 4), partial(_replay_chain, "S")),
-    CheckerSpec("Prop21", check_prop_2_1, partial(_PairFirsts, above=True), "tangent-trio",
-                (None, 3), _replay_trio),
-    CheckerSpec("Prop22", check_prop_2_2, partial(_ChainFirsts, c_parallel_a=True), "p22-chain",
-                (4, 4), partial(_replay_chain, "Prop22")),
-    CheckerSpec("Cor21", check_cor_2_1, _ChainFirsts, "c21-chain", (4, 4),
-                partial(_replay_chain, "Cor21")),
-    CheckerSpec("Prop11", check_prop_1_1, _transfer_firsts, "tangency-transfer", (None, 3),
-                _replay_transfer, ("common_points",)),
-    CheckerSpec("Pi", check_pi, _PiFirsts, "pi-config", (4, None),
-                partial(_replay_pi_family, "Pi")),
-    CheckerSpec("PiPrime", check_pi_prime, _PiFirsts, "piprime-config", (4, None),
+    CheckerSpec("C", check_C, _CFirsts, (1, 2), _replay_c, ("count",)),
+    CheckerSpec("S", check_S, _ChainFirsts, (4, 4), partial(_replay_chain, "S")),
+    CheckerSpec("Prop21", check_prop_2_1, partial(_PairFirsts, above=True), (None, 3),
+                _replay_trio),
+    CheckerSpec("Prop22", check_prop_2_2, partial(_ChainFirsts, c_parallel_a=True), (4, 4),
+                partial(_replay_chain, "Prop22")),
+    CheckerSpec("Cor21", check_cor_2_1, _ChainFirsts, (4, 4), partial(_replay_chain, "Cor21")),
+    CheckerSpec("Prop11", check_prop_1_1, _transfer_firsts, (None, 3), _replay_transfer,
+                ("common_points",)),
+    CheckerSpec("Pi", check_pi, _PiFirsts, (4, None), partial(_replay_pi_family, "Pi")),
+    CheckerSpec("PiPrime", check_pi_prime, _PiFirsts, (4, None),
                 partial(_replay_pi_family, "PiPrime")),
-    CheckerSpec("Thm23", check_thm_2_3, _PiFirsts, "thm23-config", (4, None),
-                partial(_replay_pi_family, "Thm23")),
-    CheckerSpec("Miquel", check_miquel, _miquel_firsts, "miquel-closure", (8, None),
-                _replay_miquel),
-    CheckerSpec("Bundle", check_bundle, _bundle_firsts, "bundle-closure", (8, None),
-                _replay_bundle),
+    CheckerSpec("Thm23", check_thm_2_3, _PiFirsts, (4, None), partial(_replay_pi_family, "Thm23")),
+    CheckerSpec("Miquel", check_miquel, _miquel_firsts, (8, None), _replay_miquel),
+    CheckerSpec("Bundle", check_bundle, _bundle_firsts, (8, None), _replay_bundle),
 )}
 
 CHECK_IDS = tuple(CHECKERS)
@@ -1393,8 +1387,8 @@ CHECK_IDS = tuple(CHECKERS)
 # every check id the CLI runs and replays: the axiom validator (whose size
 # is never refused and whose witnesses are matched by kind) first, then
 # the statement checkers
-SPECS = {"Axioms": CheckerSpec("Axioms", _run_axioms, lambda plane: _Family(), None,
-                               (None, None), _replay_axioms)} | CHECKERS
+SPECS = {"Axioms": CheckerSpec("Axioms", _run_axioms, lambda plane: _Family(), (None, None),
+                               _replay_axioms)} | CHECKERS
 
 
 def exhaustive_size(plane: LaguerrePlane, check_id: str) -> int:

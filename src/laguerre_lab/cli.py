@@ -5,7 +5,7 @@ JSON reports carry elapsedSeconds 0.0 unless --timings is given, keys are
 emitted in a pinned order, and sampling is a pure function of the seed.
 
 Exit codes: 0 all requested checks hold, 1 at least one Fails (or a
-replayed witness does not re-validate), 2 usage or configuration error,
+replayed line is not confirmed), 2 usage or configuration error,
 3 internal invariant breach (the construction failed where the theory
 says it cannot).  A pencil without a unique tangent circle (NotUnique)
 is expected on planes of even order and exits 1 there, 3 on odd order.
@@ -33,8 +33,8 @@ from .errors import (
     WellDefinednessFailure,
 )
 from .models import build_plane
-from .report import (CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, CheckReport, Violation, circle_obj,
-                     pair_obj, report_csv_row)
+from .report import (CSV_FIELDS, EXHAUSTIVE_LIMIT, CheckMode, Violation, circle_obj, pair_obj,
+                     report_csv_row)
 
 SEED_LIMIT = 1 << 64  # the sampling stream is keyed by a 64-bit seed
 
@@ -50,6 +50,24 @@ def _parse_seed(args) -> int:
     if args.seed is None:
         raise UsageError("sample mode needs --seed")
     return args.seed
+
+
+def _checked_seed(name: str, seed) -> int:
+    """`seed`, refused unless an integer in [0, 2^64): two seeds outside
+    that range would alias one stream."""
+    if type(seed) is not int or not 0 <= seed < SEED_LIMIT:
+        raise UsageError(f"{name} must be in [0, 2^64), got {seed!r}")
+    return seed
+
+
+def _refuse_oversize(plane, check_id: str, mode: CheckMode) -> None:
+    """Refuse an exhaustive run of `check_id` past `EXHAUSTIVE_LIMIT`."""
+    if not mode.is_sample:
+        size = _checks.exhaustive_size(plane, check_id)
+        if size > EXHAUSTIVE_LIMIT:
+            raise UsageError(
+                f"exhaustive {check_id} needs {size} configurations at q={plane.q} "
+                f"(limit {EXHAUSTIVE_LIMIT}); use --mode sample")
 
 
 def _coef_triple(flag: str, text: str) -> tuple[int, int, int]:
@@ -111,17 +129,10 @@ def _cmd_check(args) -> int:
             raise UsageError(f"unknown check {token!r}; known: {', '.join(ALL_CHECKS)}")
         requested.append(_ALIASES[token.lower()])
 
-    if args.mode == "sample":
-        mode = CheckMode.sample(100_000 if args.samples is None else args.samples,
-                                _parse_seed(args))
-    else:
-        mode = CheckMode.exhaustive()
-        for check_id in requested:
-            size = _checks.exhaustive_size(plane, check_id)
-            if size > EXHAUSTIVE_LIMIT:
-                raise UsageError(
-                    f"exhaustive {check_id} needs {size} configurations at q={plane.q} "
-                    f"(limit {EXHAUSTIVE_LIMIT}); use --mode sample")
+    mode = (CheckMode.sample(100_000 if args.samples is None else args.samples, _parse_seed(args))
+            if args.mode == "sample" else CheckMode.exhaustive())
+    for check_id in requested:
+        _refuse_oversize(plane, check_id, mode)
 
     reports = [_checks.SPECS[check_id].run(plane, mode) for check_id in requested]
 
@@ -305,8 +316,8 @@ _LINE_KEYS = {"DtsVerify": ("violations",)} | dict.fromkeys(
 
 def _parse_report_line(where: str, line: str):
     """(object, violations, source) of a line, the source being what
-    rebuilds it: a symmetry line's pair coefficients, or the report of a
-    checker line as far as the line tells it (check, mode, skipped)."""
+    writes it again: a symmetry line's pair coefficients, or the mode of
+    a checker line."""
     try:
         obj = json.loads(line)
     except ValueError as e:
@@ -334,10 +345,10 @@ def _parse_report_line(where: str, line: str):
         if obj["check"] in _SYMMETRY_LINES:
             source = tuple(_ints("coef", obj["pair"][c]["coef"]) for c in "KL")
         elif obj["check"] in _checks.SPECS:
+            _ints("skipped", [obj["skipped"]])
             mode = obj["mode"].removeprefix("sample:")
-            mode = CheckMode.exhaustive() if mode == "exhaustive" else CheckMode.sample(
-                int(mode), obj["seed"])
-            source = CheckReport(obj["check"], mode, skipped=_ints("skipped", [obj["skipped"]])[0])
+            source = CheckMode.exhaustive() if mode == "exhaustive" else CheckMode.sample(
+                int(mode), _checked_seed(f"{where}: seed", obj["seed"]))
         return obj, violations, source
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise UsageError(f"{where}: malformed report line ({type(e).__name__}: {e})") from e
@@ -361,27 +372,26 @@ def _symmetry_line(where: str, plane, obj: dict, pair) -> dict:
     return write(plane, K, L, phi, False)
 
 
-def _checker_line(plane, report: CheckReport, violations) -> dict:
-    """The line `check` writes of `report` (check, mode, skipped) once it
-    counts the configurations of its mode and holds the witnesses among
-    `violations` that replay, each with its checker's kind and data keys;
-    they decide the verdict.  A check of no first choice sweeps nothing
-    and runs again whole: Axioms, and Prop11 at odd order."""
-    spec, size = _checks.SPECS[report.check_id], _checks.exhaustive_size(plane, report.check_id)
-    if not size:
-        return spec.run(plane, report.mode).to_obj(plane)
-    report.configurations = report.mode.count if report.mode.is_sample else size
-    for v in violations:
-        if _checks.replay_violation(plane, report.check_id, v):
-            data = tuple((k, dict(v.data)[k]) for k in spec.data)
-            report.add_violation(Violation(spec.kind, v.points, v.circles, data))
-    return report.finalize().to_obj(plane)
+def _checker_line(where: str, plane, check_id: str, mode: CheckMode, violations) -> dict | None:
+    """The line `check` writes of `check_id` in `mode`, or None unless
+    each of `violations` replays through the scalar operations."""
+    try:
+        for i, v in enumerate(violations, 1):
+            problem = _checks.witness_problem(plane, check_id, v)
+            if problem:
+                raise UsageError(f"violation {i}: {problem}")
+        _refuse_oversize(plane, check_id, mode)
+    except UsageError as e:
+        raise UsageError(f"{where}: {e}") from e
+    fresh = _checks.SPECS[check_id].run(plane, mode).to_obj(plane)
+    return fresh if all(_checks.replay_violation(plane, check_id, v) for v in violations) else None
 
 
 def _cmd_replay(args) -> int:
-    """Replay every report line: it must equal, elapsedSeconds aside, the
-    line rebuilt from it through its `CheckerSpec` (`_checker_line`) or, a
-    symmetry line, its `_SYMMETRY_LINES` entry (`_symmetry_line`)."""
+    """Replay every report line: it is confirmed when the run it names
+    writes it again, elapsedSeconds aside, and each of its witnesses
+    replays (`_checker_line`); a symmetry line is written again from its
+    pair through its `_SYMMETRY_LINES` entry (`_symmetry_line`)."""
     lines_out = []
     all_ok = True
     with open(args.report, encoding="utf-8") as fh:
@@ -400,14 +410,10 @@ def _cmd_replay(args) -> int:
             except (ValueError, LaguerreError) as e:
                 raise UsageError(f"{where}: {e}") from e
             if check_id in _checks.SPECS:
-                for i, v in enumerate(violations, 1):
-                    problem = _checks.witness_problem(plane, check_id, v)
-                    if problem:
-                        raise UsageError(f"{where}: violation {i}: {problem}")
-                fresh = _checker_line(plane, source, violations)
+                fresh = _checker_line(where, plane, check_id, source, violations)
             else:
                 fresh = _symmetry_line(where, plane, obj, source)
-            confirmed = _canonical(fresh) == _canonical(obj)
+            confirmed = fresh is not None and _canonical(fresh) == _canonical(obj)
             all_ok = all_ok and confirmed
             lines_out.append(json.dumps({
                 "line": lineno,
@@ -477,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.set_defaults(func=_cmd_moebius)
 
-    p = sub.add_parser("replay", help="re-validate the witnesses of a JSON report")
+    p = sub.add_parser("replay", help="rerun the lines of a JSON report and replay their witnesses")
     p.add_argument("--report", required=True, help="JSON-lines report file")
     _add_output_args(p, timings=False)
     p.set_defaults(func=_cmd_replay)
@@ -494,10 +500,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        seed = getattr(args, "seed", None)
-        # two seeds outside [0, 2^64) would alias one stream
-        if seed is not None and not 0 <= seed < SEED_LIMIT:
-            raise UsageError(f"--seed must be in [0, 2^64), got {seed}")
+        if getattr(args, "seed", None) is not None:
+            _checked_seed("--seed", args.seed)
         return args.func(args)
     except WellDefinednessFailure as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -341,6 +342,8 @@ def test_module_entry_point():
 
 def test_replay_malformed_lines_exit_two_with_one_error_line(tmp_path, capsys):
     good = json.loads(run_cli(capsys, "check", "--q", "3", "--checks", "C")[1])
+    sampled = json.loads(run_cli(capsys, "check", "--q", "3", "--checks", "C", "--mode",
+                                 "sample", "--samples", "100", "--seed", "3")[1])
     bad_lines = [
         {k: v for k, v in good.items() if k != "check"},
         {k: v for k, v in good.items() if k != "q"},
@@ -365,6 +368,8 @@ def test_replay_malformed_lines_exit_two_with_one_error_line(tmp_path, capsys):
         {"check": "DtsVerify", "q": 3, "model": "miquelian",
          "pair": {"K": {"coef": [0, 0, 0]}, "L": {"coef": [1, 0, 1]}}},
         dict(good, check=["C"]),
+        # a sampled line's seed is read as --seed is: an integer in [0, 2^64)
+        *(dict(sampled, seed=seed) for seed in (2**70, -1, "3", 3.0)),
     ]
     report = tmp_path / "bad.jsonl"
     for obj in bad_lines:
@@ -645,11 +650,14 @@ def _edited(line: str, edit) -> str:
 
 def test_replay_rebuilds_checker_lines_whole(tmp_path, capsys):
     # each edit was confirmed when a checker line's witnesses were replayed
-    # alone: its verdict, counts, witness kinds and coefficients unread
+    # alone: its verdict, counts, witness kinds and coefficients unread.
+    # The seed and skipped edits were confirmed while skipped was copied
+    # from the line; now the run the line names writes it again
     c, s = run_cli(capsys, "check", "--q", "4", "--checks", "C,S")[1].split()
-    sampled = run_cli(capsys, "check", "--q", "4", "--checks", "S", "--mode", "sample",
-                      "--samples", "3000", "--seed", "1")[1].strip()
+    sampled, miquel = run_cli(capsys, "check", "--q", "4", "--checks", "S,Miquel", "--mode",
+                              "sample", "--samples", "3000", "--seed", "1")[1].split()
     assert json.loads(c)["violations"] and json.loads(sampled)["violations"]
+    assert json.loads(miquel)["skipped"] and not json.loads(miquel)["violations"]
 
     def first(key, value):
         return lambda obj: obj["violations"][0].update({key: value})
@@ -662,7 +670,11 @@ def test_replay_rebuilds_checker_lines_whole(tmp_path, capsys):
             (c, lambda obj: obj["violations"][0]["circles"][0].update(coef=[3, 3, 3])),
             (c, lambda obj: obj["violations"][0]["data"].update(extra=1)),
             (sampled, lambda obj: obj.update(configurations=3001)),
-            (sampled, lambda obj: obj.update(mode="exhaustive", seed=None))):
+            (sampled, lambda obj: obj.update(mode="exhaustive", seed=None)),
+            *((line, edit) for line in (sampled, miquel) for edit in (
+                lambda obj: obj.update(seed=2),
+                lambda obj: obj.update(skipped=obj["skipped"] + 1))),
+            (s, lambda obj: obj.update(skipped=obj["skipped"] + 1))):
         changed = _edited(line, edit)
         assert changed != line
         code, out, err = _replay_lines(tmp_path, capsys, line, changed)
@@ -671,6 +683,39 @@ def test_replay_rebuilds_checker_lines_whole(tmp_path, capsys):
     code, out, err = _replay_lines(tmp_path, capsys, _edited(c, first("kind", 5)))
     assert (code, out, err) == (2, [], "error: R:1: malformed report line "
                                        "(TypeError: kind must be a string, got 5)\n")
+
+
+def test_replay_confirms_a_rerun_line_only_when_its_witnesses_replay(
+        tmp_path, capsys, monkeypatch):
+    # the rerun writes the same line; the scalar route must still agree
+    line = run_cli(capsys, *C_LINE)[1].strip()
+    assert _replay_lines(tmp_path, capsys, line)[0] == 0
+    monkeypatch.setattr(cli._checks, "replay_violation", lambda plane, check_id, v: False)
+    code, out, err = _replay_lines(tmp_path, capsys, line)
+    assert (code, err) == (1, "")
+    assert out == [{"line": 1, "check": "C", "witnesses": 20, "confirmed": False}]
+
+
+def test_replay_refuses_an_oversized_exhaustive_line_before_any_sweep(
+        tmp_path, capsys, monkeypatch):
+    # a forged line that names an exhaustive S sweep at q=13, 1.04e10
+    # configurations, is refused as `check` refuses the run
+    code, out, refusal = run_cli(capsys, "check", "--q", "13", "--checks", "S")
+    assert (code, out) == (2, "")
+
+    def run(plane, mode):
+        raise AssertionError("swept")
+
+    monkeypatch.setitem(cli._checks.SPECS, "S",
+                        dataclasses.replace(cli._checks.SPECS["S"], run=run))
+    line = json.dumps({"check": "S", "q": 13, "model": "miquelian", "mode": "exhaustive",
+                       "seed": None, "configurations": 10417365504, "skipped": 0,
+                       "violations": [], "verdict": "Holds", "elapsedSeconds": 0.0})
+    code, out, err = _replay_lines(tmp_path, capsys, line)
+    assert (code, out) == (2, [])
+    assert err == "error: R:1: " + refusal.removeprefix("error: ")
+    assert refusal == ("error: exhaustive S needs 10417365504 configurations at q=13 "
+                       "(limit 100000000); use --mode sample\n")
 
 
 @pytest.mark.parametrize("argv", [

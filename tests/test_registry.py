@@ -37,12 +37,18 @@ def test_all_checks_are_the_axioms_then_the_statement_checkers():
 
 
 @pytest.mark.parametrize("check_id", cli.ALL_CHECKS)
-def test_one_spec_runs_sizes_and_replays_each_id(monkeypatch, capsys, check_id):
+def test_one_spec_runs_sizes_and_replays_each_id(tmp_path, monkeypatch, capsys, check_id):
     calls = []
+    points, circles = (range(n or 0) for n in SPECS[check_id].witness)
+    witness = Violation("any", tuple(points), tuple(circles),
+                        tuple((key, 0) for key in SPECS[check_id].data))
 
     def run(plane, mode):
         calls.append("run")
-        return CheckReport(check_id=check_id, mode=mode).finalize()
+        report = CheckReport(check_id=check_id, mode=mode)
+        for _ in range(2):
+            report.add_violation(witness)
+        return report.finalize()
 
     def firsts(plane):
         calls.append("size")
@@ -56,13 +62,21 @@ def test_one_spec_runs_sizes_and_replays_each_id(monkeypatch, capsys, check_id):
     monkeypatch.setitem(SPECS, check_id, spec)
 
     code, out, err = run_cli(capsys, "check", "--q", "3", "--checks", check_id.lower())
-    assert (code, err, json.loads(out)["check"]) == (0, "", check_id)
+    assert (code, err, json.loads(out)["check"]) == (1, "", check_id)
     assert calls == ["size", "run"]
+
+    # replay sizes the line's run as `check` does, runs it once and
+    # replays each of its witnesses
+    report = tmp_path / "report.jsonl"
+    report.write_text(out)
+    code, out, err = run_cli(capsys, "replay", "--report", str(report))
+    assert (code, err, json.loads(out)["confirmed"]) == (0, "", True)
+    assert calls == ["size", "run", "size", "run", "replay", "replay"]
 
     plane = miquelian_plane(3)
     assert exhaustive_size(plane, check_id) == 0
     assert replay_violation(plane, check_id, Violation("any")) is True
-    assert calls == ["size", "run", "size", "replay"]
+    assert calls == ["size", "run", "size", "run", "replay", "replay", "size", "replay"]
 
 
 @pytest.mark.parametrize("check_id", cli.ALL_CHECKS)
