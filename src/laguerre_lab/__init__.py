@@ -23,7 +23,6 @@ from .gf import FiniteField, field_of_order, make_field, square_roots
 from .plane import (
     Circle,
     LaguerrePlane,
-    Pencil,
     Tangency,
     validate_laguerre_axioms,
 )

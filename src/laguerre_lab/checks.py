@@ -173,7 +173,8 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
         parts = [replace(mode, start=s, count=min(_SAMPLE_CHUNK, mode.count - s))
                  for s in range(0, mode.count, _SAMPLE_CHUNK)]
     elif family.read >= _SAMPLE_CHUNK:
-        # one part per block, sized by the rows r of the first first choice
+        # one part per block, sized by the rows r of the first first choice,
+        # whose mask fills the tables it reads on this thread before any part
         todo = _firsts(mode, family.n)
         r = np.count_nonzero(family.mask(todo.start)[0]) if todo else 1
         k = max(1, _SAMPLE_CHUNK // r) if r else len(todo)
@@ -420,31 +421,36 @@ class _ChainFirsts(_Family):
     def __init__(self, plane: LaguerrePlane, c_parallel_a: bool = False):
         q, m = plane.q, plane.q - 1
         self.plane, self.parallel = plane, c_parallel_a
-        self.n, self.raw = plane.n_circles, ((q + 1) * m) ** 3
-        # each circle M's (c, N) offsets: N = po[M, c, ·] and M's point c;
-        # N as intp ids for `take`, which would copy int16 ids on every call
-        self.pos = plane.pencil_others.reshape(plane.n_circles, -1)
-        self.pos_ids = self.pos.astype(np.intp)
-        self.cpos = np.repeat(plane.members, m, axis=1).reshape(-1)
         # the (c, N) offsets each (a, L, b, M) row reads: all (q+1)(q-1) of
         # M's, or with c ∥ a the q-1 of M's pencil at a's slot
-        sm = self.pos.shape[1]
+        sm = (q + 1) * m
+        self.n, self.raw = plane.n_circles, sm ** 3
         self.w = m if c_parallel_a else sm
         self.read = sm ** 2 * self.w                    # the closed mask's size
         # row i -> a's slot, then the offsets of L in K's pencils and of b
         self.row = np.arange(sm * sm)
         self.at_a, self.at_l, self.at_b = self.row // (m * sm), self.row // sm, self.row // m
 
+    @cached_property
+    def pencils(self) -> tuple:
+        """Each circle M's (c, N) offsets, built on the first mask: N =
+        po[M, c, ·], those ids as intp for `take` (which would copy int16
+        ids on every call), and M's point c."""
+        plane = self.plane
+        pos = plane.pencil_others.reshape(plane.n_circles, -1)
+        return pos, pos.astype(np.intp), np.repeat(plane.members, plane.q - 1, axis=1).reshape(-1)
+
     def mask(self, K: int):
         """K's closed mask over (a, L, b, M) rows and w offsets, the rows g
         of K's closure table it read, and the circles (a, L) and
         (a, L, b, M)."""
         q, w = self.plane.q, self.w
-        L0 = self.pos[K]
-        M0 = self.pos[L0].reshape(-1)
+        pos, pos_ids, _ = self.pencils
+        L0 = pos[K]
+        M0 = pos[L0].reshape(-1)
         # pair codes are symmetric: K's closure table tk[M, (c, N)], read at
         # the rows g (M0, or M0 and a's slot), is the closed mask in C order
-        tk = (meet_count(self.plane.pair_code[K]) == 1).take(self.pos_ids)
+        tk = (meet_count(self.plane.pair_code[K]) == 1).take(pos_ids)
         g = M0.astype(np.intp)
         if self.parallel:                   # a's slot is the rows' leading axis
             g = (g.reshape(q + 1, -1) * (q + 1) + np.arange(q + 1)[:, None]).reshape(-1)
@@ -463,8 +469,9 @@ class _ChainFirsts(_Family):
         i = f // w
         off = ((g - self.row) * w).take(i)
         off += f
-        N = self.pos.reshape(-1).take(off, out=out("N"), mode="wrap")
-        self.cpos.take(off, out=out("C"), mode="wrap")
+        pos, _, cpos = self.pencils
+        N = pos.reshape(-1).take(off, out=out("N"), mode="wrap")
+        cpos.take(off, out=out("C"), mode="wrap")
         meet_sum(plane.pair_code[K]).take(N, out=out("D"), mode="wrap")
         M0.take(i, out=out("M"), mode="wrap")
         plane.members[L0].reshape(-1).take(self.at_b).take(i, out=out("B"), mode="wrap")

@@ -216,21 +216,17 @@ def _moebius_obj(plane, K, L, phi, timings: bool) -> dict:
     }
 
 
-# The symmetry lines, each written once per pair: check id -> (the run that
-# writes it, whether its pair must be disjoint (`_symmetry_of`), its writer
-# from (plane, K, L, symmetry, timings)).  `replay` rebuilds a line from its
+# The symmetry lines, each written once per pair: check id -> (whether its
+# pair must be disjoint (`_symmetry_of`), its writer from (plane, K, L,
+# symmetry, timings)).  `dts` writes DtsClassify and, with --verify,
+# DtsVerify; `moebius` writes Moebius.  `replay` rebuilds a line from its
 # pair through the same entry, and the rebuilt line must equal the recorded
 # one, elapsedSeconds aside.
 _SYMMETRY_LINES = {
-    "DtsClassify": ("dts", False, _classify_obj),
-    "DtsVerify": ("dts --verify", False, _verify_obj),
-    "Moebius": ("moebius", True, _moebius_obj),
+    "DtsClassify": (False, _classify_obj),
+    "DtsVerify": (False, _verify_obj),
+    "Moebius": (True, _moebius_obj),
 }
-
-
-def _written_by(run: str) -> list:
-    """(disjoint, writer) of each symmetry line that `run` writes."""
-    return [(disjoint, write) for by, disjoint, write in _SYMMETRY_LINES.values() if by == run]
 
 
 def _cmd_dts(args) -> int:
@@ -251,7 +247,7 @@ def _cmd_dts(args) -> int:
     else:
         pairs = _symmetry.sample_nontangent_pairs(plane, args.sample_pairs, _parse_seed(args))
 
-    written = _written_by("dts") + (_written_by("dts --verify") if args.verify else [])
+    written = [_SYMMETRY_LINES[c] for c in ("DtsClassify", "DtsVerify")[:1 + args.verify]]
     objs = []
     for K, L in pairs:
         phi = _symmetry_of(plane, K, L, written[0][0])  # shared by the pair's lines
@@ -273,7 +269,7 @@ def _cmd_moebius(args) -> int:
     the first disjoint pair (`find_fixed_point_free_pair`)."""
     plane = build_plane(args.q, args.model)
     pair = _pair_arg(args, plane)
-    [(disjoint, write)] = _written_by("moebius")
+    disjoint, write = _SYMMETRY_LINES["Moebius"]
     if pair is None:
         K, L, phi = _symmetry.find_fixed_point_free_pair(plane)
     else:
@@ -349,6 +345,8 @@ def _parse_report_line(where: str, line: str):
             mode = obj["mode"].removeprefix("sample:")
             source = CheckMode.exhaustive() if mode == "exhaustive" else CheckMode.sample(
                 int(mode), _checked_seed(f"{where}: seed", obj["seed"]))
+            if source.label() != obj["mode"]:   # int() reads " 5", "5_0" and "05"
+                raise ValueError(f"mode {obj['mode']!r} is no mode label")
         return obj, violations, source
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise UsageError(f"{where}: malformed report line ({type(e).__name__}: {e})") from e
@@ -363,7 +361,7 @@ def _canonical(obj) -> str:
 
 def _symmetry_line(where: str, plane, obj: dict, pair) -> dict:
     """A symmetry line as its registry entry rebuilds it from its pair."""
-    _, disjoint, write = _SYMMETRY_LINES[obj["check"]]
+    disjoint, write = _SYMMETRY_LINES[obj["check"]]
     try:
         K, L = (plane.circle_from_coef(coef).id for coef in pair)
         phi = _symmetry_of(plane, K, L, disjoint)
@@ -391,7 +389,8 @@ def _cmd_replay(args) -> int:
     """Replay every report line: it is confirmed when the run it names
     writes it again, elapsedSeconds aside, and each of its witnesses
     replays (`_checker_line`); a symmetry line is written again from its
-    pair through its `_SYMMETRY_LINES` entry (`_symmetry_line`)."""
+    pair through its `_SYMMETRY_LINES` entry (`_symmetry_line`).  A report
+    with no line confirms nothing and is refused."""
     lines_out = []
     all_ok = True
     with open(args.report, encoding="utf-8") as fh:
@@ -421,6 +420,8 @@ def _cmd_replay(args) -> int:
                 "witnesses": len(violations),
                 "confirmed": bool(confirmed),
             }, separators=(",", ":")))
+    if not lines_out:
+        raise UsageError(f"{args.report}: holds no report line")
     _emit(args, lines_out)
     return 0 if all_ok else 1
 

@@ -97,7 +97,6 @@ from .report import CheckMode, CheckReport, Violation
 
 __all__ = [
     "Circle",
-    "Pencil",
     "Tangency",
     "LaguerrePlane",
     "validate_laguerre_axioms",
@@ -122,19 +121,6 @@ class Tangency:
 
     kind: str  # "equal" | "tangent" | "secant" | "disjoint"
     points: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class Pencil:
-    kind: str  # "tangent" | "double-tangency"
-    anchor: tuple
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 def _cid(circle) -> int:
@@ -663,13 +649,12 @@ class LaguerrePlane(_Structure):
         pts = np.intersect1d(self.members[K], self.members[L])
         return Tangency("secant", tuple(int(p) for p in pts))
 
-    def tangent_pencil(self, p: int, K) -> Pencil:
-        """All circles tangent to K at p (including K itself)."""
+    def tangent_pencil(self, p: int, K) -> tuple[int, ...]:
+        """The ids of all circles tangent to K at p (including K), sorted."""
         K = _cid(K)
         if not self.mem[K, p]:
             raise PointNotOnCircle(f"point {p} not on circle {K}")
-        members = sorted([K] + [int(m) for m in self.pencil_others[K, self.gen_of[p]]])
-        return Pencil("tangent", (p, K), tuple(members))
+        return tuple(sorted([K] + self.pencil_others[K, self.gen_of[p]].tolist()))
 
     # -- concyclicity ----------------------------------------------------
 

@@ -51,7 +51,7 @@ from .errors import (
     TangentPair,
     WellDefinednessFailure,
 )
-from .plane import Circle, LaguerrePlane, Pencil, _cid, meet_count, meet_sum, touch_code
+from .plane import Circle, LaguerrePlane, _cid, meet_count, meet_sum, touch_code
 from .report import CheckMode, CheckReport, Violation
 from .rng import bounded, draw_block
 
@@ -155,14 +155,15 @@ def tangency_map(plane: LaguerrePlane, K, L) -> np.ndarray:
     return _tangency_maps(plane, _cid(K), _cid(L), both=False)[0]
 
 
-def double_tangency_pencil(plane: LaguerrePlane, K, L) -> Pencil:
-    """All circles tangent to both K and L (tangency includes equality)."""
+def double_tangency_pencil(plane: LaguerrePlane, K, L) -> tuple[int, ...]:
+    """The ids of all circles tangent to both K and L (tangency includes
+    equality), sorted."""
     K, L = _cid(K), _cid(L)
     if K == L:
         raise ValueError("circles must be distinct")
     ok = meet_count(plane.pair_code[[K, L]]) == 1
     ok[0, K] = ok[1, L] = True
-    return Pencil("double-tangency", (K, L), tuple(np.flatnonzero(ok.all(axis=0)).tolist()))
+    return tuple(np.flatnonzero(ok.all(axis=0)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +171,18 @@ def double_tangency_pencil(plane: LaguerrePlane, K, L) -> Pencil:
 # ---------------------------------------------------------------------------
 
 class Automorphism:
-    """A point permutation certified to preserve parallelity and circles."""
+    """A point permutation certified to preserve parallelity and circles;
+    `pair` is the (K, L) of a double tangency symmetry, else None."""
 
-    def __init__(self, plane: LaguerrePlane, image, provenance: tuple = ("custom",)):
+    def __init__(self, plane: LaguerrePlane, image, pair: tuple[int, int] | None = None):
         self.plane = plane
         self.image = np.asarray(image, dtype=np.int32)
-        self.provenance = provenance
+        self.pair = pair
         self._circle_image: np.ndarray | None = None
 
     @classmethod
     def identity(cls, plane: LaguerrePlane) -> "Automorphism":
-        return cls(plane, np.arange(plane.n_points, dtype=np.int32), ("identity",))
+        return cls(plane, np.arange(plane.n_points, dtype=np.int32))
 
     def __call__(self, x: int) -> int:
         return int(self.image[x])
@@ -285,7 +287,7 @@ def build_dts(plane: LaguerrePlane, K, L) -> Automorphism:
                      if not plane.mem[K, t] and not plane.mem[L, t]]
     image[X] = img
 
-    phi = Automorphism(plane, image, ("dts", K, L))
+    phi = Automorphism(plane, image, (K, L))
     phi.validate()
     return phi
 
@@ -382,7 +384,7 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
     report.record(bad, touch_violation)
 
     # (5) the common tangent circles of (K, L) are fixed
-    common = np.array(double_tangency_pencil(plane, K, L).members, dtype=np.intp)
+    common = np.array(double_tangency_pencil(plane, K, L), dtype=np.intp)
     report.configurations += len(common)
     report.record(ci[common] != common, lambda i: Violation(
         "common-tangent-moved", circles=(int(common[i]),)))
@@ -399,7 +401,6 @@ def verify_dts(plane: LaguerrePlane, phi: Automorphism, K, L) -> CheckReport:
 @dataclass(frozen=True)
 class SymmetryClassification:
     kind: str  # "LaguerreSymmetry" | "FixedPointFree" | "Other"
-    pair: tuple[int, int]
     fixed_generators: tuple[int, int] | None = None
     witness_circle: int | None = None
     fixed_point_count: int = 0
@@ -427,20 +428,19 @@ def classify_symmetry(plane: LaguerrePlane, K, L,
         gp, gq = int(plane.gen_of[p]), int(plane.gen_of[q])
         pq = plane.gen_members[[gp, gq]]
         if not ((phi.image[pq] == pq).all() and phi.is_involution()):
-            return SymmetryClassification("Other", (K, L), fixed_point_count=len(fixed),
+            return SymmetryClassification("Other", fixed_point_count=len(fixed),
                                           details="secant pair without pointwise-fixed generators")
         # the first circle fixed setwise but not pointwise, among the fixed ones
         setwise = np.flatnonzero(phi.circle_image() == np.arange(plane.n_circles))
         rows = plane.members.take(setwise, axis=0)
         witnesses = setwise[(phi.image.take(rows) != rows).any(axis=1)]
         if not len(witnesses):
-            return SymmetryClassification("Other", (K, L), fixed_point_count=len(fixed),
+            return SymmetryClassification("Other", fixed_point_count=len(fixed),
                                           details="no setwise-fixed witness circle")
-        return SymmetryClassification("LaguerreSymmetry", (K, L), (gp, gq),
-                                      int(witnesses[0]), len(fixed))
+        return SymmetryClassification("LaguerreSymmetry", (gp, gq), int(witnesses[0]), len(fixed))
     if not fixed:
-        return SymmetryClassification("FixedPointFree", (K, L), fixed_point_count=0)
-    return SymmetryClassification("Other", (K, L), fixed_point_count=len(fixed),
+        return SymmetryClassification("FixedPointFree", fixed_point_count=0)
+    return SymmetryClassification("Other", fixed_point_count=len(fixed),
                                   details="disjoint pair with fixed points")
 
 
@@ -460,7 +460,6 @@ class MoebiusCandidate:
     touching axiom holds; nothing is asserted.
     """
 
-    pair: tuple[int, int]
     points: tuple[int, ...]
     blocks_a: tuple[tuple[int, ...], ...]
     blocks_b: tuple[tuple[int, ...], ...]
@@ -481,19 +480,19 @@ def moebius_extract(plane: LaguerrePlane, phi: Automorphism) -> MoebiusCandidate
     """Build the inversive-plane candidate of a fixed-point-free symmetry.
 
     Its axiom reports come from array passes over the block x point
-    incidence matrix (`_three_point_axiom`, `_touching_axiom`), which
-    build only the first `MAX_VIOLATIONS` violations and count the rest:
-    the candidate is half an inversive plane, so half its trios fail.
+    incidence matrix, built once (`_incidence`), in `_three_point_axiom`
+    and `_touching_axiom`, which build only the first `MAX_VIOLATIONS`
+    violations and count the rest: the candidate is half an inversive
+    plane, so half its trios fail.
     Raises ValueError where the symmetry maps a circle onto no circle.
     """
     if phi.fixed_points():
         raise NotFixedPointFree("the symmetry fixes a point")
-    if phi.provenance[0] != "dts":
+    if phi.pair is None:
         raise ValueError("candidate extraction needs a double tangency symmetry")
     ci, pc, n_c = phi.circle_image(), plane.pair_code, plane.n_circles
     if (ci < 0).any():
         raise ValueError(f"the symmetry maps circle {(ci < 0).argmax()} onto no circle")
-    _, K, L = phi.provenance
     fixed = fixed_circles(plane, phi)
     F = np.array(fixed, dtype=np.intp)
 
@@ -510,35 +509,36 @@ def moebius_extract(plane: LaguerrePlane, phi: Automorphism) -> MoebiusCandidate
     blocks_b = {tuple(r[r < n_c].tolist()) + (INFINITY,) for r in rows}
 
     candidate = MoebiusCandidate(
-        pair=(int(K), int(L)),
         points=fixed + (INFINITY,),
         blocks_a=tuple(sorted(blocks_a)),
         blocks_b=tuple(sorted(blocks_b)),
         parallel_moved_points=plane.n_points - len(X),
     )
-    candidate.three_point_report = _three_point_axiom(candidate)
-    candidate.touching_report = _touching_axiom(candidate)
+    B, index = _incidence(candidate)
+    candidate.three_point_report = _three_point_axiom(candidate, B)
+    candidate.touching_report = _touching_axiom(candidate, B, index)
     return candidate
 
 
-def _incidence(cand: MoebiusCandidate) -> np.ndarray:
-    """Boolean block x point matrix; columns follow `cand.points`."""
+def _incidence(cand: MoebiusCandidate) -> tuple[np.ndarray, dict[int, int]]:
+    """The boolean block x point matrix, its columns in `cand.points`
+    order, and each point's column."""
     index = {p: i for i, p in enumerate(cand.points)}
     B = np.zeros((len(cand.blocks), len(cand.points)), dtype=bool)
     for bi, b in enumerate(cand.blocks):
         B[bi, [index[p] for p in b]] = True
-    return B
+    return B, index
 
 
-def _three_point_axiom(cand: MoebiusCandidate) -> CheckReport:
+def _three_point_axiom(cand: MoebiusCandidate, B: np.ndarray) -> CheckReport:
     """Each trio of points, in `combinations` order, lies on exactly one
     block.  For each first point i, the block counts of the trios (i, j, k)
     with i < j < k are the upper triangle of one product of the incidence
     columns after i, restricted to the blocks through i; its row-major
-    order is the `combinations` order."""
+    order is the `combinations` order.  `B` is `_incidence(cand)`'s matrix."""
     report = CheckReport(check_id="MoebiusThreePoint", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
-    B = _incidence(cand).astype(np.float32)  # its products are small exact integers
+    B = B.astype(np.float32)  # its products are small exact integers
     pts = cand.points
     for i in range(len(pts)):
         rest = B[:, i + 1:]
@@ -552,14 +552,13 @@ def _three_point_axiom(cand: MoebiusCandidate) -> CheckReport:
     return report.finalize()
 
 
-def _touching_axiom(cand: MoebiusCandidate) -> CheckReport:
+def _touching_axiom(cand: MoebiusCandidate, B: np.ndarray, index: dict) -> CheckReport:
     """For a block b, P on b and Q off b, exactly one block through Q meets
     b in P alone.  The blocks meeting b in one point are the rows E with
-    (B @ B.T)[:, b] == 1, and E[:, cols(b)].T @ E counts them per (P, Q)."""
+    (B @ B.T)[:, b] == 1, and E[:, cols(b)].T @ E counts them per (P, Q);
+    `B` and `index` are `_incidence(cand)`."""
     report = CheckReport(check_id="MoebiusTouching", mode=CheckMode.exhaustive())
     t0 = time.perf_counter()
-    index = {p: i for i, p in enumerate(cand.points)}
-    B = _incidence(cand)
     Bf = B.astype(np.float32)  # its products are small exact integers
     inter = Bf @ Bf.T
     for bi, b in enumerate(cand.blocks):
@@ -623,9 +622,9 @@ def sample_nontangent_pairs(plane: LaguerrePlane, count: int, seed: int) -> list
 
 def export_automorphism(plane: LaguerrePlane, phi: Automorphism) -> str:
     """One header line with the defining pair, one line of point images."""
-    if phi.provenance[0] != "dts":
+    if phi.pair is None:
         raise ValueError("only double tangency symmetries carry an exportable pair")
-    _, K, L = phi.provenance
+    K, L = phi.pair
     ck = plane.circle_coef(K)
     cl = plane.circle_coef(L)
     if ck is None or cl is None:
@@ -663,6 +662,6 @@ def import_automorphism(plane: LaguerrePlane, text: str) -> Automorphism:
         raise ValueError("image length does not match the point count")
     if not all(0 <= v < plane.n_points for v in image):
         raise ValueError(f"image holds a point id outside 0..{plane.n_points - 1}")
-    phi = Automorphism(plane, image, ("dts", K, L))
+    phi = Automorphism(plane, image, (K, L))
     phi.validate()
     return phi

@@ -493,6 +493,16 @@ def test_exhaustive_sizes_frozen():
     assert set(CHECK_IDS) == set(CHECKERS)
 
 
+def test_sizing_fills_no_index():
+    # a fresh plane: a cached one may hold indexes that another test read
+    P = oval_plane(5, oval_table_power(5, 2))
+    for check_id in checks.SPECS:
+        exhaustive_size(P, check_id)
+    filled = {"pencil_others", "pair_code", "triple_circle", "vertex_pencils",
+              "tangent_through"} & set(vars(P))
+    assert not filled
+
+
 # exhaustive_size of ("Axioms", *CHECK_IDS) at each supported order
 EXHAUSTIVE_SIZES = {
     2: (0, 192, 216, 24, 216, 216, 24, 96, 96, 96, 0, 0),

@@ -370,6 +370,8 @@ def test_replay_malformed_lines_exit_two_with_one_error_line(tmp_path, capsys):
         dict(good, check=["C"]),
         # a sampled line's seed is read as --seed is: an integer in [0, 2^64)
         *(dict(sampled, seed=seed) for seed in (2**70, -1, "3", 3.0)),
+        # a mode is read only as `CheckMode.label` writes it
+        *(dict(sampled, mode=mode) for mode in ("sample: 5", "sample:5_0", "5")),
     ]
     report = tmp_path / "bad.jsonl"
     for obj in bad_lines:
@@ -384,6 +386,14 @@ def test_replay_malformed_lines_exit_two_with_one_error_line(tmp_path, capsys):
     report.write_text("{not json\n")
     code, _, err = run_cli(capsys, "replay", "--report", str(report))
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_replay_of_a_report_with_no_line_exits_two(tmp_path, capsys, text):
+    report = tmp_path / "empty.jsonl"
+    report.write_text(text)
+    assert run_cli(capsys, "replay", "--report", str(report)) == (
+        2, "", f"error: {report}: holds no report line\n")
 
 
 def test_replay_malformed_witnesses_name_the_line_and_exit_two(tmp_path, capsys):

@@ -236,7 +236,7 @@ def test_tangent_pencil_example_and_membership():
     pen = P.tangent_pencil(pt(5, 0, 0), K)
     assert len(pen) == 5
     assert sorted(P.circle_coef(c) for c in pen) == [(a, 0, 0) for a in range(5)]
-    assert K.id in pen.members
+    assert K.id in pen
     with pytest.raises(PointNotOnCircle):
         P.tangent_pencil(pt(5, 0, 1), K)
 
@@ -250,7 +250,7 @@ def test_pencil_sizes_by_enumeration(q):
             pen = P.tangent_pencil(int(p), K)
             assert len(pen) == q
             # members pairwise intersect exactly in {p}
-            for m1, m2 in itertools.combinations(pen.members, 2):
+            for m1, m2 in itertools.combinations(pen, 2):
                 t = P.tangency(m1, m2)
                 assert t.kind == "tangent" and t.points == (int(p),)
     x, y = 0, q + 1  # first points of generators 0 and 1
@@ -713,8 +713,8 @@ def test_tangent_circle_is_unique_pencil_member_property(q, data):
         return
     M = P.tangent_circle(p, K, x)
     pen = P.tangent_pencil(p, K)
-    assert M.id in pen.members
-    others = [m for m in pen.members if m != M.id and P.mem[m, x]]
+    assert M.id in pen
+    others = [m for m in pen if m != M.id and P.mem[m, x]]
     assert not others
 
 

@@ -48,7 +48,7 @@ def test_replay_refuses_coincident_touch_trio(p5):
     # a genuine mutually tangent trio here always touches at one point
     K = p5.circle_from_coef((1, 0, 0)).id
     pen = p5.tangent_pencil(0, K)
-    trio = tuple(sorted(pen.members))[:3]
+    trio = tuple(sorted(pen))[:3]
     v = Violation("tangent-trio", points=(0, 0, 0), circles=trio)
     assert not replay_violation(p5, "Prop21", v)
 

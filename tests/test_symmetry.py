@@ -129,7 +129,7 @@ def test_double_tangency_pencil_golden(p5, secant_pair):
     brute = [cid for cid in range(p5.n_circles)
              if p5.tangency(cid, K).kind in ("tangent", "equal")
              and p5.tangency(cid, L).kind in ("tangent", "equal")]
-    assert list(pen.members) == brute
+    assert list(pen) == brute
     with pytest.raises(ValueError):
         double_tangency_pencil(p5, K, K)
 
@@ -140,7 +140,7 @@ def test_double_tangency_pencil_tangent_case_equals_tangent_pencil(p5):
     t = p5.tangency(K, L)
     assert t.kind == "tangent"
     pen = double_tangency_pencil(p5, K, L)
-    assert set(pen.members) == set(p5.tangent_pencil(t.points[0], K).members)
+    assert set(pen) == set(p5.tangent_pencil(t.points[0], K))
 
 
 def test_build_dts_restriction_is_the_tangency_map(p5, secant_pair):
@@ -370,6 +370,8 @@ def test_automorphism_text_roundtrip(p5, secant_pair):
     assert head == "dts q=5 K=1,0,0 L=4,0,2"
     back = import_automorphism(p5, text)
     assert back.equals(phi)
+    assert back.pair == phi.pair == (K, L)
+    assert Automorphism.identity(p5).pair is None
     assert export_automorphism(p5, back) == text
     with pytest.raises(ValueError):
         import_automorphism(miquelian_plane(3), text)

@@ -324,7 +324,7 @@ def dts_cases(q: int, pairs: int = 40):
         for kind, image in (("genuine", images[i]), ("swapped", swapped),
                             ("other", images[(i + 1) % len(images)]),
                             ("identity", np.arange(P.n_points))):
-            yield kind, K, L, Automorphism(P, image, ("dts", K, L))
+            yield kind, K, L, Automorphism(P, image, (K, L))
 
 
 def coordinate_map(P, lam: int, t: int) -> Automorphism:
@@ -471,7 +471,7 @@ def test_verify_dts_builds_only_the_violations_it_records(monkeypatch):
     P = miquelian_plane(5)
     K, L = sample_nontangent_pairs(P, 1, seed=5)[0]
     image = np.random.default_rng(5).permutation(P.n_points)
-    phi = Automorphism(P, image, ("dts", K, L))
+    phi = Automorphism(P, image, (K, L))
     assert (image[image] != np.arange(P.n_points)).sum() > MAX_VIOLATIONS
     assert (loop_circle_image(P, image) < 0).sum() > MAX_VIOLATIONS
     want = loop_verify_dts(P, phi, K, L)
@@ -659,7 +659,7 @@ def test_conjugate_symmetry_is_the_symmetry_of_the_image_pair(q):
         for g in gs:
             inverse = np.argsort(g.image)
             gK, gL = (int(c) for c in g.circle_image()[[K, L]])
-            conj = Automorphism(P, g.image[phi.image[inverse]], ("dts", gK, gL))
+            conj = Automorphism(P, g.image[phi.image[inverse]], (gK, gL))
             assert np.array_equal(conj.image, build_dts(P, gK, gL).image), (K, L, gK, gL)
             assert verify_dts(P, conj, gK, gL).verdict == "Holds"
 
@@ -683,8 +683,9 @@ def moebius_cases(q: int):
 def test_moebius_axioms_match_the_loop_reference(q):
     verdicts = {}
     for name, cand in moebius_cases(q):
-        three = symmetry._three_point_axiom(cand)
-        touching = symmetry._touching_axiom(cand)
+        B, index = symmetry._incidence(cand)
+        three = symmetry._three_point_axiom(cand, B)
+        touching = symmetry._touching_axiom(cand, B, index)
         assert summary(three) == summary(loop_three_point(cand)), name
         assert summary(touching) == summary(loop_touching(cand)), name
         verdicts[name] = touching.verdict
@@ -710,7 +711,7 @@ def moebius_block_cases(q):
     w = phi(z)
     image = phi.image.copy()
     image[[x, w]] = z, phi(x)
-    yield "swapped", P, Automorphism(P, image, phi.provenance)
+    yield "swapped", P, Automorphism(P, image, phi.pair)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, RELABELLED])
