@@ -148,8 +148,10 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     and dropped when the sweep returns.  Where one first choice reads a
     mask of at least `_SAMPLE_CHUNK` raw rows (`family.read`), the mode is
     split into one view per range block: from q=7 for S, Cor21 and the Pi
-    family, never for Prop22's c ∥ a chains, which ran slower split
-    (CHANGES.md).  Any other exhaustive mode is one part, swept inline."""
+    family.  Prop22's c ∥ a chains, which ran slower split (CHANGES.md),
+    are never split within `EXHAUSTIVE_LIMIT`: their mask passes one chunk
+    only from q=11, and `check` refuses Prop22 from q=8 (128,024,064
+    configurations).  Any other exhaustive mode is one part, swept inline."""
     family = None if mode.is_sample else firsts(plane)
     local = threading.local()
 

@@ -7,7 +7,9 @@ every field.  All arithmetic goes through dense numpy lookup tables
 (q <= 64 keeps every table under a few KB), which is what the incidence
 search loops want.
 
-The reduction polynomial for each extension field is fixed below, so
+One construction builds the tables of every order: GF(p^k) is
+GF(p)[t]/(f), and a prime field is its k = 1 case, with nothing to reduce.
+The reduction polynomial f for each extension field is fixed below, so
 element indexes are reproducible across runs and across implementations
 in other languages.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FiniteField", "make_field", "square_roots", "SUPPORTED_ORDERS"]
+__all__ = ["FiniteField", "make_field", "field_of_order", "square_roots", "SUPPORTED_ORDERS"]
 
 MAX_ORDER = 64
 
@@ -49,31 +51,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _digits(index: int, p: int, k: int) -> list[int]:
-    out = []
-    for _ in range(k):
-        out.append(index % p)
-        index //= p
-    return out
-
-
-def _poly_mul_mod(u: list[int], v: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    """Multiply coefficient vectors and reduce by the monic polynomial `mod`."""
-    k = len(mod) - 1
-    prod = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                prod[i + j] = (prod[i + j] + ui * vj) % p
-    for deg in range(len(prod) - 1, k - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg] = 0
-            for j in range(k):
-                prod[deg - k + j] = (prod[deg - k + j] - c * mod[j]) % p
-    return [c % p for c in prod[:k]] + [0] * max(0, k - len(prod))
-
-
 class FiniteField:
     """GF(p^k) with dense addition/multiplication/negation/inverse tables.
 
@@ -94,38 +71,27 @@ class FiniteField:
         self.q = q
         self.irreducible: tuple[int, ...] | None = IRREDUCIBLE.get((p, k))
 
-        if k == 1:
-            idx = np.arange(q, dtype=np.int64)
-            add = (idx[:, None] + idx[None, :]) % p
-            mul = (idx[:, None] * idx[None, :]) % p
-        else:
-            vecs = [_digits(i, p, k) for i in range(q)]
-            add = np.zeros((q, q), dtype=np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            weights = [p**i for i in range(k)]
-            for a in range(q):
-                for b in range(q):
-                    s = [(vecs[a][i] + vecs[b][i]) % p for i in range(k)]
-                    add[a, b] = sum(c * w for c, w in zip(s, weights))
-                    m = _poly_mul_mod(vecs[a], vecs[b], self.irreducible, p)
-                    mul[a, b] = sum(c * w for c, w in zip(m, weights))
+        # each element's base-p digit vector, least significant first
+        weights = p ** np.arange(k)
+        d = np.arange(q)[:, None] // weights % p
+        add = (d[:, None] + d[None, :]) % p @ weights
+        # schoolbook product of every pair, then long division by the monic
+        # pinned polynomial from degree 2k-2 down to k
+        prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            prod[..., i:i + k] += d[:, None, i, None] * d[None, :, :]
+        for deg in range(2 * k - 2, k - 1, -1):
+            prod[..., deg - k:deg] -= prod[..., deg, None] * self.irreducible[:k]
+        mul = prod[..., :k] % p @ weights
 
-        self.add = add.astype(np.uint8)
-        self.mul = mul.astype(np.uint8)
-
-        # -a is the unique b with a + b = 0
-        neg = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            neg[a] = int(np.nonzero(self.add[a] == 0)[0][0])
-        self.neg = neg
-
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            hits = np.nonzero(self.mul[a] == 1)[0]
-            if len(hits) != 1:
-                raise AssertionError(f"element {a} of GF({q}) lacks a unique inverse")
-            inv[a] = int(hits[0])
-        self.inv = inv  # inv[0] is a sentinel 0; invert() rejects zero
+        # -a is the unique b with a + b = 0, and 1/a the unique b with a * b = 1
+        unit = mul == 1
+        lacking = np.flatnonzero(unit[1:].sum(axis=1) != 1)
+        if lacking.size:
+            raise AssertionError(f"element {lacking[0] + 1} of GF({q}) lacks a unique inverse")
+        self.add, self.mul = add.astype(np.uint8), mul.astype(np.uint8)
+        self.neg = (add == 0).argmax(axis=1).astype(np.uint8)
+        self.inv = unit.argmax(axis=1).astype(np.uint8)  # inv[0] is a sentinel 0; invert() rejects zero
 
         for t in (self.add, self.mul, self.neg, self.inv):
             t.flags.writeable = False

@@ -22,6 +22,7 @@ from .plane import LaguerrePlane
 
 __all__ = [
     "SUPPORTED_PLANE_ORDERS",
+    "build_plane",
     "miquelian_plane",
     "oval_plane",
     "oval_table_power",

@@ -17,7 +17,9 @@ across blocks, not block by block.  Prop22's chain blocks (`c_parallel_a`) must 
 reference restricted to its hypothesis c ∥ a, in both modes, while the
 blocks of S and Cor21 stay unrestricted.
 
-C's exhaustive evaluator receives every circle once, in order.
+C's exhaustive evaluator receives every circle once, in order, and its
+report is the one its sampled evaluator `_eval_c` gives on every
+(K, slot of p, L) row in that order: the second route to C's verdict.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from laguerre_lab.checks import (CHECKERS, _chain_blocks, _ChainFirsts, _firsts,
                                  _PiFirsts, _range_blocks, _Rows)
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.plane import meet_count, meet_sum
-from laguerre_lab.report import CheckMode
+from laguerre_lab.report import CheckMode, CheckReport
 from test_relabelling import RELABELLED, plane_for
 
 EX = CheckMode.exhaustive()
@@ -202,3 +204,18 @@ def test_c_evaluates_every_circle_once_in_order(monkeypatch):
     report = CHECKERS["C"].run(plane, EX)
     assert seen == list(range(plane.n_circles))
     assert report.configurations == plane.n_circles * plane.n_circles * (plane.q + 1)
+
+
+@pytest.mark.parametrize("key", [3, 4, 5, RELABELLED, GF8])
+def test_c_row_evaluator_matches_the_exhaustive_sweep(key):
+    # q=4 and x⁴ over GF(8) fail C, so their witnesses are compared too
+    plane = _plane(key)
+    q, n_c = plane.q, plane.n_circles
+    sp = np.repeat(np.arange(q + 1, dtype=np.int16), n_c)
+    L = np.tile(np.arange(n_c, dtype=np.int16), q + 1)
+    rows = CheckReport(check_id="C", mode=EX)
+    for K in range(n_c):
+        checks._eval_c(plane, rows, np.full(len(L), K, dtype=np.int16), L, sp)
+    sweep = CHECKERS["C"].run(plane, EX)
+    assert ((rows.hypothesis_hits, rows.violation_count, rows.skipped, rows.violations)
+            == (sweep.hypothesis_hits, sweep.violation_count, sweep.skipped, sweep.violations))

@@ -3,6 +3,7 @@ independent polynomial-division and square-enumeration oracles."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -43,22 +44,56 @@ def test_prime_field_arithmetic():
     assert F.mul[3, 4] == 2
 
 
-def test_gf4_against_polynomial_division_oracle():
-    # t * t reduced by the pinned polynomial must match the table
-    F = make_field(2, 2)
-    modulus = Poly([1, 1, 1], t, domain=GF(2))  # t^2 + t + 1
-    for a, b in itertools.product(range(4), repeat=2):
-        prod = (idx_to_poly(F, a) * idx_to_poly(F, b)) % modulus
-        assert int(F.mul[a, b]) == poly_to_idx(F, prod)
-    assert F.mul[2, 2] == 3  # t * t = t + 1
+# the moduli of the extension fields, written apart from `IRREDUCIBLE`,
+# highest degree first as sympy takes them
+MODULI = {
+    4: [1, 1, 1],                   # t^2 + t + 1
+    8: [1, 0, 1, 1],                # t^3 + t + 1
+    9: [1, 0, 1],                   # t^2 + 1
+    16: [1, 0, 0, 1, 1],            # t^4 + t + 1
+    25: [1, 0, 2],                  # t^2 + 2
+    27: [1, 0, 2, 1],               # t^3 + 2t + 1
+    32: [1, 0, 0, 1, 0, 1],         # t^5 + t^2 + 1
+    49: [1, 0, 1],                  # t^2 + 1
+    64: [1, 0, 0, 0, 0, 1, 1],      # t^6 + t + 1
+}
+
+# sha256 of each field's add, mul, neg and inv bytes, in that order: element
+# indexes reach every report and golden, so no table may change
+TABLE_SHA256 = {
+    2: "e79137bf2149c7d1dc14cb6f00a61efafab0ad8ba5597b1e7648cc4251c9659b",
+    3: "0cfbcb5926b4e7437ae8d33ee358d02aa11806bb32750f5ee5433d295986b9e4",
+    4: "be3768ff42d1c6df14b1d3ff365a8c3e18445c5ce22dc0d98cb81e34075e2c72",
+    5: "ba166c49a24eaf45e58b175405fe11a1972461049df134a6cc95a583e1d2d19b",
+    7: "ac5bcca3c46429128361420c9cc61fb04da89bdb4ae80f04846b6098b994cd52",
+    8: "9dc30e01aec45be43bee2bd04ca701905d446aa47340fd154fb738f7f90cd96f",
+    9: "8a52fc4606ab9be73a29fb483fdac205c1258fbf9d40f30db48414f55ca38d3a",
+    11: "1c697aadbb0ee389c87dc3e815b748dee0a55a1b7fe0788188f42c52c090e34f",
+    13: "279ad02c7a25343c0e3766f2b95f65e76d143d6cb732bf46f51d6cd1e6b8b0a2",
+    16: "0046fa46959f1b7afb92cadad2972cc4752782058281ed6e463b835b7bbeec9e",
+    25: "0edec5dd4660d0e84a536bba69f19e14cff2a66739febab5ebdb8c9d70250498",
+    27: "d9d46e1702dad18942cc349173c0d09c8334bbe68898dab5d25b4928d9636cfa",
+    32: "0855e7f46f7b2573c02d4a1605552ba25205a2b8c4d5c2571d08403cc36480b8",
+    49: "3c0e5b97a854c15008d5d83f60b4958903f4cb12d24f7bf100bcf69070154fb1",
+    64: "78288bcf58c861793e5e770498669489ee2633d92a31c4734904b12c6742030b",
+}
 
 
-def test_gf8_against_polynomial_division_oracle():
-    F = make_field(2, 3)
-    modulus = Poly([1, 0, 1, 1], t, domain=GF(2))  # t^3 + t + 1
-    for a, b in itertools.product(range(8), repeat=2):
-        prod = (idx_to_poly(F, a) * idx_to_poly(F, b)) % modulus
-        assert int(F.mul[a, b]) == poly_to_idx(F, prod)
+@pytest.mark.parametrize("q", sorted(MODULI))
+def test_tables_against_polynomial_division_oracle(q):
+    F = field_of_order(q)
+    modulus = Poly(MODULI[q], t, domain=GF(F.p))
+    polys = [idx_to_poly(F, a) for a in range(q)]
+    for a, b in itertools.product(range(q), repeat=2):
+        assert int(F.add[a, b]) == poly_to_idx(F, polys[a] + polys[b])
+        assert int(F.mul[a, b]) == poly_to_idx(F, (polys[a] * polys[b]) % modulus)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_tables_keep_their_pinned_digests(q):
+    F = field_of_order(q)
+    tables = b"".join(table.tobytes() for table in (F.add, F.mul, F.neg, F.inv))
+    assert hashlib.sha256(tables).hexdigest() == TABLE_SHA256[q]
 
 
 def test_gf9_minus_one_is_a_square():
@@ -162,6 +197,7 @@ def test_pinned_polynomials_documented():
     assert IRREDUCIBLE[(2, 2)] == (1, 1, 1)
     assert IRREDUCIBLE[(2, 3)] == (1, 1, 0, 1)
     assert IRREDUCIBLE[(3, 2)] == (1, 0, 1)
+    assert make_field(2, 2).mul[2, 2] == 3  # t * t = t + 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,13 @@
 """Every module that lists its public names in `__all__` exports them:
 `from laguerre_lab.<module> import *` succeeds and binds each listed name,
-so a name left in `__all__` after its definition went fails here."""
+so a name left in `__all__` after its definition went fails here.  And
+every name the package exports from such a module is in its list."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -28,3 +31,13 @@ def test_star_import_binds_every_public_name(name):
     module = importlib.import_module(f"laguerre_lab.{name}")
     for public in module.__all__:
         assert namespace[public] is getattr(module, public), public
+
+
+def test_the_package_exports_only_listed_names():
+    imports = [node for node in ast.parse(inspect.getsource(laguerre_lab)).body
+               if isinstance(node, ast.ImportFrom) and node.module in MODULES]
+    assert {node.module for node in imports} >= {"checks", "gf", "models", "plane"}
+    for node in imports:
+        public = importlib.import_module(f"laguerre_lab.{node.module}").__all__
+        for alias in node.names:
+            assert alias.name in public, (node.module, alias.name)
