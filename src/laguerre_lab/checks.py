@@ -94,7 +94,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import LaguerreError
-from .plane import LaguerrePlane, meet_count, meet_sum, touch_code, validate_laguerre_axioms
+from .plane import (LaguerrePlane, meet_count, meet_sum, secant_code, touch_code,
+                    validate_laguerre_axioms)
 from .report import CheckMode, CheckReport, Violation
 from .rng import bounded, draw_block
 
@@ -731,11 +732,11 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     the circle through x tangent to C1 at a.  The statements need nothing
     more: p ∥ c and q ∥ b are parallel to neither x nor each other; q ≠ b,
     or (a,c,x)° = C1 would hold x; and q is off K′, or K′ = (a,c,x)° would
-    meet C1 in c as well as in a.  Sampled only: the exhaustive rows are
-    `_PiFirsts`'.
+    meet C1 in c as well as in a.  K′ is read by `_tangent_circles`.
+    Sampled only: the exhaustive rows are `_PiFirsts`'.
     """
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
-    members, TCT, raw = plane.members, plane.tangent_through, _draws(mode, 4)
+    members, raw = plane.members, _draws(mode, 4)
     a, b, c, x = (bounded(raw[j], plane.n_points) for j in range(4))
     ga, gb, gc, gx = (gen.take(v) for v in (a, b, c, x))
     idx = np.nonzero((ga != gb) & (ga != gc) & (ga != gx)
@@ -746,7 +747,7 @@ def _pi_blocks(plane: LaguerrePlane, mode: CheckMode):
     a, b, c, x, C1 = (v.take(keep) for v in (a, b, c, x, C1))
     return (a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen.take(c)),
             _gather(members, _gather(T3, a, c, x), gen.take(b)),
-            _gather(TCT, C1, gen.take(a), x))
+            _tangent_circles(plane, C1, a, x))
 
 
 class _PiFirsts(_Family):
@@ -759,7 +760,9 @@ class _PiFirsts(_Family):
     `triple_circle`, the circles (a, y, z)°, once: the mask of mutually
     non-parallel (b, c, x) with x off (a, b, c)° is one `flatnonzero`, and
     every block array is read at the kept flat offsets, or their (b, c)
-    prefixes, and K′ at (C1, x) of `tangent_through` at a's generator."""
+    prefixes, and K′ at (C1, x) of a's K′ table, read once from a's slice
+    of `class_pencils`: at (C, x) the circle through a and x in the class
+    of C's pencil at its point on a's generator (`_tangent_circles`)."""
 
     names = ("a", "b", "c", "x", "C1", "p", "q", "Kp")
 
@@ -806,7 +809,8 @@ class _PiFirsts(_Family):
         np.subtract(bc, np.multiply(b, n, out=t, dtype=np.int32), out=out("c"))
         C1 = Ta.reshape(-1).take(bc, out=out("C1"), mode="wrap")
         # K′ through x tangent to C1 at a, read at C1·n + x in f
-        Kp = plane.tangent_through[:, plane.gen_of[a]].reshape(-1)
+        k = plane.pencil_class[:, plane.gen_of[a]]
+        Kp = plane.class_pencils[a].T.take(k, axis=0).reshape(-1)
         np.multiply(C1, n, out=f, dtype=f.dtype)
         f += x
         Kp.take(f, out=out("Kp"), mode="wrap")
@@ -817,6 +821,13 @@ def _pi_tally(report, ok, kind, a, b, c, x, C1) -> None:
     report.hypothesis_hits += len(a)
     report.record(~ok, lambda i: Violation(
         kind, points=(int(a[i]), int(b[i]), int(c[i]), int(x[i])), circles=(int(C1[i]),)))
+
+
+def _tangent_circles(plane, C, t, x):
+    """The circles through x tangent to C at t, x off C and off t's
+    generator: the circle through t and x in the class of C's pencil at t."""
+    return _gather(plane.class_pencils, t, x,
+                   _gather(plane.pencil_class, C, plane.gen_of.take(t)))
 
 
 def _touch_at(plane, N, C, x):
@@ -830,23 +841,21 @@ def _eval_pi(plane, report, a, b, c, x, C1, p, qpt, Kp):
     _pi_tally(report, ok, "pi-config", a, b, c, x, C1)
 
 
-def _meets_at_parallel(plane, L, C, x, c):
-    """PiPrime's conclusion: L meets C in x, on both, and a point ∥ c."""
-    code = _gather(plane.pair_code, L, C)
-    two = meet_count(code) == 2
-    other = np.where(two, meet_sum(code) - x, 0)
-    return two & (plane.gen_of.take(other) == plane.gen_of.take(c))
+def _meets_at_parallel(plane, L, C, x, p):
+    """PiPrime's conclusion: L meets C = (a,b,x)° in exactly x, on both,
+    and C's point ∥ c, which is p: one test of their pair code."""
+    return _gather(plane.pair_code, L, C) == secant_code(x, p)
 
 
 def _eval_pi_prime(plane, report, a, b, c, x, C1, p, qpt, Kp):
-    L = _gather(plane.tangent_through, Kp, plane.gen_of.take(x), qpt)
-    ok = _meets_at_parallel(plane, L, _gather(plane.triple_circle, a, b, x), x, c)
+    L = _tangent_circles(plane, Kp, x, qpt)
+    ok = _meets_at_parallel(plane, L, _gather(plane.triple_circle, a, b, x), x, p)
     _pi_tally(report, ok, "piprime-config", a, b, c, x, C1)
 
 
 def _eval_thm_2_3(plane, report, a, b, c, x, C1, p, qpt, Kp):
     Cqpx = _gather(plane.triple_circle, qpt, p, x)
-    N = _gather(plane.tangent_through, Cqpx, plane.gen_of.take(p), b)
+    N = _tangent_circles(plane, Cqpx, p, b)
     ok = _touch_at(plane, N, C1, b)
     _pi_tally(report, ok, "thm23-config", a, b, c, x, C1)
 

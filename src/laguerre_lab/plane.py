@@ -23,12 +23,22 @@ numpy indexes, built with the plane (`members`, `mem`) or on first read:
                           (the circle of its first three points),
   * `pencil_others`       tangent pencils grouped by (circle, touch point),
                           the touch point given by its generator,
-  * `tangent_through`     (circle, touch point's generator, outer point) ->
-                          tangent circle, from the pencils (only the Pi
-                          family and `tangent_circle` read it); reading the
-                          pencil instead ran those checkers slower,
   * `vertex_pencils`      non-parallel point pair -> circles through both,
-                          from `triple_circle`.
+                          from `triple_circle`,
+  * `pencil_class`        (circle, touch point's generator) -> the class of
+                          the circle's tangent pencil there, one of q at
+                          each point,
+  * `class_pencils`       (point t, point x, class) -> the circle through t
+                          and x in that pencil class at t, so the circle
+                          through x tangent to K at t (only the Pi family
+                          and `tangent_circle` read the two).
+
+The q pencils at a point t are the parallel classes of the plane derived
+at t (Polster and Steinke, Geometries on Surfaces, ch. 5): each holds
+exactly one of the q circles through t and any x off t's generator, two
+of which meet in t and x, so touch nowhere.  So the circle through x
+tangent to K at t is the circle through t and x in K's class at t, read
+from an n_p^2 q table in place of one of n_c (q + 1) n_p entries.
 
 Dense membership rows make intersection tests word-parallel scans, and the
 triple index is a direct array lookup; both choices trade memory for the
@@ -41,8 +51,8 @@ are int16 (`mem` is bool), and arithmetic on them widens to int32, as the
 limit bounds it:
 
   * n_p^3 <= 2^30 bounds axiom (1)'s triple keys and the fills' offsets,
-  * every table `checks._gather` reads holds at most 2^30 entries
-    (`tangent_through`: n_c (q + 1) n_p <= 2^15 2^5 2^10),
+  * every table `checks._gather` reads holds at most 2^30 entries, the
+    largest `triple_circle`'s n_p^3,
   * pair codes are below 8 n_p <= 2^13, their product exact in float32:
     s <= 17 and (m + 1) 2^s <= 33 2^17 < 2^24,
   * `_partners`' rows are below `_BLOCK` m <= 128 32,
@@ -102,10 +112,6 @@ __all__ = [
     "validate_laguerre_axioms",
 ]
 
-ON_CIRCLE = -1   # tangent_through sentinel: the outer point lies on the circle
-PARALLEL = -2    # tangent_through sentinel: the outer point is parallel to the touch point
-
-
 @dataclass(frozen=True)
 class Circle:
     """A block of the plane; `coef` is set for coordinate-model circles."""
@@ -146,6 +152,11 @@ def meet_sum(code):
 def touch_code(x):
     """The pair code of two circles that touch at the point x."""
     return 4 * x + 1
+
+
+def secant_code(x, y):
+    """The pair code of two circles that meet in the points x != y."""
+    return 4 * (x + y) + 2
 
 
 # Circles per block of the validator's array passes and of the index fills:
@@ -552,21 +563,45 @@ class LaguerrePlane(_Structure):
         return out
 
     @functools.cached_property
-    def tangent_through(self) -> np.ndarray:
-        """(circle K, touch point's generator, outer point x) -> the circle
-        of the pencil through x, filled from `pencil_others` on first read
-        in one batch of flat writes per block; then the sentinels: parallel
-        beats membership of pencil mates, and membership of K beats both."""
-        n_c, n_p, q, M = self.n_circles, self.n_points, self.q, self.members
-        out = np.full((n_c, q + 1, n_p), ON_CIRCLE, dtype=np.int16)
+    def pencil_class(self) -> np.ndarray:
+        """(circle K, touch point's generator) -> the class of K's pencil at
+        its point t there: the position in generator w of the point on w of
+        the pencil's circle through r, r the first point of the generator
+        after t's and w the generator after r's.  One circle of each pencil
+        at t passes through r, and the q circles through t and r meet w in
+        its q points, one each."""
+        n_c, n_p, n, G = self.n_circles, self.n_points, self.n_gens, self.gen_members
+        pos = np.empty(n_p, dtype=np.int16)
+        pos[G] = np.arange(G.shape[1], dtype=np.int16)
+        g = np.arange(n)
+        ref, w = G[(g + 1) % n, :1].astype(np.int32), (g + 2) % n
+        out = np.empty((n_c, n), dtype=np.int16)
         for b0 in range(0, n_c, _BLOCK):
-            b1 = min(b0 + _BLOCK, n_c)
-            pencil = self.pencil_others[b0:b1]
-            flat = out[b0:b1].reshape(-1)
-            cell = np.arange((b1 - b0) * (q + 1)).reshape(b1 - b0, q + 1, 1) * n_p
-            flat[cell[..., None] + M[pencil]] = pencil[..., None]
-            flat[cell + self.gen_members] = PARALLEL
-            flat[cell + M[b0:b1, None, :]] = ON_CIRCLE
+            others = self.pencil_others[b0:b0 + _BLOCK]
+            K = np.arange(b0, b0 + len(others), dtype=np.int16)
+            pencil = np.concatenate(
+                [np.broadcast_to(K[:, None, None], (len(K), n, 1)), others], axis=2)
+            hit = self.mem.reshape(-1).take(pencil.astype(np.int32) * n_p + ref)
+            D = np.take_along_axis(pencil, hit.argmax(axis=2)[..., None], axis=2)[..., 0]
+            on_w = self.members.reshape(-1).take(D.astype(np.int32) * n + w)
+            out[b0:b0 + _BLOCK] = pos.take(on_w)
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def class_pencils(self) -> np.ndarray:
+        """(point t, point x, class k) -> the circle through t and x of class
+        k at t, -1 where x is parallel to t: one flat write per block of
+        circles D, at (t, x, class of D at t) for each two slots of D, and
+        then -1 over t = x.  Sorted along its last axis it is `vertex_pencils`."""
+        n_c, n_p, q = self.n_circles, self.n_points, self.q
+        out = np.full((n_p, n_p, q), -1, dtype=np.int16)
+        for b0 in range(0, n_c, _BLOCK):
+            M = self.members[b0:b0 + _BLOCK].astype(np.int32)
+            k = self.pencil_class[b0:b0 + _BLOCK, :, None]
+            ids = np.arange(b0, b0 + len(M), dtype=np.int16)[:, None, None]
+            out.reshape(-1)[(M[:, :, None] * n_p + M[:, None, :]) * q + k] = ids
+        out[np.arange(n_p), np.arange(n_p)] = -1
         out.flags.writeable = False
         return out
 
@@ -629,12 +664,11 @@ class LaguerrePlane(_Structure):
         K = _cid(K)
         if not self.mem[K, p]:
             raise PointNotOnCircle(f"point {p} not on circle {K}")
-        m = int(self.tangent_through[K, self.gen_of[p], x])
-        if m == ON_CIRCLE:
+        if self.mem[K, x]:
             raise PointOnCircle(f"point {x} lies on circle {K}")
-        if m == PARALLEL:
+        if self.gen_of[x] == self.gen_of[p]:
             raise ParallelPoints(f"point {x} is parallel to {p}")
-        return self.circle(m)
+        return self.circle(int(self.class_pencils[p, x, self.pencil_class[K, self.gen_of[p]]]))
 
     def tangency(self, K, L) -> Tangency:
         """Set-theoretic classification of a circle pair."""

@@ -69,9 +69,10 @@ def reference_chain_blocks(plane, mode):
 
 def reference_pi_blocks(plane, mode):
     """Per point a: the mutually non-parallel (b, c, x), then those with x
-    off (a, b, c)°."""
+    off (a, b, c)°, and K′ read from the pencil class indexes by numpy's
+    own indexing."""
     gen, mem, T3 = plane.gen_of, plane.mem, plane.triple_circle
-    members, TCT = plane.members, plane.tangent_through
+    members, classes = plane.members, plane.class_pencils
     n, q = plane.n_points, plane.q
     n_raw = (n - q) * (n - 2 * q) ** 2
     off = gen[:, None] != gen[None, :]
@@ -85,7 +86,7 @@ def reference_pi_blocks(plane, mode):
         a, b, c, x, C1 = a[keep], b[keep], c[keep], x[keep], C1[keep]
         yield (n_raw, a, b, c, x, C1, _gather(members, _gather(T3, a, b, x), gen[c]),
                _gather(members, _gather(T3, a, c, x), gen[b]),
-               _gather(TCT, C1, gen[a], x))
+               classes[a, x, plane.pencil_class[C1, gen[a]]])
 
 
 def parallel_rows(block, plane):

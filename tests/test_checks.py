@@ -499,7 +499,7 @@ def test_sizing_fills_no_index():
     for check_id in checks.SPECS:
         exhaustive_size(P, check_id)
     filled = {"pencil_others", "pair_code", "triple_circle", "vertex_pencils",
-              "tangent_through"} & set(vars(P))
+              "pencil_class", "class_pencils"} & set(vars(P))
     assert not filled
 
 
@@ -643,8 +643,8 @@ def test_every_checker_runs_sampled_everywhere():
 # ---------------------------------------------------------------------------
 
 # every table the sweeps read through `_gather`
-GATHERED = ("triple_circle", "tangent_through", "pair_code", "mem", "members",
-            "vertex_pencils", "pencil_others")
+GATHERED = ("triple_circle", "pencil_class", "class_pencils", "pair_code", "mem",
+            "members", "vertex_pencils", "pencil_others")
 
 
 @functools.cache

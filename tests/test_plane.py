@@ -11,6 +11,7 @@ import importlib.util
 import itertools
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,6 @@ from laguerre_lab.models import (
 )
 from laguerre_lab.plane import (
     MANY,
-    ON_CIRCLE,
-    PARALLEL,
     LaguerrePlane,
     Tangency,
     _Structure,
@@ -262,9 +261,9 @@ def test_pencil_sizes_by_enumeration(q):
 @pytest.mark.parametrize("plane", [(3, 2), (4, 2), (5, 2), (8, 4), RELABELLED], ids=str)
 def test_tangent_indexes_by_set_scan(plane):
     # every point p of every circle K, at the row of p's generator: the
-    # pencil in id order, and the circle of it through each point off K and
-    # off p's generator; p and the rest of K read ON_CIRCLE, the rest of
-    # p's generator PARALLEL
+    # pencil in id order, and `tangent_circle` at every point x, the circle
+    # of the pencil through x off K and off p's generator; p and the rest
+    # of K raise PointOnCircle, the rest of p's generator ParallelPoints
     if isinstance(plane, str):
         P = plane_for(plane)
     else:
@@ -282,16 +281,34 @@ def test_tangent_indexes_by_set_scan(plane):
             slot = gen[p]
             pencil = touching[p]
             assert P.pencil_others[K, slot].tolist() == pencil
-            want = []
             for x in range(P.n_points):
                 if x in circles[K]:
-                    want.append(ON_CIRCLE)
+                    with pytest.raises(PointOnCircle):
+                        P.tangent_circle(p, K, x)
                 elif gen[x] == gen[p]:
-                    want.append(PARALLEL)
+                    with pytest.raises(ParallelPoints):
+                        P.tangent_circle(p, K, x)
                 else:
                     (L,) = [L for L in pencil if x in circles[L]]
-                    want.append(L)
-            assert P.tangent_through[K, slot].tolist() == want
+                    assert P.tangent_circle(p, K, x).id == L
+
+
+@pytest.mark.parametrize("q", SUPPORTED_PLANE_ORDERS)
+def test_class_pencils_sorted_are_the_vertex_pencils(q):
+    # the q circles through t and x lie one in each pencil class at t, so
+    # the class index holds each circle of `vertex_pencils` once, and -1
+    # where x is parallel to t; every class at t numbers one pencil
+    P = miquelian_plane(q)
+    assert np.array_equal(np.sort(P.class_pencils, axis=2), P.vertex_pencils)
+    pencil_class = P.pencil_class
+    assert ((0 <= pencil_class) & (pencil_class < q)).all()
+    t, k = P.members[:, 0], pencil_class[:, 0]
+    for K in range(0, P.n_circles, max(1, P.n_circles // 50)):
+        mates = P.pencil_others[K, 0]
+        assert (pencil_class[mates, 0] == k[K]).all()
+        others = np.flatnonzero((t == t[K]) & (k != k[K]))
+        assert not np.isin(others, mates).any()
+
 
 def test_concyclic_examples():
     P = miquelian_plane(5)
@@ -436,14 +453,14 @@ def test_validate_axioms_oval_model():
     assert P.validate_axioms().holds
 
 
-def test_tangent_through_and_circle_by_coef_are_built_on_first_read():
+def test_tangent_class_indexes_and_circle_by_coef_are_built_on_first_read():
     # a fresh plane (miquelian_plane is cached across tests): the symmetry
     # commands and the closures read neither index, and each appears,
     # read-only, at its first reader
     P = oval_plane(5, oval_table_power(5, 2))
 
     def built():
-        return {"tangent_through", "circle_by_coef"} & set(vars(P))
+        return {"pencil_class", "class_pencils", "circle_by_coef"} & set(vars(P))
 
     assert not built()
     K, L = sample_nontangent_pairs(P, 1, seed=5)[0]
@@ -456,16 +473,17 @@ def test_tangent_through_and_circle_by_coef_are_built_on_first_read():
     assert not built()
 
     checks.CHECKERS["Pi"].run(P, CheckMode.sample(2000, 7))
-    assert built() == {"tangent_through"}
-    assert not P.tangent_through.flags.writeable
+    assert built() == {"pencil_class", "class_pencils"}
+    assert not P.pencil_class.flags.writeable and not P.class_pencils.flags.writeable
     Q = oval_plane(5, oval_table_power(5, 2))
     p = int(Q.members[0, 0])
     x = int(np.flatnonzero(~Q.mem[0] & (Q.gen_of != Q.gen_of[p]))[0])
-    assert Q.tangent_circle(p, 0, x).id == P.tangent_through[0, Q.gen_of[p], x]
-    assert "tangent_through" in vars(Q) and not Q.tangent_through.flags.writeable
+    assert Q.tangent_circle(p, 0, x).id == P.class_pencils[p, x, P.pencil_class[0, Q.gen_of[p]]]
+    for name in ("pencil_class", "class_pencils"):
+        assert name in vars(Q) and not getattr(Q, name).flags.writeable
 
     assert P.circle_from_coef((1, 2, 3)).coef == (1, 2, 3)
-    assert built() == {"tangent_through", "circle_by_coef"}
+    assert built() == {"pencil_class", "class_pencils", "circle_by_coef"}
     with pytest.raises(TypeError):
         P.circle_by_coef[(1, 2, 3)] = 0
 
@@ -547,7 +565,7 @@ def test_vertex_pencils_read_first_equal_the_eager_fill(q, exponent):
     P = oval_plane(q, oval_table_power(q, exponent))
     pencils = P.vertex_pencils              # fills `triple_circle` on its way
     assert LAZY_INDEXES & set(vars(P)) == {"triple_circle", "vertex_pencils"}
-    assert "tangent_through" not in vars(P)
+    assert not {"pencil_class", "class_pencils"} & set(vars(P))
     triple, want = eager_indexes(P)
     assert np.array_equal(pencils, want) and np.array_equal(P.triple_circle, triple)
     for name in ("triple_circle", "vertex_pencils"):
@@ -647,8 +665,9 @@ def test_index_arrays_immutable():
 # id or a pair code
 INDEX_DTYPES = {
     "gen_of": np.int16, "gen_members": np.int16, "members": np.int16,
-    "triple_circle": np.int16, "pencil_others": np.int16, "tangent_through": np.int16,
-    "vertex_pencils": np.int16, "pair_code": np.int16, "mem": np.bool_,
+    "triple_circle": np.int16, "pencil_others": np.int16, "pencil_class": np.int16,
+    "class_pencils": np.int16, "vertex_pencils": np.int16, "pair_code": np.int16,
+    "mem": np.bool_,
 }
 
 
@@ -658,7 +677,24 @@ def test_index_arrays_store_ids_as_int16(q):
     assert {name: getattr(P, name).dtype for name in INDEX_DTYPES} == INDEX_DTYPES
     if q == 13:
         # every array the plane holds, as the benchmark's plane.index_mb counts them
-        assert sum(v.nbytes for v in vars(P).values() if isinstance(v, np.ndarray)) <= 35_245_002
+        assert sum(v.nbytes for v in vars(P).values() if isinstance(v, np.ndarray)) <= 24_971_830
+
+
+def test_the_tangent_class_fills_peak_under_2_mb_at_order_13():
+    # a fresh q=13 plane whose pencils are filled: the class indexes fill in
+    # blocks of circles, so their fills peak at about their own 0.9 MB
+    src = miquelian_plane(13)
+    P = LaguerrePlane(src.gen_members, src.members, validate=False)
+    P.pencil_others
+    tracemalloc.start()
+    try:
+        P.class_pencils
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {"pencil_class", "class_pencils"} <= set(vars(P))
+    assert peak < 2_000_000, peak
+    assert np.array_equal(P.class_pencils, src.class_pencils)
 
 
 def _generators(n_gens: int, size: int) -> list[list[int]]:

@@ -432,7 +432,7 @@ def test_row_buffers_hold_no_more_than_the_arrays_they_replace(monkeypatch):
     # S's blocks of three circles take more bytes than its blocks of one
     # circle did, and stay under the Pi family's peak
     plane = miquelian_plane(7)
-    plane.tangent_through               # built once, outside the traced span
+    plane.class_pencils                 # built once, outside the traced span
     monkeypatch.setattr(checks, "_THREADS", 2)
     tracemalloc.start()
     try:

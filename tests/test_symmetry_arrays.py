@@ -534,7 +534,7 @@ def other_pencil_circle(plane, a, p, C1, L, Kp):
 
 def touching_l_at_p(plane, a, p, C1, L, Kp):
     """The circle through a that touches L at p, not at x."""
-    return plane.tangent_through[L, plane.gen_of[p], a]
+    return plane.class_pencils[p, a, plane.pencil_class[L, plane.gen_of[p]]]
 
 
 @pytest.mark.parametrize("q", [3, 5])
