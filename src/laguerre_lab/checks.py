@@ -51,23 +51,26 @@ Every exhaustive sweep reads its blocks from a family of first choices
 (`_Family`): the circle K of C, Prop21 and the chains, M of Prop11, the
 point a of the Pi family, a circle C1 and a pencil selector of the
 closures.  A family counts its first choices and the raw configurations
-of each, so `exhaustive_size` is their product, and writes a first
-choice's rows into the row buffers that each sweep thread makes once and
-reuses (`_Rows`).  `_range_blocks` fills a block with consecutive first
-choices up to one chunk of evaluator rows, so an evaluator's fixed numpy
-cost is paid per chunk, and an exhaustive `CheckMode` view with `start`
-and `count` sweeps a range of first choices (`_firsts`).  A sampled sweep
-runs its chunks of `_SAMPLE_CHUNK` stream rows on up to two threads, an
-exhaustive chain or Pi sweep its blocks where one first choice reads a
-chunk's raw rows; the partial reports merge in order, so a report does
-not depend on the thread count (`_sweep`).  A chain or Pi first choice
-reads its rows at the kept offsets of its own tables, built once: K's
-closure table (`_ChainFirsts`) and a's slice of `triple_circle`
-(`_PiFirsts`).  Neither gathers the whole raw space of its first choice,
-and Prop22's chain blocks read only the c ∥ a part of it.  Generators
-are looked up with `gen_of.take(ids)`, about twice as fast as
-`gen_of[ids]` on int16 ids; tallies count by `np.count_nonzero`, in
-Python ints.
+of each, so `exhaustive_size` is their product.  Every family but the
+chains' writes a first choice's rows into the row buffers that each
+sweep thread makes once and reuses (`_Rows`), and `_range_blocks` fills
+a block with consecutive first choices up to one chunk of evaluator
+rows, so an evaluator's fixed numpy cost is paid per chunk; an
+exhaustive `CheckMode` view with `start` and `count` sweeps a range of
+first choices (`_firsts`).  A sampled sweep runs its chunks of
+`_SAMPLE_CHUNK` stream rows on up to two threads, an exhaustive chain or
+Pi sweep its ranges of first choices where one first choice covers a
+chunk's entries; the partial reports merge in order, so a report does
+not depend on the thread count (`_sweep`).  A Pi first choice reads its
+rows at the kept offsets of a's slice of `triple_circle`, built once
+(`_PiFirsts`).  The chains, one family for S, Prop22 and Cor21, write no
+rows: a closed chain K—L—M—N is an ordered pair (L, N) of the circles
+tangent to both K and M, the double tangency pencil of K and M, so a
+chain block is the outer product of such groups and its arrays
+broadcast (`_ChainFirsts`); its witnesses are ranked into the order of
+the raw space (`_chain_ranks`).  Generators are looked up with
+`gen_of.take(ids)`, about twice as fast as `gen_of[ids]` on int16 ids;
+tallies count by `np.count_nonzero`, in Python ints.
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -96,7 +99,7 @@ import numpy as np
 from .errors import LaguerreError
 from .plane import (LaguerrePlane, meet_count, meet_sum, secant_code, touch_code,
                     validate_laguerre_axioms)
-from .report import CheckMode, CheckReport, Violation
+from .report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
 from .rng import bounded, draw_block
 
 __all__ = [
@@ -146,13 +149,13 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
 
     An exhaustive mode's blocks are written into the row buffers of the
     thread that sweeps them (`_Rows`), made when it takes its first part
-    and dropped when the sweep returns.  Where one first choice reads a
-    mask of at least `_SAMPLE_CHUNK` raw rows (`family.read`), the mode is
-    split into one view per range block: from q=7 for S, Cor21 and the Pi
-    family.  Prop22's c ∥ a chains, which ran slower split (CHANGES.md),
-    are never split within `EXHAUSTIVE_LIMIT`: their mask passes one chunk
-    only from q=11, and `check` refuses Prop22 from q=8 (128,024,064
-    configurations).  Any other exhaustive mode is one part, swept inline."""
+    and dropped when the sweep returns; the chains make theirs in windows
+    of circles.  Where one first choice covers at least `_SAMPLE_CHUNK`
+    entries (`family.read`), from q=7 for the chains and the Pi family, the
+    mode is split into views of one chunk each, sized by what its first
+    first choice takes of it (`family.rows`): a Pi point's kept rows, or a
+    circle K's (L, M) pairs, so that a chain view is one window (28
+    circles at q=7).  Any other exhaustive mode is one part, swept inline."""
     family = None if mode.is_sample else firsts(plane)
     local = threading.local()
 
@@ -176,10 +179,11 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
         parts = [replace(mode, start=s, count=min(_SAMPLE_CHUNK, mode.count - s))
                  for s in range(0, mode.count, _SAMPLE_CHUNK)]
     elif family.read >= _SAMPLE_CHUNK:
-        # one part per block, sized by the rows r of the first first choice,
-        # whose mask fills the tables it reads on this thread before any part
+        # parts of one chunk each, sized by what the first first choice r
+        # takes of it (`family.rows`), which fills the tables its family
+        # reads on this thread before any part
         todo = _firsts(mode, family.n)
-        r = np.count_nonzero(family.mask(todo.start)[0]) if todo else 1
+        r = family.rows(todo.start) if todo else 1
         k = max(1, _SAMPLE_CHUNK // r) if r else len(todo)
         parts = [replace(mode, start=todo[j], count=len(todo[j:j + k]))
                  for j in range(0, len(todo), k)]
@@ -196,8 +200,11 @@ class _Family:
     `write(f, rows, o)` writes the rows of first choice f that can meet
     the hypothesis at row o of the block arrays of `rows`, one per name in
     `names`, and returns their number; the evaluator makes `weight` rows of
-    each, and takes `extra` after the arrays.  `read` is the size of the
-    mask one first choice reads (`_sweep` splits a mode by it).  This base
+    each, and takes `extra` after the arrays.  The chains' family makes
+    its own blocks instead (`_ChainFirsts.blocks`).  `read` is the size of
+    the space one first choice covers (a Pi point's mask, a circle's raw
+    chains), and `rows(f)` what first choice f takes of a chunk (`_sweep`
+    splits a mode by the two).  This base
     class alone is the family of no first choice."""
 
     n = raw = read = 0
@@ -235,7 +242,11 @@ def _range_blocks(family: _Family, mode: CheckMode, rows: _Rows):
     less than its own rows: one Prop21 block at q=9 holds 65,550.  Each
     first choice writes its rows after those before it into the block
     arrays of `rows` (`family.write`), which the next block overwrites: a
-    block is read before the next is drawn."""
+    block is read before the next is drawn.  The chains' blocks are their
+    family's own (`_ChainFirsts.blocks`)."""
+    if isinstance(family, _ChainFirsts):
+        yield from family.blocks(_firsts(mode, family.n))
+        return
     held = taken = 0
     for f in _firsts(mode, family.n):
         r = family.write(f, rows, held)
@@ -301,23 +312,34 @@ def _gather(table: np.ndarray, *idx) -> np.ndarray:
     """`table[i0, i1, ...]` for one index array per leading axis, read at
     the flat offset (i0·s1 + i1)·s2 + ...: numpy's multi-axis fancy
     gather runs slower (CHANGES.md).  The indexes broadcast against each
-    other, but no array among them is widened by a later one (a scalar
-    may be), and a negative id wraps as in `table[idx]` in the first axis
-    only.
+    other, a later one may widen the offsets (a chain block's corners
+    (s, 1, G) and (1, s, G) make (s, s, G) offsets), and a negative id
+    wraps as in `table[idx]` in the first axis only.
 
     Offsets keep the ids' own dtype, at least int32, which holds every
     offset of a plane's tables (`plane`'s size limit): the first multiply
-    casts the ids into it, and the other steps run in place.  `take` reads
-    int32 offsets through an intp copy, a transient of the offsets' size
-    freed before it returns, and still runs faster than indexing (CHANGES.md)."""
+    casts the ids into it, and the other steps run in place where no index
+    widens them (`_widen_add`).  `take` reads int32 offsets through an
+    intp copy, a transient of the offsets' size freed before it returns,
+    and still runs faster than indexing (CHANGES.md)."""
     off = idx[0]
     if len(idx) > 1:
         off = np.multiply(off, table.shape[1], dtype=np.result_type(*idx, np.int32))
-        off += idx[1]
+        off = _widen_add(off, idx[1])
     for i, s in zip(idx[2:], table.shape[2:]):
         off *= s
-        off += i
+        off = _widen_add(off, i)
     return table.reshape(-1, *table.shape[len(idx):]).take(off, axis=0)
+
+
+def _widen_add(off: np.ndarray, i) -> np.ndarray:
+    """off + i, in place unless i widens off: numpy refuses to broadcast
+    an output, and a shape test on every call would cost more."""
+    try:
+        off += i
+    except ValueError:
+        off = off + i
+    return off
 
 
 def _firsts(mode: CheckMode, n: int) -> range:
@@ -383,8 +405,8 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = Fa
     point on a circle is its generator): a row with other slots is dropped
     before c and N are read.  A row's circles are read through the slots of a, b and c,
     and the corners from those slots for the closed chains alone, about 8%
-    of the rows at q=13.  Sampled only: the exhaustive rows are
-    `_ChainFirsts`'.
+    of the rows at q=13.  Sampled only: the exhaustive chains are the
+    outer products of `_ChainFirsts`' groups.
     """
     po, members, pc = plane.pencil_others, plane.members, plane.pair_code
     q, m = plane.q, plane.q - 1
@@ -407,81 +429,144 @@ def _chain_blocks(plane: LaguerrePlane, mode: CheckMode, c_parallel_a: bool = Fa
 
 class _ChainFirsts(_Family):
     """The exhaustive first choices of the chains, the circles K, each with
-    the raw (a, L, b, M, c, N) choices of `_chain_blocks`; a block holds
-    the closed chains of consecutive circles K, the arrays of
-    `_chain_blocks`' blocks.
+    the raw (a, L, b, M, c, N) choices of `_chain_blocks`; one family for
+    S, Prop22 and Cor21.
 
-    K's closure table, read once per K, says for every circle M and flat
-    (c, N) offset of M's pencils whether N is tangent to K; the rows of that
-    table for the circles M of K's chains are the closed mask, in C order
-    over (a, L, b, M, c, N).  With `c_parallel_a` each (a, L, b, M) row
-    reads only the q−1 offsets of M's pencil at a's slot.  A closed offset
-    is divided once, into its row, where K's per-row tables give a, L, b
-    and M; c, N and d are read at its (M, c, N) offset."""
+    A chain K—L—M—N closes exactly where L and N both touch K and M: where
+    both lie in the group of (K, M), the double tangency pencil of K and M
+    without them, or every circle tangent to K for M = K.  K's closed
+    chains through M are so the ordered pairs (L, N) of that group, with
+    the corners a = touch(K, L), b = touch(L, M), c = touch(M, N), which is
+    N's b, and d = touch(N, K), N's a: a block is the outer product of its
+    groups' (a, b) columns, and no chain is written row by row.  At odd
+    order a group holds q−2, q−1 or q+1 circles for M tangent to, secant to
+    or disjoint from K, and q²−1 for M = K.
 
-    names = ("K", "A", "L", "B", "M", "C", "N", "D")
+    A block's arrays broadcast over (L, N, group), the groups innermost,
+    where it holds at least s groups of s circles, and over (group, L, N)
+    where it holds fewer, as in characteristic 2, whose groups hold about q²
+    circles; it holds at most a chunk of chains, or one group.
+    `_chain_ranks` orders its violators for the witnesses."""
 
-    def __init__(self, plane: LaguerrePlane, c_parallel_a: bool = False):
-        q, m = plane.q, plane.q - 1
-        self.plane, self.parallel = plane, c_parallel_a
-        # the (c, N) offsets each (a, L, b, M) row reads: all (q+1)(q-1) of
-        # M's, or with c ∥ a the q-1 of M's pencil at a's slot
-        sm = (q + 1) * m
-        self.n, self.raw = plane.n_circles, sm ** 3
-        self.w = m if c_parallel_a else sm
-        self.read = sm ** 2 * self.w                    # the closed mask's size
-        # row i -> a's slot, then the offsets of L in K's pencils and of b
-        self.row = np.arange(sm * sm)
-        self.at_a, self.at_l, self.at_b = self.row // (m * sm), self.row // sm, self.row // m
+    def __init__(self, plane: LaguerrePlane):
+        self.plane, self.sm = plane, (plane.q + 1) * (plane.q - 1)
+        self.n, self.read = plane.n_circles, self.sm ** 3
+        self.raw = self.read
 
-    @cached_property
-    def pencils(self) -> tuple:
-        """Each circle M's (c, N) offsets, built on the first mask: N =
-        po[M, c, ·], those ids as intp for `take` (which would copy int16
-        ids on every call), and M's point c."""
-        plane = self.plane
-        pos = plane.pencil_others.reshape(plane.n_circles, -1)
-        return pos, pos.astype(np.intp), np.repeat(plane.members, plane.q - 1, axis=1).reshape(-1)
+    def rows(self, K: int) -> int:
+        """The (L, M) pairs a circle K groups: a window holds a chunk of them."""
+        return self.sm ** 2
 
-    def mask(self, K: int):
-        """K's closed mask over (a, L, b, M) rows and w offsets, the rows g
-        of K's closure table it read, and the circles (a, L) and
-        (a, L, b, M)."""
-        q, w = self.plane.q, self.w
-        pos, pos_ids, _ = self.pencils
-        L0 = pos[K]
-        M0 = pos[L0].reshape(-1)
-        # pair codes are symmetric: K's closure table tk[M, (c, N)], read at
-        # the rows g (M0, or M0 and a's slot), is the closed mask in C order
-        tk = (meet_count(self.plane.pair_code[K]) == 1).take(pos_ids)
-        g = M0.astype(np.intp)
-        if self.parallel:                   # a's slot is the rows' leading axis
-            g = (g.reshape(q + 1, -1) * (q + 1) + np.arange(q + 1)[:, None]).reshape(-1)
-        return tk.reshape(-1, w).take(g, axis=0), g, L0, M0
+    def blocks(self, firsts: range):
+        """The blocks of the circles K of `firsts`: (K, a, L, b, M, c, N, d,
+        ranks), in windows of consecutive circles K of at most a chunk of
+        (L, M) pairs and fewer than 2^15 (K, M) groups.
 
-    def write(self, K: int, rows: _Rows, o: int) -> int:
-        """Write K's closed chains at row o of the block arrays of `rows`,
-        and return their number."""
-        plane, w = self.plane, self.w
-        mask, g, L0, M0 = self.mask(K)
-        f = np.flatnonzero(mask)
-        r = len(f)
-        out = partial(rows.block, o=o, r=r)
-        # a closed offset f is row i = f // w, at the flat (M, c, N) offset
-        # f + (g[i] - i)·w
-        i = f // w
-        off = ((g - self.row) * w).take(i)
-        off += f
-        pos, _, cpos = self.pencils
-        N = pos.reshape(-1).take(off, out=out("N"), mode="wrap")
-        cpos.take(off, out=out("C"), mode="wrap")
-        meet_sum(plane.pair_code[K]).take(N, out=out("D"), mode="wrap")
-        M0.take(i, out=out("M"), mode="wrap")
-        plane.members[L0].reshape(-1).take(self.at_b).take(i, out=out("B"), mode="wrap")
-        L0.take(self.at_l).take(i, out=out("L"), mode="wrap")
-        plane.members[K].take(self.at_a).take(i, out=out("A"), mode="wrap")
-        out("K")[...] = K
-        return r
+        A window reads the circles M touching each of its circles L, the
+        rows of `pencil_others[L]`, in K's (a, L) order.  One sort of these
+        pairs by the rank of their group in (size, K, M) order lays out
+        each group's pairs in K's (a, L) order and the groups of one size
+        side by side, so a block is a slice of the window's sorted arrays."""
+        plane, sm, n_c = self.plane, self.sm, self.plane.n_circles
+        pos = plane.pencil_others.reshape(n_c, sm)
+        # touch[X·sm + i]: X's point touching pos[X, i]
+        touch = np.repeat(plane.members, plane.q - 1, axis=1).reshape(-1)
+        w = max(1, min(_SAMPLE_CHUNK // sm ** 2, 2 ** 15 // n_c))
+        for k0 in range(firsts.start, firsts.stop, w):
+            k = min(w, firsts.stop - k0)
+            L0 = pos[k0:k0 + k].reshape(-1)            # flat (K, row of L)
+            # each pair's group k·n_c + M, k its circle K's place in the window
+            key = pos.take(L0, axis=0).reshape(k, -1)
+            key += np.arange(0, k * n_c, n_c, dtype=np.int16)[:, None]
+            sizes = np.bincount(key.reshape(-1), minlength=k * n_c)
+            # the groups in (size, K, M) order, by one sort of size·2^15 + id,
+            # and each one's rank in that order
+            groups = np.sort(sizes << 15 | np.arange(k * n_c)) & (2 ** 15 - 1)
+            n = k * sm * sm
+            bits = (n - 1).bit_length()
+            dtype = np.int32 if 15 + bits < 32 else np.int64
+            rank = np.empty(k * n_c, dtype=dtype)
+            rank[groups] = np.arange(k * n_c, dtype=dtype)
+            # the pairs by their groups' ranks, in K's (a, L) order within
+            # each, by one sort of rank·2^bits + place: flat (K, row of L,
+            # row of M) in K's pencils and L's
+            o = rank.take(key.reshape(-1))
+            # a window's arrays are freed once read: the windows of two
+            # threads set a sweep's traced peak
+            del key, rank
+            o <<= bits
+            o |= np.arange(n, dtype=dtype)
+            o = np.sort(o)
+            o &= (1 << bits) - 1
+            at = o.astype(np.intp)
+            L = np.repeat(L0, sm).take(at)
+            A = np.repeat(touch[k0 * sm:(k0 + k) * sm], sm).take(at)
+            B = touch.reshape(n_c, sm).take(L0, axis=0).reshape(-1).take(at)
+            del at
+            counts = np.bincount(sizes)
+            p, h = 0, int(counts[0])                    # the first pair and group of size s
+            for s in np.flatnonzero(counts[1:]).tolist():
+                s, count = s + 1, int(counts[s + 1])
+                per = max(1, _SAMPLE_CHUNK // (s * s))
+                for h0 in range(h, h + count, per):
+                    G = min(per, h + count - h0)
+                    g = groups[h0:h0 + G]
+                    yield self._block(k0, k0 + g // n_c, g % n_c, *(
+                        v[p:p + G * s].reshape(G, s) for v in (L, A, B, o)))
+                    p += G * s
+                h += count
+
+    def _block(self, k0, K, M, L, A, B, o):
+        """The block of G groups (K, M) of a window from circle k0, with
+        (G, s) arrays over their rows: L, a, b, and the flat (K, row of L,
+        row of M) of each in the window."""
+        K, M = K.astype(np.int16), M.astype(np.int16)
+        inner = len(K) >= L.shape[1]
+        ranks = partial(_chain_ranks, self.plane, inner, k0, K, M, L, B, o)
+        if inner:       # (L, N, group)
+            L, A, B = (np.ascontiguousarray(v.T) for v in (L, A, B))
+            lside, nside, group = np.s_[:, None, :], np.s_[None, :, :], np.s_[None, None, :]
+        else:           # (group, L, N)
+            lside, nside, group = np.s_[:, :, None], np.s_[:, None, :], np.s_[:, None, None]
+        return (K[group], A[lside], L[lside], B[lside], M[group], B[nside], L[nside],
+                A[nside], ranks)
+
+
+def _chain_ranks(plane, inner, k0, K, M, L, B, o, mask, worst):
+    """The violators `mask` of a chain block that may rank below `worst`,
+    and their ranks, for `CheckReport.record`: the C order of the raw
+    space, K first, then over (row of L in K's pencils, row of M in L's,
+    row of N in M's).  The block's groups (K, M) with (G, s) arrays over
+    their rows (L, b, and o, the flat (K, row of L, row of M) of each in
+    the window from circle k0) broadcast over (L, N, group) where `inner`,
+    else over (group, L, N).  The key K·sm + row of L and M's row are read
+    from o; N's row is searched in M's pencil at c, and only for the
+    violators whose key is among the least that can still be witnesses."""
+    m = plane.q - 1
+    sm = (plane.q + 1) * m
+    # keys from the window's first circle; the groups come in K order
+    cut = None if worst is None else worst // (sm * sm) - k0 * sm
+    if cut is not None and int(K[0] - k0) * sm > cut:
+        return np.empty(0, np.intp), np.empty(0, np.int64)
+    f = np.flatnonzero(mask)
+    G, s = L.shape
+    if inner:   # f = (i·s + j)·G + g
+        i, j, g = f // (s * G), f // G % s, f % G
+    else:       # f = (g·s + i)·s + j
+        g, i, j = f // (s * s), f // s % s, f % s
+    lrow, nrow = g * s + i, g * s + j
+    key, jm = np.divmod(o.reshape(-1).take(lrow).astype(np.int64), sm)
+    if len(f) > MAX_VIOLATIONS:
+        least = int(np.partition(key, MAX_VIOLATIONS - 1)[MAX_VIOLATIONS - 1])
+        cut = least if cut is None else min(cut, least)
+    if cut is not None:
+        keep = np.flatnonzero(key <= cut)
+        f, key, jm, nrow, g = f[keep], key[keep], jm[keep], nrow[keep], g[keep]
+    N = L.reshape(-1).take(nrow)
+    gc = plane.gen_of.take(B.reshape(-1).take(nrow))
+    kn = gc.astype(np.int64) * m + np.count_nonzero(
+        _gather(plane.pencil_others, M.take(g), gc) < N[:, None], axis=1)
+    return f, ((key + k0 * sm) * sm + jm) * sm + kn
 
 
 def _corner_coincides(A, B, C, D):
@@ -519,19 +604,31 @@ def _acbd_concyclic(plane, A, B, C, D):
                               np.where(A == C, proper_ac, proper4))
 
 
-def _eval_chain(kind, plane, report, K, A, L, B, M, C, N, D):
+def _eval_chain(kind, plane, report, K, A, L, B, M, C, N, D, ranks=None):
     """The chain statement `kind` (s-, p22- or c21-chain) on the rows of
-    `_chain_blocks`: S's hypothesis is a ∦ c, and every row of Prop22
-    (c ∥ a, `c_parallel_a`) and of Cor21 meets its own."""
+    `_chain_blocks`, or on a block of `_ChainFirsts`, whose arrays
+    broadcast and whose `ranks` order its witnesses: S's hypothesis is
+    a ∦ c, Prop22's c ∥ a, and every closed chain meets Cor21's."""
     conclusion = {"s-chain": _spans_circle, "p22-chain": _bd_parallel,
                   "c21-chain": _acbd_concyclic}[kind]
-    gen = plane.gen_of
-    hyp = gen.take(A) != gen.take(C) if kind == "s-chain" else np.ones(len(D), dtype=bool)
-    report.hypothesis_hits += int(np.count_nonzero(hyp))
-    report.record(hyp & ~conclusion(plane, A, B, C, D), lambda i: Violation(
-        kind,
-        points=(int(A[i]), int(B[i]), int(C[i]), int(D[i])),
-        circles=(int(K[i]), int(L[i]), int(M[i]), int(N[i]))))
+    ok = conclusion(plane, A, B, C, D)
+    if kind == "c21-chain":
+        hyp = True
+        report.hypothesis_hits += ok.size
+    else:
+        par = plane.gen_of.take(A) == plane.gen_of.take(C)
+        hyp = par if kind == "p22-chain" else ~par
+        report.hypothesis_hits += int(np.count_nonzero(hyp))
+    bad = np.greater(hyp, ok)           # hyp & ~ok in one pass
+
+    def witness(i):
+        at = np.unravel_index(i, bad.shape)
+        # an axis of length 1 broadcasts: read it at 0
+        k, a, l, b, m, c, n, d = (int(v[tuple(x % w for x, w in zip(at, v.shape))])
+                                  for v in (K, A, L, B, M, C, N, D))
+        return Violation(kind, points=(a, b, c, d), circles=(k, l, m, n))
+
+    report.record(bad, witness, ranks)
 
 
 def check_S(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
@@ -542,7 +639,7 @@ def check_S(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 def check_prop_2_2(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Closed tangency chains with a parallel to c force b parallel to d."""
     return _sweep(plane, mode, "Prop22", partial(_chain_blocks, c_parallel_a=True),
-                  partial(_eval_chain, "p22-chain"), partial(_ChainFirsts, c_parallel_a=True))
+                  partial(_eval_chain, "p22-chain"), _ChainFirsts)
 
 
 def check_cor_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
@@ -773,6 +870,10 @@ class _PiFirsts(_Family):
         self.read = self.n ** 3                     # the kept mask's size
         self.off = gen[:, None] != gen[None, :]
         self.par = plane.members[:, gen].T.copy()   # par[z, C]: C's point parallel to z
+
+    def rows(self, a: int) -> int:
+        """The rows a point a keeps."""
+        return int(np.count_nonzero(self.mask(a)[0]))
 
     def mask(self, a: int):
         """a's kept mask over (b, c, x), and a's circles (a, y, z)°, -1
@@ -1387,7 +1488,7 @@ CHECKERS = {spec.check_id: spec for spec in (
     CheckerSpec("S", check_S, _ChainFirsts, (4, 4), partial(_replay_chain, "S")),
     CheckerSpec("Prop21", check_prop_2_1, partial(_PairFirsts, above=True), (None, 3),
                 _replay_trio),
-    CheckerSpec("Prop22", check_prop_2_2, partial(_ChainFirsts, c_parallel_a=True), (4, 4),
+    CheckerSpec("Prop22", check_prop_2_2, _ChainFirsts, (4, 4),
                 partial(_replay_chain, "Prop22")),
     CheckerSpec("Cor21", check_cor_2_1, _ChainFirsts, (4, 4), partial(_replay_chain, "Cor21")),
     CheckerSpec("Prop11", check_prop_1_1, _transfer_firsts, (None, 3), _replay_transfer,

@@ -97,6 +97,8 @@ class CheckReport:
     verdict: str = ""
     elapsed_seconds: float = 0.0
     notes: tuple[str, ...] = ()
+    # the ranks of the witnesses where `record` ranks them
+    ranks: list[int] = field(default_factory=list, repr=False, compare=False)
 
     def finalize(self) -> "CheckReport":
         if not self.verdict:
@@ -130,17 +132,33 @@ class CheckReport:
         self.violation_count += part.violation_count
         self.violations.extend(part.violations[:MAX_VIOLATIONS - len(self.violations)])
 
-    def record(self, mask: np.ndarray, make) -> None:
+    def record(self, mask: np.ndarray, make, rank=None) -> None:
         """Count every set entry of the boolean array `mask` as a violation,
         and record `make(i)` for the first flat indexes i, in index order,
-        that still fit under `MAX_VIOLATIONS`."""
+        that still fit under `MAX_VIOLATIONS`.
+
+        With `rank`, the witnesses are instead the violations of least rank
+        among those held and these, kept in rank order, so calls may come in
+        any order.  `rank(mask, worst)` returns the flat indexes of the set
+        entries that may rank below `worst`, the rank of the last witness
+        once the cap is reached (else None), and their ranks, distinct ints
+        across calls."""
         n = int(np.count_nonzero(mask))
         if not n:
             return
         self.violation_count += n
-        room = MAX_VIOLATIONS - len(self.violations)
-        if room > 0:
-            self.violations.extend(make(int(i)) for i in np.flatnonzero(mask)[:room])
+        if rank is None:
+            room = MAX_VIOLATIONS - len(self.violations)
+            if room > 0:
+                self.violations.extend(make(int(i)) for i in np.flatnonzero(mask)[:room])
+            return
+        idx, ranks = rank(mask, self.ranks[-1] if len(self.ranks) == MAX_VIOLATIONS else None)
+        if not len(idx):
+            return
+        kept = sorted([*zip(self.ranks, self.violations), *zip(ranks.tolist(), idx.tolist())],
+                      key=lambda t: t[0])[:MAX_VIOLATIONS]
+        self.ranks = [r for r, _ in kept]
+        self.violations = [v if isinstance(v, Violation) else make(v) for _, v in kept]
 
     def elapsed(self, timings: bool) -> float:
         """elapsedSeconds as written: the real time under timings, else 0.0."""

@@ -13,9 +13,17 @@ the same values, in the same order, of the same dtype; and each first
 choice of a reference counts the raw configurations of its family
 (`family.raw`), which the sweep counts for it.  An exhaustive block of
 the array routes spans several first choices, so the rows are compared
-across blocks, not block by block.  Prop22's chain blocks (`c_parallel_a`) must be the chain
-reference restricted to its hypothesis c ∥ a, in both modes, while the
-blocks of S and Cor21 stay unrestricted.
+across blocks, not block by block.
+
+A chain block is the outer product of groups of circles, its arrays
+broadcasting over (L, N, group) or (group, L, N); `chain_rows` flattens
+them and puts the chains in the order of the raw space through a dense
+table of pencil rows, a route of its own.  One family serves S, Prop22
+and Cor21: its chains with c ∥ a must be the reference restricted to
+Prop22's hypothesis, as Prop22's sampled blocks are the sampled chains
+restricted to it.  The reference rows, evaluated in order, must give
+each chain check's exhaustive report, its witnesses included, and each
+group of the family must be a double tangency pencil.
 
 C's exhaustive evaluator receives every circle once, in order, and its
 report is the one its sampled evaluator `_eval_c` gives on every
@@ -30,11 +38,12 @@ import numpy as np
 import pytest
 
 from laguerre_lab import checks
-from laguerre_lab.checks import (CHECKERS, _chain_blocks, _ChainFirsts, _firsts, _gather,
-                                 _PiFirsts, _range_blocks, _Rows)
+from laguerre_lab.checks import (CHECKERS, _chain_blocks, _ChainFirsts, _eval_chain, _firsts,
+                                 _gather, _PiFirsts, _range_blocks, _Rows)
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.plane import meet_count, meet_sum
 from laguerre_lab.report import CheckMode, CheckReport
+from laguerre_lab.symmetry import double_tangency_pencil
 from test_relabelling import RELABELLED, plane_for
 
 EX = CheckMode.exhaustive()
@@ -102,10 +111,34 @@ def reference_prop22_blocks(plane, mode):
         yield n_raw, *parallel_rows(block, plane)
 
 
-FAMILIES = {"chain": (_ChainFirsts, reference_chain_blocks),
-            "prop22": (functools.partial(_ChainFirsts, c_parallel_a=True),
-                       reference_prop22_blocks),
-            "pi": (_PiFirsts, reference_pi_blocks)}
+def chain_rows(plane, blocks) -> list[tuple]:
+    """The chains of `_ChainFirsts` blocks (K, a, L, b, M, c, N, d, ranks)
+    as one block of flat arrays, in the C order of the raw space: K, then
+    the row of L in K's pencils, of M in L's and of N in M's, each read
+    from a dense table of every circle's pencil rows."""
+    n_c, sm = plane.n_circles, (plane.q + 1) * (plane.q - 1)
+    row_of = np.full((n_c, n_c), -1, dtype=np.int16)
+    row_of[np.arange(n_c)[:, None], plane.pencil_others.reshape(n_c, sm)] = np.arange(sm)
+    cols = [[] for _ in range(8)]
+    for *arrays, _ in blocks:
+        shape = np.broadcast_shapes(*(v.shape for v in arrays))
+        for col, v in zip(cols, arrays):
+            col.append(np.broadcast_to(v, shape).reshape(-1))
+    K, A, L, B, M, C, N, D = (np.concatenate(col) for col in cols)
+    rows = (row_of[K, L], row_of[L, M], row_of[M, N])
+    assert all((r >= 0).all() for r in rows)            # consecutive circles touch
+    rank = K.astype(np.int64)
+    for r in rows:
+        rank = rank * sm + r
+    order = np.argsort(rank)
+    assert (np.diff(rank[order]) > 0).all()             # each chain once
+    return [tuple(v[order] for v in (K, A, L, B, M, C, N, D))]
+
+
+FAMILIES = {"chain": (_ChainFirsts, reference_chain_blocks, chain_rows),
+            "prop22": (_ChainFirsts, reference_prop22_blocks,
+                       lambda plane, blocks: [parallel_rows(chain_rows(plane, blocks)[0], plane)]),
+            "pi": (_PiFirsts, reference_pi_blocks, lambda plane, blocks: blocks)}
 GF8 = "x^4-gf8"
 
 
@@ -126,20 +159,22 @@ def assert_same_blocks(got, want):
         np.testing.assert_array_equal(ga, wa, err_msg=f"array {i}")
 
 
-def assert_same_as_reference(family, reference, plane, mode):
+def assert_same_as_reference(family, reference, plane, mode, rows=lambda plane, blocks: blocks):
     """The range blocks of `family` hold the rows of `reference`, whose every
-    first choice counts `family.raw` raw configurations."""
+    first choice counts `family.raw` raw configurations; `rows` reads the
+    blocks as rows of the reference's form."""
     want = list(reference(plane, mode))
     assert {n_raw for n_raw, *_ in want} == {family.raw}
-    assert_same_blocks(exhaustive_blocks(family, mode), [block for _, *block in want])
+    assert_same_blocks(rows(plane, list(exhaustive_blocks(family, mode))),
+                       [block for _, *block in want])
 
 
 @pytest.mark.parametrize("family, key", [(f, k) for f in FAMILIES for k in (3, 4, 5, RELABELLED)]
                          + [("pi", GF8)])
 def test_exhaustive_blocks_match_the_reference(family, key):
     plane = _plane(key)
-    firsts, reference = FAMILIES[family]
-    assert_same_as_reference(firsts(plane), reference, plane, EX)
+    firsts, reference, rows = FAMILIES[family]
+    assert_same_as_reference(firsts(plane), reference, plane, EX, rows)
 
 
 @pytest.mark.parametrize("family, first", [(f, K) for f in ("chain", "prop22")
@@ -147,9 +182,9 @@ def test_exhaustive_blocks_match_the_reference(family, key):
                          + [("pi", 0), ("pi", 29), ("pi", 55)])
 def test_first_choice_views_match_the_reference_at_order_7(family, first):
     plane = miquelian_plane(7)
-    firsts, reference = FAMILIES[family]
+    firsts, reference, rows = FAMILIES[family]
     mode = CheckMode("exhaustive", start=first, count=1)
-    assert_same_as_reference(firsts(plane), reference, plane, mode)
+    assert_same_as_reference(firsts(plane), reference, plane, mode, rows)
 
 
 @pytest.mark.parametrize("a", [0, 181])
@@ -168,9 +203,9 @@ def test_chain_first_choice_views_match_the_reference_at_the_edges(family, key, 
     # the first and last circle K of x⁴ over GF(8), an even order, and of
     # q=13, whose (M, c, N) offsets are the largest
     plane = _plane(key)
-    firsts, reference = FAMILIES[family]
+    firsts, reference, rows = FAMILIES[family]
     mode = CheckMode("exhaustive", start=first, count=1)
-    assert_same_as_reference(firsts(plane), reference, plane, mode)
+    assert_same_as_reference(firsts(plane), reference, plane, mode, rows)
 
 
 @pytest.mark.parametrize("key", [3, 4, 5, RELABELLED])
@@ -180,6 +215,67 @@ def test_chain_checker_hits_count_their_block_rows(key):
     parallel = sum(len(b[1]) for b in reference_prop22_blocks(plane, EX))
     hits = {c: CHECKERS[c].run(plane, EX).hypothesis_hits for c in ("S", "Prop22", "Cor21")}
     assert hits == {"S": rows - parallel, "Prop22": parallel, "Cor21": rows}
+
+
+@pytest.mark.parametrize("key", [3, 4, 5, RELABELLED])
+def test_reference_chains_evaluated_in_order_give_the_exhaustive_reports(key):
+    # the witnesses of the grouped blocks are those of the raw order: q=4
+    # fails S, Prop22 and Cor21
+    plane = _plane(key)
+    for check_id, kind in (("S", "s-chain"), ("Prop22", "p22-chain"), ("Cor21", "c21-chain")):
+        rows = CheckReport(check_id=check_id, mode=EX)
+        for _, *block in reference_chain_blocks(plane, EX):
+            _eval_chain(kind, plane, rows, *block)
+        sweep = CHECKERS[check_id].run(plane, EX)
+        assert ((rows.hypothesis_hits, rows.violation_count, rows.violations)
+                == (sweep.hypothesis_hits, sweep.violation_count, sweep.violations)), check_id
+
+
+def _groups(block):
+    """The groups (K, M, circles L) of a `_ChainFirsts` block."""
+    K, _, L, _, M, *_ = block
+    # (L, N, group) or (group, L, N); one group reads the same either way
+    inner = K.shape[0] == 1
+    K, M = K.reshape(-1), M.reshape(-1)
+    L = L.reshape(-1, len(K)).T if inner else L.reshape(len(K), -1)
+    for k, m, row in zip(K.tolist(), M.tolist(), L.tolist()):
+        yield k, m, row
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_each_chain_group_is_a_double_tangency_pencil(q):
+    # the group of (K, M) is T(K, M) without K and M, in K's pencil order;
+    # for M = K, every circle tangent to K
+    plane = miquelian_plane(q)
+    n_c = plane.n_circles
+    seen = {}
+    for block in exhaustive_blocks(_ChainFirsts(plane), EX):
+        for K, M, L in _groups(block):
+            assert (K, M) not in seen
+            seen[K, M] = L
+    row_of = {K: {L: i for i, L in enumerate(plane.pencil_others[K].reshape(-1).tolist())}
+              for K in range(n_c)}
+    for K in range(n_c):
+        for M in range(n_c):
+            if M == K:
+                want = plane.pencil_others[K].reshape(-1).tolist()
+            else:
+                pencil = double_tangency_pencil(plane, K, M)
+                want = sorted(set(pencil) - {K, M}, key=row_of[K].__getitem__)
+            assert seen.pop((K, M), []) == want, (K, M)
+    assert not seen
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_double_tangency_pencils_hold_q_minus_2_q_minus_1_or_q_plus_1_others(q):
+    # at odd order, for M tangent to, secant to or disjoint from K: the
+    # sizes of the chain groups (`_ChainFirsts`)
+    plane = miquelian_plane(q)
+    K = 0
+    count = meet_count(plane.pair_code[K]).tolist()
+    for M in range(1, plane.n_circles):
+        others = set(double_tangency_pencil(plane, K, M)) - {K, M}
+        assert len(others) == {1: q - 2, 2: q - 1, 0: q + 1}[count[M]], M
 
 
 @pytest.mark.parametrize("key", [4, 5, 13, RELABELLED, GF8])

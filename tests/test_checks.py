@@ -47,6 +47,7 @@ from laguerre_lab.models import (SUPPORTED_PLANE_ORDERS, miquelian_plane, oval_p
                                  oval_table_power)
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport, Violation
 from test_block_references import exhaustive_blocks
+from test_relabelling import plane_for
 
 EX = CheckMode.exhaustive()
 
@@ -470,6 +471,32 @@ def test_record_of_an_all_false_mask_changes_nothing():
     assert (rep.violation_count, rep.violations) == (1, [Violation("earlier")])
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_ranked_records_keep_the_least_ranks_in_any_order(order):
+    # two masks of 30 entries whose ranks interleave, the even and the odd
+    # ones: the witnesses are the 20 least ranks in rank order, whichever
+    # mask comes first, and the second record's rank function is asked for
+    # the entries below the first's worst witness alone
+    ranks = {0: np.arange(0, 60, 2), 1: np.arange(1, 60, 2)}
+    worsts = []
+
+    def rank_of(part):
+        def rank(mask, worst):
+            worsts.append(worst)
+            idx = np.flatnonzero(mask)
+            keep = ranks[part][idx] < (60 if worst is None else worst)
+            return idx[keep], ranks[part][idx[keep]]
+        return rank
+
+    rep = CheckReport("S", EX)
+    for part in order:
+        rep.record(np.ones(30, dtype=bool), lambda i, part=part: Violation(
+            "chain", points=(int(ranks[part][i]),)), rank_of(part))
+    assert rep.violation_count == 60
+    assert [v.points[0] for v in rep.violations] == list(range(MAX_VIOLATIONS))
+    assert worsts == [None, 38 + order[0]]
+
+
 def test_sample_mode_counts_draws():
     rep = check_C(miquelian_plane(3), CheckMode.sample(1234, 5))
     assert rep.configurations == 1234
@@ -541,10 +568,14 @@ def test_blocks_hold_only_rows_that_can_meet_the_hypothesis(q, mode):
         # the configurations a report counts for these blocks (`_sweep`)
         return mode.count if mode.is_sample else firsts(P).n * firsts(P).raw
 
-    for K, A, L, B, M, C, N, D in blocks(_chain_blocks, _ChainFirsts):
-        # N is tangent to K at d: the chain closes
-        assert (P.pair_code[N, K] == touch_code(D)).all()
-        assert P.mem[N, D].all() and P.mem[K, D].all()
+    for K, A, L, B, M, C, N, D, *ranks in blocks(_chain_blocks, _ChainFirsts):
+        # an exhaustive block's arrays broadcast over its groups' chains;
+        # consecutive circles touch at the corners, and N touches K at d:
+        # the chain closes
+        assert len(ranks) == (not mode.is_sample)
+        K, A, L, B, M, C, N, D = np.broadcast_arrays(K, A, L, B, M, C, N, D)
+        for X, Y, t in ((K, L, A), (L, M, B), (M, N, C), (N, K, D)):
+            assert (P.pair_code[X, Y] == touch_code(t)).all()
     assert covered(_ChainFirsts) == check_S(P, mode).configurations
     # the closures' head rows: a, c, b, d distinct on one circle, C2
     # through a and b, and e (and h) on C2, distinct and off {a, b}; the
@@ -662,6 +693,10 @@ def test_gather_matches_fancy_indexing(data, name, dtype):
     k = data.draw(st.integers(1, table.ndim), label="axes")
     n = data.draw(st.integers(0, 12), label="rows")
     scalar_axis = data.draw(st.integers(-1, k - 1), label="scalar axis")
+    # arrays of n ids each, or the first an (n, 1) column and the later ones
+    # (1, n) rows, which widen the offsets to (n, n), as a chain block's
+    # corners (s, 1, G) and (1, s, G) do
+    widen = data.draw(st.booleans(), label="widen")
     idx = []
     for axis in range(k):
         # -1 in the first axis wraps, as it does in `table[idx]`
@@ -669,7 +704,9 @@ def test_gather_matches_fancy_indexing(data, name, dtype):
         if axis == scalar_axis:
             idx.append(data.draw(ids))
         else:
-            idx.append(np.array(data.draw(st.lists(ids, min_size=n, max_size=n)), dtype=dtype))
+            a = np.array(data.draw(st.lists(ids, min_size=n, max_size=n)), dtype=dtype)
+            first = all(isinstance(i, int) for i in idx)
+            idx.append(a.reshape((n, 1) if first else (1, n)) if widen else a)
     got = _gather(table, *idx)
     want = table[tuple(idx)]
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -721,6 +758,37 @@ def test_c_hits_have_a_closed_form(q):
     # K, p on K, and L none of the q² circles through p
     n_c = q**3
     assert check_C(miquelian_plane(q), EX).hypothesis_hits == n_c * (q + 1) * (n_c - q * q)
+
+
+def _closed_chains_per_circle(q: int) -> int:
+    """R(q), the closed chains from one circle K at odd order: the ordered
+    pairs (L, N) of each group of (K, M), q²−1 circles for M = K and q−2,
+    q−1 or q+1 for the q²−1 tangent, ½q(q+1)(q−1) secant and ½q(q−1)²
+    disjoint circles M."""
+    return ((q * q - 1) ** 2 + (q * q - 1) * (q - 2) ** 2 + q * (q + 1) * (q - 1) ** 3 // 2
+            + q * (q - 1) ** 2 * (q + 1) ** 2 // 2)
+
+
+@pytest.mark.parametrize("q, hits", [(3, 5_832), (5, 399_000), (7, 6_042_288)])
+def test_closed_chains_have_a_closed_form(q, hits):
+    # every closed chain meets Cor21's hypothesis
+    assert check_cor_2_1(miquelian_plane(q), EX).hypothesis_hits == hits \
+        == q ** 3 * _closed_chains_per_circle(q)
+
+
+def test_closed_chains_per_circle_beyond_the_swept_orders():
+    # from the formula alone: the chains of one circle K at q = 9, 11, 13
+    assert [_closed_chains_per_circle(q) for q in (9, 11, 13)] == [62_160, 169_320, 389_256]
+
+
+@pytest.mark.parametrize("key", [3, 4, 5, 7, "relabelled-5"])
+def test_s_and_prop22_split_the_closed_chains(key):
+    # a ∦ c and c ∥ a: at q=4, 161,280 + 41,280 = 202,560
+    P = plane_for(key)
+    hits = {c: CHECKERS[c].run(P, EX).hypothesis_hits for c in ("S", "Prop22", "Cor21")}
+    assert hits["S"] + hits["Prop22"] == hits["Cor21"]
+    if key == 4:
+        assert (hits["S"], hits["Prop22"]) == (161_280, 41_280)
 
 
 @pytest.mark.parametrize("q, violations", [(3, 0), (5, 0), (7, 0), (9, 0), (4, 1920), (8, 301_056)])

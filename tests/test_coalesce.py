@@ -5,7 +5,9 @@ evaluator rows.  Every report must equal the report of the blocks swept
 one first choice at a time (a budget of one row).  A block closes once
 one more first choice of its last one's rows would pass the budget, so
 it passes the budget by less than the rows of its last first choice,
-and at q=4 not at all unless it holds a single first choice.
+and at q=4 not at all unless it holds a single first choice.  The chain
+family makes its own blocks, each of at most a budget of chains or one
+group of circles (`checks._ChainFirsts`).
 
 A whole exhaustive run serves as the comparison wherever it takes well
 under a second.  Elsewhere a view of a few first choices runs in both
@@ -15,6 +17,8 @@ of 9, Bundle 21,168 of 72), and the whole sweep takes long.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -86,10 +90,36 @@ def _recorded(monkeypatch) -> list:
     return seen
 
 
+def _chain_blocks_stay_within(monkeypatch, check_id, budget):
+    """A chain block holds at most `budget` chains, or one group, over one
+    size of groups; the blocks hold every closed chain once."""
+    seen = []
+    range_blocks = checks._range_blocks
+
+    def recording(family, mode, rows):
+        for block in range_blocks(family, mode, rows):
+            *arrays, ranks = block
+            seen.append((np.broadcast_shapes(*(v.shape for v in arrays)), arrays[0].size))
+            yield block
+
+    monkeypatch.setattr(checks, "_range_blocks", recording)
+    report = CHECKERS[check_id].run(miquelian_plane(4), EX)
+    family = CHECKERS[check_id].firsts(miquelian_plane(4))
+    assert report.configurations == family.n * family.raw
+    for shape, groups in seen:
+        # (L, N, group) or (group, L, N)
+        assert shape in ((shape[1], shape[1], groups), (groups, shape[1], shape[1]))
+        assert math.prod(shape) <= budget or groups == 1, (shape, budget)
+    # the closed chains at q=4, those of Cor21
+    assert sum(math.prod(shape) for shape, _ in seen) == 202_560
+
+
 @pytest.mark.parametrize("budget", [1000, checks._SAMPLE_CHUNK // 2, checks._SAMPLE_CHUNK])
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_evaluated_blocks_stay_within_the_budget(monkeypatch, check_id, budget):
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", budget)
+    if check_id in ("S", "Prop22", "Cor21"):
+        return _chain_blocks_stay_within(monkeypatch, check_id, budget)
     seen = _recorded(monkeypatch)
     report = CHECKERS[check_id].run(miquelian_plane(4), EX)
     # the blocks take each first choice once, and the sweep counts the raw

@@ -1,15 +1,17 @@
 """The chunked, threaded sweep: a sampled sweep's stream chunks, and an
-exhaustive S, Cor21 or Pi-family sweep's range blocks of first choices, run
-on `checks._THREADS` threads and their reports merge in order, so a report
+exhaustive chain or Pi-family sweep's ranges of first choices, run on
+`checks._THREADS` threads and their reports merge in order, so a report
 does not depend on the thread count, a failing chunk raises as it would in
 a single-threaded sweep, and no thread outlives its sweep.  Every
 exhaustive sweep reads its blocks from `checks._range_blocks` alone, built
-on row buffers that each thread reuses (`checks._Rows`), so a report must
-not depend on which blocks shared them either."""
+on row buffers that each thread reuses (`checks._Rows`) or, for the chains,
+from windows of circles (`checks._ChainFirsts`), so a report must not
+depend on which blocks shared them either."""
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import threading
 import time
@@ -29,7 +31,7 @@ PLANES = {"miquelian-5": lambda: miquelian_plane(5),
           "x^4-gf8": functools.cache(lambda: oval_plane(8, oval_table_power(8, 4)))}
 PI_FAMILY = ("Pi", "PiPrime", "Thm23")
 EX = CheckMode.exhaustive()
-SPLIT = ("S", "Cor21", *PI_FAMILY)
+SPLIT = ("S", "Prop22", "Cor21", *PI_FAMILY)
 
 
 def _facts(plane, report):
@@ -158,10 +160,13 @@ def _peak_bytes(plane, check_id, mode) -> int:
         tracemalloc.stop()
 
 
-# the traced peaks of exhaustive Prop21@7 and Miquel@5, each swept once
-# before: Prop21 took 4,080,806 bytes and Miquel 2,427,748 when their
-# blocks were per-circle arrays merged by concatenation
-FAMILY_PEAKS = {("Prop21", 7): 1_583_932, ("Miquel", 5): 2_166_656}
+# the traced peaks of exhaustive Prop21@7, Miquel@5 and the chains at q=7,
+# each swept once before: Prop21 took 4,080,806 bytes and Miquel 2,427,748
+# when their blocks were per-circle arrays merged by concatenation; S,
+# Cor21 and Prop22 took 4,193,168, 4,414,000 and 2,074,792 when their rows
+# were written from each circle's closure table (Prop22's c ∥ a rows alone)
+FAMILY_PEAKS = {("Prop21", 7): 1_583_932, ("Miquel", 5): 2_166_656,
+                ("S", 7): 4_422_336, ("Cor21", 7): 4_682_880, ("Prop22", 7): 2_939_248}
 
 
 @pytest.mark.parametrize("check_id, q", FAMILY_PEAKS)
@@ -284,16 +289,17 @@ def _count_parts(monkeypatch) -> list[int]:
 # (configurations, hypothesis hits, violations, verdict) of each split sweep
 SPLIT_COUNTS = {
     ("miquelian-7", "S"): (37_933_056, 4_840_416, 0, "Holds"),
+    ("miquelian-7", "Prop22"): (37_933_056, 1_201_872, 0, "Holds"),
     ("miquelian-7", "Cor21"): (37_933_056, 6_042_288, 0, "Holds"),
     **{("miquelian-7", c): (4_840_416, 3_457_440, 0, "Holds") for c in PI_FAMILY},
     ("x^4-gf8", "Pi"): (14_450_688, 10_838_016, 9_633_792, "Fails"),
 }
 
 
-# the parts of each split sweep: blocks of three circles K at q=7 (17,616
-# chains each, 52,848 rows a block), and one point a per block where a's
+# the parts of each split sweep: windows of 28 circles K at q=7 (2,304
+# (L, M) pairs each, 64,512 a window), and one point a per block where a's
 # rows fill a chunk (61,740 at q=7, 150,528 on x^4)
-SPLIT_PARTS = {**{("miquelian-7", c): 115 for c in ("S", "Cor21")},
+SPLIT_PARTS = {**{("miquelian-7", c): 13 for c in ("S", "Prop22", "Cor21")},
                **{("miquelian-7", c): 56 for c in PI_FAMILY}, ("x^4-gf8", "Pi"): 72}
 
 
@@ -318,30 +324,14 @@ def test_exhaustive_chain_and_pi_sweeps_split_by_first_choice(monkeypatch, name,
         assert first.violations[:len(a)] == runs[2].violations
 
 
-def test_exhaustive_prop22_runs_inline_at_order_7(monkeypatch):
-    # its blocks hold only the chains with c ∥ a, 3,504 rows per circle K,
-    # which ran slower split by first choice than merged on one thread
-    plane = miquelian_plane(7)
-    counts = _count_parts(monkeypatch)
-    runs = {}
-    for threads in (1, 2):
-        monkeypatch.setattr(checks, "_THREADS", threads)
-        runs[threads] = CHECKERS["Prop22"].run(plane, CheckMode.exhaustive())
-    assert counts == [1, 1]
-    assert _facts(plane, runs[1]) == _facts(plane, runs[2])
-    r = runs[2]
-    assert (r.configurations, r.hypothesis_hits, r.violation_count, r.verdict) \
-        == (37_933_056, 1_201_872, 0, "Holds")
-
-
 def test_a_view_of_an_exhaustive_mode_splits_only_its_own_first_choices(monkeypatch):
-    # five circles from K=3: one block of three and one of two
+    # thirty circles from K=3: one window of 28 and one of two
     plane = miquelian_plane(7)
     counts = _count_parts(monkeypatch)
-    view = CHECKERS["S"].run(plane, CheckMode("exhaustive", start=3, count=5))
+    view = CHECKERS["S"].run(plane, CheckMode("exhaustive", start=3, count=30))
     assert counts == [2]
-    assert view.configurations == 5 * (8 * 6) ** 3
-    assert _facts(plane, view) == _facts(plane, _merged_views(plane, "S", range(3, 8)))
+    assert view.configurations == 30 * (8 * 6) ** 3
+    assert _facts(plane, view) == _facts(plane, _merged_views(plane, "S", range(3, 33)))
 
 
 def test_small_blocks_and_the_other_sweeps_run_as_one_part(monkeypatch):
@@ -350,12 +340,12 @@ def test_small_blocks_and_the_other_sweeps_run_as_one_part(monkeypatch):
     for check_id in SPLIT:
         CHECKERS[check_id].run(plane, CheckMode.exhaustive())
     assert counts == [1] * len(SPLIT)
-    # with one-row chunks every first choice of the chain and Pi families,
-    # Prop22 among them, is a part of its own: 27 circles and 12 points at
-    # q=3; the other checkers still sweep in one part
+    # with one-row chunks every first choice of the chain and Pi families
+    # is a part of its own: 27 circles and 12 points at q=3; the other
+    # checkers still sweep in one part
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 1)
     counts.clear()
-    others = [c for c in CHECK_IDS if c not in (*SPLIT, "Prop22")]
+    others = [c for c in CHECK_IDS if c not in SPLIT]
     for check_id in others:         # Prop11 needs an even order
         CHECKERS[check_id].run(miquelian_plane(4 if check_id == "Prop11" else 3),
                                CheckMode.exhaustive())
@@ -370,13 +360,16 @@ BUFFERED = ("S", "Cor21", "Prop22", *PI_FAMILY)
 
 
 def _range_block_sizes(monkeypatch) -> list[tuple[int, int]]:
-    """(first choices, rows) of every range block from now on."""
+    """(first choices, rows) of every range block from now on; a chain
+    block's rows are its chains, the size its arrays broadcast to."""
     seen = []
     range_blocks = checks._range_blocks
 
     def recording(family, mode, rows):
         for block in range_blocks(family, mode, rows):
-            seen.append((len(np.unique(block[0])), len(block[0])))
+            arrays = [v for v in block if isinstance(v, np.ndarray)]
+            seen.append((len(np.unique(block[0])),
+                         math.prod(np.broadcast_shapes(*(v.shape for v in arrays)))))
             yield block
 
     monkeypatch.setattr(checks, "_range_blocks", recording)
@@ -404,9 +397,9 @@ def test_range_blocks_report_what_single_first_choices_report(monkeypatch, key, 
         assert report.violations == single.violations
     if (key, check_id) == (4, "S"):
         assert report.violation_count == 23_040
-    if key == 5:            # small blocks: 3,192 chains a circle, 6,000 rows a point
-        assert max(n for n, _ in blocks) == {"Prop22": 82, "S": 20, "Cor21": 20}.get(
-            check_id, 10)
+    if key == 5:            # windows of 113 circles of 576 (L, M) pairs, 6,000 rows a point
+        assert max(n for n, _ in blocks) == (113 if check_id in ("S", "Cor21", "Prop22")
+                                             else 10)
     assert all(rows <= checks._SAMPLE_CHUNK or n == 1 for n, rows in blocks)
 
 
@@ -429,8 +422,7 @@ PARENT_S_PI_PEAK = 6_522_121
 
 
 def test_row_buffers_hold_no_more_than_the_arrays_they_replace(monkeypatch):
-    # S's blocks of three circles take more bytes than its blocks of one
-    # circle did, and stay under the Pi family's peak
+    # S's windows of 28 circles stay under the Pi family's peak
     plane = miquelian_plane(7)
     plane.class_pencils                 # built once, outside the traced span
     monkeypatch.setattr(checks, "_THREADS", 2)
