@@ -61,14 +61,16 @@ first choices (`_firsts`).  A sampled sweep runs its chunks of
 `_SAMPLE_CHUNK` stream rows on up to two threads, an exhaustive chain or
 Pi sweep its ranges of first choices where one first choice covers a
 chunk's entries; the partial reports merge in order, so a report does
-not depend on the thread count (`_sweep`).  A Pi first choice reads its
-rows at the kept offsets of a's slice of `triple_circle`, built once
-(`_PiFirsts`).  The chains, one family for S, Prop22 and Cor21, write no
-rows: a closed chain K—L—M—N is an ordered pair (L, N) of the circles
-tangent to both K and M, the double tangency pencil of K and M, so a
-chain block is the outer product of such groups and its arrays
-broadcast (`_ChainFirsts`); its witnesses are ranked into the order of
-the raw space (`_chain_ranks`).  Generators are looked up with
+not depend on the thread count (`_sweep`).  A Pi first choice a writes
+its rows per (b, c) pair, b, c and C1 once into the pair's (q−1)(q−2)
+rows (`_PiFirsts`).  Pi and PiPrime are symmetric in b and c, so they
+read only the pairs with b < c and count each row for itself and its
+mirror (a, c, b, x); Thm23 reads every row.  The chains, one family for
+S, Prop22 and Cor21, write no rows: a closed chain K—L—M—N is an ordered
+pair (L, N) of the circles tangent to both K and M, the double tangency
+pencil of K and M, so a chain block is the outer product of such groups
+and its arrays broadcast (`_ChainFirsts`); its witnesses are ranked into
+the order of the raw space (`_chain_ranks`).  Generators are looked up with
 `gen_of.take(ids)`, about twice as fast as `gen_of[ids]` on int16 ids;
 tallies count by `np.count_nonzero`, in Python ints.
 
@@ -853,75 +855,105 @@ class _PiFirsts(_Family):
     off those of a and b; C order over (b, c, x) is the order of that space.
     A block holds the arrays of `_pi_blocks`' blocks.
 
-    a's tables over (y, z) and (y, z, w) are read from a's slice of
-    `triple_circle`, the circles (a, y, z)°, once: the mask of mutually
-    non-parallel (b, c, x) with x off (a, b, c)° is one `flatnonzero`, and
-    every block array is read at the kept flat offsets, or their (b, c)
-    prefixes, and K′ at (C1, x) of a's K′ table, read once from a's slice
-    of `class_pencils`: at (C, x) the circle through a and x in the class
-    of C's pencil at its point on a's generator (`_tangent_circles`)."""
+    A point a's rows are written per (b, c) pair.  Its pairs are one
+    `np.nonzero` over a's mutually non-parallel pairs.  A pair's x are the
+    q(q−2) points off the generators of a, b and c less the q−2 of them on
+    C1 = (a,b,c)°, which meets each generator once: J = (q−1)(q−2) of them,
+    at the offsets f of one `flatnonzero` over the pairs' rows of `mem` and
+    of the non-parallel table.  So b, c and C1 are read once per pair and
+    fill its J rows, x is f less the pair's row offset, and p, q and K′
+    are read at f from one row per pair: of (a,b,x)°'s points on c's
+    generator, (a,c,x)°'s on b's, and the circles through a and x in C1's
+    pencil class at a, each a row of a table built from a's slices of
+    `triple_circle` and `class_pencils` (`_tangent_circles`).  At q=2,
+    J = 0 and a point writes no row.
+
+    With `mirror`, as for Pi and PiPrime, a point keeps only its pairs with
+    b < c, and each row stands for itself and for (a, c, b, x), which the
+    evaluators count and rank through `_pi_tally` (`extra`).  Swapping b
+    and c exchanges p and q and keeps C1 and K′, and both statements are
+    invariant under it (`check_pi`, `check_pi_prime`).  Nothing proves
+    Thm23's to be, so its family keeps every row."""
 
     names = ("a", "b", "c", "x", "C1", "p", "q", "Kp")
 
-    def __init__(self, plane: LaguerrePlane):
+    def __init__(self, plane: LaguerrePlane, mirror: bool = False):
         gen, n, q = plane.gen_of, plane.n_points, plane.q
-        self.plane = plane
+        self.plane, self.J = plane, (q - 1) * (q - 2)
         self.n, self.raw = n, (n - q) * (n - 2 * q) ** 2
-        self.read = self.n ** 3                     # the kept mask's size
+        self.read = n ** 3                          # a's (b, c, x) space
         self.off = gen[:, None] != gen[None, :]
-        self.par = plane.members[:, gen].T.copy()   # par[z, C]: C's point parallel to z
+        self.gen_row = gen.astype(np.int32) * n     # z's generator's first row in `write`'s pt
+        self.pair = np.triu(self.off, 1) if mirror else self.off
+        self.extra = (True,) if mirror else ()
+
+    def pairs(self, a: int):
+        """a's (b, c) pairs, and a's table of the points y, z off a's
+        generator and each other's."""
+        off = self.off & self.off[a][:, None] & self.off[a]
+        return *np.nonzero(off & self.pair), off
 
     def rows(self, a: int) -> int:
         """The rows a point a keeps."""
-        return int(np.count_nonzero(self.mask(a)[0]))
-
-    def mask(self, a: int):
-        """a's kept mask over (b, c, x), and a's circles (a, y, z)°, -1
-        where y or z is parallel to a (rows the mask drops)."""
-        Ta = self.plane.triple_circle[a]
-        # x off C1 = (a, b, c)°, and each pair off each other and off a
-        mask = self.plane.mem[Ta]
-        np.logical_not(mask, out=mask)
-        o = self.off & self.off[a][:, None] & self.off[a]
-        mask &= o[:, :, None]
-        mask &= o[:, None, :]
-        mask &= o
-        return mask.reshape(-1), Ta
+        return len(self.pairs(a)[0]) * self.J
 
     def write(self, a: int, rows: _Rows, o: int) -> int:
         """Write a's kept configurations at row o of the block arrays of
         `rows`, and return their number."""
-        plane, n = self.plane, self.n
-        mask, Ta = self.mask(a)
-        f = np.flatnonzero(mask)
-        r = len(f)
-        out = partial(rows.block, o=o, r=r)
-        # pz[z, y, w]: (a, y, w)°'s point ∥ z; q = (a, c, x)°'s ∥ b is pz at
-        # f = (b, c, x), p = (a, b, x)°'s ∥ c pz's (y, z, w) transpose at f
-        pz = self.par[:, Ta]
-        pz.reshape(-1).take(f, out=out("q"), mode="wrap")
-        pz.transpose(1, 0, 2).reshape(-1).take(f, out=out("p"), mode="wrap")
-        out("a")[...] = a
-        # f = (b·n + c)·n + x, split in int32: n² may pass int16's range
-        t = f.astype(np.int32)
-        bc = t // n
-        x = np.subtract(t, np.multiply(bc, n, out=f), out=out("x"))
-        b = np.floor_divide(bc, n, out=out("b"))
-        np.subtract(bc, np.multiply(b, n, out=t, dtype=np.int32), out=out("c"))
-        C1 = Ta.reshape(-1).take(bc, out=out("C1"), mode="wrap")
-        # K′ through x tangent to C1 at a, read at C1·n + x in f
-        k = plane.pencil_class[:, plane.gen_of[a]]
-        Kp = plane.class_pencils[a].T.take(k, axis=0).reshape(-1)
-        np.multiply(C1, n, out=f, dtype=f.dtype)
-        f += x
-        Kp.take(f, out=out("Kp"), mode="wrap")
-        return r
+        plane, n, gen = self.plane, self.n, self.plane.gen_of
+        b, c, off = self.pairs(a)
+        P, Ta = len(b), plane.triple_circle[a]
+        C1 = _gather(Ta, b, c)
+        # the kept (pair, x): x off C1 and off a's, b's and c's generators
+        keep = plane.mem.take(C1, axis=0)
+        np.logical_not(keep, out=keep)
+        keep &= off.take(b, axis=0)
+        keep &= off.take(c, axis=0)
+        f = np.flatnonzero(keep)
+        out = partial(rows.block, o=o, r=len(f))
+        # p, q and K′ over (pair, x), read at f: pt[g·n + y, x] is the point
+        # of (a, y, x)° on generator g, kp[k, x] the circle through a and x
+        # of pencil class k at a
+        pt = plane.members.take(Ta, axis=0).transpose(2, 0, 1).reshape(-1, n)
+        kp = plane.class_pencils[a].T
+        for name, table, at in (("p", pt, self.gen_row.take(c) + b),
+                                ("q", pt, self.gen_row.take(b) + c),
+                                ("Kp", kp, _gather(plane.pencil_class, C1, gen[a]))):
+            table.take(at, axis=0).reshape(-1).take(f, out=out(name))
+        x = f.reshape(P, self.J) - np.arange(0, P * n, n)[:, None]
+        for name, v in (("a", a), ("b", b[:, None]), ("c", c[:, None]), ("x", x),
+                        ("C1", C1[:, None])):
+            out(name).reshape(P, self.J)[...] = v
+        return len(f)
 
 
-def _pi_tally(report, ok, kind, a, b, c, x, C1) -> None:
-    report.hypothesis_hits += len(a)
-    report.record(~ok, lambda i: Violation(
-        kind, points=(int(a[i]), int(b[i]), int(c[i]), int(x[i])), circles=(int(C1[i]),)))
+def _pi_tally(plane, report, ok, kind, a, b, c, x, C1, mirror=False) -> None:
+    """Count the rows of a Pi-family block as hits and those not `ok` as
+    violations.  Where `mirror` (`_PiFirsts`), each row stands for itself
+    and for (a, c, b, x), so it counts twice, and the witnesses are ranked
+    at each one's flat offset ((a·n + b)·n + c)·n + x in the raw space, the
+    order of an unmirrored sweep's rows.  A block's rows come in that
+    order, and each ranks below its mirror, b < c: so the witnesses are
+    among the first `MAX_VIOLATIONS` violating rows and their mirrors."""
+    k, n = (2 if mirror else 1), plane.n_points
+
+    def witness(i):
+        i, m = i % len(a), i >= len(a)
+        y, z = (c[i], b[i]) if m else (b[i], c[i])
+        return Violation(kind, points=(int(a[i]), int(y), int(z), int(x[i])),
+                         circles=(int(C1[i]),))
+
+    def ranks(mask, worst):
+        # at most 2·MAX_VIOLATIONS, which `record` sorts with its own
+        i = np.flatnonzero(mask[0])[:MAX_VIOLATIONS]
+        ai, bi, ci, xi = (v.take(i).astype(np.int64) for v in (a, b, c, x))
+        head = ai * n ** 3 + xi
+        return (np.concatenate([i, i + len(a)]),
+                np.concatenate([head + (bi * n + ci) * n, head + (ci * n + bi) * n]))
+
+    report.hypothesis_hits += k * len(a)
+    # a copy: `count_nonzero` reads a broadcast view several times slower
+    report.record(np.tile(~ok, (k, 1)), witness, ranks if mirror else None)
 
 
 def _tangent_circles(plane, C, t, x):
@@ -936,10 +968,10 @@ def _touch_at(plane, N, C, x):
     return _gather(plane.pair_code, N, C) == touch_code(x)
 
 
-def _eval_pi(plane, report, a, b, c, x, C1, p, qpt, Kp):
+def _eval_pi(plane, report, a, b, c, x, C1, p, qpt, Kp, mirror=False):
     C2 = _gather(plane.triple_circle, p, qpt, x)
     ok = _touch_at(plane, Kp, C2, x)
-    _pi_tally(report, ok, "pi-config", a, b, c, x, C1)
+    _pi_tally(plane, report, ok, "pi-config", a, b, c, x, C1, mirror)
 
 
 def _meets_at_parallel(plane, L, C, x, p):
@@ -948,17 +980,17 @@ def _meets_at_parallel(plane, L, C, x, p):
     return _gather(plane.pair_code, L, C) == secant_code(x, p)
 
 
-def _eval_pi_prime(plane, report, a, b, c, x, C1, p, qpt, Kp):
+def _eval_pi_prime(plane, report, a, b, c, x, C1, p, qpt, Kp, mirror=False):
     L = _tangent_circles(plane, Kp, x, qpt)
     ok = _meets_at_parallel(plane, L, _gather(plane.triple_circle, a, b, x), x, p)
-    _pi_tally(report, ok, "piprime-config", a, b, c, x, C1)
+    _pi_tally(plane, report, ok, "piprime-config", a, b, c, x, C1, mirror)
 
 
 def _eval_thm_2_3(plane, report, a, b, c, x, C1, p, qpt, Kp):
     Cqpx = _gather(plane.triple_circle, qpt, p, x)
     N = _tangent_circles(plane, Cqpx, p, b)
     ok = _touch_at(plane, N, C1, b)
-    _pi_tally(report, ok, "thm23-config", a, b, c, x, C1)
+    _pi_tally(plane, report, ok, "thm23-config", a, b, c, x, C1)
 
 
 def check_pi(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
@@ -983,18 +1015,37 @@ def check_pi(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     b = (0, 0), c = (1, 0), x = (t, 1), t ≠ 0, 1.  Then K is v = 0, p is
     (1, 1/t), q is (0, 1/(1 − t)) and L is v = (u² − 2tu + t)/(t(1 − t)),
     with (inf, 1/(t(1 − t))) off K; u² − 2tu + t has discriminant
-    4t(t − 1) ≠ 0, so L meets K in two points or none."""
-    return _sweep(plane, mode, "Pi", _pi_blocks, _eval_pi, _PiFirsts)
+    4t(t − 1) ≠ 0, so L meets K in two points or none.
+
+    The statement holds for (a, b, c, x) exactly where it holds for
+    (a, c, b, x): the swap exchanges p and q, so (p,q,x)° and K′ are the
+    same circles.  The exhaustive sweep reads each {b, c} once
+    (`_PiFirsts`' mirror)."""
+    return _sweep(plane, mode, "Pi", _pi_blocks, _eval_pi, partial(_PiFirsts, mirror=True))
 
 
 def check_pi_prime(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """Reformulated symmetry configuration: L through q tangent to K at x
-    meets (a,b,x)° in exactly x and the point of it parallel to c."""
-    return _sweep(plane, mode, "PiPrime", _pi_blocks, _eval_pi_prime, _PiFirsts)
+    meets (a,b,x)° in exactly x and the point of it parallel to c.
+
+    K is the circle K′ of `check_pi`.  The statement holds for (a, b, c, x)
+    exactly where it holds for (a, c, b, x), which exchanges p and q, so the
+    exhaustive sweep reads each {b, c} once (`_PiFirsts`' mirror).  If L,
+    through q and tangent to K at x, meets (a,b,x)° in {x, p}, it passes
+    through p, so it is the circle through p tangent to K at x, the mirror's
+    L.  It meets (a,c,x)° in x and q and in no more, as it is not (a,c,x)°:
+    that circle holds a, a point of K other than x, and L meets K in x
+    alone.  So the mirror's statement holds, and the swap being an
+    involution, the converse holds too."""
+    return _sweep(plane, mode, "PiPrime", _pi_blocks, _eval_pi_prime,
+                  partial(_PiFirsts, mirror=True))
 
 
 def check_thm_2_3(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
-    """The circle tangent to (q,p,x)° at p through b is tangent to (a,b,c)° at b."""
+    """The circle tangent to (q,p,x)° at p through b is tangent to (a,b,c)° at b.
+
+    Nothing proves this statement symmetric in b and c, as Pi's and
+    PiPrime's are, so its exhaustive sweep reads every (b, c)."""
     return _sweep(plane, mode, "Thm23", _pi_blocks, _eval_thm_2_3, _PiFirsts)
 
 
@@ -1493,8 +1544,9 @@ CHECKERS = {spec.check_id: spec for spec in (
     CheckerSpec("Cor21", check_cor_2_1, _ChainFirsts, (4, 4), partial(_replay_chain, "Cor21")),
     CheckerSpec("Prop11", check_prop_1_1, _transfer_firsts, (None, 3), _replay_transfer,
                 ("common_points",)),
-    CheckerSpec("Pi", check_pi, _PiFirsts, (4, None), partial(_replay_pi_family, "Pi")),
-    CheckerSpec("PiPrime", check_pi_prime, _PiFirsts, (4, None),
+    CheckerSpec("Pi", check_pi, partial(_PiFirsts, mirror=True), (4, None),
+                partial(_replay_pi_family, "Pi")),
+    CheckerSpec("PiPrime", check_pi_prime, partial(_PiFirsts, mirror=True), (4, None),
                 partial(_replay_pi_family, "PiPrime")),
     CheckerSpec("Thm23", check_thm_2_3, _PiFirsts, (4, None), partial(_replay_pi_family, "Thm23")),
     CheckerSpec("Miquel", check_miquel, _miquel_firsts, (8, None), _replay_miquel),

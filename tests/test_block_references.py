@@ -8,10 +8,13 @@ and `checks._PiFirsts` replaced: per circle K, the whole (a, L, b, M, c, N) spac
 members looked up in K's tangency row; per point a, the mask of mutually
 non-parallel (b, c, x), its `nonzero`, and then a second pass that drops
 the rows with x on (a, b, c)°.  They are kept here as the second route to
-the blocks.  The array routes must yield the same rows: every array with
-the same values, in the same order, of the same dtype; and each first
-choice of a reference counts the raw configurations of its family
-(`family.raw`), which the sweep counts for it.  An exhaustive block of
+the blocks.  The mirrored Pi family of Pi and PiPrime must hold the
+reference rows with b < c, and each Pi-family report must be the report
+of its evaluator over every row.  The array routes must yield the same
+rows: every array with the same values, in the same order, of the same
+dtype; and each first choice of a reference counts the raw
+configurations of its family (`family.raw`), which the sweep counts for
+it.  An exhaustive block of
 the array routes spans several first choices, so the rows are compared
 across blocks, not block by block.
 
@@ -42,7 +45,7 @@ from laguerre_lab.checks import (CHECKERS, _chain_blocks, _ChainFirsts, _eval_ch
                                  _gather, _PiFirsts, _range_blocks, _Rows)
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.plane import meet_count, meet_sum
-from laguerre_lab.report import CheckMode, CheckReport
+from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport
 from laguerre_lab.symmetry import double_tangency_pencil
 from test_relabelling import RELABELLED, plane_for
 
@@ -98,6 +101,13 @@ def reference_pi_blocks(plane, mode):
                classes[a, x, plane.pencil_class[C1, gen[a]]])
 
 
+def reference_mirror_pi_blocks(plane, mode):
+    """The reference Pi rows with b < c."""
+    for n_raw, *block in reference_pi_blocks(plane, mode):
+        keep = block[1] < block[2]
+        yield n_raw, *(v[keep] for v in block)
+
+
 def parallel_rows(block, plane):
     """A block of chains (K, a, L, b, M, c, N, d) restricted to the rows
     with c ∥ a."""
@@ -138,14 +148,16 @@ def chain_rows(plane, blocks) -> list[tuple]:
 FAMILIES = {"chain": (_ChainFirsts, reference_chain_blocks, chain_rows),
             "prop22": (_ChainFirsts, reference_prop22_blocks,
                        lambda plane, blocks: [parallel_rows(chain_rows(plane, blocks)[0], plane)]),
-            "pi": (_PiFirsts, reference_pi_blocks, lambda plane, blocks: blocks)}
-GF8 = "x^4-gf8"
+            "pi": (_PiFirsts, reference_pi_blocks, lambda plane, blocks: blocks),
+            "pi-mirror": (functools.partial(_PiFirsts, mirror=True), reference_mirror_pi_blocks,
+                          lambda plane, blocks: [block[:-1] for block in blocks])}
+GF8, GF8_6 = "x^4-gf8", "x^6-gf8"
 
 
 @functools.cache
 def _plane(key):
-    if key == GF8:
-        return oval_plane(8, oval_table_power(8, 4))
+    if key in (GF8, GF8_6):
+        return oval_plane(8, oval_table_power(8, int(key[2])))
     return plane_for(key)
 
 
@@ -170,7 +182,7 @@ def assert_same_as_reference(family, reference, plane, mode, rows=lambda plane, 
 
 
 @pytest.mark.parametrize("family, key", [(f, k) for f in FAMILIES for k in (3, 4, 5, RELABELLED)]
-                         + [("pi", GF8)])
+                         + [("pi", GF8), ("pi-mirror", GF8)])
 def test_exhaustive_blocks_match_the_reference(family, key):
     plane = _plane(key)
     firsts, reference, rows = FAMILIES[family]
@@ -179,7 +191,7 @@ def test_exhaustive_blocks_match_the_reference(family, key):
 
 @pytest.mark.parametrize("family, first", [(f, K) for f in ("chain", "prop22")
                                            for K in (0, 171, 342)]
-                         + [("pi", 0), ("pi", 29), ("pi", 55)])
+                         + [("pi", 0), ("pi", 29), ("pi", 55), ("pi-mirror", 29)])
 def test_first_choice_views_match_the_reference_at_order_7(family, first):
     plane = miquelian_plane(7)
     firsts, reference, rows = FAMILIES[family]
@@ -206,6 +218,36 @@ def test_chain_first_choice_views_match_the_reference_at_the_edges(family, key, 
     firsts, reference, rows = FAMILIES[family]
     mode = CheckMode("exhaustive", start=first, count=1)
     assert_same_as_reference(firsts(plane), reference, plane, mode, rows)
+
+
+PI_EVALUATORS = {"Pi": checks._eval_pi, "PiPrime": checks._eval_pi_prime,
+                 "Thm23": checks._eval_thm_2_3}
+
+
+@pytest.mark.parametrize("key", [GF8, GF8_6, 5])
+@pytest.mark.parametrize("check_id", PI_EVALUATORS)
+def test_pi_family_reports_are_their_full_row_sweeps(monkeypatch, key, check_id):
+    # Pi and PiPrime read each {b, c} once and count each row twice, Thm23
+    # reads every row: each report is its evaluator's sweep of every row,
+    # the 20 witnesses included where x⁴ and x⁶ over GF(8) fail
+    plane = _plane(key)
+    full = checks._sweep(plane, EX, check_id, checks._pi_blocks, PI_EVALUATORS[check_id],
+                         _PiFirsts)
+    read = []
+    tally = checks._pi_tally
+
+    def counted(plane, report, ok, *args):
+        read.append(len(ok))
+        tally(plane, report, ok, *args)
+
+    monkeypatch.setattr(checks, "_pi_tally", counted)
+    report = CHECKERS[check_id].run(plane, EX)
+    assert ((report.configurations, report.hypothesis_hits, report.violation_count,
+             report.verdict, report.violations)
+            == (full.configurations, full.hypothesis_hits, full.violation_count, full.verdict,
+                full.violations))
+    assert len(report.violations) == (0 if key == 5 else MAX_VIOLATIONS)
+    assert sum(read) * (1 if check_id == "Thm23" else 2) == report.hypothesis_hits > 0
 
 
 @pytest.mark.parametrize("key", [3, 4, 5, RELABELLED])

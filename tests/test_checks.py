@@ -743,14 +743,17 @@ def test_sampled_blocks_hold_int16_ids_and_slots(blocks):
 # closed forms of exhaustive hit counts, n = q(q+1) points and n_c = q³ circles
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_pi_family_hits_have_a_closed_form(q):
     # a; b off a's generator; c off both; x off all three generators and
-    # off the q−2 points of (a, b, c)° left on the others.  PiPrime and
-    # Thm23 sweep the blocks of Pi, so Pi alone runs
+    # off the q−2 points of (a, b, c)° left on the others.  Pi and PiPrime
+    # sweep the rows with b < c and count each twice, Thm23 every row; at
+    # q=2 a pair has no x
     n = q * (q + 1)
-    assert check_pi(miquelian_plane(q), EX).hypothesis_hits \
-        == n * (n - q) * (n - 2 * q) * (q - 1) * (q - 2)
+    P = miquelian_plane(q)
+    hits = n * (n - q) * (n - 2 * q) * (q - 1) * (q - 2)
+    assert [check(P, EX).hypothesis_hits for check in (check_pi, check_pi_prime, check_thm_2_3)] \
+        == [hits] * 3
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
@@ -779,6 +782,44 @@ def test_closed_chains_have_a_closed_form(q, hits):
 def test_closed_chains_per_circle_beyond_the_swept_orders():
     # from the formula alone: the chains of one circle K at q = 9, 11, 13
     assert [_closed_chains_per_circle(q) for q in (9, 11, 13)] == [62_160, 169_320, 389_256]
+
+
+def _parallel_chains_per_circle(q: int) -> int:
+    """The closed chains from one circle K at odd order with c ∥ a,
+    Prop22's hypothesis, a = touch(K, L) and c = touch(M, N): for each kind
+    of M, the pairs (L, N) of its group with a ∥ c.
+      - M = K: L and N touch K at one point, (q−1)² pairs at each of its
+        q+1 points.
+      - M tangent to K at t: the group is the q−2 other circles of their
+        pencil at t, so a = c = t for all (q−2)² pairs.
+      - M secant to or disjoint from K: the group's circles touch K on
+        distinct generators and M on the same ones, the q−1 that miss K ∩ M
+        or all q+1, so each L has one N: q−1 or q+1 pairs.
+    So (q²−1)(q−1) + (q²−1)(q−2)² + ½q(q+1)(q−1)² + ½q(q−1)²(q+1)
+    = (q²−1)(2q²−4q+3), and S's a ∦ c takes the rest of R(q),
+    q²(q−1)²(q+1)."""
+    return ((q * q - 1) * (q - 1) + (q * q - 1) * (q - 2) ** 2
+            + q * (q + 1) * (q - 1) ** 2 // 2 + q * (q - 1) ** 2 * (q + 1) // 2)
+
+
+@pytest.mark.parametrize("q, s, p22", [(3, 3_888, 1_944), (5, 300_000, 99_000),
+                                       (7, 4_840_416, 1_201_872)])
+def test_s_and_prop22_hits_have_a_closed_form(q, s, p22):
+    P = miquelian_plane(q)
+    assert (check_S(P, EX).hypothesis_hits, check_prop_2_2(P, EX).hypothesis_hits) == (s, p22)
+    assert s == q ** 5 * (q - 1) ** 2 * (q + 1)
+    assert p22 == q ** 3 * (q * q - 1) * (2 * q * q - 4 * q + 3)
+    assert p22 == q ** 3 * _parallel_chains_per_circle(q)
+    assert s + p22 == q ** 3 * _closed_chains_per_circle(q)
+
+
+@pytest.mark.parametrize("q, s, p22", [(9, 51_840, 10_320), (11, 145_200, 24_120),
+                                       (13, 340_704, 48_552)])
+def test_s_and_prop22_hits_per_circle_beyond_the_swept_orders(q, s, p22):
+    # one circle's exhaustive view
+    P, view = miquelian_plane(q), CheckMode("exhaustive", count=1, start=0)
+    assert (check_S(P, view).hypothesis_hits, check_prop_2_2(P, view).hypothesis_hits) == (s, p22)
+    assert (s, p22) == (q * q * (q - 1) ** 2 * (q + 1), _parallel_chains_per_circle(q))
 
 
 @pytest.mark.parametrize("key", [3, 4, 5, 7, "relabelled-5"])

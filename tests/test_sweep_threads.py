@@ -297,10 +297,13 @@ SPLIT_COUNTS = {
 
 
 # the parts of each split sweep: windows of 28 circles K at q=7 (2,304
-# (L, M) pairs each, 64,512 a window), and one point a per block where a's
-# rows fill a chunk (61,740 at q=7, 150,528 on x^4)
+# (L, M) pairs each, 64,512 a window), and the points a whose rows fill a
+# chunk: Thm23 keeps every row, one point of 61,740 at q=7, and Pi and
+# PiPrime the rows with b < c, two points of 30,870 at q=7 and one of
+# 75,264 on x^4
 SPLIT_PARTS = {**{("miquelian-7", c): 13 for c in ("S", "Prop22", "Cor21")},
-               **{("miquelian-7", c): 56 for c in PI_FAMILY}, ("x^4-gf8", "Pi"): 72}
+               **{("miquelian-7", c): 28 for c in ("Pi", "PiPrime")},
+               ("miquelian-7", "Thm23"): 56, ("x^4-gf8", "Pi"): 72}
 
 
 @pytest.mark.parametrize("name, check_id", SPLIT_COUNTS)
@@ -397,9 +400,10 @@ def test_range_blocks_report_what_single_first_choices_report(monkeypatch, key, 
         assert report.violations == single.violations
     if (key, check_id) == (4, "S"):
         assert report.violation_count == 23_040
-    if key == 5:            # windows of 113 circles of 576 (L, M) pairs, 6,000 rows a point
-        assert max(n for n, _ in blocks) == (113 if check_id in ("S", "Cor21", "Prop22")
-                                             else 10)
+    if key == 5:            # windows of 113 circles of 576 (L, M) pairs; 6,000 rows a
+        # point for Thm23 and 3,000 for Pi and PiPrime, which keep b < c
+        assert max(n for n, _ in blocks) == {"S": 113, "Cor21": 113, "Prop22": 113, "Pi": 21,
+                                             "PiPrime": 21, "Thm23": 10}[check_id]
     assert all(rows <= checks._SAMPLE_CHUNK or n == 1 for n, rows in blocks)
 
 

@@ -519,10 +519,12 @@ def replacing_kp(evaluate, pick):
     """A Pi-family evaluator that passes `evaluate` the circle
     `pick(plane, a, p, C1, L, K′)` in place of K′, with L = (x, p, q)°."""
     def wrapped(*args):
-        *head, x, C1, p, qpt, Kp = args
+        # a mirrored family's flag follows the arrays (`_PiFirsts`)
+        extra = args[-1:] if args[-1] is True else ()
+        *head, x, C1, p, qpt, Kp = args[:len(args) - len(extra)]
         plane, a = head[-5], head[-3]
         L = plane.triple_circle[x, p, qpt]
-        evaluate(*head, x, C1, p, qpt, pick(plane, a, p, C1, L, Kp))
+        evaluate(*head, x, C1, p, qpt, pick(plane, a, p, C1, L, Kp), *extra)
     return wrapped
 
 
