@@ -14,14 +14,14 @@ one block, made by the checker's block maker `blocks(plane, mode)` from
 the chunk's view; an exhaustive block comes from its family of first
 choices (`firsts`) through `_range_blocks`.  A block holds only the rows
 that can meet the statement's constructive hypothesis, with the values
-its whole family reads (a chain's corner d; p, q and K′ of the symmetry
-configuration).  `_sweep` alone counts `configurations`, every choice of
-what it sweeps, kept or not: a chunk's rows, or an exhaustive part's
-first choices times the raw configurations of each, so an exhaustive
-`configurations` is `exhaustive_size`.  The evaluator
+its whole family reads (a chain's corner d; C's pencil counts; p, q and
+K′ of the symmetry configuration).  `_sweep` alone counts
+`configurations`, every choice of what it sweeps, kept or not: a chunk's
+rows, or an exhaustive part's first choices times the raw configurations
+of each, so an exhaustive `configurations` is `exhaustive_size`.  The evaluator
 `evaluate(plane, report, *arrays)` tests the statement, the same code in
-both modes.  C alone keeps a second evaluator for its exhaustive blocks
-(`_eval_c_exhaustive`).  Blocks and evaluators read a plane index with
+both modes, on flat rows or on arrays that broadcast (`_entry` reads a
+witness of either).  Blocks and evaluators read a plane index with
 one id array per axis through `_gather`, one `take` at the flat offset.
 A sampled block reads its choices from its chunk's `_Draws` view
 (`_draws`), which draws a choice column only when it is read, and only
@@ -52,7 +52,7 @@ Every exhaustive sweep reads its blocks from a family of first choices
 point a of the Pi family, a circle C1 and a pencil selector of the
 closures.  A family counts its first choices and the raw configurations
 of each, so `exhaustive_size` is their product.  Every family but the
-chains' writes a first choice's rows into the row buffers that each
+chains' and C's writes a first choice's rows into the row buffers that each
 sweep thread makes once and reuses (`_Rows`), and `_range_blocks` fills
 a block with consecutive first choices up to one chunk of evaluator
 rows, so an evaluator's fixed numpy cost is paid per chunk; an
@@ -70,9 +70,11 @@ S, Prop22 and Cor21, write no rows: a closed chain K—L—M—N is an ordered
 pair (L, N) of the circles tangent to both K and M, the double tangency
 pencil of K and M, so a chain block is the outer product of such groups
 and its arrays broadcast (`_ChainFirsts`); its witnesses are ranked into
-the order of the raw space (`_chain_ranks`).  Generators are looked up with
-`gen_of.take(ids)`, about twice as fast as `gen_of[ids]` on int16 ids;
-tallies count by `np.count_nonzero`, in Python ints.
+the order of the raw space (`_chain_ranks`).  A C block broadcasts over
+(K, slot of p, L), its pencil counts summed from whole `pair_code` rows
+(`_CFirsts`).  Generators are looked up with `gen_of.take(ids)`, about
+twice as fast as `gen_of[ids]` on int16 ids; tallies count by
+`np.count_nonzero`, in Python ints.
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -152,12 +154,13 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
     An exhaustive mode's blocks are written into the row buffers of the
     thread that sweeps them (`_Rows`), made when it takes its first part
     and dropped when the sweep returns; the chains make theirs in windows
-    of circles.  Where one first choice covers at least `_SAMPLE_CHUNK`
-    entries (`family.read`), from q=7 for the chains and the Pi family, the
-    mode is split into views of one chunk each, sized by what its first
-    first choice takes of it (`family.rows`): a Pi point's kept rows, or a
-    circle K's (L, M) pairs, so that a chain view is one window (28
-    circles at q=7).  Any other exhaustive mode is one part, swept inline."""
+    of circles, and C in broadcast blocks of circles.  Where one first
+    choice covers at least `_SAMPLE_CHUNK` entries (`family.read`), from
+    q=7 for the chains and the Pi family, the mode is split into views of
+    one chunk each, sized by what its first first choice takes of it
+    (`family.rows`): a Pi point's kept rows, or a circle K's (L, M) pairs,
+    so that a chain view is one window (28 circles at q=7).  Any other
+    exhaustive mode, C's among them, is one part, swept inline."""
     family = None if mode.is_sample else firsts(plane)
     local = threading.local()
 
@@ -202,12 +205,13 @@ class _Family:
     `write(f, rows, o)` writes the rows of first choice f that can meet
     the hypothesis at row o of the block arrays of `rows`, one per name in
     `names`, and returns their number; the evaluator makes `weight` rows of
-    each, and takes `extra` after the arrays.  The chains' family makes
-    its own blocks instead (`_ChainFirsts.blocks`).  `read` is the size of
+    each, and takes `extra` after the arrays.  The chains' and C's
+    families make their own blocks instead, `blocks(firsts)` over a range
+    of first choices (`_ChainFirsts`, `_CFirsts`).  `read` is the size of
     the space one first choice covers (a Pi point's mask, a circle's raw
     chains), and `rows(f)` what first choice f takes of a chunk (`_sweep`
-    splits a mode by the two).  This base
-    class alone is the family of no first choice."""
+    splits a mode by the two).  This base class alone is the family of no
+    first choice."""
 
     n = raw = read = 0
     weight = 1
@@ -244,9 +248,9 @@ def _range_blocks(family: _Family, mode: CheckMode, rows: _Rows):
     less than its own rows: one Prop21 block at q=9 holds 65,550.  Each
     first choice writes its rows after those before it into the block
     arrays of `rows` (`family.write`), which the next block overwrites: a
-    block is read before the next is drawn.  The chains' blocks are their
-    family's own (`_ChainFirsts.blocks`)."""
-    if isinstance(family, _ChainFirsts):
+    block is read before the next is drawn.  The chains' and C's blocks
+    are their families' own (`_ChainFirsts.blocks`, `_CFirsts.blocks`)."""
+    if isinstance(family, (_ChainFirsts, _CFirsts)):
         yield from family.blocks(_firsts(mode, family.n))
         return
     held = taken = 0
@@ -342,6 +346,13 @@ def _widen_add(off: np.ndarray, i) -> np.ndarray:
     except ValueError:
         off = off + i
     return off
+
+
+def _entry(v: np.ndarray, shape: tuple, i: int) -> int:
+    """The entry of v at the flat index i of `shape`, which v broadcasts
+    to: an axis of length 1 is read at 0."""
+    at = np.unravel_index(i, shape)
+    return int(v[tuple(x % w for x, w in zip(at, v.shape))])
 
 
 def _firsts(mode: CheckMode, n: int) -> range:
@@ -624,10 +635,7 @@ def _eval_chain(kind, plane, report, K, A, L, B, M, C, N, D, ranks=None):
     bad = np.greater(hyp, ok)           # hyp & ~ok in one pass
 
     def witness(i):
-        at = np.unravel_index(i, bad.shape)
-        # an axis of length 1 broadcasts: read it at 0
-        k, a, l, b, m, c, n, d = (int(v[tuple(x % w for x, w in zip(at, v.shape))])
-                                  for v in (K, A, L, B, M, C, N, D))
+        k, a, l, b, m, c, n, d = (_entry(v, bad.shape, i) for v in (K, A, L, B, M, C, N, D))
         return Violation(kind, points=(a, b, c, d), circles=(k, l, m, n))
 
     report.record(bad, witness, ranks)
@@ -655,24 +663,47 @@ def check_cor_2_1(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _c_blocks(plane: LaguerrePlane, mode: CheckMode):
-    """Circles K, L and a point p of K: (K, L, slot of p in K), the block
-    of a chunk view."""
+    """Circles K, L and a point p of K: (K, L, slot of p in K, count), the
+    block of a chunk view (`_c_counts`)."""
     q, n_c, raw = plane.q, plane.n_circles, _draws(mode, 3)
-    return bounded(raw[0], n_c), bounded(raw[1], n_c), bounded(raw[2], q + 1)
+    K, L, sp = bounded(raw[0], n_c), bounded(raw[1], n_c), bounded(raw[2], q + 1)
+    return K, L, sp, _c_counts(plane, K, L, sp)
+
+
+def _c_counts(plane, K, L, sp) -> np.ndarray:
+    """The uint8 count of the members of the pencil at (p, K), p in K's slot
+    sp, that touch L, on rows: one member at a time, K itself first, for a
+    (rows, q-1) table of offsets held more than a chunk's draws."""
+    pc = plane.pair_code
+    counts = (meet_count(_gather(pc, K, L)) == 1).astype(np.uint8)
+    for others in np.ascontiguousarray(_gather(plane.pencil_others, K, sp).T):
+        counts += meet_count(_gather(pc, others, L)) == 1
+    return counts
 
 
 class _CFirsts(_Family):
-    """The exhaustive first choices of C, the circles K, each one row that
-    stands for every (p, L) with p in K."""
-
-    names = ("K",)
+    """The exhaustive first choices of C, the circles K, each with its
+    (slot of p, L) space."""
 
     def __init__(self, plane: LaguerrePlane):
-        self.n, self.raw = plane.n_circles, (plane.q + 1) * plane.n_circles
+        self.plane, self.n, self.raw = plane, plane.n_circles, (plane.q + 1) * plane.n_circles
 
-    def write(self, K: int, rows: _Rows, o: int) -> int:
-        rows.block("K", o, 1)[0] = K
-        return 1
+    def blocks(self, firsts: range):
+        """The blocks (K, L, slot of p, count) of the circles K of `firsts`:
+        k = max(1, `_SAMPLE_CHUNK` // ((q+1) n_c)) circles K (k, 1, 1), every
+        L (1, 1, n_c) and the slots (1, q+1, 1), broadcast over (K, slot, L).
+        Each pencil member adds to the counts from one take of whole
+        `pair_code` rows, faster than flat offsets (CHANGES.md)."""
+        plane, q, n_c = self.plane, self.plane.q, self.plane.n_circles
+        k = max(1, _SAMPLE_CHUNK // ((q + 1) * n_c))
+        L = np.arange(n_c, dtype=np.int16)[None, None, :]
+        slots = np.arange(q + 1, dtype=np.int16)[None, :, None]
+        for k0 in range(firsts.start, firsts.stop, k):
+            K = np.arange(k0, min(k0 + k, firsts.stop), dtype=np.int16)
+            counts = np.zeros((len(K), q + 1, n_c), dtype=np.uint8)
+            for member in (K[:, None], *np.moveaxis(plane.pencil_others.take(K, axis=0), 2, 0)):
+                counts += meet_count(plane.pair_code.take(member, axis=0)) == 1
+            yield K[:, None, None], L, slots, counts
 
 
 def _one_tangent(counts):
@@ -680,44 +711,22 @@ def _one_tangent(counts):
     return counts == 1
 
 
-def _eval_c(plane, report, K, L, sp):
-    pc = plane.pair_code
+def _eval_c(plane, report, K, L, sp, counts):
+    """C on a block of `_c_blocks`, flat rows, or of `_CFirsts`, whose
+    arrays broadcast over (K, slot, L)."""
     P = _gather(plane.members, K, sp)
     hyp = (K != L) & ~_gather(plane.mem, L, P)
-    # the pencil of (p, K) counted one member at a time, K itself first: a
-    # (rows, q-1) table of offsets held more than a chunk's draws
-    counts = (meet_count(_gather(pc, K, L)) == 1).astype(np.uint8)
-    for others in np.ascontiguousarray(_gather(plane.pencil_others, K, sp).T):
-        counts += meet_count(_gather(pc, others, L)) == 1
     report.hypothesis_hits += int(np.count_nonzero(hyp))
     report.record(hyp & ~_one_tangent(counts), lambda i: Violation(
-        "tangent-count", points=(int(P[i]),),
-        circles=(int(K[i]), int(L[i])), data=(("count", int(counts[i])),)))
-
-
-def _eval_c_exhaustive(plane, report, circles):
-    # each circle K's (q+1, n_c) block evaluated in place: the same block
-    # flattened into rows of `_eval_c` gives the same report, but its sweep
-    # at q=7 took 135-168 ms instead of 15-42 ms on a shared 2-core host
-    q, n_c, members = plane.q, plane.n_circles, plane.members
-    for K in circles.tolist():
-        pen = np.concatenate([plane.pencil_others[K], np.full((q + 1, 1), K)], axis=1)
-        counts = (meet_count(plane.pair_code[pen]) == 1).sum(axis=1)     # (q+1, n_c)
-        onL = plane.mem[:, members[K]].T                                # (q+1, n_c)
-        hyp = (~onL) & (np.arange(n_c) != K)[None, :]
-        report.hypothesis_hits += int(np.count_nonzero(hyp))
-        pts = members[K]
-        report.record(hyp & ~_one_tangent(counts), lambda i: Violation(
-            "tangent-count", points=(int(pts[i // n_c]),),
-            circles=(K, int(i % n_c)),
-            data=(("count", int(counts[i // n_c, i % n_c])),)))
+        "tangent-count", points=(_entry(P, hyp.shape, i),),
+        circles=(_entry(K, hyp.shape, i), _entry(L, hyp.shape, i)),
+        data=(("count", _entry(counts, hyp.shape, i)),)))
 
 
 def check_C(plane: LaguerrePlane, mode: CheckMode) -> CheckReport:
     """For circles K,L and p in K minus L: exactly one member of the
     tangent pencil at (p,K) meets L in exactly one point."""
-    evaluate = _eval_c if mode.is_sample else _eval_c_exhaustive
-    return _sweep(plane, mode, "C", _c_blocks, evaluate, _CFirsts)
+    return _sweep(plane, mode, "C", _c_blocks, _eval_c, _CFirsts)
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,13 @@ numpy indexes, built with the plane (`members`, `mem`) or on first read:
   * `pencil_others`       tangent pencils grouped by (circle, touch point),
                           the touch point given by its generator,
   * `vertex_pencils`      non-parallel point pair -> circles through both,
-                          from `triple_circle`,
+                          `class_pencils` sorted,
   * `pencil_class`        (circle, touch point's generator) -> the class of
                           the circle's tangent pencil there, one of q at
                           each point,
   * `class_pencils`       (point t, point x, class) -> the circle through t
                           and x in that pencil class at t, so the circle
-                          through x tangent to K at t (only the Pi family
+                          through x tangent to K at t (the Pi family
                           and `tangent_circle` read the two).
 
 The q pencils at a point t are the parallel classes of the plane derived
@@ -547,18 +547,8 @@ class LaguerrePlane(_Structure):
 
     @functools.cached_property
     def vertex_pencils(self) -> np.ndarray:
-        """Non-parallel pair -> its q circles in id order, -1 elsewhere: each
-        joins the pair to a point of the least generator off theirs.  A take of
-        `triple_circle`, a sort and a scatter per first generator keep the
-        temporaries small beside a sweep's."""
-        n_p, q, n = self.n_points, self.q, self.n_gens
-        G = self.gen_members.astype(np.int32)
-        out = np.full((n_p, n_p, q), -1, dtype=np.int16)
-        for ga, gb in enumerate(np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)):
-            gw = np.where((ga != 0) & (gb != 0), 0, np.where((ga != 1) & (gb != 1), 1, 2))
-            ab = G[ga, :, None, None] * n_p + G[gb]
-            through = self.triple_circle.reshape(-1).take(ab[..., None] * n_p + G[gw, None, :])
-            out.reshape(-1, q)[ab.reshape(-1)] = np.sort(through, axis=-1).reshape(-1, q)
+        """Non-parallel pair -> its q circles in id order, -1 elsewhere."""
+        out = np.sort(self.class_pencils, axis=-1)
         out.flags.writeable = False
         return out
 

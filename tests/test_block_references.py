@@ -28,9 +28,10 @@ restricted to it.  The reference rows, evaluated in order, must give
 each chain check's exhaustive report, its witnesses included, and each
 group of the family must be a double tangency pencil.
 
-C's exhaustive evaluator receives every circle once, in order, and its
-report is the one its sampled evaluator `_eval_c` gives on every
-(K, slot of p, L) row in that order: the second route to C's verdict.
+C's evaluator `_eval_c` receives every circle once, in order, in blocks
+that broadcast over (K, slot of p, L), and their report is the one it
+gives on every flat (K, slot of p, L) row in that order, counted by the
+sampled blocks' helper `_c_counts`: the second route to C's verdict.
 """
 
 from __future__ import annotations
@@ -331,30 +332,40 @@ def test_sampled_prop22_rows_keep_c_parallel_a(key):
 # -- the circles of C --------------------------------------------------------------
 
 def test_c_evaluates_every_circle_once_in_order(monkeypatch):
+    # each block broadcasts over (K, slot of p, L): K (k, 1, 1), every L
+    # (1, 1, n_c), the slots (1, q+1, 1) and the counts (k, q+1, n_c)
     seen = []
-    evaluate = checks._eval_c_exhaustive
+    evaluate = checks._eval_c
 
-    def recording(plane, report, circles):
-        seen.extend(circles.tolist())
-        evaluate(plane, report, circles)
+    def recording(plane, report, K, L, sp, counts):
+        seen.append((K.copy(), L.copy(), sp.copy(), counts.shape, counts.dtype))
+        evaluate(plane, report, K, L, sp, counts)
 
-    monkeypatch.setattr(checks, "_eval_c_exhaustive", recording)
+    monkeypatch.setattr(checks, "_eval_c", recording)
     plane = miquelian_plane(4)
+    q, n_c = plane.q, plane.n_circles
     report = CHECKERS["C"].run(plane, EX)
-    assert seen == list(range(plane.n_circles))
-    assert report.configurations == plane.n_circles * plane.n_circles * (plane.q + 1)
+    assert np.concatenate([K.reshape(-1) for K, *_ in seen]).tolist() == list(range(n_c))
+    for K, L, sp, shape, dtype in seen:
+        assert (K.shape, shape, dtype) == ((len(K), 1, 1), (len(K), q + 1, n_c), np.uint8)
+        assert L.tolist() == [[list(range(n_c))]] and sp.tolist() == [[[s] for s in range(q + 1)]]
+        assert K.dtype == L.dtype == sp.dtype == np.int16
+    assert report.configurations == n_c * n_c * (q + 1)
 
 
 @pytest.mark.parametrize("key", [3, 4, 5, RELABELLED, GF8])
 def test_c_row_evaluator_matches_the_exhaustive_sweep(key):
-    # q=4 and x⁴ over GF(8) fail C, so their witnesses are compared too
+    # every flat (K, slot of p, L) row in that order, counted by the
+    # sampled blocks' helper; q=4 and x⁴ over GF(8) fail C, so their
+    # witnesses are compared too
     plane = _plane(key)
     q, n_c = plane.q, plane.n_circles
     sp = np.repeat(np.arange(q + 1, dtype=np.int16), n_c)
     L = np.tile(np.arange(n_c, dtype=np.int16), q + 1)
     rows = CheckReport(check_id="C", mode=EX)
     for K in range(n_c):
-        checks._eval_c(plane, rows, np.full(len(L), K, dtype=np.int16), L, sp)
+        K = np.full(len(L), K, dtype=np.int16)
+        checks._eval_c(plane, rows, K, L, sp, checks._c_counts(plane, K, L, sp))
     sweep = CHECKERS["C"].run(plane, EX)
     assert ((rows.hypothesis_hits, rows.violation_count, rows.skipped, rows.violations)
             == (sweep.hypothesis_hits, sweep.violation_count, sweep.skipped, sweep.violations))

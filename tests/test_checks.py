@@ -730,9 +730,13 @@ def test_gather_broadcasts_pencil_rows_against_a_column():
     ids=["C", "S", "Prop22", "Prop21", "Pi", "Miquel", "Bundle"])
 def test_sampled_blocks_hold_int16_ids_and_slots(blocks):
     # every id and slot stays int16 from the draw on, closure tails
-    # included; the views of draws not yet made are the only other arrays
+    # included; the views of draws not yet made are the only other arrays,
+    # and C's pencil counts, uint8, the one array of neither
     plane = miquelian_plane(13)
     parts = blocks(plane, CheckMode.sample(20_000, 5))
+    if blocks is _c_blocks:
+        *parts, counts = parts
+        assert counts.dtype == np.uint8 and len(counts) == 20_000
     arrays = [a for v in parts for a in (v if isinstance(v, tuple) else (v,))
               if not isinstance(a, checks._Draws)]
     assert len(arrays) >= 3 and all(len(a) for a in arrays)
@@ -756,9 +760,9 @@ def test_pi_family_hits_have_a_closed_form(q):
         == [hits] * 3
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
 def test_c_hits_have_a_closed_form(q):
-    # K, p on K, and L none of the q² circles through p
+    # K, p on K, and L none of the q² circles through p: 62,377,224 at q=13
     n_c = q**3
     assert check_C(miquelian_plane(q), EX).hypothesis_hits == n_c * (q + 1) * (n_c - q * q)
 

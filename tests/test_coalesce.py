@@ -7,7 +7,9 @@ one more first choice of its last one's rows would pass the budget, so
 it passes the budget by less than the rows of its last first choice,
 and at q=4 not at all unless it holds a single first choice.  The chain
 family makes its own blocks, each of at most a budget of chains or one
-group of circles (`checks._ChainFirsts`).
+group of circles (`checks._ChainFirsts`), and so does C's, each of at
+most a budget of broadcast (K, slot of p, L) entries or one circle K
+(`checks._CFirsts`).
 
 A whole exhaustive run serves as the comparison wherever it takes well
 under a second.  Elsewhere a view of a few first choices runs in both
@@ -90,22 +92,26 @@ def _recorded(monkeypatch) -> list:
     return seen
 
 
-def _chain_blocks_stay_within(monkeypatch, check_id, budget):
-    """A chain block holds at most `budget` chains, or one group, over one
-    size of groups; the blocks hold every closed chain once."""
+def _blocks_seen(monkeypatch) -> list:
+    """The blocks of every sweep from now on, as they pass: C's and the
+    chains', whose families make their own, are fresh arrays each."""
     seen = []
     range_blocks = checks._range_blocks
 
     def recording(family, mode, rows):
         for block in range_blocks(family, mode, rows):
-            *arrays, ranks = block
-            seen.append((np.broadcast_shapes(*(v.shape for v in arrays)), arrays[0].size))
+            seen.append(block)
             yield block
 
     monkeypatch.setattr(checks, "_range_blocks", recording)
-    report = CHECKERS[check_id].run(miquelian_plane(4), EX)
-    family = CHECKERS[check_id].firsts(miquelian_plane(4))
-    assert report.configurations == family.n * family.raw
+    return seen
+
+
+def _chain_blocks_stay_within(monkeypatch, check_id, budget):
+    """A chain block holds at most `budget` chains, or one group, over one
+    size of groups; the blocks hold every closed chain once."""
+    seen = [(np.broadcast_shapes(*(v.shape for v in arrays)), arrays[0].size)
+            for *arrays, ranks in _run_seen(monkeypatch, check_id)]
     for shape, groups in seen:
         # (L, N, group) or (group, L, N)
         assert shape in ((shape[1], shape[1], groups), (groups, shape[1], shape[1]))
@@ -114,12 +120,36 @@ def _chain_blocks_stay_within(monkeypatch, check_id, budget):
     assert sum(math.prod(shape) for shape, _ in seen) == 202_560
 
 
+def _c_blocks_stay_within(monkeypatch, budget):
+    """A C block holds at most `budget` broadcast (K, slot of p, L) entries,
+    or one circle K; the blocks hold every circle once, in order."""
+    plane = miquelian_plane(4)
+    seen = _run_seen(monkeypatch, "C")
+    circles = np.concatenate([K.reshape(-1) for K, *_ in seen])
+    assert circles.tolist() == list(range(plane.n_circles))
+    for K, L, sp, counts in seen:
+        assert counts.shape == (len(K), plane.q + 1, plane.n_circles)
+        assert counts.size <= budget or len(K) == 1, (counts.shape, budget)
+
+
+def _run_seen(monkeypatch, check_id) -> list:
+    """The blocks of the exhaustive run of `check_id` at q=4, which counts
+    every configuration of its family."""
+    seen = _blocks_seen(monkeypatch)
+    report = CHECKERS[check_id].run(miquelian_plane(4), EX)
+    family = CHECKERS[check_id].firsts(miquelian_plane(4))
+    assert report.configurations == family.n * family.raw
+    return seen
+
+
 @pytest.mark.parametrize("budget", [1000, checks._SAMPLE_CHUNK // 2, checks._SAMPLE_CHUNK])
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_evaluated_blocks_stay_within_the_budget(monkeypatch, check_id, budget):
     monkeypatch.setattr(checks, "_SAMPLE_CHUNK", budget)
     if check_id in ("S", "Prop22", "Cor21"):
         return _chain_blocks_stay_within(monkeypatch, check_id, budget)
+    if check_id == "C":
+        return _c_blocks_stay_within(monkeypatch, budget)
     seen = _recorded(monkeypatch)
     report = CHECKERS[check_id].run(miquelian_plane(4), EX)
     # the blocks take each first choice once, and the sweep counts the raw
@@ -139,19 +169,26 @@ def test_evaluated_blocks_stay_within_the_budget(monkeypatch, check_id, budget):
             assert i + 1 == len(blocks) or (sum(written) + written[-1]) * family.weight > budget
 
 
-# the largest block of C, Prop21 and Prop11 in evaluator rows, None where
-# the family is empty (Prop11 at odd order); C's first choices take one row
-BLOCK_MAX = {(8, "C"): 512, (8, "Prop21"): 65_391, (8, "Prop11"): 64_449,
-             (9, "C"): 729, (9, "Prop21"): 65_550, (9, "Prop11"): None,
-             (GF8, "C"): 512, (GF8, "Prop21"): 65_391, (GF8, "Prop11"): 64_449}
+# the largest block of Prop21 and Prop11 in evaluator rows, None where the
+# family is empty (Prop11 at odd order), and of C in broadcast entries: 14
+# circles of 9·512 at q=8, 8 of 10·729 at q=9
+BLOCK_MAX = {(8, "C"): 64_512, (8, "Prop21"): 65_391, (8, "Prop11"): 64_449,
+             (9, "C"): 58_320, (9, "Prop21"): 65_550, (9, "Prop11"): None,
+             (GF8, "C"): 64_512, (GF8, "Prop21"): 65_391, (GF8, "Prop11"): 64_449}
 
 
 @pytest.mark.parametrize("key, check_id", BLOCK_MAX)
 def test_a_block_passes_the_budget_by_less_than_its_last_first_choice(key, check_id):
     # the rows above a circle vary with the ids of its tangent circles, so a
     # first choice after a smaller one can take its block past the budget:
-    # at q=9 one Prop21 block holds 88 circles and 65,550 rows
+    # at q=9 one Prop21 block holds 88 circles and 65,550 rows.  C's blocks,
+    # of (q+1)·n_c entries a circle, never pass it
     family = CHECKERS[check_id].firsts(_plane(key))
+    if check_id == "C":
+        sizes = [counts.size for *_, counts in checks._range_blocks(family, EX, checks._Rows())]
+        assert max(sizes) == BLOCK_MAX[key, check_id] <= checks._SAMPLE_CHUNK
+        assert sum(sizes) == family.n * family.raw
+        return
     counted, sizes, taken = _Counted(family), [], 0
     for arrays in checks._range_blocks(counted, EX, checks._Rows()):
         written = counted.written[:]

@@ -454,24 +454,27 @@ def test_validate_axioms_oval_model():
 
 
 def test_tangent_class_indexes_and_circle_by_coef_are_built_on_first_read():
-    # a fresh plane (miquelian_plane is cached across tests): the symmetry
-    # commands and the closures read neither index, and each appears,
-    # read-only, at its first reader
-    P = oval_plane(5, oval_table_power(5, 2))
-
+    # a fresh plane each (miquelian_plane is cached across tests): each
+    # index appears, read-only, at its first reader.  The class indexes are
+    # read by the Pi family and `tangent_circle`, and sorted into
+    # `vertex_pencils`: so the symmetry commands and the closures fill them
     def built():
         return {"pencil_class", "class_pencils", "circle_by_coef"} & set(vars(P))
 
-    assert not built()
-    K, L = sample_nontangent_pairs(P, 1, seed=5)[0]
-    assert verify_dts(P, build_dts(P, K, L), K, L).holds
-    assert not built()
-    moebius_extract(P, find_fixed_point_free_pair(P)[2])
-    assert not built()
-    for check_id in ("Miquel", "Bundle"):
-        checks.CHECKERS[check_id].run(P, CheckMode.sample(2000, 7))
-    assert not built()
+    def dts(P):
+        K, L = sample_nontangent_pairs(P, 1, seed=5)[0]
+        assert verify_dts(P, build_dts(P, K, L), K, L).holds
 
+    for reader in (dts, lambda P: moebius_extract(P, find_fixed_point_free_pair(P)[2]),
+                   lambda P: checks.CHECKERS["Miquel"].run(P, CheckMode.sample(2000, 7)),
+                   lambda P: checks.CHECKERS["Bundle"].run(P, CheckMode.sample(2000, 7))):
+        P = oval_plane(5, oval_table_power(5, 2))
+        assert not built()
+        reader(P)
+        assert built() == {"pencil_class", "class_pencils"}
+
+    P = oval_plane(5, oval_table_power(5, 2))
+    assert not built()
     checks.CHECKERS["Pi"].run(P, CheckMode.sample(2000, 7))
     assert built() == {"pencil_class", "class_pencils"}
     assert not P.pencil_class.flags.writeable and not P.class_pencils.flags.writeable
@@ -563,9 +566,9 @@ def test_a_judged_plane_holds_no_lazy_index():
 @pytest.mark.parametrize("q,exponent", [(3, 2), (4, 2), (8, 2), (8, 4), (9, 2)])
 def test_vertex_pencils_read_first_equal_the_eager_fill(q, exponent):
     P = oval_plane(q, oval_table_power(q, exponent))
-    pencils = P.vertex_pencils              # fills `triple_circle` on its way
-    assert LAZY_INDEXES & set(vars(P)) == {"triple_circle", "vertex_pencils"}
-    assert not {"pencil_class", "class_pencils"} & set(vars(P))
+    pencils = P.vertex_pencils              # fills the class indexes on its way
+    assert LAZY_INDEXES & set(vars(P)) == {"pair_code", "pencil_others", "vertex_pencils"}
+    assert {"pencil_class", "class_pencils"} <= set(vars(P))
     triple, want = eager_indexes(P)
     assert np.array_equal(pencils, want) and np.array_equal(P.triple_circle, triple)
     for name in ("triple_circle", "vertex_pencils"):
