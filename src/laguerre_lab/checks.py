@@ -11,8 +11,8 @@ can refuse oversized exhaustive runs.
 Each statement checker is one `_sweep` of an evaluator over blocks, a
 block being the choice arrays its evaluator reads.  A sampled chunk is
 one block, made by the checker's block maker `blocks(plane, mode)` from
-the chunk's view; an exhaustive block comes from its family of first
-choices (`firsts`) through `_range_blocks`.  A block holds only the rows
+the chunk's view; an exhaustive part's blocks come from its family of
+first choices (`firsts`), `family.blocks`.  A block holds only the rows
 that can meet the statement's constructive hypothesis, with the values
 its whole family reads (a chain's corner d; C's pencil counts; p, q and
 K′ of the symmetry configuration).  `_sweep` alone counts
@@ -51,30 +51,33 @@ Every exhaustive sweep reads its blocks from a family of first choices
 (`_Family`): the circle K of C, Prop21 and the chains, M of Prop11, the
 point a of the Pi family, a circle C1 and a pencil selector of the
 closures.  A family counts its first choices and the raw configurations
-of each, so `exhaustive_size` is their product.  Every family but the
-chains' and C's writes a first choice's rows into the row buffers that each
-sweep thread makes once and reuses (`_Rows`), and `_range_blocks` fills
-a block with consecutive first choices up to one chunk of evaluator
-rows, so an evaluator's fixed numpy cost is paid per chunk; an
-exhaustive `CheckMode` view with `start` and `count` sweeps a range of
-first choices (`_firsts`).  A sampled sweep runs its chunks of
-`_SAMPLE_CHUNK` stream rows on up to two threads, an exhaustive chain or
-Pi sweep its ranges of first choices where one first choice covers a
-chunk's entries; the partial reports merge in order, so a report does
-not depend on the thread count (`_sweep`).  A Pi first choice a writes
-its rows per (b, c) pair, b, c and C1 once into the pair's (q−1)(q−2)
-rows (`_PiFirsts`).  Pi and PiPrime are symmetric in b and c, so they
-read only the pairs with b < c and count each row for itself and its
-mirror (a, c, b, x); Thm23 reads every row.  The chains, one family for
-S, Prop22 and Cor21, write no rows: a closed chain K—L—M—N is an ordered
-pair (L, N) of the circles tangent to both K and M, the double tangency
-pencil of K and M, so a chain block is the outer product of such groups
-and its arrays broadcast (`_ChainFirsts`); its witnesses are ranked into
-the order of the raw space (`_chain_ranks`).  A C block broadcasts over
-(K, slot of p, L), its pencil counts summed from whole `pair_code` rows
-(`_CFirsts`).  Generators are looked up with `gen_of.take(ids)`, about
-twice as fast as `gen_of[ids]` on int16 ids; tallies count by
-`np.count_nonzero`, in Python ints.
+of each, so `exhaustive_size` is their product.  `_sweep` alone sizes
+the blocks: it cuts an exhaustive mode into parts of one chunk of
+evaluator rows or one first choice, `CheckMode` views with `start` and
+`count` over a range of first choices (`_firsts`), and each part is one
+block of its family, a chain window sliced by group size aside, so an
+evaluator's fixed numpy cost is paid per chunk.  Every family but the
+chains' and C's writes a part's rows into the row buffers that each
+sweep thread makes once and reuses (`_Rows`).  A sampled sweep runs its
+chunks of `_SAMPLE_CHUNK` stream rows on up to two threads, and so does
+an exhaustive chain or Pi sweep its parts from q=7, where one first
+choice covers a chunk of raw configurations; any other exhaustive sweep
+runs its parts on the calling thread.  The partial reports merge in
+order, so a report does not depend on the thread count or the cut
+(`_sweep`).  A Pi first choice a writes its rows per (b, c) pair, b, c
+and C1 once into the pair's (q−1)(q−2) rows (`_PiFirsts`).  Pi and
+PiPrime are symmetric in b and c, so they read only the pairs with b < c
+and count each row for itself and its mirror (a, c, b, x); Thm23 reads
+every row.  The chains, one family for S, Prop22 and Cor21, write no
+rows: a closed chain K—L—M—N is an ordered pair (L, N) of the circles
+tangent to both K and M, the double tangency pencil of K and M, so a
+chain part is a window of circles, sliced into blocks that are outer
+products of such groups and whose arrays broadcast (`_ChainFirsts`); its
+witnesses are ranked into the order of the raw space (`_chain_ranks`).
+A C part is one block that broadcasts over (K, slot of p, L), its pencil
+counts summed from whole `pair_code` rows (`_CFirsts`).  Generators are
+looked up with `gen_of.take(ids)`, about twice as fast as `gen_of[ids]`
+on int16 ids; tallies count by `np.count_nonzero`, in Python ints.
 
 Checkers are pure functions of (plane, mode): reports are byte-identical
 across runs apart from elapsed time.  Every recorded violation can be
@@ -125,9 +128,9 @@ __all__ = [
     "replay_violation",
 ]
 
-# Sample rows per chunk, and the threads that run a sweep's chunks,
-# min(2, available CPUs): each thread holds one chunk's arrays, so at most
-# 131,072 rows are in flight
+# Rows per sampled chunk or exhaustive part, and the threads that run a
+# sweep's parts, min(2, available CPUs): each thread holds one part's
+# arrays, so at most 131,072 rows are in flight
 _SAMPLE_CHUNK = 1 << 16
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
@@ -136,31 +139,30 @@ _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluate,
            firsts) -> CheckReport:
     """The report of `evaluate(plane, report, *arrays)` over every block
-    of `mode`, the arrays its evaluator reads: the block
-    `blocks(plane, view)` of each chunk view where it samples, those
-    `_range_blocks` makes of the family `firsts(plane)` where it is
-    exhaustive.  Here alone a report counts its configurations: a chunk
-    view covers its `count` rows, an exhaustive part its first choices
-    times `family.raw`, so an exhaustive run's is `exhaustive_size`.
+    of `mode`, the arrays its evaluator reads.  Here alone a report counts
+    its configurations, and here alone a mode is cut into parts, each swept
+    into its own partial report: `_in_order` runs them, and the partial
+    reports merge in order (`CheckReport.merge`), so a report does not
+    depend on the thread count or the cut.
 
-    A sampled mode is split into chunk views of `_SAMPLE_CHUNK` stream rows
-    (`CheckMode.start`), each one block swept into its own partial report;
-    `_in_order` runs them on `_THREADS` threads and the partial reports are
-    merged in chunk order (`CheckReport.merge`), so the report is the same
-    for any thread count.  A chunk's columns are drawn as they are read
-    (`_draws`), so the two chunks in flight take about the bytes of one
-    chunk drawn whole.
+    A sampled mode is cut into chunk views of `_SAMPLE_CHUNK` stream rows
+    (`CheckMode.start`), each the one block `blocks(plane, view)` of its
+    `count` rows, on `_THREADS` threads.  A chunk's columns are drawn as
+    they are read (`_draws`), so the two chunks in flight take about the
+    bytes of one chunk drawn whole.
 
-    An exhaustive mode's blocks are written into the row buffers of the
-    thread that sweeps them (`_Rows`), made when it takes its first part
-    and dropped when the sweep returns; the chains make theirs in windows
-    of circles, and C in broadcast blocks of circles.  Where one first
-    choice covers at least `_SAMPLE_CHUNK` entries (`family.read`), from
-    q=7 for the chains and the Pi family, the mode is split into views of
-    one chunk each, sized by what its first first choice takes of it
-    (`family.rows`): a Pi point's kept rows, or a circle K's (L, M) pairs,
-    so that a chain view is one window (28 circles at q=7).  Any other
-    exhaustive mode, C's among them, is one part, swept inline."""
+    An exhaustive mode is cut into views of max(1, `_SAMPLE_CHUNK` // r)
+    first choices of the family `firsts(plane)`, r = `family.rows` the
+    evaluator rows of one first choice at most, so that a view holds a
+    chunk of them or one first choice.  A view covers its first choices
+    times `family.raw`, so an exhaustive run's configurations are
+    `exhaustive_size`.  A part's blocks are `family.blocks`, written into
+    the row buffers of the thread that sweeps it (`_Rows`), made when it
+    takes its first part and dropped when the sweep returns.  The parts run
+    on `_THREADS` threads where one first choice covers at least a chunk of
+    raw configurations (`family.read`), from q=7 for the chains and the Pi
+    family; every other exhaustive sweep, on parts of a few milliseconds,
+    runs faster on the calling thread alone (CHANGES.md)."""
     family = None if mode.is_sample else firsts(plane)
     local = threading.local()
 
@@ -172,28 +174,25 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
             return report
         if not hasattr(local, "rows"):
             local.rows = _Rows()
-        report.configurations = len(_firsts(part, family.n)) * family.raw
-        for arrays in _range_blocks(family, part, local.rows):
+        todo = _firsts(part, family.n)
+        report.configurations = len(todo) * family.raw
+        for arrays in family.blocks(todo, local.rows):
             evaluate(plane, report, *arrays)
             del arrays      # free this block before the generator builds the next
         return report
 
     t0 = time.perf_counter()
-    parts = [mode]
     if mode.is_sample:
-        parts = [replace(mode, start=s, count=min(_SAMPLE_CHUNK, mode.count - s))
-                 for s in range(0, mode.count, _SAMPLE_CHUNK)]
-    elif family.read >= _SAMPLE_CHUNK:
-        # parts of one chunk each, sized by what the first first choice r
-        # takes of it (`family.rows`), which fills the tables its family
-        # reads on this thread before any part
+        todo, k, threads = range(mode.count), _SAMPLE_CHUNK, _THREADS
+    else:
         todo = _firsts(mode, family.n)
-        r = family.rows(todo.start) if todo else 1
-        k = max(1, _SAMPLE_CHUNK // r) if r else len(todo)
-        parts = [replace(mode, start=todo[j], count=len(todo[j:j + k]))
-                 for j in range(0, len(todo), k)]
+        k = max(1, _SAMPLE_CHUNK // max(1, family.rows))
+        threads = _THREADS if family.read >= _SAMPLE_CHUNK else 1
+    # views of k stream rows or first choices each
+    parts = [replace(mode, start=todo[j], count=len(todo[j:j + k]))
+             for j in range(0, len(todo), k)]
     report = CheckReport(check_id=check_id, mode=mode)
-    for part in _in_order(sweep_part, parts):
+    for part in _in_order(sweep_part, parts, threads):
         report.merge(part)
     report.elapsed_seconds = time.perf_counter() - t0
     return report.finalize()
@@ -202,20 +201,24 @@ def _sweep(plane: LaguerrePlane, mode: CheckMode, check_id: str, blocks, evaluat
 class _Family:
     """The exhaustive first choices of a checker: `n` of them, each with
     `raw` configurations of the choice space, so the space holds n·raw.
-    `write(f, rows, o)` writes the rows of first choice f that can meet
-    the hypothesis at row o of the block arrays of `rows`, one per name in
-    `names`, and returns their number; the evaluator makes `weight` rows of
-    each, and takes `extra` after the arrays.  The chains' and C's
-    families make their own blocks instead, `blocks(firsts)` over a range
-    of first choices (`_ChainFirsts`, `_CFirsts`).  `read` is the size of
-    the space one first choice covers (a Pi point's mask, a circle's raw
-    chains), and `rows(f)` what first choice f takes of a chunk (`_sweep`
-    splits a mode by the two).  This base class alone is the family of no
-    first choice."""
+    `blocks(firsts, rows)` yields the blocks of the first choices of one
+    part of a sweep, a range `firsts` (`_sweep`): here one block,
+    (*arrays, *extra), the arrays of `rows` by `names`, into which
+    `write(f, rows, o)` writes the rows of each first choice f that can
+    meet the hypothesis at row o and returns their number.  `rows` is the
+    most evaluator rows one first choice makes, by which `_sweep` sizes a
+    part: `raw` for C, and for Prop21 and Prop11, above the rows Prop21
+    keeps.  `read` is the raw space of a family that threads, else 0.
+    This base class alone is the family of no first choice."""
 
-    n = raw = read = 0
-    weight = 1
+    n = raw = read = rows = 0
     names = extra = ()
+
+    def blocks(self, firsts: range, rows: _Rows):
+        held = 0
+        for f in firsts:
+            held += self.write(f, rows, held)
+        yield *(rows.block(name, 0, held) for name in self.names), *self.extra
 
 
 class _Rows(dict):
@@ -237,35 +240,8 @@ class _Rows(dict):
         return buf[o:o + r]
 
 
-def _range_blocks(family: _Family, mode: CheckMode, rows: _Rows):
-    """The exhaustive blocks of `family` over the first choices of `mode`:
-    (*arrays, *family.extra) over consecutive first choices, each block
-    closed once another first choice of its last one's rows would take it
-    past `_SAMPLE_CHUNK` evaluator rows (rows × weight); so
-    `_SAMPLE_CHUNK // (r · weight)` first choices of r rows each make a
-    block, and a first choice of more makes one alone.  A first choice of
-    more rows than the one before it can take a block past the budget, by
-    less than its own rows: one Prop21 block at q=9 holds 65,550.  Each
-    first choice writes its rows after those before it into the block
-    arrays of `rows` (`family.write`), which the next block overwrites: a
-    block is read before the next is drawn.  The chains' and C's blocks
-    are their families' own (`_ChainFirsts.blocks`, `_CFirsts.blocks`)."""
-    if isinstance(family, (_ChainFirsts, _CFirsts)):
-        yield from family.blocks(_firsts(mode, family.n))
-        return
-    held = taken = 0
-    for f in _firsts(mode, family.n):
-        r = family.write(f, rows, held)
-        held, taken = held + r, taken + 1
-        if (held + r) * family.weight > _SAMPLE_CHUNK:
-            yield *(rows.block(name, 0, held) for name in family.names), *family.extra
-            held = taken = 0
-    if taken:
-        yield *(rows.block(name, 0, held) for name in family.names), *family.extra
-
-
-def _in_order(run, parts) -> list:
-    """`[run(part) for part in parts]` on T = min(_THREADS, len(parts))
+def _in_order(run, parts, threads: int) -> list:
+    """`[run(part) for part in parts]` on T = min(threads, len(parts))
     threads, the calling one and T − 1 made for this call.  Each thread
     takes the first part not yet taken, so each holds one part at a time.
     Where parts raise, no part is taken after that and the first in order
@@ -275,7 +251,7 @@ def _in_order(run, parts) -> list:
     interpreter lock holds up no share of the others; and the caller
     works instead of waiting on a pool, which held more memory and ran
     the median operation slower (CHANGES.md)."""
-    T = min(_THREADS, len(parts))
+    T = min(threads, len(parts))
     if T < 2:
         return [run(part) for part in parts]
     todo = deque(range(len(parts)))     # a deque's pops are thread-safe
@@ -358,7 +334,8 @@ def _entry(v: np.ndarray, shape: tuple, i: int) -> int:
 def _firsts(mode: CheckMode, n: int) -> range:
     """The first choices an exhaustive mode sweeps, of the n of its family:
     all of them, or those of a view (`CheckMode.start`, `count`).  Every
-    exhaustive sweep takes its first choices from here (`_range_blocks`)."""
+    exhaustive sweep takes its first choices, and each part of it its
+    own, from here (`_sweep`)."""
     return range(n) if mode.count is None else range(mode.start, mode.start + mode.count)
 
 
@@ -463,17 +440,15 @@ class _ChainFirsts(_Family):
 
     def __init__(self, plane: LaguerrePlane):
         self.plane, self.sm = plane, (plane.q + 1) * (plane.q - 1)
-        self.n, self.read = plane.n_circles, self.sm ** 3
-        self.raw = self.read
+        # a circle K's rows are the (L, M) pairs it groups
+        self.n, self.raw, self.rows = plane.n_circles, self.sm ** 3, self.sm ** 2
+        self.read = self.raw
 
-    def rows(self, K: int) -> int:
-        """The (L, M) pairs a circle K groups: a window holds a chunk of them."""
-        return self.sm ** 2
-
-    def blocks(self, firsts: range):
-        """The blocks of the circles K of `firsts`: (K, a, L, b, M, c, N, d,
-        ranks), in windows of consecutive circles K of at most a chunk of
-        (L, M) pairs and fewer than 2^15 (K, M) groups.
+    def blocks(self, firsts: range, rows: _Rows):
+        """The blocks (K, a, L, b, M, c, N, d, ranks) of the circles K of
+        `firsts`, one window, slices of its groups of one size each.  A
+        window holds fewer than 2^15 (K, M) groups, the ids its int16 keys
+        and its sort hold; a larger one raises.
 
         A window reads the circles M touching each of its circles L, the
         rows of `pencil_others[L]`, in K's (a, L) order.  One sort of these
@@ -481,53 +456,54 @@ class _ChainFirsts(_Family):
         each group's pairs in K's (a, L) order and the groups of one size
         side by side, so a block is a slice of the window's sorted arrays."""
         plane, sm, n_c = self.plane, self.sm, self.plane.n_circles
+        k0, k = firsts.start, len(firsts)
+        if k * n_c >= 2 ** 15:
+            raise ValueError(f"a window of {k} circles holds {k * n_c} groups, "
+                             "2^15 or more")
         pos = plane.pencil_others.reshape(n_c, sm)
         # touch[X·sm + i]: X's point touching pos[X, i]
         touch = np.repeat(plane.members, plane.q - 1, axis=1).reshape(-1)
-        w = max(1, min(_SAMPLE_CHUNK // sm ** 2, 2 ** 15 // n_c))
-        for k0 in range(firsts.start, firsts.stop, w):
-            k = min(w, firsts.stop - k0)
-            L0 = pos[k0:k0 + k].reshape(-1)            # flat (K, row of L)
-            # each pair's group k·n_c + M, k its circle K's place in the window
-            key = pos.take(L0, axis=0).reshape(k, -1)
-            key += np.arange(0, k * n_c, n_c, dtype=np.int16)[:, None]
-            sizes = np.bincount(key.reshape(-1), minlength=k * n_c)
-            # the groups in (size, K, M) order, by one sort of size·2^15 + id,
-            # and each one's rank in that order
-            groups = np.sort(sizes << 15 | np.arange(k * n_c)) & (2 ** 15 - 1)
-            n = k * sm * sm
-            bits = (n - 1).bit_length()
-            dtype = np.int32 if 15 + bits < 32 else np.int64
-            rank = np.empty(k * n_c, dtype=dtype)
-            rank[groups] = np.arange(k * n_c, dtype=dtype)
-            # the pairs by their groups' ranks, in K's (a, L) order within
-            # each, by one sort of rank·2^bits + place: flat (K, row of L,
-            # row of M) in K's pencils and L's
-            o = rank.take(key.reshape(-1))
-            # a window's arrays are freed once read: the windows of two
-            # threads set a sweep's traced peak
-            del key, rank
-            o <<= bits
-            o |= np.arange(n, dtype=dtype)
-            o = np.sort(o)
-            o &= (1 << bits) - 1
-            at = o.astype(np.intp)
-            L = np.repeat(L0, sm).take(at)
-            A = np.repeat(touch[k0 * sm:(k0 + k) * sm], sm).take(at)
-            B = touch.reshape(n_c, sm).take(L0, axis=0).reshape(-1).take(at)
-            del at
-            counts = np.bincount(sizes)
-            p, h = 0, int(counts[0])                    # the first pair and group of size s
-            for s in np.flatnonzero(counts[1:]).tolist():
-                s, count = s + 1, int(counts[s + 1])
-                per = max(1, _SAMPLE_CHUNK // (s * s))
-                for h0 in range(h, h + count, per):
-                    G = min(per, h + count - h0)
-                    g = groups[h0:h0 + G]
-                    yield self._block(k0, k0 + g // n_c, g % n_c, *(
-                        v[p:p + G * s].reshape(G, s) for v in (L, A, B, o)))
-                    p += G * s
-                h += count
+        L0 = pos[k0:k0 + k].reshape(-1)            # flat (K, row of L)
+        # each pair's group k·n_c + M, k its circle K's place in the window
+        key = pos.take(L0, axis=0).reshape(k, -1)
+        key += np.arange(0, k * n_c, n_c, dtype=np.int16)[:, None]
+        sizes = np.bincount(key.reshape(-1), minlength=k * n_c)
+        # the groups in (size, K, M) order, by one sort of size·2^15 + id,
+        # and each one's rank in that order
+        groups = np.sort(sizes << 15 | np.arange(k * n_c)) & (2 ** 15 - 1)
+        n = k * sm * sm
+        bits = (n - 1).bit_length()
+        dtype = np.int32 if 15 + bits < 32 else np.int64
+        rank = np.empty(k * n_c, dtype=dtype)
+        rank[groups] = np.arange(k * n_c, dtype=dtype)
+        # the pairs by their groups' ranks, in K's (a, L) order within
+        # each, by one sort of rank·2^bits + place: flat (K, row of L,
+        # row of M) in K's pencils and L's
+        o = rank.take(key.reshape(-1))
+        # a window's arrays are freed once read: the windows of two
+        # threads set a sweep's traced peak
+        del key, rank
+        o <<= bits
+        o |= np.arange(n, dtype=dtype)
+        o = np.sort(o)
+        o &= (1 << bits) - 1
+        at = o.astype(np.intp)
+        L = np.repeat(L0, sm).take(at)
+        A = np.repeat(touch[k0 * sm:(k0 + k) * sm], sm).take(at)
+        B = touch.reshape(n_c, sm).take(L0, axis=0).reshape(-1).take(at)
+        del at
+        counts = np.bincount(sizes)
+        p, h = 0, int(counts[0])                    # the first pair and group of size s
+        for s in np.flatnonzero(counts[1:]).tolist():
+            s, count = s + 1, int(counts[s + 1])
+            per = max(1, _SAMPLE_CHUNK // (s * s))
+            for h0 in range(h, h + count, per):
+                G = min(per, h + count - h0)
+                g = groups[h0:h0 + G]
+                yield self._block(k0, k0 + g // n_c, g % n_c, *(
+                    v[p:p + G * s].reshape(G, s) for v in (L, A, B, o)))
+                p += G * s
+            h += count
 
     def _block(self, k0, K, M, L, A, B, o):
         """The block of G groups (K, M) of a window from circle k0, with
@@ -687,23 +663,21 @@ class _CFirsts(_Family):
 
     def __init__(self, plane: LaguerrePlane):
         self.plane, self.n, self.raw = plane, plane.n_circles, (plane.q + 1) * plane.n_circles
+        self.rows = self.raw
 
-    def blocks(self, firsts: range):
-        """The blocks (K, L, slot of p, count) of the circles K of `firsts`:
-        k = max(1, `_SAMPLE_CHUNK` // ((q+1) n_c)) circles K (k, 1, 1), every
-        L (1, 1, n_c) and the slots (1, q+1, 1), broadcast over (K, slot, L).
-        Each pencil member adds to the counts from one take of whole
-        `pair_code` rows, faster than flat offsets (CHANGES.md)."""
+    def blocks(self, firsts: range, rows: _Rows):
+        """The one block (K, L, slot of p, count) of the circles K of
+        `firsts`: its k circles K (k, 1, 1), every L (1, 1, n_c) and the
+        slots (1, q+1, 1), broadcast over (K, slot, L).  Each pencil member adds
+        to the counts from one take of whole `pair_code` rows, faster than
+        flat offsets (CHANGES.md)."""
         plane, q, n_c = self.plane, self.plane.q, self.plane.n_circles
-        k = max(1, _SAMPLE_CHUNK // ((q + 1) * n_c))
-        L = np.arange(n_c, dtype=np.int16)[None, None, :]
-        slots = np.arange(q + 1, dtype=np.int16)[None, :, None]
-        for k0 in range(firsts.start, firsts.stop, k):
-            K = np.arange(k0, min(k0 + k, firsts.stop), dtype=np.int16)
-            counts = np.zeros((len(K), q + 1, n_c), dtype=np.uint8)
-            for member in (K[:, None], *np.moveaxis(plane.pencil_others.take(K, axis=0), 2, 0)):
-                counts += meet_count(plane.pair_code.take(member, axis=0)) == 1
-            yield K[:, None, None], L, slots, counts
+        K = np.arange(firsts.start, firsts.stop, dtype=np.int16)
+        counts = np.zeros((len(K), q + 1, n_c), dtype=np.uint8)
+        for member in (K[:, None], *np.moveaxis(plane.pencil_others.take(K, axis=0), 2, 0)):
+            counts += meet_count(plane.pair_code.take(member, axis=0)) == 1
+        yield (K[:, None, None], np.arange(n_c, dtype=np.int16)[None, None, :],
+               np.arange(q + 1, dtype=np.int16)[None, :, None], counts)
 
 
 def _one_tangent(counts):
@@ -757,6 +731,7 @@ class _PairFirsts(_Family):
         t = plane.q ** 2 - 1
         self.plane, self.above = plane, above
         self.n, self.raw = plane.n_circles, t * (t - 1) // 2
+        self.rows = self.raw            # above the rows of a base of Prop21
         self.iu, self.ju = np.triu_indices(t, k=1)
 
     def write(self, base: int, rows: _Rows, o: int) -> int:
@@ -890,7 +865,8 @@ class _PiFirsts(_Family):
         gen, n, q = plane.gen_of, plane.n_points, plane.q
         self.plane, self.J = plane, (q - 1) * (q - 2)
         self.n, self.raw = n, (n - q) * (n - 2 * q) ** 2
-        self.read = n ** 3                          # a's (b, c, x) space
+        # a point's rows: J for each of its (n−q)(n−2q) pairs, half with `mirror`
+        self.read, self.rows = self.raw, (n - q) * (n - 2 * q) // (1 + mirror) * self.J
         self.off = gen[:, None] != gen[None, :]
         self.gen_row = gen.astype(np.int32) * n     # z's generator's first row in `write`'s pt
         self.pair = np.triu(self.off, 1) if mirror else self.off
@@ -901,10 +877,6 @@ class _PiFirsts(_Family):
         generator and each other's."""
         off = self.off & self.off[a][:, None] & self.off[a]
         return *np.nonzero(off & self.pair), off
-
-    def rows(self, a: int) -> int:
-        """The rows a point a keeps."""
-        return len(self.pairs(a)[0]) * self.J
 
     def write(self, a: int, rows: _Rows, o: int) -> int:
         """Write a's kept configurations at row o of the block arrays of
@@ -1120,7 +1092,8 @@ class _ClosureFirsts(_Family):
     then the tail.  Every head row takes each index tuple of the shape
     `tail`, the closure's own choices, which the evaluator adds through
     `_with_tail` once it has dropped the heads that cannot meet the
-    hypothesis, so a head weighs the tail's size.
+    hypothesis, so a head makes the tail's size of evaluator rows
+    (`rows`).
 
     A first choice is not (C1, quadruple): that order of the rows would
     change which witnesses a report keeps.  Slot g of a circle holds its
@@ -1133,9 +1106,11 @@ class _ClosureFirsts(_Family):
         q = plane.q
         self.plane, self.n_slots = plane, n_slots
         self.names = ("C1", "A", "Cq", "B", "D", "C2", "s", "t")[:6 + n_slots]
-        self.weight, self.extra = math.prod(tail), (tail,)
-        self.n = plane.n_circles * q
-        self.raw = math.perm(q + 1, 4) * (q + 1) ** n_slots * self.weight
+        self.extra, self.n = (tail,), plane.n_circles * q
+        self.raw = math.perm(q + 1, 4) * (q + 1) ** n_slots * math.prod(tail)
+        # a first choice's head rows, whose slots on C2 are distinct and off
+        # a's and b's, each taking every tail
+        self.rows = math.perm(q + 1, 4) * math.perm(q - 1, n_slots) * math.prod(tail)
 
     @cached_property
     def heads(self) -> tuple:

@@ -1,9 +1,9 @@
 """The exhaustive blocks against their reference forms.
 
-Every exhaustive sweep reads its blocks from a family of first choices
-through `checks._range_blocks`; `exhaustive_blocks` below reads them the
-same way for the tests.  `reference_chain_blocks` and
-`reference_pi_blocks` are the exhaustive forms that `checks._ChainFirsts`
+Every exhaustive sweep reads its blocks from a family of first choices,
+`family.blocks` over each part that `checks._sweep` cuts;
+`exhaustive_blocks` below reads them the same way for the tests.
+`reference_chain_blocks` and `reference_pi_blocks` are the exhaustive forms that `checks._ChainFirsts`
 and `checks._PiFirsts` replaced: per circle K, the whole (a, L, b, M, c, N) space of pencil
 members looked up in K's tangency row; per point a, the mask of mutually
 non-parallel (b, c, x), its `nonzero`, and then a second pass that drops
@@ -37,13 +37,14 @@ sampled blocks' helper `_c_counts`: the second route to C's verdict.
 from __future__ import annotations
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from laguerre_lab import checks
 from laguerre_lab.checks import (CHECKERS, _chain_blocks, _ChainFirsts, _eval_chain, _firsts,
-                                 _gather, _PiFirsts, _range_blocks, _Rows)
+                                 _gather, _PiFirsts, _Rows)
 from laguerre_lab.models import miquelian_plane, oval_plane, oval_table_power
 from laguerre_lab.plane import meet_count, meet_sum
 from laguerre_lab.report import MAX_VIOLATIONS, CheckMode, CheckReport
@@ -53,12 +54,28 @@ from test_relabelling import RELABELLED, plane_for
 EX = CheckMode.exhaustive()
 
 
+def sweep_parts(family, mode) -> list[range]:
+    """The first choices of each part that `checks._sweep` cuts the
+    exhaustive `mode` of `family` into, none of them swept."""
+    cut = []
+
+    def record(run, parts, threads):
+        cut.extend(parts)
+        return []
+
+    with mock.patch.object(checks, "_in_order", record):
+        checks._sweep(None, mode, "T", None, None, lambda plane: family)
+    return [_firsts(part, family.n) for part in cut]
+
+
 def exhaustive_blocks(family, mode):
     """The exhaustive blocks of `family` over the first choices of `mode`,
-    as a sweep reads them (`checks._range_blocks`), each array copied as it
-    is drawn: the next block overwrites it."""
-    for block in _range_blocks(family, mode, _Rows()):
-        yield tuple(np.array(v) if isinstance(v, np.ndarray) else v for v in block)
+    as a sweep reads them (`family.blocks` over each part of `sweep_parts`),
+    each array copied as it is drawn: the next block overwrites it."""
+    rows = _Rows()
+    for firsts in sweep_parts(family, mode):
+        for block in family.blocks(firsts, rows):
+            yield tuple(np.array(v) if isinstance(v, np.ndarray) else v for v in block)
 
 
 def reference_chain_blocks(plane, mode):
@@ -173,7 +190,7 @@ def assert_same_blocks(got, want):
 
 
 def assert_same_as_reference(family, reference, plane, mode, rows=lambda plane, blocks: blocks):
-    """The range blocks of `family` hold the rows of `reference`, whose every
+    """The exhaustive blocks of `family` hold the rows of `reference`, whose every
     first choice counts `family.raw` raw configurations; `rows` reads the
     blocks as rows of the reference's form."""
     want = list(reference(plane, mode))

@@ -1,12 +1,15 @@
-"""The chunked, threaded sweep: a sampled sweep's stream chunks, and an
-exhaustive chain or Pi-family sweep's ranges of first choices, run on
-`checks._THREADS` threads and their reports merge in order, so a report
-does not depend on the thread count, a failing chunk raises as it would in
-a single-threaded sweep, and no thread outlives its sweep.  Every
-exhaustive sweep reads its blocks from `checks._range_blocks` alone, built
-on row buffers that each thread reuses (`checks._Rows`) or, for the chains,
-from windows of circles (`checks._ChainFirsts`), so a report must not
-depend on which blocks shared them either."""
+"""The chunked, threaded sweep: `checks._sweep` cuts a sampled sweep into
+stream chunks and an exhaustive one into parts of first choices, whose
+reports merge in order, so a report does not depend on the thread count,
+a failing chunk raises as it would in a single-threaded sweep, and no
+thread outlives its sweep.  The sampled chunks, and the parts of the
+exhaustive chain and Pi-family sweeps from q=7, run on `checks._THREADS`
+threads; every other exhaustive sweep runs on the calling thread.  Every
+exhaustive sweep reads its blocks from `family.blocks` alone, over one
+part at a time, built on row buffers that each thread reuses
+(`checks._Rows`) or, for the chains, from one window of circles a part
+(`checks._ChainFirsts`), so a report must not depend on which blocks
+shared them either."""
 
 from __future__ import annotations
 
@@ -272,9 +275,9 @@ def _count_parts(monkeypatch) -> list[int]:
     counts = []
     in_order = checks._in_order
 
-    def counted(run, parts):
+    def counted(run, parts, threads):
         counts.append(len(parts))
-        return in_order(run, parts)
+        return in_order(run, parts, threads)
 
     monkeypatch.setattr(checks, "_in_order", counted)
     return counts
@@ -331,52 +334,78 @@ def test_a_view_of_an_exhaustive_mode_splits_only_its_own_first_choices(monkeypa
     assert _facts(plane, view) == _facts(plane, _merged_views(plane, "S", range(3, 33)))
 
 
-def test_small_blocks_and_the_other_sweeps_run_as_one_part(monkeypatch):
-    counts = _count_parts(monkeypatch)
-    plane = miquelian_plane(5)          # 13,824 chain and 10,000 Pi rows per first choice
-    for check_id in SPLIT:
-        CHECKERS[check_id].run(plane, CheckMode.exhaustive())
-    assert counts == [1] * len(SPLIT)
-    # with one-row chunks every first choice of the chain and Pi families
-    # is a part of its own: 27 circles and 12 points at q=3; the other
-    # checkers still sweep in one part
-    monkeypatch.setattr(checks, "_SAMPLE_CHUNK", 1)
-    counts.clear()
-    others = [c for c in CHECK_IDS if c not in SPLIT]
-    for check_id in others:         # Prop11 needs an even order
-        CHECKERS[check_id].run(miquelian_plane(4 if check_id == "Prop11" else 3),
-                               CheckMode.exhaustive())
-    CHECKERS["Prop22"].run(miquelian_plane(3), CheckMode.exhaustive())
-    CHECKERS["Pi"].run(miquelian_plane(3), CheckMode.exhaustive())
-    assert counts == [1] * len(others) + [27, 12]
+def test_which_exhaustive_sweeps_thread(monkeypatch):
+    # the chains and the Pi family, whose one first choice covers a chunk
+    # of raw configurations from q=7, run on two threads there.  Every
+    # other exhaustive sweep runs on the calling thread: its parts take a
+    # few milliseconds, and exhaustive Miquel at q=4 took 1.3 to 1.6 times
+    # as long on two threads as on one (CHANGES.md).  Prop11 at odd order
+    # is not swept
+    threads = []
+
+    def record(run, parts, T):
+        threads.append(min(T, len(parts)))
+        return []
+
+    monkeypatch.setattr(checks, "_THREADS", 2)
+    monkeypatch.setattr(checks, "_in_order", record)
+    for key in (2, 3, 4, 5, 7, 8, 9, "x^4-gf8"):
+        plane = PLANES[key]() if key in PLANES else miquelian_plane(key)
+        for check_id in CHECK_IDS:
+            threads.clear()
+            CHECKERS[check_id].run(plane, EX)
+            two = check_id in SPLIT and plane.q >= 7
+            odd = check_id == "Prop11" and plane.q % 2
+            assert threads == ([] if odd else [2 if two else 1]), (key, check_id)
 
 
-# -- range blocks on reused row buffers -----------------------------------------
+# -- exhaustive blocks on reused row buffers -------------------------------------
 
 BUFFERED = ("S", "Cor21", "Prop22", *PI_FAMILY)
 
 
-def _range_block_sizes(monkeypatch) -> list[tuple[int, int]]:
-    """(first choices, rows) of every range block from now on; a chain
+def _family_blocks(monkeypatch, blocks) -> None:
+    """From now on every exhaustive sweep reads the blocks of its family
+    over a part's first choices from `blocks(family, firsts, rows)`, in
+    place of `family.blocks(firsts, rows)`."""
+    sweep = checks._sweep
+
+    class Through:
+        def __init__(self, family):
+            self.family = family
+
+        def __getattr__(self, name):
+            return getattr(self.family, name)
+
+        def blocks(self, firsts, rows):
+            return blocks(self.family, firsts, rows)
+
+    monkeypatch.setattr(checks, "_sweep", lambda plane, mode, check_id, make, evaluate, firsts:
+                        sweep(plane, mode, check_id, make, evaluate,
+                              lambda plane: Through(firsts(plane))))
+
+
+def _block_sizes(monkeypatch) -> list[tuple[int, int]]:
+    """(first choices, rows) of every exhaustive block from now on; a chain
     block's rows are its chains, the size its arrays broadcast to."""
     seen = []
-    range_blocks = checks._range_blocks
 
-    def recording(family, mode, rows):
-        for block in range_blocks(family, mode, rows):
+    def recording(family, firsts, rows):
+        for block in family.blocks(firsts, rows):
             arrays = [v for v in block if isinstance(v, np.ndarray)]
             seen.append((len(np.unique(block[0])),
                          math.prod(np.broadcast_shapes(*(v.shape for v in arrays)))))
             yield block
 
-    monkeypatch.setattr(checks, "_range_blocks", recording)
+    _family_blocks(monkeypatch, recording)
     return seen
 
 
 @pytest.mark.parametrize("key, check_id", [(q, c) for q in (3, 4, 5, 7) for c in BUFFERED]
                          + [("x^4-gf8", c) for c in PI_FAMILY])
 def test_range_blocks_report_what_single_first_choices_report(monkeypatch, key, check_id):
-    # blocks of many first choices (or, at q=7, parts of several) share one
+    # range blocks, the blocks of a part's range of first choices: those of
+    # many first choices, and at q=7 the parts of several, share one
     # thread's buffers; x^4 over GF(8), where Pi fails, runs a view of its
     # first nine points, each a block and a part of its own
     if key == "x^4-gf8":
@@ -386,7 +415,7 @@ def test_range_blocks_report_what_single_first_choices_report(monkeypatch, key, 
         firsts = range(_n_firsts(plane, check_id))
     mode = CheckMode("exhaustive", start=firsts.start, count=len(firsts))
     single = _merged_views(plane, check_id, firsts)
-    blocks = _range_block_sizes(monkeypatch)
+    blocks = _block_sizes(monkeypatch)
     for threads in (1, 2):
         monkeypatch.setattr(checks, "_THREADS", threads)
         report = CHECKERS[check_id].run(plane, mode)
@@ -438,26 +467,27 @@ def test_row_buffers_hold_no_more_than_the_arrays_they_replace(monkeypatch):
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_exhaustive_sweeps_read_their_blocks_from_range_blocks_alone(monkeypatch, check_id):
-    # every hit, skip and violation of an exhaustive run comes from a block
-    # of `_range_blocks`, and a sampled run reads none; the configurations
-    # are the first choices `_sweep` covers, blocks or none
+    # every hit, skip and violation of an exhaustive run comes from a range
+    # block, one of `family.blocks` over a part's range of first choices,
+    # and a sampled run reads none; the configurations are the first
+    # choices `_sweep` covers, blocks or none
     plane = miquelian_plane(4 if check_id == "Prop11" else 3)
     whole = CHECKERS[check_id].run(plane, EX)
     rows = []
-    range_blocks = checks._range_blocks
 
-    def recording(family, mode, buffers):
-        for block in range_blocks(family, mode, buffers):
+    def recording(family, firsts, buffers):
+        for block in family.blocks(firsts, buffers):
             rows.append(len(block[0]))
             yield block
 
-    monkeypatch.setattr(checks, "_range_blocks", recording)
-    assert _facts(plane, CHECKERS[check_id].run(plane, EX)) == _facts(plane, whole)
-    assert sum(rows) > 0 and whole.configurations == exhaustive_size(plane, check_id) > 0
-    rows.clear()
-    CHECKERS[check_id].run(plane, CheckMode.sample(500, 3))
-    assert rows == []
-    monkeypatch.setattr(checks, "_range_blocks", lambda family, mode, rows: iter(()))
+    with monkeypatch.context() as m:
+        _family_blocks(m, recording)
+        assert _facts(plane, CHECKERS[check_id].run(plane, EX)) == _facts(plane, whole)
+        assert sum(rows) > 0 and whole.configurations == exhaustive_size(plane, check_id) > 0
+        rows.clear()
+        CHECKERS[check_id].run(plane, CheckMode.sample(500, 3))
+        assert rows == []
+    _family_blocks(monkeypatch, lambda family, firsts, rows: iter(()))
     none = CHECKERS[check_id].run(plane, EX)
     assert (none.configurations, none.hypothesis_hits, none.skipped, none.violation_count) \
         == (exhaustive_size(plane, check_id), 0, 0, 0)
